@@ -266,6 +266,26 @@ if grep -q '"smoke": true' "$bench_committed"; then
 fi
 echo "bench harness OK; committed trajectory: $bench_committed"
 
+echo "==> benchmark smoke (every workload, end-to-end and traced)"
+# A tiny version of each workload of BENCHMARK.json through the
+# benchmark's own correctness checks: every pass's output equals the
+# warm-up pass's, journals and store segments read back equal what was
+# written, and with --trace 1 the traced replay's report equals the
+# driver's. Any failed check exits non-zero. --seconds 0 stops after one
+# measured pass.
+for workload in paper_grid resilient_exec durable_sweep store_query; do
+    for trace in 0 1; do
+        if ! cargo run --release --offline -p helios-bench --bin benchmark -- \
+            --workload "$workload" --smoke --trace "$trace" --seconds 0 \
+            > "$sweep_tmp/benchmark.log" 2>&1; then
+            cat "$sweep_tmp/benchmark.log" >&2
+            echo "benchmark smoke failed: --workload $workload --trace $trace" >&2
+            exit 1
+        fi
+    done
+done
+echo "benchmark smoke OK on every workload, --trace 0 and 1"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -193,8 +193,14 @@ impl Interconnect {
     /// surface as NaN transfer times or an out-of-bounds panic much
     /// later, inside the engine's contention bookkeeping).
     pub fn route(&self, from: DeviceId, to: DeviceId) -> Result<Route, PlatformError> {
+        self.route_links(from, to).map(<[LinkId]>::to_vec)
+    }
+
+    /// [`Interconnect::route`] borrowed from the topology instead of
+    /// cloned, with the same errors.
+    fn route_links(&self, from: DeviceId, to: DeviceId) -> Result<&[LinkId], PlatformError> {
         if from == to {
-            return Ok(Vec::new());
+            return Ok(&[]);
         }
         if let Some(route) = self.routes.get(&(from.0, to.0)) {
             for &id in route {
@@ -202,14 +208,14 @@ impl Interconnect {
                     return Err(PlatformError::UnknownLink(id.0));
                 }
             }
-            return Ok(route.clone());
+            return Ok(route);
         }
-        match self.default_link {
+        match &self.default_link {
             Some(link) => {
                 if link.0 >= self.links.len() {
                     return Err(PlatformError::UnknownLink(link.0));
                 }
-                Ok(vec![link])
+                Ok(std::slice::from_ref(link))
             }
             None => Err(PlatformError::NoRoute {
                 from: from.0,
@@ -250,18 +256,30 @@ impl Interconnect {
         from: DeviceId,
         to: DeviceId,
     ) -> Result<SimDuration, PlatformError> {
-        let route = self.route(from, to)?;
+        Ok(self.pair_cost(from, to)?.time(bytes))
+    }
+
+    /// The size-independent terms of a transfer from `from` to `to`: the
+    /// route's summed link latency and its bottleneck bandwidth in
+    /// bytes/s. [`Interconnect::transfer_time`] and [`TransferTable`]
+    /// both finish from these, so the cached and uncached times are the
+    /// same f64 operations in the same order.
+    fn pair_cost(&self, from: DeviceId, to: DeviceId) -> Result<PairCost, PlatformError> {
+        let route = self.route_links(from, to)?;
         if route.is_empty() {
-            return Ok(SimDuration::ZERO);
+            return Ok(PairCost::Free);
         }
         let mut latency = SimDuration::ZERO;
         let mut min_bw = f64::INFINITY;
-        for id in route {
+        for &id in route {
             let link = self.link(id)?;
             latency += link.latency();
             min_bw = min_bw.min(link.bandwidth_gbs());
         }
-        Ok(latency + SimDuration::from_secs(bytes / (min_bw * 1e9)))
+        Ok(PairCost::Link {
+            latency,
+            denom: min_bw * 1e9,
+        })
     }
 
     /// Returns a copy with every link's bandwidth multiplied by `factor`
@@ -293,6 +311,112 @@ impl Interconnect {
             default_link: self.default_link,
         })
     }
+}
+
+/// The size-independent terms of one device pair's transfer.
+#[derive(Debug, Clone, Copy)]
+enum PairCost {
+    /// Empty route (same device): transfers are free at any size.
+    Free,
+    /// Routed pair: summed latency and bottleneck bandwidth in bytes/s.
+    Link { latency: SimDuration, denom: f64 },
+}
+
+impl PairCost {
+    fn time(self, bytes: f64) -> SimDuration {
+        match self {
+            PairCost::Free => SimDuration::ZERO,
+            PairCost::Link { latency, denom } => latency + SimDuration::from_secs(bytes / denom),
+        }
+    }
+}
+
+/// Every ordered device pair's transfer terms, computed once from the
+/// interconnect so hot loops (EFT probes, mean edge costs) never re-walk
+/// routes or links. Build it with
+/// [`Platform::transfer_table`](crate::Platform::transfer_table).
+///
+/// Times are bit-identical to [`Interconnect::transfer_time`]. A pair
+/// whose route fails (no route, dangling link), or that lies outside
+/// the table, replays the interconnect call, so the caller sees the
+/// identical error, and only when it asks for that pair.
+#[derive(Debug, Clone)]
+pub struct TransferTable<'a> {
+    interconnect: &'a Interconnect,
+    devices: usize,
+    /// `pairs[from * devices + to]`; `None` replays the interconnect call.
+    pairs: Vec<Option<PairCost>>,
+}
+
+impl<'a> TransferTable<'a> {
+    pub(crate) fn new(interconnect: &'a Interconnect, devices: usize) -> TransferTable<'a> {
+        let mut pairs = Vec::with_capacity(devices * devices);
+        for from in 0..devices {
+            for to in 0..devices {
+                pairs.push(interconnect.pair_cost(DeviceId(from), DeviceId(to)).ok());
+            }
+        }
+        TransferTable {
+            interconnect,
+            devices,
+            pairs,
+        }
+    }
+
+    /// Time to move `bytes` from `from` to `to`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Interconnect::transfer_time`].
+    pub fn transfer_time(
+        &self,
+        bytes: f64,
+        from: DeviceId,
+        to: DeviceId,
+    ) -> Result<SimDuration, PlatformError> {
+        let cached = if from.0 < self.devices && to.0 < self.devices {
+            self.pairs[from.0 * self.devices + to.0]
+        } else {
+            None
+        };
+        match cached {
+            Some(cost) => Ok(cost.time(bytes)),
+            None => self.interconnect.transfer_time(bytes, from, to),
+        }
+    }
+
+    /// Mean transfer time for `bytes` over all ordered pairs of distinct
+    /// devices, bit-identical to
+    /// [`Platform::mean_transfer_time`](crate::Platform::mean_transfer_time).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first pair's routing error, in (from, to) order.
+    pub fn mean_transfer_time(&self, bytes: f64) -> Result<SimDuration, PlatformError> {
+        mean_over_pairs(self.devices, |from, to| self.transfer_time(bytes, from, to))
+    }
+}
+
+/// The mean of `transfer` over the ordered pairs of `devices` distinct
+/// devices, summed in (from, to) order; zero below two devices.
+pub(crate) fn mean_over_pairs(
+    devices: usize,
+    mut transfer: impl FnMut(DeviceId, DeviceId) -> Result<SimDuration, PlatformError>,
+) -> Result<SimDuration, PlatformError> {
+    if devices < 2 {
+        return Ok(SimDuration::ZERO);
+    }
+    let mut total = SimDuration::ZERO;
+    let mut pairs = 0u32;
+    for from in 0..devices {
+        for to in 0..devices {
+            if from != to {
+                total += transfer(DeviceId(from), DeviceId(to))?;
+                pairs += 1;
+            }
+        }
+    }
+    Ok(total / f64::from(pairs))
 }
 
 /// Builder for [`Interconnect`].

@@ -48,5 +48,5 @@ pub use cost::{ComputeCost, KernelClass};
 pub use device::{Device, DeviceBuilder, DeviceId, DeviceKind};
 pub use dvfs::{DvfsLevel, DvfsState, PowerModel, SleepModel};
 pub use error::PlatformError;
-pub use interconnect::{Interconnect, InterconnectBuilder, Link, LinkId, Route};
+pub use interconnect::{Interconnect, InterconnectBuilder, Link, LinkId, Route, TransferTable};
 pub use platform::{Platform, PlatformBuilder};

@@ -10,7 +10,7 @@ use helios_sim::SimDuration;
 use crate::cost::ComputeCost;
 use crate::device::{Device, DeviceId, DeviceKind};
 use crate::error::PlatformError;
-use crate::interconnect::Interconnect;
+use crate::interconnect::{mean_over_pairs, Interconnect, TransferTable};
 
 /// A complete heterogeneous computing platform.
 ///
@@ -198,21 +198,29 @@ impl Platform {
     ///
     /// Returns [`PlatformError::NoRoute`] if any pair has no route.
     pub fn mean_transfer_time(&self, bytes: f64) -> Result<SimDuration, PlatformError> {
-        let n = self.devices.len();
-        if n < 2 {
-            return Ok(SimDuration::ZERO);
-        }
-        let mut total = SimDuration::ZERO;
-        let mut pairs = 0u32;
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    total += self.transfer_time(bytes, DeviceId(from), DeviceId(to))?;
-                    pairs += 1;
-                }
-            }
-        }
-        Ok(total / f64::from(pairs))
+        mean_over_pairs(self.devices.len(), |from, to| {
+            self.transfer_time(bytes, from, to)
+        })
+    }
+
+    /// [`Platform::mean_transfer_time`] of every size in `bytes`, through
+    /// one [`TransferTable`]: bit-identical, without re-walking routes per
+    /// size. An empty `bytes` never touches a route, so it succeeds even
+    /// on a platform with an unroutable pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlatformError::NoRoute`] if any pair has no route.
+    pub fn mean_transfer_times(&self, bytes: &[f64]) -> Result<Vec<SimDuration>, PlatformError> {
+        let table = self.transfer_table();
+        bytes.iter().map(|&b| table.mean_transfer_time(b)).collect()
+    }
+
+    /// Memoizes the transfer terms of every device pair; see
+    /// [`TransferTable`].
+    #[must_use]
+    pub fn transfer_table(&self) -> TransferTable<'_> {
+        TransferTable::new(&self.interconnect, self.devices.len())
     }
 }
 
@@ -366,6 +374,93 @@ mod tests {
         single.add_device(DeviceBuilder::new("c", DeviceKind::Cpu).build().unwrap());
         let single = single.build().unwrap();
         assert_eq!(single.mean_transfer_time(1e9).unwrap(), SimDuration::ZERO);
+    }
+
+    /// Three devices with routes 0→1 (one real link) and 1→0 (a dangling
+    /// link id) only, and no default link.
+    fn partly_routed() -> Platform {
+        use crate::interconnect::{InterconnectBuilder, Link, LinkId};
+        let mut b = PlatformBuilder::new("partly-routed");
+        for name in ["cpu0", "gpu0", "gpu1"] {
+            b.add_device(DeviceBuilder::new(name, DeviceKind::Gpu).build().unwrap());
+        }
+        let mut ic = InterconnectBuilder::new();
+        let l = ic.add_link(Link::new("l", 8.0, SimDuration::from_secs(2e-6)).unwrap());
+        ic.route(DeviceId(0), DeviceId(1), vec![l]);
+        ic.route(DeviceId(1), DeviceId(0), vec![LinkId(9)]);
+        b.interconnect(ic.build());
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn transfer_table_is_bit_equal_to_uncached_means() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let mut bytes = vec![0.0, 1.0, 1e3, 1e12];
+        bytes.extend((0..200).map(|_| 10f64.powf(rng.gen_range(0.0..12.0))));
+        let mut platforms = crate::presets::all();
+        platforms.push(crate::presets::hpc_node_with_gpus(3));
+        platforms.push(crate::presets::heterogeneous_node(6, 0.5, 3));
+        for p in &platforms {
+            let means = p.mean_transfer_times(&bytes).unwrap();
+            assert_eq!(means.len(), bytes.len());
+            for (&b, got) in bytes.iter().zip(&means) {
+                let want = p.mean_transfer_time(b).unwrap();
+                assert_eq!(
+                    got.as_secs().to_bits(),
+                    want.as_secs().to_bits(),
+                    "{}: {b} bytes",
+                    p.name()
+                );
+            }
+            // Per pair too, including ids past the table, which replay
+            // the interconnect call.
+            let table = p.transfer_table();
+            let n = p.num_devices() + 1;
+            for (from, to) in (0..n).flat_map(|f| (0..n).map(move |t| (DeviceId(f), DeviceId(t)))) {
+                for &b in &bytes[..8] {
+                    assert_eq!(
+                        table
+                            .transfer_time(b, from, to)
+                            .map(|t| t.as_secs().to_bits()),
+                        p.transfer_time(b, from, to).map(|t| t.as_secs().to_bits()),
+                        "{}: {from}→{to}, {b} bytes",
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_table_edge_cases_match_uncached() {
+        let mut single = PlatformBuilder::new("s");
+        single.add_device(DeviceBuilder::new("c", DeviceKind::Cpu).build().unwrap());
+        let single = single.build().unwrap();
+        assert_eq!(
+            single.mean_transfer_times(&[0.0, 1e9]).unwrap(),
+            vec![SimDuration::ZERO; 2]
+        );
+
+        let p = partly_routed();
+        let err = p.mean_transfer_time(1e6).unwrap_err();
+        assert_eq!(p.mean_transfer_times(&[1e6]).unwrap_err(), err);
+        // The first failing pair in (from, to) order names the error.
+        assert_eq!(err, PlatformError::NoRoute { from: 0, to: 2 });
+        let table = p.transfer_table();
+        for (from, to) in [(1, 0), (0, 2), (2, 1)] {
+            let (from, to) = (DeviceId(from), DeviceId(to));
+            assert_eq!(
+                table.transfer_time(1e6, from, to).unwrap_err(),
+                p.transfer_time(1e6, from, to).unwrap_err()
+            );
+        }
+        assert_eq!(
+            table.transfer_time(1e6, DeviceId(0), DeviceId(1)),
+            p.transfer_time(1e6, DeviceId(0), DeviceId(1))
+        );
+        // Routes are only walked for sizes actually asked about.
+        assert_eq!(p.mean_transfer_times(&[]).unwrap(), Vec::new());
     }
 
     #[test]

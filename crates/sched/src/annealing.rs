@@ -1,7 +1,10 @@
 //! Simulated-annealing schedule refinement.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use helios_platform::{DeviceId, Platform};
-use helios_sim::SimRng;
+use helios_sim::{SimDuration, SimRng, SimTime};
 use helios_workflow::{analysis, TaskId, Workflow};
 
 use crate::context::SchedContext;
@@ -51,40 +54,95 @@ impl Default for AnnealingScheduler {
     }
 }
 
-/// Decodes (priority, assignment) into a schedule: repeatedly commits
-/// the highest-priority ready task to its assigned device at its EFT.
-fn decode(
-    wf: &Workflow,
-    platform: &Platform,
-    priority: &[f64],
-    assignment: &[DeviceId],
-) -> Result<Schedule, SchedError> {
-    let mut ctx = SchedContext::new(wf, platform, true)?;
-    let mut indegree: Vec<usize> = (0..wf.num_tasks())
-        .map(|i| wf.predecessors(TaskId(i)).len())
-        .collect();
-    let mut ready: Vec<TaskId> = (0..wf.num_tasks())
-        .filter(|&i| indegree[i] == 0)
-        .map(TaskId)
-        .collect();
-    while !ready.is_empty() {
-        let (idx, &task) = ready
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| priority[a.0].total_cmp(&priority[b.0]).then(b.0.cmp(&a.0)))
-            .ok_or_else(|| SchedError::Internal("empty ready set".into()))?;
-        ready.swap_remove(idx);
-        let dev = assignment[task.0];
-        let (start, finish) = ctx.eft(task, dev)?;
-        ctx.place(task, dev, start, finish)?;
-        for s in wf.successor_tasks(task) {
-            indegree[s.0] -= 1;
-            if indegree[s.0] == 0 {
-                ready.push(s);
+/// A ready task in the decoder's queue. The highest priority pops first
+/// and ties go to the lower task id: since ids are unique, exactly the
+/// task a linear `max_by` scan of the ready set would pick.
+#[derive(Debug, Clone, Copy)]
+struct Ready {
+    priority: f64,
+    task: TaskId,
+}
+
+impl Ord for Ready {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.priority
+            .total_cmp(&other.priority)
+            .then(other.task.0.cmp(&self.task.0))
+    }
+}
+
+impl PartialOrd for Ready {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ready {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ready {}
+
+/// Decodes (priority, assignment) pairs into one context that is reset,
+/// not rebuilt, between decodes: the cost tables, the timelines'
+/// capacity and the ready-set buffers live for the whole annealing run.
+struct Decoder<'a> {
+    ctx: SchedContext<'a>,
+    indegree: Vec<usize>,
+    ready: BinaryHeap<Ready>,
+}
+
+impl<'a> Decoder<'a> {
+    fn new(wf: &'a Workflow, platform: &'a Platform) -> Result<Decoder<'a>, SchedError> {
+        Ok(Decoder {
+            ctx: SchedContext::new(wf, platform, true)?,
+            indegree: Vec::with_capacity(wf.num_tasks()),
+            ready: BinaryHeap::new(),
+        })
+    }
+
+    /// Repeatedly commits the highest-priority ready task to its
+    /// assigned device at its EFT, and returns the makespan. The
+    /// placements stay in the context until the next decode.
+    fn decode(
+        &mut self,
+        priority: &[f64],
+        assignment: &[DeviceId],
+    ) -> Result<SimDuration, SchedError> {
+        let wf = self.ctx.workflow();
+        self.ctx.reset();
+        self.indegree.clear();
+        self.indegree
+            .extend((0..wf.num_tasks()).map(|i| wf.predecessors(TaskId(i)).len()));
+        self.ready.clear();
+        for (i, &deg) in self.indegree.iter().enumerate() {
+            if deg == 0 {
+                self.ready.push(Ready {
+                    priority: priority[i],
+                    task: TaskId(i),
+                });
             }
         }
+        let mut last = SimTime::ZERO;
+        while let Some(Ready { task, .. }) = self.ready.pop() {
+            let dev = assignment[task.0];
+            let (start, finish) = self.ctx.eft(task, dev)?;
+            self.ctx.place(task, dev, start, finish)?;
+            last = last.max(finish);
+            for s in wf.successor_tasks(task) {
+                self.indegree[s.0] -= 1;
+                if self.indegree[s.0] == 0 {
+                    self.ready.push(Ready {
+                        priority: priority[s.0],
+                        task: s,
+                    });
+                }
+            }
+        }
+        Ok(last.saturating_since(SimTime::ZERO))
     }
-    ctx.into_schedule()
 }
 
 impl Scheduler for AnnealingScheduler {
@@ -102,29 +160,18 @@ impl Scheduler for AnnealingScheduler {
         let mut priority = analysis::bottom_levels(wf, platform)?;
         let priority_span = priority.iter().fold(0.0f64, |a, &b| a.max(b)).max(1e-12);
 
-        // Memory-feasible device sets per task.
-        let feasible: Vec<Vec<DeviceId>> = wf
-            .tasks()
-            .iter()
-            .map(|t| {
-                platform
-                    .devices()
-                    .iter()
-                    .filter(|d| crate::placement_feasible(d, t))
-                    .map(|d| d.id())
-                    .collect()
-            })
-            .collect();
-        for (i, f) in feasible.iter().enumerate() {
-            if f.is_empty() {
+        let mut decoder = Decoder::new(wf, platform)?;
+        for i in 0..wf.num_tasks() {
+            if decoder.ctx.feasible_set(TaskId(i)).is_empty() {
                 return Err(SchedError::NoFeasibleDevice(TaskId(i)));
             }
         }
 
+        // The accepted state is `assignment` + `priority`; only a new best
+        // is materialized as a schedule.
         let mut rng = SimRng::seed_from(self.seed);
-        let mut current = decode(wf, platform, &priority, &assignment)?;
-        let mut current_cost = current.makespan().as_secs();
-        let mut best = current.clone();
+        let mut current_cost = decoder.decode(&priority, &assignment)?.as_secs();
+        let mut best = decoder.ctx.snapshot()?;
         let mut best_cost = current_cost;
 
         let t0 = 0.05 * current_cost.max(1e-12);
@@ -138,14 +185,13 @@ impl Scheduler for AnnealingScheduler {
         for _ in 0..self.iterations {
             // Propose a neighbor.
             let task = TaskId(rng.uniform_usize(0, wf.num_tasks() - 1));
-            let move_device = rng.chance(0.5) && feasible[task.0].len() > 1;
+            let choices = decoder.ctx.feasible_set(task);
+            let move_device = rng.chance(0.5) && choices.len() > 1;
             let (old_dev, old_prio) = (assignment[task.0], priority[task.0]);
             if move_device {
                 let new_dev = loop {
-                    let d = *rng
-                        .choose(&feasible[task.0])
-                        .expect("feasible set is non-empty");
-                    if d != old_dev || feasible[task.0].len() == 1 {
+                    let d = *rng.choose(choices).expect("feasible set is non-empty");
+                    if d != old_dev {
                         break d;
                     }
                 };
@@ -154,15 +200,13 @@ impl Scheduler for AnnealingScheduler {
                 priority[task.0] = (old_prio + rng.normal(0.0, 0.05 * priority_span)).max(0.0);
             }
 
-            let candidate = decode(wf, platform, &priority, &assignment)?;
-            let cost = candidate.makespan().as_secs();
+            let cost = decoder.decode(&priority, &assignment)?.as_secs();
             let accept =
                 cost <= current_cost || rng.chance(((current_cost - cost) / temp).exp().min(1.0));
             if accept {
-                current = candidate;
                 current_cost = cost;
                 if cost < best_cost {
-                    best = current.clone();
+                    best = decoder.ctx.snapshot()?;
                     best_cost = cost;
                 }
             } else {
@@ -180,7 +224,251 @@ impl Scheduler for AnnealingScheduler {
 mod tests {
     use super::*;
     use helios_platform::presets;
+    use helios_workflow::generators::synthetic::{
+        self, fork_join, gaussian_elimination, in_tree, out_tree,
+    };
     use helios_workflow::generators::{montage, sipht};
+    use proptest::prelude::*;
+
+    /// The reference decoder that [`Decoder::decode`] must reproduce: a
+    /// fresh context per decode, a linear-scan ready set, a full
+    /// schedule every time.
+    fn reference_decode(
+        wf: &Workflow,
+        platform: &Platform,
+        priority: &[f64],
+        assignment: &[DeviceId],
+    ) -> Result<Schedule, SchedError> {
+        let mut ctx = SchedContext::new(wf, platform, true)?;
+        let mut indegree: Vec<usize> = (0..wf.num_tasks())
+            .map(|i| wf.predecessors(TaskId(i)).len())
+            .collect();
+        let mut ready: Vec<TaskId> = (0..wf.num_tasks())
+            .filter(|&i| indegree[i] == 0)
+            .map(TaskId)
+            .collect();
+        while !ready.is_empty() {
+            let (idx, &task) = ready
+                .iter()
+                .enumerate()
+                .max_by(|(_, a), (_, b)| {
+                    priority[a.0].total_cmp(&priority[b.0]).then(b.0.cmp(&a.0))
+                })
+                .expect("non-empty ready set");
+            ready.swap_remove(idx);
+            let dev = assignment[task.0];
+            let (start, finish) = ctx.eft(task, dev)?;
+            ctx.place(task, dev, start, finish)?;
+            for s in wf.successor_tasks(task) {
+                indegree[s.0] -= 1;
+                if indegree[s.0] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        ctx.into_schedule()
+    }
+
+    /// The reference that [`AnnealingScheduler::schedule`] must
+    /// reproduce: [`reference_decode`] per iteration, its own feasible
+    /// lists, and a `Schedule` kept for the current state.
+    fn reference_schedule(
+        iterations: u32,
+        seed: u64,
+        wf: &Workflow,
+        platform: &Platform,
+    ) -> Result<Schedule, SchedError> {
+        let heft = HeftScheduler::default().schedule(wf, platform)?;
+        let mut assignment = vec![DeviceId(0); wf.num_tasks()];
+        for p in heft.placements() {
+            assignment[p.task.0] = p.device;
+        }
+        let mut priority = analysis::bottom_levels(wf, platform)?;
+        let priority_span = priority.iter().fold(0.0f64, |a, &b| a.max(b)).max(1e-12);
+        let feasible: Vec<Vec<DeviceId>> = wf
+            .tasks()
+            .iter()
+            .map(|t| {
+                platform
+                    .devices()
+                    .iter()
+                    .filter(|d| crate::placement_feasible(d, t))
+                    .map(|d| d.id())
+                    .collect()
+            })
+            .collect();
+        let mut rng = SimRng::seed_from(seed);
+        let mut current = reference_decode(wf, platform, &priority, &assignment)?;
+        let mut current_cost = current.makespan().as_secs();
+        let mut best = current.clone();
+        let mut best_cost = current_cost;
+        let mut temp = 0.05 * current_cost.max(1e-12);
+        let cooling = if iterations > 1 {
+            (1e-3f64).powf(1.0 / f64::from(iterations - 1))
+        } else {
+            1.0
+        };
+        for _ in 0..iterations {
+            let task = TaskId(rng.uniform_usize(0, wf.num_tasks() - 1));
+            let move_device = rng.chance(0.5) && feasible[task.0].len() > 1;
+            let (old_dev, old_prio) = (assignment[task.0], priority[task.0]);
+            if move_device {
+                let new_dev = loop {
+                    let d = *rng.choose(&feasible[task.0]).expect("non-empty");
+                    if d != old_dev || feasible[task.0].len() == 1 {
+                        break d;
+                    }
+                };
+                assignment[task.0] = new_dev;
+            } else {
+                priority[task.0] = (old_prio + rng.normal(0.0, 0.05 * priority_span)).max(0.0);
+            }
+            let candidate = reference_decode(wf, platform, &priority, &assignment)?;
+            let cost = candidate.makespan().as_secs();
+            let accept =
+                cost <= current_cost || rng.chance(((current_cost - cost) / temp).exp().min(1.0));
+            if accept {
+                current = candidate;
+                current_cost = cost;
+                if cost < best_cost {
+                    best = current.clone();
+                    best_cost = cost;
+                }
+            } else {
+                assignment[task.0] = old_dev;
+                priority[task.0] = old_prio;
+            }
+            temp *= cooling;
+        }
+        Ok(best)
+    }
+
+    /// The random DAG shape families of the scheduler-conformance
+    /// battery: layered, fork-join, in-tree, out-tree, Gaussian
+    /// elimination.
+    fn random_workflow(shape: usize, seed: u64) -> Workflow {
+        let gflop = 1.0 + (seed % 7) as f64;
+        let bytes = 1e6 + (seed % 5) as f64 * 4e6;
+        let wf = match shape % 5 {
+            0 => synthetic::layered_random(
+                &synthetic::LayeredConfig {
+                    levels: 2 + (seed % 4) as usize,
+                    width: 1 + (seed % 5) as usize,
+                    edge_prob: 0.2 + (seed % 8) as f64 / 10.0,
+                    mean_gflop: gflop,
+                    mean_bytes: bytes,
+                    ..synthetic::LayeredConfig::default()
+                },
+                seed,
+            ),
+            1 => fork_join(
+                1 + (seed % 3) as usize,
+                2 + (seed % 4) as usize,
+                gflop,
+                bytes,
+                seed,
+            ),
+            2 => in_tree(
+                1 + (seed % 3) as usize,
+                2 + (seed % 2) as usize,
+                gflop,
+                bytes,
+                seed,
+            ),
+            3 => out_tree(
+                1 + (seed % 3) as usize,
+                2 + (seed % 2) as usize,
+                gflop,
+                bytes,
+                seed,
+            ),
+            _ => gaussian_elimination(2 + (seed % 4) as usize, gflop, bytes, seed),
+        };
+        wf.expect("generator parameters are in range")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn schedule_equals_the_reference_decoder(
+            shape in 0usize..5,
+            seed in 0u64..1_000_000,
+        ) {
+            let wf = random_workflow(shape, seed);
+            let platforms = [
+                presets::workstation(),
+                presets::hpc_node(),
+                presets::edge_soc(),
+                presets::cluster(2),
+            ];
+            for p in &platforms {
+                for iterations in [0, 1, 200] {
+                    let got = AnnealingScheduler::new(iterations, seed)
+                        .schedule(&wf, p)
+                        .unwrap();
+                    let want = reference_schedule(iterations, seed, &wf, p).unwrap();
+                    // Debug prints every f64 exactly, so equal text is
+                    // equal placements, bit for bit.
+                    prop_assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "shape {} on {}, {} iterations",
+                        shape,
+                        p.name(),
+                        iterations
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn priority_ties_break_toward_the_lower_task_id() {
+        // Random priorities never tie exactly; flat and coarsely rounded
+        // ones do, so the heap's tie-break must match the linear scan's.
+        for (shape, seed) in [(0, 17), (1, 4), (2, 9), (4, 3)] {
+            let wf = random_workflow(shape, seed);
+            let p = presets::workstation();
+            let heft = HeftScheduler::default().schedule(&wf, &p).unwrap();
+            let assignment: Vec<DeviceId> = heft.placements().iter().map(|pl| pl.device).collect();
+            let ranks = analysis::bottom_levels(&wf, &p).unwrap();
+            let coarse: Vec<f64> = ranks.iter().map(|r| (r * 2.0).round()).collect();
+            for priority in [vec![0.0; wf.num_tasks()], coarse] {
+                let mut decoder = Decoder::new(&wf, &p).unwrap();
+                decoder.decode(&priority, &assignment).unwrap();
+                assert_eq!(
+                    decoder.ctx.snapshot().unwrap(),
+                    reference_decode(&wf, &p, &priority, &assignment).unwrap(),
+                    "shape {shape}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reset_then_decode_matches_a_fresh_context() {
+        let p = presets::hpc_node();
+        let wf = montage(40, 3).unwrap();
+        let priority = analysis::bottom_levels(&wf, &p).unwrap();
+        let heft = HeftScheduler::default().schedule(&wf, &p).unwrap();
+        let assignment: Vec<DeviceId> = heft.placements().iter().map(|pl| pl.device).collect();
+        // A different decode first leaves placements and reservations
+        // behind for `reset` to clear.
+        let reversed: Vec<f64> = priority.iter().map(|r| -r).collect();
+        let mut reused = Decoder::new(&wf, &p).unwrap();
+        reused
+            .decode(&reversed, &vec![DeviceId(0); wf.num_tasks()])
+            .unwrap();
+        let makespan = reused.decode(&priority, &assignment).unwrap();
+
+        let mut fresh = Decoder::new(&wf, &p).unwrap();
+        assert_eq!(fresh.decode(&priority, &assignment).unwrap(), makespan);
+        let want = reference_decode(&wf, &p, &priority, &assignment).unwrap();
+        assert_eq!(reused.ctx.snapshot().unwrap(), want);
+        assert_eq!(fresh.ctx.snapshot().unwrap(), want);
+        assert_eq!(makespan, want.makespan());
+    }
 
     #[test]
     fn never_worse_than_heft() {

@@ -1,7 +1,7 @@
 //! Shared machinery for list schedulers: cost tables, earliest-start /
 //! earliest-finish computation, and incremental placement.
 
-use helios_platform::{DeviceId, Platform};
+use helios_platform::{DeviceId, Platform, TransferTable};
 use helios_sim::{SimDuration, SimTime};
 use helios_workflow::{TaskId, Workflow};
 
@@ -38,31 +38,14 @@ pub struct SchedContext<'a> {
     platform: &'a Platform,
     /// `exec[task][device]` nominal execution times.
     exec: Vec<Vec<SimDuration>>,
-    /// `pair_cost[from][to]` memoized interconnect terms, so the hot
-    /// EST/EFT loops never re-walk routes or links.
-    pair_cost: Vec<Vec<PairCost>>,
-    /// `feasible_map[task][device]` placement feasibility, precomputed.
-    feasible_map: Vec<Vec<bool>>,
+    /// Memoized interconnect terms, so the hot EST/EFT loops never
+    /// re-walk routes or links.
+    transfers: TransferTable<'a>,
+    /// `feasible[task]`: the devices that can host the task, in id order.
+    feasible: Vec<Vec<DeviceId>>,
     timelines: Vec<DeviceTimeline>,
     placements: Vec<Option<Placement>>,
     insertion: bool,
-}
-
-/// Memoized transfer terms for one device pair.
-///
-/// `Link` stores the route's summed latency and the bandwidth
-/// denominator `min_bw * 1e9` exactly as `Interconnect::transfer_time`
-/// computes them, so `latency + bytes / denom` reproduces the uncached
-/// result bit for bit.
-#[derive(Debug, Clone)]
-enum PairCost {
-    /// Empty route (same device): transfers are free at any size.
-    Free,
-    /// Routed pair: `latency + from_secs(bytes / denom)`.
-    Link { latency: SimDuration, denom: f64 },
-    /// No route or broken link; the platform call is replayed on demand
-    /// so the caller sees the identical error.
-    Unroutable,
 }
 
 impl<'a> SchedContext<'a> {
@@ -85,54 +68,16 @@ impl<'a> SchedContext<'a> {
             }
             exec.push(row);
         }
-        let n = platform.num_devices();
-        let ic = platform.interconnect();
-        let mut pair_cost = Vec::with_capacity(n);
-        for from in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for to in 0..n {
-                row.push(match ic.route(DeviceId(from), DeviceId(to)) {
-                    Err(_) => PairCost::Unroutable,
-                    Ok(route) if route.is_empty() => PairCost::Free,
-                    Ok(route) => {
-                        // Same accumulation order as `transfer_time`, so
-                        // the memoized terms are bitwise identical.
-                        let mut latency = SimDuration::ZERO;
-                        let mut min_bw = f64::INFINITY;
-                        let mut broken = false;
-                        for id in route {
-                            match ic.link(id) {
-                                Ok(link) => {
-                                    latency += link.latency();
-                                    min_bw = min_bw.min(link.bandwidth_gbs());
-                                }
-                                Err(_) => {
-                                    broken = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if broken {
-                            PairCost::Unroutable
-                        } else {
-                            PairCost::Link {
-                                latency,
-                                denom: min_bw * 1e9,
-                            }
-                        }
-                    }
-                });
-            }
-            pair_cost.push(row);
-        }
-        let feasible_map = wf
+        let feasible = wf
             .tasks()
             .iter()
             .map(|t| {
                 platform
                     .devices()
                     .iter()
-                    .map(|d| crate::placement_feasible(d, t))
+                    .enumerate()
+                    .filter(|(_, d)| crate::placement_feasible(d, t))
+                    .map(|(i, _)| DeviceId(i))
                     .collect()
             })
             .collect();
@@ -140,35 +85,27 @@ impl<'a> SchedContext<'a> {
             wf,
             platform,
             exec,
-            pair_cost,
-            feasible_map,
+            transfers: platform.transfer_table(),
+            feasible,
             timelines: vec![DeviceTimeline::new(); platform.num_devices()],
             placements: vec![None; wf.num_tasks()],
             insertion,
         })
     }
 
-    /// Transfer time between committed devices through the memoized
-    /// per-pair terms; falls back to the platform call (reproducing its
-    /// exact error) for unroutable pairs.
-    fn pair_transfer(
-        &self,
-        bytes: f64,
-        from: DeviceId,
-        to: DeviceId,
-    ) -> Result<SimDuration, SchedError> {
-        match &self.pair_cost[from.0][to.0] {
-            PairCost::Free => Ok(SimDuration::ZERO),
-            PairCost::Link { latency, denom } => {
-                Ok(*latency + SimDuration::from_secs(bytes / denom))
-            }
-            PairCost::Unroutable => Ok(self.platform.transfer_time(bytes, from, to)?),
+    /// Clears every placement and reservation but keeps the cost tables
+    /// and the timelines' capacity, so one context can build many
+    /// schedules of the same workflow.
+    pub(crate) fn reset(&mut self) {
+        for timeline in &mut self.timelines {
+            timeline.clear();
         }
+        self.placements.fill(None);
     }
 
     /// The workflow being scheduled.
     #[must_use]
-    pub fn workflow(&self) -> &Workflow {
+    pub fn workflow(&self) -> &'a Workflow {
         self.wf
     }
 
@@ -188,18 +125,19 @@ impl<'a> SchedContext<'a> {
     /// memory and its trust level clears the task's requirement.
     #[must_use]
     pub fn feasible(&self, task: TaskId, device: DeviceId) -> bool {
-        self.feasible_map
-            .get(task.0)
-            .and_then(|row| row.get(device.0))
-            .copied()
-            .unwrap_or(false)
+        self.feasible_set(task).contains(&device)
     }
 
     /// Devices (in id order) that can host `task`.
     pub fn feasible_devices(&self, task: TaskId) -> impl Iterator<Item = DeviceId> + '_ {
-        (0..self.platform.num_devices())
-            .map(DeviceId)
-            .filter(move |&d| self.feasible(task, d))
+        self.feasible_set(task).iter().copied()
+    }
+
+    /// The devices that can host `task`, in id order; empty for an
+    /// unknown task.
+    #[must_use]
+    pub(crate) fn feasible_set(&self, task: TaskId) -> &[DeviceId] {
+        self.feasible.get(task.0).map_or(&[], Vec::as_slice)
     }
 
     /// The committed placement of `task`, if placed.
@@ -228,14 +166,16 @@ impl<'a> SchedContext<'a> {
             let pred = self.placements[edge.src.0]
                 .as_ref()
                 .ok_or(SchedError::Unscheduled(edge.src))?;
-            let transfer = self.pair_transfer(edge.bytes, pred.device, device)?;
+            let transfer = self
+                .transfers
+                .transfer_time(edge.bytes, pred.device, device)?;
             ready = ready.max(pred.finish + transfer);
         }
         Ok(ready)
     }
 
     /// Reference implementation of [`SchedContext::data_ready`] that
-    /// bypasses the memoized pair costs and queries the platform model
+    /// bypasses the memoized transfer table and queries the platform model
     /// directly. Exists so tests can assert the cache is bit-identical;
     /// not for production use.
     ///
@@ -298,18 +238,14 @@ impl<'a> SchedContext<'a> {
             preds.push((pred.finish, pred.device, edge.bytes));
         }
         let mut best: Option<(DeviceId, SimTime, SimTime)> = None;
-        for d in 0..self.platform.num_devices() {
-            if !self.feasible_map[task.0][d] {
-                continue;
-            }
-            let dev = DeviceId(d);
+        for &dev in &self.feasible[task.0] {
             let mut ready = SimTime::ZERO;
             for &(pred_finish, pred_dev, bytes) in &preds {
-                let transfer = self.pair_transfer(bytes, pred_dev, dev)?;
+                let transfer = self.transfers.transfer_time(bytes, pred_dev, dev)?;
                 ready = ready.max(pred_finish + transfer);
             }
-            let exec = self.exec[task.0][d];
-            let start = self.timelines[d].earliest_start(ready, exec, self.insertion);
+            let exec = self.exec[task.0][dev.0];
+            let start = self.timelines[dev.0].earliest_start(ready, exec, self.insertion);
             let finish = start + exec;
             let better = match best {
                 None => true,
@@ -375,8 +311,17 @@ impl<'a> SchedContext<'a> {
     ///
     /// Returns [`SchedError::Unscheduled`] if any task is missing.
     pub fn into_schedule(self) -> Result<Schedule, SchedError> {
+        self.snapshot()
+    }
+
+    /// The schedule placed so far, leaving the context as it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::Unscheduled`] if any task is missing.
+    pub(crate) fn snapshot(&self) -> Result<Schedule, SchedError> {
         let mut placements = Vec::with_capacity(self.placements.len());
-        for (i, p) in self.placements.into_iter().enumerate() {
+        for (i, p) in self.placements.iter().enumerate() {
             placements.push(p.ok_or(SchedError::Unscheduled(TaskId(i)))?);
         }
         Schedule::new(placements)

@@ -1,7 +1,6 @@
 //! CPOP — Critical Path On a Processor (Topcuoglu et al., 2002).
 
 use helios_platform::{DeviceId, Platform};
-use helios_sim::SimTime;
 use helios_workflow::{analysis, TaskId, Workflow};
 
 use crate::context::SchedContext;
@@ -24,8 +23,10 @@ impl Scheduler for CpopScheduler {
     }
 
     fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let bottom = analysis::bottom_levels(wf, platform)?;
-        let top = analysis::top_levels(wf, platform)?;
+        let exec = analysis::mean_exec_times(wf, platform)?;
+        let comm = analysis::mean_comm_times(wf, platform)?;
+        let bottom = analysis::bottom_levels_with(wf, &exec, &comm)?;
+        let top = analysis::top_levels_with(wf, &exec, &comm);
         let priority: Vec<f64> = bottom.iter().zip(&top).map(|(b, t)| b + t).collect();
 
         // The critical path: tasks whose priority equals the entry task's
@@ -106,7 +107,6 @@ impl Scheduler for CpopScheduler {
                 wf.num_tasks()
             )));
         }
-        let _ = SimTime::ZERO;
         ctx.into_schedule()
     }
 }

@@ -1,7 +1,7 @@
 //! PEFT — Predict Earliest Finish Time (Arabnejad & Barbosa, 2014).
 
 use helios_platform::{DeviceId, Platform};
-use helios_workflow::{TaskId, Workflow};
+use helios_workflow::{analysis, TaskId, Workflow};
 
 use crate::context::SchedContext;
 use crate::error::SchedError;
@@ -34,16 +34,16 @@ pub(crate) fn optimistic_cost_table(
             *slot = dev.execution_time(t.cost(), dev.nominal_level())?.as_secs();
         }
     }
+    let comm = analysis::mean_comm_times(wf, platform)?;
     let mut oct = vec![vec![0.0f64; m]; n];
     for &t in wf.topo_order().iter().rev() {
         for d in 0..m {
             let mut worst_child = 0.0f64;
             for &e in wf.successors(t) {
                 let edge = wf.edge(e);
-                let comm = platform.mean_transfer_time(edge.bytes)?.as_secs();
                 let mut best_w = f64::INFINITY;
                 for w in 0..m {
-                    let comm_cost = if w == d { 0.0 } else { comm };
+                    let comm_cost = if w == d { 0.0 } else { comm[e.0] };
                     let cost = oct[edge.dst.0][w] + exec[edge.dst.0][w] + comm_cost;
                     best_w = best_w.min(cost);
                 }

@@ -244,16 +244,10 @@ pub fn slr(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f6
     let mut bound = 0.0;
     for t in cp {
         let cost = wf.task(t)?.cost();
-        let best = platform
-            .devices()
-            .iter()
-            .map(|d| {
-                d.execution_time(cost, d.nominal_level())
-                    .map(|t| t.as_secs())
-            })
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .fold(f64::INFINITY, f64::min);
+        let mut best = f64::INFINITY;
+        for d in platform.devices() {
+            best = best.min(d.execution_time(cost, d.nominal_level())?.as_secs());
+        }
         bound += best;
     }
     if bound == 0.0 {

@@ -106,6 +106,11 @@ impl DeviceTimeline {
         self.busy.remove(idx);
     }
 
+    /// Releases every reservation, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.busy.clear();
+    }
+
     /// Total busy time.
     #[must_use]
     pub fn busy_time(&self) -> SimDuration {

@@ -71,12 +71,15 @@ pub fn mean_exec_times(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, P
 ///
 /// # Errors
 ///
-/// Propagates platform routing errors.
+/// Propagates platform routing errors; a workflow without edges never
+/// touches a route.
 pub fn mean_comm_times(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, PlatformError> {
-    wf.edges()
-        .iter()
-        .map(|e| Ok(platform.mean_transfer_time(e.bytes)?.as_secs()))
-        .collect()
+    let bytes: Vec<f64> = wf.edges().iter().map(|e| e.bytes).collect();
+    Ok(platform
+        .mean_transfer_times(&bytes)?
+        .into_iter()
+        .map(|t| t.as_secs())
+        .collect())
 }
 
 /// HEFT *upward rank* (bottom level) of every task: mean execution time
@@ -91,6 +94,20 @@ pub fn mean_comm_times(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, P
 pub fn bottom_levels(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, PlatformError> {
     let exec = mean_exec_times(wf, platform)?;
     let comm = mean_comm_times(wf, platform)?;
+    bottom_levels_with(wf, &exec, &comm)
+}
+
+/// [`bottom_levels`] from precomputed [`mean_exec_times`] and
+/// [`mean_comm_times`], for callers that need those vectors too.
+///
+/// # Errors
+///
+/// Returns [`PlatformError::NonFiniteModel`] as [`bottom_levels`] does.
+pub fn bottom_levels_with(
+    wf: &Workflow,
+    exec: &[f64],
+    comm: &[f64],
+) -> Result<Vec<f64>, PlatformError> {
     let mut rank = vec![0.0f64; wf.num_tasks()];
     for &t in wf.topo_order().iter().rev() {
         let mut best = 0.0f64;
@@ -119,6 +136,13 @@ pub fn bottom_levels(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, Pla
 pub fn top_levels(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, PlatformError> {
     let exec = mean_exec_times(wf, platform)?;
     let comm = mean_comm_times(wf, platform)?;
+    Ok(top_levels_with(wf, &exec, &comm))
+}
+
+/// [`top_levels`] from precomputed [`mean_exec_times`] and
+/// [`mean_comm_times`].
+#[must_use]
+pub fn top_levels_with(wf: &Workflow, exec: &[f64], comm: &[f64]) -> Vec<f64> {
     let mut rank = vec![0.0f64; wf.num_tasks()];
     for &t in wf.topo_order() {
         for &e in wf.successors(t) {
@@ -129,7 +153,7 @@ pub fn top_levels(wf: &Workflow, platform: &Platform) -> Result<Vec<f64>, Platfo
             }
         }
     }
-    Ok(rank)
+    rank
 }
 
 /// The platform-averaged critical path: the task sequence with the largest
@@ -142,8 +166,9 @@ pub fn critical_path(
     wf: &Workflow,
     platform: &Platform,
 ) -> Result<(Vec<TaskId>, f64), PlatformError> {
-    let ranks = bottom_levels(wf, platform)?;
+    let exec = mean_exec_times(wf, platform)?;
     let comm = mean_comm_times(wf, platform)?;
+    let ranks = bottom_levels_with(wf, &exec, &comm)?;
     let start = wf
         .entry_tasks()
         .into_iter()
@@ -299,6 +324,39 @@ mod tests {
         assert_eq!(tl[0], 0.0, "entry has zero top level");
         // Bottom level decreases along the path.
         assert!(bl[0] > bl[1] && bl[1] > bl[3]);
+    }
+
+    #[test]
+    fn comm_times_match_per_edge_means_bit_for_bit() {
+        let wf = diamond();
+        for p in presets::all() {
+            let comm = mean_comm_times(&wf, &p).unwrap();
+            for (e, got) in wf.edges().iter().zip(&comm) {
+                let want = p.mean_transfer_time(e.bytes).unwrap().as_secs();
+                assert_eq!(got.to_bits(), want.to_bits(), "{}", p.name());
+            }
+        }
+    }
+
+    #[test]
+    fn comm_times_touch_routes_only_for_edges() {
+        use helios_platform::{DeviceBuilder, DeviceKind, InterconnectBuilder, PlatformBuilder};
+        let mut b = PlatformBuilder::new("islands");
+        b.add_device(DeviceBuilder::new("cpu0", DeviceKind::Cpu).build().unwrap());
+        b.add_device(DeviceBuilder::new("cpu1", DeviceKind::Cpu).build().unwrap());
+        b.interconnect(InterconnectBuilder::new().build());
+        let islands = b.build().unwrap();
+
+        let mut one = WorkflowBuilder::new("one");
+        one.add_task(task("only", 5.0));
+        let one = one.build().unwrap();
+        assert_eq!(mean_comm_times(&one, &islands).unwrap(), Vec::<f64>::new());
+        assert_eq!(critical_path(&one, &islands).unwrap().0, vec![TaskId(0)]);
+
+        assert_eq!(
+            mean_comm_times(&diamond(), &islands).unwrap_err(),
+            islands.mean_transfer_time(1e6).unwrap_err()
+        );
     }
 
     #[test]
