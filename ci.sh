@@ -92,48 +92,57 @@ cmp "$sweep_tmp/rfull.json" "$sweep_tmp/rresume.json"
 cmp "$sweep_tmp/rfull.json" "$sweep_tmp/rmerged.json"
 echo "kill-and-resume and 2-shard merge are byte-identical under resilience"
 
-echo "==> kill -9 chaos loop (write-ahead journal survives hard kills)"
-# The release binary sweeps a 6000-cell resilient spec through the
-# fsync'd cell journal while being kill -9'd at randomized delays: at
-# least 5 hard kills land wherever they land — between records or
-# mid-record. `campaign recover` then salvages the journal (truncating
-# any torn tail) and a final run completes it; the compiled view must be
-# byte-identical to a run that was never interrupted. HELIOS_POISON_LIMIT
-# is raised so a cell the random kills keep hitting is retried rather
-# than quarantined (quarantine changes the bytes by design).
+echo "==> kill -9 chaos loop (journal and store survive hard kills)"
+# The release binary sweeps a 6000-cell resilient spec through a durable
+# sink while being kill -9'd at randomized delays: at least 5 hard kills
+# land wherever they land — between records or mid-record. `campaign
+# recover` then salvages the file (truncating any torn tail) and a final
+# run completes it; the compiled view must be byte-identical to a run
+# that was never interrupted. The loop runs once per durable sink flag:
+# `--journal` (fsync'd per record) and `--store` (fsync'd per row group),
+# which share one sweep loop. HELIOS_POISON_LIMIT is raised so a cell
+# the random kills keep hitting is retried rather than quarantined
+# (quarantine changes the bytes by design; the store ignores it).
 cspec="$sweep_tmp/chaos_spec.json"
 sed 's/"count": 3/"count": 3000/' "$rspec" > "$cspec"
 "$helios" campaign run --spec "$cspec" --out "$sweep_tmp/chaos_ref.json" > /dev/null
-kills=0
-tries=0
-while [ "$kills" -lt 5 ]; do
-    tries=$((tries + 1))
-    if [ "$tries" -gt 60 ]; then
-        echo "chaos loop could not land 5 kills in $tries tries" >&2
-        exit 1
-    fi
+chaos_kill_loop() {
+    sink=$1
+    chaos_file="$sweep_tmp/chaos.$sink"
+    kills=0
+    tries=0
+    while [ "$kills" -lt 5 ]; do
+        tries=$((tries + 1))
+        if [ "$tries" -gt 60 ]; then
+            echo "chaos loop could not land 5 kills on --$sink in $tries tries" >&2
+            exit 1
+        fi
+        HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
+            "--$sink" "$chaos_file" --out "$sweep_tmp/chaos.json" \
+            > /dev/null 2>&1 &
+        chaos_pid=$!
+        # POSIX sh has no $RANDOM: draw two bytes from /dev/urandom for a
+        # randomized 20-490 ms kill delay.
+        delay=$(od -An -N2 -tu2 /dev/urandom | tr -d ' ')
+        sleep "$(printf '0.%03d' $((delay % 470 + 20)))"
+        kill -9 "$chaos_pid" 2> /dev/null || true
+        if wait "$chaos_pid" 2> /dev/null; then
+            # The sweep finished before the kill landed: the file is
+            # complete, so restart the chaos from an empty one.
+            rm -f "$chaos_file" "$sweep_tmp/chaos.json"
+        else
+            kills=$((kills + 1))
+        fi
+    done
+    "$helios" campaign recover "$chaos_file" > /dev/null
     HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
-        --journal "$sweep_tmp/chaos.journal" --out "$sweep_tmp/chaos.json" \
-        > /dev/null 2>&1 &
-    chaos_pid=$!
-    # POSIX sh has no $RANDOM: draw two bytes from /dev/urandom for a
-    # randomized 20-490 ms kill delay.
-    delay=$(od -An -N2 -tu2 /dev/urandom | tr -d ' ')
-    sleep "$(printf '0.%03d' $((delay % 470 + 20)))"
-    kill -9 "$chaos_pid" 2> /dev/null || true
-    if wait "$chaos_pid" 2> /dev/null; then
-        # The sweep finished before the kill landed: the journal is
-        # complete, so restart the chaos from an empty one.
-        rm -f "$sweep_tmp/chaos.journal" "$sweep_tmp/chaos.json"
-    else
-        kills=$((kills + 1))
-    fi
-done
-"$helios" campaign recover "$sweep_tmp/chaos.journal" > /dev/null
-HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
-    --journal "$sweep_tmp/chaos.journal" --out "$sweep_tmp/chaos.json" > /dev/null
-cmp "$sweep_tmp/chaos_ref.json" "$sweep_tmp/chaos.json"
-echo "journal survived $kills hard kills ($tries runs) byte-identically"
+        "--$sink" "$chaos_file" --out "$sweep_tmp/chaos.json" > /dev/null
+    cmp "$sweep_tmp/chaos_ref.json" "$sweep_tmp/chaos.json"
+    rm -f "$sweep_tmp/chaos.json"
+    echo "--$sink survived $kills hard kills ($tries runs) byte-identically"
+}
+chaos_kill_loop journal
+chaos_kill_loop store
 
 echo "==> torn-write smoke (mid-record kill is salvaged, not hand-repaired)"
 # The torn-write hook persists half of one record's bytes and dies —

@@ -298,32 +298,18 @@ fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         None => None,
     };
     let out_path = args.get("out");
-    if args.get("journal").is_some() && args.get("store").is_some() {
-        return Err(CliError::Usage(
-            "--journal and --store are both durable result paths; pick one".into(),
-        ));
-    }
-    if let Some(journal_path) = args.get("journal") {
-        return campaign_run_journal(
-            &driver,
-            &spec,
-            shard,
-            journal_path,
-            out_path,
-            abort_after,
-            out,
-        );
-    }
-    if let Some(store_path) = args.get("store") {
-        return campaign_run_store(
-            &driver,
-            &spec,
-            shard,
-            store_path,
-            out_path,
-            abort_after,
-            out,
-        );
+    let durable = match (args.get("journal"), args.get("store")) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::Usage(
+                "--journal and --store are both durable result paths; pick one".into(),
+            ))
+        }
+        (Some(path), None) => Some(("journal", path)),
+        (None, Some(path)) => Some(("store", path)),
+        (None, None) => None,
+    };
+    if let Some(sink) = durable {
+        return campaign_run_durable(&driver, &spec, shard, sink, out_path, abort_after, out);
     }
     if (shard.is_some() || abort_after.is_some()) && out_path.is_none() {
         return Err(CliError::Usage(
@@ -489,34 +475,50 @@ fn classify_bad_resume_file(
     .into()
 }
 
-/// The `--journal` arm of `campaign run`: every cell goes through the
-/// fsync'd write-ahead journal, `--out` is an optional view compiled
-/// from it, and SIGINT/SIGTERM drain instead of killing the run.
-fn campaign_run_journal(
+/// The durable arms of `campaign run`, `--journal` and `--store`
+/// (`sink` is the flag name and its path): every cell goes through the
+/// sink's file as it finishes, `--out` is an optional view compiled
+/// from it, and SIGINT/SIGTERM drain instead of killing the run. The
+/// journal fsyncs every record and honours the `HELIOS_JOURNAL_*` and
+/// `HELIOS_POISON_LIMIT` hooks; the store is what `helios query` and
+/// `campaign merge` consume directly.
+fn campaign_run_durable(
     driver: &helios_core::SweepDriver,
     spec: &helios_core::CampaignSpec,
     shard: Option<helios_core::ShardSpec>,
-    journal_path: &str,
+    (flag, path): (&str, &str),
     out_path: Option<&str>,
     abort_after: Option<usize>,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    use helios_core::{merge_shards, JournalOptions, ShardSpec};
+    use helios_core::{merge_shards, ShardSpec, SweepOptions};
 
     let effective = shard.unwrap_or_else(ShardSpec::full);
-    let opts = JournalOptions {
+    let file = std::path::Path::new(path);
+    let mut opts = SweepOptions {
         limit: abort_after,
         cancel: Some(crate::drain::install()),
-        crash_cell: env_hook("HELIOS_JOURNAL_CRASH_CELL")?,
-        tear_after: env_hook("HELIOS_JOURNAL_TORN_WRITE")?,
-        poison_limit: env_hook("HELIOS_POISON_LIMIT")?,
+        ..SweepOptions::default()
     };
-    let run = driver.run_journal(spec, effective, std::path::Path::new(journal_path), &opts)?;
+    let journal = flag == "journal";
+    let run = if journal {
+        opts.crash_cell = env_hook("HELIOS_JOURNAL_CRASH_CELL")?;
+        opts.tear_after = env_hook("HELIOS_JOURNAL_TORN_WRITE")?;
+        opts.poison_limit = env_hook("HELIOS_POISON_LIMIT")?;
+        driver.run_journal(spec, effective, file, &opts)?
+    } else {
+        driver.run_store(spec, effective, file, &opts)?
+    };
+    let (unit, verb) = if journal {
+        ("cell", "journaled")
+    } else {
+        ("row", "stored")
+    };
 
     if run.salvaged_cells > 0 || run.dropped_bytes > 0 {
         writeln!(
             out,
-            "resumed {journal_path}: {} completed cell(s) salvaged, {} torn byte(s) dropped",
+            "resumed {path}: {} completed {unit}(s) salvaged, {} torn byte(s) dropped",
             run.salvaged_cells, run.dropped_bytes
         )?;
     }
@@ -533,15 +535,15 @@ fn campaign_run_journal(
     let owned = done + run.remaining;
     if run.drained {
         return Err(CliError::Interrupted(format!(
-            "drained on signal: {done} of {owned} owned cells durable in {journal_path}; \
-             re-run with the same --journal to resume"
+            "drained on signal: {done} of {owned} owned cells durable in {path}; \
+             re-run with the same --{flag} to resume"
         )));
     }
     if run.remaining > 0 {
         return Err(CliError::Helios(format!(
             "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {done} of {owned} owned \
-             cells durable in {journal_path}, {} remaining; re-run with the same \
-             --journal to resume",
+             cells durable in {path}, {} remaining; re-run with the same \
+             --{flag} to resume",
             abort_after.unwrap_or(0),
             run.remaining
         )));
@@ -551,94 +553,20 @@ fn campaign_run_journal(
         Some(shard) => {
             writeln!(
                 out,
-                "shard {shard} of {:?}: {} of {} cells journaled in {journal_path}",
+                "shard {shard} of {:?}: {} of {} cells {verb} in {path}",
                 report.spec_name, done, report.total_cells
             )?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
-                writeln!(out, "wrote {path} (view compiled from the journal)")?;
+            if let Some(view) = out_path {
+                std::fs::write(view, serde_json::to_string_pretty(&report)?)?;
+                writeln!(out, "wrote {view} (view compiled from the {flag})")?;
             }
         }
         None => {
             let merged = merge_shards(&[report])?;
             write_sweep_summary(&merged, out)?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&merged)?)?;
-                writeln!(out, "wrote {path} (view compiled from the journal)")?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The `--store` arm of `campaign run`: every cell is appended to the
-/// columnar cell store as it finishes, `--out` is an optional JSON view
-/// compiled from it, and SIGINT/SIGTERM drain instead of killing the
-/// run. The store file is what `helios query` and `campaign merge`
-/// consume directly.
-fn campaign_run_store(
-    driver: &helios_core::SweepDriver,
-    spec: &helios_core::CampaignSpec,
-    shard: Option<helios_core::ShardSpec>,
-    store_path: &str,
-    out_path: Option<&str>,
-    abort_after: Option<usize>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    use helios_core::{merge_shards, ShardSpec, StoreOptions};
-
-    let effective = shard.unwrap_or_else(ShardSpec::full);
-    let opts = StoreOptions {
-        limit: abort_after,
-        cancel: Some(crate::drain::install()),
-    };
-    let run = driver.run_store(spec, effective, std::path::Path::new(store_path), &opts)?;
-
-    if run.salvaged_rows > 0 || run.dropped_bytes > 0 {
-        writeln!(
-            out,
-            "resumed {store_path}: {} completed row(s) salvaged, {} torn byte(s) dropped",
-            run.salvaged_rows, run.dropped_bytes
-        )?;
-    }
-
-    let report = run.report;
-    let done = report.cells.len();
-    let owned = done + run.remaining;
-    if run.drained {
-        return Err(CliError::Interrupted(format!(
-            "drained on signal: {done} of {owned} owned cells durable in {store_path}; \
-             re-run with the same --store to resume"
-        )));
-    }
-    if run.remaining > 0 {
-        return Err(CliError::Helios(format!(
-            "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {done} of {owned} owned \
-             cells durable in {store_path}, {} remaining; re-run with the same \
-             --store to resume",
-            abort_after.unwrap_or(0),
-            run.remaining
-        )));
-    }
-
-    match shard {
-        Some(shard) => {
-            writeln!(
-                out,
-                "shard {shard} of {:?}: {} of {} cells stored in {store_path}",
-                report.spec_name, done, report.total_cells
-            )?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
-                writeln!(out, "wrote {path} (view compiled from the store)")?;
-            }
-        }
-        None => {
-            let merged = merge_shards(&[report])?;
-            write_sweep_summary(&merged, out)?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&merged)?)?;
-                writeln!(out, "wrote {path} (view compiled from the store)")?;
+            if let Some(view) = out_path {
+                std::fs::write(view, serde_json::to_string_pretty(&merged)?)?;
+                writeln!(out, "wrote {view} (view compiled from the {flag})")?;
             }
         }
     }

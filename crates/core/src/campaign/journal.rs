@@ -35,6 +35,7 @@
 //! torn by a crash mid-rewrite) can be cut back to its longest valid
 //! cell prefix by [`salvage_json_shard_report`].
 
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -145,34 +146,28 @@ impl Salvage {
     /// lets `merge_shards` consume journal files directly.
     #[must_use]
     pub fn to_shard_report(&self) -> ShardReport {
-        let mut cells = self.cells.clone();
-        cells.sort_by_key(|c| c.cell);
-        ShardReport {
-            spec_name: self.header.spec_name.clone(),
-            spec_digest: self.header.spec_digest.clone(),
-            total_cells: self.header.total_cells,
-            shard_index: self.header.shard_index,
-            shard_count: self.header.shard_count,
-            cells,
-        }
+        let h = &self.header;
+        ShardReport::salvaged(
+            &h.spec_name,
+            &h.spec_digest,
+            h.total_cells,
+            h.shard_index,
+            h.shard_count,
+            self.cells.clone(),
+        )
     }
 
     /// Cells with attempt records but no completion record, with their
-    /// attempt counts — the poisoned-cell candidates. Sorted by cell.
+    /// attempt counts — the poisoned-cell candidates. Sorted by cell;
+    /// O((attempts + cells) · log) however the records interleave.
     #[must_use]
     pub fn pending_attempts(&self) -> Vec<(usize, u32)> {
-        let mut out: Vec<(usize, u32)> = Vec::new();
-        for &cell in &self.attempts {
-            if self.cells.iter().any(|c| c.cell == cell) {
-                continue;
-            }
-            match out.iter_mut().find(|(c, _)| *c == cell) {
-                Some((_, n)) => *n += 1,
-                None => out.push((cell, 1)),
-            }
+        let done: HashSet<usize> = self.cells.iter().map(|c| c.cell).collect();
+        let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
+        for &cell in self.attempts.iter().filter(|c| !done.contains(c)) {
+            *counts.entry(cell).or_insert(0) += 1;
         }
-        out.sort_unstable_by_key(|&(c, _)| c);
-        out
+        counts.into_iter().collect()
     }
 }
 
@@ -629,6 +624,57 @@ mod tests {
         assert_eq!(s.dropped_bytes, 0);
         assert_eq!(s.pending_attempts(), vec![(2, 1)]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The quadratic tally `pending_attempts` replaced: one scan of the
+    /// completions and one of the tally per attempt record.
+    fn pending_attempts_reference(s: &Salvage) -> Vec<(usize, u32)> {
+        let mut out: Vec<(usize, u32)> = Vec::new();
+        for &cell in &s.attempts {
+            if s.cells.iter().any(|c| c.cell == cell) {
+                continue;
+            }
+            match out.iter_mut().find(|(c, _)| *c == cell) {
+                Some((_, n)) => *n += 1,
+                None => out.push((cell, 1)),
+            }
+        }
+        out.sort_unstable_by_key(|&(c, _)| c);
+        out
+    }
+
+    #[test]
+    fn pending_attempts_match_the_quadratic_reference() {
+        use rand::{Rng, SeedableRng};
+        let salvage = |cells: Vec<usize>, attempts: Vec<usize>| Salvage {
+            header: header(),
+            cells: cells.into_iter().map(cell).collect(),
+            attempts,
+            valid_bytes: 0,
+            dropped_bytes: 0,
+        };
+        // Hand-made journals: repeated attempts, completed cells among
+        // them, completions before and after their attempts.
+        let mut cases = vec![
+            salvage(vec![], vec![]),
+            salvage(vec![0, 1], vec![0, 1]),
+            salvage(vec![2], vec![5, 2, 5, 3, 5, 2, 3]),
+            salvage(vec![7, 1], vec![9, 9, 9, 1, 7, 1, 0, 9, 0]),
+        ];
+        // Random interleavings: 40 journals of up to 60 attempts over
+        // 12 cells, a third of the cells completed.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        for _ in 0..40 {
+            let attempts = (0..rng.gen_range(0..60))
+                .map(|_| rng.gen_range(0..12))
+                .collect();
+            let cells = (0..12).filter(|_| rng.gen_range(0..3) == 0).collect();
+            cases.push(salvage(cells, attempts));
+        }
+        for s in &cases {
+            assert_eq!(s.pending_attempts(), pending_attempts_reference(s), "{s:?}");
+        }
+        assert_eq!(cases[2].pending_attempts(), vec![(3, 2), (5, 3)]);
     }
 
     #[test]

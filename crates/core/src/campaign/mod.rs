@@ -110,8 +110,8 @@ pub use spec::{
     PolicyKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange, SweepCell,
 };
 pub use sweep::{
-    merge_shards, CellResult, JournalOptions, JournalRun, ResumeOutcome, ShardReport, ShardSpec,
-    StoreOptions, StoreRun, SummaryRow, SweepDriver, SweepReport,
+    merge_shards, CellResult, JournalOptions, ShardReport, ShardSpec, SummaryRow, SweepDriver,
+    SweepOptions, SweepOutcome, SweepReport,
 };
 
 /// Runs the independent cells of a campaign across worker threads.

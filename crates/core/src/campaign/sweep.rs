@@ -219,6 +219,31 @@ pub struct ShardReport {
     pub cells: Vec<CellResult>,
 }
 
+impl ShardReport {
+    /// `cells`, sorted by index, under the campaign and shard identity
+    /// of a durable file's header: the one body of the journal's and the
+    /// store's `to_shard_report`, which bridge salvaged files to
+    /// [`merge_shards`] and the sweep loop.
+    pub(crate) fn salvaged(
+        spec_name: &str,
+        spec_digest: &str,
+        total_cells: usize,
+        shard_index: usize,
+        shard_count: usize,
+        mut cells: Vec<CellResult>,
+    ) -> ShardReport {
+        cells.sort_by_key(|c| c.cell);
+        ShardReport {
+            spec_name: spec_name.to_owned(),
+            spec_digest: spec_digest.to_owned(),
+            total_cells,
+            shard_index,
+            shard_count,
+            cells,
+        }
+    }
+}
+
 /// Mean metrics over the seed replicates of one grid combination.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SummaryRow {
@@ -266,6 +291,14 @@ pub struct SweepReport {
 }
 
 /// Runs spec grids, whole or shard-by-shard.
+///
+/// Every entry point — [`run_shard`](SweepDriver::run_shard),
+/// [`resume_shard`](SweepDriver::resume_shard),
+/// [`run_journal`](SweepDriver::run_journal) and
+/// [`run_store`](SweepDriver::run_store) — feeds one private loop over a
+/// [`CellSink`]: salvage → check → quarantine → skip → cap → run →
+/// append → flush (even on error) → compile. The entry points differ
+/// only in where finished cells go.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepDriver {
     engine: CampaignEngine,
@@ -306,14 +339,14 @@ impl SweepDriver {
     }
 
     /// Runs `shard`, skipping cells already present in `prior` — the
-    /// crash-resume path. Because every cell is a pure function of the
-    /// spec and its coordinates, the resumed report is byte-identical
-    /// to an uninterrupted run of the same shard.
+    /// crash-resume path of a JSON `--out` report. Because every cell is
+    /// a pure function of the spec and its coordinates, the resumed
+    /// report is byte-identical to an uninterrupted run of the same
+    /// shard.
     ///
     /// `limit` caps the number of cells *executed* by this invocation
     /// (the `HELIOS_SWEEP_ABORT_AFTER` crash-injection hook); cells cut
-    /// off by the cap are reported in
-    /// [`ResumeOutcome::remaining`].
+    /// off by the cap are reported in [`SweepOutcome::remaining`].
     ///
     /// # Errors
     ///
@@ -328,82 +361,12 @@ impl SweepDriver {
         shard: ShardSpec,
         prior: Option<&ShardReport>,
         limit: Option<usize>,
-    ) -> Result<ResumeOutcome, EngineError> {
-        let cells = spec.expand()?;
-        let total_cells = cells.len();
-        let digest = spec.digest();
-
-        let mut done: Vec<CellResult> = Vec::new();
-        if let Some(p) = prior {
-            if p.spec_name != spec.name || p.spec_digest != digest || p.total_cells != total_cells {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report is from a different campaign \
-                     (spec {:?}, digest {}, {} cells) than this spec ({:?}, digest {}, {} \
-                     cells); delete the file or point --out elsewhere",
-                    p.spec_name, p.spec_digest, p.total_cells, spec.name, digest, total_cells
-                ))
-                .into());
-            }
-            if p.shard_index != shard.index() || p.shard_count != shard.count() {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report is shard {}/{}, but this run \
-                     is shard {shard}; re-run with --shard {}/{} or start fresh",
-                    p.shard_index, p.shard_count, p.shard_index, p.shard_count
-                ))
-                .into());
-            }
-            done = p.cells.clone();
-            done.sort_by_key(|c| c.cell);
-            if let Some(bad) = done
-                .iter()
-                .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
-            {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report claims cell {}, which shard \
-                     {shard} of this {total_cells}-cell grid does not own",
-                    bad.cell
-                ))
-                .into());
-            }
-            if let Some(pair) = done.windows(2).find(|p| p[0].cell == p[1].cell) {
-                return Err(CampaignError::ResumeMismatch(format!(
-                    "refusing to resume: the existing report lists cell {} twice",
-                    pair[0].cell
-                ))
-                .into());
-            }
-        }
-
-        let skipped = done.len();
-        let mut pending: Vec<SweepCell> = cells
-            .into_iter()
-            .filter(|c| {
-                shard.owns(c.index) && done.binary_search_by_key(&c.index, |d| d.cell).is_err()
-            })
-            .collect();
-        let mut remaining = 0;
-        if let Some(cap) = limit {
-            if pending.len() > cap {
-                remaining = pending.len() - cap;
-                pending.truncate(cap);
-            }
-        }
-
-        let fresh = self.engine.run(&pending, |_, cell| run_cell(spec, cell))?;
-        done.extend(fresh);
-        done.sort_by_key(|c| c.cell);
-        Ok(ResumeOutcome {
-            report: ShardReport {
-                spec_name: spec.name.clone(),
-                spec_digest: digest,
-                total_cells,
-                shard_index: shard.index(),
-                shard_count: shard.count(),
-                cells: done,
-            },
-            skipped,
-            remaining,
-        })
+    ) -> Result<SweepOutcome, EngineError> {
+        let opts = SweepOptions {
+            limit,
+            ..SweepOptions::default()
+        };
+        self.drive(spec, shard, PriorSink(prior), &opts)
     }
 
     /// Runs `shard` against a write-ahead cell journal at `path` — the
@@ -432,125 +395,16 @@ impl SweepDriver {
         spec: &CampaignSpec,
         shard: ShardSpec,
         path: &Path,
-        opts: &JournalOptions<'_>,
-    ) -> Result<JournalRun, EngineError> {
-        let cells = spec.expand()?;
-        let total_cells = cells.len();
-        let digest = spec.digest();
-        let header = JournalHeader {
-            spec_name: spec.name.clone(),
-            spec_digest: digest.clone(),
-            total_cells,
-            shard_index: shard.index(),
-            shard_count: shard.count(),
+        opts: &SweepOptions<'_>,
+    ) -> Result<SweepOutcome, EngineError> {
+        let sink = JournalSink {
+            path,
+            writer: None,
+            crash_cell: opts.crash_cell,
+            tear_after: opts.tear_after,
+            poison_limit: opts.poison_limit.unwrap_or(DEFAULT_POISON_LIMIT),
         };
-
-        let exists = std::fs::metadata(path)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false);
-        let (writer, mut done, salvaged_cells, dropped_bytes, pending_attempts);
-        if exists {
-            let salvage = journal::recover_journal(path)?;
-            check_journal_header(&salvage.header, &header, shard)?;
-            pending_attempts = salvage.pending_attempts();
-            salvaged_cells = salvage.cells.len();
-            dropped_bytes = salvage.dropped_bytes;
-            done = salvage.cells;
-            writer = JournalWriter::open_append(path, opts.tear_after)?;
-        } else {
-            writer = JournalWriter::create(path, &header, opts.tear_after)?;
-            done = Vec::new();
-            salvaged_cells = 0;
-            dropped_bytes = 0;
-            pending_attempts = Vec::new();
-        }
-        done.sort_by_key(|c| c.cell);
-        if let Some(bad) = done
-            .iter()
-            .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
-        {
-            return Err(CampaignError::ResumeMismatch(format!(
-                "refusing to resume: the journal claims cell {}, which shard \
-                 {shard} of this {total_cells}-cell grid does not own",
-                bad.cell
-            ))
-            .into());
-        }
-
-        // Quarantine: a cell that has crashed the process `poison_limit`
-        // times becomes a zero-metric measurement, not a fourth attempt.
-        let writer = Mutex::new(writer);
-        let poison_limit = opts.poison_limit.unwrap_or(DEFAULT_POISON_LIMIT);
-        let mut poisoned: Vec<usize> = Vec::new();
-        for &(cell_idx, count) in &pending_attempts {
-            if count < poison_limit || !shard.owns(cell_idx) || cell_idx >= total_cells {
-                continue;
-            }
-            let result = poisoned_result(&cells[cell_idx]);
-            writer
-                .lock()
-                .expect("no poisoned journal lock")
-                .append_cell(&result)?;
-            done.push(result);
-            poisoned.push(cell_idx);
-        }
-        done.sort_by_key(|c| c.cell);
-
-        let skipped = done.len();
-        let mut pending: Vec<SweepCell> = cells
-            .into_iter()
-            .filter(|c| {
-                shard.owns(c.index) && done.binary_search_by_key(&c.index, |d| d.cell).is_err()
-            })
-            .collect();
-        let mut remaining = 0;
-        if let Some(cap) = opts.limit {
-            if pending.len() > cap {
-                remaining = pending.len() - cap;
-                pending.truncate(cap);
-            }
-        }
-
-        let (fresh, drained) = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
-            {
-                let mut w = writer.lock().expect("no poisoned journal lock");
-                w.append_attempt(cell.index)?;
-                if opts.crash_cell == Some(cell.index) {
-                    return Err(EngineError::Config(format!(
-                        "injected crash while executing cell {}",
-                        cell.index
-                    )));
-                }
-            }
-            // The cell executes outside the journal lock; only the
-            // durable appends serialize.
-            let result = run_cell(spec, cell)?;
-            writer
-                .lock()
-                .expect("no poisoned journal lock")
-                .append_cell(&result)?;
-            Ok(result)
-        })?;
-        remaining += pending.len() - fresh.len();
-
-        done.extend(fresh);
-        done.sort_by_key(|c| c.cell);
-        Ok(JournalRun {
-            report: ShardReport {
-                spec_name: spec.name.clone(),
-                spec_digest: digest,
-                total_cells,
-                shard_index: shard.index(),
-                shard_count: shard.count(),
-                cells: done,
-            },
-            skipped,
-            remaining,
-            salvaged_cells,
-            dropped_bytes,
-            poisoned,
-            drained,
-        })
+        self.drive(spec, shard, sink, opts)
     }
 
     /// Runs `shard` against a columnar store segment file at `path` —
@@ -560,7 +414,8 @@ impl SweepDriver {
     /// tail truncated) and resumed, re-running only the missing cells.
     /// Finished cells are appended as columnar row groups, and the
     /// JSON [`ShardReport`] is compiled *from* those rows — byte
-    /// identical to an uninterrupted `--out` run.
+    /// identical to an uninterrupted `--out` run. The journal-only
+    /// hooks of `opts` are ignored.
     ///
     /// # Errors
     ///
@@ -573,49 +428,49 @@ impl SweepDriver {
         spec: &CampaignSpec,
         shard: ShardSpec,
         path: &Path,
-        opts: &StoreOptions<'_>,
-    ) -> Result<StoreRun, EngineError> {
+        opts: &SweepOptions<'_>,
+    ) -> Result<SweepOutcome, EngineError> {
+        self.drive(spec, shard, StoreSink { path, writer: None }, opts)
+    }
+
+    /// The one sweep loop behind every entry point.
+    fn drive<S: CellSink>(
+        &self,
+        spec: &CampaignSpec,
+        shard: ShardSpec,
+        mut sink: S,
+        opts: &SweepOptions<'_>,
+    ) -> Result<SweepOutcome, EngineError> {
         let cells = spec.expand()?;
         let total_cells = cells.len();
-        let digest = spec.digest();
-        let header = StoreHeader {
+        let mut report = ShardReport {
             spec_name: spec.name.clone(),
-            spec_digest: digest.clone(),
+            spec_digest: spec.digest(),
             total_cells,
             shard_index: shard.index(),
             shard_count: shard.count(),
-            columns: crate::store::schema_names(),
+            cells: Vec::new(),
         };
 
-        let exists = std::fs::metadata(path)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false);
-        let (writer, mut done, salvaged_rows, dropped_bytes);
-        if exists {
-            let salvage = crate::store::recover_store(path)?;
-            check_store_header(&salvage.header, &header, shard)?;
-            salvaged_rows = salvage.cells.len();
-            dropped_bytes = salvage.dropped_bytes;
-            done = salvage.cells;
-            writer = StoreWriter::open_append(path)?;
-        } else {
-            writer = StoreWriter::create(path, &header)?;
-            done = Vec::new();
-            salvaged_rows = 0;
-            dropped_bytes = 0;
+        let salvaged = sink.salvage(&report)?;
+        let mut done = match salvaged.prior {
+            Some(prior) => check_prior(prior, &report, shard, S::LABEL)?,
+            None => Vec::new(),
+        };
+        let salvaged_cells = done.len();
+
+        // Quarantine: a cell that has crashed the process `poison_limit`
+        // times becomes a zero-metric measurement, not another attempt.
+        let mut poisoned: Vec<usize> = Vec::new();
+        for index in salvaged.crash_looped {
+            if shard.owns(index) && index < total_cells {
+                let result = poisoned_result(&cells[index]);
+                sink.append(&result)?;
+                done.push(result);
+                poisoned.push(index);
+            }
         }
         done.sort_by_key(|c| c.cell);
-        if let Some(bad) = done
-            .iter()
-            .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
-        {
-            return Err(CampaignError::ResumeMismatch(format!(
-                "refusing to resume: the store claims cell {}, which shard \
-                 {shard} of this {total_cells}-cell grid does not own",
-                bad.cell
-            ))
-            .into());
-        }
 
         let skipped = done.len();
         let mut pending: Vec<SweepCell> = cells
@@ -632,114 +487,291 @@ impl SweepDriver {
             }
         }
 
-        let writer = Mutex::new(writer);
-        let run: Result<(Vec<CellResult>, bool), EngineError> =
-            self.engine.run_partial(&pending, opts.cancel, |_, cell| {
-                // The cell executes outside the store lock; only the
-                // columnar appends serialize.
-                let result = run_cell(spec, cell)?;
-                writer
-                    .lock()
-                    .expect("no poisoned store lock")
-                    .append_cell(&result)?;
-                Ok(result)
-            });
-        // Flush the buffered group tail even when the run failed: rows
-        // already appended must become durable before the error (which
-        // takes precedence) propagates.
-        let flush = writer.lock().expect("no poisoned store lock").flush();
+        // The attempt record is durable before the cell runs; the cell
+        // executes outside the sink lock, and only the appends serialize.
+        let sink = Mutex::new(sink);
+        let lock = || sink.lock().expect("no poisoned sink lock");
+        let run = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
+            lock().attempt(cell.index)?;
+            let result = run_cell(spec, cell)?;
+            lock().append(&result)?;
+            Ok::<_, EngineError>(result)
+        });
+        // Flush even when the run failed: cells already appended must
+        // become durable before the error (which takes precedence)
+        // propagates.
+        let flush = lock().flush();
         let (fresh, drained) = run?;
         flush?;
         remaining += pending.len() - fresh.len();
 
         done.extend(fresh);
         done.sort_by_key(|c| c.cell);
-        Ok(StoreRun {
-            report: ShardReport {
-                spec_name: spec.name.clone(),
-                spec_digest: digest,
-                total_cells,
-                shard_index: shard.index(),
-                shard_count: shard.count(),
-                cells: done,
-            },
+        report.cells = done;
+        Ok(SweepOutcome {
+            report,
             skipped,
             remaining,
-            salvaged_rows,
-            dropped_bytes,
+            salvaged_cells,
+            dropped_bytes: salvaged.dropped_bytes,
+            poisoned,
             drained,
         })
     }
 }
 
-/// Refuses a store whose header belongs to a different campaign or
-/// shard geometry, with the same actionable messages as journal resume.
-fn check_store_header(
-    found: &StoreHeader,
-    expected: &StoreHeader,
-    shard: ShardSpec,
-) -> Result<(), EngineError> {
-    if found.spec_name != expected.spec_name
-        || found.spec_digest != expected.spec_digest
-        || found.total_cells != expected.total_cells
-    {
-        return Err(CampaignError::ResumeMismatch(format!(
-            "refusing to resume: the existing store is from a different campaign \
-             (spec {:?}, digest {}, {} cells) than this spec ({:?}, digest {}, {} \
-             cells); delete the file or point --store elsewhere",
-            found.spec_name,
-            found.spec_digest,
-            found.total_cells,
-            expected.spec_name,
-            expected.spec_digest,
-            expected.total_cells
-        ))
-        .into());
+/// Where the sweep loop keeps finished cells. `salvage` runs once,
+/// before any cell; then every cell gets `attempt` before it executes
+/// and `append` after it finishes, each under the loop's lock; `flush`
+/// runs once at the end, also when the run failed.
+trait CellSink: Send {
+    /// How refusal messages name this sink's file.
+    const LABEL: Label;
+
+    /// Opens the sink for a run of `expected`'s campaign and shard, and
+    /// returns what a previous run left in it.
+    fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError>;
+
+    /// Durably records that global cell `cell` is about to execute.
+    fn attempt(&mut self, _cell: usize) -> Result<(), EngineError> {
+        Ok(())
     }
-    if found.shard_index != shard.index() || found.shard_count != shard.count() {
-        return Err(CampaignError::ResumeMismatch(format!(
-            "refusing to resume: the existing store is shard {}/{}, but this run \
-             is shard {shard}; re-run with --shard {}/{} or start fresh",
-            found.shard_index, found.shard_count, found.shard_index, found.shard_count
-        ))
-        .into());
+
+    /// Records a finished (or quarantined) cell.
+    fn append(&mut self, _result: &CellResult) -> Result<(), EngineError> {
+        Ok(())
     }
-    Ok(())
+
+    /// Makes every appended cell durable.
+    fn flush(&mut self) -> Result<(), EngineError> {
+        Ok(())
+    }
 }
 
-/// Refuses a journal whose header belongs to a different campaign or
-/// shard geometry, with the same actionable messages as JSON resume.
-fn check_journal_header(
-    found: &JournalHeader,
-    expected: &JournalHeader,
+/// How refusal messages name a sink's file: the noun (`report`), the
+/// CLI flag that points at it (`--out`), and the subject of an
+/// unowned-cell claim.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    noun: &'static str,
+    flag: &'static str,
+    claimant: &'static str,
+}
+
+/// What a sink already holds when a run starts.
+#[derive(Debug, Default)]
+struct Salvaged {
+    /// The campaign identity and completed cells a previous run left;
+    /// `None` for a fresh sink.
+    prior: Option<ShardReport>,
+    /// Cells whose attempt records reached the poison limit with no
+    /// completion, sorted.
+    crash_looped: Vec<usize>,
+    /// Torn-tail bytes truncated during salvage.
+    dropped_bytes: u64,
+}
+
+/// The in-memory sink: done cells come from a prior JSON report (none
+/// on a fresh run) and finished cells live only in the returned report.
+struct PriorSink<'a>(Option<&'a ShardReport>);
+
+impl CellSink for PriorSink<'_> {
+    const LABEL: Label = Label {
+        noun: "report",
+        flag: "--out",
+        claimant: "the existing report",
+    };
+
+    fn salvage(&mut self, _expected: &ShardReport) -> Result<Salvaged, EngineError> {
+        Ok(Salvaged {
+            prior: self.0.cloned(),
+            ..Salvaged::default()
+        })
+    }
+}
+
+/// The write-ahead journal sink: an fsync'd attempt record before each
+/// cell and an fsync'd completion record after. It owns the journal-only
+/// hooks: the synthetic crash, the torn write and the poison limit.
+struct JournalSink<'a> {
+    path: &'a Path,
+    writer: Option<JournalWriter>,
+    crash_cell: Option<usize>,
+    tear_after: Option<u64>,
+    poison_limit: u32,
+}
+
+impl JournalSink<'_> {
+    fn writer(&mut self) -> &mut JournalWriter {
+        self.writer.as_mut().expect("salvage opens the journal")
+    }
+}
+
+impl CellSink for JournalSink<'_> {
+    const LABEL: Label = Label {
+        noun: "journal",
+        flag: "--journal",
+        claimant: "the journal",
+    };
+
+    fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError> {
+        if !has_bytes(self.path) {
+            let header = JournalHeader {
+                spec_name: expected.spec_name.clone(),
+                spec_digest: expected.spec_digest.clone(),
+                total_cells: expected.total_cells,
+                shard_index: expected.shard_index,
+                shard_count: expected.shard_count,
+            };
+            self.writer = Some(JournalWriter::create(self.path, &header, self.tear_after)?);
+            return Ok(Salvaged::default());
+        }
+        let salvage = journal::recover_journal(self.path)?;
+        let crash_looped = salvage
+            .pending_attempts()
+            .into_iter()
+            .filter(|&(_, attempts)| attempts >= self.poison_limit)
+            .map(|(cell, _)| cell)
+            .collect();
+        self.writer = Some(JournalWriter::open_append(self.path, self.tear_after)?);
+        Ok(Salvaged {
+            prior: Some(salvage.to_shard_report()),
+            crash_looped,
+            dropped_bytes: salvage.dropped_bytes,
+        })
+    }
+
+    fn attempt(&mut self, cell: usize) -> Result<(), EngineError> {
+        self.writer().append_attempt(cell)?;
+        if self.crash_cell == Some(cell) {
+            return Err(EngineError::Config(format!(
+                "injected crash while executing cell {cell}"
+            )));
+        }
+        Ok(())
+    }
+
+    fn append(&mut self, result: &CellResult) -> Result<(), EngineError> {
+        self.writer().append_cell(result)
+    }
+}
+
+/// The columnar store sink: finished cells are buffered into row groups,
+/// each group checksummed and fsync'd as it fills and on `flush`.
+struct StoreSink<'a> {
+    path: &'a Path,
+    writer: Option<StoreWriter>,
+}
+
+impl StoreSink<'_> {
+    fn writer(&mut self) -> &mut StoreWriter {
+        self.writer.as_mut().expect("salvage opens the store")
+    }
+}
+
+impl CellSink for StoreSink<'_> {
+    const LABEL: Label = Label {
+        noun: "store",
+        flag: "--store",
+        claimant: "the store",
+    };
+
+    fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError> {
+        if !has_bytes(self.path) {
+            let header = StoreHeader {
+                spec_name: expected.spec_name.clone(),
+                spec_digest: expected.spec_digest.clone(),
+                total_cells: expected.total_cells,
+                shard_index: expected.shard_index,
+                shard_count: expected.shard_count,
+                columns: crate::store::schema_names(),
+            };
+            self.writer = Some(StoreWriter::create(self.path, &header)?);
+            return Ok(Salvaged::default());
+        }
+        let salvage = crate::store::recover_store(self.path)?;
+        self.writer = Some(StoreWriter::open_append(self.path)?);
+        Ok(Salvaged {
+            prior: Some(salvage.to_shard_report()),
+            crash_looped: Vec::new(),
+            dropped_bytes: salvage.dropped_bytes,
+        })
+    }
+
+    fn append(&mut self, result: &CellResult) -> Result<(), EngineError> {
+        self.writer().append_cell(result)
+    }
+
+    fn flush(&mut self) -> Result<(), EngineError> {
+        self.writer().flush()
+    }
+}
+
+/// Whether `path` names a file with at least one byte: an absent or
+/// empty file starts a fresh sink.
+fn has_bytes(path: &Path) -> bool {
+    std::fs::metadata(path).is_ok_and(|m| m.len() > 0)
+}
+
+/// Refuses what a sink salvaged when it belongs to a different
+/// campaign or shard geometry, claims a cell this shard does not own,
+/// or lists a cell twice; otherwise returns its cells sorted by index.
+/// The messages name the sink's file through `label`.
+fn check_prior(
+    prior: ShardReport,
+    expected: &ShardReport,
     shard: ShardSpec,
-) -> Result<(), EngineError> {
-    if found.spec_name != expected.spec_name
-        || found.spec_digest != expected.spec_digest
-        || found.total_cells != expected.total_cells
+    label: Label,
+) -> Result<Vec<CellResult>, EngineError> {
+    let Label {
+        noun,
+        flag,
+        claimant,
+    } = label;
+    let refuse = |msg: String| Err(CampaignError::ResumeMismatch(msg).into());
+    if prior.spec_name != expected.spec_name
+        || prior.spec_digest != expected.spec_digest
+        || prior.total_cells != expected.total_cells
     {
-        return Err(CampaignError::ResumeMismatch(format!(
-            "refusing to resume: the existing journal is from a different campaign \
+        return refuse(format!(
+            "refusing to resume: the existing {noun} is from a different campaign \
              (spec {:?}, digest {}, {} cells) than this spec ({:?}, digest {}, {} \
-             cells); delete the file or point --journal elsewhere",
-            found.spec_name,
-            found.spec_digest,
-            found.total_cells,
+             cells); delete the file or point {flag} elsewhere",
+            prior.spec_name,
+            prior.spec_digest,
+            prior.total_cells,
             expected.spec_name,
             expected.spec_digest,
             expected.total_cells
-        ))
-        .into());
+        ));
     }
-    if found.shard_index != shard.index() || found.shard_count != shard.count() {
-        return Err(CampaignError::ResumeMismatch(format!(
-            "refusing to resume: the existing journal is shard {}/{}, but this run \
+    if prior.shard_index != shard.index() || prior.shard_count != shard.count() {
+        return refuse(format!(
+            "refusing to resume: the existing {noun} is shard {}/{}, but this run \
              is shard {shard}; re-run with --shard {}/{} or start fresh",
-            found.shard_index, found.shard_count, found.shard_index, found.shard_count
-        ))
-        .into());
+            prior.shard_index, prior.shard_count, prior.shard_index, prior.shard_count
+        ));
     }
-    Ok(())
+    let total_cells = expected.total_cells;
+    let mut cells = prior.cells;
+    cells.sort_by_key(|c| c.cell);
+    if let Some(bad) = cells
+        .iter()
+        .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
+    {
+        return refuse(format!(
+            "refusing to resume: {claimant} claims cell {}, which shard \
+             {shard} of this {total_cells}-cell grid does not own",
+            bad.cell
+        ));
+    }
+    if let Some(pair) = cells.windows(2).find(|p| p[0].cell == p[1].cell) {
+        return refuse(format!(
+            "refusing to resume: the existing {noun} lists cell {} twice",
+            pair[0].cell
+        ));
+    }
+    Ok(cells)
 }
 
 /// The quarantine measurement for a cell that repeatedly killed the
@@ -752,97 +784,57 @@ fn poisoned_result(cell: &SweepCell) -> CellResult {
     result
 }
 
-/// What [`SweepDriver::resume_shard`] did: the merged report plus how
-/// much work was reused and how much is still missing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumeOutcome {
-    /// The shard report after this invocation (partial iff
-    /// `remaining > 0`).
-    pub report: ShardReport,
-    /// Cells taken over from the prior report instead of re-run.
-    pub skipped: usize,
-    /// Owned cells still missing (nonzero only when a `limit` cut the
-    /// run short).
-    pub remaining: usize,
-}
-
-/// Knobs for [`SweepDriver::run_journal`]: the drain flag plus the
-/// crash-injection hooks. Hooks are explicit fields (not environment
-/// variables) so parallel tests cannot race on process state; the CLI
-/// translates its `HELIOS_*` variables into these.
+/// Knobs for the sweep entry points: the cap and drain flag every sink
+/// honours, plus the journal's crash-injection hooks. Hooks are
+/// explicit fields (not environment variables) so parallel tests cannot
+/// race on process state; the CLI translates its `HELIOS_*` variables
+/// into these.
 #[derive(Debug, Default)]
-pub struct JournalOptions<'a> {
+pub struct SweepOptions<'a> {
     /// Cap on cells *executed* by this invocation (the
     /// `HELIOS_SWEEP_ABORT_AFTER` crash-injection hook).
     pub limit: Option<usize>,
     /// Cooperative drain: once set, in-flight cells finish and are
-    /// journaled, no new cells start ([`JournalRun::drained`] reports
+    /// appended, no new cells start ([`SweepOutcome::drained`] reports
     /// the cut). The CLI arms this from SIGINT/SIGTERM.
     pub cancel: Option<&'a AtomicBool>,
-    /// Synthetic crash: error out right after durably appending the
-    /// attempt record for this global cell index — the repeatable
-    /// "this cell kills the process" poisoning scenario.
+    /// Journal only. Synthetic crash: error out right after durably
+    /// appending the attempt record for this global cell index — the
+    /// repeatable "this cell kills the process" poisoning scenario.
     pub crash_cell: Option<usize>,
-    /// Torn-write injection: the Nth record append (0-based, attempts
-    /// and completions counted together) persists only half its bytes
-    /// and fails (the `HELIOS_JOURNAL_TORN_WRITE` hook).
+    /// Journal only. Torn-write injection: the Nth record append
+    /// (0-based, attempts and completions counted together) persists
+    /// only half its bytes and fails (the `HELIOS_JOURNAL_TORN_WRITE`
+    /// hook).
     pub tear_after: Option<u64>,
-    /// Attempts without completion before a cell is quarantined;
-    /// `None` means [`DEFAULT_POISON_LIMIT`].
+    /// Journal only. Attempts without completion before a cell is
+    /// quarantined; `None` means [`DEFAULT_POISON_LIMIT`].
     pub poison_limit: Option<u32>,
 }
 
-/// What [`SweepDriver::run_journal`] did: the compiled report plus the
-/// salvage, quarantine and drain accounting.
+/// [`SweepOptions`] by the name journal callers use.
+pub type JournalOptions<'a> = SweepOptions<'a>;
+
+/// What one sweep invocation did: the compiled report plus the salvage,
+/// quarantine and drain accounting. Every entry point returns it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JournalRun {
-    /// The shard report compiled from the journal after this
-    /// invocation (partial iff `remaining > 0` or `drained`).
+pub struct SweepOutcome {
+    /// The shard report after this invocation (partial iff
+    /// `remaining > 0` or `drained`).
     pub report: ShardReport,
-    /// Cells taken over from the journal instead of re-run (salvaged
-    /// completions plus freshly quarantined cells).
+    /// Cells taken over instead of re-run: prior or salvaged cells plus
+    /// freshly quarantined ones.
     pub skipped: usize,
     /// Owned cells still missing (a `limit` or drain cut the run).
     pub remaining: usize,
-    /// Completion records salvaged from the existing journal.
+    /// Completed cells taken over from the prior report or salvaged
+    /// from the existing file.
     pub salvaged_cells: usize,
     /// Torn-tail bytes truncated during salvage.
     pub dropped_bytes: u64,
-    /// Cells quarantined as poisoned by *this* invocation, sorted.
+    /// Cells quarantined as poisoned by *this* invocation, sorted
+    /// (journal only; empty for the other sinks).
     pub poisoned: Vec<usize>,
-    /// Whether a drain request cut the run short.
-    pub drained: bool,
-}
-
-/// Knobs for [`SweepDriver::run_store`]: the drain flag plus the
-/// crash-injection cap, mirroring [`JournalOptions`] for the columnar
-/// result path.
-#[derive(Debug, Default)]
-pub struct StoreOptions<'a> {
-    /// Cap on cells *executed* by this invocation (the
-    /// `HELIOS_SWEEP_ABORT_AFTER` crash-injection hook).
-    pub limit: Option<usize>,
-    /// Cooperative drain: once set, in-flight cells finish and are
-    /// appended, no new cells start ([`StoreRun::drained`] reports the
-    /// cut). The CLI arms this from SIGINT/SIGTERM.
-    pub cancel: Option<&'a AtomicBool>,
-}
-
-/// What [`SweepDriver::run_store`] did: the compiled report plus the
-/// salvage and drain accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreRun {
-    /// The shard report compiled from the store after this invocation
-    /// (partial iff `remaining > 0` or `drained`).
-    pub report: ShardReport,
-    /// Cells taken over from the store instead of re-run.
-    pub skipped: usize,
-    /// Owned cells still missing (a `limit` or drain cut the run).
-    pub remaining: usize,
-    /// Rows salvaged from the existing store file.
-    pub salvaged_rows: usize,
-    /// Torn-tail bytes truncated during salvage.
-    pub dropped_bytes: u64,
     /// Whether a drain request cut the run short.
     pub drained: bool,
 }
@@ -1578,73 +1570,5 @@ mod tests {
             base_run.cells, tuned_run.cells,
             "tuning overrides must change some cell"
         );
-    }
-
-    #[test]
-    fn resume_skips_done_cells_byte_identically() {
-        let spec = CampaignSpec::from_json(&spec_json("")).unwrap();
-        let driver = SweepDriver::new(1);
-        let full = driver.run_shard(&spec, ShardSpec::full()).unwrap();
-
-        // Crash after 2 of 4 cells, then resume against the partial file.
-        let partial = driver
-            .resume_shard(&spec, ShardSpec::full(), None, Some(2))
-            .unwrap();
-        assert_eq!(partial.report.cells.len(), 2);
-        assert_eq!(partial.remaining, 2);
-        let resumed = driver
-            .resume_shard(&spec, ShardSpec::full(), Some(&partial.report), None)
-            .unwrap();
-        assert_eq!(resumed.skipped, 2, "done cells are skipped, not re-run");
-        assert_eq!(resumed.remaining, 0);
-        assert_eq!(
-            resumed.report, full,
-            "kill-and-resume must be byte-identical to the uninterrupted run"
-        );
-
-        // Resuming a complete shard is a no-op.
-        let again = driver
-            .resume_shard(&spec, ShardSpec::full(), Some(&full), None)
-            .unwrap();
-        assert_eq!(again.skipped, 4);
-        assert_eq!(again.report, full);
-    }
-
-    #[test]
-    fn resume_refuses_foreign_and_mismatched_reports() {
-        let spec = CampaignSpec::from_json(&spec_json("")).unwrap();
-        let driver = SweepDriver::new(1);
-        let partial = driver
-            .resume_shard(&spec, ShardSpec::full(), None, Some(1))
-            .unwrap()
-            .report;
-
-        // A spec with any knob changed has a different digest.
-        let foreign = CampaignSpec {
-            noise_cv: 0.2,
-            ..spec.clone()
-        };
-        let err = driver
-            .resume_shard(&foreign, ShardSpec::full(), Some(&partial), None)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("different campaign"), "{err}");
-
-        // Same spec, different shard geometry.
-        let err = driver
-            .resume_shard(&spec, ShardSpec::new(1, 2).unwrap(), Some(&partial), None)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("shard 1/1"), "{err}");
-
-        // A report claiming a cell the shard does not own.
-        let mut bad = partial.clone();
-        bad.shard_index = 2;
-        bad.shard_count = 2;
-        let err = driver
-            .resume_shard(&spec, ShardSpec::new(2, 2).unwrap(), Some(&bad), None)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("does not own"), "{err}");
     }
 }

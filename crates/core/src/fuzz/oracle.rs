@@ -438,10 +438,10 @@ fn store_identity_at(
     driver: &SweepDriver,
     path: &std::path::Path,
 ) -> Result<Option<Divergence>, EngineError> {
-    use crate::campaign::StoreOptions;
+    use crate::campaign::SweepOptions;
 
     // (a) Straight through the store.
-    let run = driver.run_store(spec, ShardSpec::full(), path, &StoreOptions::default())?;
+    let run = driver.run_store(spec, ShardSpec::full(), path, &SweepOptions::default())?;
     if report_bytes(&merge_shards(&[run.report])?)? != reference_bytes {
         return Ok(Some(Divergence::new(
             "store_identity",
@@ -458,18 +458,18 @@ fn store_identity_at(
         spec,
         ShardSpec::full(),
         path,
-        &StoreOptions {
+        &SweepOptions {
             limit: Some(cut),
-            ..StoreOptions::default()
+            ..SweepOptions::default()
         },
     )?;
-    let resumed = driver.run_store(spec, ShardSpec::full(), path, &StoreOptions::default())?;
-    if resumed.salvaged_rows != cut {
+    let resumed = driver.run_store(spec, ShardSpec::full(), path, &SweepOptions::default())?;
+    if resumed.salvaged_cells != cut {
         return Ok(Some(Divergence::new(
             "store_identity",
             format!(
                 "store salvaged {} rows after a boundary crash at {cut}",
-                resumed.salvaged_rows
+                resumed.salvaged_cells
             ),
         )));
     }

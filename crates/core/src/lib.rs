@@ -104,9 +104,9 @@ pub mod store;
 pub use campaign::{
     cell_rng, merge_shards, CampaignEngine, CampaignError, CampaignSpec, CellResult, DvfsKnob,
     ElasticityKnob, FailureDomainKnob, FaultKnob, InterconnectFaultKnob, JournalHeader,
-    JournalOptions, JournalRun, JournalWriter, JsonSalvage, PolicyKnob, ResilienceKnob,
-    ResumeOutcome, Salvage, SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, StoreOptions,
-    StoreRun, SummaryRow, SweepCell, SweepDriver, SweepReport,
+    JournalOptions, JournalWriter, JsonSalvage, PolicyKnob, ResilienceKnob, Salvage,
+    SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, SummaryRow, SweepCell, SweepDriver,
+    SweepOptions, SweepOutcome, SweepReport,
 };
 pub use config::{CheckpointConfig, EngineConfig, FaultConfig};
 pub use elastic::{

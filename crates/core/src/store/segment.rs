@@ -91,16 +91,15 @@ impl StoreSalvage {
     /// `merge_shards` and `query` consume store files directly.
     #[must_use]
     pub fn to_shard_report(&self) -> ShardReport {
-        let mut cells = self.cells.clone();
-        cells.sort_by_key(|c| c.cell);
-        ShardReport {
-            spec_name: self.header.spec_name.clone(),
-            spec_digest: self.header.spec_digest.clone(),
-            total_cells: self.header.total_cells,
-            shard_index: self.header.shard_index,
-            shard_count: self.header.shard_count,
-            cells,
-        }
+        let h = &self.header;
+        ShardReport::salvaged(
+            &h.spec_name,
+            &h.spec_digest,
+            h.total_cells,
+            h.shard_index,
+            h.shard_count,
+            self.cells.clone(),
+        )
     }
 }
 

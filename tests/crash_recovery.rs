@@ -7,7 +7,9 @@
 //! prefix, truncates the torn tail, and completes with a merged report
 //! **byte-identical** to the run that was never interrupted. Cells that
 //! repeatedly kill the process get quarantined instead of crash-looping,
-//! and a drain request stops cleanly at a resumable cut.
+//! and a drain request stops cleanly at a resumable cut. One table test
+//! pins resume identity and refusals across every sink of the shared
+//! sweep loop: JSON prior, journal and store.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -15,8 +17,11 @@ use std::sync::atomic::AtomicBool;
 use proptest::prelude::*;
 
 use helios_core::campaign::journal::{self, TORN_WRITE_INJECTED};
+use helios_core::store::schema_names;
 use helios_core::{
-    merge_shards, CampaignSpec, JournalOptions, ShardSpec, SweepDriver, SweepReport,
+    merge_shards, CampaignSpec, EngineError, JournalHeader, JournalOptions, JournalWriter,
+    ShardReport, ShardSpec, StoreHeader, StoreWriter, SweepDriver, SweepOptions, SweepOutcome,
+    SweepReport,
 };
 
 const SPEC_JSON: &str = r#"{
@@ -357,6 +362,191 @@ fn journal_resume_refuses_foreign_spec_and_geometry() {
     assert!(err.contains("shard"), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The three places a sweep's finished cells can go, driven the way
+/// the CLI drives them: a JSON `--out` report read back as the prior, a
+/// write-ahead journal, and a columnar store.
+#[derive(Debug, Clone, Copy)]
+enum Sink {
+    JsonPrior,
+    Journal,
+    Store,
+}
+
+impl Sink {
+    /// The file noun, CLI flag and unowned-cell claimant each sink's
+    /// refusal messages name.
+    fn label(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Sink::JsonPrior => ("report", "--out", "the existing report"),
+            Sink::Journal => ("journal", "--journal", "the journal"),
+            Sink::Store => ("store", "--store", "the store"),
+        }
+    }
+
+    /// Runs `shard` against the sink's file at `path`; the JSON sink
+    /// resumes from the report there and writes the new one back.
+    fn run(
+        self,
+        driver: &SweepDriver,
+        spec: &CampaignSpec,
+        shard: ShardSpec,
+        path: &Path,
+        limit: Option<usize>,
+    ) -> Result<SweepOutcome, EngineError> {
+        let opts = SweepOptions {
+            limit,
+            ..SweepOptions::default()
+        };
+        match self {
+            Sink::JsonPrior => {
+                let prior: Option<ShardReport> = std::fs::read_to_string(path)
+                    .ok()
+                    .map(|json| serde_json::from_str(&json).expect("prior report parses"));
+                let outcome = driver.resume_shard(spec, shard, prior.as_ref(), limit)?;
+                std::fs::write(path, bytes_of_shard(&outcome.report)).expect("write report");
+                Ok(outcome)
+            }
+            Sink::Journal => driver.run_journal(spec, shard, path, &opts),
+            Sink::Store => driver.run_store(spec, shard, path, &opts),
+        }
+    }
+
+    /// Writes a file at `path` holding exactly `report`'s identity and
+    /// cells, whatever shard owns them.
+    fn plant(self, path: &Path, report: &ShardReport) {
+        match self {
+            Sink::JsonPrior => {
+                std::fs::write(path, bytes_of_shard(report)).expect("write report");
+            }
+            Sink::Journal => {
+                let header = JournalHeader {
+                    spec_name: report.spec_name.clone(),
+                    spec_digest: report.spec_digest.clone(),
+                    total_cells: report.total_cells,
+                    shard_index: report.shard_index,
+                    shard_count: report.shard_count,
+                };
+                let mut w = JournalWriter::create(path, &header, None).expect("create journal");
+                for cell in &report.cells {
+                    w.append_cell(cell).expect("append cell");
+                }
+            }
+            Sink::Store => {
+                let header = StoreHeader {
+                    spec_name: report.spec_name.clone(),
+                    spec_digest: report.spec_digest.clone(),
+                    total_cells: report.total_cells,
+                    shard_index: report.shard_index,
+                    shard_count: report.shard_count,
+                    columns: schema_names(),
+                };
+                let mut w = StoreWriter::create(path, &header).expect("create store");
+                for cell in &report.cells {
+                    w.append_cell(cell).expect("append cell");
+                }
+                w.flush().expect("flush store");
+            }
+        }
+    }
+}
+
+/// Every sink shares one sweep loop, so every sink must refuse the same
+/// foreign state with its own file named in the message, and resume a
+/// `limit`-cut run to the uninterrupted bytes — at `--jobs 1` and `4`.
+#[test]
+fn every_sink_refuses_foreign_state_and_resumes_byte_identically() {
+    let spec = spec();
+    let reference = SweepDriver::new(1)
+        .run_shard(&spec, ShardSpec::full())
+        .expect("uninterrupted run");
+    let reference_bytes = bytes(&merge_shards(std::slice::from_ref(&reference)).expect("merge"));
+    let total = reference.cells.len();
+    // A spec with any knob changed has a different digest.
+    let foreign = CampaignSpec::from_json(&SPEC_JSON.replace("0.05", "0.25")).unwrap();
+    let half = |k: usize| ShardSpec::new(k, 2).unwrap();
+
+    for sink in [Sink::JsonPrior, Sink::Journal, Sink::Store] {
+        let (noun, flag, claimant) = sink.label();
+        for jobs in [1usize, 4] {
+            let case = format!("{sink:?} at --jobs {jobs}");
+            let driver = SweepDriver::new(jobs);
+            let dir = scratch(&format!("sinks-{sink:?}-{jobs}"));
+            let path = dir.join("sweep");
+
+            // Cut by `limit`, then resumed: the uninterrupted bytes.
+            let cut = sink
+                .run(&driver, &spec, ShardSpec::full(), &path, Some(2))
+                .expect("cut run");
+            assert_eq!(cut.report.cells.len(), 2, "{case}");
+            assert_eq!(cut.remaining, total - 2, "{case}");
+            let resumed = sink
+                .run(&driver, &spec, ShardSpec::full(), &path, None)
+                .expect("resumed run");
+            assert_eq!(
+                resumed.skipped, 2,
+                "{case}: done cells are skipped, not re-run"
+            );
+            assert_eq!(resumed.salvaged_cells, 2, "{case}");
+            assert_eq!(resumed.remaining, 0, "{case}");
+            assert_eq!(
+                bytes(&merge_shards(&[resumed.report]).expect("merge")),
+                reference_bytes,
+                "{case}: kill-and-resume must be byte-identical to the uninterrupted run"
+            );
+
+            // Resuming a complete shard is a no-op.
+            let again = sink
+                .run(&driver, &spec, ShardSpec::full(), &path, None)
+                .expect("no-op resume");
+            assert_eq!(again.skipped, total, "{case}");
+            assert_eq!(again.report, reference, "{case}");
+
+            // A foreign spec is refused.
+            let err = sink
+                .run(&driver, &foreign, ShardSpec::full(), &path, None)
+                .expect_err("foreign spec must be refused")
+                .to_string();
+            assert!(
+                err.contains(&format!("the existing {noun} is from a different campaign"))
+                    && err.contains(&format!("point {flag} elsewhere")),
+                "{case}: {err}"
+            );
+
+            // So is the same spec under another shard geometry.
+            let err = sink
+                .run(&driver, &spec, half(1), &path, None)
+                .expect_err("different geometry must be refused")
+                .to_string();
+            assert!(
+                err.contains(&format!("the existing {noun} is shard 1/1")),
+                "{case}: {err}"
+            );
+
+            // And a file of shard 2/2 that claims cell 0, which shard 1 owns.
+            let planted = dir.join("unowned");
+            sink.plant(
+                &planted,
+                &ShardReport {
+                    shard_index: 2,
+                    shard_count: 2,
+                    cells: vec![reference.cells[0].clone()],
+                    ..reference.clone()
+                },
+            );
+            let err = sink
+                .run(&driver, &spec, half(2), &planted, None)
+                .expect_err("unowned cell must be refused")
+                .to_string();
+            assert!(
+                err.contains(&format!("{claimant} claims cell 0")) && err.contains("does not own"),
+                "{case}: {err}"
+            );
+
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 proptest! {

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use helios_core::store::{cell_from_row, schema_names, summarize_cells, Value};
 use helios_core::{
     merge_shards, read_store, run_query, CampaignSpec, CellResult, ShardSpec, StoreHeader,
-    StoreOptions, StoreWriter, SweepDriver, SweepReport,
+    StoreWriter, SweepDriver, SweepOptions, SweepReport,
 };
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -211,7 +211,7 @@ fn sweep_through_the_store_is_byte_identical_to_the_direct_run() {
     let _ = std::fs::remove_file(&path);
     let driver = SweepDriver::new(1);
     let run = driver
-        .run_store(&spec, ShardSpec::full(), &path, &StoreOptions::default())
+        .run_store(&spec, ShardSpec::full(), &path, &SweepOptions::default())
         .expect("store run");
     assert_eq!(run.remaining, 0);
     assert!(!run.drained);
@@ -277,7 +277,7 @@ fn null_means_survive_the_store_and_the_query() {
     let path = scratch("lethal.store");
     let _ = std::fs::remove_file(&path);
     let run = SweepDriver::new(1)
-        .run_store(&spec, ShardSpec::full(), &path, &StoreOptions::default())
+        .run_store(&spec, ShardSpec::full(), &path, &SweepOptions::default())
         .expect("store run");
     let merged = merge_shards(&[run.report]).expect("merge");
     assert_eq!(report_bytes(&merged), report_bytes(&reference));
@@ -307,9 +307,9 @@ fn store_resume_is_byte_identical_and_foreign_stores_are_refused() {
             &spec,
             ShardSpec::full(),
             &path,
-            &StoreOptions {
+            &SweepOptions {
                 limit: Some(2),
-                ..StoreOptions::default()
+                ..SweepOptions::default()
             },
         )
         .expect("cut run");
@@ -317,9 +317,9 @@ fn store_resume_is_byte_identical_and_foreign_stores_are_refused() {
     assert_eq!(cut.remaining, 2);
 
     let resumed = driver
-        .run_store(&spec, ShardSpec::full(), &path, &StoreOptions::default())
+        .run_store(&spec, ShardSpec::full(), &path, &SweepOptions::default())
         .expect("resume");
-    assert_eq!(resumed.salvaged_rows, 2);
+    assert_eq!(resumed.salvaged_cells, 2);
     assert_eq!(resumed.remaining, 0);
     let merged = merge_shards(&[resumed.report]).expect("merge");
     assert_eq!(
@@ -333,7 +333,7 @@ fn store_resume_is_byte_identical_and_foreign_stores_are_refused() {
     let foreign = CampaignSpec::from_json(&small_spec_json("").replace("store-query", "other"))
         .expect("foreign spec parses");
     let err = driver
-        .run_store(&foreign, ShardSpec::full(), &path, &StoreOptions::default())
+        .run_store(&foreign, ShardSpec::full(), &path, &SweepOptions::default())
         .expect_err("foreign spec must be refused")
         .to_string();
     assert!(err.contains("different campaign"), "{err}");
@@ -344,7 +344,7 @@ fn store_resume_is_byte_identical_and_foreign_stores_are_refused() {
             &spec,
             ShardSpec::new(1, 2).expect("shard parses"),
             &path,
-            &StoreOptions::default(),
+            &SweepOptions::default(),
         )
         .expect_err("wrong shard must be refused")
         .to_string();
