@@ -301,4 +301,14 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc intra-doc links (helios crates)"
+# A deleted, renamed or private item must not leave a dangling doc link
+# behind. --lib documents only the library targets: the root `helios`
+# lib and the helios-cli `helios` binary would otherwise collide on one
+# output file name.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps --lib -p helios -p helios-sim -p helios-platform \
+    -p helios-workflow -p helios-sched -p helios-energy -p helios-rt \
+    -p helios-core -p helios-cli -p helios-bench
+
 echo "==> CI green"

@@ -92,8 +92,13 @@ impl<'de> Deserialize<'de> for DvfsKnob {
     }
 }
 
-/// Fault-injection knobs of a spec, mirroring
-/// [`FaultConfig`](crate::FaultConfig).
+/// Flat-retry fault-injection knobs of a spec: each device fails as a
+/// Poisson process and a failed task retries from scratch. The cells
+/// run on the plain [`Engine`](crate::Engine) under the
+/// [`ResilienceConfig`] of [`FaultKnob::to_config`]; a spec
+/// `resilience` block instead runs the
+/// [`ResilientRunner`](crate::ResilientRunner), which also fills the
+/// resilience columns of each cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultKnob {
     /// Mean time between failures per device, seconds.
@@ -104,6 +109,22 @@ pub struct FaultKnob {
     /// Retry budget per task.
     #[serde(default)]
     pub max_retries: u32,
+}
+
+impl FaultKnob {
+    /// The knob in the engine's fault vocabulary: exponential
+    /// transient-only failures under
+    /// [`RecoveryPolicy::flat_retry`].
+    #[must_use]
+    pub fn to_config(&self) -> ResilienceConfig {
+        ResilienceConfig::new(
+            FailureModel {
+                restart_overhead_secs: self.restart_overhead_secs,
+                ..FailureModel::exponential(self.mtbf_secs)
+            },
+            RecoveryPolicy::flat_retry(self.max_retries),
+        )
+    }
 }
 
 /// Recovery-policy knob of a spec, mirroring
@@ -332,8 +353,8 @@ fn default_repair() -> f64 {
 }
 
 /// Failure-domain and recovery knobs of a spec, mirroring
-/// [`ResilienceConfig`](crate::ResilienceConfig). Mutually exclusive
-/// with the legacy [`FaultKnob`] block.
+/// [`ResilienceConfig`]. Mutually exclusive with the flat-retry
+/// [`FaultKnob`] block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceKnob {
     /// Mean time to failure (exponential) or characteristic life
@@ -899,7 +920,8 @@ pub struct CampaignSpec {
     /// DVFS operating point (default `nominal`).
     #[serde(default)]
     pub dvfs: DvfsKnob,
-    /// Optional fault injection.
+    /// Optional flat-retry fault injection; cells run on the plain
+    /// [`Engine`](crate::Engine) under [`FaultKnob::to_config`].
     #[serde(default)]
     pub faults: Option<FaultKnob>,
     /// Optional failure-domain model and recovery policy; cells run

@@ -21,7 +21,6 @@ use serde::{Deserialize, Serialize};
 
 use helios_platform::{presets, Platform};
 use helios_sched::{AnnealingScheduler, LookaheadScheduler, Placement, Schedule, Scheduler};
-use helios_sim::SimDuration;
 
 use super::journal::{self, JournalHeader, JournalWriter, DEFAULT_POISON_LIMIT};
 use super::spec::{family_class, CampaignSpec, DvfsKnob, SweepCell};
@@ -29,7 +28,7 @@ use super::{CampaignEngine, CampaignError};
 use crate::exec::IncompleteReason;
 use crate::resilience::ResilientRunner;
 use crate::store::{StoreHeader, StoreWriter};
-use crate::{Engine, EngineConfig, EngineError, FaultConfig};
+use crate::{Engine, EngineConfig, EngineError};
 
 /// One shard of a partition: `index` of `count`, 1-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,7 +295,7 @@ pub struct SweepReport {
 /// [`resume_shard`](SweepDriver::resume_shard),
 /// [`run_journal`](SweepDriver::run_journal) and
 /// [`run_store`](SweepDriver::run_store) — feeds one private loop over a
-/// [`CellSink`]: salvage → check → quarantine → skip → cap → run →
+/// `CellSink`: salvage → check → quarantine → skip → cap → run →
 /// append → flush (even on error) → compile. The entry points differ
 /// only in where finished cells go.
 #[derive(Debug, Clone, Copy, Default)]
@@ -874,14 +873,6 @@ fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineE
 
     let wf = class.generate(spec.tasks, cell.seed)?;
 
-    let faults = match &spec.faults {
-        None => None,
-        Some(fk) => Some(FaultConfig::new(
-            fk.mtbf_secs,
-            SimDuration::from_secs(fk.restart_overhead_secs),
-            fk.max_retries,
-        )?),
-    };
     // Elastic cells always run through the resilient runner: departures
     // feed its recovery machinery. A spec with capacity events but no
     // `resilience` block gets a benign stack — failures effectively
@@ -891,12 +882,18 @@ fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineE
     if elasticity.is_some() && resilience.is_none() {
         resilience = Some(benign_resilience());
     }
+    // The runner is chosen by the spec's own blocks: `resilience` (or
+    // capacity events) runs the resilient runner, which also fills the
+    // resilience columns. A `faults` block (exclusive with both) is flat
+    // retry on the plain engine, whose occupancy model reads the same
+    // vocabulary.
+    let resilient = resilience.is_some();
+    let resilience = resilience.or_else(|| spec.faults.map(|fk| fk.to_config()));
     let config = EngineConfig {
         seed: cell.seed,
         noise_cv: spec.noise_cv,
         link_contention: spec.link_contention,
         data_caching: spec.data_caching,
-        faults,
         resilience,
         elasticity,
         step_budget: cell_step_budget(spec)?,
@@ -905,7 +902,6 @@ fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineE
 
     let mut result = blank_result(cell);
 
-    let resilient = config.resilience.is_some();
     // Planning and execution share one error funnel: an infeasible
     // family × platform pairing fails in `schedule`, everything else in
     // the runner, and both must become measurements when classifiable.
@@ -1002,21 +998,8 @@ fn blank_result(cell: &SweepCell) -> CellResult {
 fn benign_resilience() -> crate::resilience::ResilienceConfig {
     use crate::resilience::{FailureModel, RecoveryPolicy, ResilienceConfig};
     ResilienceConfig::new(
-        FailureModel {
-            mttf_secs: 1e12,
-            weibull_shape: None,
-            degraded_prob: 0.0,
-            permanent_prob: 0.0,
-            degraded_slowdown: 2.0,
-            degraded_repair_secs: 1.0,
-            restart_overhead_secs: 0.0,
-        },
-        RecoveryPolicy::RetryBackoff {
-            base_secs: 0.0,
-            factor: 2.0,
-            cap_secs: 0.0,
-            max_retries: 100,
-        },
+        FailureModel::exponential(1e12),
+        RecoveryPolicy::flat_retry(100),
     )
 }
 

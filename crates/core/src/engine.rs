@@ -6,13 +6,14 @@ use helios_sim::trace::Trace;
 use helios_sim::{EventQueue, SimRng, SimTime};
 use helios_workflow::{TaskId, Workflow};
 
-use crate::config::{EngineConfig, FaultView};
+use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::exec::{
     drive, fault_occupancy, finish_report, noise_factor, slowdown_factor, BudgetPoint,
     DeliveredCache, Hooks, LinkState,
 };
 use crate::report::{ExecutionReport, TransferStats};
+use crate::resilience::ResilienceConfig;
 
 /// The `helios` execution engine: runs workflows in simulated time under
 /// a static plan, modeling noise, link contention and faults.
@@ -23,7 +24,7 @@ use crate::report::{ExecutionReport, TransferStats};
 /// evaluation experiments measure.
 ///
 /// The engine is the static-plan hook set over the execution core
-/// ([`crate::exec`]): its [`Hooks`] implementation owns the
+/// ([`crate::exec`]): its `Hooks` implementation owns the
 /// arrival/finish event vocabulary and the head-of-queue dispatch rule,
 /// while the step loop, occupancy math, transfer staging, residency
 /// caching and report accounting are the core's single copy.
@@ -113,7 +114,7 @@ struct PlanExec<'a> {
     config: &'a EngineConfig,
     platform: &'a Platform,
     wf: &'a Workflow,
-    view: FaultView,
+    faults: Option<&'a ResilienceConfig>,
     base_rng: SimRng,
     device_queue: Vec<Vec<TaskId>>,
     device_pos: Vec<usize>,
@@ -159,7 +160,7 @@ impl<'a> PlanExec<'a> {
         }
         let base_rng = SimRng::seed_from(config.seed);
         Ok(PlanExec {
-            view: config.fault_view()?,
+            faults: config.fault_view()?,
             trace: config.tracing.then(Trace::new),
             delivered: DeliveredCache::new(config.data_caching, n, nd),
             // Task-intrinsic noise: each task's factor comes from its own
@@ -212,7 +213,7 @@ impl<'a> PlanExec<'a> {
         let noise = self.noise[task.0];
         let slow = slowdown_factor(self.config.device_slowdown.as_ref(), dev.0);
         let actual = modeled * noise * slow;
-        let occ = fault_occupancy(&self.view, &self.base_rng, actual, task, dev.0)?;
+        let occ = fault_occupancy(self.faults, &self.base_rng, actual, task)?;
         self.failures += occ.failures;
         self.retries += occ.retries;
         let finish = now + occ.total;

@@ -152,7 +152,7 @@ impl EnsembleRunner {
         let mut realized: Vec<Option<Placement>> = vec![None; n];
         let mut done_work = vec![0.0f64; members.len()];
 
-        let view = self.config.fault_view()?;
+        let faults = self.config.fault_view()?;
         let base_rng = SimRng::seed_from(self.config.seed);
         let mut links = LinkState::new(platform);
         let mut stats = TransferStats::default();
@@ -252,13 +252,8 @@ impl EnsembleRunner {
                         let noise = noise_factor(self.config.noise_cv, &base_rng, g);
                         let slow = slowdown_factor(self.config.device_slowdown.as_ref(), dev.0);
                         let mut fault_rng = base_rng.fork(FAULT_STREAM_BASE + g as u64);
-                        let occ = occupancy_on(
-                            &view,
-                            modeled * noise * slow,
-                            task,
-                            dev.0,
-                            &mut fault_rng,
-                        )?;
+                        let occ =
+                            occupancy_on(faults, modeled * noise * slow, task, &mut fault_rng)?;
                         let finish = start + occ.total;
                         device_free_pred[dev.0] = start + modeled;
                         realized[g] = Some(Placement {

@@ -34,27 +34,6 @@ fn platform(preset: usize) -> Platform {
     }
 }
 
-/// An [`EngineConfig`] with every feature hook explicitly present but
-/// disabled: zero noise, contention/caching/tracing off, no faults, no
-/// checkpointing, and a step budget too large to ever fire. Running the
-/// core with these hooks engaged must be indistinguishable from the
-/// default (hook-absent) configuration.
-fn all_hooks_off(seed: u64) -> EngineConfig {
-    EngineConfig {
-        noise_cv: 0.0,
-        seed,
-        link_contention: false,
-        data_caching: false,
-        device_slowdown: None,
-        faults: None,
-        checkpointing: None,
-        tracing: false,
-        resilience: None,
-        elasticity: None,
-        step_budget: Some(u64::MAX),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -79,7 +58,7 @@ proptest! {
         };
         let plain_cfg = EngineConfig { seed: engine_seed, ..Default::default() };
         let plain = Engine::new(plain_cfg).execute_plan(&p, &wf, &plan).unwrap();
-        let composed = Engine::new(all_hooks_off(engine_seed))
+        let composed = Engine::new(EngineConfig::all_hooks_off(engine_seed))
             .execute_plan(&p, &wf, &plan)
             .unwrap();
         prop_assert_eq!(plain, composed);
@@ -98,7 +77,7 @@ mod pinned {
         let wf = workflow(0, 50, 9);
         let plan = HeftScheduler::default().schedule(&wf, &p).unwrap();
         let plain = Engine::default().execute_plan(&p, &wf, &plan).unwrap();
-        let composed = Engine::new(all_hooks_off(0))
+        let composed = Engine::new(EngineConfig::all_hooks_off(0))
             .execute_plan(&p, &wf, &plan)
             .unwrap();
         assert_eq!(plain, composed);

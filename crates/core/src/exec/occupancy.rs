@@ -5,9 +5,9 @@
 use helios_sim::{SimDuration, SimRng};
 use helios_workflow::TaskId;
 
-use crate::config::FaultView;
 use crate::error::EngineError;
 use crate::exec::{FAULT_STREAM_BASE, NOISE_STREAM_BASE};
+use crate::resilience::{RecoveryPolicy, ResilienceConfig};
 
 /// Per-attempt execution outcome used by both the static and online
 /// executors.
@@ -34,34 +34,50 @@ pub(crate) fn occupancy(
     task: TaskId,
     fault_rng: &mut SimRng,
 ) -> Result<Occupancy, EngineError> {
-    occupancy_on(&config.fault_view()?, actual_work, task, 0, fault_rng)
+    occupancy_on(config.fault_view()?, actual_work, task, fault_rng)
 }
 
-/// [`occupancy`](self) with per-device MTBF resolution.
+/// [`occupancy`](self) under an already-resolved
+/// [`EngineConfig::fault_view`](crate::config::EngineConfig::fault_view):
+/// exponential transient-only failures, retried after the policy's
+/// backoff or resumed from the last checkpoint.
 pub(crate) fn occupancy_on(
-    view: &FaultView,
+    faults: Option<&ResilienceConfig>,
     actual_work: SimDuration,
     task: TaskId,
-    device_id: usize,
     fault_rng: &mut SimRng,
 ) -> Result<Occupancy, EngineError> {
-    let ckpt_inflate = |work: SimDuration| match view.checkpointing {
-        Some(ck) => {
-            let snapshots = (work.as_secs() / ck.interval.as_secs()).floor();
-            work + ck.overhead * snapshots
-        }
-        None => work,
-    };
-    let work = ckpt_inflate(actual_work);
-    let Some(faults) = view.faults.as_ref() else {
-        // No faults: only checkpoint overhead (if configured) applies.
+    let Some(res) = faults else {
+        // No faults: the task holds its device for its work alone.
         return Ok(Occupancy {
-            total: work,
-            work,
+            total: actual_work,
+            work: actual_work,
             failures: 0,
             retries: 0,
         });
     };
+    // Checkpoint-restart snapshots every `interval` of work at
+    // `overhead` per snapshot; a retry resumes from the last one.
+    let checkpoint = match res.policy {
+        RecoveryPolicy::CheckpointRestart {
+            interval_secs,
+            overhead_secs,
+            ..
+        } => Some((
+            SimDuration::from_secs(interval_secs),
+            SimDuration::from_secs(overhead_secs),
+        )),
+        _ => None,
+    };
+    let ckpt_inflate = |work: SimDuration| match checkpoint {
+        Some((interval, overhead)) => {
+            let snapshots = (work.as_secs() / interval.as_secs()).floor();
+            work + overhead * snapshots
+        }
+        None => work,
+    };
+    let work = ckpt_inflate(actual_work);
+    let restart_overhead = SimDuration::from_secs(res.failures.restart_overhead_secs);
 
     let mut remaining = actual_work;
     let mut total = SimDuration::ZERO;
@@ -69,8 +85,7 @@ pub(crate) fn occupancy_on(
     let mut retries = 0u32;
     loop {
         let effective = ckpt_inflate(remaining);
-        let unit = view.checkpointing.map(|ck| (ck.interval, ck.overhead));
-        let fault_at = SimDuration::from_secs(fault_rng.exponential(faults.mtbf_for(device_id)));
+        let fault_at = SimDuration::from_secs(fault_rng.exponential(res.failures.mttf_secs));
         if fault_at >= effective {
             total += effective;
             return Ok(Occupancy {
@@ -81,14 +96,14 @@ pub(crate) fn occupancy_on(
             });
         }
         failures += 1;
-        if retries >= faults.max_retries {
+        if retries >= res.policy.max_retries() {
             return Err(EngineError::RetriesExhausted {
                 task,
                 attempts: failures,
             });
         }
         retries += 1;
-        let preserved = match unit {
+        let preserved = match checkpoint {
             Some((interval, overhead)) => {
                 let stride = interval + overhead;
                 let completed_units = (fault_at.as_secs() / stride.as_secs()).floor();
@@ -97,12 +112,10 @@ pub(crate) fn occupancy_on(
             None => SimDuration::ZERO,
         };
         remaining = remaining - preserved;
-        let backoff = view.backoff.map_or(0.0, |(b, f, c)| {
-            crate::config::backoff_delay_secs(b, f, c, retries)
-        });
+        let backoff = res.policy.backoff_delay_secs(retries);
         // The attempt's time, the restart overhead and any backoff all
         // occupy the device timeline: a faulty run can only be slower.
-        total += fault_at + faults.restart_overhead + SimDuration::from_secs(backoff);
+        total += fault_at + restart_overhead + SimDuration::from_secs(backoff);
     }
 }
 
@@ -128,20 +141,20 @@ pub(crate) fn slowdown_factor(slowdown: Option<&Vec<f64>>, device: usize) -> f64
 /// (`FAULT_STREAM_BASE + task`) forked in place, so callers cannot
 /// accidentally key fault draws by event order.
 pub(crate) fn fault_occupancy(
-    view: &FaultView,
+    faults: Option<&ResilienceConfig>,
     base_rng: &SimRng,
     actual_work: SimDuration,
     task: TaskId,
-    device_id: usize,
 ) -> Result<Occupancy, EngineError> {
     let mut fault_rng = base_rng.fork(FAULT_STREAM_BASE + task.0 as u64);
-    occupancy_on(view, actual_work, task, device_id, &mut fault_rng)
+    occupancy_on(faults, actual_work, task, &mut fault_rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CheckpointConfig, EngineConfig};
+    use crate::config::EngineConfig;
+    use crate::resilience::FailureModel;
 
     #[test]
     fn occupancy_math() {
@@ -151,15 +164,21 @@ mod tests {
         let occ = occupancy(&cfg, SimDuration::from_secs(10.0), TaskId(0), &mut rng).unwrap();
         assert_eq!(occ.total.as_secs(), 10.0);
         assert_eq!(occ.failures, 0);
-        // Checkpoints only: 10s work, 3s interval → 3 snapshots × 0.5s.
+        // Checkpoints under a failure rate that never fires: 10s work,
+        // 3s interval → 3 snapshots × 0.5s.
         let cfg = EngineConfig {
-            checkpointing: Some(
-                CheckpointConfig::new(SimDuration::from_secs(3.0), SimDuration::from_secs(0.5))
-                    .unwrap(),
-            ),
+            resilience: Some(ResilienceConfig::new(
+                FailureModel::exponential(1e300),
+                RecoveryPolicy::CheckpointRestart {
+                    interval_secs: 3.0,
+                    overhead_secs: 0.5,
+                    max_retries: 0,
+                },
+            )),
             ..Default::default()
         };
         let occ = occupancy(&cfg, SimDuration::from_secs(10.0), TaskId(0), &mut rng).unwrap();
         assert!((occ.total.as_secs() - 11.5).abs() < 1e-9);
+        assert_eq!(occ.failures, 0);
     }
 }

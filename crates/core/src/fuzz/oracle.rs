@@ -32,6 +32,8 @@
 //! |                       | disabled, and `makespan_degradation ≥ 0`; stands    |
 //! |                       | down for elastic specs (a mid-run join can legally  |
 //! |                       | beat the static bound)                              |
+//!
+//! [`Schedule::validate`]: helios_sched::Schedule::validate
 
 use helios_platform::presets;
 use serde::{Deserialize, Serialize};
@@ -166,7 +168,8 @@ fn single_cell_oracles(
         if broken == Some("hooks_off_identity") {
             return Ok(Some(Divergence::sabotaged("hooks_off_identity")));
         }
-        let composed = Engine::new(all_hooks_off(cell.seed)).execute_plan(&platform, &wf, &plan)?;
+        let composed = Engine::new(EngineConfig::all_hooks_off(cell.seed))
+            .execute_plan(&platform, &wf, &plan)?;
         if plain != composed {
             return Ok(Some(Divergence::new(
                 "hooks_off_identity",
@@ -181,27 +184,6 @@ fn single_cell_oracles(
         return Ok(None);
     }
     Ok(None)
-}
-
-/// An [`EngineConfig`] with every feature hook explicitly present but
-/// disabled — the fuzz-facing twin of the conformance embryo's
-/// `all_hooks_off` (which is test-only): zero noise,
-/// contention/caching/tracing off, no faults or checkpointing, and a
-/// step budget too large to ever fire.
-fn all_hooks_off(seed: u64) -> EngineConfig {
-    EngineConfig {
-        noise_cv: 0.0,
-        seed,
-        link_contention: false,
-        data_caching: false,
-        device_slowdown: None,
-        faults: None,
-        checkpointing: None,
-        tracing: false,
-        resilience: None,
-        elasticity: None,
-        step_budget: Some(u64::MAX),
-    }
 }
 
 /// Structural invariants of one realized execution report.

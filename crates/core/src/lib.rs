@@ -11,7 +11,11 @@
 //!   producer finishes, optionally with per-link contention (transfers
 //!   queue on shared links instead of overlapping freely),
 //! * **faults** — devices fail as Poisson processes; failed tasks retry,
-//!   either from scratch or from their last checkpoint,
+//!   either from scratch or from their last checkpoint. Every executor
+//!   takes its faults from one vocabulary,
+//!   [`EngineConfig::resilience`]: the [`Engine`], [`OnlineRunner`] and
+//!   [`EnsembleRunner`] run exponential transient-only failures under
+//!   retry-backoff or checkpoint-restart,
 //! * **failure domains and recovery policies** — the [`resilience`]
 //!   subsystem models transient, degraded and permanent device failures
 //!   (exponential or Weibull inter-failure times) and recovers via
@@ -108,7 +112,7 @@ pub use campaign::{
     SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, SummaryRow, SweepCell, SweepDriver,
     SweepOptions, SweepOutcome, SweepReport,
 };
-pub use config::{CheckpointConfig, EngineConfig, FaultConfig};
+pub use config::EngineConfig;
 pub use elastic::{
     ElasticChurn, ElasticEvent, ElasticEventKind, ElasticityConfig, ElasticityMetrics,
 };

@@ -7,7 +7,7 @@
 //! it picks the DVFS level per dispatch from the current load pressure.
 //!
 //! The runner is the online re-planning hook set over the execution
-//! core ([`crate::exec`]): its [`Hooks`] implementation owns the
+//! core ([`crate::exec`]): its `Hooks` implementation owns the
 //! ready-set, the calibration model and the just-in-time dispatch rule,
 //! while the step loop, occupancy math, transfer staging, residency
 //! caching and report accounting are the core's single copy.
@@ -19,13 +19,14 @@ use helios_sim::trace::Trace;
 use helios_sim::{EventQueue, SimRng, SimTime};
 use helios_workflow::{analysis, TaskId, Workflow};
 
-use crate::config::{EngineConfig, FaultView};
+use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::exec::{
     drive, fault_occupancy, finish_report, noise_factor, slowdown_factor, BudgetPoint,
     DeliveredCache, Hooks, LinkState,
 };
 use crate::report::{ExecutionReport, TransferStats};
+use crate::resilience::ResilienceConfig;
 
 /// Task-selection policy for the online dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,7 +135,7 @@ impl OnlineRunner {
             platform,
             wf,
             believed,
-            view: self.config.fault_view()?,
+            faults: self.config.fault_view()?,
             // Task-intrinsic noise: each task's factor comes from its own
             // stream, so drawing all of them up front replays the exact
             // values the per-dispatch forks produced.
@@ -191,7 +192,7 @@ struct OnlineExec<'a> {
     platform: &'a Platform,
     wf: &'a Workflow,
     believed: &'a Workflow,
-    view: FaultView,
+    faults: Option<&'a ResilienceConfig>,
     base_rng: SimRng,
     noise: Vec<f64>,
     ranks: Vec<f64>,
@@ -344,13 +345,8 @@ impl OnlineExec<'_> {
                 let modeled = device.execution_time(wf.task(task)?.cost(), level)?;
                 let slow = slowdown_factor(self.config.device_slowdown.as_ref(), dev.0);
                 let noise = self.noise[task.0];
-                let occ = fault_occupancy(
-                    &self.view,
-                    &self.base_rng,
-                    modeled * noise * slow,
-                    task,
-                    dev.0,
-                )?;
+                let occ =
+                    fault_occupancy(self.faults, &self.base_rng, modeled * noise * slow, task)?;
                 self.failures += occ.failures;
                 self.retries += occ.retries;
                 let finish = start + occ.total;

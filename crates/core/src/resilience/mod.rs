@@ -8,9 +8,8 @@
 //! runtime does about them:
 //!
 //! * [`RecoveryPolicy::RetryBackoff`] — re-run the aborted attempt after
-//!   a capped exponential backoff (the flat retry of
-//!   [`FaultConfig`](crate::FaultConfig) is the `base_secs = 0` special
-//!   case),
+//!   a capped exponential backoff (flat retry, as a spec's `faults`
+//!   block runs it, is the `base_secs = 0` special case),
 //! * [`RecoveryPolicy::ReplicateK`] — run `k` copies of every task on
 //!   distinct devices; the first finisher wins and the rest are
 //!   cancelled,
@@ -391,6 +390,19 @@ pub enum RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
+    /// Flat retry: [`RecoveryPolicy::RetryBackoff`] with no backoff
+    /// (`base_secs = 0`), so a failed attempt restarts right after the
+    /// failure model's restart overhead.
+    #[must_use]
+    pub fn flat_retry(max_retries: u32) -> RecoveryPolicy {
+        RecoveryPolicy::RetryBackoff {
+            base_secs: 0.0,
+            factor: 1.0,
+            cap_secs: 0.0,
+            max_retries,
+        }
+    }
+
     /// Stable kebab-case policy name used in specs, reports and error
     /// messages.
     #[must_use]
@@ -426,7 +438,10 @@ impl RecoveryPolicy {
         }
     }
 
-    /// Backoff delay before retry `retry` (1-based), seconds.
+    /// Backoff delay before retry `retry` (1-based), seconds: capped
+    /// exponential `min(base · factor^(retry-1), cap)` under
+    /// retry-backoff, zero when `base_secs` is zero (the classical flat
+    /// retry) and under every other policy.
     #[must_use]
     pub fn backoff_delay_secs(&self, retry: u32) -> f64 {
         match *self {
@@ -435,7 +450,9 @@ impl RecoveryPolicy {
                 factor,
                 cap_secs,
                 ..
-            } => crate::config::backoff_delay_secs(base_secs, factor, cap_secs, retry),
+            } if base_secs != 0.0 => {
+                (base_secs * factor.powi(retry.saturating_sub(1) as i32)).min(cap_secs)
+            }
             _ => 0.0,
         }
     }
@@ -667,6 +684,23 @@ mod tests {
         let mut m = FailureModel::exponential(10.0);
         m.restart_overhead_secs = -1.0;
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn backoff_helper_math() {
+        let backoff = |base_secs, factor, cap_secs, retry| {
+            RecoveryPolicy::RetryBackoff {
+                base_secs,
+                factor,
+                cap_secs,
+                max_retries: 0,
+            }
+            .backoff_delay_secs(retry)
+        };
+        assert_eq!(backoff(0.0, 2.0, 9.0, 5), 0.0);
+        assert_eq!(backoff(1.0, 2.0, 16.0, 1), 1.0);
+        assert_eq!(backoff(1.0, 2.0, 16.0, 4), 8.0);
+        assert_eq!(backoff(1.0, 2.0, 16.0, 10), 16.0);
     }
 
     #[test]

@@ -39,8 +39,8 @@ fn check_rates(platform: &Platform, rates: &[f64]) -> Result<(), SchedError> {
 }
 
 /// Uniform failure rates from a single MTBF (failures per second =
-/// `1 / mtbf_secs`) — matches the engine's
-/// [`FaultConfig`](../../helios_core/struct.FaultConfig.html) semantics.
+/// `1 / mtbf_secs`) — matches the engine's exponential failure model
+/// (`helios_core::FailureModel::exponential`).
 ///
 /// # Errors
 ///

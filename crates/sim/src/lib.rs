@@ -16,7 +16,7 @@
 //!
 //! Determinism is a design requirement: two runs with the same seed must
 //! produce byte-identical results on every platform. This is why the RNG is
-//! a fixed ChaCha8 stream rather than [`rand::rngs::StdRng`] (whose algorithm
+//! a fixed ChaCha8 stream rather than `rand::rngs::StdRng` (whose algorithm
 //! may change between `rand` releases), and why the event queue breaks time
 //! ties by insertion order rather than by heap internals.
 //!

@@ -8,10 +8,9 @@
 //! cargo run --release --example cybershake_faults
 //! ```
 
-use helios::core::{CheckpointConfig, Engine, EngineConfig, FaultConfig};
+use helios::core::{Engine, EngineConfig, FailureModel, RecoveryPolicy, ResilienceConfig};
 use helios::platform::presets;
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::sim::SimDuration;
 use helios::workflow::generators::cybershake;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,21 +30,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for mtbf in [0.5, 0.1, 0.05] {
         for ckpt in [false, true] {
-            let mut config = EngineConfig {
+            let policy = if ckpt {
+                RecoveryPolicy::CheckpointRestart {
+                    interval_secs: 0.01,
+                    overhead_secs: 0.0005,
+                    max_retries: 1_000_000,
+                }
+            } else {
+                RecoveryPolicy::flat_retry(1_000_000)
+            };
+            let config = EngineConfig {
                 seed: 99,
-                faults: Some(FaultConfig::new(
-                    mtbf,
-                    SimDuration::from_secs(0.005),
-                    1_000_000,
-                )?),
+                resilience: Some(ResilienceConfig::new(
+                    FailureModel {
+                        restart_overhead_secs: 0.005,
+                        ..FailureModel::exponential(mtbf)
+                    },
+                    policy,
+                )),
                 ..Default::default()
             };
-            if ckpt {
-                config.checkpointing = Some(CheckpointConfig::new(
-                    SimDuration::from_secs(0.01),
-                    SimDuration::from_secs(0.0005),
-                )?);
-            }
             let report = Engine::new(config).execute_plan(&platform, &wf, &plan)?;
             let overhead = report.makespan().as_secs() / clean.makespan().as_secs() - 1.0;
             println!(

@@ -3,13 +3,35 @@
 //! threaded executor.
 
 use helios::core::{
-    CheckpointConfig, Engine, EngineConfig, FaultConfig, OnlinePolicy, OnlineRunner,
+    Engine, EngineConfig, FailureModel, OnlinePolicy, OnlineRunner, RecoveryPolicy,
+    ResilienceConfig,
 };
 use helios::energy::{reclaim_slack, Powersave};
 use helios::platform::presets;
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::sim::{SimDuration, SimTime};
+use helios::sim::SimTime;
 use helios::workflow::generators::{cybershake, epigenomics, montage};
+
+/// Exponential transient-only failures under checkpoint-restart, with a
+/// retry budget that never runs out.
+fn checkpointed(
+    mttf_secs: f64,
+    restart_overhead_secs: f64,
+    interval_secs: f64,
+    overhead_secs: f64,
+) -> Option<ResilienceConfig> {
+    Some(ResilienceConfig::new(
+        FailureModel {
+            restart_overhead_secs,
+            ..FailureModel::exponential(mttf_secs)
+        },
+        RecoveryPolicy::CheckpointRestart {
+            interval_secs,
+            overhead_secs,
+            max_retries: 1_000_000,
+        },
+    ))
+}
 
 #[test]
 fn report_is_fully_deterministic() {
@@ -19,11 +41,7 @@ fn report_is_fully_deterministic() {
         noise_cv: 0.4,
         seed: 1234,
         link_contention: true,
-        faults: Some(FaultConfig::new(0.05, SimDuration::from_secs(0.001), 1_000_000).unwrap()),
-        checkpointing: Some(
-            CheckpointConfig::new(SimDuration::from_secs(0.005), SimDuration::from_secs(1e-4))
-                .unwrap(),
-        ),
+        resilience: checkpointed(0.05, 0.001, 0.005, 1e-4),
         ..Default::default()
     };
     let plan = HeftScheduler::default().schedule(&wf, &platform).unwrap();
@@ -48,11 +66,7 @@ fn fault_overhead_grows_as_mtbf_shrinks() {
     for mtbf in [1.0, 0.2, 0.05] {
         let config = EngineConfig {
             seed: 3,
-            faults: Some(FaultConfig::new(mtbf, SimDuration::from_secs(0.002), 1_000_000).unwrap()),
-            checkpointing: Some(
-                CheckpointConfig::new(SimDuration::from_secs(0.01), SimDuration::from_secs(2e-4))
-                    .unwrap(),
-            ),
+            resilience: checkpointed(mtbf, 0.002, 0.01, 2e-4),
             ..Default::default()
         };
         let report = Engine::new(config)

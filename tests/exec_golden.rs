@@ -2,7 +2,7 @@
 //! cell per execution mode.
 //!
 //! The hook-driven core promises that every mode (plain, noisy,
-//! contended, cached, legacy faults, resilient, online) is the same
+//! contended, cached, faulted, resilient, online) is the same
 //! simulated machine with different hooks engaged. Each fixture entry
 //! pins an FNV-1a digest over the realized schedule (per-task device
 //! and start/finish bit patterns), the makespan and energy bit
@@ -24,13 +24,24 @@ use std::path::PathBuf;
 
 use helios::core::{
     ElasticEvent, ElasticEventKind, ElasticityConfig, Engine, EngineConfig, ExecutionReport,
-    FailureModel, FaultConfig, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig,
-    ResilientRunner,
+    FailureModel, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig, ResilientRunner,
 };
 use helios::platform::presets;
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::sim::SimDuration;
 use helios::workflow::generators::montage;
+
+/// Exponential transient-only failures with a 0.5 ms restart overhead,
+/// recovered by `policy`: the fault model of the plain engine and the
+/// online dispatcher.
+fn transient_faults(mttf_secs: f64, policy: RecoveryPolicy) -> Option<ResilienceConfig> {
+    Some(ResilienceConfig::new(
+        FailureModel {
+            restart_overhead_secs: 0.0005,
+            ..FailureModel::exponential(mttf_secs)
+        },
+        policy,
+    ))
+}
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/exec_golden.json")
@@ -125,13 +136,12 @@ fn current_entries() -> Vec<GoldenEntry> {
             .expect("contention_caching"),
         ),
         (
+            // Named for the flat-retry fault pair this mode was first
+            // pinned with; the same cell now runs through `resilience`.
             "legacy_faults",
             Engine::new(EngineConfig {
                 seed: 3,
-                faults: Some(
-                    FaultConfig::new(0.05, SimDuration::from_secs(0.0005), 100)
-                        .expect("fault parameters are valid"),
-                ),
+                resilience: transient_faults(0.05, RecoveryPolicy::flat_retry(100)),
                 ..Default::default()
             })
             .execute_plan(&platform, &wf, &plan)
@@ -159,6 +169,41 @@ fn current_entries() -> Vec<GoldenEntry> {
             OnlineRunner::new(EngineConfig::default(), OnlinePolicy::RankedJit)
                 .run(&platform, &wf)
                 .expect("online_ranked"),
+        ),
+        (
+            // The static engine under checkpoint-restart and the online
+            // dispatcher under flat retry pin the occupancy model's
+            // other fault paths. Inserted before `elastic` because
+            // appending would add a comma to the fixture's last row.
+            "engine_checkpoint",
+            Engine::new(EngineConfig {
+                seed: 3,
+                resilience: transient_faults(
+                    0.003,
+                    RecoveryPolicy::CheckpointRestart {
+                        interval_secs: 0.0002,
+                        overhead_secs: 0.00002,
+                        max_retries: 10_000,
+                    },
+                ),
+                ..Default::default()
+            })
+            .execute_plan(&platform, &wf, &plan)
+            .expect("engine_checkpoint"),
+        ),
+        (
+            "online_faults",
+            OnlineRunner::new(
+                EngineConfig {
+                    seed: 3,
+                    noise_cv: 0.1,
+                    resilience: transient_faults(0.01, RecoveryPolicy::flat_retry(100)),
+                    ..Default::default()
+                },
+                OnlinePolicy::RankedJit,
+            )
+            .run(&platform, &wf)
+            .expect("online_faults"),
         ),
         (
             // Appended after the original seven modes so their fixture

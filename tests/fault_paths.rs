@@ -10,13 +10,12 @@
 
 use helios_core::{
     merge_shards, CampaignSpec, Engine, EngineConfig, EngineError, FailureDomain, FailureModel,
-    FaultConfig, LinkFaultModel, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig,
-    ResilientRunner, ShardSpec, SweepDriver,
+    LinkFaultModel, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig, ResilientRunner,
+    ShardSpec, SweepDriver,
 };
 use helios_platform::presets;
 use helios_platform::{DeviceBuilder, DeviceKind, InterconnectBuilder, Platform, PlatformBuilder};
 use helios_sched::HeftScheduler;
-use helios_sim::SimDuration;
 use helios_workflow::generators::montage;
 use helios_workflow::Workflow;
 
@@ -24,10 +23,13 @@ fn config(mtbf_secs: f64, max_retries: u32, seed: u64) -> EngineConfig {
     EngineConfig {
         seed,
         noise_cv: 0.05,
-        faults: Some(
-            FaultConfig::new(mtbf_secs, SimDuration::from_secs(0.001), max_retries)
-                .expect("fault parameters are valid"),
-        ),
+        resilience: Some(ResilienceConfig::new(
+            FailureModel {
+                restart_overhead_secs: 0.001,
+                ..FailureModel::exponential(mtbf_secs)
+            },
+            RecoveryPolicy::flat_retry(max_retries),
+        )),
         ..EngineConfig::default()
     }
 }
@@ -334,7 +336,7 @@ fn faulty_runs_never_finish_earlier_than_fault_free() {
     let sched = HeftScheduler::default();
 
     for seed in 0..6u64 {
-        // Static engine, legacy flat-retry fault model.
+        // Static engine, flat-retry fault model.
         let clean = Engine::new(EngineConfig {
             seed,
             noise_cv: 0.05,

@@ -135,10 +135,10 @@ proptest! {
             .unwrap();
         // Faults configured with an astronomically long MTBF never fire.
         let config = EngineConfig {
-            faults: Some(
-                helios::core::FaultConfig::new(1e15, helios::sim::SimDuration::ZERO, budget)
-                    .unwrap(),
-            ),
+            resilience: Some(helios::core::ResilienceConfig::new(
+                helios::core::FailureModel::exponential(1e15),
+                helios::core::RecoveryPolicy::flat_retry(budget),
+            )),
             ..Default::default()
         };
         let b = Engine::new(config).execute_plan(&platform, &wf, &plan).unwrap();

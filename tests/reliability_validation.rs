@@ -7,11 +7,12 @@
 //! probability the closed form predicts:
 //! `R = exp(−Σ duration / MTBF)`.
 
-use helios::core::{Engine, EngineConfig, EngineError, FaultConfig};
+use helios::core::{
+    Engine, EngineConfig, EngineError, FailureModel, RecoveryPolicy, ResilienceConfig,
+};
 use helios::platform::presets;
 use helios::sched::reliability::{schedule_reliability, uniform_rates};
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::sim::SimDuration;
 use helios::workflow::generators::montage;
 
 #[test]
@@ -40,7 +41,10 @@ fn analytic_reliability_matches_monte_carlo() {
     for seed in 0..runs {
         let config = EngineConfig {
             seed,
-            faults: Some(FaultConfig::new(mtbf, SimDuration::ZERO, 0).unwrap()),
+            resilience: Some(ResilienceConfig::new(
+                FailureModel::exponential(mtbf),
+                RecoveryPolicy::flat_retry(0),
+            )),
             ..Default::default()
         };
         match Engine::new(config).execute_plan(&platform, &wf, &plan) {

@@ -27,6 +27,16 @@ fn report_bytes(report: &SweepReport) -> String {
     serde_json::to_string_pretty(report).expect("report serializes")
 }
 
+/// FNV-1a (64-bit) over a report's serialized bytes, as 16 hex digits.
+fn report_digest(report: &SweepReport) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in report_bytes(report).as_bytes() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{hash:016x}")
+}
+
 #[test]
 fn any_shard_partition_merges_byte_identical_to_the_unsharded_run() {
     let spec = spec();
@@ -154,6 +164,9 @@ fn dvfs_and_fault_knobs_change_cell_outcomes() {
         report_bytes(&run(faulty_json)),
         "fault injection must be deterministic"
     );
+    // Pinned bytes: the spec `faults` block must keep producing exactly
+    // these cells whichever engine-level vocabulary it compiles into.
+    assert_eq!(report_digest(&faulty), "44b4eb177c83b9c4");
 }
 
 #[test]
