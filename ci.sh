@@ -71,6 +71,27 @@ helios=target/release/helios
 cmp "$sweep_tmp/full.json" "$sweep_tmp/merged.json"
 echo "2-shard merge is byte-identical to the unsharded sweep"
 
+echo "==> paper-grid pin and workflow-reuse identity"
+# The full 1200-cell paper grid, pinned by digest in release (ignored in
+# the debug suite for time). Then the release binary sweeps it
+# unsharded, with 2 workers, and as a 3-shard partition recombined by
+# `campaign merge`: cells of one (family, seed) share one generated
+# workflow, and a stride of 3 (not a multiple of the 5 seeds) interleaves
+# those cells differently in every shard, so the three reports must
+# still be byte-identical.
+cargo test --release -q --test sweep_shards -- --ignored
+gspec=examples/specs/paper_grid.json
+"$helios" campaign run --spec "$gspec" --out "$sweep_tmp/gfull.json" > /dev/null
+"$helios" campaign run --spec "$gspec" --jobs 2 --out "$sweep_tmp/gjobs.json" > /dev/null
+for k in 1 2 3; do
+    "$helios" campaign run --spec "$gspec" --shard "$k/3" --out "$sweep_tmp/g$k.json" > /dev/null
+done
+"$helios" campaign merge --in "$sweep_tmp/g1.json" --in "$sweep_tmp/g2.json" \
+    --in "$sweep_tmp/g3.json" --out "$sweep_tmp/gmerged.json" > /dev/null
+cmp "$sweep_tmp/gfull.json" "$sweep_tmp/gjobs.json"
+cmp "$sweep_tmp/gfull.json" "$sweep_tmp/gmerged.json"
+echo "paper grid: --jobs 2 and a 3-shard merge are byte-identical to the unsharded sweep"
+
 echo "==> kill-and-resume smoke (resilient spec)"
 # A sweep of the resilient spec is killed after one cell (test hook,
 # nonzero exit expected), resumed against the partial report, and must

@@ -13,14 +13,16 @@
 //! **byte-identical** to the unsharded sequential run, while refusing
 //! overlapping shards, missing cells and shards of different specs.
 
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
 use helios_platform::{presets, Platform};
 use helios_sched::{AnnealingScheduler, LookaheadScheduler, Placement, Schedule, Scheduler};
+use helios_workflow::Workflow;
 
 use super::journal::{self, JournalHeader, JournalWriter, DEFAULT_POISON_LIMIT};
 use super::spec::{family_class, CampaignSpec, DvfsKnob, SweepCell};
@@ -490,9 +492,10 @@ impl SweepDriver {
         // executes outside the sink lock, and only the appends serialize.
         let sink = Mutex::new(sink);
         let lock = || sink.lock().expect("no poisoned sink lock");
+        let workflows = Workflows::new(spec, &pending);
         let run = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
             lock().attempt(cell.index)?;
-            let result = run_cell(spec, cell)?;
+            let result = workflows.with(cell, |wf| run_cell(spec, cell, wf))?;
             lock().append(&result)?;
             Ok::<_, EngineError>(result)
         });
@@ -515,7 +518,87 @@ impl SweepDriver {
             dropped_bytes: salvaged.dropped_bytes,
             poisoned,
             drained,
+            workflows_generated: workflows.generated.into_inner(),
         })
+    }
+}
+
+/// The workflows of one run's pending cells. Every cell of a (family,
+/// seed) pair runs on the same workflow, so each pair's is generated on
+/// its first use and dropped after its last: only pairs whose cells
+/// interleave are resident together. A workflow is generated under the
+/// lock, so concurrent cells of a pair never both generate it.
+/// Generation errors are not kept, so every cell of a failing pair fails
+/// on its own generation, as a cell with a workflow of its own would.
+struct Workflows<'a> {
+    spec: &'a CampaignSpec,
+    live: Mutex<HashMap<(String, u64), Live>>,
+    /// Workflows generated so far.
+    generated: AtomicUsize,
+}
+
+/// One (family, seed) pair: the pending cells that have yet to finish
+/// with its workflow, and the workflow once generated.
+struct Live {
+    uses: usize,
+    workflow: Option<Arc<Workflow>>,
+}
+
+impl<'a> Workflows<'a> {
+    fn new(spec: &'a CampaignSpec, pending: &[SweepCell]) -> Workflows<'a> {
+        let mut live: HashMap<(String, u64), Live> = HashMap::new();
+        for cell in pending {
+            live.entry((cell.family.clone(), cell.seed))
+                .or_insert(Live {
+                    uses: 0,
+                    workflow: None,
+                })
+                .uses += 1;
+        }
+        Workflows {
+            spec,
+            live: Mutex::new(live),
+            generated: AtomicUsize::new(0),
+        }
+    }
+
+    /// Runs `f` on the workflow of `cell`, one of the pending cells this
+    /// set was built from, generating the workflow if no other cell has.
+    fn with<R>(
+        &self,
+        cell: &SweepCell,
+        f: impl FnOnce(&Workflow) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        let key = (cell.family.clone(), cell.seed);
+        let lock = || self.live.lock().expect("no poisoned workflow lock");
+        let workflow = {
+            let mut live = lock();
+            let pair = live.get_mut(&key).expect("a pending cell's pair is live");
+            match &pair.workflow {
+                Some(wf) => Ok(Arc::clone(wf)),
+                None => self.generate(cell).map(|wf| {
+                    let wf = Arc::new(wf);
+                    pair.workflow = Some(Arc::clone(&wf));
+                    wf
+                }),
+            }
+        };
+        let result = workflow.and_then(|wf| f(&wf));
+        let mut live = lock();
+        let pair = live.get_mut(&key).expect("a pending cell's pair is live");
+        pair.uses -= 1;
+        if pair.uses == 0 {
+            live.remove(&key);
+        }
+        result
+    }
+
+    fn generate(&self, cell: &SweepCell) -> Result<Workflow, EngineError> {
+        let class = family_class(&cell.family)
+            .ok_or_else(|| EngineError::Config(format!("unknown family {:?}", cell.family)))?;
+        let wf = class.generate(self.spec.tasks, cell.seed)?;
+        self.generated.fetch_add(1, Ordering::Relaxed);
+        Ok(wf)
     }
 }
 
@@ -836,6 +919,9 @@ pub struct SweepOutcome {
     pub poisoned: Vec<usize>,
     /// Whether a drain request cut the run short.
     pub drained: bool,
+    /// Workflows this invocation generated: one per (family, seed) pair
+    /// of the cells it ran, since those cells share it.
+    pub workflows_generated: usize,
 }
 
 /// Builds the scheduler for one cell, honoring the spec's per-scheduler
@@ -862,16 +948,17 @@ pub(crate) fn cell_scheduler(spec: &CampaignSpec, name: &str) -> Option<Box<dyn 
     helios_sched::scheduler_by_name(name)
 }
 
-/// Executes one grid cell: generate, plan, apply the DVFS knob, run.
-fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineError> {
+/// Executes one grid cell on its (family, seed) workflow: plan, apply
+/// the DVFS knob, run.
+fn run_cell(
+    spec: &CampaignSpec,
+    cell: &SweepCell,
+    wf: &Workflow,
+) -> Result<CellResult, EngineError> {
     let platform = presets::by_name(&cell.platform)
         .ok_or_else(|| EngineError::Config(format!("unknown platform {:?}", cell.platform)))?;
-    let class = family_class(&cell.family)
-        .ok_or_else(|| EngineError::Config(format!("unknown family {:?}", cell.family)))?;
     let scheduler = cell_scheduler(spec, &cell.scheduler)
         .ok_or_else(|| EngineError::Config(format!("unknown scheduler {:?}", cell.scheduler)))?;
-
-    let wf = class.generate(spec.tasks, cell.seed)?;
 
     // Elastic cells always run through the resilient runner: departures
     // feed its recovery machinery. A spec with capacity events but no
@@ -906,14 +993,14 @@ fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineE
     // family × platform pairing fails in `schedule`, everything else in
     // the runner, and both must become measurements when classifiable.
     let outcome = scheduler
-        .schedule(&wf, &platform)
+        .schedule(wf, &platform)
         .map_err(EngineError::from)
         .and_then(|plan| apply_dvfs(spec.dvfs, &platform, plan))
         .and_then(|plan| {
             if resilient {
-                ResilientRunner::new(config).execute_plan(&platform, &wf, &plan)
+                ResilientRunner::new(config).execute_plan(&platform, wf, &plan)
             } else {
-                Engine::new(config).execute_plan(&platform, &wf, &plan)
+                Engine::new(config).execute_plan(&platform, wf, &plan)
             }
         });
     let report = match outcome {
@@ -935,7 +1022,7 @@ fn run_cell(spec: &CampaignSpec, cell: &SweepCell) -> Result<CellResult, EngineE
     };
 
     result.makespan_secs = report.makespan().as_secs();
-    result.slr = report.slr(&wf, &platform)?;
+    result.slr = report.slr(wf, &platform)?;
     result.energy_j = report.energy().total_j();
     result.transfers = report.transfers().count;
     result.transfer_bytes = report.transfers().bytes;
@@ -1154,6 +1241,126 @@ fn summarize(cells: &[CellResult]) -> Vec<SummaryRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fetches the workflow of every cell of an `n`-shard partition of
+    /// `spec` the way `drive` does, one shard after another with `jobs`
+    /// workers, without running the cells. Returns the workflows
+    /// generated and, with one worker, the most resident at once.
+    fn generation_profile(spec: &CampaignSpec, n: usize, jobs: usize) -> (usize, usize) {
+        let (mut generated, mut peak) = (0, 0);
+        for k in 1..=n {
+            let shard = ShardSpec::new(k, n).unwrap();
+            let mut pending = spec.expand().unwrap();
+            pending.retain(|c| shard.owns(c.index));
+            let workflows = Workflows::new(spec, &pending);
+            let engine = CampaignEngine::new(jobs);
+            let resident = || {
+                let live = workflows.live.lock().unwrap();
+                live.values().filter(|l| l.workflow.is_some()).count()
+            };
+            let (done, _) = engine
+                .run_partial(&pending, None, |_, cell| {
+                    workflows.with(cell, |_| Ok(if jobs == 1 { resident() } else { 0 }))
+                })
+                .unwrap();
+            assert_eq!(done.len(), pending.len());
+            peak = done.into_iter().fold(peak, usize::max);
+            assert!(
+                workflows.live.lock().unwrap().is_empty(),
+                "every pair released"
+            );
+            generated += workflows.generated.into_inner();
+        }
+        (generated, peak)
+    }
+
+    #[test]
+    fn each_family_seed_pair_is_generated_once_per_run() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+        let json = std::fs::read_to_string(dir.join("paper_grid.json")).unwrap();
+        let grid = CampaignSpec::from_json(&json).unwrap();
+        // 1200 cells of 25 (family, seed) pairs. A stride of 35 keeps one
+        // seed per shard, so each of the 35 shards generates its 5
+        // families' workflows one after another; unsharded, the 5 seeds
+        // of a family interleave.
+        assert_eq!(generation_profile(&grid, 35, 1), (175, 1));
+        assert_eq!(generation_profile(&grid, 1, 1), (25, 5));
+        assert_eq!(generation_profile(&grid, 35, 2).0, 175);
+        assert_eq!(generation_profile(&grid, 1, 2).0, 25);
+
+        // The resilient benchmark's shape: 96 cells in 48 shards of 2,
+        // whose two cells never share a pair, so every cell generates
+        // its own and drops it right after.
+        let resilient = CampaignSpec::from_json(
+            r#"{
+                "name": "two-cell-shards",
+                "families": ["montage", "ligo", "epigenomics", "sipht"],
+                "platforms": ["workstation", "hpc_node"],
+                "schedulers": ["heft", "round-robin", "olb"],
+                "seeds": {"base": 0, "count": 4},
+                "tasks": 40
+            }"#,
+        )
+        .unwrap();
+        assert_eq!(generation_profile(&resilient, 48, 1), (96, 1));
+        assert_eq!(generation_profile(&resilient, 48, 2).0, 96);
+    }
+
+    #[test]
+    fn the_driver_reports_one_generation_per_pair_it_ran() {
+        let spec = CampaignSpec::from_json(
+            r#"{
+                "name": "reuse",
+                "families": ["montage", "sipht"],
+                "platforms": ["workstation", "hpc_node"],
+                "schedulers": ["heft", "olb"],
+                "seeds": {"base": 3, "count": 2},
+                "tasks": 20
+            }"#,
+        )
+        .unwrap();
+        for jobs in [1, 2] {
+            let driver = SweepDriver::new(jobs);
+            let whole = driver.resume_shard(&spec, ShardSpec::full(), None, None);
+            assert_eq!(whole.unwrap().workflows_generated, 4);
+            // The first 3 cells are montage on the workstation with heft
+            // (seeds 3, 4) and olb (seed 3): two pairs.
+            let capped = driver.resume_shard(&spec, ShardSpec::full(), None, Some(3));
+            assert_eq!(capped.unwrap().workflows_generated, 2);
+        }
+    }
+
+    #[test]
+    fn generation_errors_are_not_kept() {
+        let spec = CampaignSpec::from_json(
+            r#"{
+                "name": "too-small",
+                "families": ["montage"],
+                "platforms": ["workstation"],
+                "schedulers": ["heft", "olb"],
+                "seeds": {"base": 0, "count": 1},
+                "tasks": 5
+            }"#,
+        )
+        .unwrap();
+        let pending = spec.expand().unwrap();
+        let workflows = Workflows::new(&spec, &pending);
+        let errors: Vec<String> = pending
+            .iter()
+            .map(|cell| {
+                workflows
+                    .with(cell, |_| Ok(()))
+                    .expect_err("montage needs 11 tasks")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(errors.len(), 2);
+        assert_eq!(errors[0], errors[1]);
+        assert!(errors[0].contains("montage needs n >= 11"), "{}", errors[0]);
+        assert_eq!(workflows.generated.into_inner(), 0);
+        let err = SweepDriver::new(1).run(&spec).unwrap_err().to_string();
+        assert_eq!(err, errors[0]);
+    }
 
     #[test]
     fn shard_spec_parses_and_strides() {

@@ -85,11 +85,35 @@ impl PartialEq for Ready {
 
 impl Eq for Ready {}
 
-/// Decodes (priority, assignment) pairs into one context that is reset,
-/// not rebuilt, between decodes: the cost tables, the timelines'
-/// capacity and the ready-set buffers live for the whole annealing run.
-struct Decoder<'a> {
+/// One decoded state: the placements plus the pop order that made
+/// them, which is what lets the next decode start mid-way.
+struct Decoded<'a> {
     ctx: SchedContext<'a>,
+    /// Tasks in the order the ready set popped them.
+    order: Vec<TaskId>,
+    /// `step[t]`: the position of task `t` in `order`.
+    step: Vec<usize>,
+}
+
+impl<'a> Decoded<'a> {
+    fn new(wf: &'a Workflow, platform: &'a Platform) -> Result<Decoded<'a>, SchedError> {
+        Ok(Decoded {
+            ctx: SchedContext::new(wf, platform, true)?,
+            order: Vec::with_capacity(wf.num_tasks()),
+            step: vec![0; wf.num_tasks()],
+        })
+    }
+}
+
+/// Decodes (priority, assignment) pairs with two contexts: the accepted
+/// state and a candidate. A candidate that differs from the accepted
+/// state in one task re-decodes only from the first step the move can
+/// change; accepting it swaps the two, rejecting it leaves the accepted
+/// state untouched. The cost tables, the timelines' capacity and the
+/// ready-set buffers live for the whole annealing run.
+struct Decoder<'a> {
+    accepted: Decoded<'a>,
+    candidate: Decoded<'a>,
     indegree: Vec<usize>,
     ready: BinaryHeap<Ready>,
 }
@@ -97,44 +121,102 @@ struct Decoder<'a> {
 impl<'a> Decoder<'a> {
     fn new(wf: &'a Workflow, platform: &'a Platform) -> Result<Decoder<'a>, SchedError> {
         Ok(Decoder {
-            ctx: SchedContext::new(wf, platform, true)?,
+            accepted: Decoded::new(wf, platform)?,
+            candidate: Decoded::new(wf, platform)?,
             indegree: Vec::with_capacity(wf.num_tasks()),
             ready: BinaryHeap::new(),
         })
     }
 
-    /// Repeatedly commits the highest-priority ready task to its
-    /// assigned device at its EFT, and returns the makespan. The
-    /// placements stay in the context until the next decode.
+    /// The first step of the accepted pop order that a move on `task`
+    /// can change, with `priority` already holding the move. The ready
+    /// set's order depends on priorities and the DAG only, so a device
+    /// move changes nothing before `task`'s own step. A priority move
+    /// changes the first step, from the one after `task`'s last
+    /// predecessor popped, whose popped task `task` now outranks; if
+    /// there is none, again nothing before `task`'s own step.
+    fn divergence(&self, task: TaskId, priority: &[f64], device_move: bool) -> usize {
+        let accepted = &self.accepted;
+        let at = accepted.step[task.0];
+        if device_move {
+            return at;
+        }
+        let wf = accepted.ctx.workflow();
+        let pushed = wf
+            .predecessors(task)
+            .iter()
+            .map(|&e| accepted.step[wf.edge(e).src.0] + 1)
+            .max()
+            .unwrap_or(0);
+        let moved = Ready {
+            priority: priority[task.0],
+            task,
+        };
+        (pushed..at)
+            .find(|&j| {
+                let popped = accepted.order[j];
+                moved
+                    > Ready {
+                        priority: priority[popped.0],
+                        task: popped,
+                    }
+            })
+            .unwrap_or(at)
+    }
+
+    /// Decodes (`priority`, `assignment`) into the candidate and returns
+    /// its makespan. Steps before `from` are taken from the accepted
+    /// state as they are, so they must be ones the change cannot alter
+    /// (see [`Decoder::divergence`]); from there on the decoder
+    /// repeatedly commits the highest-priority ready task to its
+    /// assigned device at its EFT.
     fn decode(
         &mut self,
         priority: &[f64],
         assignment: &[DeviceId],
+        from: usize,
     ) -> Result<SimDuration, SchedError> {
-        let wf = self.ctx.workflow();
-        self.ctx.reset();
-        self.indegree.clear();
-        self.indegree
-            .extend((0..wf.num_tasks()).map(|i| wf.predecessors(TaskId(i)).len()));
-        self.ready.clear();
-        for (i, &deg) in self.indegree.iter().enumerate() {
-            if deg == 0 {
-                self.ready.push(Ready {
+        let Decoder {
+            accepted,
+            candidate,
+            indegree,
+            ready,
+        } = self;
+        let wf = candidate.ctx.workflow();
+        let prefix = &accepted.order[..from];
+        let mut last = candidate.ctx.replay(&accepted.ctx, prefix)?;
+        candidate.order.clear();
+        candidate.order.extend_from_slice(prefix);
+
+        indegree.clear();
+        indegree.extend((0..wf.num_tasks()).map(|i| wf.predecessors(TaskId(i)).len()));
+        for (j, &task) in prefix.iter().enumerate() {
+            candidate.step[task.0] = j;
+            for s in wf.successor_tasks(task) {
+                indegree[s.0] -= 1;
+            }
+        }
+        ready.clear();
+        for (i, &deg) in indegree.iter().enumerate() {
+            if deg == 0 && accepted.step[i] >= from {
+                ready.push(Ready {
                     priority: priority[i],
                     task: TaskId(i),
                 });
             }
         }
-        let mut last = SimTime::ZERO;
-        while let Some(Ready { task, .. }) = self.ready.pop() {
+
+        while let Some(Ready { task, .. }) = ready.pop() {
             let dev = assignment[task.0];
-            let (start, finish) = self.ctx.eft(task, dev)?;
-            self.ctx.place(task, dev, start, finish)?;
+            let (start, finish) = candidate.ctx.eft(task, dev)?;
+            candidate.ctx.place(task, dev, start, finish)?;
+            candidate.step[task.0] = candidate.order.len();
+            candidate.order.push(task);
             last = last.max(finish);
             for s in wf.successor_tasks(task) {
-                self.indegree[s.0] -= 1;
-                if self.indegree[s.0] == 0 {
-                    self.ready.push(Ready {
+                indegree[s.0] -= 1;
+                if indegree[s.0] == 0 {
+                    ready.push(Ready {
                         priority: priority[s.0],
                         task: s,
                     });
@@ -142,6 +224,11 @@ impl<'a> Decoder<'a> {
             }
         }
         Ok(last.saturating_since(SimTime::ZERO))
+    }
+
+    /// Makes the candidate the accepted state.
+    fn accept(&mut self) {
+        std::mem::swap(&mut self.accepted, &mut self.candidate);
     }
 }
 
@@ -162,7 +249,7 @@ impl Scheduler for AnnealingScheduler {
 
         let mut decoder = Decoder::new(wf, platform)?;
         for i in 0..wf.num_tasks() {
-            if decoder.ctx.feasible_set(TaskId(i)).is_empty() {
+            if decoder.accepted.ctx.feasible_set(TaskId(i)).is_empty() {
                 return Err(SchedError::NoFeasibleDevice(TaskId(i)));
             }
         }
@@ -170,8 +257,9 @@ impl Scheduler for AnnealingScheduler {
         // The accepted state is `assignment` + `priority`; only a new best
         // is materialized as a schedule.
         let mut rng = SimRng::seed_from(self.seed);
-        let mut current_cost = decoder.decode(&priority, &assignment)?.as_secs();
-        let mut best = decoder.ctx.snapshot()?;
+        let mut current_cost = decoder.decode(&priority, &assignment, 0)?.as_secs();
+        decoder.accept();
+        let mut best = decoder.accepted.ctx.snapshot()?;
         let mut best_cost = current_cost;
 
         let t0 = 0.05 * current_cost.max(1e-12);
@@ -185,7 +273,7 @@ impl Scheduler for AnnealingScheduler {
         for _ in 0..self.iterations {
             // Propose a neighbor.
             let task = TaskId(rng.uniform_usize(0, wf.num_tasks() - 1));
-            let choices = decoder.ctx.feasible_set(task);
+            let choices = decoder.accepted.ctx.feasible_set(task);
             let move_device = rng.chance(0.5) && choices.len() > 1;
             let (old_dev, old_prio) = (assignment[task.0], priority[task.0]);
             if move_device {
@@ -200,13 +288,15 @@ impl Scheduler for AnnealingScheduler {
                 priority[task.0] = (old_prio + rng.normal(0.0, 0.05 * priority_span)).max(0.0);
             }
 
-            let cost = decoder.decode(&priority, &assignment)?.as_secs();
+            let from = decoder.divergence(task, &priority, move_device);
+            let cost = decoder.decode(&priority, &assignment, from)?.as_secs();
             let accept =
                 cost <= current_cost || rng.chance(((current_cost - cost) / temp).exp().min(1.0));
             if accept {
+                decoder.accept();
                 current_cost = cost;
                 if cost < best_cost {
-                    best = decoder.ctx.snapshot()?;
+                    best = decoder.accepted.ctx.snapshot()?;
                     best_cost = cost;
                 }
             } else {
@@ -436,9 +526,9 @@ mod tests {
             let coarse: Vec<f64> = ranks.iter().map(|r| (r * 2.0).round()).collect();
             for priority in [vec![0.0; wf.num_tasks()], coarse] {
                 let mut decoder = Decoder::new(&wf, &p).unwrap();
-                decoder.decode(&priority, &assignment).unwrap();
+                decoder.decode(&priority, &assignment, 0).unwrap();
                 assert_eq!(
-                    decoder.ctx.snapshot().unwrap(),
+                    decoder.candidate.ctx.snapshot().unwrap(),
                     reference_decode(&wf, &p, &priority, &assignment).unwrap(),
                     "shape {shape}, seed {seed}"
                 );
@@ -447,27 +537,119 @@ mod tests {
     }
 
     #[test]
-    fn reset_then_decode_matches_a_fresh_context() {
+    fn a_reused_candidate_decodes_like_a_fresh_context() {
         let p = presets::hpc_node();
         let wf = montage(40, 3).unwrap();
         let priority = analysis::bottom_levels(&wf, &p).unwrap();
         let heft = HeftScheduler::default().schedule(&wf, &p).unwrap();
         let assignment: Vec<DeviceId> = heft.placements().iter().map(|pl| pl.device).collect();
-        // A different decode first leaves placements and reservations
-        // behind for `reset` to clear.
+        // Two other decodes first leave placements and reservations
+        // behind in both contexts for `replay` to clear.
         let reversed: Vec<f64> = priority.iter().map(|r| -r).collect();
+        let on_zero = vec![DeviceId(0); wf.num_tasks()];
         let mut reused = Decoder::new(&wf, &p).unwrap();
-        reused
-            .decode(&reversed, &vec![DeviceId(0); wf.num_tasks()])
-            .unwrap();
-        let makespan = reused.decode(&priority, &assignment).unwrap();
+        reused.decode(&reversed, &on_zero, 0).unwrap();
+        reused.accept();
+        reused.decode(&priority, &on_zero, 0).unwrap();
+        let makespan = reused.decode(&priority, &assignment, 0).unwrap();
 
         let mut fresh = Decoder::new(&wf, &p).unwrap();
-        assert_eq!(fresh.decode(&priority, &assignment).unwrap(), makespan);
+        assert_eq!(fresh.decode(&priority, &assignment, 0).unwrap(), makespan);
         let want = reference_decode(&wf, &p, &priority, &assignment).unwrap();
-        assert_eq!(reused.ctx.snapshot().unwrap(), want);
-        assert_eq!(fresh.ctx.snapshot().unwrap(), want);
+        assert_eq!(reused.candidate.ctx.snapshot().unwrap(), want);
+        assert_eq!(fresh.candidate.ctx.snapshot().unwrap(), want);
         assert_eq!(makespan, want.makespan());
+    }
+
+    /// Decodes one single-task move from the decoder's accepted state,
+    /// starting at its divergence step, and checks the candidate against
+    /// a full reference decode, bit for bit.
+    fn check_move(
+        decoder: &mut Decoder<'_>,
+        wf: &Workflow,
+        platform: &Platform,
+        priority: &[f64],
+        assignment: &[DeviceId],
+        task: TaskId,
+        device_move: bool,
+    ) {
+        let from = decoder.divergence(task, priority, device_move);
+        let makespan = decoder.decode(priority, assignment, from).unwrap();
+        let want = reference_decode(wf, platform, priority, assignment).unwrap();
+        let got = decoder.candidate.ctx.snapshot().unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(makespan, want.makespan());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn suffix_redecode_equals_the_reference_for_every_single_task_move(
+            shape in 0usize..5,
+            seed in 0u64..1_000_000,
+            platform in 0usize..4,
+            coarse: bool,
+        ) {
+            let wf = random_workflow(shape, seed);
+            let p = match platform {
+                0 => presets::workstation(),
+                1 => presets::hpc_node(),
+                2 => presets::edge_soc(),
+                _ => presets::cluster(2),
+            };
+            let n = wf.num_tasks();
+            let mut decoder = Decoder::new(&wf, &p).unwrap();
+            if (0..n).any(|i| decoder.accepted.ctx.feasible_set(TaskId(i)).is_empty()) {
+                return;
+            }
+            // A random state; coarse priorities tie often.
+            let mut rng = SimRng::seed_from(seed);
+            let mut priority: Vec<f64> = (0..n)
+                .map(|_| {
+                    let r = rng.uniform(0.0, 10.0);
+                    if coarse { r.round() } else { r }
+                })
+                .collect();
+            let mut assignment: Vec<DeviceId> = (0..n)
+                .map(|i| *rng.choose(decoder.accepted.ctx.feasible_set(TaskId(i))).unwrap())
+                .collect();
+            decoder.decode(&priority, &assignment, 0).unwrap();
+            decoder.accept();
+
+            for x in (0..n).map(TaskId) {
+                // Every device move of `x`.
+                let old_dev = assignment[x.0];
+                let choices = decoder.accepted.ctx.feasible_set(x).to_vec();
+                for &dev in choices.iter().filter(|&&d| d != old_dev) {
+                    assignment[x.0] = dev;
+                    check_move(&mut decoder, &wf, &p, &priority, &assignment, x, true);
+                }
+                assignment[x.0] = old_dev;
+                // Priority moves to the bottom, the top, and onto every
+                // other task's priority (exact ties) and just around it.
+                let old_prio = priority[x.0];
+                let top = priority.iter().fold(0.0f64, |a, &b| a.max(b)) + 1.0;
+                let mut targets = vec![0.0, top];
+                for &q in &priority {
+                    targets.extend([q, q * (1.0 - 1e-12), q + 1e-9]);
+                }
+                for target in targets {
+                    priority[x.0] = target;
+                    check_move(&mut decoder, &wf, &p, &priority, &assignment, x, false);
+                }
+                // Walk on: accept one move of each kind per task, so the
+                // next moves start from suffix-decoded states.
+                priority[x.0] = old_prio + rng.normal(0.0, 1.0);
+                check_move(&mut decoder, &wf, &p, &priority, &assignment, x, false);
+                decoder.accept();
+                if let Some(&dev) = choices.iter().find(|&&d| d != old_dev) {
+                    assignment[x.0] = dev;
+                    check_move(&mut decoder, &wf, &p, &priority, &assignment, x, true);
+                    decoder.accept();
+                }
+            }
+        }
     }
 
     #[test]

@@ -93,14 +93,35 @@ impl<'a> SchedContext<'a> {
         })
     }
 
-    /// Clears every placement and reservation but keeps the cost tables
-    /// and the timelines' capacity, so one context can build many
-    /// schedules of the same workflow.
-    pub(crate) fn reset(&mut self) {
+    /// Makes this context hold exactly `source`'s placements of `tasks`,
+    /// reserved in that order, keeping the cost tables and the
+    /// timelines' capacity, and returns their latest finish
+    /// ([`SimTime::ZERO`] for none). Replaying the order in which
+    /// `source` placed them repeats its insertion sequence, so
+    /// zero-length reservations land where they did there. Both
+    /// contexts must schedule the same workflow on the same platform.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::Unscheduled`] if `source` has not placed
+    /// one of `tasks`.
+    pub(crate) fn replay(
+        &mut self,
+        source: &SchedContext<'a>,
+        tasks: &[TaskId],
+    ) -> Result<SimTime, SchedError> {
         for timeline in &mut self.timelines {
             timeline.clear();
         }
         self.placements.fill(None);
+        let mut last = SimTime::ZERO;
+        for &task in tasks {
+            let p = source.placements[task.0].ok_or(SchedError::Unscheduled(task))?;
+            self.timelines[p.device.0].reserve(p.start, p.finish);
+            self.placements[task.0] = Some(p);
+            last = last.max(p.finish);
+        }
+        Ok(last)
     }
 
     /// The workflow being scheduled.

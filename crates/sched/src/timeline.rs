@@ -62,8 +62,20 @@ impl DeviceTimeline {
         if !insertion {
             return self.ready_time().max(ready);
         }
+        // The intervals are disjoint and sorted by start, so their
+        // finishes never decrease: the intervals finishing by `ready`
+        // are a prefix. None of them can host the task before `ready`
+        // nor push the candidate past it, so the scan starts after them.
+        // Both ends are checked before the binary search: often every
+        // interval finishes by `ready`, or none does.
+        let first = match self.busy.last() {
+            None => return ready,
+            Some(&(_, last)) if last <= ready => return ready,
+            Some(_) if self.busy[0].1 > ready => 0,
+            Some(_) => self.busy.partition_point(|&(_, f)| f <= ready),
+        };
         let mut candidate = ready;
-        for &(start, finish) in &self.busy {
+        for &(start, finish) in &self.busy[first..] {
             if candidate + duration <= start {
                 return candidate;
             }
@@ -98,12 +110,13 @@ impl DeviceTimeline {
     /// Panics if the exact interval is not currently reserved — releases
     /// must mirror earlier [`DeviceTimeline::reserve`] calls.
     pub fn release(&mut self, start: SimTime, finish: SimTime) {
-        let idx = self
-            .busy
+        let first = self.busy.partition_point(|&(s, _)| s < start);
+        let idx = self.busy[first..]
             .iter()
-            .position(|&(s, f)| s == start && f == finish)
+            .take_while(|&&(s, _)| s == start)
+            .position(|&(_, f)| f == finish)
             .unwrap_or_else(|| panic!("release of unreserved interval {start}..{finish}"));
-        self.busy.remove(idx);
+        self.busy.remove(first + idx);
     }
 
     /// Releases every reservation, keeping the allocation.
@@ -133,6 +146,7 @@ impl DeviceTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -209,5 +223,91 @@ mod tests {
         assert_eq!(tl.busy_time(), d(0.0));
         // Another task can start at the same instant.
         assert_eq!(tl.earliest_start(t(1.0), d(1.0), true), t(1.0));
+    }
+
+    /// The scan [`DeviceTimeline::earliest_start`] must reproduce: every
+    /// interval from the first, none skipped.
+    fn linear_earliest_start(
+        tl: &DeviceTimeline,
+        ready: SimTime,
+        duration: SimDuration,
+    ) -> SimTime {
+        let mut candidate = ready;
+        for &(start, finish) in tl.busy_intervals() {
+            if candidate + duration <= start {
+                return candidate;
+            }
+            candidate = candidate.max(finish);
+        }
+        candidate
+    }
+
+    /// A sorted, disjoint timeline from steps that each encode a gap
+    /// (`step / 3`) and a length (`step % 3`) in half seconds: zero gaps
+    /// make back-to-back intervals and zero lengths make zero-length
+    /// ones. Built directly, because `reserve` reaches a zero-length
+    /// interval followed by one with the same start only by inserting
+    /// the zero-length one second.
+    fn timeline_of(steps: &[u8]) -> DeviceTimeline {
+        let mut busy = Vec::with_capacity(steps.len());
+        let mut at = 0.0;
+        for &step in steps {
+            let (gap, len) = (step / 3, step % 3);
+            let start = at + f64::from(gap) * 0.5;
+            at = start + f64::from(len) * 0.5;
+            busy.push((t(start), t(at)));
+        }
+        DeviceTimeline { busy }
+    }
+
+    proptest! {
+        #[test]
+        fn gap_skipping_equals_the_linear_scan(
+            steps in prop::collection::vec(0u8..9, 0..12),
+            ready_quarters in 0u8..40,
+            boundary: usize,
+            on_boundary: bool,
+            duration_halves in 0u8..5,
+        ) {
+            let tl = timeline_of(&steps);
+            // Half the cases put `ready` exactly on an interval boundary.
+            let boundaries: Vec<SimTime> =
+                tl.busy_intervals().iter().flat_map(|&(s, f)| [s, f]).collect();
+            let ready = if on_boundary && !boundaries.is_empty() {
+                boundaries[boundary % boundaries.len()]
+            } else {
+                t(f64::from(ready_quarters) * 0.25)
+            };
+            let duration = d(f64::from(duration_halves) * 0.5);
+            prop_assert_eq!(
+                tl.earliest_start(ready, duration, true),
+                linear_earliest_start(&tl, ready, duration)
+            );
+        }
+
+        #[test]
+        fn release_removes_the_first_exact_match(
+            steps in prop::collection::vec(0u8..9, 1..12),
+            pick: usize,
+        ) {
+            let mut tl = timeline_of(&steps);
+            let mut want = tl.busy_intervals().to_vec();
+            let (start, finish) = want[pick % want.len()];
+            let idx = want
+                .iter()
+                .position(|&(s, f)| s == start && f == finish)
+                .expect("reserved interval");
+            want.remove(idx);
+            tl.release(start, finish);
+            prop_assert_eq!(tl.busy_intervals(), &want[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unreserved")]
+    fn releasing_an_unreserved_interval_panics() {
+        let mut tl = DeviceTimeline::new();
+        tl.reserve(t(1.0), t(2.0));
+        tl.release(t(1.0), t(3.0));
     }
 }

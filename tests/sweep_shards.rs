@@ -184,3 +184,19 @@ fn committed_example_specs_are_valid() {
         "full F3 grid: families x platforms x schedulers x seeds"
     );
 }
+
+/// The full paper grid (`examples/specs/paper_grid.json`: 1200 cells of
+/// 100 tasks), pinned by digest: the byte-identity anchor for changes
+/// to the planning hot path and the sweep driver. About 1.5 s in
+/// release; run it with
+/// `cargo test --release --test sweep_shards -- --ignored`.
+#[test]
+#[ignore = "full paper grid; run explicitly in release"]
+fn paper_grid_report_digest_is_pinned() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/specs");
+    let json = std::fs::read_to_string(dir.join("paper_grid.json")).expect("paper_grid.json");
+    let spec = CampaignSpec::from_json(&json).expect("paper grid parses");
+    let report = SweepDriver::new(1).run(&spec).expect("paper grid runs");
+    assert_eq!(report.cells.len(), 1200);
+    assert_eq!(report_digest(&report), "da0cfc8d72443b1e");
+}
