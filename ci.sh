@@ -71,6 +71,24 @@ helios=target/release/helios
 cmp "$sweep_tmp/full.json" "$sweep_tmp/merged.json"
 echo "2-shard merge is byte-identical to the unsharded sweep"
 
+echo "==> closed spec schema (an unknown key is refused by name)"
+# A misspelled knob must not run another experiment in silence: the
+# release binary refuses the smoke spec with one unknown key added,
+# exits 1 (an input error, not a usage error) and names the key.
+typo_spec="$sweep_tmp/typo_spec.json"
+sed 's/"noise_cv": 0.05/"noise_cv": 0.05, "noise_cvv": 0.3/' examples/specs/smoke.json \
+    > "$typo_spec"
+grep -q '"noise_cvv"' "$typo_spec"
+typo_status=0
+"$helios" campaign run --spec "$typo_spec" --out "$sweep_tmp/typo.json" \
+    > /dev/null 2> "$sweep_tmp/typo.err" || typo_status=$?
+if [ "$typo_status" -ne 1 ] || ! grep -q 'noise_cvv' "$sweep_tmp/typo.err"; then
+    cat "$sweep_tmp/typo.err" >&2
+    echo "spec with unknown key noise_cvv: exit $typo_status, expected 1 naming the key" >&2
+    exit 1
+fi
+echo "unknown spec key refused: $(cat "$sweep_tmp/typo.err")"
+
 echo "==> paper-grid pin and workflow-reuse identity"
 # The full 1200-cell paper grid, pinned by digest in release (ignored in
 # the debug suite for time). Then the release binary sweeps it

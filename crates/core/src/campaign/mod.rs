@@ -106,8 +106,7 @@ impl std::error::Error for CampaignError {}
 
 pub use journal::{JournalHeader, JournalWriter, JsonSalvage, Salvage};
 pub use spec::{
-    CampaignSpec, DvfsKnob, ElasticityKnob, FailureDomainKnob, FaultKnob, InterconnectFaultKnob,
-    PolicyKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange, SweepCell,
+    CampaignSpec, DvfsKnob, FaultKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange, SweepCell,
 };
 pub use sweep::{
     merge_shards, CellResult, JournalOptions, ShardReport, ShardSpec, SummaryRow, SweepDriver,

@@ -8,6 +8,12 @@
 //! grid can be split across processes or hosts and recombined later —
 //! see [`super::sweep`] for the sharded driver.
 //!
+//! The Rust declarations are the schema: the fault and capacity blocks
+//! are the engine's own types ([`RecoveryPolicy`], [`LinkFaultModel`],
+//! [`FailureDomain`], [`ElasticityConfig`]), and every object is closed
+//! — an unknown or duplicate key, or an integer its field cannot hold,
+//! is a [`CampaignError::MalformedSpec`] naming the key.
+//!
 //! Expansion is deterministic: [`CampaignSpec::expand`] enumerates
 //! cells in declaration order (family, then platform, then scheduler,
 //! then seed), and every cell carries its global index. Two processes
@@ -20,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use helios_workflow::generators::WorkflowClass;
 
 use super::CampaignError;
-use crate::elastic::{ElasticChurn, ElasticEvent, ElasticEventKind, ElasticityConfig};
+use crate::elastic::ElasticityConfig;
 use crate::resilience::{
     FailureDomain, FailureModel, LinkFaultModel, RecoveryPolicy, ResilienceConfig,
 };
@@ -28,6 +34,7 @@ use crate::EngineError;
 
 /// A consecutive seed range: `base, base + 1, …, base + count - 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SeedRange {
     /// First seed of the range.
     pub base: u64,
@@ -42,13 +49,15 @@ impl SeedRange {
     }
 }
 
-/// The DVFS operating point every placement of a cell is pinned to.
+/// The DVFS operating point every placement of a cell is pinned to,
+/// spelled in lowercase in spec files.
 ///
 /// `Nominal` keeps whatever levels the scheduler chose; `Powersave`
 /// rewrites placements to each device's slowest state, `Performance`
 /// to its fastest. The engine re-derives timing from the plan's device
 /// order, so rewriting levels is safe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum DvfsKnob {
     /// Keep the scheduler's chosen levels.
     #[default]
@@ -59,39 +68,6 @@ pub enum DvfsKnob {
     Performance,
 }
 
-impl DvfsKnob {
-    /// The spec-file spelling of the knob.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DvfsKnob::Nominal => "nominal",
-            DvfsKnob::Powersave => "powersave",
-            DvfsKnob::Performance => "performance",
-        }
-    }
-}
-
-// Hand-written impls: spec files spell the knob in lowercase, while the
-// vendored derive would use the exact variant names.
-impl Serialize for DvfsKnob {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.as_str().to_owned())
-    }
-}
-
-impl<'de> Deserialize<'de> for DvfsKnob {
-    fn from_value(value: &serde::Value) -> Result<DvfsKnob, serde::DeError> {
-        match value.as_str() {
-            Some("nominal") => Ok(DvfsKnob::Nominal),
-            Some("powersave") => Ok(DvfsKnob::Powersave),
-            Some("performance") => Ok(DvfsKnob::Performance),
-            _ => Err(serde::DeError::new(format!(
-                "unknown dvfs knob {value:?} (nominal, powersave, performance)"
-            ))),
-        }
-    }
-}
-
 /// Flat-retry fault-injection knobs of a spec: each device fails as a
 /// Poisson process and a failed task retries from scratch. The cells
 /// run on the plain [`Engine`](crate::Engine) under the
@@ -100,6 +76,7 @@ impl<'de> Deserialize<'de> for DvfsKnob {
 /// [`ResilientRunner`](crate::ResilientRunner), which also fills the
 /// resilience columns of each cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultKnob {
     /// Mean time between failures per device, seconds.
     pub mtbf_secs: f64,
@@ -127,223 +104,6 @@ impl FaultKnob {
     }
 }
 
-/// Recovery-policy knob of a spec, mirroring
-/// [`RecoveryPolicy`](crate::RecoveryPolicy). Spelled in spec files as
-/// an object with a `kind` tag, e.g.
-/// `{"kind": "retry-backoff", "base_secs": 0.001, "factor": 2.0,
-/// "cap_secs": 0.01, "max_retries": 10}`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PolicyKnob {
-    /// `{"kind": "retry-backoff", ...}` →
-    /// [`RecoveryPolicy::RetryBackoff`].
-    RetryBackoff {
-        /// Backoff before the first retry, seconds (0 = flat retry).
-        base_secs: f64,
-        /// Multiplicative growth per retry.
-        factor: f64,
-        /// Upper bound on any single backoff, seconds.
-        cap_secs: f64,
-        /// Retry budget per task.
-        max_retries: u32,
-    },
-    /// `{"kind": "replicate-k", ...}` → [`RecoveryPolicy::ReplicateK`].
-    ReplicateK {
-        /// Total copies per task, including the primary.
-        replicas: usize,
-        /// Per-replica retry budget.
-        max_retries: u32,
-    },
-    /// `{"kind": "checkpoint-restart", ...}` →
-    /// [`RecoveryPolicy::CheckpointRestart`].
-    CheckpointRestart {
-        /// Execution time between snapshots, seconds.
-        interval_secs: f64,
-        /// Cost of writing one snapshot, seconds.
-        overhead_secs: f64,
-        /// Retry budget per task.
-        max_retries: u32,
-    },
-    /// `{"kind": "reschedule", ...}` → [`RecoveryPolicy::Reschedule`].
-    Reschedule {
-        /// Scheduler used for re-planning after a permanent loss.
-        scheduler: String,
-        /// Re-planning overhead, seconds.
-        overhead_secs: f64,
-        /// Retry budget per task for transient failures.
-        max_retries: u32,
-    },
-}
-
-impl PolicyKnob {
-    /// Maps the knob onto the engine-level recovery policy.
-    #[must_use]
-    pub fn to_policy(&self) -> RecoveryPolicy {
-        match *self {
-            PolicyKnob::RetryBackoff {
-                base_secs,
-                factor,
-                cap_secs,
-                max_retries,
-            } => RecoveryPolicy::RetryBackoff {
-                base_secs,
-                factor,
-                cap_secs,
-                max_retries,
-            },
-            PolicyKnob::ReplicateK {
-                replicas,
-                max_retries,
-            } => RecoveryPolicy::ReplicateK {
-                replicas,
-                max_retries,
-            },
-            PolicyKnob::CheckpointRestart {
-                interval_secs,
-                overhead_secs,
-                max_retries,
-            } => RecoveryPolicy::CheckpointRestart {
-                interval_secs,
-                overhead_secs,
-                max_retries,
-            },
-            PolicyKnob::Reschedule {
-                ref scheduler,
-                overhead_secs,
-                max_retries,
-            } => RecoveryPolicy::Reschedule {
-                scheduler: scheduler.clone(),
-                overhead_secs,
-                max_retries,
-            },
-        }
-    }
-}
-
-// Hand-written impls: the vendored derive has no adjacent/internal
-// tagging, and spec files spell policies as kebab-case `kind` tags.
-impl Serialize for PolicyKnob {
-    fn to_value(&self) -> serde::Value {
-        let num = serde::Value::Number;
-        let mut obj: Vec<(String, serde::Value)> = vec![(
-            "kind".to_owned(),
-            serde::Value::String(self.to_policy().name().to_owned()),
-        )];
-        match *self {
-            PolicyKnob::RetryBackoff {
-                base_secs,
-                factor,
-                cap_secs,
-                max_retries,
-            } => {
-                obj.push(("base_secs".to_owned(), num(base_secs)));
-                obj.push(("factor".to_owned(), num(factor)));
-                obj.push(("cap_secs".to_owned(), num(cap_secs)));
-                obj.push(("max_retries".to_owned(), num(f64::from(max_retries))));
-            }
-            PolicyKnob::ReplicateK {
-                replicas,
-                max_retries,
-            } => {
-                obj.push(("replicas".to_owned(), num(replicas as f64)));
-                obj.push(("max_retries".to_owned(), num(f64::from(max_retries))));
-            }
-            PolicyKnob::CheckpointRestart {
-                interval_secs,
-                overhead_secs,
-                max_retries,
-            } => {
-                obj.push(("interval_secs".to_owned(), num(interval_secs)));
-                obj.push(("overhead_secs".to_owned(), num(overhead_secs)));
-                obj.push(("max_retries".to_owned(), num(f64::from(max_retries))));
-            }
-            PolicyKnob::Reschedule {
-                ref scheduler,
-                overhead_secs,
-                max_retries,
-            } => {
-                obj.push((
-                    "scheduler".to_owned(),
-                    serde::Value::String(scheduler.clone()),
-                ));
-                obj.push(("overhead_secs".to_owned(), num(overhead_secs)));
-                obj.push(("max_retries".to_owned(), num(f64::from(max_retries))));
-            }
-        }
-        serde::Value::Object(obj)
-    }
-}
-
-/// Required numeric field of a policy object.
-fn knob_f64(value: &serde::Value, kind: &str, key: &str) -> Result<f64, serde::DeError> {
-    value
-        .get(key)
-        .and_then(serde::Value::as_f64)
-        .ok_or_else(|| {
-            serde::DeError::new(format!("policy {kind:?} requires a numeric {key:?} field"))
-        })
-}
-
-/// Optional retry budget of a policy object (default 3).
-fn knob_retries(value: &serde::Value, kind: &str) -> Result<u32, serde::DeError> {
-    match value.get("max_retries") {
-        None => Ok(3),
-        Some(v) => v.as_u64().map(|n| n as u32).ok_or_else(|| {
-            serde::DeError::new(format!(
-                "policy {kind:?}: max_retries must be a non-negative integer"
-            ))
-        }),
-    }
-}
-
-impl<'de> Deserialize<'de> for PolicyKnob {
-    fn from_value(value: &serde::Value) -> Result<PolicyKnob, serde::DeError> {
-        let kind = value
-            .get("kind")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| {
-                serde::DeError::new(format!(
-                    "resilience policy must be an object with a \"kind\" tag, one of: {}",
-                    RecoveryPolicy::names().join(", ")
-                ))
-            })?;
-        match kind {
-            "retry-backoff" => Ok(PolicyKnob::RetryBackoff {
-                base_secs: knob_f64(value, kind, "base_secs")?,
-                factor: knob_f64(value, kind, "factor")?,
-                cap_secs: knob_f64(value, kind, "cap_secs")?,
-                max_retries: knob_retries(value, kind)?,
-            }),
-            "replicate-k" => Ok(PolicyKnob::ReplicateK {
-                replicas: knob_f64(value, kind, "replicas")? as usize,
-                max_retries: knob_retries(value, kind)?,
-            }),
-            "checkpoint-restart" => Ok(PolicyKnob::CheckpointRestart {
-                interval_secs: knob_f64(value, kind, "interval_secs")?,
-                overhead_secs: knob_f64(value, kind, "overhead_secs")?,
-                max_retries: knob_retries(value, kind)?,
-            }),
-            "reschedule" => Ok(PolicyKnob::Reschedule {
-                scheduler: value
-                    .get("scheduler")
-                    .and_then(serde::Value::as_str)
-                    .ok_or_else(|| {
-                        serde::DeError::new(
-                            "policy \"reschedule\" requires a string \"scheduler\" field"
-                                .to_owned(),
-                        )
-                    })?
-                    .to_owned(),
-                overhead_secs: knob_f64(value, kind, "overhead_secs")?,
-                max_retries: knob_retries(value, kind)?,
-            }),
-            other => Err(serde::DeError::new(format!(
-                "unknown resilience policy kind {other:?}; legal values: {}",
-                RecoveryPolicy::names().join(", ")
-            ))),
-        }
-    }
-}
-
 fn default_slowdown() -> f64 {
     2.0
 }
@@ -352,10 +112,11 @@ fn default_repair() -> f64 {
     1.0
 }
 
-/// Failure-domain and recovery knobs of a spec, mirroring
-/// [`ResilienceConfig`]. Mutually exclusive with the flat-retry
-/// [`FaultKnob`] block.
+/// Failure-model and recovery knobs of a spec: the
+/// [`FailureModel`] fields flattened next to the [`RecoveryPolicy`].
+/// Mutually exclusive with the flat-retry [`FaultKnob`] block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ResilienceKnob {
     /// Mean time to failure (exponential) or characteristic life
     /// (Weibull), seconds.
@@ -380,7 +141,7 @@ pub struct ResilienceKnob {
     #[serde(default)]
     pub restart_overhead_secs: f64,
     /// The recovery policy (`kind`-tagged object).
-    pub policy: PolicyKnob,
+    pub policy: RecoveryPolicy,
 }
 
 impl ResilienceKnob {
@@ -400,467 +161,38 @@ impl ResilienceKnob {
                 degraded_repair_secs: self.degraded_repair_secs,
                 restart_overhead_secs: self.restart_overhead_secs,
             },
-            self.policy.to_policy(),
+            self.policy.clone(),
         );
         config.validate()?;
         Ok(config)
     }
 }
 
-fn default_degraded_factor() -> f64 {
-    2.0
-}
-
-fn default_link_repair() -> f64 {
-    0.05
-}
-
-/// Interconnect-fault knob of a spec, mirroring
-/// [`LinkFaultModel`](crate::LinkFaultModel). Spelled in spec files as
-/// an object with a `distribution` tag, e.g.
-/// `{"distribution": "weibull", "mttf_secs": 0.2, "shape": 1.5,
-/// "outage_secs": 0.05}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterconnectFaultKnob {
-    /// Mean time to failure (exponential) or characteristic life
-    /// (Weibull) per link, seconds.
-    pub mttf_secs: f64,
-    /// Weibull shape; `None` selects the exponential distribution.
-    pub weibull_shape: Option<f64>,
-    /// Probability a fault degrades bandwidth instead of a full outage
-    /// (default 0).
-    pub degraded_prob: f64,
-    /// Transfer-time multiplier while degraded (default 2).
-    pub degraded_factor: f64,
-    /// Outage downtime before repair, seconds (default 0.05).
-    pub outage_secs: f64,
-    /// Time until a degraded link recovers, seconds (default 0.05).
-    pub degraded_repair_secs: f64,
-}
-
-impl InterconnectFaultKnob {
-    /// The distribution tags spec files may use.
-    #[must_use]
-    pub fn distributions() -> &'static [&'static str] {
-        &["exponential", "weibull"]
-    }
-
-    /// Maps the knob onto the engine-level link-fault model.
-    #[must_use]
-    pub fn to_model(&self) -> LinkFaultModel {
-        LinkFaultModel {
-            mttf_secs: self.mttf_secs,
-            weibull_shape: self.weibull_shape,
-            degraded_prob: self.degraded_prob,
-            degraded_factor: self.degraded_factor,
-            outage_secs: self.outage_secs,
-            degraded_repair_secs: self.degraded_repair_secs,
-        }
-    }
-}
-
-// Hand-written impls: the vendored derive has no tagging, and the
-// `distribution` tag decides whether `shape` is required.
-impl Serialize for InterconnectFaultKnob {
-    fn to_value(&self) -> serde::Value {
-        let num = serde::Value::Number;
-        let mut obj: Vec<(String, serde::Value)> = vec![(
-            "distribution".to_owned(),
-            serde::Value::String(
-                if self.weibull_shape.is_some() {
-                    "weibull"
-                } else {
-                    "exponential"
-                }
-                .to_owned(),
-            ),
-        )];
-        obj.push(("mttf_secs".to_owned(), num(self.mttf_secs)));
-        if let Some(shape) = self.weibull_shape {
-            obj.push(("shape".to_owned(), num(shape)));
-        }
-        obj.push(("degraded_prob".to_owned(), num(self.degraded_prob)));
-        obj.push(("degraded_factor".to_owned(), num(self.degraded_factor)));
-        obj.push(("outage_secs".to_owned(), num(self.outage_secs)));
-        obj.push((
-            "degraded_repair_secs".to_owned(),
-            num(self.degraded_repair_secs),
-        ));
-        serde::Value::Object(obj)
-    }
-}
-
-/// Optional numeric field with a default.
-fn opt_f64(
-    value: &serde::Value,
-    ctx: &str,
-    key: &str,
-    default: f64,
-) -> Result<f64, serde::DeError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_f64().ok_or_else(|| {
-            serde::DeError::new(format!("{ctx}: {key:?} must be a number, got {v:?}"))
-        }),
-    }
-}
-
-impl<'de> Deserialize<'de> for InterconnectFaultKnob {
-    fn from_value(value: &serde::Value) -> Result<InterconnectFaultKnob, serde::DeError> {
-        let ctx = "interconnect_faults";
-        let distribution = value
-            .get("distribution")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| {
-                serde::DeError::new(format!(
-                    "{ctx} must be an object with a \"distribution\" tag, one of: {}",
-                    InterconnectFaultKnob::distributions().join(", ")
-                ))
-            })?;
-        let weibull_shape = match distribution {
-            "exponential" => None,
-            "weibull" => Some(
-                value
-                    .get("shape")
-                    .and_then(serde::Value::as_f64)
-                    .ok_or_else(|| {
-                        serde::DeError::new(format!(
-                            "{ctx}: distribution \"weibull\" requires a numeric \"shape\" field"
-                        ))
-                    })?,
-            ),
-            other => {
-                return Err(serde::DeError::new(format!(
-                    "{ctx}: unknown distribution {other:?}; legal values: {}",
-                    InterconnectFaultKnob::distributions().join(", ")
-                )))
-            }
-        };
-        Ok(InterconnectFaultKnob {
-            mttf_secs: value
-                .get("mttf_secs")
-                .and_then(serde::Value::as_f64)
-                .ok_or_else(|| {
-                    serde::DeError::new(format!("{ctx} requires a numeric \"mttf_secs\" field"))
-                })?,
-            weibull_shape,
-            degraded_prob: opt_f64(value, ctx, "degraded_prob", 0.0)?,
-            degraded_factor: opt_f64(value, ctx, "degraded_factor", default_degraded_factor())?,
-            outage_secs: opt_f64(value, ctx, "outage_secs", default_link_repair())?,
-            degraded_repair_secs: opt_f64(
-                value,
-                ctx,
-                "degraded_repair_secs",
-                default_link_repair(),
-            )?,
-        })
-    }
-}
-
-/// Correlated failure-domain knob of a spec, mirroring
-/// [`FailureDomain`](crate::FailureDomain): a `kind`-tagged named group
-/// of devices and links struck together, e.g.
-/// `{"kind": "rack", "name": "r0", "devices": ["gpu0", "gpu1"],
-/// "links": ["nvlink"], "mttf_secs": 0.5, "permanent_prob": 0.1}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureDomainKnob {
-    /// Domain kind tag; one of [`FailureDomain::kinds`]
-    /// (`rack`, `node`, `psu`).
-    pub kind: String,
-    /// Unique domain name, echoed in validation errors.
-    pub name: String,
-    /// Member device names, resolved against every spec platform.
-    #[serde(default)]
-    pub devices: Vec<String>,
-    /// Member link names, resolved against every spec platform.
-    #[serde(default)]
-    pub links: Vec<String>,
-    /// Mean time to failure (exponential) or characteristic life
-    /// (Weibull) of the domain, seconds.
-    pub mttf_secs: f64,
-    /// Weibull shape; omit for the exponential distribution.
-    #[serde(default)]
-    pub weibull_shape: Option<f64>,
-    /// Probability a domain event degrades members instead of aborting
-    /// their work (default 0).
-    #[serde(default)]
-    pub degraded_prob: f64,
-    /// Probability a domain event removes the whole group permanently
-    /// (default 0).
-    #[serde(default)]
-    pub permanent_prob: f64,
-    /// Member-link downtime under non-permanent events, seconds
-    /// (default 0.05).
-    #[serde(default = "default_link_repair")]
-    pub outage_secs: f64,
-}
-
-impl FailureDomainKnob {
-    /// Maps the knob onto the engine-level failure domain.
-    #[must_use]
-    pub fn to_domain(&self) -> FailureDomain {
-        FailureDomain {
-            kind: self.kind.clone(),
-            name: self.name.clone(),
-            devices: self.devices.clone(),
-            links: self.links.clone(),
-            mttf_secs: self.mttf_secs,
-            weibull_shape: self.weibull_shape,
-            degraded_prob: self.degraded_prob,
-            permanent_prob: self.permanent_prob,
-            outage_secs: self.outage_secs,
-        }
-    }
-}
-
 /// Per-scheduler tuning knobs of a spec. Each key overrides one
 /// scheduler's construction in every cell that names it; schedulers
 /// without a key keep their lineup defaults, and cells running other
-/// schedulers ignore the block entirely. Any override is part of the
-/// spec's content [`digest`](CampaignSpec::digest), so shards swept
-/// with different knobs refuse to merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// schedulers ignore the block entirely. Only the keys set are
+/// serialized, and any override is part of the spec's content
+/// [`digest`](CampaignSpec::digest), so shards swept with different
+/// knobs refuse to merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SchedulerParamsKnob {
     /// Iteration budget of the `annealing` scheduler (lineup default
     /// 500).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub annealing_iterations: Option<u32>,
     /// Descendant-generation depth of the `lookahead` scheduler
     /// (lineup default 1, the published one-step variant).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub lookahead_depth: Option<u32>,
 }
 
 impl SchedulerParamsKnob {
-    /// The keys spec files may set.
-    pub const KEYS: &'static [&'static str] = &["annealing_iterations", "lookahead_depth"];
-
     /// True when no override is set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.annealing_iterations.is_none() && self.lookahead_depth.is_none()
-    }
-}
-
-// Hand-written impls: only the keys actually set are serialized (so a
-// knob-free spec keeps its canonical JSON and digest), and unknown keys
-// are rejected naming the legal ones — a typoed override must die at
-// validation instead of silently sweeping with defaults.
-impl Serialize for SchedulerParamsKnob {
-    fn to_value(&self) -> serde::Value {
-        let mut obj: Vec<(String, serde::Value)> = Vec::new();
-        if let Some(n) = self.annealing_iterations {
-            obj.push((
-                "annealing_iterations".to_owned(),
-                serde::Value::Number(f64::from(n)),
-            ));
-        }
-        if let Some(d) = self.lookahead_depth {
-            obj.push((
-                "lookahead_depth".to_owned(),
-                serde::Value::Number(f64::from(d)),
-            ));
-        }
-        serde::Value::Object(obj)
-    }
-}
-
-impl<'de> Deserialize<'de> for SchedulerParamsKnob {
-    fn from_value(value: &serde::Value) -> Result<SchedulerParamsKnob, serde::DeError> {
-        let ctx = "scheduler_params";
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::DeError::new(format!(
-                "{ctx} must be an object; legal keys: {}",
-                SchedulerParamsKnob::KEYS.join(", ")
-            )));
-        };
-        let mut knob = SchedulerParamsKnob::default();
-        for (key, v) in entries {
-            let slot = match key.as_str() {
-                "annealing_iterations" => &mut knob.annealing_iterations,
-                "lookahead_depth" => &mut knob.lookahead_depth,
-                other => {
-                    return Err(serde::DeError::new(format!(
-                        "{ctx}: unknown key {other:?}; legal keys: {}",
-                        SchedulerParamsKnob::KEYS.join(", ")
-                    )))
-                }
-            };
-            let n = v.as_u64().filter(|&n| n >= 1).ok_or_else(|| {
-                serde::DeError::new(format!("{ctx}: {key:?} must be an integer >= 1, got {v:?}"))
-            })?;
-            *slot = Some(n as u32);
-        }
-        Ok(knob)
-    }
-}
-
-/// Elastic-capacity knob of a spec, mirroring
-/// [`ElasticityConfig`](crate::ElasticityConfig): timed `kind`-tagged
-/// capacity events plus stochastic spot churn. Spelled in spec files
-/// as, e.g.
-/// `{"events": [{"kind": "preempt", "device": "gpu0", "at_secs": 0.2,
-/// "notice_secs": 0.05}], "churn": [{"device": "cpu1",
-/// "mtbp_secs": 0.5, "notice_secs": 0.02, "rejoin_secs": 0.2}]}`.
-/// Any elasticity block is part of the spec's content
-/// [`digest`](CampaignSpec::digest).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ElasticityKnob {
-    /// Timed capacity events, executed in time order.
-    pub events: Vec<ElasticEvent>,
-    /// Stochastic churn processes, at most one per device.
-    pub churn: Vec<ElasticChurn>,
-}
-
-impl ElasticityKnob {
-    /// Maps the knob onto the engine-level elasticity configuration.
-    #[must_use]
-    pub fn to_config(&self) -> ElasticityConfig {
-        ElasticityConfig {
-            events: self.events.clone(),
-            churn: self.churn.clone(),
-        }
-    }
-}
-
-// Hand-written impls: the vendored derive has no tagging, and the
-// `kind` tag decides which extra field (`deadline_secs`,
-// `notice_secs`) each event requires.
-impl Serialize for ElasticityKnob {
-    fn to_value(&self) -> serde::Value {
-        let num = serde::Value::Number;
-        let events: Vec<serde::Value> = self
-            .events
-            .iter()
-            .map(|ev| {
-                let mut obj: Vec<(String, serde::Value)> = vec![
-                    (
-                        "kind".to_owned(),
-                        serde::Value::String(ev.kind.name().to_owned()),
-                    ),
-                    ("device".to_owned(), serde::Value::String(ev.device.clone())),
-                    ("at_secs".to_owned(), num(ev.at_secs)),
-                ];
-                match ev.kind {
-                    ElasticEventKind::Drain { deadline_secs } => {
-                        obj.push(("deadline_secs".to_owned(), num(deadline_secs)));
-                    }
-                    ElasticEventKind::Preempt { notice_secs } => {
-                        obj.push(("notice_secs".to_owned(), num(notice_secs)));
-                    }
-                    ElasticEventKind::Join | ElasticEventKind::Leave => {}
-                }
-                serde::Value::Object(obj)
-            })
-            .collect();
-        let churn: Vec<serde::Value> = self
-            .churn
-            .iter()
-            .map(|c| {
-                let mut obj: Vec<(String, serde::Value)> = vec![
-                    ("device".to_owned(), serde::Value::String(c.device.clone())),
-                    ("mtbp_secs".to_owned(), num(c.mtbp_secs)),
-                ];
-                if let Some(shape) = c.weibull_shape {
-                    obj.push(("weibull_shape".to_owned(), num(shape)));
-                }
-                obj.push(("notice_secs".to_owned(), num(c.notice_secs)));
-                obj.push(("rejoin_secs".to_owned(), num(c.rejoin_secs)));
-                serde::Value::Object(obj)
-            })
-            .collect();
-        serde::Value::Object(vec![
-            ("events".to_owned(), serde::Value::Array(events)),
-            ("churn".to_owned(), serde::Value::Array(churn)),
-        ])
-    }
-}
-
-/// Required numeric field of one elasticity object.
-fn req_f64(value: &serde::Value, ctx: &str, key: &str) -> Result<f64, serde::DeError> {
-    value
-        .get(key)
-        .and_then(serde::Value::as_f64)
-        .ok_or_else(|| serde::DeError::new(format!("{ctx} requires a numeric {key:?} field")))
-}
-
-/// Required string field of one elasticity object.
-fn req_str(value: &serde::Value, ctx: &str, key: &str) -> Result<String, serde::DeError> {
-    value
-        .get(key)
-        .and_then(serde::Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| serde::DeError::new(format!("{ctx} requires a string {key:?} field")))
-}
-
-impl<'de> Deserialize<'de> for ElasticityKnob {
-    fn from_value(value: &serde::Value) -> Result<ElasticityKnob, serde::DeError> {
-        let ctx = "elasticity";
-        if !matches!(value, serde::Value::Object(_)) {
-            return Err(serde::DeError::new(format!(
-                "{ctx} must be an object with \"events\" and/or \"churn\" arrays"
-            )));
-        }
-        let arr = |key: &str| -> Result<&[serde::Value], serde::DeError> {
-            match value.get(key) {
-                None => Ok(&[]),
-                Some(serde::Value::Array(items)) => Ok(items),
-                Some(other) => Err(serde::DeError::new(format!(
-                    "{ctx}: {key:?} must be an array, got {other:?}"
-                ))),
-            }
-        };
-        let mut events = Vec::new();
-        for (i, ev) in arr("events")?.iter().enumerate() {
-            let ctx = format!("{ctx} event {i}");
-            let kind_tag = ev
-                .get("kind")
-                .and_then(serde::Value::as_str)
-                .ok_or_else(|| {
-                    serde::DeError::new(format!(
-                        "{ctx} must be an object with a \"kind\" tag, one of: {}",
-                        ElasticEventKind::kinds().join(", ")
-                    ))
-                })?;
-            let kind = match kind_tag {
-                "join" => ElasticEventKind::Join,
-                "drain" => ElasticEventKind::Drain {
-                    deadline_secs: req_f64(ev, &ctx, "deadline_secs")?,
-                },
-                "preempt" => ElasticEventKind::Preempt {
-                    notice_secs: req_f64(ev, &ctx, "notice_secs")?,
-                },
-                "leave" => ElasticEventKind::Leave,
-                other => {
-                    return Err(serde::DeError::new(format!(
-                        "{ctx}: unknown kind {other:?}; legal values: {}",
-                        ElasticEventKind::kinds().join(", ")
-                    )))
-                }
-            };
-            events.push(ElasticEvent {
-                device: req_str(ev, &ctx, "device")?,
-                at_secs: req_f64(ev, &ctx, "at_secs")?,
-                kind,
-            });
-        }
-        let mut churn = Vec::new();
-        for (i, c) in arr("churn")?.iter().enumerate() {
-            let ctx = format!("{ctx} churn {i}");
-            churn.push(ElasticChurn {
-                device: req_str(c, &ctx, "device")?,
-                mtbp_secs: req_f64(c, &ctx, "mtbp_secs")?,
-                weibull_shape: match c.get("weibull_shape") {
-                    None => None,
-                    Some(v) => Some(v.as_f64().ok_or_else(|| {
-                        serde::DeError::new(format!(
-                            "{ctx}: \"weibull_shape\" must be a number, got {v:?}"
-                        ))
-                    })?),
-                },
-                notice_secs: req_f64(c, &ctx, "notice_secs")?,
-                rejoin_secs: req_f64(c, &ctx, "rejoin_secs")?,
-            });
-        }
-        Ok(ElasticityKnob { events, churn })
     }
 }
 
@@ -886,7 +218,8 @@ fn default_tasks() -> usize {
 /// assert_eq!(spec.expand()?.len(), 2);
 /// # Ok::<(), helios_core::EngineError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CampaignSpec {
     /// Human-readable grid name, echoed into every report.
     pub name: String,
@@ -901,7 +234,7 @@ pub struct CampaignSpec {
     /// Optional per-scheduler tuning overrides (annealing iteration
     /// budget, lookahead depth). Omitted from the canonical JSON when
     /// absent, so knob-free specs keep their digests.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub scheduler_params: Option<SchedulerParamsKnob>,
     /// Seed replicates per (family, platform, scheduler) combination.
     pub seeds: SeedRange,
@@ -932,11 +265,11 @@ pub struct CampaignSpec {
     /// Optional per-link interconnect faults (outages and bandwidth
     /// degradations). Requires a `resilience` block.
     #[serde(default)]
-    pub interconnect_faults: Option<InterconnectFaultKnob>,
+    pub interconnect_faults: Option<LinkFaultModel>,
     /// Optional correlated failure domains (racks, nodes, PSUs) whose
     /// members fail together. Requires a `resilience` block.
     #[serde(default)]
-    pub failure_domains: Vec<FailureDomainKnob>,
+    pub failure_domains: Vec<FailureDomain>,
     /// Optional elastic-capacity plan: timed join/drain/preempt/leave
     /// events and stochastic spot churn. Cells run through the
     /// [`ResilientRunner`](crate::ResilientRunner) (a benign default
@@ -944,8 +277,8 @@ pub struct CampaignSpec {
     /// present). Mutually exclusive with `faults`; omitted from the
     /// canonical JSON when absent, so elasticity-free specs keep their
     /// digests.
-    #[serde(default)]
-    pub elasticity: Option<ElasticityKnob>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub elasticity: Option<ElasticityConfig>,
     /// Optional watchdog budget on simulated events per cell; a cell
     /// exceeding it is recorded as timed out instead of grinding the
     /// campaign. Overridable at run time via the
@@ -954,52 +287,11 @@ pub struct CampaignSpec {
     pub cell_step_budget: Option<u64>,
 }
 
-// Hand-written Serialize: identical to the derive output except that
-// `scheduler_params` and `elasticity` are *omitted* when absent (the
-// vendored `Option` impl would write `null`, which would shift the
-// canonical JSON — and therefore the content digest of every existing
-// spec — the day the field was added). Field order mirrors the
-// declaration, like the derive.
-impl Serialize for CampaignSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
-            ("name".to_owned(), self.name.to_value()),
-            ("families".to_owned(), self.families.to_value()),
-            ("platforms".to_owned(), self.platforms.to_value()),
-            ("schedulers".to_owned(), self.schedulers.to_value()),
-        ];
-        if let Some(params) = &self.scheduler_params {
-            fields.push(("scheduler_params".to_owned(), params.to_value()));
-        }
-        fields.push(("seeds".to_owned(), self.seeds.to_value()));
-        fields.push(("tasks".to_owned(), self.tasks.to_value()));
-        fields.push(("noise_cv".to_owned(), self.noise_cv.to_value()));
-        fields.push((
-            "link_contention".to_owned(),
-            self.link_contention.to_value(),
-        ));
-        fields.push(("data_caching".to_owned(), self.data_caching.to_value()));
-        fields.push(("dvfs".to_owned(), self.dvfs.to_value()));
-        fields.push(("faults".to_owned(), self.faults.to_value()));
-        fields.push(("resilience".to_owned(), self.resilience.to_value()));
-        fields.push((
-            "interconnect_faults".to_owned(),
-            self.interconnect_faults.to_value(),
-        ));
-        fields.push((
-            "failure_domains".to_owned(),
-            self.failure_domains.to_value(),
-        ));
-        if let Some(el) = &self.elasticity {
-            fields.push(("elasticity".to_owned(), el.to_value()));
-        }
-        fields.push((
-            "cell_step_budget".to_owned(),
-            self.cell_step_budget.to_value(),
-        ));
-        serde::Value::Object(fields)
-    }
-}
+/// The workflow families a spec may name, for validation errors.
+const FAMILY_NAMES: &str = "montage, cybershake, epigenomics, ligo, sipht";
+
+/// The platform presets a spec may name, for validation errors.
+const PLATFORM_NAMES: &str = "workstation, hpc_node, cluster<N>, edge_soc";
 
 /// One expanded grid point: a single deterministic simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1056,31 +348,25 @@ impl CampaignSpec {
             }))
         };
         if self.families.is_empty() {
-            return fail(
+            return fail(format!(
                 "`families` is empty, so the grid has no cells; list at least one of \
-                 montage, cybershake, epigenomics, ligo, sipht"
-                    .into(),
-            );
+                 {FAMILY_NAMES}"
+            ));
         }
         for f in &self.families {
             if family_class(f).is_none() {
-                return fail(format!(
-                    "unknown family {f:?} (montage, cybershake, epigenomics, ligo, sipht)"
-                ));
+                return fail(format!("unknown family {f:?} ({FAMILY_NAMES})"));
             }
         }
         if self.platforms.is_empty() {
-            return fail(
+            return fail(format!(
                 "`platforms` is empty, so the grid has no cells; list at least one of \
-                 workstation, hpc_node, cluster<N>, edge_soc"
-                    .into(),
-            );
+                 {PLATFORM_NAMES}"
+            ));
         }
         for p in &self.platforms {
             if helios_platform::presets::by_name(p).is_none() {
-                return fail(format!(
-                    "unknown platform {p:?} (workstation, hpc_node, cluster<N>, edge_soc)"
-                ));
+                return fail(format!("unknown platform {p:?} ({PLATFORM_NAMES})"));
             }
         }
         if self.schedulers.is_empty() {
@@ -1104,16 +390,10 @@ impl CampaignSpec {
         }
         if let Some(sp) = &self.scheduler_params {
             if sp.annealing_iterations == Some(0) {
-                return fail(format!(
-                    "`scheduler_params.annealing_iterations` must be >= 1; legal keys: {}",
-                    SchedulerParamsKnob::KEYS.join(", ")
-                ));
+                return fail("`scheduler_params.annealing_iterations` must be >= 1".into());
             }
             if sp.lookahead_depth == Some(0) {
-                return fail(format!(
-                    "`scheduler_params.lookahead_depth` must be >= 1; legal keys: {}",
-                    SchedulerParamsKnob::KEYS.join(", ")
-                ));
+                return fail("`scheduler_params.lookahead_depth` must be >= 1".into());
             }
         }
         if self.seeds.count == 0 {
@@ -1181,7 +461,7 @@ impl CampaignSpec {
         // engine-level elasticity config; device names below, per
         // platform.
         if let Some(el) = &self.elasticity {
-            el.to_config().validate().map_err(|e| {
+            el.validate().map_err(|e| {
                 EngineError::Campaign(CampaignError::InvalidSpec {
                     spec: self.name.clone(),
                     detail: format!("`elasticity`: {e}"),
@@ -1266,13 +546,8 @@ impl CampaignSpec {
             return Ok(None);
         };
         let mut config = rk.to_config()?;
-        if let Some(knob) = &self.interconnect_faults {
-            config = config.with_link_faults(knob.to_model());
-        }
-        if !self.failure_domains.is_empty() {
-            config =
-                config.with_domains(self.failure_domains.iter().map(|d| d.to_domain()).collect());
-        }
+        config.link_faults = self.interconnect_faults.clone();
+        config.domains = self.failure_domains.clone();
         config.validate()?;
         Ok(Some(config))
     }
@@ -1284,12 +559,11 @@ impl CampaignSpec {
     ///
     /// Returns [`EngineError::Config`] naming the offending field.
     pub fn elasticity_config(&self) -> Result<Option<ElasticityConfig>, EngineError> {
-        let Some(ek) = &self.elasticity else {
+        let Some(config) = &self.elasticity else {
             return Ok(None);
         };
-        let config = ek.to_config();
         config.validate()?;
-        Ok(Some(config))
+        Ok(Some(config.clone()))
     }
 
     /// The number of cells the spec expands to.
@@ -1355,6 +629,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elastic::ElasticEventKind;
 
     fn minimal_json() -> String {
         r#"{
@@ -1444,16 +719,20 @@ mod tests {
 
     #[test]
     fn dvfs_knob_roundtrips_lowercase() {
-        for knob in [
-            DvfsKnob::Nominal,
-            DvfsKnob::Powersave,
-            DvfsKnob::Performance,
+        for (knob, spelled) in [
+            (DvfsKnob::Nominal, "nominal"),
+            (DvfsKnob::Powersave, "powersave"),
+            (DvfsKnob::Performance, "performance"),
         ] {
             let v = knob.to_value();
-            assert_eq!(v.as_str(), Some(knob.as_str()));
+            assert_eq!(v.as_str(), Some(spelled));
             assert_eq!(DvfsKnob::from_value(&v).unwrap(), knob);
         }
-        assert!(DvfsKnob::from_value(&serde::Value::String("turbo".into())).is_err());
+        let err = DvfsKnob::from_value(&serde::Value::String("turbo".into())).unwrap_err();
+        assert!(
+            err.to_string().contains("nominal, powersave, performance"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1511,7 +790,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             spec.resilience.unwrap().policy,
-            PolicyKnob::ReplicateK {
+            RecoveryPolicy::ReplicateK {
                 replicas: 2,
                 max_retries: 3
             }

@@ -90,6 +90,11 @@ impl ElasticEventKind {
 /// One timed capacity event against a named platform device. Timed
 /// events consume no randomness, so they cannot perturb any other RNG
 /// stream.
+///
+/// Spelled in spec files as an object with a `kind` tag, e.g.
+/// `{"kind": "preempt", "device": "gpu0", "at_secs": 0.2,
+/// "notice_secs": 0.05}`; the tag decides which extra field
+/// (`deadline_secs`, `notice_secs`) is required, and legal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElasticEvent {
     /// Device name, resolved against the platform when the run starts.
@@ -100,20 +105,85 @@ pub struct ElasticEvent {
     pub kind: ElasticEventKind,
 }
 
+// Hand-written codec: the `kind` tag is written before `device` and
+// `at_secs`, and the variant's field after them.
+impl Serialize for ElasticEvent {
+    fn to_value(&self) -> serde::Value {
+        let mut obj = vec![
+            ("kind".to_owned(), self.kind.name().to_value()),
+            ("device".to_owned(), self.device.to_value()),
+            ("at_secs".to_owned(), self.at_secs.to_value()),
+        ];
+        match self.kind {
+            ElasticEventKind::Drain { deadline_secs } => {
+                obj.push(("deadline_secs".to_owned(), deadline_secs.to_value()));
+            }
+            ElasticEventKind::Preempt { notice_secs } => {
+                obj.push(("notice_secs".to_owned(), notice_secs.to_value()));
+            }
+            ElasticEventKind::Join | ElasticEventKind::Leave => {}
+        }
+        serde::Value::Object(obj)
+    }
+}
+
+impl<'de> Deserialize<'de> for ElasticEvent {
+    fn from_value(value: &serde::Value) -> Result<ElasticEvent, serde::DeError> {
+        const TY: &str = "ElasticEvent";
+        let secs = |key| serde::de::field::<f64>(value, TY, key);
+        let (kind, legal): (_, &[&str]) = match value.get("kind").and_then(serde::Value::as_str) {
+            Some("join") => (ElasticEventKind::Join, &["kind", "device", "at_secs"]),
+            Some("drain") => (
+                ElasticEventKind::Drain {
+                    deadline_secs: secs("deadline_secs")?,
+                },
+                &["kind", "device", "at_secs", "deadline_secs"],
+            ),
+            Some("preempt") => (
+                ElasticEventKind::Preempt {
+                    notice_secs: secs("notice_secs")?,
+                },
+                &["kind", "device", "at_secs", "notice_secs"],
+            ),
+            Some("leave") => (ElasticEventKind::Leave, &["kind", "device", "at_secs"]),
+            Some(other) => {
+                return Err(serde::DeError::new(format!(
+                    "{TY}: unknown kind {other:?}; legal values: {}",
+                    ElasticEventKind::kinds().join(", ")
+                )))
+            }
+            None => {
+                return Err(serde::DeError::new(format!(
+                    "{TY} must be an object with a \"kind\" tag, one of: {}",
+                    ElasticEventKind::kinds().join(", ")
+                )))
+            }
+        };
+        serde::de::deny_unknown_fields(value, TY, legal)?;
+        Ok(ElasticEvent {
+            device: serde::de::field(value, TY, "device")?,
+            at_secs: secs("at_secs")?,
+            kind,
+        })
+    }
+}
+
 /// Stochastic spot churn for one device: an alternating renewal process
 /// — after `mtbp_secs` (mean) of presence the device is preempted with
 /// `notice_secs` of notice, stays absent for `rejoin_secs` (mean), then
 /// re-joins, repeating for the whole run. Inter-event gaps are sampled
 /// from the device's own forked RNG stream
 /// (`ELASTIC_STREAM_BASE + device id`), never by event order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ElasticChurn {
     /// Device name, resolved against the platform when the run starts.
     pub device: String,
     /// Mean time between preemptions while present, seconds.
     pub mtbp_secs: f64,
     /// Weibull shape for the inter-preemption distribution; `None`
-    /// selects the exponential.
+    /// (omitted in spec files) selects the exponential.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub weibull_shape: Option<f64>,
     /// Kill notice per preemption, seconds; strictly positive.
     pub notice_secs: f64,
@@ -142,11 +212,20 @@ impl ElasticChurn {
 /// [`EngineConfig::elasticity`](crate::EngineConfig). Requires the
 /// [`ResilientRunner`](crate::ResilientRunner) — departures feed the
 /// same recovery machinery as permanent faults.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Spelled in spec files as, e.g.
+/// `{"events": [{"kind": "preempt", "device": "gpu0", "at_secs": 0.2,
+/// "notice_secs": 0.05}], "churn": [{"device": "cpu1",
+/// "mtbp_secs": 0.5, "notice_secs": 0.02, "rejoin_secs": 0.2}]}`;
+/// either array may be omitted.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ElasticityConfig {
     /// Timed capacity events, in any order (execution sorts by time).
+    #[serde(default)]
     pub events: Vec<ElasticEvent>,
     /// Stochastic churn processes, at most one per device.
+    #[serde(default)]
     pub churn: Vec<ElasticChurn>,
 }
 

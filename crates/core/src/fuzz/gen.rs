@@ -14,15 +14,19 @@
 //! several times over by the differential oracles.
 
 use helios_sim::SimRng;
+use helios_workflow::generators::WorkflowClass;
 
 use crate::campaign::{
-    CampaignSpec, DvfsKnob, ElasticityKnob, FailureDomainKnob, FaultKnob, InterconnectFaultKnob,
-    PolicyKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange,
+    CampaignSpec, DvfsKnob, FaultKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange,
 };
-use crate::elastic::{ElasticChurn, ElasticEvent, ElasticEventKind};
+use crate::elastic::{ElasticChurn, ElasticEvent, ElasticEventKind, ElasticityConfig};
+use crate::resilience::{FailureDomain, LinkFaultModel, RecoveryPolicy};
 
-/// Workflow families a generated spec may sweep.
-pub const FAMILIES: &[&str] = &["montage", "cybershake", "epigenomics", "ligo", "sipht"];
+/// Workflow families a generated spec may sweep: every generator class,
+/// in [`WorkflowClass::ALL`] order.
+fn family_menu() -> Vec<&'static str> {
+    WorkflowClass::ALL.iter().map(|c| c.as_str()).collect()
+}
 
 /// Platform presets a generated spec may sweep.
 pub const PLATFORMS: &[&str] = &[
@@ -33,21 +37,14 @@ pub const PLATFORMS: &[&str] = &[
     "edge_soc",
 ];
 
-/// Schedulers a generated spec may sweep — the full lineup.
-pub const SCHEDULERS: &[&str] = &[
-    "heft",
-    "cpop",
-    "peft",
-    "lookahead",
-    "min-min",
-    "max-min",
-    "mct",
-    "met",
-    "olb",
-    "round-robin",
-    "random",
-    "annealing",
-];
+/// Schedulers a generated spec may sweep: the full lineup, in
+/// [`helios_sched::all_schedulers`] order.
+fn scheduler_menu() -> Vec<String> {
+    helios_sched::all_schedulers()
+        .iter()
+        .map(|s| s.name().to_owned())
+        .collect()
+}
 
 /// The smallest `tasks` value every family's generator accepts
 /// (epigenomics needs n ≥ 15, the largest of the five minimums).
@@ -85,36 +82,42 @@ fn domain_members(platform: &str) -> (&'static [&'static str], &'static [&'stati
 }
 
 /// Draws `n` distinct entries from `menu`, in shuffled order.
-fn pick_distinct(rng: &mut SimRng, menu: &[&str], n: usize) -> Vec<String> {
+fn pick_distinct<S: AsRef<str>>(rng: &mut SimRng, menu: &[S], n: usize) -> Vec<String> {
     let mut idx: Vec<usize> = (0..menu.len()).collect();
     rng.shuffle(&mut idx);
-    idx[..n].iter().map(|&i| menu[i].to_owned()).collect()
+    idx[..n]
+        .iter()
+        .map(|&i| menu[i].as_ref().to_owned())
+        .collect()
 }
 
-/// Draws the recovery-policy knob; all four kinds are reachable.
-fn gen_policy(rng: &mut SimRng) -> PolicyKnob {
+/// Draws the recovery policy; all four kinds are reachable.
+fn gen_policy(rng: &mut SimRng, schedulers: &[String]) -> RecoveryPolicy {
     let max_retries = rng.uniform_usize(1, 8) as u32;
     match rng.uniform_usize(0, 3) {
         0 => {
             let base_secs = rng.uniform(0.0, 0.01);
-            PolicyKnob::RetryBackoff {
+            RecoveryPolicy::RetryBackoff {
                 base_secs,
                 factor: rng.uniform(1.0, 3.0),
                 cap_secs: base_secs + rng.uniform(0.0, 0.05),
                 max_retries,
             }
         }
-        1 => PolicyKnob::ReplicateK {
+        1 => RecoveryPolicy::ReplicateK {
             replicas: rng.uniform_usize(2, 3),
             max_retries,
         },
-        2 => PolicyKnob::CheckpointRestart {
+        2 => RecoveryPolicy::CheckpointRestart {
             interval_secs: rng.uniform(0.05, 0.5),
             overhead_secs: rng.uniform(0.0, 0.02),
             max_retries,
         },
-        _ => PolicyKnob::Reschedule {
-            scheduler: (*rng.choose(SCHEDULERS).expect("scheduler menu is non-empty")).to_owned(),
+        _ => RecoveryPolicy::Reschedule {
+            scheduler: rng
+                .choose(schedulers)
+                .expect("scheduler menu is non-empty")
+                .clone(),
             overhead_secs: rng.uniform(0.0, 0.02),
             max_retries,
         },
@@ -122,7 +125,7 @@ fn gen_policy(rng: &mut SimRng) -> PolicyKnob {
 }
 
 /// Draws the device failure model plus recovery policy.
-fn gen_resilience(rng: &mut SimRng) -> ResilienceKnob {
+fn gen_resilience(rng: &mut SimRng, schedulers: &[String]) -> ResilienceKnob {
     ResilienceKnob {
         mttf_secs: rng.uniform(0.5, 5.0),
         weibull_shape: if rng.chance(0.3) {
@@ -143,13 +146,13 @@ fn gen_resilience(rng: &mut SimRng) -> ResilienceKnob {
         degraded_slowdown: rng.uniform(1.0, 3.0),
         degraded_repair_secs: rng.uniform(0.0, 0.3),
         restart_overhead_secs: rng.uniform(0.0, 0.01),
-        policy: gen_policy(rng),
+        policy: gen_policy(rng, schedulers),
     }
 }
 
 /// Draws the per-link interconnect fault model.
-fn gen_interconnect(rng: &mut SimRng) -> InterconnectFaultKnob {
-    InterconnectFaultKnob {
+fn gen_interconnect(rng: &mut SimRng) -> LinkFaultModel {
+    LinkFaultModel {
         mttf_secs: rng.uniform(0.2, 3.0),
         weibull_shape: if rng.chance(0.3) {
             Some(rng.uniform(0.7, 2.0))
@@ -165,15 +168,15 @@ fn gen_interconnect(rng: &mut SimRng) -> InterconnectFaultKnob {
 
 /// Draws 1–2 correlated failure domains whose members exist on
 /// `platform`.
-fn gen_domains(rng: &mut SimRng, platform: &str) -> Vec<FailureDomainKnob> {
+fn gen_domains(rng: &mut SimRng, platform: &str) -> Vec<FailureDomain> {
     let (devices, links) = domain_members(platform);
     let n = rng.uniform_usize(1, 2);
     (0..n)
         .map(|i| {
             let n_devices = rng.uniform_usize(1, 2.min(devices.len()));
-            FailureDomainKnob {
+            FailureDomain {
                 kind: (*rng
-                    .choose(&["rack", "node", "psu"])
+                    .choose(FailureDomain::kinds())
                     .expect("kind menu is non-empty"))
                 .to_owned(),
                 name: format!("d{i}"),
@@ -223,7 +226,7 @@ fn elastic_members(platforms: &[String]) -> Vec<&'static str> {
 /// are deliberate; invalid ones (drain deadline at/before the notice,
 /// zero notices) are ruled out by construction, matching what spec
 /// validation would reject.
-fn gen_elasticity(rng: &mut SimRng, devices: &[&str]) -> ElasticityKnob {
+fn gen_elasticity(rng: &mut SimRng, devices: &[&str]) -> ElasticityConfig {
     let mut events = Vec::new();
     let mut churn = Vec::new();
     match rng.uniform_usize(0, 3) {
@@ -303,7 +306,7 @@ fn gen_elasticity(rng: &mut SimRng, devices: &[&str]) -> ElasticityKnob {
             }
         }
     }
-    ElasticityKnob { events, churn }
+    ElasticityConfig { events, churn }
 }
 
 /// Generates the deterministic spec of fuzz case `case` under
@@ -315,7 +318,7 @@ pub fn generate_spec(fuzz_seed: u64, case: usize) -> CampaignSpec {
 
     let families = {
         let n = rng.uniform_usize(1, 2);
-        pick_distinct(&mut rng, FAMILIES, n)
+        pick_distinct(&mut rng, &family_menu(), n)
     };
 
     // Fault mode: ~40% fault-free, ~20% legacy flat-retry faults, ~40%
@@ -333,9 +336,10 @@ pub fn generate_spec(fuzz_seed: u64, case: usize) -> CampaignSpec {
         pick_distinct(&mut rng, PLATFORMS, n)
     };
 
+    let lineup = scheduler_menu();
     let schedulers = {
         let n = rng.uniform_usize(1, 2);
-        pick_distinct(&mut rng, SCHEDULERS, n)
+        pick_distinct(&mut rng, &lineup, n)
     };
 
     let has = |name: &str| schedulers.iter().any(|s| s == name);
@@ -380,7 +384,7 @@ pub fn generate_spec(fuzz_seed: u64, case: usize) -> CampaignSpec {
         restart_overhead_secs: rng.uniform(0.0, 0.01),
         max_retries: rng.uniform_usize(0, 6) as u32,
     });
-    let resilience = with_resilience.then(|| gen_resilience(&mut rng));
+    let resilience = with_resilience.then(|| gen_resilience(&mut rng, &lineup));
     let interconnect_faults =
         (with_resilience && rng.chance(0.4)).then(|| gen_interconnect(&mut rng));
     let failure_domains = if with_domains {
@@ -432,28 +436,34 @@ mod tests {
 
     #[test]
     fn menus_resolve() {
-        for f in FAMILIES {
-            assert!(
-                crate::campaign::spec::family_class(f).is_some(),
-                "{f:?} is not a workflow family"
-            );
-        }
+        // The generator's RNG stream indexes these menus, so their order
+        // is part of every generated spec.
+        assert_eq!(
+            family_menu(),
+            ["montage", "cybershake", "epigenomics", "ligo", "sipht"]
+        );
         for p in PLATFORMS {
             assert!(
                 helios_platform::presets::by_name(p).is_some(),
                 "{p:?} is not a platform preset"
             );
         }
-        for s in SCHEDULERS {
-            assert!(
-                helios_sched::scheduler_by_name(s).is_some(),
-                "{s:?} is not a scheduler"
-            );
-        }
         assert_eq!(
-            SCHEDULERS.len(),
-            helios_sched::all_schedulers().len(),
-            "the fuzz menu must cover the whole lineup"
+            scheduler_menu(),
+            [
+                "heft",
+                "cpop",
+                "peft",
+                "lookahead",
+                "min-min",
+                "max-min",
+                "mct",
+                "met",
+                "olb",
+                "round-robin",
+                "random",
+                "annealing",
+            ]
         );
     }
 

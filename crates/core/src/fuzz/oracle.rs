@@ -628,8 +628,8 @@ fn bound_applies(spec: &CampaignSpec) -> bool {
             no_permanent_loss
                 && matches!(
                     r.policy,
-                    crate::campaign::PolicyKnob::RetryBackoff { .. }
-                        | crate::campaign::PolicyKnob::CheckpointRestart { .. }
+                    crate::RecoveryPolicy::RetryBackoff { .. }
+                        | crate::RecoveryPolicy::CheckpointRestart { .. }
                 )
         }
     }

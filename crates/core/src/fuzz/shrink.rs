@@ -12,7 +12,8 @@
 //! every accepted step strictly shrinks the spec, so the loop
 //! terminates without it.
 
-use crate::campaign::spec::{CampaignSpec, DvfsKnob, PolicyKnob};
+use crate::campaign::spec::{CampaignSpec, DvfsKnob};
+use crate::resilience::RecoveryPolicy;
 
 use super::oracle::{check_spec, Divergence};
 
@@ -156,12 +157,7 @@ fn candidates(spec: &CampaignSpec) -> Vec<CampaignSpec> {
     if let Some(r) = &spec.resilience {
         // Simplify the policy to the flat-retry floor; gated on not
         // already being there so an accepted step never reappears.
-        let floor = PolicyKnob::RetryBackoff {
-            base_secs: 0.0,
-            factor: 1.0,
-            cap_secs: 0.0,
-            max_retries: 3,
-        };
+        let floor = RecoveryPolicy::flat_retry(3);
         if r.policy != floor {
             let mut c = spec.clone();
             c.resilience.as_mut().expect("resilience present").policy = floor;

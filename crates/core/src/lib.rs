@@ -107,8 +107,7 @@ pub mod store;
 
 pub use campaign::{
     cell_rng, merge_shards, CampaignEngine, CampaignError, CampaignSpec, CellResult, DvfsKnob,
-    ElasticityKnob, FailureDomainKnob, FaultKnob, InterconnectFaultKnob, JournalHeader,
-    JournalOptions, JournalWriter, JsonSalvage, PolicyKnob, ResilienceKnob, Salvage,
+    FaultKnob, JournalHeader, JournalOptions, JournalWriter, JsonSalvage, ResilienceKnob, Salvage,
     SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, SummaryRow, SweepCell, SweepDriver,
     SweepOptions, SweepOutcome, SweepReport,
 };

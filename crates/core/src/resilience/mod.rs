@@ -144,6 +144,11 @@ impl FailureModel {
 /// nothing until repaired, so transfers stall or reroute — or a
 /// bandwidth *degradation* that stretches every crossing transfer by
 /// `degraded_factor` until repair.
+///
+/// Spelled in spec files as an object with a `distribution` tag, e.g.
+/// `{"distribution": "weibull", "mttf_secs": 0.2, "shape": 1.5,
+/// "outage_secs": 0.05}`; every field but `mttf_secs` (and `shape`
+/// under Weibull) defaults to [`LinkFaultModel::exponential`]'s value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkFaultModel {
     /// Mean time to failure (exponential) or characteristic life
@@ -236,6 +241,81 @@ impl LinkFaultModel {
     }
 }
 
+// Hand-written codec: the `distribution` tag decides whether `shape` is
+// required, and legal.
+impl Serialize for LinkFaultModel {
+    fn to_value(&self) -> serde::Value {
+        let distribution = match self.weibull_shape {
+            None => "exponential",
+            Some(_) => "weibull",
+        };
+        let num = |key: &str, v: f64| (key.to_owned(), v.to_value());
+        let mut obj = vec![
+            ("distribution".to_owned(), distribution.to_value()),
+            num("mttf_secs", self.mttf_secs),
+        ];
+        obj.extend(self.weibull_shape.map(|shape| num("shape", shape)));
+        obj.extend([
+            num("degraded_prob", self.degraded_prob),
+            num("degraded_factor", self.degraded_factor),
+            num("outage_secs", self.outage_secs),
+            num("degraded_repair_secs", self.degraded_repair_secs),
+        ]);
+        serde::Value::Object(obj)
+    }
+}
+
+impl<'de> Deserialize<'de> for LinkFaultModel {
+    fn from_value(value: &serde::Value) -> Result<LinkFaultModel, serde::DeError> {
+        const TY: &str = "LinkFaultModel";
+        const DISTRIBUTIONS: &str = "exponential, weibull";
+        let (weibull, legal): (bool, &[&str]) =
+            match value.get("distribution").and_then(serde::Value::as_str) {
+                Some("exponential") => (false, &LINK_FAULT_KEYS[..LINK_FAULT_KEYS.len() - 1]),
+                Some("weibull") => (true, &LINK_FAULT_KEYS),
+                Some(other) => {
+                    return Err(serde::DeError::new(format!(
+                        "{TY}: unknown distribution {other:?}; legal values: {DISTRIBUTIONS}"
+                    )))
+                }
+                None => {
+                    return Err(serde::DeError::new(format!(
+                        "{TY} must be an object with a \"distribution\" tag, one of: \
+                         {DISTRIBUTIONS}"
+                    )))
+                }
+            };
+        serde::de::deny_unknown_fields(value, TY, legal)?;
+        let mttf_secs = serde::de::field(value, TY, "mttf_secs")?;
+        let d = LinkFaultModel::exponential(mttf_secs);
+        let or = |key, default: f64| serde::de::field_or_else(value, TY, key, || default);
+        Ok(LinkFaultModel {
+            mttf_secs,
+            weibull_shape: if weibull {
+                Some(serde::de::field(value, TY, "shape")?)
+            } else {
+                None
+            },
+            degraded_prob: or("degraded_prob", d.degraded_prob)?,
+            degraded_factor: or("degraded_factor", d.degraded_factor)?,
+            outage_secs: or("outage_secs", d.outage_secs)?,
+            degraded_repair_secs: or("degraded_repair_secs", d.degraded_repair_secs)?,
+        })
+    }
+}
+
+/// Every key of a [`LinkFaultModel`] object; `shape` (last) is legal
+/// under the Weibull distribution only.
+const LINK_FAULT_KEYS: [&str; 7] = [
+    "distribution",
+    "mttf_secs",
+    "degraded_prob",
+    "degraded_factor",
+    "outage_secs",
+    "degraded_repair_secs",
+    "shape",
+];
+
 /// A correlated failure domain: a named group of devices *and* links
 /// (a rack, a node, a shared PSU) struck together by single events drawn
 /// from one forked RNG stream per domain.
@@ -248,31 +328,47 @@ impl LinkFaultModel {
 /// way; permanent events remove every member device *and* link for the
 /// rest of the run — destroying the data products resident on those
 /// devices and partitioning whatever the links connected.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Spelled in spec files as, e.g. `{"kind": "rack", "name": "r0",
+/// "devices": ["gpu0", "gpu1"], "links": ["nvlink"], "mttf_secs": 0.5,
+/// "permanent_prob": 0.1}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FailureDomain {
     /// Domain kind tag; one of [`FailureDomain::kinds`].
     pub kind: String,
     /// Unique domain name, used in validation errors and reports.
     pub name: String,
     /// Member device names (resolved against the platform per cell).
+    #[serde(default)]
     pub devices: Vec<String>,
     /// Member link names; a name selects *every* link carrying it
     /// (cluster presets share link names across nodes).
+    #[serde(default)]
     pub links: Vec<String>,
     /// Mean time to failure (exponential) or characteristic life
     /// (Weibull) of the whole domain, in seconds.
     pub mttf_secs: f64,
     /// Weibull shape parameter; `None` selects the exponential
     /// distribution.
+    #[serde(default)]
     pub weibull_shape: Option<f64>,
     /// Probability that a domain event degrades its members instead of
-    /// aborting their in-flight work.
+    /// aborting their in-flight work (default 0).
+    #[serde(default)]
     pub degraded_prob: f64,
     /// Probability that a domain event takes the whole group down for
-    /// good.
+    /// good (default 0).
+    #[serde(default)]
     pub permanent_prob: f64,
-    /// Downtime of member links under non-permanent events, seconds.
+    /// Downtime of member links under non-permanent events, seconds
+    /// (default 0.05).
+    #[serde(default = "default_outage_secs")]
     pub outage_secs: f64,
+}
+
+fn default_outage_secs() -> f64 {
+    0.05
 }
 
 impl FailureDomain {
@@ -336,7 +432,13 @@ impl FailureDomain {
 }
 
 /// What the runtime does when an attempt or a device fails.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Spelled in spec files as an object with a `kind` tag (the
+/// [`name`](RecoveryPolicy::name)), e.g. `{"kind": "retry-backoff",
+/// "base_secs": 0.001, "factor": 2.0, "cap_secs": 0.01,
+/// "max_retries": 10}`; `max_retries` defaults to 3.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
 pub enum RecoveryPolicy {
     /// Re-run the aborted attempt after a capped exponential backoff:
     /// retry `r` (1-based) waits `min(base · factor^(r-1), cap)` seconds
@@ -349,6 +451,7 @@ pub enum RecoveryPolicy {
         /// Upper bound on any single backoff, seconds.
         cap_secs: f64,
         /// Retry budget per task; exceeding it aborts the run.
+        #[serde(default = "default_max_retries")]
         max_retries: u32,
     },
     /// Run `replicas` copies of every task on distinct devices; the
@@ -358,6 +461,7 @@ pub enum RecoveryPolicy {
         /// to the number of feasible devices.
         replicas: usize,
         /// Per-replica retry budget for transient failures.
+        #[serde(default = "default_max_retries")]
         max_retries: u32,
     },
     /// Snapshot progress every `interval_secs` of execution at
@@ -371,6 +475,7 @@ pub enum RecoveryPolicy {
         /// Cost of writing one snapshot, seconds.
         overhead_secs: f64,
         /// Retry budget per task.
+        #[serde(default = "default_max_retries")]
         max_retries: u32,
     },
     /// On a permanent device loss, re-plan the whole workflow on the
@@ -385,8 +490,13 @@ pub enum RecoveryPolicy {
         /// start, seconds.
         overhead_secs: f64,
         /// Retry budget per task for transient failures.
+        #[serde(default = "default_max_retries")]
         max_retries: u32,
     },
+}
+
+fn default_max_retries() -> u32 {
+    3
 }
 
 impl RecoveryPolicy {
@@ -413,17 +523,6 @@ impl RecoveryPolicy {
             RecoveryPolicy::CheckpointRestart { .. } => "checkpoint-restart",
             RecoveryPolicy::Reschedule { .. } => "reschedule",
         }
-    }
-
-    /// Every legal policy name, for error messages.
-    #[must_use]
-    pub fn names() -> &'static [&'static str] {
-        &[
-            "retry-backoff",
-            "replicate-k",
-            "checkpoint-restart",
-            "reschedule",
-        ]
     }
 
     /// The per-task (per-replica for [`RecoveryPolicy::ReplicateK`])

@@ -248,6 +248,88 @@ fn corruptions(bad: &str, poison: f64) -> Vec<Corruption> {
             json: spec_with("").split_at(40).0.to_owned(),
             needle: "malformed",
         },
+        // The schema is closed: a key no type declares, or a key given
+        // twice, is refused at every depth instead of being ignored.
+        Corruption {
+            label: "unknown top-level key",
+            json: spec_with(r#", "noise_cvv": 0.3"#),
+            needle: "noise_cvv",
+        },
+        Corruption {
+            label: "duplicate key",
+            json: spec_with(r#", "noise_cv": 0.1, "noise_cv": 0.2"#),
+            needle: r#"duplicate key "noise_cv""#,
+        },
+        Corruption {
+            label: "unknown key in resilience",
+            json: spec_with(
+                r#", "resilience": {"mttf_secs": 50.0, "permanant_prob": 0.1,
+                                    "policy": {"kind": "replicate-k", "replicas": 2}}"#,
+            ),
+            needle: "permanant_prob",
+        },
+        Corruption {
+            label: "unknown key in policy",
+            json: resilience_with(r#"{"kind": "replicate-k", "replicas": 2, "max_retires": 3}"#),
+            needle: "max_retires",
+        },
+        Corruption {
+            label: "unknown key in scheduler_params",
+            json: spec_with(r#", "scheduler_params": {"anealing_iterations": 5}"#),
+            needle: "anealing_iterations",
+        },
+        Corruption {
+            label: "shape under an exponential interconnect block",
+            json: spec_with(
+                r#", "resilience": {"mttf_secs": 50.0,
+                                    "policy": {"kind": "replicate-k", "replicas": 2}},
+                    "interconnect_faults": {"distribution": "exponential",
+                                            "mttf_secs": 100.0, "shape": 1.5}"#,
+            ),
+            needle: "shape",
+        },
+        Corruption {
+            label: "notice_secs on a leave event",
+            json: spec_with(
+                r#", "elasticity": {"events": [{"kind": "leave", "device": "cpu0",
+                                                "at_secs": 0.5, "notice_secs": 0.1}]}"#,
+            ),
+            needle: "notice_secs",
+        },
+        // Numbers are never coerced: a fraction or an out-of-range
+        // integer is refused instead of truncated, wrapped or saturated.
+        Corruption {
+            label: "fractional replica count",
+            json: resilience_with(r#"{"kind": "replicate-k", "replicas": 2.5}"#),
+            needle: "replicas",
+        },
+        Corruption {
+            label: "annealing iterations past u32",
+            json: spec_with(r#", "scheduler_params": {"annealing_iterations": 4294967297}"#),
+            needle: "annealing_iterations",
+        },
+        Corruption {
+            label: "policy max_retries past u32",
+            json: resilience_with(
+                r#"{"kind": "replicate-k", "replicas": 2, "max_retries": 4294967299}"#,
+            ),
+            needle: "max_retries",
+        },
+        Corruption {
+            label: "faults max_retries past u32",
+            json: spec_with(r#", "faults": {"mtbf_secs": 100.0, "max_retries": 4294967298}"#),
+            needle: "max_retries",
+        },
+        Corruption {
+            label: "seed base past u64",
+            json: spec_with("").replace(r#""base": 0"#, r#""base": 1e30"#),
+            needle: "base",
+        },
+        Corruption {
+            label: "cell_step_budget past u64",
+            json: spec_with(r#", "cell_step_budget": 1e300"#),
+            needle: "cell_step_budget",
+        },
     ]
 }
 
