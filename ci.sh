@@ -334,6 +334,21 @@ for workload in paper_grid resilient_exec durable_sweep store_query; do
 done
 echo "benchmark smoke OK on every workload, --trace 0 and 1"
 
+echo "==> full-size resilient_exec digest (release, one pass)"
+# One measured pass of the full-size seed-0 resilient_exec workload (96
+# cells of 2000 tasks, about 4.6M simulated failures): the benchmark
+# exits non-zero unless the merged report matches the pinned
+# Workload::seed0_digest. This pins the resilient runner's hot path at a
+# scale the exec_golden fixtures never reach; about 6 s in release.
+if ! cargo run --release --offline -p helios-bench --bin benchmark -- \
+    --workload resilient_exec --seed 0 --seconds 0 \
+    > "$sweep_tmp/resilient_exec.log" 2>&1; then
+    cat "$sweep_tmp/resilient_exec.log" >&2
+    echo "full-size resilient_exec failed its seed-0 digest check" >&2
+    exit 1
+fi
+echo "resilient_exec seed 0 matches its pinned digest"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -13,7 +13,8 @@
 //! * `drive` + `Hooks` — the step loop over `(ready-set, transfer
 //!   staging, link health, occupancy, timeline charge, completion)`,
 //!   parameterized per execution path (event type, dispatch strategy,
-//!   step-budget placement);
+//!   step-budget placement), and `ElidedPops`, which keeps a step
+//!   budget exact when a path skips events that would pop as no-ops;
 //! * `occupancy_on` / `fault_occupancy` / `noise_factor` /
 //!   `slowdown_factor` — per-attempt device occupancy under noise,
 //!   checkpoint overhead and fault retries;
@@ -46,7 +47,7 @@ mod conformance;
 
 pub(crate) use accounting::finish_report;
 pub use accounting::IncompleteReason;
-pub(crate) use hooks::{drive, BudgetPoint, Hooks};
+pub(crate) use hooks::{drive, BudgetPoint, ElidedPops, Hooks};
 pub(crate) use occupancy::{fault_occupancy, noise_factor, occupancy_on, slowdown_factor};
 pub(crate) use realized::{repair_device_overlaps, validate_realized};
 pub(crate) use routing::{choose_route, RouteChoice};

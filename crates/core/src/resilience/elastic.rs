@@ -521,6 +521,7 @@ impl Sim<'_> {
         deadline: SimTime,
         now: SimTime,
     ) -> Result<(), EngineError> {
+        self.dispatch_dirty = true;
         let el = self.elastic.as_mut().expect("elastic runtime");
         el.draining[d] = true;
         el.pending_depart[d] = Some(kind);
@@ -567,6 +568,7 @@ impl Sim<'_> {
     /// with the device and the lineage re-materializes; stranded tasks
     /// re-enter recovery.
     fn depart_device(&mut self, d: usize, now: SimTime) -> Result<(), EngineError> {
+        self.dispatch_dirty = true;
         if let Some(ri) = self.devs[d].running.take() {
             match self.replicas[ri].state {
                 RState::Running => {

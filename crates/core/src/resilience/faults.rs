@@ -9,7 +9,33 @@ impl Sim<'_> {
     pub(super) fn schedule_next_fault(&mut self, d: usize, now: SimTime) {
         let ev = self.process.next_after(&mut self.devs[d].rng, now);
         self.devs[d].pending_kind = Some(ev.kind);
+        self.devs[d].next_fault_at = Some(ev.at);
         self.queue.push(ev.at, Ev::Fault { device: d });
+    }
+
+    /// Queues the `Finish` of `ri`'s attempt `gen` at `at`, unless that
+    /// event is doomed: it would pop at or after the device's pending
+    /// Fault, which was queued earlier and so also wins a tie.
+    ///
+    /// Eliding it is exact by one invariant: when a device's Fault pops,
+    /// every attempt then `Running` on it gets a new `gen` (a transient
+    /// fault aborts it, a degraded one reprojects it, a permanent one
+    /// loses it), so the `Finish` would pop stale and change nothing.
+    /// Skipping the push draws no randomness and keeps the order of all
+    /// other events; under a step budget its key is kept so `drive`
+    /// still charges the no-op pop it stands for.
+    pub(super) fn push_finish(&mut self, ri: usize, gen: u32, at: SimTime) {
+        let d = self.replicas[ri].device.0;
+        if self.devs[d].next_fault_at.is_some_and(|f| at >= f) && !reference_mode() {
+            #[cfg(test)]
+            tests::probe::count(tests::probe::Site::Elided);
+            let key = self.queue.skip(at);
+            if self.cfg.step_budget.is_some() {
+                self.elided.record(key);
+            }
+            return;
+        }
+        self.queue.push(at, Ev::Finish { replica: ri, gen });
     }
 
     pub(super) fn schedule_next_link_fault(&mut self, l: usize, now: SimTime) {
@@ -30,6 +56,7 @@ impl Sim<'_> {
     }
 
     pub(super) fn handle_fault(&mut self, d: usize, now: SimTime) -> Result<(), EngineError> {
+        self.devs[d].next_fault_at = None;
         if !self.avail.is_up(DeviceId(d)) {
             return Ok(()); // The device already failed permanently.
         }
@@ -256,7 +283,7 @@ impl Sim<'_> {
             let task = r.task;
             let attempts = r.retries + 1;
             let d = r.device.0;
-            self.devs[d].running = None;
+            self.release(d);
             self.devs[d].pos += 1;
             if !self.task_has_live_replica(task) {
                 return Err(EngineError::RetriesExhausted { task, attempts });
@@ -287,9 +314,7 @@ impl Sim<'_> {
         r.gen += 1;
         let gen = r.gen;
         let left = r.attempt.total_eff - r.attempt.done_eff;
-        self.queue.push(
-            r.attempt.last_update + left * new_slowdown,
-            Ev::Finish { replica: ri, gen },
-        );
+        let at = r.attempt.last_update + left * new_slowdown;
+        self.push_finish(ri, gen, at);
     }
 }

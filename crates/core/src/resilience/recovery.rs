@@ -48,7 +48,7 @@ impl Sim<'_> {
         let d = self.replicas[ri].device.0;
         self.replicas[ri].state = RState::Lost;
         self.replicas[ri].gen += 1;
-        self.devs[d].running = None;
+        self.release(d);
         self.devs[d].pos += 1;
         if !self.task_has_live_replica(task) {
             // Partition recovery is always local reassignment (a full
@@ -115,7 +115,7 @@ impl Sim<'_> {
         for &d in dead {
             self.avail.set_down(DeviceId(d));
             self.elastic_note_dead(d, now);
-            self.devs[d].running = None;
+            self.release(d);
             let suffix: Vec<usize> = self.devs[d].queue[self.devs[d].pos..].to_vec();
             for ri in suffix {
                 match self.replicas[ri].state {

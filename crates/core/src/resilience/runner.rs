@@ -45,8 +45,9 @@ use helios_workflow::{TaskId, Workflow};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::exec::{
-    choose_route, drive, noise_factor, slowdown_factor, BudgetPoint, DeliveredCache, Hooks,
-    LinkState, RouteChoice, DOMAIN_STREAM_BASE, FAILURE_TRACE_STREAM_BASE, LINK_FAULT_STREAM_BASE,
+    choose_route, drive, noise_factor, slowdown_factor, BudgetPoint, DeliveredCache, ElidedPops,
+    Hooks, LinkState, RouteChoice, DOMAIN_STREAM_BASE, FAILURE_TRACE_STREAM_BASE,
+    LINK_FAULT_STREAM_BASE,
 };
 use crate::report::{ExecutionReport, TransferStats};
 use crate::resilience::{RecoveryPolicy, ResilienceConfig, ResilienceMetrics};
@@ -59,6 +60,15 @@ mod faults;
 mod recovery;
 #[path = "staging.rs"]
 mod staging;
+
+/// Whether the hot-path shortcuts (doomed-`Finish` elision, flagged
+/// dispatch) are off; only test builds can switch them off.
+#[cfg(not(test))]
+const fn reference_mode() -> bool {
+    false
+}
+#[cfg(test)]
+use tests::reference_mode;
 
 /// Executes static plans under a failure model and a recovery policy,
 /// attaching [`ResilienceMetrics`] to the report.
@@ -290,6 +300,8 @@ struct Dev {
     rng: SimRng,
     /// Failure mode pre-drawn for the next Fault event on this device.
     pending_kind: Option<FailureKind>,
+    /// Instant of that pending Fault; `None` once it is taken.
+    next_fault_at: Option<SimTime>,
 }
 
 /// Per-link fault-injection state. Allocated for every link so domain
@@ -399,9 +411,14 @@ struct Sim<'a> {
     /// both the faulty run and the baseline iff this is set, so the two
     /// runs are numerically comparable.
     link_health_active: bool,
-    /// Set when recovery queues new replicas mid-dispatch, forcing
-    /// another dispatch pass over all devices.
+    /// Set by every change that can let a queued replica start: a
+    /// device released, a task finished, a replica queued or re-queued,
+    /// a device's liveness or membership changed. `after_event` runs
+    /// the dispatcher only when it is set, and the dispatcher re-scans
+    /// while a pass sets it again.
     dispatch_dirty: bool,
+    /// Keys of elided `Finish` events, kept only under a step budget.
+    elided: ElidedPops,
     /// Elastic-capacity runtime, when the config has an elasticity
     /// block (both passes: capacity is reality, not fault injection).
     elastic: Option<elastic::ElasticRt>,
@@ -528,6 +545,7 @@ impl<'a> Sim<'a> {
             domains_rt,
             link_health_active,
             dispatch_dirty: false,
+            elided: ElidedPops::default(),
             elastic: None,
         };
         sim.init_elastic(&base_rng)?;
@@ -611,6 +629,7 @@ impl<'a> Sim<'a> {
                 repair_seq: 0,
                 rng: base_rng.fork(FAILURE_TRACE_STREAM_BASE + d as u64),
                 pending_kind: None,
+                next_fault_at: None,
             });
         }
 
@@ -652,6 +671,8 @@ impl<'a> Sim<'a> {
     /// terminates.
     fn dispatch_all(&mut self, now: SimTime) -> Result<(), EngineError> {
         loop {
+            #[cfg(test)]
+            tests::probe::count(tests::probe::Site::DispatchPass);
             self.dispatch_dirty = false;
             for d in 0..self.devs.len() {
                 if !self.dispatchable(d) {
@@ -753,10 +774,7 @@ impl<'a> Sim<'a> {
             slowdown,
         };
         let gen = r.gen;
-        self.queue.push(
-            exec_start + total_eff * slowdown,
-            Ev::Finish { replica: ri, gen },
-        );
+        self.push_finish(ri, gen, exec_start + total_eff * slowdown);
         Ok(())
     }
 
@@ -768,6 +786,13 @@ impl<'a> Sim<'a> {
         let gained = elapsed / a.slowdown;
         a.done_eff = (a.done_eff + gained).min(a.total_eff);
         a.last_update = a.last_update.max(now);
+    }
+
+    /// Frees device `d` of its held replica and flags the dispatcher:
+    /// the next entry of its queue may start.
+    fn release(&mut self, d: usize) {
+        self.devs[d].running = None;
+        self.dispatch_dirty = true;
     }
 
     /// Whether `task` still has a replica that can finish.
@@ -784,9 +809,11 @@ impl<'a> Sim<'a> {
     fn cancel_replica(&mut self, ri: usize, now: SimTime) {
         match self.replicas[ri].state {
             RState::Queued => {
-                // Never launched: nothing executed, nothing to count.
+                // Never launched: nothing executed, nothing to count. It
+                // may have blocked its device's queue head.
                 self.replicas[ri].state = RState::Cancelled;
                 self.replicas[ri].gen += 1;
+                self.dispatch_dirty = true;
             }
             RState::Running => {
                 self.update_progress(ri, now);
@@ -795,7 +822,7 @@ impl<'a> Sim<'a> {
                 let d = self.replicas[ri].device.0;
                 self.replicas[ri].state = RState::Cancelled;
                 self.replicas[ri].gen += 1;
-                self.devs[d].running = None;
+                self.release(d);
                 self.devs[d].pos += 1;
             }
             RState::WaitingRestart => {
@@ -803,7 +830,7 @@ impl<'a> Sim<'a> {
                 let d = self.replicas[ri].device.0;
                 self.replicas[ri].state = RState::Cancelled;
                 self.replicas[ri].gen += 1;
-                self.devs[d].running = None;
+                self.release(d);
                 self.devs[d].pos += 1;
             }
             RState::Done | RState::Cancelled | RState::Failed | RState::Lost => {}
@@ -812,6 +839,8 @@ impl<'a> Sim<'a> {
 
     fn handle_finish(&mut self, ri: usize, gen: u32, now: SimTime) -> Result<(), EngineError> {
         if self.replicas[ri].gen != gen || self.replicas[ri].state != RState::Running {
+            #[cfg(test)]
+            tests::probe::count(tests::probe::Site::StaleFinish);
             return Ok(()); // Stale: aborted, cancelled or reprojected.
         }
         let task = self.replicas[ri].task;
@@ -831,7 +860,7 @@ impl<'a> Sim<'a> {
             finish: now,
         });
         self.completed += 1;
-        self.devs[device.0].running = None;
+        self.release(device.0);
         self.devs[device.0].pos += 1;
         // First finisher wins: cancel every sibling. Taken, not cloned:
         // `cancel_replica` never touches `task_replicas`.
@@ -868,7 +897,7 @@ impl<'a> Sim<'a> {
             r.state = RState::Queued;
             r.gen += 1;
             let d = r.device.0;
-            self.devs[d].running = None;
+            self.release(d);
             return Ok(());
         }
         self.start_attempt(ri, now)
@@ -877,8 +906,11 @@ impl<'a> Sim<'a> {
 
 /// The resilient hook set: completion-exit semantics (fault processes
 /// generate events forever, so the queue never drains), the step budget
-/// charged *before* the pop, and a full dispatcher pass after every
-/// event.
+/// charged *before* the pop (elided `Finish` events included, as ghost
+/// steps), and a dispatcher pass after each event that set
+/// `dispatch_dirty`: the dispatcher reaches a fixed point and start
+/// eligibility does not depend on `now`, so after any other event the
+/// pass would start nothing.
 impl Hooks for Sim<'_> {
     type Event = Ev;
 
@@ -903,6 +935,8 @@ impl Hooks for Sim<'_> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        #[cfg(test)]
+        tests::probe::count(tests::probe::Site::Pop);
         self.queue.pop()
     }
 
@@ -931,7 +965,14 @@ impl Hooks for Sim<'_> {
     }
 
     fn after_event(&mut self, now: SimTime) -> Result<(), EngineError> {
-        self.dispatch_all(now)
+        if self.dispatch_dirty || reference_mode() {
+            self.dispatch_all(now)?;
+        }
+        Ok(())
+    }
+
+    fn elided_before_head(&mut self) -> u64 {
+        self.elided.take_before(self.queue.peek_key())
     }
 }
 

@@ -562,3 +562,352 @@ fn step_budget_watchdog_aborts_grinding_runs() {
     );
     assert!(err.to_string().contains("step budget"), "{err}");
 }
+
+// ---- hot path: counters, reference mode, equivalence ----
+
+/// Per-thread counters of the runner's hot path (test builds only).
+/// Each test runs on its own thread, so a test reads exactly its own
+/// runs.
+pub(super) mod probe {
+    use std::cell::Cell;
+
+    /// A counted site of the step loop.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Site {
+        /// `Hooks::pop`: one event popped.
+        Pop,
+        /// A `Finish` popped after its replica's generation moved on.
+        StaleFinish,
+        /// One scan of every device by `dispatch_all`.
+        DispatchPass,
+        /// A doomed `Finish` that was never queued.
+        Elided,
+    }
+
+    thread_local! {
+        static COUNTS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+    }
+
+    pub(crate) fn count(site: Site) {
+        COUNTS.with(|c| {
+            let mut v = c.get();
+            v[site as usize] += 1;
+            c.set(v);
+        });
+    }
+
+    /// Returns `[pops, stale finishes, dispatch passes, elided
+    /// finishes]` and resets them.
+    pub(crate) fn take() -> [u64; 4] {
+        COUNTS.with(|c| c.replace([0; 4]))
+    }
+}
+
+thread_local! {
+    static REFERENCE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether this thread runs the reference mode: every `Finish` is
+/// queued and the dispatcher runs after every event, as before the
+/// hot-path shortcuts.
+pub(super) fn reference_mode() -> bool {
+    REFERENCE.with(std::cell::Cell::get)
+}
+
+/// The report JSON, or the error's `Debug` text (which carries
+/// `StepBudgetExceeded { completed, .. }`).
+fn outcome(r: Result<ExecutionReport, EngineError>) -> String {
+    match r {
+        Ok(report) => serde_json::to_string(&report).unwrap(),
+        Err(e) => format!("error: {e:?}"),
+    }
+}
+
+/// Runs `f` in the fast mode, on a thread of its own (whose
+/// thread-locals start in the fast mode and with zero counts), which
+/// must finish within a minute: a wrongly skipped `Finish` can leave a
+/// task that never completes while faults keep coming.
+fn in_fast_mode<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the fast mode finishes within a minute")
+}
+
+/// Runs `run` in the reference mode, then in the fast mode.
+fn both_modes<F>(run: F) -> (String, String)
+where
+    F: Fn() -> Result<ExecutionReport, EngineError> + Send + 'static,
+{
+    REFERENCE.with(|r| r.set(true));
+    let reference = outcome(run());
+    REFERENCE.with(|r| r.set(false));
+    (in_fast_mode(move || outcome(run())), reference)
+}
+
+/// The benchmark's `resilient_exec` cell shape at 200 tasks: montage on
+/// `hpc_node`, HEFT plan rewritten to powersave DVFS, contention and
+/// caching on, MTTF 20 ms with 10% degraded faults, checkpoint-restart
+/// every 10 ms.
+fn resilient_exec_cell(
+    seed: u64,
+    step_budget: Option<u64>,
+) -> Result<ExecutionReport, EngineError> {
+    let p = presets::hpc_node();
+    let wf = montage(200, 1).unwrap();
+    let mut fm = FailureModel::exponential(0.02);
+    fm.degraded_prob = 0.1;
+    let cfg = EngineConfig {
+        seed,
+        noise_cv: 0.1,
+        link_contention: true,
+        data_caching: true,
+        step_budget,
+        resilience: Some(ResilienceConfig::new(
+            fm,
+            RecoveryPolicy::CheckpointRestart {
+                interval_secs: 0.01,
+                overhead_secs: 0.0002,
+                max_retries: 1000,
+            },
+        )),
+        ..Default::default()
+    };
+    let plan = HeftScheduler::default().schedule(&wf, &p)?;
+    let powersave = plan
+        .placements()
+        .iter()
+        .map(|pl| Placement {
+            level: p.device(pl.device).unwrap().min_level(),
+            ..*pl
+        })
+        .collect();
+    ResilientRunner::new(cfg).execute_plan(&p, &wf, &Schedule::new(powersave)?)
+}
+
+#[test]
+fn hot_path_counts_witness() {
+    // Both passes (faulty and fault-free baseline) of one fixed cell, as
+    // [pops, stale finishes, dispatch passes, elided finishes]. The
+    // reference mode pins the counts from before the shortcuts, when
+    // every event was popped and followed by a dispatcher pass. The fast
+    // mode never queues 33 of the 35 stale finishes (the other two were
+    // voided by a repair's reprojection, or by one made while their
+    // device's next fault was not yet drawn), and runs one pass per
+    // finished task plus the two initial ones.
+    probe::take();
+    REFERENCE.with(|r| r.set(true));
+    let reference = resilient_exec_cell(0, None).unwrap();
+    REFERENCE.with(|r| r.set(false));
+    assert_eq!(probe::take(), [578, 35, 580, 0]);
+    let (fast, counts) = in_fast_mode(|| (resilient_exec_cell(0, None).unwrap(), probe::take()));
+    assert_eq!(fast, reference);
+    assert_eq!(counts, [545, 2, 402, 33]);
+}
+
+#[test]
+fn budget_trip_points_match_reference() {
+    // Every budget from 0 through the reference run's full step count,
+    // so each trip point is covered, including the ones that land on a
+    // stale `Finish` the fast mode never queued: there the trip must
+    // come from a ghost step, with the same `completed`.
+    REFERENCE.with(|r| r.set(true));
+    resilient_exec_cell(0, None).unwrap();
+    let [ref_pops, ..] = probe::take();
+    let mut stale_at = Vec::new();
+    for budget in 0..=ref_pops {
+        let _ = resilient_exec_cell(0, Some(budget));
+        stale_at.push(probe::take()[1]);
+    }
+    REFERENCE.with(|r| r.set(false));
+    // Budget b trips on step b + 1; it falls on a stale pop when one
+    // more step pops one more stale `Finish`.
+    let stale_trips = stale_at.windows(2).filter(|w| w[1] > w[0]).count();
+    assert!(stale_trips > 0, "no trip point falls on a stale pop");
+    let elided = in_fast_mode(|| {
+        resilient_exec_cell(0, None).unwrap();
+        probe::take()[3]
+    });
+    assert!(elided > 0, "the fast mode must elide finishes");
+    for budget in 0..=ref_pops {
+        let (fast, reference) = both_modes(move || resilient_exec_cell(0, Some(budget)));
+        assert_eq!(fast, reference, "step budget {budget}");
+    }
+}
+
+mod equivalence {
+    use super::*;
+    use crate::elastic::{ElasticChurn, ElasticEvent, ElasticEventKind, ElasticityConfig};
+    use helios_workflow::generators;
+    use proptest::prelude::*;
+
+    fn workflow(family: usize, n: usize, seed: u64) -> Workflow {
+        match family {
+            0 => generators::montage(n, seed),
+            1 => generators::cybershake(n, seed),
+            2 => generators::epigenomics(n, seed),
+            3 => generators::ligo_inspiral(n, seed),
+            _ => generators::sipht(n, seed),
+        }
+        .expect("generator accepts these sizes")
+    }
+
+    fn platform(preset: usize) -> Platform {
+        match preset {
+            0 => presets::workstation(),
+            1 => presets::hpc_node(),
+            2 => presets::cluster(2),
+            _ => presets::edge_soc(),
+        }
+    }
+
+    fn policy(which: usize, max_retries: u32) -> RecoveryPolicy {
+        match which {
+            0 => RecoveryPolicy::RetryBackoff {
+                base_secs: 0.002,
+                factor: 2.0,
+                cap_secs: 0.02,
+                max_retries,
+            },
+            1 => RecoveryPolicy::ReplicateK {
+                replicas: 2 + max_retries as usize % 2,
+                max_retries,
+            },
+            2 => RecoveryPolicy::CheckpointRestart {
+                interval_secs: 0.01,
+                overhead_secs: 0.0005,
+                max_retries,
+            },
+            _ => RecoveryPolicy::Reschedule {
+                scheduler: "heft".into(),
+                overhead_secs: 0.005,
+                max_retries,
+            },
+        }
+    }
+
+    /// Timed join/drain/preempt/leave events plus a churn renewal (mean
+    /// `mtbp` seconds between preemptions), spread over the platform's
+    /// devices. Every departed device joins again later.
+    fn elasticity(p: &Platform, at: f64, mtbp: f64) -> ElasticityConfig {
+        let names: Vec<String> = p.devices().iter().map(|d| d.name().to_owned()).collect();
+        let dev = |i: usize| names[i % names.len()].clone();
+        let event = |i: usize, at_secs: f64, kind: ElasticEventKind| ElasticEvent {
+            device: dev(i),
+            at_secs,
+            kind,
+        };
+        ElasticityConfig {
+            events: vec![
+                event(0, at, ElasticEventKind::Preempt { notice_secs: 0.01 }),
+                event(
+                    1,
+                    at * 1.5,
+                    ElasticEventKind::Drain {
+                        deadline_secs: at * 1.5 + 0.02,
+                    },
+                ),
+                event(2, at * 0.5, ElasticEventKind::Join),
+                event(2, at * 2.0, ElasticEventKind::Leave),
+                event(0, at * 3.0, ElasticEventKind::Join),
+                event(1, at * 4.0, ElasticEventKind::Join),
+                event(2, at * 5.0, ElasticEventKind::Join),
+            ],
+            churn: vec![ElasticChurn {
+                device: dev(3),
+                mtbp_secs: mtbp,
+                weibull_shape: None,
+                notice_secs: 0.005,
+                rejoin_secs: 0.02,
+            }],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random DAG × preset × recovery policy × fault stack × step
+        /// budget: the fast mode (doomed finishes elided, flagged
+        /// dispatch) and the reference mode (every finish queued, a
+        /// dispatcher pass after every event) give the same report
+        /// bytes, or the same error down to `completed`.
+        #[test]
+        fn fast_mode_matches_reference(
+            family in 0usize..5,
+            n in 15usize..60,
+            wf_seed in 0u64..1_000,
+            preset in 0usize..4,
+            which in 0usize..4,
+            seed in 0u64..1_000,
+            mttf in 0.004f64..0.1,
+            degraded_prob in 0.0f64..0.5,
+            permanent: bool,
+            few_retries: bool,
+            retries in 0u32..4,
+            link: bool,
+            domain in 0usize..3,
+            elastic: bool,
+            elastic_at in 0.01f64..0.2,
+            budgeted: bool,
+            budget in 1u64..400,
+        ) {
+            let p = platform(preset);
+            let wf = workflow(family, n, wf_seed);
+            let Ok(plan) = HeftScheduler::default().schedule(&wf, &p) else {
+                return; // Infeasible on this preset.
+            };
+            // Without a budget a run must end by itself: an attempt much
+            // longer than the gap between faults retries without end.
+            let longest = plan
+                .placements()
+                .iter()
+                .map(|pl| pl.finish.saturating_since(pl.start).as_secs())
+                .fold(0.0, f64::max);
+            let mttf = if budgeted { mttf } else { mttf.max(2.0 * longest) };
+            // Nor may it park a task for good: under elasticity a task
+            // whose only feasible device died waits for capacity as
+            // long as any device can still join.
+            let lasting = budgeted || !elastic;
+            let mut fm = FailureModel::exponential(mttf);
+            fm.degraded_prob = degraded_prob;
+            fm.permanent_prob = if permanent && lasting { 0.05 } else { 0.0 };
+            fm.restart_overhead_secs = 0.001;
+            let retries = if few_retries { retries } else { 10_000 };
+            let mut res = ResilienceConfig::new(fm, policy(which, retries));
+            if link {
+                res = res.with_link_faults(LinkFaultModel::exponential(0.02));
+            }
+            // A rack (first device and link) or a partition (the first
+            // link alone, usually severed for good).
+            if domain > 0 {
+                let dev = p.devices()[0].name().to_owned();
+                let link = p.interconnect().links()[0].name().to_owned();
+                let (devs, permanent_prob) = if domain == 1 {
+                    (vec![dev.as_str()], 0.1)
+                } else {
+                    (vec![], 0.5)
+                };
+                let permanent_prob = if lasting { permanent_prob } else { 0.0 };
+                res = res.with_domains(vec![FailureDomain {
+                    mttf_secs: 2.0 * mttf,
+                    weibull_shape: None,
+                    ..tight_domain(&devs, &[&link], 0.3, permanent_prob, 0.01)
+                }]);
+            }
+            let cfg = EngineConfig {
+                seed,
+                noise_cv: 0.1,
+                link_contention: seed % 2 == 0,
+                data_caching: seed % 3 == 0,
+                step_budget: budgeted.then_some(budget),
+                resilience: Some(res),
+                elasticity: elastic.then(|| elasticity(&p, elastic_at, 2.0 * mttf)),
+                ..Default::default()
+            };
+            let (fast, reference) = both_modes(move || {
+                ResilientRunner::new(cfg.clone()).execute_plan(&p, &wf, &plan)
+            });
+            prop_assert_eq!(fast, reference);
+        }
+    }
+}

@@ -143,6 +143,28 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Consumes the sequence number an event pushed at `time` would get,
+    /// without scheduling anything, and returns that `(time, sequence)`
+    /// key.
+    ///
+    /// A producer that knows an event would pop as a no-op can skip it
+    /// this way: every other event keeps its relative order, and the
+    /// returned key says exactly where in the pop order the skipped
+    /// event would have come (compare it with
+    /// [`peek_key`](EventQueue::peek_key)).
+    pub fn skip(&mut self, time: SimTime) -> (SimTime, u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (time, seq)
+    }
+
+    /// Returns the `(time, sequence)` key of the earliest pending event:
+    /// the pop order is ascending in this key.
+    #[must_use]
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|ev| (ev.time, ev.seq))
+    }
+
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|ev| (ev.time, ev.payload))
@@ -327,6 +349,25 @@ mod tests {
         buf.clear();
         assert_eq!(q.pop_batch_into(&mut buf), 0);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn skip_orders_like_an_unpushed_event() {
+        // A skipped key sorts exactly where the event would have popped,
+        // and the pushed events keep their relative order.
+        let mut q = EventQueue::new();
+        q.push(t(1.0), "a");
+        let skipped = q.skip(t(1.0));
+        q.push(t(1.0), "b");
+        q.push(t(0.5), "c");
+        assert_eq!(skipped, (t(1.0), 1));
+        assert_eq!(q.peek_key(), Some((t(0.5), 3)));
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert!(q.peek_key().unwrap() < skipped);
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert!(skipped < q.peek_key().unwrap());
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
