@@ -280,12 +280,17 @@ echo "==> columnar store + query smoke"
 "$helios" campaign merge --in "$sweep_tmp/s1.store" --in "$sweep_tmp/s2.store" \
     --out "$sweep_tmp/store_merged.json" > /dev/null
 cmp "$sweep_tmp/full.json" "$sweep_tmp/store_merged.json"
+# merge reads what query reads: the complete JSON sweep report is a
+# valid merge input (shard 1/1) and merges back to itself.
+"$helios" campaign merge --in "$sweep_tmp/full.json" \
+    --out "$sweep_tmp/full_remerged.json" > /dev/null
+cmp "$sweep_tmp/full.json" "$sweep_tmp/full_remerged.json"
 gq='SELECT scheduler, count(*), avg_completed(makespan_secs), frac(completed) GROUP BY scheduler'
 "$helios" query "$gq" --in "$sweep_tmp/s1.store" --in "$sweep_tmp/s2.store" \
     --json > "$sweep_tmp/q_store.json"
 "$helios" query "$gq" --in "$sweep_tmp/full.json" --json > "$sweep_tmp/q_json.json"
 cmp "$sweep_tmp/q_store.json" "$sweep_tmp/q_json.json"
-echo "store merge and GROUP BY query are byte-identical to the JSON path"
+echo "store merge, sweep-report re-merge and GROUP BY query are byte-identical to the JSON path"
 
 echo "==> perf-trajectory smoke"
 # Reduced-iteration run of the pinned benchmark harness: verifies the

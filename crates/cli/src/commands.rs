@@ -707,14 +707,12 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
 }
 
 /// `helios campaign merge` — recombine shard reports, cell journals
-/// and/or columnar stores (detected by magic bytes, salvaged
-/// read-only). The three kinds may be mixed freely in one invocation;
-/// a file from a different campaign is refused by the merge's
-/// spec-digest check.
+/// and/or columnar stores (each read by [`read_result_file`], so a
+/// complete JSON sweep report counts as shard 1/1). The kinds may be
+/// mixed freely in one invocation; a file from a different campaign is
+/// refused by the merge's spec-digest check, and a torn tail that hid
+/// the last cells makes the merge name the missing cells.
 fn campaign_merge(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::campaign::journal;
-    use helios_core::{merge_shards, ShardReport};
-
     let args = Args::parse(argv, &["in", "out"], &[])?;
     let inputs = args.get_all("in");
     if inputs.is_empty() {
@@ -722,38 +720,55 @@ fn campaign_merge(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> 
             "at least one --in shard-report (or journal/store) file is required".into(),
         ));
     }
-    let mut shards = Vec::with_capacity(inputs.len());
-    for path in inputs {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::Helios(format!("cannot read shard report {path:?}: {e}")))?;
-        if helios_core::store::is_store_bytes(&bytes) {
-            // Read-only, like the journal arm: a torn tail only matters
-            // if it hid the last rows, and then merge_shards names the
-            // missing cells.
-            let salvage = helios_core::read_store(std::path::Path::new(path))?;
-            shards.push(salvage.to_shard_report());
-            continue;
-        }
-        if journal::is_journal_bytes(&bytes) {
-            // Merge reads the journal without truncating it; a torn tail
-            // only matters if it hid the last completions, and then
-            // merge_shards reports the missing cells by index.
-            let salvage = journal::read_journal(std::path::Path::new(path))?;
-            shards.push(salvage.to_shard_report());
-            continue;
-        }
-        let json = String::from_utf8_lossy(&bytes).into_owned();
-        let shard: ShardReport = serde_json::from_str(&json)
-            .map_err(|e| CliError::Helios(format!("shard report {path:?}: {e}")))?;
-        shards.push(shard);
-    }
-    let report = merge_shards(&shards)?;
+    let shards = inputs
+        .iter()
+        .map(|path| read_result_file(path, "shard report"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let report = helios_core::merge_shards(&shards)?;
     write_sweep_summary(&report, out)?;
     if let Some(out_path) = args.get("out") {
         std::fs::write(out_path, serde_json::to_string_pretty(&report)?)?;
         writeln!(out, "wrote {out_path}")?;
     }
     Ok(())
+}
+
+/// Reads one sweep result file without modifying it, whatever its kind
+/// (detected by magic bytes): a columnar store or a cell journal (a
+/// torn tail is skipped, not truncated), a JSON shard report, or a
+/// complete JSON sweep report (as shard 1/1). `role` names the file in
+/// errors.
+fn read_result_file(path: &str, role: &str) -> Result<helios_core::ShardReport, CliError> {
+    use helios_core::campaign::journal;
+    use helios_core::{ShardReport, SweepReport};
+
+    let bytes = std::fs::read(path)
+        .map_err(|e| CliError::Helios(format!("cannot read {role} {path:?}: {e}")))?;
+    let file = std::path::Path::new(path);
+    if helios_core::store::is_store_bytes(&bytes) {
+        return Ok(helios_core::read_store(file)?.to_shard_report());
+    }
+    if journal::is_journal_bytes(&bytes) {
+        return Ok(journal::read_journal(file)?.to_shard_report());
+    }
+    let json = String::from_utf8_lossy(&bytes);
+    if let Ok(shard) = serde_json::from_str::<ShardReport>(&json) {
+        return Ok(shard);
+    }
+    let full: SweepReport = serde_json::from_str(&json).map_err(|e| {
+        CliError::Helios(format!(
+            "{role} {path:?} is neither a store, a journal, nor a JSON sweep/shard \
+             report: {e}"
+        ))
+    })?;
+    Ok(ShardReport {
+        spec_name: full.spec_name,
+        spec_digest: full.spec_digest,
+        total_cells: full.total_cells,
+        shard_index: 1,
+        shard_count: 1,
+        cells: full.cells,
+    })
 }
 
 /// Human-readable rendering of a merged sweep report.
@@ -856,8 +871,7 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// legitimate question — which is exactly where this is laxer than
 /// `campaign merge`.
 fn load_query_cells(inputs: &[&str]) -> Result<Vec<helios_core::CellResult>, CliError> {
-    use helios_core::campaign::journal;
-    use helios_core::{CampaignError, CellResult, EngineError, ShardReport, SweepReport};
+    use helios_core::{CampaignError, CellResult, EngineError};
 
     let conflict = |detail: String| -> CliError {
         EngineError::from(CampaignError::MergeConflict(detail)).into()
@@ -867,34 +881,7 @@ fn load_query_cells(inputs: &[&str]) -> Result<Vec<helios_core::CellResult>, Cli
     let mut spec: Option<(String, String, usize)> = None;
     let mut seen_in: std::collections::HashMap<usize, String> = std::collections::HashMap::new();
     for path in inputs {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::Helios(format!("cannot read query input {path:?}: {e}")))?;
-        let shard: ShardReport = if helios_core::store::is_store_bytes(&bytes) {
-            helios_core::read_store(std::path::Path::new(path))?.to_shard_report()
-        } else if journal::is_journal_bytes(&bytes) {
-            journal::read_journal(std::path::Path::new(path))?.to_shard_report()
-        } else {
-            let json = String::from_utf8_lossy(&bytes).into_owned();
-            match serde_json::from_str::<ShardReport>(&json) {
-                Ok(shard) => shard,
-                Err(_) => {
-                    let full: SweepReport = serde_json::from_str(&json).map_err(|e| {
-                        CliError::Helios(format!(
-                            "query input {path:?} is neither a store, a journal, nor a \
-                             JSON sweep/shard report: {e}"
-                        ))
-                    })?;
-                    ShardReport {
-                        spec_name: full.spec_name,
-                        spec_digest: full.spec_digest,
-                        total_cells: full.total_cells,
-                        shard_index: 1,
-                        shard_count: 1,
-                        cells: full.cells,
-                    }
-                }
-            }
-        };
+        let shard = read_result_file(path, "query input")?;
         match &spec {
             None => {
                 spec = Some((

@@ -153,6 +153,67 @@ fn campaign_sharded_sweep_through_the_binary() {
     assert_eq!(full, merged, "shard merge must be byte-identical");
 }
 
+/// `campaign merge` reads what `query` reads: a complete sweep report
+/// merges as shard 1/1 back to itself, and a file that is no result
+/// file is refused naming every kind it could have been.
+#[test]
+fn merge_accepts_a_complete_sweep_report() {
+    let dir = std::env::temp_dir().join("helios-bin-remerge");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    std::fs::write(dir.join("spec.json"), SPEC_JSON).unwrap();
+    let out = helios()
+        .args([
+            "campaign",
+            "run",
+            "--spec",
+            &path("spec.json"),
+            "--out",
+            &path("full.json"),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let out = helios()
+        .args([
+            "campaign",
+            "merge",
+            "--in",
+            &path("full.json"),
+            "--out",
+            &path("remerged.json"),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let full = std::fs::read(dir.join("full.json")).unwrap();
+    let remerged = std::fs::read(dir.join("remerged.json")).unwrap();
+    assert_eq!(full, remerged, "a sweep report merges back to itself");
+
+    for cmd in [
+        &["campaign", "merge"][..],
+        &["query", "SELECT count(*)"][..],
+    ] {
+        let out = helios()
+            .args(cmd)
+            .args(["--in", &path("spec.json")])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("is neither a store, a journal, nor a JSON sweep/shard report"),
+            "{cmd:?}: {err}"
+        );
+    }
+}
+
 #[test]
 fn killed_sweep_resumes_byte_identically() {
     let dir = std::env::temp_dir().join("helios-bin-resume");

@@ -1,7 +1,8 @@
 //! The write-ahead cell journal: crash-consistent sweep durability.
 //!
-//! A journal is an append-only binary file recording sweep progress at
-//! cell granularity. The layout is
+//! A journal is a framed file (the checksummed append-only layout it
+//! shares with the columnar store) recording sweep progress at cell
+//! granularity. The layout is
 //!
 //! ```text
 //! magic  "HELIOSJ1"                                    (8 bytes)
@@ -9,17 +10,16 @@
 //! record [kind: u8][len: u32][crc32: u32][payload]     (repeated)
 //! ```
 //!
-//! with little-endian integers and IEEE CRC-32 over the payload. Two
+//! so a record is its kind byte followed by a standard frame. Two
 //! record kinds exist: an *attempt* (kind 1, `{"cell":N}`) appended
 //! before a cell executes, and a *completion* (kind 2, a compact-JSON
 //! [`CellResult`]) appended after. Every append is `fsync`'d, so a
 //! `kill -9` at any instant loses at most the record being written —
 //! never a cell that was reported durable.
 //!
-//! Recovery is longest-valid-prefix salvage: [`read_journal`] scans
-//! records until the first length/bounds/CRC/decode failure and treats
-//! everything after as the torn tail; [`recover_journal`] additionally
-//! truncates that tail in place so the file can be appended to again.
+//! This module holds only the payload codec; the framing, the
+//! longest-valid-prefix salvage of [`read_journal`] and the in-place
+//! truncation of [`recover_journal`] are the framed-file layer's.
 //! Because cells are pure functions of the spec and their coordinates,
 //! a resumed sweep re-runs exactly the missing cells and compiles a
 //! report byte-identical to an uninterrupted run.
@@ -36,14 +36,12 @@
 //! cell prefix by [`salvage_json_shard_report`].
 
 use std::collections::{BTreeMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use super::sweep::{CellResult, ShardReport};
-use super::CampaignError;
+use crate::framed::{Appender, Format};
 use crate::EngineError;
 
 /// File magic: identifies a helios cell journal, version 1.
@@ -57,9 +55,12 @@ pub const TORN_WRITE_INJECTED: &str = "injected torn journal write";
 /// a cell as poisoned.
 pub const DEFAULT_POISON_LIMIT: u32 = 3;
 
-/// Upper bound on a single record payload; anything larger in the
-/// length field is torn-tail garbage, not a record.
-const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+static FORMAT: Format = Format {
+    magic: JOURNAL_MAGIC,
+    noun: "journal",
+    record: "record",
+    tagged: true,
+};
 
 const KIND_ATTEMPT: u8 = 1;
 const KIND_CELL: u8 = 2;
@@ -86,43 +87,10 @@ struct AttemptRecord {
     cell: usize,
 }
 
-/// IEEE CRC-32 lookup table, built at compile time.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// IEEE CRC-32 of `bytes` (the checksum guarding every record).
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 /// Whether `bytes` begin with the journal magic.
 #[must_use]
 pub fn is_journal_bytes(bytes: &[u8]) -> bool {
-    bytes.len() >= JOURNAL_MAGIC.len() && bytes[..JOURNAL_MAGIC.len()] == JOURNAL_MAGIC
+    FORMAT.matches(bytes)
 }
 
 /// The salvageable state of a journal: header, the longest valid
@@ -171,31 +139,33 @@ impl Salvage {
     }
 }
 
-fn io_err(path: &Path, what: &str, e: &std::io::Error) -> EngineError {
-    EngineError::Config(format!("journal {}: {what}: {e}", path.display()))
-}
-
-fn corrupt(path: &Path, offset: u64, detail: String) -> EngineError {
-    CampaignError::CorruptResume {
-        file: path.display().to_string(),
-        offset,
-        detail,
-    }
-    .into()
-}
-
 /// Reads and salvages a journal without modifying it: the longest
 /// valid record prefix plus the size of the torn tail.
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::CorruptResume`] when the file is not a
-/// journal (bad magic) or its header record is torn — there is nothing
-/// to salvage without a trusted header — and I/O errors as
-/// [`EngineError::Config`].
+/// Returns [`CampaignError::CorruptResume`](super::CampaignError::CorruptResume)
+/// when the file is not a journal (bad magic) or its header record is
+/// torn — there is nothing to salvage without a trusted header — and
+/// I/O errors as [`EngineError::Config`].
 pub fn read_journal(path: &Path) -> Result<Salvage, EngineError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, "read", &e))?;
-    salvage_bytes(path, &bytes)
+    let mut attempts = Vec::new();
+    let scan = FORMAT.read::<JournalHeader>(path, |kind, payload, cells| {
+        let text = std::str::from_utf8(payload).ok()?;
+        match kind {
+            KIND_ATTEMPT => attempts.push(serde_json::from_str::<AttemptRecord>(text).ok()?.cell),
+            KIND_CELL => cells.push(serde_json::from_str(text).ok()?),
+            _ => return None,
+        }
+        Some(())
+    })?;
+    Ok(Salvage {
+        header: scan.header,
+        cells: scan.cells,
+        attempts,
+        valid_bytes: scan.valid_bytes,
+        dropped_bytes: scan.dropped_bytes,
+    })
 }
 
 /// Salvages a journal **in place**: scans like [`read_journal`], then
@@ -207,117 +177,14 @@ pub fn read_journal(path: &Path) -> Result<Salvage, EngineError> {
 /// As [`read_journal`], plus I/O errors from the truncation itself.
 pub fn recover_journal(path: &Path) -> Result<Salvage, EngineError> {
     let salvage = read_journal(path)?;
-    if salvage.dropped_bytes > 0 {
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| io_err(path, "open for truncate", &e))?;
-        file.set_len(salvage.valid_bytes)
-            .map_err(|e| io_err(path, "truncate torn tail", &e))?;
-        file.sync_all()
-            .map_err(|e| io_err(path, "fsync after truncate", &e))?;
-    }
+    FORMAT.cut_torn_tail(path, salvage.valid_bytes, salvage.dropped_bytes)?;
     Ok(salvage)
-}
-
-fn salvage_bytes(path: &Path, bytes: &[u8]) -> Result<Salvage, EngineError> {
-    if !is_journal_bytes(bytes) {
-        return Err(corrupt(
-            path,
-            0,
-            "not a helios cell journal (bad magic); point --journal at a journal \
-             file, or delete the file to start fresh"
-                .into(),
-        ));
-    }
-    let mut at = JOURNAL_MAGIC.len();
-
-    // Header record: [len][crc][payload], no kind byte.
-    let torn_header = |at: usize| {
-        corrupt(
-            path,
-            at as u64,
-            "journal header record is torn or corrupt; the file cannot be \
-             trusted — delete it to start fresh"
-                .into(),
-        )
-    };
-    if bytes.len() < at + 8 {
-        return Err(torn_header(at));
-    }
-    let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-    if len as u32 > MAX_RECORD_LEN || bytes.len() < at + 8 + len {
-        return Err(torn_header(at));
-    }
-    let payload = &bytes[at + 8..at + 8 + len];
-    if crc32(payload) != crc {
-        return Err(torn_header(at));
-    }
-    let header: JournalHeader = match std::str::from_utf8(payload)
-        .ok()
-        .and_then(|s| serde_json::from_str(s).ok())
-    {
-        Some(h) => h,
-        None => return Err(torn_header(at)),
-    };
-    at += 8 + len;
-
-    // Cell records: longest valid prefix; the first bad record starts
-    // the torn tail.
-    let mut cells: Vec<CellResult> = Vec::new();
-    let mut attempts: Vec<usize> = Vec::new();
-    let mut valid = at;
-    while at + 9 <= bytes.len() {
-        let kind = bytes[at];
-        if kind != KIND_ATTEMPT && kind != KIND_CELL {
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 5..at + 9].try_into().expect("4 bytes"));
-        if len as u32 > MAX_RECORD_LEN || bytes.len() < at + 9 + len {
-            break;
-        }
-        let payload = &bytes[at + 9..at + 9 + len];
-        if crc32(payload) != crc {
-            break;
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        if kind == KIND_ATTEMPT {
-            let Ok(a) = serde_json::from_str::<AttemptRecord>(text) else {
-                break;
-            };
-            attempts.push(a.cell);
-        } else {
-            let Ok(c) = serde_json::from_str::<CellResult>(text) else {
-                break;
-            };
-            // Deterministic cells make duplicates identical; keep the
-            // first occurrence so salvage is order-stable.
-            if !cells.iter().any(|d| d.cell == c.cell) {
-                cells.push(c);
-            }
-        }
-        at += 9 + len;
-        valid = at;
-    }
-
-    Ok(Salvage {
-        header,
-        cells,
-        attempts,
-        valid_bytes: valid as u64,
-        dropped_bytes: (bytes.len() - valid) as u64,
-    })
 }
 
 /// Appends checksummed, fsync'd records to a journal file.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: File,
-    path: PathBuf,
+    out: Appender,
     /// Record appends completed since this writer opened (attempt +
     /// completion records; the header is not counted).
     appends: u64,
@@ -337,27 +204,8 @@ impl JournalWriter {
         header: &JournalHeader,
         tear_after: Option<u64>,
     ) -> Result<JournalWriter, EngineError> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| io_err(path, "create", &e))?;
-        let payload = serde_json::to_string(header)
-            .map_err(|e| EngineError::Config(format!("serialize journal header: {e}")))?;
-        let payload = payload.as_bytes();
-        let mut buf = Vec::with_capacity(JOURNAL_MAGIC.len() + 8 + payload.len());
-        buf.extend_from_slice(&JOURNAL_MAGIC);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-        file.write_all(&buf)
-            .map_err(|e| io_err(path, "write header", &e))?;
-        file.sync_data()
-            .map_err(|e| io_err(path, "fsync header", &e))?;
         Ok(JournalWriter {
-            file,
-            path: path.to_path_buf(),
+            out: Appender::create(&FORMAT, path, header)?,
             appends: 0,
             tear_after,
         })
@@ -370,13 +218,8 @@ impl JournalWriter {
     ///
     /// I/O failures as [`EngineError::Config`].
     pub fn open_append(path: &Path, tear_after: Option<u64>) -> Result<JournalWriter, EngineError> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(path, "open for append", &e))?;
         Ok(JournalWriter {
-            file,
-            path: path.to_path_buf(),
+            out: Appender::open_append(&FORMAT, path)?,
             appends: 0,
             tear_after,
         })
@@ -405,39 +248,20 @@ impl JournalWriter {
     }
 
     fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), EngineError> {
-        if payload.len() as u64 > u64::from(MAX_RECORD_LEN) {
-            return Err(EngineError::Config(format!(
-                "journal record payload of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap",
-                payload.len()
-            )));
-        }
-        let mut buf = Vec::with_capacity(9 + payload.len());
-        buf.push(kind);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
         if self.tear_after == Some(self.appends) {
             // Crash injection: persist half the record — exactly what a
             // power cut mid-write leaves behind — then die.
+            let buf = self.out.record(kind, payload)?;
             let half = (buf.len() / 2).max(1);
-            self.file
-                .write_all(&buf[..half])
-                .map_err(|e| io_err(&self.path, "write torn record", &e))?;
-            self.file
-                .sync_data()
-                .map_err(|e| io_err(&self.path, "fsync torn record", &e))?;
+            self.out
+                .write_synced("write", "torn record", &buf[..half])?;
             return Err(EngineError::Config(format!(
                 "{TORN_WRITE_INJECTED}: wrote {half} of {} record bytes to {} and aborted",
                 buf.len(),
-                self.path.display()
+                self.out.path().display()
             )));
         }
-        self.file
-            .write_all(&buf)
-            .map_err(|e| io_err(&self.path, "append record", &e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err(&self.path, "fsync record", &e))?;
+        self.out.append(kind, payload)?;
         self.appends += 1;
         Ok(())
     }
@@ -553,6 +377,10 @@ fn scan_balanced_object(bytes: &[u8], start: usize) -> Option<usize> {
 
 #[cfg(test)]
 mod tests {
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -599,13 +427,6 @@ mod tests {
             drain_migrated_tasks: 0,
             join_utilization: 0.0,
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -675,6 +496,24 @@ mod tests {
             assert_eq!(s.pending_attempts(), pending_attempts_reference(s), "{s:?}");
         }
         assert_eq!(cases[2].pending_attempts(), vec![(3, 2), (5, 3)]);
+    }
+
+    #[test]
+    fn duplicated_completion_keeps_the_first_occurrence() {
+        let path = tmp("dup.journal");
+        let mut w = JournalWriter::create(&path, &header(), None).unwrap();
+        w.append_cell(&cell(0)).unwrap();
+        w.append_cell(&cell(1)).unwrap();
+        let mut again = cell(0);
+        again.makespan_secs = 99.0;
+        w.append_cell(&again).unwrap();
+        w.append_attempt(0).unwrap();
+        drop(w);
+        let s = read_journal(&path).unwrap();
+        assert_eq!(s.cells, vec![cell(0), cell(1)]);
+        assert_eq!(s.attempts, vec![0]);
+        assert_eq!(s.dropped_bytes, 0);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

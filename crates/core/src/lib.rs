@@ -99,6 +99,7 @@ pub mod ensemble;
 mod error;
 pub mod exec;
 pub mod executor;
+mod framed;
 pub mod fuzz;
 pub mod online;
 mod report;

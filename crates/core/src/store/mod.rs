@@ -6,10 +6,11 @@
 //!   mirroring every `CellResult` field, typed values, and the summary
 //!   aggregation plan (`SUMMARY_KEYS`/`SUMMARY_AGGREGATES`) that
 //!   merge, summarize, and the CLI printer all derive from.
-//! * [`segment`] — the `HELIOSC1` append-friendly segment file:
-//!   checksummed columnar row groups with journal-style
-//!   longest-valid-prefix salvage, written incrementally by
-//!   [`StoreWriter`] as cells finish.
+//! * [`segment`] — the `HELIOSC1` append-friendly segment file: the
+//!   columnar row-group codec over the framed-file layer the cell
+//!   journal also uses (checksummed frames, longest-valid-prefix
+//!   salvage), written incrementally by [`StoreWriter`] as cells
+//!   finish.
 //! * [`exec`] + [`query`] — a volcano-style [`Executor`] pipeline
 //!   (scan → filter → project → aggregate/group-by) and the small
 //!   `SELECT … [WHERE …] [GROUP BY …]` language `helios query`

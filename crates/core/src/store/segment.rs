@@ -1,7 +1,8 @@
 //! The columnar segment file: append-friendly cell-row storage.
 //!
-//! A store file is an append-only binary file holding sweep cell rows
-//! in columnar row groups. The layout is
+//! A store file is a framed file (the checksummed append-only layout it
+//! shares with the cell journal) holding sweep cell rows in columnar
+//! row groups. The layout is
 //!
 //! ```text
 //! magic  "HELIOSC1"                                  (8 bytes)
@@ -9,32 +10,30 @@
 //! group  [len: u32][crc32: u32][columnar payload]    (repeated)
 //! ```
 //!
-//! with little-endian integers and IEEE CRC-32 (shared with the journal
-//! codec) over each payload. A group payload is `[rows: u32]` followed
-//! by one contiguous column of values per [`Column`], in schema order:
-//! fixed-width columns are packed little-endian arrays, string columns
-//! are a dictionary (`[entries: u32]` then length-prefixed UTF-8) plus
-//! one `u32` code per row, and nullable string columns reserve code 0
-//! for null. The header binds the file to one campaign (spec name +
-//! digest + grid size), one shard geometry, and the writing schema, so
-//! resume, merge, and query refuse foreign or stale files with typed
-//! errors.
+//! with little-endian integers and IEEE CRC-32 over each payload. A
+//! group payload is `[rows: u32]` followed by one contiguous column of
+//! values per [`Column`], in schema order: fixed-width columns are
+//! packed little-endian arrays, string columns are a dictionary
+//! (`[entries: u32]` then length-prefixed UTF-8) plus one `u32` code
+//! per row, and nullable string columns reserve code 0 for null. The
+//! header binds the file to one campaign (spec name + digest + grid
+//! size), one shard geometry, and the writing schema, so resume, merge,
+//! and query refuse foreign or stale files with typed errors.
 //!
-//! Recovery is the journal's longest-valid-prefix salvage: a group that
-//! fails length/CRC/decode checks starts the torn tail, and
-//! [`recover_store`] truncates that tail in place so the file can be
-//! appended to again. Duplicated cells keep their first occurrence.
+//! This module holds only the header check and the columnar codec; the
+//! framing and its longest-valid-prefix salvage are the framed-file
+//! layer's. A group that fails length/CRC/decode checks starts the torn
+//! tail, [`recover_store`] truncates that tail in place so the file can
+//! be appended to again, and duplicated cells keep their first
+//! occurrence.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use super::schema::{cell_from_row, row_from_cell, schema_names, Column, ColumnType, Row, Value};
-use crate::campaign::journal::crc32;
 use crate::campaign::sweep::{CellResult, ShardReport};
-use crate::campaign::CampaignError;
+use crate::framed::{self, Appender, Format};
 use crate::EngineError;
 
 /// File magic: identifies a helios columnar cell store, version 1.
@@ -44,9 +43,12 @@ pub const STORE_MAGIC: [u8; 8] = *b"HELIOSC1";
 /// checksummed record.
 pub const DEFAULT_SEGMENT_ROWS: usize = 256;
 
-/// Upper bound on a single group payload; anything larger in the
-/// length field is torn-tail garbage, not a record.
-const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+static FORMAT: Format = Format {
+    magic: STORE_MAGIC,
+    noun: "store",
+    record: "group",
+    tagged: false,
+};
 
 /// The checksummed first record: campaign identity, shard geometry,
 /// and the column list the file was written with.
@@ -69,7 +71,7 @@ pub struct StoreHeader {
 /// Whether `bytes` begin with the store magic.
 #[must_use]
 pub fn is_store_bytes(bytes: &[u8]) -> bool {
-    bytes.len() >= STORE_MAGIC.len() && bytes[..STORE_MAGIC.len()] == STORE_MAGIC
+    FORMAT.matches(bytes)
 }
 
 /// The salvageable state of a store file: header, the longest valid
@@ -103,19 +105,6 @@ impl StoreSalvage {
     }
 }
 
-fn io_err(path: &Path, what: &str, e: &std::io::Error) -> EngineError {
-    EngineError::Config(format!("store {}: {what}: {e}", path.display()))
-}
-
-fn corrupt(path: &Path, offset: u64, detail: String) -> EngineError {
-    CampaignError::CorruptResume {
-        file: path.display().to_string(),
-        offset,
-        detail,
-    }
-    .into()
-}
-
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -135,38 +124,6 @@ fn encode_group(rows: &[Row]) -> Result<Vec<u8>, EngineError> {
     for col in Column::ALL {
         let at = col.index();
         match col.column_type() {
-            ColumnType::U64 => {
-                for row in rows {
-                    match &row[at] {
-                        Value::U64(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                        other => return Err(encode_wrong_type(col, other)),
-                    }
-                }
-            }
-            ColumnType::U32 => {
-                for row in rows {
-                    match &row[at] {
-                        Value::U32(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                        other => return Err(encode_wrong_type(col, other)),
-                    }
-                }
-            }
-            ColumnType::F64 => {
-                for row in rows {
-                    match &row[at] {
-                        Value::F64(v) => buf.extend_from_slice(&v.to_bits().to_le_bytes()),
-                        other => return Err(encode_wrong_type(col, other)),
-                    }
-                }
-            }
-            ColumnType::Bool => {
-                for row in rows {
-                    match &row[at] {
-                        Value::Bool(v) => buf.push(u8::from(*v)),
-                        other => return Err(encode_wrong_type(col, other)),
-                    }
-                }
-            }
             ColumnType::Str | ColumnType::OptStr => {
                 // Dictionary + per-row codes; OptStr reserves code 0
                 // for null, so entry k lives at code k+1.
@@ -199,6 +156,19 @@ fn encode_group(rows: &[Row]) -> Result<Vec<u8>, EngineError> {
                     push_u32(&mut buf, code);
                 }
             }
+            fixed => {
+                for row in rows {
+                    match (fixed, &row[at]) {
+                        (ColumnType::U64, Value::U64(v)) => buf.extend_from_slice(&v.to_le_bytes()),
+                        (ColumnType::U32, Value::U32(v)) => buf.extend_from_slice(&v.to_le_bytes()),
+                        (ColumnType::F64, Value::F64(v)) => {
+                            buf.extend_from_slice(&v.to_bits().to_le_bytes());
+                        }
+                        (ColumnType::Bool, Value::Bool(v)) => buf.push(u8::from(*v)),
+                        (_, other) => return Err(encode_wrong_type(col, other)),
+                    }
+                }
+            }
         }
     }
     Ok(buf)
@@ -223,9 +193,46 @@ impl<'a> Cursor<'a> {
         Some(out)
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Decodes one `N`-byte value per row into `rows`.
+    fn column<const N: usize>(
+        &mut self,
+        rows: &mut [Row],
+        value: impl Fn([u8; N]) -> Option<Value>,
+    ) -> Option<()> {
+        for row in rows {
+            row.push(value(self.array()?)?);
+        }
+        Some(())
+    }
+
+    /// Reads a count of items that each take at least `item_bytes` of
+    /// what is left; `None` when the rest cannot hold that many, so a
+    /// hostile count never sizes an allocation.
+    fn count(&mut self, item_bytes: usize) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n.checked_mul(item_bytes)? <= self.bytes.len() - self.at).then_some(n)
+    }
+}
+
+/// Bytes one row takes in a group payload at least: its fixed-width
+/// values plus one dictionary code per string column.
+fn row_bytes() -> usize {
+    Column::ALL
+        .iter()
+        .map(|col| match col.column_type() {
+            ColumnType::U64 | ColumnType::F64 => 8,
+            ColumnType::U32 | ColumnType::Str | ColumnType::OptStr => 4,
+            ColumnType::Bool => 1,
+        })
+        .sum()
 }
 
 /// Decodes one columnar group payload back to full-schema rows.
@@ -236,10 +243,7 @@ fn decode_group(payload: &[u8]) -> Option<Vec<Row>> {
         bytes: payload,
         at: 0,
     };
-    let rows = cur.u32()? as usize;
-    if rows > MAX_RECORD_LEN as usize {
-        return None;
-    }
+    let rows = cur.count(row_bytes())?;
     // Not `vec![Vec::with_capacity(..); rows]`: cloning an empty Vec
     // drops its capacity, which would cost several reallocations per
     // row while the 25 columns push in.
@@ -248,40 +252,10 @@ fn decode_group(payload: &[u8]) -> Option<Vec<Row>> {
         .collect();
     for col in Column::ALL {
         match col.column_type() {
-            ColumnType::U64 => {
-                for row in out.iter_mut() {
-                    let v = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
-                    row.push(Value::U64(v));
-                }
-            }
-            ColumnType::U32 => {
-                for row in out.iter_mut() {
-                    let v = u32::from_le_bytes(cur.take(4)?.try_into().ok()?);
-                    row.push(Value::U32(v));
-                }
-            }
-            ColumnType::F64 => {
-                for row in out.iter_mut() {
-                    let v = f64::from_bits(u64::from_le_bytes(cur.take(8)?.try_into().ok()?));
-                    row.push(Value::F64(v));
-                }
-            }
-            ColumnType::Bool => {
-                for row in out.iter_mut() {
-                    let v = match cur.take(1)? {
-                        [0] => false,
-                        [1] => true,
-                        _ => return None,
-                    };
-                    row.push(Value::Bool(v));
-                }
-            }
             ColumnType::Str | ColumnType::OptStr => {
                 let nullable = col.column_type() == ColumnType::OptStr;
-                let entries = cur.u32()? as usize;
-                if entries > payload.len() {
-                    return None;
-                }
+                // Each entry takes at least its length prefix.
+                let entries = cur.count(4)?;
                 let mut dict: Vec<String> = Vec::with_capacity(entries);
                 for _ in 0..entries {
                     let len = cur.u32()? as usize;
@@ -301,6 +275,15 @@ fn decode_group(payload: &[u8]) -> Option<Vec<Row>> {
                     row.push(value);
                 }
             }
+            ColumnType::U64 => cur.column(&mut out, |b| Some(Value::U64(u64::from_le_bytes(b))))?,
+            ColumnType::U32 => cur.column(&mut out, |b| Some(Value::U32(u32::from_le_bytes(b))))?,
+            ColumnType::F64 => cur.column(&mut out, |b| {
+                Some(Value::F64(f64::from_bits(u64::from_le_bytes(b))))
+            })?,
+            ColumnType::Bool => cur.column(&mut out, |[b]| match b {
+                0 | 1 => Some(Value::Bool(b == 1)),
+                _ => None,
+            })?,
         }
     }
     // A valid group consumes its payload exactly; trailing bytes mean
@@ -316,14 +299,34 @@ fn decode_group(payload: &[u8]) -> Option<Vec<Row>> {
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError::CorruptResume`] when the file is not a
-/// store (bad magic), its header record is torn, or the header's
-/// column list disagrees with the current schema — there is nothing to
-/// salvage without a trusted header — and I/O errors as
-/// [`EngineError::Config`].
+/// Returns [`CampaignError::CorruptResume`](crate::CampaignError::CorruptResume)
+/// when the file is not a store (bad magic), its header record is torn,
+/// or the header's column list disagrees with the current schema —
+/// there is nothing to salvage without a trusted header — and I/O
+/// errors as [`EngineError::Config`].
 pub fn read_store(path: &Path) -> Result<StoreSalvage, EngineError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, "read", &e))?;
-    salvage_store_bytes(path, &bytes)
+    let scan = FORMAT.read::<StoreHeader>(path, |_, payload, cells| {
+        for row in &decode_group(payload)? {
+            cells.push(cell_from_row(row).ok()?);
+        }
+        Some(())
+    })?;
+    if scan.header.columns != schema_names() {
+        return Err(framed::corrupt(
+            path,
+            STORE_MAGIC.len() as u64,
+            "store column list does not match this build's schema; the file \
+             was written by a different helios version — delete the file to \
+             start fresh"
+                .into(),
+        ));
+    }
+    Ok(StoreSalvage {
+        header: scan.header,
+        cells: scan.cells,
+        valid_bytes: scan.valid_bytes,
+        dropped_bytes: scan.dropped_bytes,
+    })
 }
 
 /// Salvages a store file **in place**: scans like [`read_store`], then
@@ -335,112 +338,8 @@ pub fn read_store(path: &Path) -> Result<StoreSalvage, EngineError> {
 /// As [`read_store`], plus I/O errors from the truncation itself.
 pub fn recover_store(path: &Path) -> Result<StoreSalvage, EngineError> {
     let salvage = read_store(path)?;
-    if salvage.dropped_bytes > 0 {
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| io_err(path, "open for truncate", &e))?;
-        file.set_len(salvage.valid_bytes)
-            .map_err(|e| io_err(path, "truncate torn tail", &e))?;
-        file.sync_all()
-            .map_err(|e| io_err(path, "fsync after truncate", &e))?;
-    }
+    FORMAT.cut_torn_tail(path, salvage.valid_bytes, salvage.dropped_bytes)?;
     Ok(salvage)
-}
-
-fn salvage_store_bytes(path: &Path, bytes: &[u8]) -> Result<StoreSalvage, EngineError> {
-    if !is_store_bytes(bytes) {
-        return Err(corrupt(
-            path,
-            0,
-            "not a helios cell store (bad magic); point --store at a store \
-             file, or delete the file to start fresh"
-                .into(),
-        ));
-    }
-    let mut at = STORE_MAGIC.len();
-
-    // Header record: [len][crc][payload].
-    let torn_header = |at: usize| {
-        corrupt(
-            path,
-            at as u64,
-            "store header record is torn or corrupt; the file cannot be \
-             trusted — delete it to start fresh"
-                .into(),
-        )
-    };
-    if bytes.len() < at + 8 {
-        return Err(torn_header(at));
-    }
-    let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-    if len as u32 > MAX_RECORD_LEN || bytes.len() < at + 8 + len {
-        return Err(torn_header(at));
-    }
-    let payload = &bytes[at + 8..at + 8 + len];
-    if crc32(payload) != crc {
-        return Err(torn_header(at));
-    }
-    let header: StoreHeader = match std::str::from_utf8(payload)
-        .ok()
-        .and_then(|s| serde_json::from_str(s).ok())
-    {
-        Some(h) => h,
-        None => return Err(torn_header(at)),
-    };
-    if header.columns != schema_names() {
-        return Err(corrupt(
-            path,
-            at as u64,
-            "store column list does not match this build's schema; the file \
-             was written by a different helios version — delete the file to \
-             start fresh"
-                .into(),
-        ));
-    }
-    at += 8 + len;
-
-    // Row groups: longest valid prefix; the first bad record starts
-    // the torn tail.
-    let mut cells: Vec<CellResult> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut valid = at;
-    'groups: while at + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-        if len as u32 > MAX_RECORD_LEN || bytes.len() < at + 8 + len {
-            break;
-        }
-        let payload = &bytes[at + 8..at + 8 + len];
-        if crc32(payload) != crc {
-            break;
-        }
-        let Some(rows) = decode_group(payload) else {
-            break;
-        };
-        for row in &rows {
-            let Ok(cell) = cell_from_row(row) else {
-                break 'groups;
-            };
-            // Deterministic cells make duplicates identical; keep the
-            // first occurrence so salvage is order-stable. The seen-set
-            // keeps salvage O(rows): a linear scan here is quadratic
-            // and dominates large-store reads.
-            if seen.insert(cell.cell) {
-                cells.push(cell);
-            }
-        }
-        at += 8 + len;
-        valid = at;
-    }
-
-    Ok(StoreSalvage {
-        header,
-        cells,
-        valid_bytes: valid as u64,
-        dropped_bytes: (bytes.len() - valid) as u64,
-    })
 }
 
 /// Appends cell rows to a store file as checksummed columnar groups.
@@ -452,8 +351,7 @@ fn salvage_store_bytes(path: &Path, bytes: &[u8]) -> Result<StoreSalvage, Engine
 /// reported durable).
 #[derive(Debug)]
 pub struct StoreWriter {
-    file: File,
-    path: PathBuf,
+    out: Appender,
     pending: Vec<Row>,
 }
 
@@ -466,27 +364,8 @@ impl StoreWriter {
     ///
     /// I/O failures as [`EngineError::Config`].
     pub fn create(path: &Path, header: &StoreHeader) -> Result<StoreWriter, EngineError> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| io_err(path, "create", &e))?;
-        let payload = serde_json::to_string(header)
-            .map_err(|e| EngineError::Config(format!("serialize store header: {e}")))?;
-        let payload = payload.as_bytes();
-        let mut buf = Vec::with_capacity(STORE_MAGIC.len() + 8 + payload.len());
-        buf.extend_from_slice(&STORE_MAGIC);
-        push_u32(&mut buf, payload.len() as u32);
-        push_u32(&mut buf, crc32(payload));
-        buf.extend_from_slice(payload);
-        file.write_all(&buf)
-            .map_err(|e| io_err(path, "write header", &e))?;
-        file.sync_data()
-            .map_err(|e| io_err(path, "fsync header", &e))?;
         Ok(StoreWriter {
-            file,
-            path: path.to_path_buf(),
+            out: Appender::create(&FORMAT, path, header)?,
             pending: Vec::new(),
         })
     }
@@ -498,13 +377,8 @@ impl StoreWriter {
     ///
     /// I/O failures as [`EngineError::Config`].
     pub fn open_append(path: &Path) -> Result<StoreWriter, EngineError> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(path, "open for append", &e))?;
         Ok(StoreWriter {
-            file,
-            path: path.to_path_buf(),
+            out: Appender::open_append(&FORMAT, path)?,
             pending: Vec::new(),
         })
     }
@@ -533,23 +407,7 @@ impl StoreWriter {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let payload = encode_group(&self.pending)?;
-        if payload.len() as u64 > u64::from(MAX_RECORD_LEN) {
-            return Err(EngineError::Config(format!(
-                "store group payload of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap",
-                payload.len()
-            )));
-        }
-        let mut buf = Vec::with_capacity(8 + payload.len());
-        push_u32(&mut buf, payload.len() as u32);
-        push_u32(&mut buf, crc32(&payload));
-        buf.extend_from_slice(&payload);
-        self.file
-            .write_all(&buf)
-            .map_err(|e| io_err(&self.path, "append group", &e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err(&self.path, "fsync group", &e))?;
+        self.out.append(0, &encode_group(&self.pending)?)?;
         self.pending.clear();
         Ok(())
     }
@@ -557,6 +415,10 @@ impl StoreWriter {
 
 #[cfg(test)]
 mod tests {
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -727,6 +589,80 @@ mod tests {
         w.flush().unwrap();
         drop(w);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn duplicated_group_keeps_the_first_occurrence() {
+        let path = tmp("dup.store");
+        let mut w = StoreWriter::create(&path, &header()).unwrap();
+        w.append_cell(&cell(0)).unwrap();
+        w.append_cell(&cell(1)).unwrap();
+        w.flush().unwrap();
+        // A later group repeats cell 1 with other values, and cell 0.
+        let mut again = cell(1);
+        again.makespan_secs = 99.0;
+        w.append_cell(&again).unwrap();
+        w.append_cell(&cell(2)).unwrap();
+        w.append_cell(&cell(0)).unwrap();
+        w.flush().unwrap();
+        drop(w);
+        let s = read_store(&path).unwrap();
+        assert_eq!(s.cells, vec![cell(0), cell(1), cell(2)]);
+        assert_eq!(s.dropped_bytes, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A CRC-valid frame whose payload is `payload`.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(&framed::crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    #[test]
+    fn hostile_row_count_salvages_as_torn_tail() {
+        let path = tmp("hostile.store");
+        let w = StoreWriter::create(&path, &header()).unwrap();
+        drop(w);
+        let intact = std::fs::metadata(&path).unwrap().len();
+        // 2^22 rows claimed in a 4-byte payload: refused before any
+        // per-row allocation.
+        let hostile = frame(&(1u32 << 22).to_le_bytes());
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&hostile).unwrap();
+        drop(f);
+        let s = read_store(&path).unwrap();
+        assert!(s.cells.is_empty());
+        assert_eq!(s.valid_bytes, intact);
+        assert_eq!(s.dropped_bytes, hostile.len() as u64);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        // Two 4-byte items fit in the 8 bytes after the count; three do not.
+        let fits = [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        let over = [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        let mut cur = Cursor {
+            bytes: &fits,
+            at: 0,
+        };
+        assert_eq!(cur.count(4), Some(2));
+        let mut cur = Cursor {
+            bytes: &over,
+            at: 0,
+        };
+        assert_eq!(cur.count(4), None);
+        let payload = encode_group(&[row_from_cell(&cell(0))]).unwrap();
+        // Every count over what the payload can hold is refused: the
+        // row count, and the first dictionary's entry count (it follows
+        // the 8-byte cell column).
+        for (at, n) in [(0, 2), (0, u32::MAX), (12, 1 << 20), (12, u32::MAX)] {
+            let mut bad = payload.clone();
+            bad[at..at + 4].copy_from_slice(&n.to_le_bytes());
+            assert!(decode_group(&bad).is_none(), "count {n} at {at}");
+        }
     }
 
     #[test]
