@@ -111,18 +111,20 @@ cmp "$sweep_tmp/gfull.json" "$sweep_tmp/gmerged.json"
 echo "paper grid: --jobs 2 and a 3-shard merge are byte-identical to the unsharded sweep"
 
 echo "==> kill-and-resume smoke (resilient spec)"
-# A sweep of the resilient spec is killed after one cell (test hook,
-# nonzero exit expected), resumed against the partial report, and must
-# come out byte-identical to an uninterrupted run. The same spec is also
-# swept as a 2-shard partition to pin byte-identity under resilience.
+# A store-backed sweep of the resilient spec is killed after one cell
+# (test hook, nonzero exit expected), resumed against the store, and its
+# `--out` view must come out byte-identical to an uninterrupted run. The
+# same spec is also swept as a 2-shard partition to pin byte-identity
+# under resilience.
 rspec=examples/specs/resilient_smoke.json
 "$helios" campaign run --spec "$rspec" --out "$sweep_tmp/rfull.json" > /dev/null
 if HELIOS_SWEEP_ABORT_AFTER=1 "$helios" campaign run --spec "$rspec" \
-    --out "$sweep_tmp/rresume.json" > /dev/null 2>&1; then
+    --store "$sweep_tmp/rresume.store" > /dev/null 2>&1; then
     echo "aborted sweep unexpectedly exited zero" >&2
     exit 1
 fi
-"$helios" campaign run --spec "$rspec" --out "$sweep_tmp/rresume.json" > /dev/null
+"$helios" campaign run --spec "$rspec" --store "$sweep_tmp/rresume.store" \
+    --out "$sweep_tmp/rresume.json" > /dev/null
 cmp "$sweep_tmp/rfull.json" "$sweep_tmp/rresume.json"
 "$helios" campaign run --spec "$rspec" --shard 1/2 --out "$sweep_tmp/r1.json" > /dev/null
 "$helios" campaign run --spec "$rspec" --shard 2/2 --out "$sweep_tmp/r2.json" > /dev/null

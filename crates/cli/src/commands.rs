@@ -225,11 +225,11 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///   and run it (or one shard of it). Without `--shard` the merged
 ///   sweep report is produced directly; with `--shard`, a shard report
 ///   for later `merge`. With `--journal`, every cell is appended to a
-///   fsync'd write-ahead journal first and `--out` becomes an optional
-///   view compiled from it; `kill -9` at any byte loses at most the
-///   torn tail record. With `--store`, cells are appended to the
-///   columnar cell store instead (the `helios query` substrate) with
-///   the same durability and resume semantics.
+///   fsync'd write-ahead journal first; `kill -9` at any byte loses at
+///   most the torn tail record. With `--store`, cells are appended to
+///   the columnar cell store instead (the `helios query` substrate)
+///   with the same durability and resume semantics. `--out` is always
+///   a view, written once at the end.
 /// * `campaign merge --in FILE [--in FILE …] [--out FILE]` — recombine
 ///   shard reports, cell journals and/or columnar stores
 ///   (overlap/gap/spec-mismatch checked) into the aggregate sweep
@@ -237,9 +237,8 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///   detected by magic bytes and may be mixed freely in one
 ///   invocation.
 /// * `campaign recover FILE [--out FILE]` — salvage a torn journal or
-///   columnar store (truncate to the longest valid record prefix) or a
-///   torn JSON shard report (cut back to the longest valid cell
-///   prefix), and say how to resume.
+///   columnar store (truncate to the longest valid record prefix) and
+///   say how to resume.
 /// * legacy member form: repeated `--member path[:arrival[:priority]]`
 ///   runs one ensemble campaign over `--seeds N` replicate seeds.
 pub fn campaign(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -253,30 +252,27 @@ pub fn campaign(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `helios campaign run` — run a sweep spec, whole or one shard.
 ///
-/// When `--out FILE` already exists and holds a (partial) shard report
-/// of the *same* spec, the run resumes: cells present in the file are
-/// skipped and the merged result is byte-identical to an uninterrupted
-/// run. A file from a different spec or shard geometry is refused.
-///
-/// With `--journal FILE` the run is crash-consistent instead: cells are
-/// appended to a fsync'd write-ahead journal as they finish, resume
-/// salvages the longest valid prefix of an interrupted journal (torn
-/// tail truncated), and `--out` is only a view compiled from it.
-///
-/// With `--store FILE` the durable artifact is the columnar cell store
-/// (`helios query`'s native format) instead of a journal, with the same
-/// salvage-and-resume semantics.
+/// The one fork is where finished cells go. Without a sink they live
+/// only in memory, and nothing can resume the run. With `--journal FILE`
+/// the run is crash-consistent: cells are appended to a fsync'd
+/// write-ahead journal as they finish, SIGINT/SIGTERM drain instead of
+/// killing, and a re-run salvages the longest valid prefix of an
+/// interrupted journal (torn tail truncated) and resumes. With
+/// `--store FILE` the durable file is the columnar cell store
+/// (`helios query`'s native format) instead, with the same salvage and
+/// resume. Either way `--out` is a view, written once when the run
+/// completes and overwriting what is there, unless that is itself a
+/// journal or a store.
 ///
 /// Environment hooks (crash injection for the CI chaos smoke):
-/// `HELIOS_SWEEP_ABORT_AFTER=N` stops after executing `N` cells;
+/// `HELIOS_SWEEP_ABORT_AFTER=N` stops after executing `N` cells (a
+/// durable sink is required, or there would be nothing to resume);
 /// `HELIOS_JOURNAL_CRASH_CELL=I` errors right after journaling the
 /// attempt on global cell `I`; `HELIOS_JOURNAL_TORN_WRITE=N` tears the
 /// Nth journal append halfway; `HELIOS_POISON_LIMIT=N` overrides the
 /// attempts-without-completion quarantine threshold.
 fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::{
-        merge_shards, CampaignSpec, ShardReport, ShardSpec, SweepDriver, SweepReport,
-    };
+    use helios_core::{merge_shards, CampaignSpec, ShardSpec, SweepDriver, SweepOptions};
 
     let args = Args::parse(
         argv,
@@ -308,94 +304,121 @@ fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         (None, Some(path)) => Some(("store", path)),
         (None, None) => None,
     };
-    if let Some(sink) = durable {
-        return campaign_run_durable(&driver, &spec, shard, sink, out_path, abort_after, out);
+    if durable.is_none() {
+        if abort_after.is_some() {
+            return Err(CliError::Usage(
+                "HELIOS_SWEEP_ABORT_AFTER cuts the run short, and only a durable sink \
+                 can resume it; add --store FILE or --journal FILE"
+                    .into(),
+            ));
+        }
+        if shard.is_some() && out_path.is_none() {
+            return Err(CliError::Usage(
+                "--shard produces a partial result; --out FILE is required \
+                 (or use --journal FILE or --store FILE)"
+                    .into(),
+            ));
+        }
     }
-    if (shard.is_some() || abort_after.is_some()) && out_path.is_none() {
-        return Err(CliError::Usage(
-            "--shard (and HELIOS_SWEEP_ABORT_AFTER) produce a partial result; \
-             --out FILE is required (or use --journal FILE)"
-                .into(),
-        ));
+    if let Some(view) = out_path {
+        refuse_durable_out(view)?;
     }
     let effective = shard.unwrap_or_else(ShardSpec::full);
 
-    // Resume: an existing --out file holding a shard report of the same
-    // spec means "skip what is already done".
-    let prior: Option<ShardReport> = match out_path {
-        Some(path) if std::path::Path::new(path).exists() => {
-            // Lossy so a binary cell journal handed to --out still gets
-            // classified (its magic is ASCII) instead of a UTF-8 error.
-            let raw = std::fs::read(path)
-                .map_err(|e| CliError::Helios(format!("cannot read existing {path:?}: {e}")))?;
-            let prior_json = String::from_utf8_lossy(&raw).into_owned();
-            match serde_json::from_str::<ShardReport>(&prior_json) {
-                Ok(report) => Some(report),
-                // A complete sweep report of the same spec: nothing to do.
-                Err(_) => match serde_json::from_str::<SweepReport>(&prior_json) {
-                    Ok(done) if done.spec_digest == spec.digest() => {
-                        writeln!(
-                            out,
-                            "sweep {:?} is already complete in {path} ({} cells); \
-                             delete the file to re-run",
-                            done.spec_name, done.total_cells
-                        )?;
-                        return Ok(());
-                    }
-                    _ => return Err(classify_bad_resume_file(path, &prior_json, &spec)),
-                },
+    let report = match durable {
+        None => driver.run_shard(&spec, effective)?,
+        Some((flag, path)) => {
+            let file = std::path::Path::new(path);
+            let mut opts = SweepOptions {
+                limit: abort_after,
+                cancel: Some(crate::drain::install()),
+                ..SweepOptions::default()
+            };
+            let run = if flag == "journal" {
+                opts.crash_cell = env_hook("HELIOS_JOURNAL_CRASH_CELL")?;
+                opts.tear_after = env_hook("HELIOS_JOURNAL_TORN_WRITE")?;
+                opts.poison_limit = env_hook("HELIOS_POISON_LIMIT")?;
+                driver.run_journal(&spec, effective, file, &opts)?
+            } else {
+                driver.run_store(&spec, effective, file, &opts)?
+            };
+            let (unit, verb) = if flag == "journal" {
+                ("cell", "journaled")
+            } else {
+                ("row", "stored")
+            };
+            if run.salvaged_cells > 0 || run.dropped_bytes > 0 {
+                writeln!(
+                    out,
+                    "resumed {path}: {} completed {unit}(s) salvaged, {} torn byte(s) dropped",
+                    run.salvaged_cells, run.dropped_bytes
+                )?;
             }
+            for cell in &run.poisoned {
+                writeln!(
+                    out,
+                    "cell {cell} quarantined as poisoned: it crashed the process repeatedly \
+                     and is reported with completed=false"
+                )?;
+            }
+            let done = run.report.cells.len();
+            let owned = done + run.remaining;
+            if run.drained {
+                return Err(CliError::Interrupted(format!(
+                    "drained on signal: {done} of {owned} owned cells durable in {path}; \
+                     re-run with the same --{flag} to resume"
+                )));
+            }
+            if run.remaining > 0 {
+                return Err(CliError::Helios(format!(
+                    "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {done} of {owned} \
+                     owned cells durable in {path}, {} remaining; re-run with the same \
+                     --{flag} to resume",
+                    abort_after.unwrap_or(0),
+                    run.remaining
+                )));
+            }
+            if let Some(shard) = shard {
+                writeln!(
+                    out,
+                    "shard {shard} of {:?}: {done} of {} cells {verb} in {path}",
+                    run.report.spec_name, run.report.total_cells
+                )?;
+            }
+            run.report
         }
-        _ => None,
     };
-    if let Some(p) = &prior {
-        let owned = (0..p.total_cells)
-            .filter(|i| i % p.shard_count == p.shard_index - 1)
-            .count();
-        writeln!(
-            out,
-            "resuming from {}: {} of {owned} owned cells already done",
-            out_path.expect("prior implies --out"),
-            p.cells.len(),
-        )?;
-    }
 
-    let outcome = driver.resume_shard(&spec, effective, prior.as_ref(), abort_after)?;
-    let report = outcome.report;
-
-    if outcome.remaining > 0 {
-        let path = out_path.expect("checked above");
-        std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
-        return Err(CliError::Helios(format!(
-            "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {} of {} owned cells \
-             in {path}, {} remaining; re-run with the same --out to resume",
-            abort_after.unwrap_or(0),
-            report.cells.len(),
-            report.cells.len() + outcome.remaining,
-            outcome.remaining
-        )));
-    }
-
-    match shard {
-        Some(shard) => {
-            let path = out_path.expect("checked above");
-            std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
-            writeln!(
-                out,
-                "shard {shard} of {:?}: {} of {} cells -> {path}",
-                report.spec_name,
-                report.cells.len(),
-                report.total_cells
-            )?;
-        }
+    let merged = match shard {
+        Some(_) => None,
         None => {
-            let merged = merge_shards(&[report])?;
+            let merged = merge_shards(std::slice::from_ref(&report))?;
             write_sweep_summary(&merged, out)?;
-            if let Some(path) = out_path {
-                std::fs::write(path, serde_json::to_string_pretty(&merged)?)?;
-                writeln!(out, "wrote {path}")?;
-            }
+            Some(merged)
         }
+    };
+    // The view: the merged sweep, or the shard report for a later merge.
+    let Some(view) = out_path else {
+        return Ok(());
+    };
+    let json = match &merged {
+        Some(merged) => serde_json::to_string_pretty(merged)?,
+        None => serde_json::to_string_pretty(&report)?,
+    };
+    // Checked again: the run itself may have created a durable file
+    // there (`--store X --out X`).
+    refuse_durable_out(view)?;
+    std::fs::write(view, json)?;
+    match (durable, shard) {
+        (Some((flag, _)), _) => writeln!(out, "wrote {view} (view compiled from the {flag})")?,
+        (None, Some(shard)) => writeln!(
+            out,
+            "shard {shard} of {:?}: {} of {} cells -> {view}",
+            report.spec_name,
+            report.cells.len(),
+            report.total_cells
+        )?,
+        (None, None) => writeln!(out, "wrote {view}")?,
     }
     Ok(())
 }
@@ -411,187 +434,56 @@ fn env_hook<T: std::str::FromStr>(name: &str) -> Result<Option<T>, CliError> {
     }
 }
 
-/// Classifies an existing `--out` file that failed to parse as a resume
-/// artifact: a cell journal handed to the wrong flag, a torn JSON
-/// report (typed [`CorruptResume`](helios_core::CampaignError) naming
-/// the byte offset and the `recover` remedy), or an intact-but-foreign
-/// file that is simply refused.
-fn classify_bad_resume_file(
-    path: &str,
-    contents: &str,
-    spec: &helios_core::CampaignSpec,
-) -> CliError {
-    use helios_core::campaign::journal;
-    use helios_core::{CampaignError, EngineError};
+/// The durable format of the file at `path`, told by its magic — the
+/// only bytes read: `Some("journal")`, `Some("store")` (each the file's
+/// noun and CLI flag), or `None` for anything else.
+fn durable_kind(path: &str) -> std::io::Result<Option<&'static str>> {
+    use std::io::Read as _;
 
-    if journal::is_journal_bytes(contents.as_bytes()) {
-        return CliError::Usage(format!(
-            "{path:?} is a cell journal, not a JSON report; resume it with \
-             --journal {path} (and drop --out, or point --out elsewhere for the view)"
-        ));
-    }
-    if helios_core::store::is_store_bytes(contents.as_bytes()) {
-        return CliError::Usage(format!(
-            "{path:?} is a columnar cell store, not a JSON report; resume it with \
-             --store {path} (and drop --out, or point --out elsewhere for the view)"
-        ));
-    }
-    // Intact JSON that is just not ours: refuse, don't diagnose a crash.
-    if serde_json::from_str::<serde_json::Value>(contents).is_ok() {
-        return CliError::Helios(format!(
-            "refusing to overwrite {path:?}: it is not a shard report of \
-             spec {:?} (digest {}); delete the file or point --out elsewhere",
-            spec.name,
-            spec.digest()
-        ));
-    }
-    // Truncated / torn JSON: report exactly where the valid bytes end
-    // and how to repair it.
-    let (offset, detail) = match journal::salvage_json_shard_report(contents) {
-        Some(s) => (
-            contents.len() as u64 - s.dropped_bytes,
-            format!(
-                "the JSON is torn mid-write ({} of {} cells still parse); run \
-                 `helios campaign recover {path}` to cut it back to the valid \
-                 prefix, then re-run with the same --out",
-                s.report.cells.len(),
-                s.report.total_cells
-            ),
-        ),
-        None => (
-            0,
-            format!(
-                "the JSON is damaged beyond salvage (no valid cell prefix); \
-                 delete the file, or switch to `--journal {path}.journal` for \
-                 crash-consistent sweeps"
-            ),
-        ),
-    };
-    EngineError::from(CampaignError::CorruptResume {
-        file: path.to_owned(),
-        offset,
-        detail,
-    })
-    .into()
+    let mut magic = Vec::with_capacity(8);
+    std::fs::File::open(path)?.take(8).read_to_end(&mut magic)?;
+    Ok(
+        if helios_core::campaign::journal::is_journal_bytes(&magic) {
+            Some("journal")
+        } else if helios_core::store::is_store_bytes(&magic) {
+            Some("store")
+        } else {
+            None
+        },
+    )
 }
 
-/// The durable arms of `campaign run`, `--journal` and `--store`
-/// (`sink` is the flag name and its path): every cell goes through the
-/// sink's file as it finishes, `--out` is an optional view compiled
-/// from it, and SIGINT/SIGTERM drain instead of killing the run. The
-/// journal fsyncs every record and honours the `HELIOS_JOURNAL_*` and
-/// `HELIOS_POISON_LIMIT` hooks; the store is what `helios query` and
-/// `campaign merge` consume directly.
-fn campaign_run_durable(
-    driver: &helios_core::SweepDriver,
-    spec: &helios_core::CampaignSpec,
-    shard: Option<helios_core::ShardSpec>,
-    (flag, path): (&str, &str),
-    out_path: Option<&str>,
-    abort_after: Option<usize>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    use helios_core::{merge_shards, ShardSpec, SweepOptions};
-
-    let effective = shard.unwrap_or_else(ShardSpec::full);
-    let file = std::path::Path::new(path);
-    let mut opts = SweepOptions {
-        limit: abort_after,
-        cancel: Some(crate::drain::install()),
-        ..SweepOptions::default()
+/// Refuses an `--out` view path that holds a journal or a store:
+/// writing the view would destroy the durable cells, so the message
+/// points at the flag that resumes the file instead.
+fn refuse_durable_out(path: &str) -> Result<(), CliError> {
+    let Ok(Some(noun)) = durable_kind(path) else {
+        return Ok(());
     };
-    let journal = flag == "journal";
-    let run = if journal {
-        opts.crash_cell = env_hook("HELIOS_JOURNAL_CRASH_CELL")?;
-        opts.tear_after = env_hook("HELIOS_JOURNAL_TORN_WRITE")?;
-        opts.poison_limit = env_hook("HELIOS_POISON_LIMIT")?;
-        driver.run_journal(spec, effective, file, &opts)?
+    let what = if noun == "journal" {
+        "a cell journal"
     } else {
-        driver.run_store(spec, effective, file, &opts)?
+        "a columnar cell store"
     };
-    let (unit, verb) = if journal {
-        ("cell", "journaled")
-    } else {
-        ("row", "stored")
-    };
-
-    if run.salvaged_cells > 0 || run.dropped_bytes > 0 {
-        writeln!(
-            out,
-            "resumed {path}: {} completed {unit}(s) salvaged, {} torn byte(s) dropped",
-            run.salvaged_cells, run.dropped_bytes
-        )?;
-    }
-    for cell in &run.poisoned {
-        writeln!(
-            out,
-            "cell {cell} quarantined as poisoned: it crashed the process repeatedly \
-             and is reported with completed=false"
-        )?;
-    }
-
-    let report = run.report;
-    let done = report.cells.len();
-    let owned = done + run.remaining;
-    if run.drained {
-        return Err(CliError::Interrupted(format!(
-            "drained on signal: {done} of {owned} owned cells durable in {path}; \
-             re-run with the same --{flag} to resume"
-        )));
-    }
-    if run.remaining > 0 {
-        return Err(CliError::Helios(format!(
-            "aborted by HELIOS_SWEEP_ABORT_AFTER after {} cells: {done} of {owned} owned \
-             cells durable in {path}, {} remaining; re-run with the same \
-             --{flag} to resume",
-            abort_after.unwrap_or(0),
-            run.remaining
-        )));
-    }
-
-    match shard {
-        Some(shard) => {
-            writeln!(
-                out,
-                "shard {shard} of {:?}: {} of {} cells {verb} in {path}",
-                report.spec_name, done, report.total_cells
-            )?;
-            if let Some(view) = out_path {
-                std::fs::write(view, serde_json::to_string_pretty(&report)?)?;
-                writeln!(out, "wrote {view} (view compiled from the {flag})")?;
-            }
-        }
-        None => {
-            let merged = merge_shards(&[report])?;
-            write_sweep_summary(&merged, out)?;
-            if let Some(view) = out_path {
-                std::fs::write(view, serde_json::to_string_pretty(&merged)?)?;
-                writeln!(out, "wrote {view} (view compiled from the {flag})")?;
-            }
-        }
-    }
-    Ok(())
+    Err(CliError::Usage(format!(
+        "{path:?} is {what}, not a JSON report; resume it with --{noun} {path} \
+         (and drop --out, or point --out elsewhere for the view)"
+    )))
 }
 
-/// `helios campaign recover FILE [--out FILE]` — salvage a torn resume
-/// artifact with zero hand-repair.
-///
-/// * A cell journal is truncated to its longest valid record prefix
-///   (in place; the `--out` view is optional) and the pending-attempt
-///   tally is printed so poisoned cells are visible before resuming.
-/// * A columnar cell store is likewise truncated to its longest valid
-///   row-group prefix.
-/// * An intact shard/sweep report needs nothing; say so.
-/// * A torn JSON shard report is cut back to the longest valid cell
-///   prefix (rewritten in place, or to `--out`).
-/// * Anything else is a typed `corrupt resume file` error.
+/// `helios campaign recover FILE [--out FILE]` — salvage a torn durable
+/// sweep file with zero hand-repair: a cell journal or a columnar store
+/// is truncated in place to its longest valid record prefix (the
+/// `--out` view is optional). For a journal the pending-attempt tally
+/// is printed too, so poisoned cells are visible before resuming.
+/// Anything else is a typed `corrupt resume file` error.
 fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use helios_core::campaign::journal::{self, DEFAULT_POISON_LIMIT};
-    use helios_core::{CampaignError, EngineError, ShardReport, SweepReport};
+    use helios_core::{CampaignError, EngineError};
 
     let Some((file, rest)) = argv.split_first() else {
         return Err(CliError::Usage(
-            "campaign recover FILE [--out FILE] — FILE is the journal or JSON report".into(),
+            "campaign recover FILE [--out FILE] — FILE is the journal or store".into(),
         ));
     };
     if file.starts_with('-') {
@@ -600,110 +492,62 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
         )));
     }
     let args = Args::parse(rest, &["out"], &[])?;
-    let bytes =
-        std::fs::read(file).map_err(|e| CliError::Helios(format!("cannot read {file:?}: {e}")))?;
-
-    if helios_core::store::is_store_bytes(&bytes) {
-        let salvage = helios_core::recover_store(std::path::Path::new(file))?;
-        let h = &salvage.header;
-        writeln!(
-            out,
-            "store {file}: spec {:?} (digest {}), shard {}/{}, {} total cells",
-            h.spec_name, h.spec_digest, h.shard_index, h.shard_count, h.total_cells
-        )?;
-        writeln!(
-            out,
-            "salvaged {} completed row(s); truncated {} torn byte(s)",
-            salvage.cells.len(),
-            salvage.dropped_bytes
-        )?;
-        if let Some(path) = args.get("out") {
-            std::fs::write(
-                path,
-                serde_json::to_string_pretty(&salvage.to_shard_report())?,
-            )?;
-            writeln!(out, "wrote {path} (view compiled from the store)")?;
-        }
-        writeln!(
-            out,
-            "resume with: helios campaign run --spec SPEC --store {file}"
-        )?;
-        return Ok(());
-    }
-
-    if journal::is_journal_bytes(&bytes) {
-        let salvage = journal::recover_journal(std::path::Path::new(file))?;
-        let h = &salvage.header;
-        writeln!(
-            out,
-            "journal {file}: spec {:?} (digest {}), shard {}/{}, {} total cells",
-            h.spec_name, h.spec_digest, h.shard_index, h.shard_count, h.total_cells
-        )?;
-        writeln!(
-            out,
-            "salvaged {} completed cell(s); truncated {} torn byte(s)",
-            salvage.cells.len(),
-            salvage.dropped_bytes
-        )?;
-        for (cell, attempts) in salvage.pending_attempts() {
-            let fate = if attempts >= DEFAULT_POISON_LIMIT {
-                " — will be quarantined as poisoned on resume"
-            } else {
-                ""
-            };
-            writeln!(
-                out,
-                "cell {cell}: {attempts} attempt(s) without completion{fate}"
-            )?;
-        }
-        if let Some(path) = args.get("out") {
-            std::fs::write(
-                path,
-                serde_json::to_string_pretty(&salvage.to_shard_report())?,
-            )?;
-            writeln!(out, "wrote {path} (view compiled from the journal)")?;
-        }
-        writeln!(
-            out,
-            "resume with: helios campaign run --spec SPEC --journal {file}"
-        )?;
-        return Ok(());
-    }
-
-    let text = String::from_utf8_lossy(&bytes).into_owned();
-    if serde_json::from_str::<ShardReport>(&text).is_ok()
-        || serde_json::from_str::<SweepReport>(&text).is_ok()
-    {
-        writeln!(out, "{file}: intact report; nothing to recover")?;
-        return Ok(());
-    }
-    match journal::salvage_json_shard_report(&text) {
-        Some(s) => {
-            let target = args.get("out").unwrap_or(file);
-            std::fs::write(target, serde_json::to_string_pretty(&s.report)?)?;
-            writeln!(
-                out,
-                "salvaged {} of {} cell(s) from torn JSON report ({} byte(s) dropped); \
-                 wrote {target}",
-                s.report.cells.len(),
-                s.report.total_cells,
-                s.dropped_bytes
-            )?;
-            writeln!(
-                out,
-                "resume with: helios campaign run --spec SPEC --out {target}"
-            )?;
-            Ok(())
-        }
-        None => Err(EngineError::from(CampaignError::CorruptResume {
+    let kind =
+        durable_kind(file).map_err(|e| CliError::Helios(format!("cannot read {file:?}: {e}")))?;
+    let Some(noun) = kind else {
+        return Err(EngineError::from(CampaignError::CorruptResume {
             file: (*file).clone(),
             offset: 0,
-            detail: "neither a cell journal nor a salvageable JSON report; \
-                     delete the file to start fresh"
+            detail: "neither a cell store nor a cell journal, the only files recover \
+                     repairs; a JSON report is a view, so re-run the sweep to rewrite it"
                 .into(),
         })
-        .into()),
+        .into());
+    };
+    let path = std::path::Path::new(file);
+    let (unit, dropped, pending, report) = if noun == "journal" {
+        let salvage = journal::recover_journal(path)?;
+        let (dropped, pending) = (salvage.dropped_bytes, salvage.pending_attempts());
+        ("cell", dropped, pending, salvage.to_shard_report())
+    } else {
+        let salvage = helios_core::recover_store(path)?;
+        let dropped = salvage.dropped_bytes;
+        ("row", dropped, Vec::new(), salvage.to_shard_report())
+    };
+    writeln!(
+        out,
+        "{noun} {file}: spec {:?} (digest {}), shard {}/{}, {} total cells",
+        report.spec_name,
+        report.spec_digest,
+        report.shard_index,
+        report.shard_count,
+        report.total_cells
+    )?;
+    writeln!(
+        out,
+        "salvaged {} completed {unit}(s); truncated {dropped} torn byte(s)",
+        report.cells.len()
+    )?;
+    for (cell, attempts) in pending {
+        let fate = if attempts >= DEFAULT_POISON_LIMIT {
+            " — will be quarantined as poisoned on resume"
+        } else {
+            ""
+        };
+        writeln!(
+            out,
+            "cell {cell}: {attempts} attempt(s) without completion{fate}"
+        )?;
     }
+    if let Some(view) = args.get("out") {
+        std::fs::write(view, serde_json::to_string_pretty(&report)?)?;
+        writeln!(out, "wrote {view} (view compiled from the {noun})")?;
+    }
+    writeln!(
+        out,
+        "resume with: helios campaign run --spec SPEC --{noun} {file}"
+    )?;
+    Ok(())
 }
 
 /// `helios campaign merge` — recombine shard reports, cell journals
@@ -739,18 +583,19 @@ fn campaign_merge(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> 
 /// complete JSON sweep report (as shard 1/1). `role` names the file in
 /// errors.
 fn read_result_file(path: &str, role: &str) -> Result<helios_core::ShardReport, CliError> {
-    use helios_core::campaign::journal;
     use helios_core::{ShardReport, SweepReport};
 
-    let bytes = std::fs::read(path)
-        .map_err(|e| CliError::Helios(format!("cannot read {role} {path:?}: {e}")))?;
+    let cannot_read =
+        |e: std::io::Error| CliError::Helios(format!("cannot read {role} {path:?}: {e}"));
     let file = std::path::Path::new(path);
-    if helios_core::store::is_store_bytes(&bytes) {
-        return Ok(helios_core::read_store(file)?.to_shard_report());
+    match durable_kind(path).map_err(cannot_read)? {
+        Some("journal") => {
+            return Ok(helios_core::campaign::journal::read_journal(file)?.to_shard_report())
+        }
+        Some(_) => return Ok(helios_core::read_store(file)?.to_shard_report()),
+        None => {}
     }
-    if journal::is_journal_bytes(&bytes) {
-        return Ok(journal::read_journal(file)?.to_shard_report());
-    }
+    let bytes = std::fs::read(path).map_err(cannot_read)?;
     let json = String::from_utf8_lossy(&bytes);
     if let Ok(shard) = serde_json::from_str::<ShardReport>(&json) {
         return Ok(shard);

@@ -123,8 +123,8 @@ pub fn usage() -> String {
                        --store cells.store)\n\
        campaign merge  recombine shard reports, journals or stores\n\
                        (--in shard.json --in shard.store ..., --out)\n\
-       campaign recover FILE  salvage a torn journal, store or JSON report\n\
-                       in place (--out to write the view elsewhere)\n\
+       campaign recover FILE  salvage a torn journal or store in place\n\
+                       (--out to write the view elsewhere)\n\
        query      run 'SELECT ... [WHERE ...] [GROUP BY ...]' over sweep\n\
                   results (--in report.json|wal.journal|cells.store, --json)\n\
        fuzz       adversarial harness: random specs vs differential oracles\n\

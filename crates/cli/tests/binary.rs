@@ -236,7 +236,8 @@ fn killed_sweep_resumes_byte_identically() {
         .unwrap();
     assert!(out.status.success());
 
-    // "Crash" after one cell: partial shard report, nonzero exit.
+    // Without a durable sink nothing could resume the cut run, so the
+    // crash hook is refused up front, naming the sinks.
     let out = helios()
         .args([
             "campaign",
@@ -249,18 +250,46 @@ fn killed_sweep_resumes_byte_identically() {
         .env("HELIOS_SWEEP_ABORT_AFTER", "1")
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(1), "an aborted sweep must fail");
+    assert_eq!(out.status.code(), Some(2), "a usage error");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("HELIOS_SWEEP_ABORT_AFTER"), "{stderr}");
-    assert!(stderr.contains("resume"), "{stderr}");
+    assert!(
+        stderr.contains("--store") && stderr.contains("--journal"),
+        "{stderr}"
+    );
+    assert!(!dir.join("resumed.json").exists(), "nothing was run");
 
-    // Resume against the partial file: skips the done cell, completes.
+    // "Crash" after one cell: one durable row, nonzero exit, no view.
     let out = helios()
         .args([
             "campaign",
             "run",
             "--spec",
             &path("spec.json"),
+            "--store",
+            &path("sweep.store"),
+            "--out",
+            &path("resumed.json"),
+        ])
+        .env("HELIOS_SWEEP_ABORT_AFTER", "1")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "an aborted sweep must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("HELIOS_SWEEP_ABORT_AFTER"), "{stderr}");
+    assert!(stderr.contains("re-run with the same --store"), "{stderr}");
+    assert!(!dir.join("resumed.json").exists(), "no view of a cut run");
+
+    // Resume against the store: skips the done cell, completes, and
+    // the view overwrites a foreign JSON file already at --out.
+    std::fs::write(dir.join("resumed.json"), r#"{"not": "a report"}"#).unwrap();
+    let out = helios()
+        .args([
+            "campaign",
+            "run",
+            "--spec",
+            &path("spec.json"),
+            "--store",
+            &path("sweep.store"),
             "--out",
             &path("resumed.json"),
         ])
@@ -272,11 +301,7 @@ fn killed_sweep_resumes_byte_identically() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("resuming from"), "{stdout}");
-    assert!(
-        stdout.contains("1 of 2 owned cells already done"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("1 completed row(s) salvaged"), "{stdout}");
 
     let full = std::fs::read(dir.join("full.json")).unwrap();
     let resumed = std::fs::read(dir.join("resumed.json")).unwrap();
@@ -285,26 +310,7 @@ fn killed_sweep_resumes_byte_identically() {
         "kill-and-resume must be byte-identical to the uninterrupted run"
     );
 
-    // Re-running against the complete output is a cheap no-op.
-    let out = helios()
-        .args([
-            "campaign",
-            "run",
-            "--spec",
-            &path("spec.json"),
-            "--out",
-            &path("resumed.json"),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("already complete"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // A foreign spec must be refused, not silently overwritten.
+    // A foreign spec is refused by the store, not silently mixed in.
     std::fs::write(
         dir.join("other.json"),
         SPEC_JSON.replace(r#""tasks": 20"#, r#""tasks": 25"#),
@@ -316,14 +322,32 @@ fn killed_sweep_resumes_byte_identically() {
             "run",
             "--spec",
             &path("other.json"),
-            "--out",
-            &path("resumed.json"),
+            "--store",
+            &path("sweep.store"),
         ])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("refusing"), "{stderr}");
+
+    // Without a sink, `--out` is a plain view: a re-run, even of another
+    // spec, overwrites it.
+    let out = helios()
+        .args([
+            "campaign",
+            "run",
+            "--spec",
+            &path("other.json"),
+            "--out",
+            &path("resumed.json"),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let other = std::fs::read_to_string(dir.join("resumed.json")).unwrap();
+    assert!(other.contains("\"summary\""), "a sweep report: {other}");
+    assert_ne!(other.as_bytes(), full.as_slice(), "of the other spec");
 }
 
 #[test]

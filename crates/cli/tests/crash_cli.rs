@@ -1,6 +1,6 @@
 //! End-to-end crash tests of the compiled `helios` binary: SIGTERM
-//! drain, torn-write injection + `campaign recover`, and the typed
-//! corrupt-resume error for damaged JSON reports.
+//! drain, torn-write injection + `campaign recover`, and the guard that
+//! keeps a `--out` view from overwriting a durable file.
 
 use std::process::Command;
 
@@ -209,14 +209,72 @@ fn torn_write_is_salvaged_by_recover_and_resumes_byte_identically() {
     );
 }
 
+/// Handing a journal or a store to `--out` is guided, not punished: the
+/// run is refused before it starts, the durable file keeps its bytes,
+/// and the message names the flag that resumes it. `recover` repairs
+/// only those two kinds; anything else is a typed corrupt-resume error.
 #[test]
-fn corrupt_json_resume_is_typed_and_recover_repairs_it() {
-    let dir = fresh_dir("corruptjson");
+fn durable_files_handed_to_out_are_refused_and_only_they_recover() {
+    let dir = fresh_dir("misuse");
     let path = |n: &str| dir.join(n).to_str().unwrap().to_owned();
     std::fs::write(dir.join("spec.json"), SPEC_JSON).unwrap();
-
     let run = |args: &[&str]| helios().args(args).output().unwrap();
-    let reference = run(&[
+
+    for flag in ["journal", "store"] {
+        let file = path(&format!("sweep.{flag}"));
+        let sink = run(&[
+            "campaign",
+            "run",
+            "--spec",
+            &path("spec.json"),
+            &format!("--{flag}"),
+            &file,
+        ]);
+        assert!(sink.status.success(), "--{flag}");
+        let durable = std::fs::read(&file).unwrap();
+
+        // As the only output, and as the view of another durable run.
+        let other = path(&format!("other.{flag}"));
+        for extra in [&[][..], &[format!("--{flag}"), other.clone()][..]] {
+            let misuse = helios()
+                .args(["campaign", "run", "--spec", &path("spec.json")])
+                .args(extra)
+                .args(["--out", &file])
+                .output()
+                .unwrap();
+            assert_eq!(misuse.status.code(), Some(2), "--{flag} {extra:?}");
+            let stderr = String::from_utf8_lossy(&misuse.stderr);
+            assert!(
+                stderr.contains(&format!("resume it with --{flag} {file}")),
+                "{stderr}"
+            );
+            assert_eq!(std::fs::read(&file).unwrap(), durable, "--{flag} {extra:?}");
+            assert!(!dir.join(&other).exists(), "refused before the run");
+        }
+
+        // The view pointed at the sink's own fresh file: the run fills
+        // it, and the view is refused instead of overwriting it.
+        let same = path(&format!("same.{flag}"));
+        let sink_args = [format!("--{flag}"), same.clone()];
+        let run_same = |view: &[&str]| {
+            helios()
+                .args(["campaign", "run", "--spec", &path("spec.json")])
+                .args(&sink_args)
+                .args(view)
+                .output()
+                .unwrap()
+        };
+        let clobber = run_same(&["--out", &same]);
+        assert_eq!(clobber.status.code(), Some(2), "--{flag} X --out X");
+        let resumed = run_same(&[]);
+        assert!(
+            resumed.status.success(),
+            "--{flag} X still resumes: {}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+    }
+
+    let report = run(&[
         "campaign",
         "run",
         "--spec",
@@ -224,111 +282,13 @@ fn corrupt_json_resume_is_typed_and_recover_repairs_it() {
         "--out",
         &path("full.json"),
     ]);
-    assert!(reference.status.success());
-
-    for k in 1..=2 {
-        let out = run(&[
-            "campaign",
-            "run",
-            "--spec",
-            &path("spec.json"),
-            "--shard",
-            &format!("{k}/2"),
-            "--out",
-            &path(&format!("s{k}.json")),
-        ]);
-        assert!(out.status.success());
-    }
-
-    // Simulate a crash mid-write: chop the tail off shard 1's report.
-    let intact = std::fs::read_to_string(path("s1.json")).unwrap();
-    std::fs::write(path("s1.json"), &intact[..intact.len() * 3 / 5]).unwrap();
-
-    let refused = run(&[
-        "campaign",
-        "run",
-        "--spec",
-        &path("spec.json"),
-        "--shard",
-        "1/2",
-        "--out",
-        &path("s1.json"),
-    ]);
+    assert!(report.status.success());
+    let refused = run(&["campaign", "recover", &path("full.json")]);
     assert_eq!(refused.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(stderr.contains("corrupt resume file"), "{stderr}");
-    assert!(stderr.contains("at byte"), "{stderr}");
-    assert!(stderr.contains("campaign recover"), "{stderr}");
-
-    let recover = run(&["campaign", "recover", &path("s1.json")]);
     assert!(
-        recover.status.success(),
-        "{}",
-        String::from_utf8_lossy(&recover.stderr)
+        stderr.contains("cell store") && stderr.contains("cell journal"),
+        "{stderr}"
     );
-    let stdout = String::from_utf8_lossy(&recover.stdout);
-    assert!(stdout.contains("salvaged"), "{stdout}");
-
-    // The repaired file resumes cleanly, and the merged partition is
-    // byte-identical to the unsharded run.
-    let resumed = run(&[
-        "campaign",
-        "run",
-        "--spec",
-        &path("spec.json"),
-        "--shard",
-        "1/2",
-        "--out",
-        &path("s1.json"),
-    ]);
-    assert!(
-        resumed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    let merged = run(&[
-        "campaign",
-        "merge",
-        "--in",
-        &path("s1.json"),
-        "--in",
-        &path("s2.json"),
-        "--out",
-        &path("merged.json"),
-    ]);
-    assert!(
-        merged.status.success(),
-        "{}",
-        String::from_utf8_lossy(&merged.stderr)
-    );
-    assert_eq!(
-        std::fs::read_to_string(path("merged.json")).unwrap(),
-        std::fs::read_to_string(path("full.json")).unwrap()
-    );
-
-    // Handing the journal to --out (or an intact report to recover) is
-    // guided, not punished.
-    let run_j = run(&[
-        "campaign",
-        "run",
-        "--spec",
-        &path("spec.json"),
-        "--journal",
-        &path("j.journal"),
-    ]);
-    assert!(run_j.status.success());
-    let misuse = run(&[
-        "campaign",
-        "run",
-        "--spec",
-        &path("spec.json"),
-        "--out",
-        &path("j.journal"),
-    ]);
-    assert_eq!(misuse.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&misuse.stderr);
-    assert!(stderr.contains("--journal"), "{stderr}");
-    let noop = run(&["campaign", "recover", &path("full.json")]);
-    assert!(noop.status.success());
-    assert!(String::from_utf8_lossy(&noop.stdout).contains("nothing to recover"));
 }

@@ -29,11 +29,6 @@
 //! the process that many times and is quarantined by the driver
 //! (recorded `completed = false, incomplete_reason = "poisoned"`)
 //! instead of being retried forever.
-//!
-//! The module also salvages the *legacy* resume artifact: a truncated
-//! pretty-printed JSON [`ShardReport`] (the pre-journal `--out` file,
-//! torn by a crash mid-rewrite) can be cut back to its longest valid
-//! cell prefix by [`salvage_json_shard_report`].
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
@@ -55,7 +50,7 @@ pub const TORN_WRITE_INJECTED: &str = "injected torn journal write";
 /// a cell as poisoned.
 pub const DEFAULT_POISON_LIMIT: u32 = 3;
 
-static FORMAT: Format = Format {
+pub(crate) static FORMAT: Format = Format {
     magic: JOURNAL_MAGIC,
     noun: "journal",
     record: "record",
@@ -111,17 +106,23 @@ pub struct Salvage {
 
 impl Salvage {
     /// The salvaged completions as a [`ShardReport`] — the bridge that
-    /// lets `merge_shards` consume journal files directly.
+    /// lets `merge_shards` consume journal files directly. It consumes
+    /// the salvage, so the cells move instead of being cloned; read
+    /// `dropped_bytes` or [`pending_attempts`](Salvage::pending_attempts)
+    /// first.
+    // A consuming `to_*`: every caller drops the salvage right after,
+    // and the benchmark calls it by this name.
+    #[allow(clippy::wrong_self_convention)]
     #[must_use]
-    pub fn to_shard_report(&self) -> ShardReport {
-        let h = &self.header;
+    pub fn to_shard_report(self) -> ShardReport {
+        let h = self.header;
         ShardReport::salvaged(
-            &h.spec_name,
-            &h.spec_digest,
+            h.spec_name,
+            h.spec_digest,
             h.total_cells,
             h.shard_index,
             h.shard_count,
-            self.cells.clone(),
+            self.cells,
         )
     }
 
@@ -265,114 +266,6 @@ impl JournalWriter {
         self.appends += 1;
         Ok(())
     }
-}
-
-/// A salvaged legacy JSON resume artifact: the report rebuilt from the
-/// longest valid cell prefix plus how many bytes were torn off.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonSalvage {
-    /// Shard metadata plus every cell that parsed intact.
-    pub report: ShardReport,
-    /// Bytes after the last intact cell object (the torn tail).
-    pub dropped_bytes: u64,
-}
-
-/// Salvages a truncated pretty-printed [`ShardReport`] JSON file — the
-/// pre-journal `--out` artifact a crash mid-rewrite leaves behind.
-///
-/// The serializer emits shard metadata before the `"cells"` array, so
-/// a torn file still carries trustworthy spec/shard identity; cells
-/// are recovered one balanced JSON object at a time until the first
-/// torn or unparseable one. Returns `None` when even the metadata
-/// prefix is damaged (nothing salvageable).
-#[must_use]
-pub fn salvage_json_shard_report(text: &str) -> Option<JsonSalvage> {
-    let cells_key = text.find("\"cells\"")?;
-    let meta_prefix = text[..cells_key].trim_end();
-    if !meta_prefix.ends_with(',') {
-        return None;
-    }
-    let mut meta = meta_prefix.to_string();
-    meta.push_str("\"cells\":[]}");
-    let mut report: ShardReport = serde_json::from_str(&meta).ok()?;
-
-    let bytes = text.as_bytes();
-    let mut i = cells_key + "\"cells\"".len();
-    let skip_ws = |bytes: &[u8], mut i: usize| {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    };
-    i = skip_ws(bytes, i);
-    if bytes.get(i) != Some(&b':') {
-        return None;
-    }
-    i = skip_ws(bytes, i + 1);
-    if bytes.get(i) != Some(&b'[') {
-        return None;
-    }
-    i += 1;
-    let mut consumed = i;
-    loop {
-        i = skip_ws(bytes, i);
-        match bytes.get(i) {
-            Some(b',') => {
-                i += 1;
-                continue;
-            }
-            Some(b'{') => {}
-            // `]` (file complete) or anything else: stop; a complete
-            // file parses whole and never reaches salvage anyway.
-            _ => break,
-        }
-        let Some(end) = scan_balanced_object(bytes, i) else {
-            break; // torn mid-object
-        };
-        let Ok(cell) = serde_json::from_str::<CellResult>(&text[i..end]) else {
-            break;
-        };
-        report.cells.push(cell);
-        i = end;
-        consumed = end;
-    }
-    Some(JsonSalvage {
-        report,
-        dropped_bytes: (text.len() - consumed) as u64,
-    })
-}
-
-/// Returns the index just past the `}` matching the `{` at `start`,
-/// honoring strings and escapes; `None` if the object never closes.
-fn scan_balanced_object(bytes: &[u8], start: usize) -> Option<usize> {
-    debug_assert_eq!(bytes.get(start), Some(&b'{'));
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (off, &b) in bytes.iter().enumerate().skip(start) {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(off + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -593,28 +486,5 @@ mod tests {
         let err = read_journal(&path).unwrap_err().to_string();
         assert!(err.contains("header"), "{err}");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn json_shard_report_salvage_recovers_the_valid_prefix() {
-        let report = ShardReport {
-            spec_name: "t".into(),
-            spec_digest: "d".into(),
-            total_cells: 4,
-            shard_index: 1,
-            shard_count: 1,
-            cells: vec![cell(0), cell(1), cell(2)],
-        };
-        let full = serde_json::to_string_pretty(&report).unwrap();
-        // Tear the file in the middle of the last cell object.
-        let torn = &full[..full.len() - 40];
-        let s = salvage_json_shard_report(torn).expect("salvageable");
-        assert_eq!(s.report.spec_digest, "d");
-        assert_eq!(s.report.cells, vec![cell(0), cell(1)]);
-        assert!(s.dropped_bytes > 0, "the torn object counts as dropped");
-        assert!((s.dropped_bytes as usize) < torn.len());
-
-        // Torn before any metadata → nothing salvageable.
-        assert!(salvage_json_shard_report(&full[..10]).is_none());
     }
 }

@@ -52,9 +52,9 @@ pub enum CampaignError {
     InvalidShard(String),
     /// A resume checkpoint disagrees with the spec being resumed.
     ResumeMismatch(String),
-    /// A resume artifact (JSON report or cell journal) is torn or
-    /// corrupt: a crash interrupted a write and left bytes that cannot
-    /// be trusted past `offset`.
+    /// A resume artifact (cell journal or store) is torn or corrupt —
+    /// a crash interrupted a write and left bytes that cannot be
+    /// trusted past `offset` — or is no durable sweep file at all.
     CorruptResume {
         /// Path of the damaged file.
         file: String,
@@ -104,7 +104,7 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-pub use journal::{JournalHeader, JournalWriter, JsonSalvage, Salvage};
+pub use journal::{JournalHeader, JournalWriter, Salvage};
 pub use spec::{
     CampaignSpec, DvfsKnob, FaultKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange, SweepCell,
 };

@@ -29,7 +29,7 @@ use super::spec::{family_class, CampaignSpec, DvfsKnob, SweepCell};
 use super::{CampaignEngine, CampaignError};
 use crate::exec::IncompleteReason;
 use crate::resilience::ResilientRunner;
-use crate::store::{StoreHeader, StoreWriter};
+use crate::store::{segment, StoreHeader, StoreWriter};
 use crate::{Engine, EngineConfig, EngineError};
 
 /// One shard of a partition: `index` of `count`, 1-based.
@@ -226,17 +226,20 @@ impl ShardReport {
     /// store's `to_shard_report`, which bridge salvaged files to
     /// [`merge_shards`] and the sweep loop.
     pub(crate) fn salvaged(
-        spec_name: &str,
-        spec_digest: &str,
+        spec_name: String,
+        spec_digest: String,
         total_cells: usize,
         shard_index: usize,
         shard_count: usize,
         mut cells: Vec<CellResult>,
     ) -> ShardReport {
         cells.sort_by_key(|c| c.cell);
+        // The salvage grew `cells` push by push; a report may be held
+        // for a whole merge, so it keeps no spare capacity.
+        cells.shrink_to_fit();
         ShardReport {
-            spec_name: spec_name.to_owned(),
-            spec_digest: spec_digest.to_owned(),
+            spec_name,
+            spec_digest,
             total_cells,
             shard_index,
             shard_count,
@@ -294,12 +297,12 @@ pub struct SweepReport {
 /// Runs spec grids, whole or shard-by-shard.
 ///
 /// Every entry point — [`run_shard`](SweepDriver::run_shard),
-/// [`resume_shard`](SweepDriver::resume_shard),
 /// [`run_journal`](SweepDriver::run_journal) and
 /// [`run_store`](SweepDriver::run_store) — feeds one private loop over a
-/// `CellSink`: salvage → check → quarantine → skip → cap → run →
+/// `CellSink`: salvage and check → quarantine → skip → cap → run →
 /// append → flush (even on error) → compile. The entry points differ
-/// only in where finished cells go.
+/// only in where finished cells go: nowhere but the returned report, or
+/// one of the two durable files, which alone can be resumed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepDriver {
     engine: CampaignEngine,
@@ -325,7 +328,11 @@ impl SweepDriver {
         merge_shards(&[self.run_shard(spec, ShardSpec::full())?])
     }
 
-    /// Runs the cells owned by `shard` (strided over global indices).
+    /// Runs the cells owned by `shard` (strided over global indices),
+    /// keeping them only in memory: nothing is resumable. A run that
+    /// must survive a crash goes through
+    /// [`run_journal`](SweepDriver::run_journal) or
+    /// [`run_store`](SweepDriver::run_store).
     ///
     /// # Errors
     ///
@@ -336,38 +343,9 @@ impl SweepDriver {
         spec: &CampaignSpec,
         shard: ShardSpec,
     ) -> Result<ShardReport, EngineError> {
-        Ok(self.resume_shard(spec, shard, None, None)?.report)
-    }
-
-    /// Runs `shard`, skipping cells already present in `prior` — the
-    /// crash-resume path of a JSON `--out` report. Because every cell is
-    /// a pure function of the spec and its coordinates, the resumed
-    /// report is byte-identical to an uninterrupted run of the same
-    /// shard.
-    ///
-    /// `limit` caps the number of cells *executed* by this invocation
-    /// (the `HELIOS_SWEEP_ABORT_AFTER` crash-injection hook); cells cut
-    /// off by the cap are reported in [`SweepOutcome::remaining`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::ResumeMismatch`] (wrapped in
-    /// [`EngineError::Campaign`]) when `prior` belongs to a different
-    /// spec (name, digest or grid size mismatch), a different shard
-    /// geometry, or claims cells the shard does not own — and
-    /// propagates cell execution errors.
-    pub fn resume_shard(
-        &self,
-        spec: &CampaignSpec,
-        shard: ShardSpec,
-        prior: Option<&ShardReport>,
-        limit: Option<usize>,
-    ) -> Result<SweepOutcome, EngineError> {
-        let opts = SweepOptions {
-            limit,
-            ..SweepOptions::default()
-        };
-        self.drive(spec, shard, PriorSink(prior), &opts)
+        Ok(self
+            .drive(spec, shard, MemorySink, &SweepOptions::default())?
+            .report)
     }
 
     /// Runs `shard` against a write-ahead cell journal at `path` — the
@@ -454,10 +432,7 @@ impl SweepDriver {
         };
 
         let salvaged = sink.salvage(&report)?;
-        let mut done = match salvaged.prior {
-            Some(prior) => check_prior(prior, &report, shard, S::LABEL)?,
-            None => Vec::new(),
-        };
+        let mut done = salvaged.cells;
         let salvaged_cells = done.len();
 
         // Quarantine: a cell that has crashed the process `poison_limit`
@@ -605,14 +580,16 @@ impl<'a> Workflows<'a> {
 /// Where the sweep loop keeps finished cells. `salvage` runs once,
 /// before any cell; then every cell gets `attempt` before it executes
 /// and `append` after it finishes, each under the loop's lock; `flush`
-/// runs once at the end, also when the run failed.
+/// runs once at the end, also when the run failed. Every step defaults
+/// to a no-op: the sink of [`SweepDriver::run_shard`], which keeps
+/// finished cells only in the returned report.
 trait CellSink: Send {
-    /// How refusal messages name this sink's file.
-    const LABEL: Label;
-
     /// Opens the sink for a run of `expected`'s campaign and shard, and
-    /// returns what a previous run left in it.
-    fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError>;
+    /// returns what a previous run left in it, checked by
+    /// [`check_prior`].
+    fn salvage(&mut self, _expected: &ShardReport) -> Result<Salvaged, EngineError> {
+        Ok(Salvaged::default())
+    }
 
     /// Durably records that global cell `cell` is about to execute.
     fn attempt(&mut self, _cell: usize) -> Result<(), EngineError> {
@@ -630,22 +607,12 @@ trait CellSink: Send {
     }
 }
 
-/// How refusal messages name a sink's file: the noun (`report`), the
-/// CLI flag that points at it (`--out`), and the subject of an
-/// unowned-cell claim.
-#[derive(Debug, Clone, Copy)]
-struct Label {
-    noun: &'static str,
-    flag: &'static str,
-    claimant: &'static str,
-}
-
 /// What a sink already holds when a run starts.
 #[derive(Debug, Default)]
 struct Salvaged {
-    /// The campaign identity and completed cells a previous run left;
-    /// `None` for a fresh sink.
-    prior: Option<ShardReport>,
+    /// The completed cells a previous run left, sorted by index; empty
+    /// for a fresh sink.
+    cells: Vec<CellResult>,
     /// Cells whose attempt records reached the poison limit with no
     /// completion, sorted.
     crash_looped: Vec<usize>,
@@ -653,24 +620,11 @@ struct Salvaged {
     dropped_bytes: u64,
 }
 
-/// The in-memory sink: done cells come from a prior JSON report (none
-/// on a fresh run) and finished cells live only in the returned report.
-struct PriorSink<'a>(Option<&'a ShardReport>);
+/// The in-memory sink: nothing to salvage, and finished cells live only
+/// in the returned report.
+struct MemorySink;
 
-impl CellSink for PriorSink<'_> {
-    const LABEL: Label = Label {
-        noun: "report",
-        flag: "--out",
-        claimant: "the existing report",
-    };
-
-    fn salvage(&mut self, _expected: &ShardReport) -> Result<Salvaged, EngineError> {
-        Ok(Salvaged {
-            prior: self.0.cloned(),
-            ..Salvaged::default()
-        })
-    }
-}
+impl CellSink for MemorySink {}
 
 /// The write-ahead journal sink: an fsync'd attempt record before each
 /// cell and an fsync'd completion record after. It owns the journal-only
@@ -690,12 +644,6 @@ impl JournalSink<'_> {
 }
 
 impl CellSink for JournalSink<'_> {
-    const LABEL: Label = Label {
-        noun: "journal",
-        flag: "--journal",
-        claimant: "the journal",
-    };
-
     fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError> {
         if !has_bytes(self.path) {
             let header = JournalHeader {
@@ -715,11 +663,13 @@ impl CellSink for JournalSink<'_> {
             .filter(|&(_, attempts)| attempts >= self.poison_limit)
             .map(|(cell, _)| cell)
             .collect();
+        let dropped_bytes = salvage.dropped_bytes;
+        let cells = check_prior(salvage.to_shard_report(), expected, journal::FORMAT.noun)?;
         self.writer = Some(JournalWriter::open_append(self.path, self.tear_after)?);
         Ok(Salvaged {
-            prior: Some(salvage.to_shard_report()),
+            cells,
             crash_looped,
-            dropped_bytes: salvage.dropped_bytes,
+            dropped_bytes,
         })
     }
 
@@ -752,12 +702,6 @@ impl StoreSink<'_> {
 }
 
 impl CellSink for StoreSink<'_> {
-    const LABEL: Label = Label {
-        noun: "store",
-        flag: "--store",
-        claimant: "the store",
-    };
-
     fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError> {
         if !has_bytes(self.path) {
             let header = StoreHeader {
@@ -772,11 +716,13 @@ impl CellSink for StoreSink<'_> {
             return Ok(Salvaged::default());
         }
         let salvage = crate::store::recover_store(self.path)?;
+        let dropped_bytes = salvage.dropped_bytes;
+        let cells = check_prior(salvage.to_shard_report(), expected, segment::FORMAT.noun)?;
         self.writer = Some(StoreWriter::open_append(self.path)?);
         Ok(Salvaged {
-            prior: Some(salvage.to_shard_report()),
+            cells,
             crash_looped: Vec::new(),
-            dropped_bytes: salvage.dropped_bytes,
+            dropped_bytes,
         })
     }
 
@@ -795,21 +741,20 @@ fn has_bytes(path: &Path) -> bool {
     std::fs::metadata(path).is_ok_and(|m| m.len() > 0)
 }
 
-/// Refuses what a sink salvaged when it belongs to a different
-/// campaign or shard geometry, claims a cell this shard does not own,
-/// or lists a cell twice; otherwise returns its cells sorted by index.
-/// The messages name the sink's file through `label`.
+/// Refuses what a durable file holds when it belongs to a different
+/// campaign or shard geometry than `expected`, or claims a cell that
+/// shard does not own; otherwise returns its cells (sorted and listed
+/// once each, as every salvage yields them). The messages name the file
+/// by its `noun` (`journal` or `store`), which is also its CLI flag.
 fn check_prior(
     prior: ShardReport,
     expected: &ShardReport,
-    shard: ShardSpec,
-    label: Label,
+    noun: &str,
 ) -> Result<Vec<CellResult>, EngineError> {
-    let Label {
-        noun,
-        flag,
-        claimant,
-    } = label;
+    let shard = ShardSpec {
+        index: expected.shard_index,
+        count: expected.shard_count,
+    };
     let refuse = |msg: String| Err(CampaignError::ResumeMismatch(msg).into());
     if prior.spec_name != expected.spec_name
         || prior.spec_digest != expected.spec_digest
@@ -818,7 +763,7 @@ fn check_prior(
         return refuse(format!(
             "refusing to resume: the existing {noun} is from a different campaign \
              (spec {:?}, digest {}, {} cells) than this spec ({:?}, digest {}, {} \
-             cells); delete the file or point {flag} elsewhere",
+             cells); delete the file or point --{noun} elsewhere",
             prior.spec_name,
             prior.spec_digest,
             prior.total_cells,
@@ -835,25 +780,18 @@ fn check_prior(
         ));
     }
     let total_cells = expected.total_cells;
-    let mut cells = prior.cells;
-    cells.sort_by_key(|c| c.cell);
-    if let Some(bad) = cells
+    if let Some(bad) = prior
+        .cells
         .iter()
         .find(|c| !shard.owns(c.cell) || c.cell >= total_cells)
     {
         return refuse(format!(
-            "refusing to resume: {claimant} claims cell {}, which shard \
+            "refusing to resume: the {noun} claims cell {}, which shard \
              {shard} of this {total_cells}-cell grid does not own",
             bad.cell
         ));
     }
-    if let Some(pair) = cells.windows(2).find(|p| p[0].cell == p[1].cell) {
-        return refuse(format!(
-            "refusing to resume: the existing {noun} lists cell {} twice",
-            pair[0].cell
-        ));
-    }
-    Ok(cells)
+    Ok(prior.cells)
 }
 
 /// The quarantine measurement for a cell that repeatedly killed the
@@ -866,8 +804,8 @@ fn poisoned_result(cell: &SweepCell) -> CellResult {
     result
 }
 
-/// Knobs for the sweep entry points: the cap and drain flag every sink
-/// honours, plus the journal's crash-injection hooks. Hooks are
+/// Knobs for the durable entry points: the cap and drain flag both
+/// sinks honour, plus the journal's crash-injection hooks. Hooks are
 /// explicit fields (not environment variables) so parallel tests cannot
 /// race on process state; the CLI translates its `HELIOS_*` variables
 /// into these.
@@ -897,25 +835,26 @@ pub struct SweepOptions<'a> {
 /// [`SweepOptions`] by the name journal callers use.
 pub type JournalOptions<'a> = SweepOptions<'a>;
 
-/// What one sweep invocation did: the compiled report plus the salvage,
-/// quarantine and drain accounting. Every entry point returns it.
+/// What one durable sweep invocation did: the compiled report plus the
+/// salvage, quarantine and drain accounting that
+/// [`run_journal`](SweepDriver::run_journal) and
+/// [`run_store`](SweepDriver::run_store) return.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// The shard report after this invocation (partial iff
     /// `remaining > 0` or `drained`).
     pub report: ShardReport,
-    /// Cells taken over instead of re-run: prior or salvaged cells plus
-    /// freshly quarantined ones.
+    /// Cells taken over instead of re-run: salvaged cells plus freshly
+    /// quarantined ones.
     pub skipped: usize,
     /// Owned cells still missing (a `limit` or drain cut the run).
     pub remaining: usize,
-    /// Completed cells taken over from the prior report or salvaged
-    /// from the existing file.
+    /// Completed cells salvaged from the existing file.
     pub salvaged_cells: usize,
     /// Torn-tail bytes truncated during salvage.
     pub dropped_bytes: u64,
     /// Cells quarantined as poisoned by *this* invocation, sorted
-    /// (journal only; empty for the other sinks).
+    /// (journal only; empty for the store).
     pub poisoned: Vec<usize>,
     /// Whether a drain request cut the run short.
     pub drained: bool,
@@ -1321,12 +1260,17 @@ mod tests {
         .unwrap();
         for jobs in [1, 2] {
             let driver = SweepDriver::new(jobs);
-            let whole = driver.resume_shard(&spec, ShardSpec::full(), None, None);
-            assert_eq!(whole.unwrap().workflows_generated, 4);
+            let run = |limit| {
+                let opts = SweepOptions {
+                    limit,
+                    ..SweepOptions::default()
+                };
+                driver.drive(&spec, ShardSpec::full(), MemorySink, &opts)
+            };
+            assert_eq!(run(None).unwrap().workflows_generated, 4);
             // The first 3 cells are montage on the workstation with heft
             // (seeds 3, 4) and olb (seed 3): two pairs.
-            let capped = driver.resume_shard(&spec, ShardSpec::full(), None, Some(3));
-            assert_eq!(capped.unwrap().workflows_generated, 2);
+            assert_eq!(run(Some(3)).unwrap().workflows_generated, 2);
         }
     }
 

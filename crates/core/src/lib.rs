@@ -108,7 +108,7 @@ pub mod store;
 
 pub use campaign::{
     cell_rng, merge_shards, CampaignEngine, CampaignError, CampaignSpec, CellResult, DvfsKnob,
-    FaultKnob, JournalHeader, JournalOptions, JournalWriter, JsonSalvage, ResilienceKnob, Salvage,
+    FaultKnob, JournalHeader, JournalOptions, JournalWriter, ResilienceKnob, Salvage,
     SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, SummaryRow, SweepCell, SweepDriver,
     SweepOptions, SweepOutcome, SweepReport,
 };

@@ -43,7 +43,7 @@ pub const STORE_MAGIC: [u8; 8] = *b"HELIOSC1";
 /// checksummed record.
 pub const DEFAULT_SEGMENT_ROWS: usize = 256;
 
-static FORMAT: Format = Format {
+pub(crate) static FORMAT: Format = Format {
     magic: STORE_MAGIC,
     noun: "store",
     record: "group",
@@ -90,17 +90,22 @@ pub struct StoreSalvage {
 
 impl StoreSalvage {
     /// The salvaged cells as a [`ShardReport`] — the bridge that lets
-    /// `merge_shards` and `query` consume store files directly.
+    /// `merge_shards` and `query` consume store files directly. It
+    /// consumes the salvage, so the cells move instead of being cloned;
+    /// read `valid_bytes` or `dropped_bytes` first.
+    // A consuming `to_*`: every caller drops the salvage right after,
+    // and the benchmark calls it by this name.
+    #[allow(clippy::wrong_self_convention)]
     #[must_use]
-    pub fn to_shard_report(&self) -> ShardReport {
-        let h = &self.header;
+    pub fn to_shard_report(self) -> ShardReport {
+        let h = self.header;
         ShardReport::salvaged(
-            &h.spec_name,
-            &h.spec_digest,
+            h.spec_name,
+            h.spec_digest,
             h.total_cells,
             h.shard_index,
             h.shard_count,
-            self.cells.clone(),
+            self.cells,
         )
     }
 }

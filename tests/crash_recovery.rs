@@ -8,8 +8,8 @@
 //! **byte-identical** to the run that was never interrupted. Cells that
 //! repeatedly kill the process get quarantined instead of crash-looping,
 //! and a drain request stops cleanly at a resumable cut. One table test
-//! pins resume identity and refusals across every sink of the shared
-//! sweep loop: JSON prior, journal and store.
+//! pins resume identity and refusals across both durable sinks of the
+//! shared sweep loop: journal and store.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -364,12 +364,10 @@ fn journal_resume_refuses_foreign_spec_and_geometry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The three places a sweep's finished cells can go, driven the way
-/// the CLI drives them: a JSON `--out` report read back as the prior, a
-/// write-ahead journal, and a columnar store.
+/// The two durable places a sweep's finished cells can go, driven the
+/// way the CLI drives them: a write-ahead journal and a columnar store.
 #[derive(Debug, Clone, Copy)]
 enum Sink {
-    JsonPrior,
     Journal,
     Store,
 }
@@ -379,14 +377,12 @@ impl Sink {
     /// refusal messages name.
     fn label(self) -> (&'static str, &'static str, &'static str) {
         match self {
-            Sink::JsonPrior => ("report", "--out", "the existing report"),
             Sink::Journal => ("journal", "--journal", "the journal"),
             Sink::Store => ("store", "--store", "the store"),
         }
     }
 
-    /// Runs `shard` against the sink's file at `path`; the JSON sink
-    /// resumes from the report there and writes the new one back.
+    /// Runs `shard` against the sink's file at `path`.
     fn run(
         self,
         driver: &SweepDriver,
@@ -400,14 +396,6 @@ impl Sink {
             ..SweepOptions::default()
         };
         match self {
-            Sink::JsonPrior => {
-                let prior: Option<ShardReport> = std::fs::read_to_string(path)
-                    .ok()
-                    .map(|json| serde_json::from_str(&json).expect("prior report parses"));
-                let outcome = driver.resume_shard(spec, shard, prior.as_ref(), limit)?;
-                std::fs::write(path, bytes_of_shard(&outcome.report)).expect("write report");
-                Ok(outcome)
-            }
             Sink::Journal => driver.run_journal(spec, shard, path, &opts),
             Sink::Store => driver.run_store(spec, shard, path, &opts),
         }
@@ -417,9 +405,6 @@ impl Sink {
     /// cells, whatever shard owns them.
     fn plant(self, path: &Path, report: &ShardReport) {
         match self {
-            Sink::JsonPrior => {
-                std::fs::write(path, bytes_of_shard(report)).expect("write report");
-            }
             Sink::Journal => {
                 let header = JournalHeader {
                     spec_name: report.spec_name.clone(),
@@ -467,7 +452,7 @@ fn every_sink_refuses_foreign_state_and_resumes_byte_identically() {
     let foreign = CampaignSpec::from_json(&SPEC_JSON.replace("0.05", "0.25")).unwrap();
     let half = |k: usize| ShardSpec::new(k, 2).unwrap();
 
-    for sink in [Sink::JsonPrior, Sink::Journal, Sink::Store] {
+    for sink in [Sink::Journal, Sink::Store] {
         let (noun, flag, claimant) = sink.label();
         for jobs in [1usize, 4] {
             let case = format!("{sink:?} at --jobs {jobs}");
