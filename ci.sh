@@ -273,8 +273,10 @@ echo "infeasible cells are measurements and merge byte-identically"
 echo "==> columnar store + query smoke"
 # The smoke spec swept into 2 columnar store shards must merge (through
 # the mixed-format merge path) byte-identical to the unsharded JSON
-# report, and a GROUP BY scheduler query over the store shards must
-# byte-match the same query over the compiled JSON summary's report.
+# report, and each query below over the store shards must byte-match
+# the same query over the compiled JSON report: a GROUP BY scheduler
+# summary, a filter through `= null` and a numeric bound, and a
+# per-cell GROUP BY that makes one group of every row.
 "$helios" campaign run --spec examples/specs/smoke.json --shard 1/2 \
     --store "$sweep_tmp/s1.store" > /dev/null
 "$helios" campaign run --spec examples/specs/smoke.json --shard 2/2 \
@@ -287,12 +289,16 @@ cmp "$sweep_tmp/full.json" "$sweep_tmp/store_merged.json"
 "$helios" campaign merge --in "$sweep_tmp/full.json" \
     --out "$sweep_tmp/full_remerged.json" > /dev/null
 cmp "$sweep_tmp/full.json" "$sweep_tmp/full_remerged.json"
-gq='SELECT scheduler, count(*), avg_completed(makespan_secs), frac(completed) GROUP BY scheduler'
-"$helios" query "$gq" --in "$sweep_tmp/s1.store" --in "$sweep_tmp/s2.store" \
-    --json > "$sweep_tmp/q_store.json"
-"$helios" query "$gq" --in "$sweep_tmp/full.json" --json > "$sweep_tmp/q_json.json"
-cmp "$sweep_tmp/q_store.json" "$sweep_tmp/q_json.json"
-echo "store merge, sweep-report re-merge and GROUP BY query are byte-identical to the JSON path"
+for gq in \
+    'SELECT scheduler, count(*), avg_completed(makespan_secs), frac(completed) GROUP BY scheduler' \
+    'SELECT cell, makespan_secs WHERE incomplete_reason = null AND makespan_secs > 0' \
+    'SELECT cell, count(*) GROUP BY cell'; do
+    "$helios" query "$gq" --in "$sweep_tmp/s1.store" --in "$sweep_tmp/s2.store" \
+        --json > "$sweep_tmp/q_store.json"
+    "$helios" query "$gq" --in "$sweep_tmp/full.json" --json > "$sweep_tmp/q_json.json"
+    cmp "$sweep_tmp/q_store.json" "$sweep_tmp/q_json.json"
+done
+echo "store merge, sweep-report re-merge and three queries are byte-identical to the JSON path"
 
 echo "==> perf-trajectory smoke"
 # Reduced-iteration run of the pinned benchmark harness: verifies the
@@ -355,6 +361,22 @@ if ! cargo run --release --offline -p helios-bench --bin benchmark -- \
     exit 1
 fi
 echo "resilient_exec seed 0 matches its pinned digest"
+
+echo "==> full-size store_query digest (release, one pass)"
+# One measured pass of the full-size seed-0 store_query workload (50,000
+# stored rows written, read, merged and queried 40 times): the benchmark
+# exits non-zero unless the pass's output matches the pinned
+# Workload::seed0_digest. This pins the query evaluator's values and
+# group order at a scale the unit tests never reach; about 6 s in
+# release.
+if ! cargo run --release --offline -p helios-bench --bin benchmark -- \
+    --workload store_query --seed 0 --seconds 0 \
+    > "$sweep_tmp/store_query.log" 2>&1; then
+    cat "$sweep_tmp/store_query.log" >&2
+    echo "full-size store_query failed its seed-0 digest check" >&2
+    exit 1
+fi
+echo "store_query seed 0 matches its pinned digest"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -724,8 +724,9 @@ fn load_query_cells(inputs: &[&str]) -> Result<Vec<helios_core::CellResult>, Cli
 
     let mut cells: Vec<CellResult> = Vec::new();
     let mut spec: Option<(String, String, usize)> = None;
-    let mut seen_in: std::collections::HashMap<usize, String> = std::collections::HashMap::new();
-    for path in inputs {
+    // The input each cell came from, by its index in `inputs`.
+    let mut seen_in: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    for (input, path) in inputs.iter().enumerate() {
         let shard = read_result_file(path, "query input")?;
         match &spec {
             None => {
@@ -749,14 +750,15 @@ fn load_query_cells(inputs: &[&str]) -> Result<Vec<helios_core::CellResult>, Cli
             }
         }
         for cell in shard.cells {
-            if let Some(first) = seen_in.get(&cell.cell) {
+            if let Some(&first) = seen_in.get(&cell.cell) {
+                let first = inputs[first];
                 return Err(conflict(format!(
                     "cell {} appears in both {first} and {path}; drop one of the \
                      overlapping inputs",
                     cell.cell
                 )));
             }
-            seen_in.insert(cell.cell, (*path).to_owned());
+            seen_in.insert(cell.cell, input);
             cells.push(cell);
         }
     }

@@ -144,7 +144,6 @@ impl EnsembleRunner {
         let mut preds_left: Vec<usize> = (0..n)
             .map(|g| members[owner[g]].workflow.predecessors(local[g]).len())
             .collect();
-        let mut released = vec![false; n];
         let mut ready: Vec<usize> = Vec::new();
         let mut device_idle = vec![true; platform.num_devices()];
         let mut device_free_pred = vec![SimTime::ZERO; platform.num_devices()];
@@ -275,7 +274,6 @@ impl EnsembleRunner {
         while let Some((now, ev)) = queue.pop() {
             match ev {
                 Ev::Release(g) => {
-                    released[g] = true;
                     if preds_left[g] == 0 {
                         ready.push(g);
                     }
@@ -291,7 +289,6 @@ impl EnsembleRunner {
                     for succ in wf.successor_tasks(local[g]) {
                         let sg = gid(m, succ);
                         preds_left[sg] -= 1;
-                        released[sg] = true;
                         if preds_left[sg] == 0 {
                             ready.push(sg);
                         }

@@ -48,10 +48,10 @@
 //!   run,
 //! * **columnar results and queries** — the [`store`] module holds the
 //!   sweep row schema exactly once: an append-friendly columnar
-//!   segment format the driver writes as cells finish, plus a
-//!   volcano-style executor pipeline (scan → filter → project →
-//!   aggregate) that `summarize`, `campaign merge` and the
-//!   `helios query` expression language all compile onto,
+//!   segment format the driver writes as cells finish, plus one
+//!   direct query evaluator (filter, then project or hash group-by)
+//!   that `summarize`, `campaign merge` and the `helios query`
+//!   expression language all run through,
 //! * **adversarial self-checking** — the [`fuzz`] harness generates
 //!   random campaign specs over the full knob space, checks each one
 //!   against differential oracles (hooks-off identity, `--jobs` and

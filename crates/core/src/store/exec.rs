@@ -1,87 +1,25 @@
-//! The volcano-style executor pipeline over cell rows.
+//! Query evaluation over cell rows: WHERE predicates, aggregates and
+//! the hash group-by.
 //!
-//! Plans are trees of [`Executor`]s — scan → filter → project →
-//! aggregate/group-by — pulled one row at a time via `next()`, in the
-//! erdb planner/executors style. The same executors serve three
-//! callers: `summarize` (a fixed group-by plan, see
-//! [`summarize_cells`]), `campaign merge` (which recomputes the
-//! summary through that plan), and `helios query` (which compiles user
-//! expressions onto arbitrary plans). The sweep's aggregation math —
-//! first-seen group order, completed-only means, null means for groups
-//! with no completed cell — therefore exists exactly once, here.
+//! Evaluation is direct: [`run_query`](super::run_query) builds each
+//! cell's row once with [`row_from_cell`], keeps the rows every
+//! [`Predicate`] matches, and then projects them or folds them through
+//! [`aggregate`]. The same [`aggregate`] serves three callers:
+//! `summarize` (a fixed group-by, see [`summarize_cells`]), `campaign
+//! merge` (which recomputes the summary through it), and `helios query`.
+//! The sweep's aggregation math — first-seen group order,
+//! completed-only means, null means for groups with no completed cell —
+//! therefore exists exactly once, here.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
 use crate::campaign::sweep::{CellResult, SummaryRow};
-use crate::EngineError;
 
 use super::schema::{
-    row_from_cell, schema_names, summary_row_from_values, Column, Row, SummaryAgg, Value,
-    SUMMARY_AGGREGATES, SUMMARY_KEYS,
+    row_from_cell, summary_row_from_values, Column, Row, SummaryAgg, Value, SUMMARY_AGGREGATES,
+    SUMMARY_KEYS,
 };
-
-/// A pull-based plan node: yields rows one at a time, knows its output
-/// schema, and can restart from the first row.
-pub trait Executor {
-    /// The names of the columns this node emits, in row order.
-    fn schema(&self) -> &[String];
-    /// The next output row; `None` when exhausted. Errors are yielded
-    /// in-band so a consumer can stop at the first failure.
-    fn next(&mut self) -> Option<Result<Row, EngineError>>;
-    /// Restarts the node (and its inputs) from the first row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates input restart failures as [`EngineError`].
-    fn rewind(&mut self) -> Result<(), EngineError>;
-}
-
-impl std::fmt::Debug for dyn Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Executor({:?})", self.schema())
-    }
-}
-
-/// Leaf node: yields an in-memory row vector in order.
-#[derive(Debug)]
-pub struct ScanExec {
-    schema: Vec<String>,
-    rows: Vec<Row>,
-    at: usize,
-}
-
-impl ScanExec {
-    /// A scan over `rows`, all shaped by `schema`.
-    #[must_use]
-    pub fn new(schema: Vec<String>, rows: Vec<Row>) -> ScanExec {
-        ScanExec {
-            schema,
-            rows,
-            at: 0,
-        }
-    }
-
-    /// A full-schema scan over a slice of cells, in slice order.
-    #[must_use]
-    pub fn over_cells(cells: &[CellResult]) -> ScanExec {
-        ScanExec::new(schema_names(), cells.iter().map(row_from_cell).collect())
-    }
-}
-
-impl Executor for ScanExec {
-    fn schema(&self) -> &[String] {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        let row = self.rows.get(self.at)?.clone();
-        self.at += 1;
-        Some(Ok(row))
-    }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.at = 0;
-        Ok(())
-    }
-}
 
 /// A comparison operator in a filter predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,81 +103,6 @@ impl Predicate {
                 }
             }
         }
-    }
-}
-
-/// Yields the input rows that satisfy every predicate (AND semantics).
-#[derive(Debug)]
-pub struct FilterExec {
-    input: Box<dyn Executor>,
-    predicates: Vec<Predicate>,
-}
-
-impl FilterExec {
-    /// Filters `input` by the conjunction of `predicates`.
-    #[must_use]
-    pub fn new(input: Box<dyn Executor>, predicates: Vec<Predicate>) -> FilterExec {
-        FilterExec { input, predicates }
-    }
-}
-
-impl Executor for FilterExec {
-    fn schema(&self) -> &[String] {
-        self.input.schema()
-    }
-
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        loop {
-            let row = match self.input.next()? {
-                Ok(row) => row,
-                Err(e) => return Some(Err(e)),
-            };
-            if self.predicates.iter().all(|p| p.matches(&row)) {
-                return Some(Ok(row));
-            }
-        }
-    }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.input.rewind()
-    }
-}
-
-/// Reorders/narrows the input to the given column indices.
-#[derive(Debug)]
-pub struct ProjectExec {
-    input: Box<dyn Executor>,
-    indices: Vec<usize>,
-    schema: Vec<String>,
-}
-
-impl ProjectExec {
-    /// Projects `input` to `indices`, naming the outputs `names`.
-    #[must_use]
-    pub fn new(input: Box<dyn Executor>, indices: Vec<usize>, names: Vec<String>) -> ProjectExec {
-        ProjectExec {
-            input,
-            indices,
-            schema: names,
-        }
-    }
-}
-
-impl Executor for ProjectExec {
-    fn schema(&self) -> &[String] {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        let row = match self.input.next()? {
-            Ok(row) => row,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(Ok(self.indices.iter().map(|&i| row[i].clone()).collect()))
-    }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.input.rewind()
     }
 }
 
@@ -364,117 +227,73 @@ impl Accum {
     }
 }
 
-/// Group-by + aggregate node. Output rows are the group-key values
-/// followed by one value per aggregate; groups appear in first-seen
-/// input order (the sweep's spec-declaration order, since cell rows
-/// arrive sorted by index). With no group keys it emits exactly one
-/// global row, even over empty input.
-#[derive(Debug)]
-pub struct AggregateExec {
-    input: Box<dyn Executor>,
-    keys: Vec<usize>,
-    aggs: Vec<Agg>,
-    schema: Vec<String>,
-    groups: Option<Vec<Row>>,
-    at: usize,
-}
-
-impl AggregateExec {
-    /// Groups `input` by the `keys` columns and computes `aggs`;
-    /// `names` is the full output schema (key names then agg names).
-    #[must_use]
-    pub fn new(
-        input: Box<dyn Executor>,
-        keys: Vec<usize>,
-        aggs: Vec<Agg>,
-        names: Vec<String>,
-    ) -> AggregateExec {
-        AggregateExec {
-            input,
-            keys,
-            aggs,
-            schema: names,
-            groups: None,
-            at: 0,
+/// Hashes the group key of `row`: the `keys` columns, each as its
+/// variant and payload. A float hashes as `(v + 0.0).to_bits()`, so
+/// `-0.0` and `0.0` (equal under `==`) share a bucket. The keys come
+/// from input files, so the hasher is randomly keyed.
+fn key_hash(state: &RandomState, row: &[Value], keys: &[usize]) -> u64 {
+    let mut h = state.build_hasher();
+    for &k in keys {
+        let value = &row[k];
+        std::mem::discriminant(value).hash(&mut h);
+        match value {
+            Value::U64(v) => v.hash(&mut h),
+            Value::U32(v) => v.hash(&mut h),
+            Value::F64(v) => (v + 0.0).to_bits().hash(&mut h),
+            Value::Bool(v) => v.hash(&mut h),
+            Value::Str(v) => v.hash(&mut h),
+            Value::Null => {}
         }
     }
+    h.finish()
+}
 
-    fn compute(&mut self) -> Result<Vec<Row>, EngineError> {
-        let mut group_keys: Vec<Vec<Value>> = Vec::new();
-        let mut accums: Vec<Vec<Accum>> = Vec::new();
-        while let Some(row) = self.input.next() {
-            let row = row?;
-            let key: Vec<Value> = self.keys.iter().map(|&i| row[i].clone()).collect();
-            let at = match group_keys.iter().position(|k| *k == key) {
-                Some(at) => at,
-                None => {
-                    group_keys.push(key);
-                    accums.push(vec![Accum::new(); self.aggs.len()]);
-                    group_keys.len() - 1
-                }
-            };
-            for (accum, &agg) in accums[at].iter_mut().zip(&self.aggs) {
-                accum.feed(agg, &row);
+/// Groups `rows` by the `keys` columns and computes `aggs` per group.
+/// Each output row is the group-key values followed by one value per
+/// aggregate. Groups appear in first-seen input order (the sweep's
+/// spec-declaration order, since cell rows arrive sorted by index).
+/// Two keys group together when their values are `==`, so `-0.0` and
+/// `0.0` merge and a NaN key never does. With no keys the output is
+/// exactly one global row, even over empty input.
+#[must_use]
+pub fn aggregate(rows: impl IntoIterator<Item = Row>, keys: &[usize], aggs: &[Agg]) -> Vec<Row> {
+    let mut groups: Vec<(Row, Vec<Accum>)> = Vec::new();
+    // Each hash maps to its latest group; `next[g]` chains to the
+    // group seen before `g` with the same hash.
+    let mut heads: HashMap<u64, usize> = HashMap::new();
+    let mut next: Vec<Option<usize>> = Vec::new();
+    let state = RandomState::new();
+    for row in rows {
+        let hash = key_hash(&state, &row, keys);
+        let mut at = heads.get(&hash).copied();
+        while let Some(g) = at {
+            if keys.iter().zip(&groups[g].0).all(|(&k, v)| row[k] == *v) {
+                break;
             }
+            at = next[g];
         }
-        if group_keys.is_empty() && self.keys.is_empty() {
-            // A global aggregate always has one row: count 0, null
-            // everything else.
-            group_keys.push(Vec::new());
-            accums.push(vec![Accum::new(); self.aggs.len()]);
+        let g = at.unwrap_or_else(|| {
+            next.push(heads.insert(hash, groups.len()));
+            let key = keys.iter().map(|&k| row[k].clone()).collect();
+            groups.push((key, vec![Accum::new(); aggs.len()]));
+            groups.len() - 1
+        });
+        for (accum, &agg) in groups[g].1.iter_mut().zip(aggs) {
+            accum.feed(agg, &row);
         }
-        Ok(group_keys
-            .into_iter()
-            .zip(accums)
-            .map(|(mut key, accum)| {
-                key.extend(accum.iter().zip(&self.aggs).map(|(a, &agg)| a.finish(agg)));
-                key
-            })
-            .collect())
     }
-
-    fn materialized(&mut self) -> Result<&Vec<Row>, EngineError> {
-        if self.groups.is_none() {
-            self.groups = Some(self.compute()?);
-        }
-        Ok(self.groups.as_ref().expect("just materialized"))
+    if groups.is_empty() && keys.is_empty() {
+        // A global aggregate always has one row: count 0, null
+        // everything else.
+        groups.push((Vec::new(), vec![Accum::new(); aggs.len()]));
     }
-}
-
-impl Executor for AggregateExec {
-    fn schema(&self) -> &[String] {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<Row, EngineError>> {
-        let at = self.at;
-        let row = match self.materialized() {
-            Ok(groups) => groups.get(at)?.clone(),
-            Err(e) => return Some(Err(e)),
-        };
-        self.at += 1;
-        Some(Ok(row))
-    }
-
-    fn rewind(&mut self) -> Result<(), EngineError> {
-        self.input.rewind()?;
-        self.groups = None;
-        self.at = 0;
-        Ok(())
-    }
-}
-
-/// Drains an executor into a row vector, stopping at the first error.
-///
-/// # Errors
-///
-/// The first in-band error the plan yields.
-pub fn collect(exec: &mut dyn Executor) -> Result<Vec<Row>, EngineError> {
-    let mut out = Vec::new();
-    while let Some(row) = exec.next() {
-        out.push(row?);
-    }
-    Ok(out)
+    groups
+        .into_iter()
+        .map(|(mut key, accums)| {
+            key.extend(accums.iter().zip(aggs).map(|(a, &agg)| a.finish(agg)));
+            key
+        })
+        .collect()
 }
 
 fn summary_agg(agg: SummaryAgg) -> Agg {
@@ -488,33 +307,21 @@ fn summary_agg(agg: SummaryAgg) -> Agg {
     }
 }
 
-/// The sweep summary as a pipeline plan: scan the cells, group by
-/// `SUMMARY_KEYS`, compute `SUMMARY_AGGREGATES`. This *is* the
-/// `summarize` every caller (merge, sweep reports, the CLI, `helios
-/// query`) shares; its output is field-for-field the legacy
-/// sequential loop.
+/// The sweep summary: the cells grouped by `SUMMARY_KEYS` with
+/// `SUMMARY_AGGREGATES` computed per group. This *is* the `summarize`
+/// every caller (merge, sweep reports, the CLI, `helios query`)
+/// shares; its output is field-for-field the legacy sequential loop.
 #[must_use]
 pub fn summarize_cells(cells: &[CellResult]) -> Vec<SummaryRow> {
-    let scan = ScanExec::over_cells(cells);
     let keys: Vec<usize> = SUMMARY_KEYS.iter().map(|&(c, _)| c.index()).collect();
     let aggs: Vec<Agg> = SUMMARY_AGGREGATES
         .iter()
         .map(|c| summary_agg(c.agg))
         .collect();
-    let names: Vec<String> = SUMMARY_KEYS
+    aggregate(cells.iter().map(row_from_cell), &keys, &aggs)
         .iter()
-        .map(|&(c, _)| c.name().to_owned())
-        .chain(SUMMARY_AGGREGATES.iter().map(|c| c.name.to_owned()))
-        .collect();
-    let mut plan = AggregateExec::new(Box::new(scan), keys, aggs, names);
-    let mut out = Vec::new();
-    while let Some(row) = plan.next() {
-        let row = row.expect("in-memory summary scan cannot fail");
-        out.push(
-            summary_row_from_values(&row).expect("the summary plan emits summary-shaped rows"),
-        );
-    }
-    out
+        .map(|row| summary_row_from_values(row).expect("the summary emits summary-shaped rows"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -553,39 +360,6 @@ mod tests {
             drain_migrated_tasks: 0,
             join_utilization: 0.0,
         }
-    }
-
-    #[test]
-    fn filter_project_pipeline_selects_rows() {
-        let cells = vec![
-            cell(0, "heft", true, 4.0),
-            cell(1, "olb", true, 9.0),
-            cell(2, "heft", false, 5.0),
-        ];
-        let scan = ScanExec::over_cells(&cells);
-        let filter = FilterExec::new(
-            Box::new(scan),
-            vec![Predicate {
-                col: Column::Scheduler.index(),
-                op: CmpOp::Eq,
-                literal: Literal::Str("heft".into()),
-            }],
-        );
-        let mut plan = ProjectExec::new(
-            Box::new(filter),
-            vec![Column::Cell.index(), Column::MakespanSecs.index()],
-            vec!["cell".into(), "makespan_secs".into()],
-        );
-        let rows = collect(&mut plan).unwrap();
-        assert_eq!(
-            rows,
-            vec![
-                vec![Value::U64(0), Value::F64(4.0)],
-                vec![Value::U64(2), Value::F64(5.0)],
-            ]
-        );
-        plan.rewind().unwrap();
-        assert_eq!(collect(&mut plan).unwrap().len(), 2);
     }
 
     #[test]
@@ -652,32 +426,54 @@ mod tests {
 
     #[test]
     fn global_aggregate_emits_one_row_even_when_empty() {
-        let scan = ScanExec::over_cells(&[]);
-        let mut plan = AggregateExec::new(
-            Box::new(scan),
-            vec![],
-            vec![Agg::CountStar, Agg::Avg(Column::MakespanSecs.index())],
-            vec!["count(*)".into(), "avg(makespan_secs)".into()],
+        let rows = aggregate(
+            std::iter::empty(),
+            &[],
+            &[Agg::CountStar, Agg::Avg(Column::MakespanSecs.index())],
         );
-        let rows = collect(&mut plan).unwrap();
         assert_eq!(rows, vec![vec![Value::U64(0), Value::Null]]);
     }
 
     #[test]
     fn min_max_sum_cover_numeric_columns() {
-        let cells = vec![cell(0, "heft", true, 4.0), cell(1, "heft", true, 9.0)];
-        let scan = ScanExec::over_cells(&cells);
+        let cells = [cell(0, "heft", true, 4.0), cell(1, "heft", true, 9.0)];
         let m = Column::MakespanSecs.index();
-        let mut plan = AggregateExec::new(
-            Box::new(scan),
-            vec![],
-            vec![Agg::Min(m), Agg::Max(m), Agg::Sum(m)],
-            vec!["min".into(), "max".into(), "sum".into()],
+        let rows = aggregate(
+            cells.iter().map(row_from_cell),
+            &[],
+            &[Agg::Min(m), Agg::Max(m), Agg::Sum(m)],
         );
-        let rows = collect(&mut plan).unwrap();
         assert_eq!(
             rows,
             vec![vec![Value::F64(4.0), Value::F64(9.0), Value::F64(13.0)]]
+        );
+    }
+
+    #[test]
+    fn hash_groups_keep_first_seen_order_and_value_equality() {
+        // 500 groups, each revisited in an order unlike its first-seen
+        // order: the output follows first sight, counts all land.
+        let rows = (0..2000u64).map(|i| vec![Value::U64((i * 7) % 500), Value::Null]);
+        let out = aggregate(rows, &[0], &[Agg::CountStar]);
+        let firsts: Vec<Row> = (0..500u64)
+            .map(|i| vec![Value::U64((i * 7) % 500), Value::U64(4)])
+            .collect();
+        assert_eq!(out, firsts);
+
+        // -0.0 == 0.0 merges, keeping the first-seen key; a NaN key
+        // equals nothing, not even itself, so each NaN row is a group.
+        let keys = [-0.0, f64::NAN, 0.0, 1.5, f64::NAN, 0.0];
+        let rows = keys.iter().map(|&k| vec![Value::F64(k), Value::F64(k)]);
+        let out = aggregate(rows, &[0], &[Agg::CountStar, Agg::Sum(1)]);
+        let shape: Vec<String> = out.iter().map(|row| format!("{row:?}")).collect();
+        assert_eq!(
+            shape,
+            [
+                "[F64(-0.0), U64(3), F64(0.0)]",
+                "[F64(NaN), U64(1), F64(NaN)]",
+                "[F64(1.5), U64(1), F64(1.5)]",
+                "[F64(NaN), U64(1), F64(NaN)]",
+            ]
         );
     }
 }

@@ -1,4 +1,4 @@
-//! The columnar cell-result store and its query pipeline.
+//! The columnar cell-result store and its query evaluator.
 //!
 //! Three layers, each usable alone:
 //!
@@ -11,22 +11,19 @@
 //!   journal also uses (checksummed frames, longest-valid-prefix
 //!   salvage), written incrementally by [`StoreWriter`] as cells
 //!   finish.
-//! * [`exec`] + [`query`] — a volcano-style [`Executor`] pipeline
-//!   (scan → filter → project → aggregate/group-by) and the small
-//!   `SELECT … [WHERE …] [GROUP BY …]` language `helios query`
-//!   compiles onto it. The sweep summary is itself a plan over these
-//!   executors ([`summarize_cells`]), so the aggregation math and the
-//!   null-mean semantics exist exactly once.
+//! * [`exec`] + [`query`] — the small `SELECT … [WHERE …] [GROUP BY …]`
+//!   language `helios query` runs, evaluated directly: each row is
+//!   built once, filtered by [`Predicate`]s, then projected or folded
+//!   by the hash group-by [`aggregate`]. The sweep summary is itself
+//!   one [`aggregate`] call ([`summarize_cells`]), so the aggregation
+//!   math and the null-mean semantics exist exactly once.
 
 pub mod exec;
 pub mod query;
 pub mod schema;
 pub mod segment;
 
-pub use exec::{
-    collect, summarize_cells, Agg, AggregateExec, CmpOp, Executor, FilterExec, Literal, Predicate,
-    ProjectExec, ScanExec,
-};
+pub use exec::{aggregate, summarize_cells, Agg, CmpOp, Literal, Predicate};
 pub use query::{parse_query, run_query, QueryOutput, QueryPlan};
 pub use schema::{
     cell_from_row, row_from_cell, schema_names, summary_row_from_values, summary_row_values,

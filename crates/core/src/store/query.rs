@@ -1,6 +1,6 @@
 //! The `helios query` expression language.
 //!
-//! A tiny SQL subset compiled onto the executor pipeline:
+//! A tiny SQL subset, evaluated directly over the cells:
 //!
 //! ```text
 //! SELECT proj [, proj]*
@@ -26,11 +26,8 @@ use crate::campaign::sweep::CellResult;
 use crate::campaign::CampaignError;
 use crate::EngineError;
 
-use super::exec::{
-    collect, Agg, AggregateExec, CmpOp, Executor, FilterExec, Literal, Predicate, ProjectExec,
-    ScanExec,
-};
-use super::schema::{schema_names, Column, ColumnType, Row};
+use super::exec::{aggregate, Agg, CmpOp, Literal, Predicate};
+use super::schema::{row_from_cell, schema_names, Column, ColumnType, Row};
 
 fn err(token: &str, detail: impl Into<String>) -> EngineError {
     CampaignError::InvalidQuery {
@@ -202,7 +199,7 @@ impl Proj {
     }
 }
 
-/// A parsed, validated query, ready to plan onto the executors.
+/// A parsed, validated query, ready to run over cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     projections: Vec<Proj>,
@@ -532,78 +529,62 @@ fn to_agg(func: AggFunc, arg: Option<Column>) -> Agg {
     }
 }
 
-/// Compiles `expr` onto the executor pipeline and runs it over
-/// `cells`. Rows are scanned in cell-index order regardless of input
-/// order, so results are deterministic across shard layouts.
+/// Parses `expr` and runs it over `cells`: each cell's row is built
+/// once, filtered by the WHERE conjuncts, then projected or grouped.
+/// Rows are read in cell-index order regardless of input order, so
+/// results are deterministic across shard layouts.
 ///
 /// # Errors
 ///
-/// [`CampaignError::InvalidQuery`] for parse/plan failures; plan
-/// execution over in-memory cells cannot fail.
+/// [`CampaignError::InvalidQuery`] for parse/plan failures; evaluation
+/// over in-memory cells cannot fail.
 pub fn run_query(expr: &str, cells: &[CellResult]) -> Result<QueryOutput, EngineError> {
     let plan = parse_query(expr)?;
-    let mut sorted: Vec<CellResult> = cells.to_vec();
+    let mut sorted: Vec<&CellResult> = cells.iter().collect();
     sorted.sort_by_key(|c| c.cell);
+    let rows = sorted
+        .into_iter()
+        .map(row_from_cell)
+        .filter(|row| plan.predicates.iter().all(|p| p.matches(row)));
 
-    let scan = ScanExec::over_cells(&sorted);
-    let mut node: Box<dyn Executor> = Box::new(scan);
-    if !plan.predicates.is_empty() {
-        node = Box::new(FilterExec::new(node, plan.predicates.clone()));
+    if plan.projections == [Proj::Star] {
+        // SELECT *: the full schema passes through unchanged.
+        return Ok(QueryOutput {
+            schema: schema_names(),
+            rows: rows.collect(),
+        });
     }
-
+    let schema = plan.projections.iter().map(Proj::output_name).collect();
     let has_agg = plan
         .projections
         .iter()
         .any(|p| matches!(p, Proj::Agg { .. }));
-    let mut exec: Box<dyn Executor> = if has_agg {
-        let keys: Vec<usize> = plan.group_by.iter().map(|c| c.index()).collect();
-        let mut agg_list: Vec<Agg> = Vec::new();
-        let mut names: Vec<String> = plan.group_by.iter().map(|c| c.name().to_owned()).collect();
-        let mut indices: Vec<usize> = Vec::new();
-        let mut out_names: Vec<String> = Vec::new();
-        for proj in &plan.projections {
-            match proj {
-                Proj::Col { col, .. } => {
-                    let at = plan
-                        .group_by
-                        .iter()
-                        .position(|g| g == col)
-                        .expect("validated: selected column is a group key");
-                    indices.push(at);
-                    out_names.push(proj.output_name());
-                }
-                Proj::Agg { func, arg, .. } => {
-                    indices.push(keys.len() + agg_list.len());
-                    agg_list.push(to_agg(*func, *arg));
-                    out_names.push(proj.output_name());
-                }
-                Proj::Star => unreachable!("validated: * never reaches an aggregate plan"),
+    // A pick indexes the full row, or with aggregates the aggregate row:
+    // the group keys, then the aggregates.
+    let keys: Vec<usize> = plan.group_by.iter().map(|c| c.index()).collect();
+    let mut aggs: Vec<Agg> = Vec::new();
+    let mut picks: Vec<usize> = Vec::new();
+    for proj in &plan.projections {
+        picks.push(match proj {
+            Proj::Col { col, .. } if has_agg => plan
+                .group_by
+                .iter()
+                .position(|g| g == col)
+                .expect("validated: selected column is a group key"),
+            Proj::Col { col, .. } => col.index(),
+            Proj::Agg { func, arg, .. } => {
+                aggs.push(to_agg(*func, *arg));
+                keys.len() + aggs.len() - 1
             }
-        }
-        names.extend(out_names.iter().cloned());
-        let agg = AggregateExec::new(node, keys, agg_list, names);
-        Box::new(ProjectExec::new(Box::new(agg), indices, out_names))
-    } else if plan.projections == [Proj::Star] {
-        // SELECT *: the full schema passes through unchanged.
-        node
+            Proj::Star => unreachable!("validated: * stands alone"),
+        });
+    }
+    let pick = |row: &Row| -> Row { picks.iter().map(|&i| row[i].clone()).collect() };
+    let rows = if has_agg {
+        aggregate(rows, &keys, &aggs).iter().map(pick).collect()
     } else {
-        let mut indices = Vec::new();
-        let mut out_names = Vec::new();
-        for proj in &plan.projections {
-            if let Proj::Col { col, .. } = proj {
-                indices.push(col.index());
-                out_names.push(proj.output_name());
-            }
-        }
-        Box::new(ProjectExec::new(node, indices, out_names))
+        rows.map(|row| pick(&row)).collect()
     };
-
-    let schema = if plan.projections == [Proj::Star] {
-        schema_names()
-    } else {
-        exec.schema().to_vec()
-    };
-    let rows = collect(exec.as_mut())?;
     Ok(QueryOutput { schema, rows })
 }
 
@@ -674,6 +655,18 @@ mod tests {
 
     #[test]
     fn where_filters_and_projects() {
+        let out = run_query(
+            "SELECT cell, makespan_secs WHERE scheduler = 'heft'",
+            &cells(),
+        )
+        .unwrap();
+        assert_eq!(
+            out.rows,
+            vec![
+                vec![Value::U64(0), Value::F64(4.0)],
+                vec![Value::U64(2), Value::F64(6.0)],
+            ]
+        );
         let out = run_query(
             "SELECT cell, makespan_secs WHERE scheduler = 'heft' AND makespan_secs > 5",
             &cells(),

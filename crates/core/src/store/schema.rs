@@ -2,7 +2,7 @@
 //!
 //! [`Column`] enumerates every field of a [`CellResult`] in declaration
 //! (= serialization) order; everything that consumes cell rows — the
-//! segment codec, the executor pipeline, the query planner, the summary
+//! segment codec, the query evaluator and planner, the summary
 //! aggregation and the CLI printer — derives its column list from this
 //! enum instead of hand-maintaining its own. The bridges
 //! [`row_from_cell`] / [`cell_from_row`] and [`summary_row_values`] /
@@ -88,7 +88,7 @@ pub enum ColumnType {
 
 impl Column {
     /// Every column, in [`CellResult`] field order — the canonical
-    /// schema of store segments and scan executors.
+    /// schema of store segments and query rows.
     pub const ALL: [Column; 25] = [
         Column::Cell,
         Column::Family,
@@ -198,7 +198,7 @@ pub fn schema_names() -> Vec<String> {
     Column::ALL.iter().map(|c| c.name().to_owned()).collect()
 }
 
-/// One cell value flowing through the executor pipeline.
+/// One cell value flowing through the query evaluator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Unsigned 64-bit integer.
@@ -229,7 +229,7 @@ impl Value {
     }
 }
 
-/// One row of the pipeline: one [`Value`] per schema column.
+/// One row of the evaluator: one [`Value`] per schema column.
 pub type Row = Vec<Value>;
 
 /// Converts a [`CellResult`] into a full-schema row. The exhaustive

@@ -1,13 +1,16 @@
-//! Integration pins for the columnar store and its query pipeline.
+//! Integration pins for the columnar store and its query evaluator.
 //!
-//! The refactor's contract is byte-fidelity in both directions:
+//! The contract is byte-fidelity in both directions:
 //!
 //! * rows written through [`StoreWriter`] and salvaged back must
 //!   reproduce the exact [`CellResult`]s (`SELECT *` is the identity),
-//! * `summarize` — now a group-by plan over the executor pipeline —
-//!   must still produce the exact summary rows the legacy hand-rolled
-//!   loop did, including the null means of rows where no cell
-//!   completed.
+//! * `summarize` — one hash group-by in the query evaluator — must
+//!   still produce the exact summary rows the legacy hand-rolled loop
+//!   did, including the null means of rows where no cell completed,
+//! * every query's values match a naive reference that reads the
+//!   `CellResult` fields directly (the differential oracle below),
+//!   floats bit for bit, and a seeded query corpus's results are
+//!   pinned by digest.
 
 use proptest::prelude::*;
 
@@ -189,7 +192,7 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The pipeline summary equals the legacy hand-rolled loop on
+    /// The summary aggregate equals the legacy hand-rolled loop on
     /// arbitrary synthetic populations — bit-identical floats, not
     /// approximately.
     #[test]
@@ -353,7 +356,7 @@ fn store_resume_is_byte_identical_and_foreign_stores_are_refused() {
 }
 
 /// The full paper grid (5 families × 4 platforms × 12 schedulers × 5
-/// seeds = 1200 cells of 100 tasks) through the pipeline summary vs the
+/// seeds = 1200 cells of 100 tasks) through the summary aggregate vs the
 /// legacy loop. About 1.5 s in release, far longer in debug — run
 /// explicitly when touching the store or the summary plan:
 /// `cargo test --release --test store_query -- --ignored`.
@@ -366,4 +369,499 @@ fn paper_grid_summary_is_byte_identical_through_the_pipeline() {
     let report = SweepDriver::new(0).run(&spec).expect("paper grid runs");
     assert_eq!(report.summary, legacy_summary(&report.cells));
     assert_eq!(report.summary, summarize_cells(&report.cells));
+}
+
+// ---- Query differential oracle ----------------------------------------
+//
+// Random valid queries drawn from the grammar run through `run_query`
+// and through a naive reference that reads `CellResult` fields directly
+// and shares no code with the engine's predicates or accumulators. The
+// two must agree on the schema and on every value, floats bit for bit.
+
+/// How the reference reads and compares a column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Int,
+    Float,
+    Bool,
+    Str,
+    OptStr,
+}
+
+/// Every query column, in schema order, with its kind.
+const COLS: [(&str, Kind); 25] = [
+    ("cell", Kind::Int),
+    ("family", Kind::Str),
+    ("platform", Kind::Str),
+    ("scheduler", Kind::Str),
+    ("seed", Kind::Int),
+    ("makespan_secs", Kind::Float),
+    ("slr", Kind::Float),
+    ("energy_j", Kind::Float),
+    ("transfers", Kind::Int),
+    ("transfer_bytes", Kind::Float),
+    ("failures", Kind::Int),
+    ("retries", Kind::Int),
+    ("completed", Kind::Bool),
+    ("wasted_work_secs", Kind::Float),
+    ("recovery_overhead_secs", Kind::Float),
+    ("makespan_degradation", Kind::Float),
+    ("reroutes", Kind::Int),
+    ("partition_downtime_secs", Kind::Float),
+    ("rematerialized_tasks", Kind::Int),
+    ("rematerialized_bytes", Kind::Float),
+    ("incomplete_reason", Kind::OptStr),
+    ("capacity_secs", Kind::Float),
+    ("preemptions", Kind::Int),
+    ("drain_migrated_tasks", Kind::Int),
+    ("join_utilization", Kind::Float),
+];
+
+/// The reference's column read, straight off the struct field.
+fn field(c: &CellResult, col: usize) -> Value {
+    match COLS[col].0 {
+        "cell" => Value::U64(c.cell as u64),
+        "family" => Value::Str(c.family.clone()),
+        "platform" => Value::Str(c.platform.clone()),
+        "scheduler" => Value::Str(c.scheduler.clone()),
+        "seed" => Value::U64(c.seed),
+        "makespan_secs" => Value::F64(c.makespan_secs),
+        "slr" => Value::F64(c.slr),
+        "energy_j" => Value::F64(c.energy_j),
+        "transfers" => Value::U64(c.transfers as u64),
+        "transfer_bytes" => Value::F64(c.transfer_bytes),
+        "failures" => Value::U32(c.failures),
+        "retries" => Value::U32(c.retries),
+        "completed" => Value::Bool(c.completed),
+        "wasted_work_secs" => Value::F64(c.wasted_work_secs),
+        "recovery_overhead_secs" => Value::F64(c.recovery_overhead_secs),
+        "makespan_degradation" => Value::F64(c.makespan_degradation),
+        "reroutes" => Value::U32(c.reroutes),
+        "partition_downtime_secs" => Value::F64(c.partition_downtime_secs),
+        "rematerialized_tasks" => Value::U32(c.rematerialized_tasks),
+        "rematerialized_bytes" => Value::F64(c.rematerialized_bytes),
+        "incomplete_reason" => c.incomplete_reason.clone().map_or(Value::Null, Value::Str),
+        "capacity_secs" => Value::F64(c.capacity_secs),
+        "preemptions" => Value::U32(c.preemptions),
+        "drain_migrated_tasks" => Value::U32(c.drain_migrated_tasks),
+        "join_utilization" => Value::F64(c.join_utilization),
+        other => unreachable!("unknown column {other}"),
+    }
+}
+
+fn number(v: &Value) -> f64 {
+    match v {
+        Value::U64(n) => *n as f64,
+        Value::U32(n) => f64::from(*n),
+        Value::F64(x) => *x,
+        other => unreachable!("not numeric: {other:?}"),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Lit {
+    Num(f64),
+    Str(String),
+    Bool(bool),
+    Null,
+}
+
+#[derive(Debug, Clone)]
+enum Item {
+    Star,
+    Col(usize),
+    /// A lowercase aggregate name and its column (`None` for `count`).
+    Agg(&'static str, Option<usize>),
+}
+
+/// A generated query: the text `run_query` parses, and the structure
+/// the reference evaluates.
+#[derive(Debug, Clone)]
+struct GenQuery {
+    text: String,
+    items: Vec<(Item, Option<String>)>,
+    conds: Vec<(usize, &'static str, Lit)>,
+    keys: Vec<usize>,
+}
+
+/// The query generator's xorshift.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())]
+    }
+
+    /// A keyword or function name in random letter case.
+    fn case(&mut self, word: &str) -> String {
+        match self.below(3) {
+            0 => word.to_ascii_uppercase(),
+            1 => word.to_ascii_lowercase(),
+            _ => word
+                .chars()
+                .enumerate()
+                .map(|(i, ch)| {
+                    if i % 2 == 0 {
+                        ch.to_ascii_uppercase()
+                    } else {
+                        ch
+                    }
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Columns of few distinct values, so most groups hold several rows.
+const LOW_CARDINALITY: [usize; 8] = [1, 2, 3, 10, 12, 16, 20, 22];
+
+fn gen_cond(d: &mut Draw, cells: &[CellResult]) -> (usize, &'static str, Lit) {
+    // Draw the kind first, so the one boolean and the one nullable
+    // column are tested as often as the many numeric ones.
+    let kind = d.pick(&[Kind::Int, Kind::Float, Kind::Bool, Kind::Str, Kind::OptStr]);
+    let of_kind: Vec<usize> = (0..COLS.len()).filter(|&c| COLS[c].1 == kind).collect();
+    let col = d.pick(&of_kind);
+    let eq_ne = ["=", "!="];
+    let (op, lit) = match kind {
+        Kind::Int | Kind::Float => {
+            let op = d.pick(&["=", "!=", "<", "<=", ">", ">="]);
+            let x = match (cells.is_empty(), d.below(3)) {
+                (false, 0 | 1) => number(&field(&cells[d.below(cells.len())], col)),
+                _ => d.below(20) as f64 - 5.0 + 0.5 * d.below(2) as f64,
+            };
+            (op, Lit::Num(x))
+        }
+        Kind::Bool => (d.pick(&eq_ne), Lit::Bool(d.below(2) == 0)),
+        Kind::Str => {
+            let words = [
+                "montage",
+                "ligo",
+                "sipht",
+                "workstation",
+                "hpc_node",
+                "heft",
+                "olb",
+                "mct",
+                "absent",
+            ];
+            (d.pick(&eq_ne), Lit::Str(d.pick(&words).to_owned()))
+        }
+        Kind::OptStr => {
+            let lit = match d.below(5) {
+                0 => Lit::Str("retries_exhausted".into()),
+                1 => Lit::Str("timed_out".into()),
+                2 => Lit::Str("infeasible".into()),
+                _ => Lit::Null,
+            };
+            (d.pick(&eq_ne), lit)
+        }
+    };
+    (col, op, lit)
+}
+
+fn gen_agg(d: &mut Draw) -> Item {
+    let numeric: Vec<usize> = (0..COLS.len())
+        .filter(|&c| matches!(COLS[c].1, Kind::Int | Kind::Float))
+        .collect();
+    match d.below(7) {
+        0 => Item::Agg("count", None),
+        1 => Item::Agg("frac", Some(12)),
+        k => {
+            let func = ["sum", "avg", "min", "max", "avg_completed"][k - 2];
+            Item::Agg(func, Some(d.pick(&numeric)))
+        }
+    }
+}
+
+/// Draws one valid query: `SELECT *`, plain columns, global
+/// aggregates, or a GROUP BY over one to three keys (with or without
+/// aggregates), each with zero to three WHERE conjuncts.
+fn gen_query(d: &mut Draw, cells: &[CellResult]) -> GenQuery {
+    let mut keys: Vec<usize> = Vec::new();
+    let mut items: Vec<Item> = Vec::new();
+    match d.below(5) {
+        0 => items.push(Item::Star),
+        1 => (0..1 + d.below(4)).for_each(|_| items.push(Item::Col(d.below(COLS.len())))),
+        2 => (0..1 + d.below(4)).for_each(|_| items.push(gen_agg(d))),
+        _ => {
+            for _ in 0..1 + d.below(3) {
+                let key = if d.below(4) == 0 {
+                    d.below(COLS.len())
+                } else {
+                    d.pick(&LOW_CARDINALITY)
+                };
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+            for &key in &keys {
+                if d.below(3) != 0 {
+                    items.push(Item::Col(key));
+                }
+            }
+            // One in five grouped queries names only keys.
+            if d.below(5) != 0 || items.is_empty() {
+                for _ in 0..1 + d.below(3) {
+                    let at = d.below(items.len() + 1);
+                    items.insert(at, gen_agg(d));
+                }
+            }
+        }
+    }
+    let items: Vec<(Item, Option<String>)> = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let alias = match item {
+                Item::Star => None,
+                _ if d.below(4) == 0 => Some(format!("a{i}")),
+                _ => None,
+            };
+            (item, alias)
+        })
+        .collect();
+    let conds: Vec<_> = (0..d.pick(&[0, 1, 1, 2, 2, 3]))
+        .map(|_| gen_cond(d, cells))
+        .collect();
+
+    let mut text = d.case("select");
+    for (i, (item, alias)) in items.iter().enumerate() {
+        text.push_str(if i == 0 { " " } else { ", " });
+        match item {
+            Item::Star => text.push('*'),
+            Item::Col(c) => text.push_str(COLS[*c].0),
+            Item::Agg(func, arg) => {
+                let arg = arg.map_or("*", |c| COLS[c].0);
+                text.push_str(&format!("{}({arg})", d.case(func)));
+            }
+        }
+        if let Some(alias) = alias {
+            text.push_str(&format!(" {} {alias}", d.case("as")));
+        }
+    }
+    for (i, (col, op, lit)) in conds.iter().enumerate() {
+        let joiner = if i == 0 { "where" } else { "and" };
+        let lit = match lit {
+            Lit::Num(x) => format!("{x}"),
+            Lit::Str(s) => format!("'{s}'"),
+            Lit::Bool(b) => d.case(&b.to_string()),
+            Lit::Null => d.case("null"),
+        };
+        text.push_str(&format!(" {} {} {op} {lit}", d.case(joiner), COLS[*col].0));
+    }
+    for (i, key) in keys.iter().enumerate() {
+        if i == 0 {
+            text.push_str(&format!(" {} {} ", d.case("group"), d.case("by")));
+        } else {
+            text.push_str(", ");
+        }
+        text.push_str(COLS[*key].0);
+    }
+    GenQuery {
+        text,
+        items,
+        conds,
+        keys,
+    }
+}
+
+fn reference_holds(c: &CellResult, (col, op, lit): &(usize, &'static str, Lit)) -> bool {
+    let v = field(c, *col);
+    let eq = match lit {
+        Lit::Num(x) => {
+            let lhs = number(&v);
+            return match *op {
+                "=" => lhs == *x,
+                "!=" => lhs != *x,
+                "<" => lhs < *x,
+                "<=" => lhs <= *x,
+                ">" => lhs > *x,
+                _ => lhs >= *x,
+            };
+        }
+        Lit::Str(s) => v == Value::Str(s.clone()),
+        Lit::Bool(b) => v == Value::Bool(*b),
+        Lit::Null => v == Value::Null,
+    };
+    (*op == "=") == eq
+}
+
+fn reference_agg(func: &str, arg: Option<usize>, group: &[&CellResult]) -> Value {
+    let values: Vec<f64> = match (func, arg) {
+        ("avg_completed", Some(col)) => group
+            .iter()
+            .filter(|c| c.completed)
+            .map(|c| number(&field(c, col)))
+            .collect(),
+        ("count" | "frac", _) => Vec::new(),
+        (_, Some(col)) => group.iter().map(|c| number(&field(c, col))).collect(),
+        (_, None) => unreachable!("only count has no column"),
+    };
+    let sum = values.iter().fold(0.0, |s, v| s + v);
+    let some = |x: f64| {
+        if values.is_empty() {
+            Value::Null
+        } else {
+            Value::F64(x)
+        }
+    };
+    match func {
+        "count" => Value::U64(group.len() as u64),
+        "frac" if group.is_empty() => Value::Null,
+        "frac" => {
+            Value::F64(group.iter().filter(|c| c.completed).count() as f64 / group.len() as f64)
+        }
+        "sum" => some(sum),
+        "min" => some(values.iter().fold(f64::INFINITY, |m, &v| m.min(v))),
+        "max" => some(values.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v))),
+        _ => some(sum / values.len() as f64),
+    }
+}
+
+/// The naive reference: sort by cell, filter, then project each kept
+/// row, or (when an aggregate is selected) group in first-seen order
+/// by a linear scan — one global group when there are no keys. A
+/// GROUP BY that selects no aggregate projects every kept row.
+fn reference(q: &GenQuery, cells: &[CellResult]) -> (Vec<String>, Vec<Vec<Value>>) {
+    let schema = q
+        .items
+        .iter()
+        .flat_map(|(item, alias)| match (item, alias) {
+            (Item::Star, _) => COLS.iter().map(|c| c.0.to_owned()).collect(),
+            (_, Some(alias)) => vec![alias.clone()],
+            (Item::Col(c), None) => vec![COLS[*c].0.to_owned()],
+            (Item::Agg(f, arg), None) => vec![format!("{f}({})", arg.map_or("*", |c| COLS[c].0))],
+        })
+        .collect();
+    let mut kept: Vec<&CellResult> = cells
+        .iter()
+        .filter(|c| q.conds.iter().all(|cond| reference_holds(c, cond)))
+        .collect();
+    kept.sort_by_key(|c| c.cell);
+    if !q
+        .items
+        .iter()
+        .any(|(item, _)| matches!(item, Item::Agg(..)))
+    {
+        let rows = kept
+            .iter()
+            .map(|c| {
+                q.items
+                    .iter()
+                    .flat_map(|(item, _)| match item {
+                        Item::Star => (0..COLS.len()).map(|col| field(c, col)).collect(),
+                        Item::Col(col) => vec![field(c, *col)],
+                        Item::Agg(..) => unreachable!(),
+                    })
+                    .collect()
+            })
+            .collect();
+        return (schema, rows);
+    }
+    let mut groups: Vec<(Vec<Value>, Vec<&CellResult>)> = Vec::new();
+    if q.keys.is_empty() {
+        groups.push((Vec::new(), kept));
+    } else {
+        for c in kept {
+            let key: Vec<Value> = q.keys.iter().map(|&k| field(c, k)).collect();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push(c),
+                None => groups.push((key, vec![c])),
+            }
+        }
+    }
+    let rows = groups
+        .iter()
+        .map(|(key, members)| {
+            q.items
+                .iter()
+                .map(|(item, _)| match item {
+                    Item::Col(col) => key[q.keys.iter().position(|k| k == col).unwrap()].clone(),
+                    Item::Agg(func, arg) => reference_agg(func, *arg, members),
+                    Item::Star => unreachable!(),
+                })
+                .collect()
+        })
+        .collect();
+    (schema, rows)
+}
+
+/// Rows with every float replaced by its bit pattern, so equality is
+/// bit equality (and `-0.0` differs from `0.0`).
+fn exact(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::F64(x) => format!("f64:{:016x}", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn check_against_reference(q: &GenQuery, cells: &[CellResult]) -> helios_core::QueryOutput {
+    let out = run_query(&q.text, cells).unwrap_or_else(|e| panic!("{:?} is refused: {e}", q.text));
+    let (schema, rows) = reference(q, cells);
+    assert_eq!(out.schema, schema, "schema of {:?}", q.text);
+    assert_eq!(exact(&out.rows), exact(&rows), "values of {:?}", q.text);
+    out
+}
+
+/// Queries in the pinned corpus.
+const QUERY_CORPUS: u64 = 200;
+
+/// FNV-1a over `text\n{:?}\n` of `run_query` for the corpus: queries
+/// drawn from `Draw(0x51ed_0000 + i)` over `synth_cells(7, 250)`. A
+/// moved constant means a query's schema, rows, row order or float
+/// bits changed.
+const QUERY_CORPUS_FNV: u64 = 0x4cd8_6034_fbc1_6111;
+
+#[test]
+fn query_corpus_values_match_the_reference_and_are_pinned() {
+    let cells = synth_cells(7, 250);
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for i in 0..QUERY_CORPUS {
+        let q = gen_query(&mut Draw(0x51ed_0000 + i), &cells);
+        let out = check_against_reference(&q, &cells);
+        let bytes = format!("{}\n{out:?}\n", q.text);
+        hash = bytes.bytes().fold(hash, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    }
+    assert_eq!(
+        hash, QUERY_CORPUS_FNV,
+        "query corpus digest moved: {hash:#018x}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every generated query agrees with the naive reference, floats
+    /// bit for bit, over populations from empty to a few groups deep.
+    #[test]
+    fn generated_queries_match_the_naive_reference(
+        seed in 1u64..u64::MAX,
+        data_seed in 1u64..1_000_000,
+        rows in 0usize..90,
+    ) {
+        let cells = synth_cells(data_seed, rows);
+        let mut draw = Draw(seed);
+        for _ in 0..4 {
+            check_against_reference(&gen_query(&mut draw, &cells), &cells);
+        }
+    }
 }
