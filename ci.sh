@@ -55,6 +55,15 @@ if [ "$runner_lines" -gt 1000 ]; then
 fi
 echo "$runner: $runner_lines lines (limit 1000)"
 
+echo "==> T15 ensemble table pin"
+# The release t15_ensemble table (18 ensemble runs, about a second) must
+# match its committed copy, with one worker and with two.
+for jobs in 1 2; do
+    target/release/t15_ensemble --jobs "$jobs" \
+        | diff -u crates/bench/tests/fixtures/t15_ensemble.txt -
+done
+echo "t15_ensemble table matches its pin"
+
 echo "==> sharded sweep byte-identity smoke"
 # The release binary sweeps the committed smoke spec unsharded, then as
 # a 2-shard partition recombined by `campaign merge`; the two reports

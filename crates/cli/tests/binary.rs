@@ -511,3 +511,63 @@ fn bad_workflow_file_is_reported() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("io error"));
 }
+
+/// The member-based `helios campaign` prints each ensemble report; its
+/// stdout is pinned for every arbitration policy. Two identical
+/// CyberShake members arrive together (the second is the VIP) and a
+/// Montage member arrives 5 ms later.
+#[test]
+fn campaign_member_output_is_pinned_per_policy() {
+    let dir = std::env::temp_dir().join("helios-bin-members");
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = dir.join("a.json");
+    let b = dir.join("b.json");
+    for (path, family, seed) in [(&a, "cybershake", "3"), (&b, "montage", "5")] {
+        let out = helios()
+            .args([
+                "generate", "--family", family, "--tasks", "40", "--seed", seed,
+            ])
+            .args(["--out", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+    }
+    let pinned = [
+        (
+            "fifo",
+            "campaign of 3 members on hpc_node (fifo, seed 0): makespan 0.2131s, mean turnaround 0.2079s\n\
+             \x20 member 0: started 0.0000s finished 0.2099s turnaround 0.2099s\n\
+             \x20 member 1: started 0.0000s finished 0.2058s turnaround 0.2058s\n\
+             \x20 member 2: started 0.0050s finished 0.2131s turnaround 0.2081s\n",
+        ),
+        (
+            "priority",
+            "campaign of 3 members on hpc_node (priority, seed 0): makespan 0.2246s, mean turnaround 0.1471s\n\
+             \x20 member 0: started 0.0000s finished 0.2246s turnaround 0.2246s\n\
+             \x20 member 1: started 0.0000s finished 0.1094s turnaround 0.1094s\n\
+             \x20 member 2: started 0.0050s finished 0.1124s turnaround 0.1074s\n",
+        ),
+        (
+            "fair-share",
+            "campaign of 3 members on hpc_node (fair-share, seed 0): makespan 0.2141s, mean turnaround 0.2044s\n\
+             \x20 member 0: started 0.0000s finished 0.2131s turnaround 0.2131s\n\
+             \x20 member 1: started 0.0000s finished 0.1910s turnaround 0.1910s\n\
+             \x20 member 2: started 0.0050s finished 0.2141s turnaround 0.2091s\n",
+        ),
+    ];
+    let a = a.to_str().unwrap();
+    for (policy, want) in pinned {
+        let out = helios()
+            .args(["campaign", "--member", a, "--member", &format!("{a}:0:10")])
+            .args(["--member", &format!("{}:0.005:3", b.to_str().unwrap())])
+            .args(["--policy", policy])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want, "{policy}");
+    }
+}

@@ -23,12 +23,14 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use helios::core::{
-    ElasticEvent, ElasticEventKind, ElasticityConfig, Engine, EngineConfig, ExecutionReport,
-    FailureModel, OnlinePolicy, OnlineRunner, RecoveryPolicy, ResilienceConfig, ResilientRunner,
+    ElasticEvent, ElasticEventKind, ElasticityConfig, Engine, EngineConfig, EnsembleMember,
+    EnsemblePolicy, EnsembleReport, EnsembleRunner, ExecutionReport, FailureModel, OnlinePolicy,
+    OnlineRunner, RecoveryPolicy, ResilienceConfig, ResilientRunner,
 };
-use helios::platform::presets;
+use helios::platform::{presets, Platform};
 use helios::sched::{HeftScheduler, Scheduler};
-use helios::workflow::generators::montage;
+use helios::sim::SimTime;
+use helios::workflow::generators::{cybershake, ligo_inspiral, montage};
 
 /// Exponential transient-only failures with a 0.5 ms restart overhead,
 /// recovered by `policy`: the fault model of the plain engine and the
@@ -53,18 +55,8 @@ fn fixture_path() -> PathBuf {
 /// 1-ulp drift in the shared staging/occupancy math changes the digest.
 fn report_digest(report: &ExecutionReport) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for p in report.schedule().placements() {
-        feed(&(p.task.0 as u64).to_le_bytes());
-        feed(&(p.device.0 as u64).to_le_bytes());
-        feed(&p.start.as_secs().to_bits().to_le_bytes());
-        feed(&p.finish.as_secs().to_bits().to_le_bytes());
-    }
+    let mut feed = |bytes: &[u8]| fnv(&mut hash, bytes);
+    feed_placements(&mut feed, report.schedule().placements());
     feed(&report.makespan().as_secs().to_bits().to_le_bytes());
     feed(&report.energy().total_j().to_bits().to_le_bytes());
     feed(&(report.transfers().count as u64).to_le_bytes());
@@ -74,8 +66,133 @@ fn report_digest(report: &ExecutionReport) -> String {
     format!("{hash:016x}")
 }
 
+fn fnv(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+fn feed_placements(feed: &mut impl FnMut(&[u8]), placements: &[helios::sched::Placement]) {
+    for p in placements {
+        feed(&(p.task.0 as u64).to_le_bytes());
+        feed(&(p.device.0 as u64).to_le_bytes());
+        feed(&p.start.as_secs().to_bits().to_le_bytes());
+        feed(&p.finish.as_secs().to_bits().to_le_bytes());
+    }
+}
+
+/// [`report_digest`] for an ensemble: every member's realized trace and
+/// start/finish/turnaround bits, then the makespan, mean turnaround,
+/// energy and transfer tallies.
+fn ensemble_digest(report: &EnsembleReport) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| fnv(&mut hash, bytes);
+    for m in &report.members {
+        feed_placements(&mut feed, m.schedule.placements());
+        feed(&m.started.as_secs().to_bits().to_le_bytes());
+        feed(&m.finished.as_secs().to_bits().to_le_bytes());
+        feed(&m.turnaround.as_secs().to_bits().to_le_bytes());
+    }
+    feed(&report.makespan.as_secs().to_bits().to_le_bytes());
+    feed(&report.mean_turnaround.as_secs().to_bits().to_le_bytes());
+    feed(&report.total_energy_j.to_bits().to_le_bytes());
+    feed(&(report.transfers.count as u64).to_le_bytes());
+    feed(&report.transfers.bytes.to_bits().to_le_bytes());
+    format!("{hash:016x}")
+}
+
+/// Ensemble cells: montage, CyberShake and LIGO members sharing the
+/// platform under every arbitration policy, with staggered and with
+/// simultaneous arrivals, under each knob an ensemble run accepts.
+/// Priorities differ so the policies do: the CyberShake member is the
+/// VIP.
+fn ensemble_entries(platform: &Platform) -> Vec<GoldenEntry> {
+    let workflows = [
+        montage(30, 7).expect("montage"),
+        cybershake(30, 8).expect("cybershake"),
+        ligo_inspiral(30, 9).expect("ligo"),
+    ];
+    let priorities = [1.0, 10.0, 3.0];
+    let configs = [
+        ("default", EngineConfig::default()),
+        (
+            "contention",
+            EngineConfig {
+                link_contention: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "noise",
+            EngineConfig {
+                noise_cv: 0.2,
+                seed: 11,
+                ..Default::default()
+            },
+        ),
+        (
+            "slowdown",
+            EngineConfig {
+                device_slowdown: Some(vec![1.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 2.0]),
+                ..Default::default()
+            },
+        ),
+        (
+            "caching",
+            EngineConfig {
+                data_caching: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "faults",
+            EngineConfig {
+                seed: 3,
+                resilience: transient_faults(0.05, RecoveryPolicy::flat_retry(1000)),
+                ..Default::default()
+            },
+        ),
+    ];
+    let arrivals = [
+        ("staggered", [0.0, 0.002, 0.004]),
+        ("simultaneous", [0.0; 3]),
+    ];
+    let mut entries = Vec::new();
+    for (knob, config) in &configs {
+        for (timing, at) in &arrivals {
+            let members: Vec<EnsembleMember> = workflows
+                .iter()
+                .zip(at)
+                .zip(priorities)
+                .map(|((wf, &at), priority)| EnsembleMember {
+                    workflow: wf.clone(),
+                    arrival: SimTime::from_secs(at),
+                    priority,
+                })
+                .collect();
+            for policy in [
+                EnsemblePolicy::Fifo,
+                EnsemblePolicy::Priority,
+                EnsemblePolicy::FairShare,
+            ] {
+                let mode = format!("ensemble_{knob}_{timing}_{}", policy.as_str());
+                let report = EnsembleRunner::new(config.clone(), policy)
+                    .run(platform, &members)
+                    .unwrap_or_else(|e| panic!("{mode}: {e}"));
+                entries.push(GoldenEntry {
+                    makespan_bits: format!("{:016x}", report.makespan.as_secs().to_bits()),
+                    digest: ensemble_digest(&report),
+                    mode,
+                });
+            }
+        }
+    }
+    entries
+}
+
 struct GoldenEntry {
-    mode: &'static str,
+    mode: String,
     makespan_bits: String,
     digest: String,
 }
@@ -243,14 +360,21 @@ fn current_entries() -> Vec<GoldenEntry> {
         ),
     ];
 
-    modes
-        .into_iter()
-        .map(|(mode, report)| GoldenEntry {
-            mode,
-            makespan_bits: format!("{:016x}", report.makespan().as_secs().to_bits()),
-            digest: report_digest(&report),
-        })
-        .collect()
+    // The ensemble cells sit before `elastic`, the fixture's last row,
+    // for the same reason as `engine_checkpoint`.
+    let (elastic, modes) = modes.split_last().expect("modes are listed above");
+    let mut entries: Vec<GoldenEntry> = modes.iter().map(golden).collect();
+    entries.extend(ensemble_entries(&platform));
+    entries.push(golden(elastic));
+    entries
+}
+
+fn golden((mode, report): &(&'static str, ExecutionReport)) -> GoldenEntry {
+    GoldenEntry {
+        mode: (*mode).to_owned(),
+        makespan_bits: format!("{:016x}", report.makespan().as_secs().to_bits()),
+        digest: report_digest(report),
+    }
 }
 
 fn render_fixture(entries: &[GoldenEntry]) -> String {
@@ -291,7 +415,11 @@ fn execution_modes_match_the_committed_golden_reports() {
         "fixture covers a different mode set; regenerate with UPDATE_GOLDEN=1"
     );
     for (want, got) in golden.iter().zip(&entries) {
-        assert_eq!(want["mode"].as_str(), Some(got.mode), "mode order drifted");
+        assert_eq!(
+            want["mode"].as_str(),
+            Some(got.mode.as_str()),
+            "mode order drifted"
+        );
         assert_eq!(
             want["makespan_bits"].as_str(),
             Some(got.makespan_bits.as_str()),
