@@ -4,19 +4,26 @@
 //! submit *ensembles*: parameter sweeps, observation batches, or
 //! pipelines from several instruments arriving over time. The
 //! [`EnsembleRunner`] shares the platform between members under a
-//! configurable [`EnsemblePolicy`], dispatching just-in-time like
-//! [`OnlineRunner`](crate::OnlineRunner) but with release-time gating
-//! and inter-member arbitration.
+//! configurable [`EnsemblePolicy`].
+//!
+//! An ensemble is the online dispatcher of
+//! [`OnlineRunner`](crate::OnlineRunner) over one union DAG: every
+//! member's tasks and edges, in the member's own order, so member `m`'s
+//! task `t` is global task `base[m] + t` and keeps its own noise and
+//! fault streams. Each member's entry tasks are released at its arrival,
+//! and the ranked order puts a member key (the policy) ahead of task
+//! rank. This module builds the union and splits the outcome back into
+//! per-member reports.
 
 use helios_energy::account;
-use helios_platform::{DeviceId, Platform};
-use helios_sched::{Placement, Schedule};
-use helios_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_platform::Platform;
+use helios_sched::{Placement, SchedError, Schedule};
+use helios_sim::{SimDuration, SimTime};
+use helios_workflow::{analysis, TaskId, Workflow, WorkflowBuilder};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::exec::{noise_factor, occupancy_on, slowdown_factor, LinkState, FAULT_STREAM_BASE};
+use crate::online::{Arbitration, Event, OnlinePolicy, OnlineRunner};
 use crate::report::TransferStats;
 
 /// One workflow in an ensemble.
@@ -115,195 +122,62 @@ impl EnsembleRunner {
             return Err(EngineError::Config("ensemble has no members".into()));
         }
 
-        // Flatten: global task index = (member, local id).
-        let mut owner: Vec<usize> = Vec::new();
-        let mut local: Vec<TaskId> = Vec::new();
-        let mut base: Vec<usize> = Vec::with_capacity(members.len());
+        // The union DAG: member m's task t is global task base[m] + t.
+        let mut union = WorkflowBuilder::new("ensemble");
+        let mut base = Vec::with_capacity(members.len());
+        let mut owner = Vec::new();
+        let mut ranks = Vec::new();
         for (m, member) in members.iter().enumerate() {
-            base.push(owner.len());
-            for i in 0..member.workflow.num_tasks() {
+            let wf = &member.workflow;
+            base.push(union.num_tasks());
+            for task in wf.tasks() {
+                union.add_task(task.clone());
                 owner.push(m);
-                local.push(TaskId(i));
             }
-        }
-        let n = owner.len();
-        let member_work: Vec<f64> = members
-            .iter()
-            .map(|m| m.workflow.total_gflop().max(1e-12))
-            .collect();
-        // Priorities inside a member: upward rank.
-        let mut rank = vec![0.0f64; n];
-        for (m, member) in members.iter().enumerate() {
-            let levels = analysis::bottom_levels(&member.workflow, platform)?;
-            for (i, &r) in levels.iter().enumerate() {
-                rank[base[m] + i] = r;
+            for edge in wf.edges() {
+                union.add_dep(
+                    TaskId(base[m] + edge.src.0),
+                    TaskId(base[m] + edge.dst.0),
+                    edge.bytes,
+                )?;
             }
+            // Ranks come from each member alone, so a rank error names
+            // the member-local task.
+            ranks.extend(analysis::bottom_levels(wf, platform)?);
         }
-
-        let gid = |m: usize, t: TaskId| base[m] + t.0;
-        let mut preds_left: Vec<usize> = (0..n)
-            .map(|g| members[owner[g]].workflow.predecessors(local[g]).len())
-            .collect();
-        let mut ready: Vec<usize> = Vec::new();
-        let mut device_idle = vec![true; platform.num_devices()];
-        let mut device_free_pred = vec![SimTime::ZERO; platform.num_devices()];
-        let mut producer_device = vec![DeviceId(0); n];
-        let mut realized: Vec<Option<Placement>> = vec![None; n];
-        let mut done_work = vec![0.0f64; members.len()];
-
-        let faults = self.config.fault_view()?;
-        let base_rng = SimRng::seed_from(self.config.seed);
-        let mut links = LinkState::new(platform);
-        let mut stats = TransferStats::default();
-        let mut completed = 0usize;
-
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        enum Ev {
-            Finish(usize),
-            Release(usize),
-        }
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        for (m, member) in members.iter().enumerate() {
-            for t in member.workflow.entry_tasks() {
-                queue.push(member.arrival, Ev::Release(gid(m, t)));
-            }
-        }
-
-        // Member-level arbitration key: smaller sorts first.
-        let member_key = |m: usize, done_work: &[f64]| -> f64 {
-            match self.policy {
-                EnsemblePolicy::Fifo => members[m].arrival.as_secs(),
-                EnsemblePolicy::Priority => -members[m].priority,
-                EnsemblePolicy::FairShare => done_work[m] / member_work[m],
-            }
+        let union = union.build()?;
+        let arbitration = Arbitration {
+            policy: self.policy,
+            ranks,
+            owner,
+            arrival: members.iter().map(|m| m.arrival).collect(),
+            priority: members.iter().map(|m| m.priority).collect(),
+            work: members
+                .iter()
+                .map(|m| m.workflow.total_gflop().max(1e-12))
+                .collect(),
+            done: vec![0.0; members.len()],
         };
 
-        macro_rules! dispatch {
-            ($now:expr) => {{
-                let now: SimTime = $now;
-                'rounds: loop {
-                    if ready.is_empty() || !device_idle.iter().any(|&i| i) {
-                        break;
-                    }
-                    // Order ready tasks: member key, then rank.
-                    let mut order = ready.clone();
-                    order.sort_by(|&a, &b| {
-                        member_key(owner[a], &done_work)
-                            .total_cmp(&member_key(owner[b], &done_work))
-                            .then(rank[b].total_cmp(&rank[a]))
-                            .then(a.cmp(&b))
-                    });
-                    for g in order {
-                        let wf = &members[owner[g]].workflow;
-                        let task = local[g];
-                        let cost = wf.task(task)?.cost();
-                        let mut best: Option<(DeviceId, f64)> = None;
-                        for d in 0..platform.num_devices() {
-                            let dev = DeviceId(d);
-                            let device = platform.device(dev)?;
-                            if !helios_sched::placement_feasible(device, wf.task(task)?) {
-                                continue;
-                            }
-                            let est = now.max(device_free_pred[d]);
-                            let mut data_at = est;
-                            for &e in wf.predecessors(task) {
-                                let edge = wf.edge(e);
-                                let t = platform.transfer_time(
-                                    edge.bytes,
-                                    producer_device[gid(owner[g], edge.src)],
-                                    dev,
-                                )?;
-                                data_at = data_at.max(est + t);
-                            }
-                            let exec = device.execution_time(cost, device.nominal_level())?;
-                            let score = (data_at + exec).as_secs();
-                            if best.map_or(true, |(_, b)| score < b) {
-                                best = Some((dev, score));
-                            }
-                        }
-                        let (dev, _) = best.ok_or(EngineError::Sched(
-                            helios_sched::SchedError::NoFeasibleDevice(task),
-                        ))?;
-                        if !device_idle[dev.0] {
-                            continue; // wait for the preferred device
-                        }
-                        ready.retain(|&r| r != g);
-                        device_idle[dev.0] = false;
-                        let mut start = now;
-                        for &e in wf.predecessors(task) {
-                            let edge = wf.edge(e);
-                            let arrival = links.transfer_arrival(
-                                platform,
-                                self.config.link_contention,
-                                edge.bytes,
-                                producer_device[gid(owner[g], edge.src)],
-                                dev,
-                                now,
-                                &mut stats,
-                                None,
-                            )?;
-                            start = start.max(arrival);
-                        }
-                        let device = platform.device(dev)?;
-                        let modeled = device.execution_time(cost, device.nominal_level())?;
-                        // Streams are keyed by the *global* task index,
-                        // so each member task keeps its own draw.
-                        let noise = noise_factor(self.config.noise_cv, &base_rng, g);
-                        let slow = slowdown_factor(self.config.device_slowdown.as_ref(), dev.0);
-                        let mut fault_rng = base_rng.fork(FAULT_STREAM_BASE + g as u64);
-                        let occ =
-                            occupancy_on(faults, modeled * noise * slow, task, &mut fault_rng)?;
-                        let finish = start + occ.total;
-                        device_free_pred[dev.0] = start + modeled;
-                        realized[g] = Some(Placement {
-                            task,
-                            device: dev,
-                            level: device.nominal_level(),
-                            start,
-                            finish,
-                        });
-                        producer_device[g] = dev;
-                        queue.push(finish, Ev::Finish(g));
-                        continue 'rounds;
-                    }
-                    break;
-                }
-            }};
+        // Errors name the member-local task, as the member's own run
+        // would.
+        let local = |g: TaskId| TaskId(g.0 - base[base.partition_point(|&b| b <= g.0) - 1]);
+        let runner = OnlineRunner::new(self.config.clone(), OnlinePolicy::RankedJit);
+        let mut exec = runner.exec(platform, &union, &union, arbitration)?;
+        for g in union.entry_tasks() {
+            let arrival = members[base.partition_point(|&b| b <= g.0) - 1].arrival;
+            exec.queue.push(arrival, Event::Release(g));
         }
-
-        while let Some((now, ev)) = queue.pop() {
-            match ev {
-                Ev::Release(g) => {
-                    if preds_left[g] == 0 {
-                        ready.push(g);
-                    }
-                    dispatch!(now);
-                }
-                Ev::Finish(g) => {
-                    completed += 1;
-                    let m = owner[g];
-                    let wf = &members[m].workflow;
-                    done_work[m] += wf.task(local[g])?.cost().gflop();
-                    let dev = realized[g].expect("placed before finishing").device;
-                    device_idle[dev.0] = true;
-                    for succ in wf.successor_tasks(local[g]) {
-                        let sg = gid(m, succ);
-                        preds_left[sg] -= 1;
-                        if preds_left[sg] == 0 {
-                            ready.push(sg);
-                        }
-                    }
-                    dispatch!(now);
-                }
+        crate::exec::drive(&mut exec).map_err(|e| match e {
+            EngineError::Sched(SchedError::NoFeasibleDevice(g)) => {
+                EngineError::Sched(SchedError::NoFeasibleDevice(local(g)))
             }
-        }
-
-        if completed != n {
-            return Err(EngineError::Stalled {
-                completed,
-                total: n,
-            });
-        }
+            EngineError::RetriesExhausted { task, attempts } => EngineError::RetriesExhausted {
+                task: local(task),
+                attempts,
+            },
+            e => e,
+        })?;
 
         // Assemble per-member reports.
         let mut reports = Vec::with_capacity(members.len());
@@ -312,7 +186,10 @@ impl EnsembleRunner {
         let mut total_energy = 0.0;
         for (m, member) in members.iter().enumerate() {
             let placements: Vec<Placement> = (0..member.workflow.num_tasks())
-                .map(|i| realized[base[m] + i].expect("all completed"))
+                .map(|i| Placement {
+                    task: TaskId(i),
+                    ..exec.realized[base[m] + i].expect("all completed")
+                })
                 .collect();
             let started = placements
                 .iter()
@@ -343,7 +220,7 @@ impl EnsembleRunner {
             mean_turnaround: turnaround_sum / members.len() as f64,
             makespan: overall_finish.saturating_since(SimTime::ZERO),
             total_energy_j: total_energy,
-            transfers: stats,
+            transfers: exec.stats,
             members: reports,
         })
     }

@@ -48,7 +48,7 @@ mod conformance;
 pub(crate) use accounting::finish_report;
 pub use accounting::IncompleteReason;
 pub(crate) use hooks::{drive, BudgetPoint, ElidedPops, Hooks};
-pub(crate) use occupancy::{fault_occupancy, noise_factor, occupancy_on, slowdown_factor};
+pub(crate) use occupancy::{fault_occupancy, noise_factor, slowdown_factor};
 pub(crate) use realized::{repair_device_overlaps, validate_realized};
 pub(crate) use routing::{choose_route, RouteChoice};
 pub(crate) use transfer::{DeliveredCache, LinkState};

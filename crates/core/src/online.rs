@@ -20,6 +20,7 @@ use helios_sim::{EventQueue, SimRng, SimTime};
 use helios_workflow::{analysis, TaskId, Workflow};
 
 use crate::config::EngineConfig;
+use crate::ensemble::EnsemblePolicy;
 use crate::error::EngineError;
 use crate::exec::{
     drive, fault_occupancy, finish_report, noise_factor, slowdown_factor, BudgetPoint,
@@ -124,11 +125,35 @@ impl OnlineRunner {
             OnlinePolicy::RankedJit => analysis::bottom_levels(believed, platform)?,
             OnlinePolicy::Jit => vec![0.0; n],
         };
-        let preds_left: Vec<usize> = (0..n).map(|i| wf.predecessors(TaskId(i)).len()).collect();
-        let ready: Vec<TaskId> = (0..n).filter(|&i| preds_left[i] == 0).map(TaskId).collect();
+        let mut exec = self.exec(platform, wf, believed, Arbitration::single(ranks))?;
+        exec.ready = wf.entry_tasks();
+        exec.dispatch(SimTime::ZERO)?;
+        drive(&mut exec)?;
+        finish_report(
+            platform,
+            wf,
+            exec.realized,
+            exec.trace,
+            exec.stats,
+            exec.failures,
+            exec.retries,
+        )
+    }
 
+    /// The dispatcher over `wf`, before any task is released: the one
+    /// hook set behind this runner and the
+    /// [`EnsembleRunner`](crate::EnsembleRunner), which passes the
+    /// union of its members as `wf` and their arbitration.
+    pub(crate) fn exec<'a>(
+        &'a self,
+        platform: &'a Platform,
+        wf: &'a Workflow,
+        believed: &'a Workflow,
+        arbitration: Arbitration,
+    ) -> Result<OnlineExec<'a>, EngineError> {
+        let n = wf.num_tasks();
         let base_rng = SimRng::seed_from(self.config.seed);
-        let mut exec = OnlineExec {
+        Ok(OnlineExec {
             config: &self.config,
             policy: self.policy,
             governor: self.governor.as_deref(),
@@ -143,11 +168,11 @@ impl OnlineRunner {
                 .map(|t| noise_factor(self.config.noise_cv, &base_rng, t))
                 .collect(),
             base_rng,
-            ranks,
-            preds_left,
+            arbitration,
+            preds_left: (0..n).map(|i| wf.predecessors(TaskId(i)).len()).collect(),
             producer_device: vec![DeviceId(0); n],
             realized: vec![None; n],
-            ready,
+            ready: Vec::new(),
             candidates: Vec::new(),
             device_idle: vec![true; platform.num_devices()],
             links: LinkState::new(platform),
@@ -162,18 +187,51 @@ impl OnlineRunner {
             believed_dur: vec![0.0f64; n],
             work_dur: vec![0.0f64; n],
             device_free_pred: vec![SimTime::ZERO; platform.num_devices()],
-        };
-        exec.dispatch(SimTime::ZERO)?;
-        drive(&mut exec)?;
-        finish_report(
-            platform,
-            wf,
-            exec.realized,
-            exec.trace,
-            exec.stats,
-            exec.failures,
-            exec.retries,
-        )
+        })
+    }
+}
+
+/// What the ranked candidate order sorts by: a member key, then upward
+/// rank (descending), then task id. An ensemble's tasks belong to
+/// several members; a single workflow is one member, whose key is
+/// constant.
+pub(crate) struct Arbitration {
+    pub(crate) policy: EnsemblePolicy,
+    /// Upward rank of every task (zeros under [`OnlinePolicy::Jit`],
+    /// which does not sort).
+    pub(crate) ranks: Vec<f64>,
+    /// The member each task belongs to.
+    pub(crate) owner: Vec<usize>,
+    /// Per member: submission instant, priority, total work (GFLOP,
+    /// floored above zero) and work finished so far.
+    pub(crate) arrival: Vec<SimTime>,
+    pub(crate) priority: Vec<f64>,
+    pub(crate) work: Vec<f64>,
+    pub(crate) done: Vec<f64>,
+}
+
+impl Arbitration {
+    /// One workflow submitted at time zero.
+    fn single(ranks: Vec<f64>) -> Arbitration {
+        Arbitration {
+            policy: EnsemblePolicy::Fifo,
+            owner: vec![0; ranks.len()],
+            ranks,
+            arrival: vec![SimTime::ZERO],
+            priority: vec![1.0],
+            work: vec![1.0],
+            done: vec![0.0],
+        }
+    }
+
+    /// The member-level key of `task`'s member: smaller sorts first.
+    fn key(&self, task: TaskId) -> f64 {
+        let m = self.owner[task.0];
+        match self.policy {
+            EnsemblePolicy::Fifo => self.arrival[m].as_secs(),
+            EnsemblePolicy::Priority => -self.priority[m],
+            EnsemblePolicy::FairShare => self.done[m] / self.work[m],
+        }
     }
 }
 
@@ -183,9 +241,18 @@ impl OnlineRunner {
 /// is quickly predicted as slow and work routes around it.
 const CALIBRATION_EWMA: f64 = 0.5;
 
+/// Timeline events of the online hook set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Event {
+    /// An entry task's member is submitted: the task becomes ready.
+    Release(TaskId),
+    /// A task finished.
+    Finish(TaskId),
+}
+
 /// The online re-planning hook set: a ready-set dispatched just-in-time
-/// by predicted completion, with task finishes as the only events.
-struct OnlineExec<'a> {
+/// by predicted completion.
+pub(crate) struct OnlineExec<'a> {
     config: &'a EngineConfig,
     policy: OnlinePolicy,
     governor: Option<&'a dyn DvfsGovernor>,
@@ -195,23 +262,23 @@ struct OnlineExec<'a> {
     faults: Option<&'a ResilienceConfig>,
     base_rng: SimRng,
     noise: Vec<f64>,
-    ranks: Vec<f64>,
+    arbitration: Arbitration,
     preds_left: Vec<usize>,
     producer_device: Vec<DeviceId>,
-    realized: Vec<Option<Placement>>,
+    pub(crate) realized: Vec<Option<Placement>>,
     ready: Vec<TaskId>,
     /// Scratch for one dispatch round's policy-ordered candidates,
     /// reused across rounds to avoid per-round clone + allocation.
     candidates: Vec<TaskId>,
     device_idle: Vec<bool>,
     links: LinkState,
-    stats: TransferStats,
+    pub(crate) stats: TransferStats,
     trace: Option<Trace>,
     delivered: DeliveredCache,
     failures: u32,
     retries: u32,
     completed: usize,
-    queue: EventQueue<TaskId>,
+    pub(crate) queue: EventQueue<Event>,
     calibration: Vec<f64>,
     believed_dur: Vec<f64>,
     // Fault-free device time per task, for calibration: retry stalls
@@ -271,9 +338,11 @@ impl OnlineExec<'_> {
             tasks.clear();
             tasks.extend_from_slice(&self.ready);
             if self.policy == OnlinePolicy::RankedJit {
+                let arb = &self.arbitration;
                 tasks.sort_by(|a, b| {
-                    self.ranks[b.0]
-                        .total_cmp(&self.ranks[a.0])
+                    arb.key(*a)
+                        .total_cmp(&arb.key(*b))
+                        .then(arb.ranks[b.0].total_cmp(&arb.ranks[a.0]))
                         .then(a.0.cmp(&b.0))
                 });
             }
@@ -361,7 +430,7 @@ impl OnlineExec<'_> {
                     finish,
                 });
                 self.producer_device[task.0] = dev;
-                self.queue.push(finish, task);
+                self.queue.push(finish, Event::Finish(task));
                 // A commitment changed the state: restart the round so
                 // remaining tasks see the new free times.
                 committed = true;
@@ -378,11 +447,11 @@ impl OnlineExec<'_> {
 }
 
 impl Hooks for OnlineExec<'_> {
-    type Event = TaskId;
+    type Event = Event;
 
     fn budget(&self) -> Option<u64> {
-        // The online loop pops exactly one finish per dispatched task,
-        // so it cannot grind: no watchdog.
+        // The online loop pops one release per entry task and one
+        // finish per dispatched task, so it cannot grind: no watchdog.
         None
     }
 
@@ -402,12 +471,21 @@ impl Hooks for OnlineExec<'_> {
         false
     }
 
-    fn pop(&mut self) -> Option<(SimTime, TaskId)> {
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.queue.pop()
     }
 
-    fn handle(&mut self, now: SimTime, task: TaskId) -> Result<(), EngineError> {
+    fn handle(&mut self, now: SimTime, event: Event) -> Result<(), EngineError> {
+        let task = match event {
+            Event::Release(task) => {
+                self.ready.push(task);
+                return self.dispatch(now);
+            }
+            Event::Finish(task) => task,
+        };
         self.completed += 1;
+        let m = self.arbitration.owner[task.0];
+        self.arbitration.done[m] += self.wf.task(task)?.cost().gflop();
         let placement = self.realized[task.0].expect("placed before finishing");
         let dev = placement.device;
         self.device_idle[dev.0] = true;
