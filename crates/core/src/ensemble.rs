@@ -23,7 +23,7 @@ use helios_workflow::{analysis, TaskId, Workflow, WorkflowBuilder};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::online::{Arbitration, Event, OnlinePolicy, OnlineRunner};
+use crate::online::{Arbitration, OnlinePolicy, OnlineRunner};
 use crate::report::TransferStats;
 
 /// One workflow in an ensemble.
@@ -163,21 +163,18 @@ impl EnsembleRunner {
         // would.
         let local = |g: TaskId| TaskId(g.0 - base[base.partition_point(|&b| b <= g.0) - 1]);
         let runner = OnlineRunner::new(self.config.clone(), OnlinePolicy::RankedJit);
-        let mut exec = runner.exec(platform, &union, &union, arbitration)?;
-        for g in union.entry_tasks() {
-            let arrival = members[base.partition_point(|&b| b <= g.0) - 1].arrival;
-            exec.queue.push(arrival, Event::Release(g));
-        }
-        crate::exec::drive(&mut exec).map_err(|e| match e {
-            EngineError::Sched(SchedError::NoFeasibleDevice(g)) => {
-                EngineError::Sched(SchedError::NoFeasibleDevice(local(g)))
-            }
-            EngineError::RetriesExhausted { task, attempts } => EngineError::RetriesExhausted {
-                task: local(task),
-                attempts,
-            },
-            e => e,
-        })?;
+        let exec = runner
+            .execute(platform, &union, &union, arbitration)
+            .map_err(|e| match e {
+                EngineError::Sched(SchedError::NoFeasibleDevice(g)) => {
+                    EngineError::Sched(SchedError::NoFeasibleDevice(local(g)))
+                }
+                EngineError::RetriesExhausted { task, attempts } => EngineError::RetriesExhausted {
+                    task: local(task),
+                    attempts,
+                },
+                e => e,
+            })?;
 
         // Assemble per-member reports.
         let mut reports = Vec::with_capacity(members.len());

@@ -125,10 +125,7 @@ impl OnlineRunner {
             OnlinePolicy::RankedJit => analysis::bottom_levels(believed, platform)?,
             OnlinePolicy::Jit => vec![0.0; n],
         };
-        let mut exec = self.exec(platform, wf, believed, Arbitration::single(ranks))?;
-        exec.ready = wf.entry_tasks();
-        exec.dispatch(SimTime::ZERO)?;
-        drive(&mut exec)?;
+        let exec = self.execute(platform, wf, believed, Arbitration::single(ranks))?;
         finish_report(
             platform,
             wf,
@@ -140,11 +137,13 @@ impl OnlineRunner {
         )
     }
 
-    /// The dispatcher over `wf`, before any task is released: the one
-    /// hook set behind this runner and the
-    /// [`EnsembleRunner`](crate::EnsembleRunner), which passes the
-    /// union of its members as `wf` and their arbitration.
-    pub(crate) fn exec<'a>(
+    /// Runs the dispatcher over `wf` to completion: the one hook set
+    /// behind this runner and the
+    /// [`EnsembleRunner`](crate::EnsembleRunner), which passes the union
+    /// of its members as `wf` and their arbitration. Each distinct
+    /// member arrival is one release event, so the entry tasks released
+    /// at one instant are dispatched together, in policy order.
+    pub(crate) fn execute<'a>(
         &'a self,
         platform: &'a Platform,
         wf: &'a Workflow,
@@ -153,7 +152,14 @@ impl OnlineRunner {
     ) -> Result<OnlineExec<'a>, EngineError> {
         let n = wf.num_tasks();
         let base_rng = SimRng::seed_from(self.config.seed);
-        Ok(OnlineExec {
+        let mut queue = EventQueue::new();
+        let mut instants = arbitration.arrival.clone();
+        instants.sort_unstable();
+        instants.dedup();
+        for at in instants {
+            queue.push(at, Event::Release);
+        }
+        let mut exec = OnlineExec {
             config: &self.config,
             policy: self.policy,
             governor: self.governor.as_deref(),
@@ -182,12 +188,14 @@ impl OnlineRunner {
             failures: 0,
             retries: 0,
             completed: 0,
-            queue: EventQueue::new(),
+            queue,
             calibration: vec![1.0f64; platform.num_devices()],
             believed_dur: vec![0.0f64; n],
             work_dur: vec![0.0f64; n],
             device_free_pred: vec![SimTime::ZERO; platform.num_devices()],
-        })
+        };
+        drive(&mut exec)?;
+        Ok(exec)
     }
 }
 
@@ -244,8 +252,9 @@ const CALIBRATION_EWMA: f64 = 0.5;
 /// Timeline events of the online hook set.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    /// An entry task's member is submitted: the task becomes ready.
-    Release(TaskId),
+    /// Every member arriving now is submitted: its entry tasks become
+    /// ready.
+    Release,
     /// A task finished.
     Finish(TaskId),
 }
@@ -278,7 +287,7 @@ pub(crate) struct OnlineExec<'a> {
     failures: u32,
     retries: u32,
     completed: usize,
-    pub(crate) queue: EventQueue<Event>,
+    queue: EventQueue<Event>,
     calibration: Vec<f64>,
     believed_dur: Vec<f64>,
     // Fault-free device time per task, for calibration: retry stalls
@@ -450,7 +459,7 @@ impl Hooks for OnlineExec<'_> {
     type Event = Event;
 
     fn budget(&self) -> Option<u64> {
-        // The online loop pops one release per entry task and one
+        // The online loop pops one release per arrival instant and one
         // finish per dispatched task, so it cannot grind: no watchdog.
         None
     }
@@ -477,8 +486,11 @@ impl Hooks for OnlineExec<'_> {
 
     fn handle(&mut self, now: SimTime, event: Event) -> Result<(), EngineError> {
         let task = match event {
-            Event::Release(task) => {
-                self.ready.push(task);
+            Event::Release => {
+                let arb = &self.arbitration;
+                let arrived = |t: &TaskId| arb.arrival[arb.owner[t.0]] == now;
+                self.ready
+                    .extend(self.wf.entry_tasks().into_iter().filter(arrived));
                 return self.dispatch(now);
             }
             Event::Finish(task) => task,
