@@ -555,18 +555,21 @@ pub fn run_query(expr: &str, cells: &[CellResult]) -> Result<QueryOutput, Engine
         });
     }
     let schema = plan.projections.iter().map(Proj::output_name).collect();
-    let has_agg = plan
-        .projections
-        .iter()
-        .any(|p| matches!(p, Proj::Agg { .. }));
-    // A pick indexes the full row, or with aggregates the aggregate row:
+    // A GROUP BY or an aggregate groups: one row per distinct key (one
+    // global row with no keys), as SQL does.
+    let grouped = !plan.group_by.is_empty()
+        || plan
+            .projections
+            .iter()
+            .any(|p| matches!(p, Proj::Agg { .. }));
+    // A pick indexes the full row, or when grouped the aggregate row:
     // the group keys, then the aggregates.
     let keys: Vec<usize> = plan.group_by.iter().map(|c| c.index()).collect();
     let mut aggs: Vec<Agg> = Vec::new();
     let mut picks: Vec<usize> = Vec::new();
     for proj in &plan.projections {
         picks.push(match proj {
-            Proj::Col { col, .. } if has_agg => plan
+            Proj::Col { col, .. } if grouped => plan
                 .group_by
                 .iter()
                 .position(|g| g == col)
@@ -580,7 +583,7 @@ pub fn run_query(expr: &str, cells: &[CellResult]) -> Result<QueryOutput, Engine
         });
     }
     let pick = |row: &Row| -> Row { picks.iter().map(|&i| row[i].clone()).collect() };
-    let rows = if has_agg {
+    let rows = if grouped {
         aggregate(rows, &keys, &aggs).iter().map(pick).collect()
     } else {
         rows.map(|row| pick(&row)).collect()
@@ -736,6 +739,18 @@ mod tests {
         let out = run_query("SELECT count(*), scheduler GROUP BY scheduler", &cells()).unwrap();
         assert_eq!(out.schema, vec!["count(*)".to_owned(), "scheduler".into()]);
         assert_eq!(out.rows[0], vec![Value::U64(2), Value::Str("heft".into())]);
+    }
+
+    #[test]
+    fn group_by_without_an_aggregate_yields_one_row_per_key() {
+        let out = run_query("SELECT scheduler GROUP BY scheduler", &cells()).unwrap();
+        assert_eq!(
+            out.rows,
+            vec![
+                vec![Value::Str("heft".into())],
+                vec![Value::Str("olb".into())],
+            ]
+        );
     }
 
     #[test]
