@@ -55,6 +55,22 @@ if [ "$runner_lines" -gt 1000 ]; then
 fi
 echo "$runner: $runner_lines lines (limit 1000)"
 
+echo "==> one step loop guard"
+# Every executor is a hook set over exec::drive, the one event loop. A
+# `while let Some(..) = <queue>.pop()` loop anywhere else in helios-core
+# is a second step loop. The lineage walk in recovery.rs pops a DFS
+# stack, not an event queue, and is exempt.
+step_loops=$(grep -rnE 'while let Some\(.*\) = [A-Za-z_.()]*\.pop\(\)' \
+    crates/core/src --include='*.rs' \
+    | grep -v '^crates/core/src/exec/' \
+    | grep -v '^crates/core/src/resilience/recovery\.rs:.*= stack\.pop()' || true)
+if [ -n "$step_loops" ]; then
+    echo "$step_loops" >&2
+    echo "event loops outside crates/core/src/exec: express the path as Hooks over drive" >&2
+    exit 1
+fi
+echo "crates/core/src: one step loop (exec::drive)"
+
 echo "==> T15 ensemble table pin"
 # The release t15_ensemble table (18 ensemble runs, about a second) must
 # match its committed copy, with one worker and with two.

@@ -240,7 +240,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///   columnar store (truncate to the longest valid record prefix) and
 ///   say how to resume.
 /// * legacy member form: repeated `--member path[:arrival[:priority]]`
-///   runs one ensemble campaign over `--seeds N` replicate seeds.
+///   runs one ensemble campaign.
 pub fn campaign(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     match argv.first().map(String::as_str) {
         Some("run") => campaign_run(&argv[1..], out),
@@ -865,20 +865,14 @@ fn write_query_json(
 /// The legacy member-based ensemble campaign.
 ///
 /// Members are given as repeated `--member path[:arrival[:priority]]`
-/// options; arrival defaults to 0 s and priority to 1. `--seeds N`
-/// replicates the ensemble under N consecutive engine seeds (base
-/// `--seed`), and `--jobs N` runs those replicates on N worker threads
-/// (0 = one per hardware thread). Output is aggregated in seed order
-/// and is byte-identical for every `--jobs` value.
+/// options; arrival defaults to 0 s and priority to 1. The run uses the
+/// default engine configuration, which draws no randomness, so it has
+/// no seed.
 fn campaign_members(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::{CampaignEngine, EnsembleMember, EnsemblePolicy, EnsembleRunner};
+    use helios_core::{EnsembleMember, EnsemblePolicy, EnsembleRunner};
     use helios_sim::SimTime;
 
-    let args = Args::parse(
-        argv,
-        &["member", "platform", "policy", "seed", "seeds", "jobs"],
-        &[],
-    )?;
+    let args = Args::parse(argv, &["member", "platform", "policy"], &[])?;
     let specs = args.get_all("member");
     if specs.is_empty() {
         return Err(CliError::Usage(
@@ -919,52 +913,23 @@ fn campaign_members(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
         }
     };
     let platform = platform_by_name(args.get("platform").unwrap_or("hpc_node"))?;
-    let base_seed = args.parse_or("seed", 0u64)?;
-    let seeds = args.parse_or("seeds", 1usize)?;
-    if seeds == 0 {
-        return Err(CliError::Usage("--seeds must be >= 1".into()));
-    }
-    let jobs = args.parse_or("jobs", 1usize)?;
-
-    let replicate_seeds: Vec<u64> = (0..seeds as u64).map(|i| base_seed + i).collect();
-    let reports = CampaignEngine::new(jobs).run(&replicate_seeds, |_, &seed| {
-        let config = EngineConfig {
-            seed,
-            ..Default::default()
-        };
-        EnsembleRunner::new(config, policy).run(&platform, &members)
-    })?;
-
-    for (seed, report) in replicate_seeds.iter().zip(&reports) {
+    let report = EnsembleRunner::new(EngineConfig::default(), policy).run(&platform, &members)?;
+    writeln!(
+        out,
+        "campaign of {} members on {} ({}): makespan {:.4}s, mean turnaround {:.4}s",
+        report.members.len(),
+        platform.name(),
+        policy.as_str(),
+        report.makespan.as_secs(),
+        report.mean_turnaround.as_secs()
+    )?;
+    for (i, m) in report.members.iter().enumerate() {
         writeln!(
             out,
-            "campaign of {} members on {} ({}, seed {seed}): makespan {:.4}s, mean turnaround {:.4}s",
-            report.members.len(),
-            platform.name(),
-            policy.as_str(),
-            report.makespan.as_secs(),
-            report.mean_turnaround.as_secs()
-        )?;
-        for (i, m) in report.members.iter().enumerate() {
-            writeln!(
-                out,
-                "  member {i}: started {:.4}s finished {:.4}s turnaround {:.4}s",
-                m.started.as_secs(),
-                m.finished.as_secs(),
-                m.turnaround.as_secs()
-            )?;
-        }
-    }
-    if reports.len() > 1 {
-        let mean = |f: &dyn Fn(&helios_core::EnsembleReport) -> f64| {
-            reports.iter().map(f).sum::<f64>() / reports.len() as f64
-        };
-        writeln!(
-            out,
-            "{} seeds: mean makespan {:.4}s, mean turnaround {:.4}s",
-            reports.len(),
-            mean(&|r| r.makespan.as_secs()),
-            mean(&|r| r.mean_turnaround.as_secs())
+            "  member {i}: started {:.4}s finished {:.4}s turnaround {:.4}s",
+            m.started.as_secs(),
+            m.finished.as_secs(),
+            m.turnaround.as_secs()
         )?;
     }
     Ok(())
@@ -1317,7 +1282,6 @@ mod campaign_tests {
         assert!(campaign(&argv(&[]), &mut buf).is_err());
         assert!(campaign(&argv(&["--member", "x.json:notanumber"]), &mut buf).is_err());
         assert!(campaign(&argv(&["--member", "x.json", "--policy", "lifo"]), &mut buf).is_err());
-        assert!(campaign(&argv(&["--member", "x.json", "--seeds", "0"]), &mut buf).is_err());
     }
 
     const SPEC_JSON: &str = r#"{
@@ -1664,51 +1628,5 @@ mod campaign_tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("appears in both"), "{err}");
-    }
-
-    #[test]
-    fn campaign_jobs_do_not_change_output() {
-        let dir = std::env::temp_dir().join("helios-cli-campaign-jobs");
-        std::fs::create_dir_all(&dir).unwrap();
-        let wf = dir.join("wf.json");
-        let mut buf = Vec::new();
-        generate(
-            &argv(&[
-                "--family",
-                "montage",
-                "--tasks",
-                "30",
-                "--out",
-                wf.to_str().unwrap(),
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-        let run_with = |jobs: &str| {
-            let mut buf = Vec::new();
-            campaign(
-                &argv(&[
-                    "--member",
-                    wf.to_str().unwrap(),
-                    "--member",
-                    &format!("{}:0.1:3", wf.to_str().unwrap()),
-                    "--platform",
-                    "workstation",
-                    "--seeds",
-                    "3",
-                    "--jobs",
-                    jobs,
-                ]),
-                &mut buf,
-            )
-            .unwrap();
-            buf
-        };
-        let sequential = run_with("1");
-        assert_eq!(sequential, run_with("3"), "--jobs must not change bytes");
-        assert_eq!(sequential, run_with("0"), "--jobs 0 (auto) must match too");
-        let text = String::from_utf8(sequential).unwrap();
-        assert!(text.contains("seed 2"), "{text}");
-        assert!(text.contains("3 seeds: mean makespan"), "{text}");
     }
 }

@@ -117,7 +117,7 @@ pub fn usage() -> String {
        run        execute a workflow (--workflow, --platform, --scheduler, --noise,\n\
                   --seed, --contention, --caching, --online, --trace, --report)\n\
        campaign   run a workflow ensemble (--member path[:arrival[:prio]],\n\
-                  --policy fifo|priority|fair-share)\n\
+                  --platform, --policy fifo|priority|fair-share)\n\
        campaign run    sweep a spec grid (--spec file.json, --shard K/N,\n\
                        --jobs N, --out report.json, --journal wal.journal,\n\
                        --store cells.store)\n\

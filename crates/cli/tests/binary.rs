@@ -535,21 +535,21 @@ fn campaign_member_output_is_pinned_per_policy() {
     let pinned = [
         (
             "fifo",
-            "campaign of 3 members on hpc_node (fifo, seed 0): makespan 0.2161s, mean turnaround 0.2119s\n\
+            "campaign of 3 members on hpc_node (fifo): makespan 0.2161s, mean turnaround 0.2119s\n\
              \x20 member 0: started 0.0000s finished 0.2118s turnaround 0.2118s\n\
              \x20 member 1: started 0.0000s finished 0.2128s turnaround 0.2128s\n\
              \x20 member 2: started 0.0050s finished 0.2161s turnaround 0.2111s\n",
         ),
         (
             "priority",
-            "campaign of 3 members on hpc_node (priority, seed 0): makespan 0.2171s, mean turnaround 0.1602s\n\
+            "campaign of 3 members on hpc_node (priority): makespan 0.2171s, mean turnaround 0.1602s\n\
              \x20 member 0: started 0.0000s finished 0.2171s turnaround 0.2171s\n\
              \x20 member 1: started 0.0000s finished 0.1339s turnaround 0.1339s\n\
              \x20 member 2: started 0.0050s finished 0.1345s turnaround 0.1295s\n",
         ),
         (
             "fair-share",
-            "campaign of 3 members on hpc_node (fair-share, seed 0): makespan 0.2202s, mean turnaround 0.2061s\n\
+            "campaign of 3 members on hpc_node (fair-share): makespan 0.2202s, mean turnaround 0.2061s\n\
              \x20 member 0: started 0.0000s finished 0.2202s turnaround 0.2202s\n\
              \x20 member 1: started 0.0000s finished 0.2025s turnaround 0.2025s\n\
              \x20 member 2: started 0.0050s finished 0.2008s turnaround 0.1958s\n",

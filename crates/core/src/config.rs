@@ -22,7 +22,8 @@ pub struct EngineConfig {
     /// Cache data products at destination devices: when several
     /// consumers of one output run on the same device, only the first
     /// pays the transfer (the workflow-data-staging optimization of
-    /// production workflow managers).
+    /// production workflow managers). Every executor honours it,
+    /// ensembles included.
     pub data_caching: bool,
     /// Per-device runtime slowdown factors (thermal throttling,
     /// co-tenant interference), indexed by device id; a factor of 2.0
@@ -37,10 +38,11 @@ pub struct EngineConfig {
     /// [`ResilientRunner`](crate::ResilientRunner) supports every
     /// policy; [`Engine`](crate::Engine),
     /// [`OnlineRunner`](crate::OnlineRunner) and
-    /// [`EnsembleRunner`](crate::EnsembleRunner) accept the subset that
-    /// maps onto their per-attempt occupancy model: exponential
-    /// transient-only failures under retry-backoff (flat retry is
-    /// `base_secs = 0`) or checkpoint-restart.
+    /// [`EnsembleRunner`](crate::EnsembleRunner) (which runs on the
+    /// online dispatcher) accept the subset that maps onto their
+    /// per-attempt occupancy model: exponential transient-only failures
+    /// under retry-backoff (flat retry is `base_secs = 0`) or
+    /// checkpoint-restart.
     pub resilience: Option<ResilienceConfig>,
     /// Elastic capacity plan: timed join/drain/preempt/leave events
     /// plus stochastic spot churn

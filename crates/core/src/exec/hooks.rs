@@ -6,11 +6,15 @@
 //! handled, and where in the loop the step budget is charged. The three
 //! simulated executors differ *only* in their hook set:
 //!
-//! | path              | budget point                  | exit on complete | after_event                  |
-//! |-------------------|-------------------------------|------------------|------------------------------|
-//! | `Engine`          | after pop                     | no (drains)      | —                            |
-//! | `OnlineRunner`    | (no budget)                   | no (drains)      | —                            |
-//! | `ResilientRunner` | before pop, plus ghost steps  | yes              | `dispatch_all`, when flagged |
+//! | path                                | budget point                 | exit on complete | after_event                  |
+//! |-------------------------------------|------------------------------|------------------|------------------------------|
+//! | `Engine`                            | after pop                    | no (drains)      | —                            |
+//! | `OnlineRunner`, `EnsembleRunner`    | (no budget)                  | no (drains)      | —                            |
+//! | `ResilientRunner`                   | before pop, plus ghost steps | yes              | `dispatch_all`, when flagged |
+//!
+//! `OnlineRunner` and `EnsembleRunner` share one hook set: an ensemble
+//! is the online dispatcher over the union of its members' DAGs, with
+//! one release event per distinct member arrival.
 //!
 //! The resilient runner re-runs its dispatcher only after an event that
 //! can start work (a device released, a task finished, a replica queued

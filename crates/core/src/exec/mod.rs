@@ -4,8 +4,10 @@
 //! The evaluation hinges on one invariant: every configuration (plain,
 //! noisy, contended, cached, faulted, resilient, online) is the *same*
 //! simulated machine with different knobs. This module enforces that
-//! structurally. The four executors — [`Engine`](crate::Engine),
+//! structurally. The executors — [`Engine`](crate::Engine),
 //! [`OnlineRunner`](crate::OnlineRunner),
+//! [`EnsembleRunner`](crate::EnsembleRunner) (the online hook set over
+//! the union of its members),
 //! [`ResilientRunner`](crate::ResilientRunner) and
 //! [`ThreadedExecutor`](crate::executor::ThreadedExecutor) — are thin
 //! hook sets over the services held here exactly once:
@@ -15,8 +17,8 @@
 //!   parameterized per execution path (event type, dispatch strategy,
 //!   step-budget placement), and `ElidedPops`, which keeps a step
 //!   budget exact when a path skips events that would pop as no-ops;
-//! * `occupancy_on` / `fault_occupancy` / `noise_factor` /
-//!   `slowdown_factor` — per-attempt device occupancy under noise,
+//! * `fault_occupancy` / `noise_factor` / `slowdown_factor` —
+//!   per-attempt device occupancy under noise,
 //!   checkpoint overhead and fault retries;
 //! * `LinkState` — FIFO link contention and transfer-arrival math
 //!   (plain routes and explicit degraded/rerouted routes);

@@ -36,7 +36,8 @@
 //!   per-device RNG streams, with capacity metrics on the report,
 //! * **workflow ensembles** — the [`ensemble`] runner shares the
 //!   platform between several workflows arriving over time (FIFO /
-//!   priority / fair-share arbitration),
+//!   priority / fair-share arbitration), as the online dispatcher over
+//!   the union of their DAGs,
 //! * **parallel campaigns** — the [`campaign`] engine fans independent
 //!   cells (seed replicates, sweep points, whole ensembles) out over
 //!   worker threads with input-indexed aggregation, so `--jobs N`

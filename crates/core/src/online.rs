@@ -10,7 +10,9 @@
 //! core ([`crate::exec`]): its `Hooks` implementation owns the
 //! ready-set, the calibration model and the just-in-time dispatch rule,
 //! while the step loop, occupancy math, transfer staging, residency
-//! caching and report accounting are the core's single copy.
+//! caching and report accounting are the core's single copy. The
+//! [`EnsembleRunner`](crate::EnsembleRunner) drives the same hook set
+//! over the union of its members' DAGs.
 
 use helios_energy::DvfsGovernor;
 use helios_platform::{DeviceId, DvfsLevel, Platform};
