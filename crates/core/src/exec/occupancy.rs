@@ -41,7 +41,7 @@ pub(crate) fn occupancy(
 /// [`EngineConfig::fault_view`](crate::config::EngineConfig::fault_view):
 /// exponential transient-only failures, retried after the policy's
 /// backoff or resumed from the last checkpoint.
-pub(crate) fn occupancy_on(
+fn occupancy_on(
     faults: Option<&ResilienceConfig>,
     actual_work: SimDuration,
     task: TaskId,

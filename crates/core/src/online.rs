@@ -212,11 +212,13 @@ pub(crate) struct Arbitration {
     pub(crate) ranks: Vec<f64>,
     /// The member each task belongs to.
     pub(crate) owner: Vec<usize>,
-    /// Per member: submission instant, priority, total work (GFLOP,
-    /// floored above zero) and work finished so far.
+    /// Per member: submission instant.
     pub(crate) arrival: Vec<SimTime>,
+    /// Per member: priority (larger wins).
     pub(crate) priority: Vec<f64>,
+    /// Per member: total work in GFLOP, floored above zero.
     pub(crate) work: Vec<f64>,
+    /// Per member: GFLOP of the tasks finished so far.
     pub(crate) done: Vec<f64>,
 }
 
