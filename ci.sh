@@ -372,6 +372,23 @@ for workload in paper_grid resilient_exec durable_sweep store_query; do
 done
 echo "benchmark smoke OK on every workload, --trace 0 and 1"
 
+echo "==> full-size paper_grid digest (release, one pass)"
+# One measured pass of the full-size seed-0 paper_grid workload (the
+# 1200-cell F3 grid with noise, link contention and caching on, as 35
+# shard jobs): the benchmark exits non-zero unless the merged report
+# matches the pinned Workload::seed0_digest (af075e88aa084325). This pins
+# every planner's placements, annealing's early exits and the batch
+# heuristics' row probes included, at the grid's full size; about a
+# second in release.
+if ! cargo run --release --offline -p helios-bench --bin benchmark -- \
+    --workload paper_grid --seed 0 --seconds 0 \
+    > "$sweep_tmp/paper_grid.log" 2>&1; then
+    cat "$sweep_tmp/paper_grid.log" >&2
+    echo "full-size paper_grid failed its seed-0 digest check" >&2
+    exit 1
+fi
+echo "paper_grid seed 0 matches its pinned digest"
+
 echo "==> full-size resilient_exec digest (release, one pass)"
 # One measured pass of the full-size seed-0 resilient_exec workload (96
 # cells of 2000 tasks, about 4.6M simulated failures): the benchmark

@@ -106,7 +106,9 @@ impl EnsembleRunner {
         EnsembleRunner { config, policy }
     }
 
-    /// Runs the ensemble to completion.
+    /// Runs the ensemble to completion. An [`EnsembleReport`] holds no
+    /// execution trace, so the union runs with tracing off whatever
+    /// [`EngineConfig::tracing`] says.
     ///
     /// # Errors
     ///
@@ -162,7 +164,11 @@ impl EnsembleRunner {
         // Errors name the member-local task, as the member's own run
         // would.
         let local = |g: TaskId| TaskId(g.0 - base[base.partition_point(|&b| b <= g.0) - 1]);
-        let runner = OnlineRunner::new(self.config.clone(), OnlinePolicy::RankedJit);
+        let config = EngineConfig {
+            tracing: false,
+            ..self.config.clone()
+        };
+        let runner = OnlineRunner::new(config, OnlinePolicy::RankedJit);
         let exec = runner
             .execute(platform, &union, &union, arbitration)
             .map_err(|e| match e {
@@ -259,6 +265,28 @@ mod tests {
         );
         assert!(report.makespan.as_secs() > 0.0);
         assert_eq!(report.mean_turnaround, report.members[0].turnaround);
+    }
+
+    #[test]
+    fn tracing_does_not_change_the_report() {
+        let p = presets::hpc_node();
+        let members = [
+            member(montage(40, 1).unwrap(), 0.0, 1.0),
+            member(cybershake(40, 2).unwrap(), 0.002, 5.0),
+        ];
+        let run = |tracing| {
+            let config = EngineConfig {
+                tracing,
+                noise_cv: 0.1,
+                link_contention: true,
+                data_caching: true,
+                ..EngineConfig::default()
+            };
+            EnsembleRunner::new(config, EnsemblePolicy::Priority)
+                .run(&p, &members)
+                .unwrap()
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -27,6 +27,12 @@ use crate::{HeftScheduler, Scheduler};
 /// the HEFT seed. Typical gains over HEFT are a few percent — the
 /// interesting output is the *gap*, which bounds how much better any
 /// list-ordering tweak could do (ablation experiment A14).
+///
+/// A move's decode stops as soon as its fate is known, with the result
+/// and the random stream exactly those of a full decode: a priority
+/// move whose placements have converged back onto the accepted state's
+/// costs the same and is accepted, and a move whose makespan lower bound
+/// already fails the Metropolis test is rejected (see `Decoder::decode`).
 #[derive(Debug, Clone)]
 pub struct AnnealingScheduler {
     iterations: u32,
@@ -96,12 +102,72 @@ struct Decoded<'a> {
 }
 
 impl<'a> Decoded<'a> {
+    /// A state with nothing placed, whose order is the workflow's
+    /// topological order, so a decode from step 0 decodes every task.
     fn new(wf: &'a Workflow, platform: &'a Platform) -> Result<Decoded<'a>, SchedError> {
+        let order = wf.topo_order().to_vec();
+        let mut step = vec![0; wf.num_tasks()];
+        for (j, t) in order.iter().enumerate() {
+            step[t.0] = j;
+        }
         Ok(Decoded {
             ctx: SchedContext::new(wf, platform, true)?,
-            order: Vec::with_capacity(wf.num_tasks()),
-            step: vec![0; wf.num_tasks()],
+            order,
+            step,
         })
+    }
+}
+
+/// How the decode of a move ended.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    /// Decoded in full: the candidate's makespan.
+    Cost(SimDuration),
+    /// A priority move whose candidate converged onto the accepted
+    /// state: it costs exactly the accepted makespan, and the accepted
+    /// state now holds its pop order.
+    Converged,
+    /// A move whose Metropolis rejection became certain.
+    Rejected,
+}
+
+/// A one-task move on trial against the accepted state: what lets its
+/// decode stop as soon as its fate is known.
+struct Trial<'r> {
+    /// The moved task, if the move changed its priority.
+    reordered: Option<TaskId>,
+    /// The accepted state's makespan, in seconds.
+    current: f64,
+    temp: f64,
+    rng: &'r mut SimRng,
+    /// The Metropolis uniform, once drawn.
+    u: Option<f64>,
+}
+
+impl Trial<'_> {
+    /// The Metropolis acceptance probability of a candidate costing
+    /// `cost` seconds.
+    fn p(&self, cost: f64) -> f64 {
+        ((self.current - cost) / self.temp).exp().min(1.0)
+    }
+
+    /// The uniform, drawn on first use only.
+    fn uniform(&mut self) -> f64 {
+        let rng = &mut self.rng;
+        *self.u.get_or_insert_with(|| rng.unit())
+    }
+
+    /// Whether a candidate known to cost at least `bound` seconds is
+    /// certain to be rejected. Draws the uniform once `bound` passes the
+    /// accepted cost, which is when [`Trial::accepts`] would draw it.
+    fn rejects_from(&mut self, bound: f64) -> bool {
+        bound > self.current && self.uniform() >= self.p(bound) * (1.0 + 1e-12)
+    }
+
+    /// The Metropolis verdict on a candidate costing `cost` seconds:
+    /// `cost <= current || chance(p(cost))`, with the one uniform.
+    fn accepts(&mut self, cost: f64) -> bool {
+        cost <= self.current || self.uniform() < self.p(cost)
     }
 }
 
@@ -116,15 +182,33 @@ struct Decoder<'a> {
     candidate: Decoded<'a>,
     indegree: Vec<usize>,
     ready: BinaryHeap<Ready>,
+    /// `tail[t]`: the longest chain of minimum feasible execution times
+    /// after `t`, in seconds, so no schedule ends before `t`'s finish
+    /// plus `tail[t]`.
+    tail: Vec<f64>,
 }
 
 impl<'a> Decoder<'a> {
     fn new(wf: &'a Workflow, platform: &'a Platform) -> Result<Decoder<'a>, SchedError> {
+        let accepted = Decoded::new(wf, platform)?;
+        let ctx = &accepted.ctx;
+        let mut tail = vec![0.0f64; wf.num_tasks()];
+        for &t in wf.topo_order().iter().rev() {
+            tail[t.0] = wf.successor_tasks(t).fold(0.0, |longest, s| {
+                let fastest = ctx
+                    .feasible_devices(s)
+                    .map(|d| ctx.exec_time(s, d).as_secs())
+                    .reduce(f64::min)
+                    .unwrap_or(0.0);
+                longest.max(fastest + tail[s.0])
+            });
+        }
         Ok(Decoder {
-            accepted: Decoded::new(wf, platform)?,
             candidate: Decoded::new(wf, platform)?,
-            indegree: Vec::with_capacity(wf.num_tasks()),
+            accepted,
+            indegree: vec![0; wf.num_tasks()],
             ready: BinaryHeap::new(),
+            tail,
         })
     }
 
@@ -164,53 +248,85 @@ impl<'a> Decoder<'a> {
             .unwrap_or(at)
     }
 
-    /// Decodes (`priority`, `assignment`) into the candidate and returns
-    /// its makespan. Steps before `from` are taken from the accepted
-    /// state as they are, so they must be ones the change cannot alter
-    /// (see [`Decoder::divergence`]); from there on the decoder
-    /// repeatedly commits the highest-priority ready task to its
-    /// assigned device at its EFT.
+    /// Decodes (`priority`, `assignment`) into the candidate. Steps
+    /// before `from` are taken from the accepted state as they are, so
+    /// they must be ones the change cannot alter (see
+    /// [`Decoder::divergence`]); from there on the decoder repeatedly
+    /// commits the highest-priority ready task to its assigned device at
+    /// its EFT. Without a `trial` it decodes in full and returns
+    /// [`Fate::Cost`]. With one, it stops as soon as the move's fate is
+    /// known:
+    ///
+    /// * **Converged** (priority moves): a counter holds, in O(1) per
+    ///   step, the number of tasks whose candidate status (unplaced, or
+    ///   an exact placement) differs from the accepted state's after as
+    ///   many steps. Once the moved task is placed and the counter is 0,
+    ///   both states have the same placements and the same ready set
+    ///   under the same priorities, so the rest of the decode would
+    ///   repeat the accepted state exactly and the cost equals the
+    ///   accepted one. The candidate's pop order is copied into the
+    ///   accepted state, whose placements already match; the timelines
+    ///   need no copy, since [`SchedContext::replay`] reads only
+    ///   placements and order.
+    /// * **Rejected**: the larger of the running makespan and every
+    ///   decoded task's finish plus its `tail`, scaled by (1 − 1e−9) for
+    ///   rounding, bounds the candidate's makespan from below. Once it
+    ///   passes the accepted cost the Metropolis uniform `u` is drawn (a
+    ///   full decode would then cost more, so the plain test draws it
+    ///   too), and the decode stops when `u ≥ p(bound)·(1 + 1e−12)`,
+    ///   which the true cost can only confirm. Decoding draws no
+    ///   randomness, so the random stream is unchanged.
     fn decode(
         &mut self,
         priority: &[f64],
         assignment: &[DeviceId],
         from: usize,
-    ) -> Result<SimDuration, SchedError> {
+        mut trial: Option<&mut Trial<'_>>,
+    ) -> Result<Fate, SchedError> {
         let Decoder {
             accepted,
             candidate,
             indegree,
             ready,
+            tail,
         } = self;
         let wf = candidate.ctx.workflow();
         let prefix = &accepted.order[..from];
         let mut last = candidate.ctx.replay(&accepted.ctx, prefix)?;
         candidate.order.clear();
         candidate.order.extend_from_slice(prefix);
+        candidate.step.copy_from_slice(&accepted.step);
 
-        indegree.clear();
-        indegree.extend((0..wf.num_tasks()).map(|i| wf.predecessors(TaskId(i)).len()));
-        for (j, &task) in prefix.iter().enumerate() {
-            candidate.step[task.0] = j;
-            for s in wf.successor_tasks(task) {
-                indegree[s.0] -= 1;
-            }
-        }
+        // Only the tasks after the prefix are decoded, and the prefix is
+        // closed under predecessors: each one waits for its predecessors
+        // outside the prefix.
         ready.clear();
-        for (i, &deg) in indegree.iter().enumerate() {
-            if deg == 0 && accepted.step[i] >= from {
+        for &task in &accepted.order[from..] {
+            let deg = wf
+                .predecessor_tasks(task)
+                .filter(|p| accepted.step[p.0] >= from)
+                .count();
+            indegree[task.0] = deg;
+            if deg == 0 {
                 ready.push(Ready {
-                    priority: priority[i],
-                    task: TaskId(i),
+                    priority: priority[task.0],
+                    task,
                 });
             }
         }
 
+        // The prefix is the accepted state's, so no status differs yet.
+        let mut differ = 0usize;
+        let mut moved_placed = false;
+        let mut bound = last.as_secs();
         while let Some(Ready { task, .. }) = ready.pop() {
+            #[cfg(test)]
+            crate::probe::count(crate::probe::Site::DecodeStep);
             let dev = assignment[task.0];
             let (start, finish) = candidate.ctx.eft(task, dev)?;
             candidate.ctx.place(task, dev, start, finish)?;
-            candidate.step[task.0] = candidate.order.len();
+            let j = candidate.order.len();
+            candidate.step[task.0] = j;
             candidate.order.push(task);
             last = last.max(finish);
             for s in wf.successor_tasks(task) {
@@ -222,8 +338,54 @@ impl<'a> Decoder<'a> {
                     });
                 }
             }
+            let Some(trial) = trial.as_deref_mut() else {
+                continue;
+            };
+
+            if let Some(moved) = trial.reordered {
+                // Step j changes two statuses only: `task`'s here, and
+                // that of the task the accepted state placed at step j.
+                let settled = accepted.order[j];
+                // Whether `t`'s status differs between the candidate,
+                // where it is `placed` or not yet, and the accepted state
+                // after `steps` steps.
+                let differs = |t: TaskId, steps: usize, placed: bool| {
+                    candidate.ctx.placement(t).filter(|_| placed)
+                        != accepted
+                            .ctx
+                            .placement(t)
+                            .filter(|_| accepted.step[t.0] < steps)
+                };
+                differ += usize::from(differs(task, j + 1, true));
+                differ -= usize::from(differs(task, j, false));
+                if settled != task {
+                    let placed = candidate.ctx.placement(settled).is_some();
+                    differ += usize::from(differs(settled, j + 1, placed));
+                    differ -= usize::from(differs(settled, j, placed));
+                }
+                moved_placed |= task == moved;
+                if moved_placed && differ == 0 {
+                    for (k, &t) in candidate.order.iter().enumerate().skip(from) {
+                        accepted.order[k] = t;
+                        accepted.step[t.0] = k;
+                    }
+                    #[cfg(test)]
+                    crate::probe::count(crate::probe::Site::Converged);
+                    return Ok(Fate::Converged);
+                }
+            }
+
+            let reach = finish.as_secs() + tail[task.0];
+            if reach > bound {
+                bound = reach;
+                if trial.rejects_from(bound * (1.0 - 1e-9)) {
+                    #[cfg(test)]
+                    crate::probe::count(crate::probe::Site::Rejected);
+                    return Ok(Fate::Rejected);
+                }
+            }
         }
-        Ok(last.saturating_since(SimTime::ZERO))
+        Ok(Fate::Cost(last.saturating_since(SimTime::ZERO)))
     }
 
     /// Makes the candidate the accepted state.
@@ -257,7 +419,10 @@ impl Scheduler for AnnealingScheduler {
         // The accepted state is `assignment` + `priority`; only a new best
         // is materialized as a schedule.
         let mut rng = SimRng::seed_from(self.seed);
-        let mut current_cost = decoder.decode(&priority, &assignment, 0)?.as_secs();
+        let Fate::Cost(seed_cost) = decoder.decode(&priority, &assignment, 0, None)? else {
+            unreachable!("a decode without a trial runs in full");
+        };
+        let mut current_cost = seed_cost.as_secs();
         decoder.accept();
         let mut best = decoder.accepted.ctx.snapshot()?;
         let mut best_cost = current_cost;
@@ -289,17 +454,34 @@ impl Scheduler for AnnealingScheduler {
             }
 
             let from = decoder.divergence(task, &priority, move_device);
-            let cost = decoder.decode(&priority, &assignment, from)?.as_secs();
-            let accept =
-                cost <= current_cost || rng.chance(((current_cost - cost) / temp).exp().min(1.0));
-            if accept {
-                decoder.accept();
-                current_cost = cost;
-                if cost < best_cost {
-                    best = decoder.accepted.ctx.snapshot()?;
-                    best_cost = cost;
+            let mut trial = Trial {
+                reordered: (!move_device).then_some(task),
+                current: current_cost,
+                temp,
+                rng: &mut rng,
+                u: None,
+            };
+            // A converged move costs `current_cost` and is accepted
+            // without a draw, as a full decode would be; the accepted
+            // state already holds it.
+            let accept = match decoder.decode(&priority, &assignment, from, Some(&mut trial))? {
+                Fate::Cost(cost) => {
+                    let cost = cost.as_secs();
+                    let accept = trial.accepts(cost);
+                    if accept {
+                        decoder.accept();
+                        current_cost = cost;
+                        if cost < best_cost {
+                            best = decoder.accepted.ctx.snapshot()?;
+                            best_cost = cost;
+                        }
+                    }
+                    accept
                 }
-            } else {
+                Fate::Converged => true,
+                Fate::Rejected => false,
+            };
+            if !accept {
                 // Revert.
                 assignment[task.0] = old_dev;
                 priority[task.0] = old_prio;
@@ -313,12 +495,25 @@ impl Scheduler for AnnealingScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{platform, random_workflow};
     use helios_platform::presets;
-    use helios_workflow::generators::synthetic::{
-        self, fork_join, gaussian_elimination, in_tree, out_tree,
-    };
     use helios_workflow::generators::{montage, sipht};
     use proptest::prelude::*;
+
+    impl Decoder<'_> {
+        /// A decode without a trial, which always runs in full.
+        fn decode_all(
+            &mut self,
+            priority: &[f64],
+            assignment: &[DeviceId],
+            from: usize,
+        ) -> SimDuration {
+            match self.decode(priority, assignment, from, None).unwrap() {
+                Fate::Cost(makespan) => makespan,
+                fate => panic!("a decode without a trial ended {fate:?}"),
+            }
+        }
+    }
 
     /// The reference decoder that [`Decoder::decode`] must reproduce: a
     /// fresh context per decode, a linear-scan ready set, a full
@@ -433,50 +628,6 @@ mod tests {
         Ok(best)
     }
 
-    /// The random DAG shape families of the scheduler-conformance
-    /// battery: layered, fork-join, in-tree, out-tree, Gaussian
-    /// elimination.
-    fn random_workflow(shape: usize, seed: u64) -> Workflow {
-        let gflop = 1.0 + (seed % 7) as f64;
-        let bytes = 1e6 + (seed % 5) as f64 * 4e6;
-        let wf = match shape % 5 {
-            0 => synthetic::layered_random(
-                &synthetic::LayeredConfig {
-                    levels: 2 + (seed % 4) as usize,
-                    width: 1 + (seed % 5) as usize,
-                    edge_prob: 0.2 + (seed % 8) as f64 / 10.0,
-                    mean_gflop: gflop,
-                    mean_bytes: bytes,
-                    ..synthetic::LayeredConfig::default()
-                },
-                seed,
-            ),
-            1 => fork_join(
-                1 + (seed % 3) as usize,
-                2 + (seed % 4) as usize,
-                gflop,
-                bytes,
-                seed,
-            ),
-            2 => in_tree(
-                1 + (seed % 3) as usize,
-                2 + (seed % 2) as usize,
-                gflop,
-                bytes,
-                seed,
-            ),
-            3 => out_tree(
-                1 + (seed % 3) as usize,
-                2 + (seed % 2) as usize,
-                gflop,
-                bytes,
-                seed,
-            ),
-            _ => gaussian_elimination(2 + (seed % 4) as usize, gflop, bytes, seed),
-        };
-        wf.expect("generator parameters are in range")
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -486,18 +637,12 @@ mod tests {
             seed in 0u64..1_000_000,
         ) {
             let wf = random_workflow(shape, seed);
-            let platforms = [
-                presets::workstation(),
-                presets::hpc_node(),
-                presets::edge_soc(),
-                presets::cluster(2),
-            ];
-            for p in &platforms {
+            for p in (0..4).map(platform) {
                 for iterations in [0, 1, 200] {
                     let got = AnnealingScheduler::new(iterations, seed)
-                        .schedule(&wf, p)
+                        .schedule(&wf, &p)
                         .unwrap();
-                    let want = reference_schedule(iterations, seed, &wf, p).unwrap();
+                    let want = reference_schedule(iterations, seed, &wf, &p).unwrap();
                     // Debug prints every f64 exactly, so equal text is
                     // equal placements, bit for bit.
                     prop_assert_eq!(
@@ -526,7 +671,7 @@ mod tests {
             let coarse: Vec<f64> = ranks.iter().map(|r| (r * 2.0).round()).collect();
             for priority in [vec![0.0; wf.num_tasks()], coarse] {
                 let mut decoder = Decoder::new(&wf, &p).unwrap();
-                decoder.decode(&priority, &assignment, 0).unwrap();
+                decoder.decode_all(&priority, &assignment, 0);
                 assert_eq!(
                     decoder.candidate.ctx.snapshot().unwrap(),
                     reference_decode(&wf, &p, &priority, &assignment).unwrap(),
@@ -548,13 +693,13 @@ mod tests {
         let reversed: Vec<f64> = priority.iter().map(|r| -r).collect();
         let on_zero = vec![DeviceId(0); wf.num_tasks()];
         let mut reused = Decoder::new(&wf, &p).unwrap();
-        reused.decode(&reversed, &on_zero, 0).unwrap();
+        reused.decode_all(&reversed, &on_zero, 0);
         reused.accept();
-        reused.decode(&priority, &on_zero, 0).unwrap();
-        let makespan = reused.decode(&priority, &assignment, 0).unwrap();
+        reused.decode_all(&priority, &on_zero, 0);
+        let makespan = reused.decode_all(&priority, &assignment, 0);
 
         let mut fresh = Decoder::new(&wf, &p).unwrap();
-        assert_eq!(fresh.decode(&priority, &assignment, 0).unwrap(), makespan);
+        assert_eq!(fresh.decode_all(&priority, &assignment, 0), makespan);
         let want = reference_decode(&wf, &p, &priority, &assignment).unwrap();
         assert_eq!(reused.candidate.ctx.snapshot().unwrap(), want);
         assert_eq!(fresh.candidate.ctx.snapshot().unwrap(), want);
@@ -563,7 +708,9 @@ mod tests {
 
     /// Decodes one single-task move from the decoder's accepted state,
     /// starting at its divergence step, and checks the candidate against
-    /// a full reference decode, bit for bit.
+    /// a full reference decode, bit for bit. The same move on trial, at a
+    /// temperature where both Metropolis verdicts occur, must end with
+    /// the fate the full decode implies.
     fn check_move(
         decoder: &mut Decoder<'_>,
         wf: &Workflow,
@@ -574,11 +721,44 @@ mod tests {
         device_move: bool,
     ) {
         let from = decoder.divergence(task, priority, device_move);
-        let makespan = decoder.decode(priority, assignment, from).unwrap();
+        let current = decoder
+            .accepted
+            .ctx
+            .snapshot()
+            .unwrap()
+            .makespan()
+            .as_secs();
+        let mut rng = SimRng::seed_from((task.0 * 7919 + from) as u64);
+        let mut trial = Trial {
+            reordered: (!device_move).then_some(task),
+            current,
+            temp: 0.02 * current.max(1e-12),
+            rng: &mut rng,
+            u: None,
+        };
+        let fate = decoder
+            .decode(priority, assignment, from, Some(&mut trial))
+            .unwrap();
+
+        let makespan = decoder.decode_all(priority, assignment, from);
         let want = reference_decode(wf, platform, priority, assignment).unwrap();
         let got = decoder.candidate.ctx.snapshot().unwrap();
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
         assert_eq!(makespan, want.makespan());
+
+        let cost = makespan.as_secs();
+        match fate {
+            Fate::Cost(c) => assert_eq!(c, makespan),
+            Fate::Converged => {
+                assert!(!device_move);
+                assert_eq!(cost, current);
+                let accepted = decoder.accepted.ctx.snapshot().unwrap();
+                assert_eq!(format!("{accepted:?}"), format!("{want:?}"));
+                assert_eq!(decoder.accepted.order, decoder.candidate.order);
+                assert_eq!(decoder.accepted.step, decoder.candidate.step);
+            }
+            Fate::Rejected => assert!(cost > current && !trial.accepts(cost)),
+        }
     }
 
     proptest! {
@@ -588,16 +768,11 @@ mod tests {
         fn suffix_redecode_equals_the_reference_for_every_single_task_move(
             shape in 0usize..5,
             seed in 0u64..1_000_000,
-            platform in 0usize..4,
+            preset in 0usize..4,
             coarse: bool,
         ) {
             let wf = random_workflow(shape, seed);
-            let p = match platform {
-                0 => presets::workstation(),
-                1 => presets::hpc_node(),
-                2 => presets::edge_soc(),
-                _ => presets::cluster(2),
-            };
+            let p = platform(preset);
             let n = wf.num_tasks();
             let mut decoder = Decoder::new(&wf, &p).unwrap();
             if (0..n).any(|i| decoder.accepted.ctx.feasible_set(TaskId(i)).is_empty()) {
@@ -614,7 +789,7 @@ mod tests {
             let mut assignment: Vec<DeviceId> = (0..n)
                 .map(|i| *rng.choose(decoder.accepted.ctx.feasible_set(TaskId(i))).unwrap())
                 .collect();
-            decoder.decode(&priority, &assignment, 0).unwrap();
+            decoder.decode_all(&priority, &assignment, 0);
             decoder.accept();
 
             for x in (0..n).map(TaskId) {
@@ -650,6 +825,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn early_exit_counts_witness() {
+        // The grid's annealing (500 iterations, seed 0) on montage 60/1
+        // on hpc_node, as [decode steps, converged exits, early
+        // rejections]. Without the exits the same run decodes 15,570
+        // steps.
+        let p = presets::hpc_node();
+        let wf = montage(60, 1).unwrap();
+        crate::probe::take();
+        let got = AnnealingScheduler::new(500, 0).schedule(&wf, &p).unwrap();
+        let [steps, converged, rejected, _] = crate::probe::take();
+        assert!(converged > 0 && rejected > 0, "both exits must fire");
+        assert_eq!([steps, converged, rejected], [7105, 156, 219]);
+        let want = reference_schedule(500, 0, &wf, &p).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

@@ -1,7 +1,20 @@
 //! Batch-mode heuristics: Min-Min and Max-Min (Ibarra & Kim, 1977;
 //! Maheswaran et al., 1999), extended with DAG readiness tracking.
+//!
+//! Each round commits one ready task, chosen by its minimum EFT over the
+//! devices. Instead of probing every (ready task, device) pair again in
+//! every round, each ready task keeps a [`Row`]: its data-ready time,
+//! start and finish on every feasible device, filled once when it becomes
+//! ready. That is exact because a ready task's data-ready times never
+//! change (its predecessors are placed), and a reservation on device `d`
+//! can only change start times on `d`. So a commit to `d` re-probes only
+//! the `d` entry of each ready row, a timeline scan with no transfer
+//! math, and re-picks that row's first strict minimum. The placements are
+//! bit-identical to the all-device sweep, which the tests keep as the
+//! reference.
 
-use helios_platform::Platform;
+use helios_platform::{DeviceId, Platform};
+use helios_sim::SimTime;
 use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
@@ -9,9 +22,74 @@ use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
 
-/// Shared Min-Min / Max-Min sweep: repeatedly compute every ready task's
-/// minimum EFT and commit either the globally smallest (`max_min ==
-/// false`) or the largest-of-minima (`max_min == true`).
+/// A ready task's probes of its feasible devices.
+struct Row {
+    task: TaskId,
+    /// (device, data-ready, start, finish) per feasible device, in id
+    /// order.
+    probes: Vec<(DeviceId, SimTime, SimTime, SimTime)>,
+    /// The index in `probes` of the first strict minimum finish: the
+    /// device [`SchedContext::best_eft`] would pick.
+    best: usize,
+}
+
+impl Row {
+    /// Probes every feasible device of `task`, computing data-ready times
+    /// as [`SchedContext::best_eft`] does.
+    fn new(ctx: &SchedContext<'_>, task: TaskId) -> Result<Row, SchedError> {
+        let preds = ctx.pred_terms(task)?;
+        let devices = ctx.feasible_set(task);
+        let mut probes = Vec::with_capacity(devices.len());
+        for &dev in devices {
+            let ready = ctx.ready_from(&preds, dev)?;
+            let (start, finish) = ctx.start_after(task, dev, ready);
+            probes.push((dev, ready, start, finish));
+        }
+        #[cfg(test)]
+        crate::probe::add(crate::probe::Site::BatchProbe, probes.len() as u64);
+        if probes.is_empty() {
+            return Err(SchedError::NoFeasibleDevice(task));
+        }
+        let mut row = Row {
+            task,
+            probes,
+            best: 0,
+        };
+        row.repick();
+        Ok(row)
+    }
+
+    /// The minimum finish over the row.
+    fn finish(&self) -> SimTime {
+        self.probes[self.best].3
+    }
+
+    fn repick(&mut self) {
+        let mut best = 0;
+        for (i, p) in self.probes.iter().enumerate().skip(1) {
+            if p.3 < self.probes[best].3 {
+                best = i;
+            }
+        }
+        self.best = best;
+    }
+
+    /// Re-probes the entry on `device` after a reservation there.
+    fn refresh(&mut self, ctx: &SchedContext<'_>, device: DeviceId) {
+        if let Some(p) = self.probes.iter_mut().find(|p| p.0 == device) {
+            (p.2, p.3) = ctx.start_after(self.task, device, p.1);
+            #[cfg(test)]
+            crate::probe::count(crate::probe::Site::BatchProbe);
+            self.repick();
+        }
+    }
+}
+
+/// Shared Min-Min / Max-Min sweep: repeatedly commit, among the ready
+/// tasks, either the one with the smallest minimum EFT (`max_min ==
+/// false`) or the one with the largest (`max_min == true`). Ties go to
+/// the earlier row of the ready list, which is kept in the order of the
+/// all-device sweep (`swap_remove` of the pick, successors appended).
 fn batch_schedule(
     wf: &Workflow,
     platform: &Platform,
@@ -21,37 +99,28 @@ fn batch_schedule(
     let mut indegree: Vec<usize> = (0..wf.num_tasks())
         .map(|i| wf.predecessors(TaskId(i)).len())
         .collect();
-    let mut ready: Vec<TaskId> = (0..wf.num_tasks())
-        .filter(|&i| indegree[i] == 0)
-        .map(TaskId)
-        .collect();
+    let mut ready = Vec::new();
+    for (i, _) in indegree.iter().enumerate().filter(|(_, &d)| d == 0) {
+        ready.push(Row::new(&ctx, TaskId(i))?);
+    }
     while !ready.is_empty() {
-        // (index in ready, device, start, finish) of the pick.
-        let mut pick: Option<(usize, _, _, _)> = None;
-        for (i, &task) in ready.iter().enumerate() {
-            let (dev, start, finish) = ctx.best_eft(task)?;
-            let better = match pick {
-                None => true,
-                Some((_, _, _, best_finish)) => {
-                    if max_min {
-                        finish > best_finish
-                    } else {
-                        finish < best_finish
-                    }
-                }
-            };
-            if better {
-                pick = Some((i, dev, start, finish));
+        let mut idx = 0;
+        for (i, row) in ready.iter().enumerate().skip(1) {
+            let (finish, best) = (row.finish(), ready[idx].finish());
+            if (max_min && finish > best) || (!max_min && finish < best) {
+                idx = i;
             }
         }
-        let (idx, dev, start, finish) =
-            pick.ok_or_else(|| SchedError::Internal("empty ready set".into()))?;
-        let task = ready.swap_remove(idx);
-        ctx.place(task, dev, start, finish)?;
-        for s in wf.successor_tasks(task) {
+        let row = ready.swap_remove(idx);
+        let (dev, _, start, finish) = row.probes[row.best];
+        ctx.place(row.task, dev, start, finish)?;
+        for other in &mut ready {
+            other.refresh(&ctx, dev);
+        }
+        for s in wf.successor_tasks(row.task) {
             indegree[s.0] -= 1;
             if indegree[s.0] == 0 {
-                ready.push(s);
+                ready.push(Row::new(&ctx, s)?);
             }
         }
     }
@@ -96,8 +165,111 @@ impl Scheduler for MaxMinScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{flat_costs, platform, random_workflow};
     use helios_platform::presets;
     use helios_workflow::generators::{cybershake, montage};
+    use proptest::prelude::*;
+
+    /// The all-device sweep that [`batch_schedule`] must reproduce: every
+    /// round re-probes every ready task on every feasible device.
+    fn reference_batch_schedule(
+        wf: &Workflow,
+        platform: &Platform,
+        max_min: bool,
+    ) -> Result<Schedule, SchedError> {
+        let mut ctx = SchedContext::new(wf, platform, true)?;
+        let mut indegree: Vec<usize> = (0..wf.num_tasks())
+            .map(|i| wf.predecessors(TaskId(i)).len())
+            .collect();
+        let mut ready: Vec<TaskId> = (0..wf.num_tasks())
+            .filter(|&i| indegree[i] == 0)
+            .map(TaskId)
+            .collect();
+        while !ready.is_empty() {
+            // (index in ready, device, start, finish) of the pick.
+            let mut pick: Option<(usize, _, _, _)> = None;
+            for (i, &task) in ready.iter().enumerate() {
+                let (dev, start, finish) = ctx.best_eft(task)?;
+                crate::probe::add(
+                    crate::probe::Site::BatchProbe,
+                    ctx.feasible_set(task).len() as u64,
+                );
+                let better = match pick {
+                    None => true,
+                    Some((_, _, _, best_finish)) => {
+                        if max_min {
+                            finish > best_finish
+                        } else {
+                            finish < best_finish
+                        }
+                    }
+                };
+                if better {
+                    pick = Some((i, dev, start, finish));
+                }
+            }
+            let (idx, dev, start, finish) =
+                pick.ok_or_else(|| SchedError::Internal("empty ready set".into()))?;
+            let task = ready.swap_remove(idx);
+            ctx.place(task, dev, start, finish)?;
+            for s in wf.successor_tasks(task) {
+                indegree[s.0] -= 1;
+                if indegree[s.0] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        ctx.into_schedule()
+    }
+
+    /// Both heuristics' schedules (or errors) as `Debug` text, which
+    /// prints every f64 exactly: equal text is equal placements, bit for
+    /// bit.
+    fn both(wf: &Workflow, p: &Platform) -> [(String, String); 2] {
+        [false, true].map(|max_min| {
+            (
+                format!("{:?}", batch_schedule(wf, p, max_min)),
+                format!("{:?}", reference_batch_schedule(wf, p, max_min)),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn rows_equal_the_all_device_sweep(
+            shape in 0usize..5,
+            seed in 0u64..1_000_000,
+        ) {
+            let wf = random_workflow(shape, seed);
+            let flat = flat_costs(&wf);
+            for p in (0..4).map(platform) {
+                for dag in [&wf, &flat] {
+                    for (got, want) in both(dag, &p) {
+                        prop_assert_eq!(got, want, "shape {} on {}", shape, p.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probe_counts_witness() {
+        // montage 60/1 on hpc_node, Min-Min then Max-Min: (task, device)
+        // probes of the all-device sweep, then of the rows.
+        let p = presets::hpc_node();
+        let wf = montage(60, 1).unwrap();
+        crate::probe::take();
+        let mut counts = Vec::new();
+        for max_min in [false, true] {
+            let want = reference_batch_schedule(&wf, &p, max_min).unwrap();
+            let reference = crate::probe::take()[3];
+            assert_eq!(batch_schedule(&wf, &p, max_min).unwrap(), want);
+            counts.push((reference, crate::probe::take()[3]));
+        }
+        assert_eq!(counts, [(3752, 882), (3704, 876)]);
+    }
 
     #[test]
     fn both_produce_valid_schedules() {

@@ -230,10 +230,64 @@ impl<'a> SchedContext<'a> {
     ///
     /// Same as [`SchedContext::data_ready`].
     pub fn eft(&self, task: TaskId, device: DeviceId) -> Result<(SimTime, SimTime), SchedError> {
-        let ready = self.data_ready(task, device)?;
+        Ok(self.start_after(task, device, self.data_ready(task, device)?))
+    }
+
+    /// The earliest (start, finish) of `task` on `device` once its input
+    /// data is there at `ready`: one timeline scan, no transfer math.
+    pub(crate) fn start_after(
+        &self,
+        task: TaskId,
+        device: DeviceId,
+        ready: SimTime,
+    ) -> (SimTime, SimTime) {
         let exec = self.exec[task.0][device.0];
         let start = self.timelines[device.0].earliest_start(ready, exec, self.insertion);
-        Ok((start, start + exec))
+        (start, start + exec)
+    }
+
+    /// Each predecessor's (finish, device, bytes) in edge order, gathered
+    /// once for a sweep over devices instead of re-walking the edge and
+    /// placement tables per probe.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::Unscheduled`] if a predecessor has not been
+    /// placed yet.
+    pub(crate) fn pred_terms(
+        &self,
+        task: TaskId,
+    ) -> Result<Vec<(SimTime, DeviceId, f64)>, SchedError> {
+        let pred_edges = self.wf.predecessors(task);
+        let mut preds = Vec::with_capacity(pred_edges.len());
+        for &e in pred_edges {
+            let edge = self.wf.edge(e);
+            let pred = self.placements[edge.src.0]
+                .as_ref()
+                .ok_or(SchedError::Unscheduled(edge.src))?;
+            preds.push((pred.finish, pred.device, edge.bytes));
+        }
+        Ok(preds)
+    }
+
+    /// [`SchedContext::data_ready`] on `device` from
+    /// [`SchedContext::pred_terms`]: the same maximum, taken in the same
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns a routing error.
+    pub(crate) fn ready_from(
+        &self,
+        preds: &[(SimTime, DeviceId, f64)],
+        device: DeviceId,
+    ) -> Result<SimTime, SchedError> {
+        let mut ready = SimTime::ZERO;
+        for &(pred_finish, pred_dev, bytes) in preds {
+            let transfer = self.transfers.transfer_time(bytes, pred_dev, device)?;
+            ready = ready.max(pred_finish + transfer);
+        }
+        Ok(ready)
     }
 
     /// The memory-feasible device minimizing EFT for `task`, with its
@@ -246,33 +300,11 @@ impl<'a> SchedContext<'a> {
     /// the task's working set; otherwise same as
     /// [`SchedContext::data_ready`].
     pub fn best_eft(&self, task: TaskId) -> Result<(DeviceId, SimTime, SimTime), SchedError> {
-        // Gather each predecessor's (finish, device, bytes) once for the
-        // whole device sweep instead of re-walking edge and placement
-        // tables per probe.
-        let pred_edges = self.wf.predecessors(task);
-        let mut preds: Vec<(SimTime, DeviceId, f64)> = Vec::with_capacity(pred_edges.len());
-        for &e in pred_edges {
-            let edge = self.wf.edge(e);
-            let pred = self.placements[edge.src.0]
-                .as_ref()
-                .ok_or(SchedError::Unscheduled(edge.src))?;
-            preds.push((pred.finish, pred.device, edge.bytes));
-        }
+        let preds = self.pred_terms(task)?;
         let mut best: Option<(DeviceId, SimTime, SimTime)> = None;
         for &dev in &self.feasible[task.0] {
-            let mut ready = SimTime::ZERO;
-            for &(pred_finish, pred_dev, bytes) in &preds {
-                let transfer = self.transfers.transfer_time(bytes, pred_dev, dev)?;
-                ready = ready.max(pred_finish + transfer);
-            }
-            let exec = self.exec[task.0][dev.0];
-            let start = self.timelines[dev.0].earliest_start(ready, exec, self.insertion);
-            let finish = start + exec;
-            let better = match best {
-                None => true,
-                Some((_, _, bf)) => finish < bf,
-            };
-            if better {
+            let (start, finish) = self.start_after(task, dev, self.ready_from(&preds, dev)?);
+            if best.is_none_or(|(_, _, bf)| finish < bf) {
                 best = Some((dev, start, finish));
             }
         }

@@ -58,7 +58,52 @@ pub mod metrics;
 mod peft;
 pub mod reliability;
 mod schedule;
+#[cfg(test)]
+mod testkit;
 mod timeline;
+
+/// Per-thread counters of the planning hot paths (test builds only).
+/// Each test runs on its own thread, so a test reads exactly its own
+/// runs.
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::cell::Cell;
+
+    /// A counted site.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Site {
+        /// One task placed by the annealing decoder.
+        DecodeStep,
+        /// A priority move whose decode stopped on the accepted state.
+        Converged,
+        /// A move whose decode stopped once its rejection was certain.
+        Rejected,
+        /// One (task, device) start probe by Min-Min/Max-Min.
+        BatchProbe,
+    }
+
+    thread_local! {
+        static COUNTS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+    }
+
+    pub(crate) fn count(site: Site) {
+        add(site, 1);
+    }
+
+    pub(crate) fn add(site: Site, n: u64) {
+        COUNTS.with(|c| {
+            let mut v = c.get();
+            v[site as usize] += n;
+            c.set(v);
+        });
+    }
+
+    /// Returns `[decode steps, converged exits, early rejections, batch
+    /// probes]` and resets them.
+    pub(crate) fn take() -> [u64; 4] {
+        COUNTS.with(|c| c.replace([0; 4]))
+    }
+}
 
 pub use annealing::AnnealingScheduler;
 pub use batch::{MaxMinScheduler, MinMinScheduler};

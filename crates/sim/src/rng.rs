@@ -79,14 +79,23 @@ impl SimRng {
         self.inner.gen_range(low..=high)
     }
 
-    /// Draws a `bool` that is `true` with probability `p`.
+    /// Draws a uniform `f64` in `[0, 1)`: the one draw behind
+    /// [`SimRng::chance`], for callers that must compare a single draw
+    /// against more than one probability (a Metropolis test that learns
+    /// a lower bound on the cost before the cost itself).
+    pub fn unit(&mut self) -> f64 {
+        self.inner.gen::<f64>()
+    }
+
+    /// Draws a `bool` that is `true` with probability `p`: exactly
+    /// `self.unit() < p`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
     pub fn chance(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-        self.inner.gen::<f64>() < p
+        self.unit() < p
     }
 
     /// Draws from an exponential distribution with the given mean.
@@ -293,6 +302,17 @@ mod tests {
         let mut rng = SimRng::seed_from(19);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
+    }
+
+    #[test]
+    fn chance_is_one_unit_draw() {
+        let (mut a, mut b) = (SimRng::seed_from(29), SimRng::seed_from(29));
+        for i in 0..1000 {
+            let p = f64::from(i % 11) / 10.0;
+            let u = a.unit();
+            assert!((0.0..1.0).contains(&u));
+            assert_eq!(b.chance(p.min(1.0)), u < p.min(1.0));
+        }
     }
 
     #[test]
