@@ -6,11 +6,11 @@
 //! handled, and where in the loop the step budget is charged. The three
 //! simulated executors differ *only* in their hook set:
 //!
-//! | path                                | budget point                 | exit on complete | after_event                  |
-//! |-------------------------------------|------------------------------|------------------|------------------------------|
-//! | `Engine`                            | after pop                    | no (drains)      | —                            |
-//! | `OnlineRunner`, `EnsembleRunner`    | (no budget)                  | no (drains)      | —                            |
-//! | `ResilientRunner`                   | before pop, plus ghost steps | yes              | `dispatch_all`, when flagged |
+//! | path                             | budget point                                                          | exit on complete | after_event                                                        |
+//! |----------------------------------|-----------------------------------------------------------------------|------------------|--------------------------------------------------------------------|
+//! | `Engine`                         | after pop                                                             | no (drains)      | —                                                                  |
+//! | `OnlineRunner`, `EnsembleRunner` | (no budget)                                                           | no (drains)      | —                                                                  |
+//! | `ResilientRunner`                | before pop, plus ghost steps; in-place events capped by `grant_steps` | yes              | `dispatch_all`, when flagged; in-place events at their own instant |
 //!
 //! `OnlineRunner` and `EnsembleRunner` share one hook set: an ensemble
 //! is the online dispatcher over the union of its members' DAGs, with
@@ -21,8 +21,15 @@
 //! or re-queued, a device's liveness or membership changed): the
 //! dispatcher reaches a fixed point and start eligibility does not
 //! depend on the clock, so after any other event the pass is a no-op.
-//! Ghost steps, which keep its step budget exact when it skips no-op
-//! events, are charged by [`drive`].
+//! Ghost steps keep its step budget exact when it does not pop an event
+//! the un-elided loop would pop, and [`drive`] charges them. They stand
+//! for two kinds of event: a `Finish` it never queued because it would
+//! pop stale, and a device's restart or next fault that it ran in
+//! place, inside the `handle` of the fault before it, because its
+//! `(time, sequence)` key came before every queued event
+//! (`resilience/faults.rs`). An in-place event dispatches at its own
+//! instant, and [`Hooks::grant_steps`] keeps it from running past the
+//! step where a budget trips.
 //!
 //! The resilient runner must exit the moment the last task completes
 //! because fault-process events extend to infinity; the static paths
@@ -92,13 +99,24 @@ pub(crate) trait Hooks {
     fn elided_before_head(&mut self) -> u64 {
         0
     }
+
+    /// Called under a step budget just before each `handle`, with the
+    /// steps the budget still allows after the handled event's own. A
+    /// path that handles later events in place, without a pop, runs
+    /// only those whose ghost step (and every ghost step due before it)
+    /// fits in `left`, so it never runs an event that the un-elided
+    /// loop would not reach before tripping.
+    fn grant_steps(&mut self, left: u64) {
+        let _ = left;
+    }
 }
 
 /// Ghost steps: the `(time, sequence)` keys of events a path never
-/// queued because they would have popped as no-ops.
+/// popped, because they would have popped as no-ops or because the path
+/// handled them in place.
 ///
-/// A step budget counts pops, so skipping a no-op pop would move the
-/// step at which a budget trips. A budgeted path records each skipped
+/// A step budget counts pops, so a pop that never happens would move
+/// the step at which a budget trips. A budgeted path records each such
 /// key here (the key comes from `EventQueue::skip`), and [`drive`]
 /// charges one step per key that orders before the queue's head, just
 /// where the pop would have been. An unbudgeted run records nothing:
@@ -112,6 +130,11 @@ impl ElidedPops {
     /// Records the key of one skipped event.
     pub(crate) fn record(&mut self, key: (SimTime, u64)) {
         self.keys.push(Reverse(key));
+    }
+
+    /// Counts the recorded keys ordered before `key`, removing none.
+    pub(crate) fn count_before(&self, key: (SimTime, u64)) -> u64 {
+        self.keys.iter().filter(|&&Reverse(k)| k < key).count() as u64
     }
 
     /// Removes and counts the keys ordered before `head`, the key of the
@@ -138,7 +161,10 @@ impl ElidedPops {
 /// Under a step budget charged before the pop, the ghost steps of
 /// [`ElidedPops`] due before the queue's head are charged ahead of the
 /// head's own step, so the budget trips at the same step, with the
-/// same `completed`, as if the skipped events had been queued.
+/// same `completed`, as if the skipped events had been queued. Before
+/// each `handle`, a budgeted loop grants the hook set the steps left
+/// ([`Hooks::grant_steps`]), which bounds the events it may handle in
+/// place.
 pub(crate) fn drive<H: Hooks>(hooks: &mut H) -> Result<(), EngineError> {
     let mut steps: u64 = 0;
     loop {
@@ -161,6 +187,9 @@ pub(crate) fn drive<H: Hooks>(hooks: &mut H) -> Result<(), EngineError> {
         };
         if hooks.budget_point() == BudgetPoint::AfterPop {
             charge_step(hooks, &mut steps)?;
+        }
+        if let Some(budget) = hooks.budget() {
+            hooks.grant_steps(budget - steps);
         }
         hooks.handle(now, event)?;
         hooks.after_event(now)?;

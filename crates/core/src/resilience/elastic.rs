@@ -27,9 +27,10 @@
 //! later join brings the device back blank. The one exception is a
 //! device the failure machinery killed permanently: dead capacity stays
 //! dead, and elastic events on it become counted no-ops
-//! (`dead_capacity_events`). When no device is live and no join can
-//! ever fire again, the run ends with
-//! [`EngineError::CapacityExhausted`] — a measurement, not a bug.
+//! (`dead_capacity_events`). A task with no live candidate parks only
+//! while a device it can run on can still join. When none can, the run
+//! ends: with [`EngineError::CapacityExhausted`] — a measurement, not a
+//! bug — if no device is live, with `AllDevicesLost` otherwise.
 
 use super::*;
 
@@ -282,23 +283,31 @@ impl Sim<'_> {
             .count()
     }
 
-    /// Whether any join can still fire on a device the failure
-    /// machinery has not killed: an unfired timed join, or a churn
-    /// renewal (which always re-acquires eventually).
-    pub(super) fn capacity_can_return(&self) -> bool {
+    /// Whether capacity that can run `task` can still join: an unfired
+    /// timed join, or a churn renewal (which always re-acquires
+    /// eventually), on a device the failure machinery has not killed
+    /// and that `task` can be placed on.
+    pub(super) fn capacity_can_return(&self, task: TaskId) -> bool {
         let Some(el) = self.elastic.as_ref() else {
             return false;
         };
-        let up = |d: usize| self.avail.is_up(DeviceId(d));
+        let can_take = |d: usize| {
+            self.avail.is_up(DeviceId(d))
+                && self.platform.device(DeviceId(d)).is_ok_and(|device| {
+                    self.wf
+                        .task(task)
+                        .is_ok_and(|t| placement_feasible(device, t))
+                })
+        };
         el.timed
             .iter()
             .zip(&el.fired)
-            .any(|(ev, &fired)| !fired && matches!(ev.kind, TimedKind::Join) && up(ev.device))
+            .any(|(ev, &fired)| !fired && matches!(ev.kind, TimedKind::Join) && can_take(ev.device))
             || el
                 .churn
                 .iter()
                 .enumerate()
-                .any(|(d, c)| c.is_some() && up(d))
+                .any(|(d, c)| c.is_some() && can_take(d))
     }
 
     /// A task with no live candidate device parks until capacity
@@ -315,7 +324,7 @@ impl Sim<'_> {
         if self.elastic.is_none() {
             return Err(err);
         }
-        if self.capacity_can_return() {
+        if self.capacity_can_return(t) {
             let el = self.elastic.as_mut().expect("checked above");
             if !el.parked.contains(&t) {
                 el.parked.push(t);
@@ -332,12 +341,22 @@ impl Sim<'_> {
         Err(err)
     }
 
-    /// Ends the run if parked tasks can never be placed again: without
+    /// Ends the run if a parked task can never be placed again: without
     /// this, the event queue could drain with work still parked and the
-    /// core would report a stall instead of a measurement.
+    /// core would report a stall instead of a measurement, or fault and
+    /// churn events could keep an unbudgeted run going forever.
     pub(super) fn check_parked(&mut self, now: SimTime) -> Result<(), EngineError> {
-        let parked_empty = self.elastic.as_ref().is_none_or(|el| el.parked.is_empty());
-        if parked_empty || self.capacity_can_return() {
+        let Some(el) = self.elastic.as_ref() else {
+            return Ok(());
+        };
+        // A parked task that recovery has placed since is no longer
+        // waiting.
+        let waits_in_vain = |t: TaskId| {
+            self.finished_at[t.0].is_none()
+                && !self.task_has_live_replica(t)
+                && !self.capacity_can_return(t)
+        };
+        if !el.parked.iter().any(|&t| waits_in_vain(t)) {
             return Ok(());
         }
         if self.num_live() == 0 {

@@ -2,15 +2,78 @@
 //! device, link and correlated-domain failure events into state
 //! changes. An `impl` extension of [`Sim`], split out of `runner.rs` so
 //! the path source holds only the hook set and the dispatcher.
+//!
+//! # Restarts and faults in place
+//!
+//! A device's own events often follow each other with nothing else due
+//! in between: a transient fault's restart comes a restart overhead
+//! later, and the device's next fault comes after that. So
+//! [`Sim::handle_fault`] loops over the device's own events. It reserves
+//! each one's `(time, sequence)` key with `EventQueue::skip`, in the
+//! order the queue would have numbered them (the restart, then the next
+//! fault), and handles it at once when that key comes before every
+//! queued event. Otherwise it queues the event under the reserved key
+//! (`EventQueue::push_skipped`). The result is byte-identical to popping
+//! each event:
+//!
+//! * **Key order.** An in-place event is the one the queue would pop
+//!   next, and reserved keys keep every other tie-break unchanged.
+//! * **Dispatch instant.** After each event, in place or popped, the
+//!   dispatcher runs at that event's own instant when the event set
+//!   `dispatch_dirty`, as `after_event` would have.
+//! * **Ghost steps.** Under a step budget each in-place event is
+//!   recorded in `ElidedPops`, so `drive` charges the pop it stands
+//!   for.
+//! * **Budget.** An event runs in place only if its ghost step, and
+//!   every ghost step due before it, fits in the steps `drive` granted
+//!   (`Hooks::grant_steps`): the un-elided loop would have reached it
+//!   before tripping. Fault and restart events never complete a task,
+//!   so the loop's completion check could not have stopped it either.
+//!
+//! The test-only reference mode queues every event.
 
 use super::*;
 
 impl Sim<'_> {
     pub(super) fn schedule_next_fault(&mut self, d: usize, now: SimTime) {
+        let at = self.draw_next_fault(d, now);
+        self.queue.push(at, Ev::Fault { device: d });
+    }
+
+    /// Draws device `d`'s next fault after `now` from its own stream,
+    /// keeps its mode and instant on the device, and returns the
+    /// instant.
+    fn draw_next_fault(&mut self, d: usize, now: SimTime) -> SimTime {
         let ev = self.process.next_after(&mut self.devs[d].rng, now);
         self.devs[d].pending_kind = Some(ev.kind);
         self.devs[d].next_fault_at = Some(ev.at);
-        self.queue.push(ev.at, Ev::Fault { device: d });
+        ev.at
+    }
+
+    /// Whether the event reserved under `key` runs in place: it pops
+    /// before every queued event, and under a step budget its ghost
+    /// step and those due before it fit in the granted steps. A yes
+    /// records its ghost step.
+    fn in_place(&mut self, key: (SimTime, u64)) -> bool {
+        if reference_mode() || !self.queue.precedes_all(key) {
+            return false;
+        }
+        if self.cfg.step_budget.is_some() {
+            if self.elided.count_before(key) >= self.steps_left {
+                return false;
+            }
+            self.elided.record(key);
+        }
+        true
+    }
+
+    /// The dispatcher pass `after_event` would run after an event at
+    /// `now`, for an event handled inside `handle_fault`.
+    fn dispatch_after(&mut self, now: SimTime) -> Result<(), EngineError> {
+        if self.dispatch_dirty && !reference_mode() {
+            self.dispatch_all(now)?;
+        }
+        Ok(())
     }
 
     /// Queues the `Finish` of `ri`'s attempt `gen` at `at`, unless that
@@ -55,49 +118,76 @@ impl Sim<'_> {
         self.queue.push(ev.at, Ev::DomainFault { domain: i });
     }
 
-    pub(super) fn handle_fault(&mut self, d: usize, now: SimTime) -> Result<(), EngineError> {
-        self.devs[d].next_fault_at = None;
-        if !self.avail.is_up(DeviceId(d)) {
-            return Ok(()); // The device already failed permanently.
-        }
-        let kind = self.devs[d]
-            .pending_kind
-            .take()
-            .expect("fault event without a drawn mode");
-        match kind {
-            FailureKind::Transient => {
-                // Idle devices shrug transient faults off.
-                if let Some(ri) = self.devs[d].running {
-                    if self.replicas[ri].state == RState::Running {
-                        self.counters.transient += 1;
-                        self.abort_attempt(ri, now)?;
+    /// Handles device `d`'s fault at `now`, then the restart and the
+    /// next fault it leads to, each in place while nothing queued comes
+    /// first (see the module docs).
+    pub(super) fn handle_fault(&mut self, d: usize, mut now: SimTime) -> Result<(), EngineError> {
+        loop {
+            self.devs[d].next_fault_at = None;
+            if !self.avail.is_up(DeviceId(d)) {
+                return Ok(()); // The device already failed permanently.
+            }
+            let kind = self.devs[d]
+                .pending_kind
+                .take()
+                .expect("fault event without a drawn mode");
+            let mut restart = None;
+            match kind {
+                FailureKind::Transient => {
+                    // Idle devices shrug transient faults off.
+                    if let Some(ri) = self.devs[d].running {
+                        if self.replicas[ri].state == RState::Running {
+                            self.counters.transient += 1;
+                            restart = self.abort_attempt(ri, now)?;
+                        }
                     }
                 }
-                self.schedule_next_fault(d, now);
-            }
-            FailureKind::Degraded => {
-                self.counters.degraded += 1;
-                let factor = self.res.failures.degraded_slowdown;
-                self.avail.set_degraded(DeviceId(d), factor);
-                if let Some(ri) = self.devs[d].running {
-                    if self.replicas[ri].state == RState::Running {
-                        self.reproject(ri, now, factor);
+                FailureKind::Degraded => {
+                    self.counters.degraded += 1;
+                    let factor = self.res.failures.degraded_slowdown;
+                    self.avail.set_degraded(DeviceId(d), factor);
+                    if let Some(ri) = self.devs[d].running {
+                        if self.replicas[ri].state == RState::Running {
+                            self.reproject(ri, now, factor);
+                        }
                     }
+                    self.devs[d].repair_seq += 1;
+                    let seq = self.devs[d].repair_seq;
+                    self.queue.push(
+                        now + SimDuration::from_secs(self.res.failures.degraded_repair_secs),
+                        Ev::Repair { device: d, seq },
+                    );
                 }
-                self.devs[d].repair_seq += 1;
-                let seq = self.devs[d].repair_seq;
-                self.queue.push(
-                    now + SimDuration::from_secs(self.res.failures.degraded_repair_secs),
-                    Ev::Repair { device: d, seq },
-                );
-                self.schedule_next_fault(d, now);
+                FailureKind::Permanent => {
+                    self.counters.permanent += 1;
+                    self.handle_device_loss(d, now)?;
+                    return self.dispatch_after(now);
+                }
             }
-            FailureKind::Permanent => {
-                self.counters.permanent += 1;
-                self.handle_device_loss(d, now)?;
+            // Reserve keys in the order a queue without in-place events
+            // numbers them: the restart, then the next fault.
+            let restart = restart.map(|(at, replica, gen)| (self.queue.skip(at), replica, gen));
+            let next = self.draw_next_fault(d, now);
+            let fault = self.queue.skip(next);
+            self.dispatch_after(now)?;
+            if let Some((key, replica, gen)) = restart {
+                if key < fault && self.in_place(key) {
+                    #[cfg(test)]
+                    tests::probe::count(tests::probe::Site::InPlaceRestart);
+                    self.handle_resume(replica, gen, key.0)?;
+                    self.dispatch_after(key.0)?;
+                } else {
+                    self.queue.push_skipped(key, Ev::Resume { replica, gen });
+                }
             }
+            if !self.in_place(fault) {
+                self.queue.push_skipped(fault, Ev::Fault { device: d });
+                return Ok(());
+            }
+            #[cfg(test)]
+            tests::probe::count(tests::probe::Site::InPlaceFault);
+            now = fault.0;
         }
-        Ok(())
     }
 
     pub(super) fn handle_repair(&mut self, d: usize, seq: u32, now: SimTime) {
@@ -213,7 +303,9 @@ impl Sim<'_> {
                     if let Some(ri) = self.devs[d].running {
                         if self.replicas[ri].state == RState::Running {
                             self.counters.transient += 1;
-                            self.abort_attempt(ri, now)?;
+                            if let Some((at, replica, gen)) = self.abort_attempt(ri, now)? {
+                                self.queue.push(at, Ev::Resume { replica, gen });
+                            }
                         }
                     }
                 }
@@ -267,9 +359,14 @@ impl Sim<'_> {
     }
 
     /// Aborts the running attempt of `ri` after a transient fault:
-    /// either queues a retry (device stays held through the restart
-    /// overhead and backoff) or fails the replica for good.
-    fn abort_attempt(&mut self, ri: usize, now: SimTime) -> Result<(), EngineError> {
+    /// either returns the retry's restart as `(instant, replica, gen)`,
+    /// for the caller to queue or run (the device stays held through the
+    /// restart overhead and backoff), or fails the replica for good.
+    fn abort_attempt(
+        &mut self,
+        ri: usize,
+        now: SimTime,
+    ) -> Result<Option<(SimTime, usize, u32)>, EngineError> {
         self.update_progress(ri, now);
         let done_eff = self.replicas[ri].attempt.done_eff;
         let preserved = self.preserved_work(done_eff);
@@ -288,7 +385,7 @@ impl Sim<'_> {
             if !self.task_has_live_replica(task) {
                 return Err(EngineError::RetriesExhausted { task, attempts });
             }
-            return Ok(());
+            return Ok(None);
         }
         r.retries += 1;
         let retry = r.retries;
@@ -299,11 +396,7 @@ impl Sim<'_> {
         let delay =
             self.res.failures.restart_overhead_secs + self.res.policy.backoff_delay_secs(retry);
         self.counters.recovery += delay;
-        self.queue.push(
-            now + SimDuration::from_secs(delay),
-            Ev::Resume { replica: ri, gen },
-        );
-        Ok(())
+        Ok(Some((now + SimDuration::from_secs(delay), ri, gen)))
     }
 
     /// Re-schedules the running attempt's Finish under a new slowdown.

@@ -62,7 +62,8 @@ mod recovery;
 mod staging;
 
 /// Whether the hot-path shortcuts (doomed-`Finish` elision, flagged
-/// dispatch) are off; only test builds can switch them off.
+/// dispatch, in-place restarts and faults) are off; only test builds
+/// can switch them off.
 #[cfg(not(test))]
 const fn reference_mode() -> bool {
     false
@@ -417,8 +418,11 @@ struct Sim<'a> {
     /// the dispatcher only when it is set, and the dispatcher re-scans
     /// while a pass sets it again.
     dispatch_dirty: bool,
-    /// Keys of elided `Finish` events, kept only under a step budget.
+    /// Keys of elided `Finish` events and of events handled in place,
+    /// kept only under a step budget.
     elided: ElidedPops,
+    /// Steps the budget allows after the event being handled.
+    steps_left: u64,
     /// Elastic-capacity runtime, when the config has an elasticity
     /// block (both passes: capacity is reality, not fault injection).
     elastic: Option<elastic::ElasticRt>,
@@ -546,6 +550,7 @@ impl<'a> Sim<'a> {
             link_health_active,
             dispatch_dirty: false,
             elided: ElidedPops::default(),
+            steps_left: 0,
             elastic: None,
         };
         sim.init_elastic(&base_rng)?;
@@ -906,11 +911,11 @@ impl<'a> Sim<'a> {
 
 /// The resilient hook set: completion-exit semantics (fault processes
 /// generate events forever, so the queue never drains), the step budget
-/// charged *before* the pop (elided `Finish` events included, as ghost
-/// steps), and a dispatcher pass after each event that set
-/// `dispatch_dirty`: the dispatcher reaches a fixed point and start
-/// eligibility does not depend on `now`, so after any other event the
-/// pass would start nothing.
+/// charged *before* the pop (elided `Finish` events and events handled
+/// in place included, as ghost steps), and a dispatcher pass after each
+/// event that set `dispatch_dirty`: the dispatcher reaches a fixed point
+/// and start eligibility does not depend on `now`, so after any other
+/// event the pass would start nothing.
 impl Hooks for Sim<'_> {
     type Event = Ev;
 
@@ -973,6 +978,10 @@ impl Hooks for Sim<'_> {
 
     fn elided_before_head(&mut self) -> u64 {
         self.elided.take_before(self.queue.peek_key())
+    }
+
+    fn grant_steps(&mut self, left: u64) {
+        self.steps_left = left;
     }
 }
 

@@ -582,10 +582,15 @@ pub(super) mod probe {
         DispatchPass,
         /// A doomed `Finish` that was never queued.
         Elided,
+        /// A restart handled in place, inside its fault's handler.
+        InPlaceRestart,
+        /// A device's next fault handled in place, inside the handler
+        /// of the fault before it.
+        InPlaceFault,
     }
 
     thread_local! {
-        static COUNTS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+        static COUNTS: Cell<[u64; 6]> = const { Cell::new([0; 6]) };
     }
 
     pub(crate) fn count(site: Site) {
@@ -597,9 +602,9 @@ pub(super) mod probe {
     }
 
     /// Returns `[pops, stale finishes, dispatch passes, elided
-    /// finishes]` and resets them.
-    pub(crate) fn take() -> [u64; 4] {
-        COUNTS.with(|c| c.replace([0; 4]))
+    /// finishes, in-place restarts, in-place faults]` and resets them.
+    pub(crate) fn take() -> [u64; 6] {
+        COUNTS.with(|c| c.replace([0; 6]))
     }
 }
 
@@ -688,21 +693,25 @@ fn resilient_exec_cell(
 #[test]
 fn hot_path_counts_witness() {
     // Both passes (faulty and fault-free baseline) of one fixed cell, as
-    // [pops, stale finishes, dispatch passes, elided finishes]. The
-    // reference mode pins the counts from before the shortcuts, when
-    // every event was popped and followed by a dispatcher pass. The fast
-    // mode never queues 33 of the 35 stale finishes (the other two were
-    // voided by a repair's reprojection, or by one made while their
-    // device's next fault was not yet drawn), and runs one pass per
-    // finished task plus the two initial ones.
+    // [pops, stale finishes, dispatch passes, elided finishes, in-place
+    // restarts, in-place faults]. The reference mode pins the counts
+    // from before the shortcuts, when every event was popped and
+    // followed by a dispatcher pass. The fast mode never queues 33 of
+    // the 35 stale finishes (the other two were voided by a repair's
+    // reprojection, or by one made while their device's next fault was
+    // not yet drawn), and runs one pass per finished task plus the two
+    // initial ones. It handles 31 restarts and 5 next faults in place,
+    // inside the handler of the fault before them, so it pops 36 fewer
+    // events: 545 - 36 = 509. Most faults do not qualify on this
+    // four-device platform: another device's event comes first.
     probe::take();
     REFERENCE.with(|r| r.set(true));
     let reference = resilient_exec_cell(0, None).unwrap();
     REFERENCE.with(|r| r.set(false));
-    assert_eq!(probe::take(), [578, 35, 580, 0]);
+    assert_eq!(probe::take(), [578, 35, 580, 0, 0, 0]);
     let (fast, counts) = in_fast_mode(|| (resilient_exec_cell(0, None).unwrap(), probe::take()));
     assert_eq!(fast, reference);
-    assert_eq!(counts, [545, 2, 402, 33]);
+    assert_eq!(counts, [509, 2, 402, 33, 31, 5]);
 }
 
 #[test]
@@ -733,6 +742,162 @@ fn budget_trip_points_match_reference() {
         let (fast, reference) = both_modes(move || resilient_exec_cell(0, Some(budget)));
         assert_eq!(fast, reference, "step budget {budget}");
     }
+}
+
+/// A montage cell on one CPU with no links, so every event is one
+/// device's own fault, restart, repair or finish and the in-place loops
+/// run longest: MTTF 10 ms with 20% degraded faults, restarts 0.2 ms
+/// after a fault under checkpoint-restart.
+fn solo_cell(step_budget: Option<u64>) -> Result<ExecutionReport, EngineError> {
+    let mut b = PlatformBuilder::new("solo");
+    b.add_device(DeviceBuilder::new("cpu0", DeviceKind::Cpu).build().unwrap());
+    b.interconnect(InterconnectBuilder::new().build());
+    let p = b.build().unwrap();
+    let wf = montage(40, 3).unwrap();
+    let mut fm = FailureModel::exponential(0.01);
+    fm.degraded_prob = 0.2;
+    fm.degraded_repair_secs = 0.005;
+    fm.restart_overhead_secs = 0.0002;
+    let cfg = EngineConfig {
+        seed: 5,
+        noise_cv: 0.1,
+        step_budget,
+        resilience: Some(ResilienceConfig::new(
+            fm,
+            RecoveryPolicy::CheckpointRestart {
+                interval_secs: 0.004,
+                overhead_secs: 0.0002,
+                max_retries: 10_000,
+            },
+        )),
+        ..Default::default()
+    };
+    ResilientRunner::new(cfg).run(&p, &wf, &HeftScheduler::default())
+}
+
+#[test]
+fn single_device_in_place_loops_match_reference_at_every_budget() {
+    REFERENCE.with(|r| r.set(true));
+    let reference = outcome(solo_cell(None));
+    let [ref_pops, ..] = probe::take();
+    REFERENCE.with(|r| r.set(false));
+    // Unbudgeted, then every budget from 0 through the reference run's
+    // full step count, each noting how many events ran in place.
+    let (fast, in_place_at) = in_fast_mode(move || {
+        let fast = outcome(solo_cell(None));
+        let [.., restarts, faults] = probe::take();
+        assert!(restarts > 0 && faults > 0, "{restarts} {faults}");
+        let in_place_at: Vec<u64> = (0..=ref_pops)
+            .map(|budget| {
+                let _ = solo_cell(Some(budget));
+                let [.., restarts, faults] = probe::take();
+                restarts + faults
+            })
+            .collect();
+        (fast, in_place_at)
+    });
+    assert_eq!(fast, reference);
+    // Budget b trips on step b + 1. When budget b + 1 runs one more
+    // event in place, that step is an in-place event, so budget b cut an
+    // in-place loop short right there.
+    let loop_trips = in_place_at.windows(2).filter(|w| w[1] > w[0]).count();
+    assert!(
+        loop_trips > 0,
+        "no trip point falls inside an in-place loop"
+    );
+    for budget in 0..=ref_pops {
+        let (fast, reference) = both_modes(move || solo_cell(Some(budget)));
+        assert_eq!(fast, reference, "step budget {budget}");
+    }
+}
+
+/// Runs `plan` on `pair_platform(None)` under `res` in both modes for
+/// every seed in `seeds`, checks that the modes agree, and returns the
+/// reference outcomes.
+fn pair_runs_agree(
+    wf: &Workflow,
+    plan: &Schedule,
+    res: &ResilienceConfig,
+    seeds: std::ops::Range<u64>,
+) -> Vec<String> {
+    seeds
+        .map(|seed| {
+            let (wf, plan, cfg) = (wf.clone(), plan.clone(), exact_config(seed, res.clone()));
+            let (fast, reference) = both_modes(move || {
+                ResilientRunner::new(cfg.clone()).run(
+                    &pair_platform(None),
+                    &wf,
+                    &FixedPlan(plan.clone()),
+                )
+            });
+            assert_eq!(fast, reference, "seed {seed}");
+            reference
+        })
+        .collect()
+}
+
+#[test]
+fn a_restart_that_strands_dispatches_at_its_own_instant() {
+    // t1 holds `b` for a second with its input staged over the only
+    // link, which the rack strike severs for good near t ≈ 0.2 s. A
+    // transient fault on `b` after that restarts t1 1 ms later; the
+    // restart re-stages, finds the route severed and moves t1 to `a`.
+    // The restart runs in place, and `a` must pick t1 up at the
+    // restart's instant, not at the fault's.
+    let mut w = WorkflowBuilder::new("strand");
+    let quick = ComputeCost::new(8.0, 0.0, KernelClass::Reduction); // 10 ms
+    let slow = ComputeCost::new(800.0, 0.0, KernelClass::Reduction); // 1 s
+    let t0 = w.add_task(Task::new("t0", "s", quick));
+    let t1 = w.add_task(Task::new("t1", "s", slow));
+    w.add_dep(t0, t1, 2e6).unwrap();
+    let wf = w.build().unwrap();
+    let plan = Schedule::new(vec![place(0, 0, 0.0, 0.01), place(1, 1, 0.01, 1.01)]).unwrap();
+    let mut fm = FailureModel::exponential(0.5);
+    fm.restart_overhead_secs = 0.001;
+    let res = ResilienceConfig::new(fm, retry_policy()).with_domains(vec![tight_domain(
+        &[],
+        &["wire"],
+        0.0,
+        1.0,
+        0.0,
+    )]);
+    let reports = pair_runs_agree(&wf, &plan, &res, 0..16);
+    assert!(
+        reports
+            .iter()
+            .any(|r| r.contains(r#"{"task":1,"device":0,"#)),
+        "no seed strands t1 at a restart"
+    );
+}
+
+#[test]
+fn a_permanent_fault_in_place_dispatches_at_its_own_instant() {
+    // Four 100 ms tasks queued on `b`, none on `a`, and faults every
+    // 50 ms on both devices, a fifth of them permanent. When `b`'s
+    // permanent fault runs in place, after an earlier fault of `b` in
+    // the same loop, its work moves to `a`, which must pick it up at
+    // the permanent fault's instant, not at the earlier fault's.
+    let mut w = WorkflowBuilder::new("loss");
+    let cost = ComputeCost::new(80.0, 0.0, KernelClass::Reduction); // 100 ms
+    for t in 0..4 {
+        w.add_task(Task::new(format!("t{t}"), "s", cost));
+    }
+    let wf = w.build().unwrap();
+    let plan = Schedule::new(
+        (0..4)
+            .map(|t| place(t, 1, 0.1 * t as f64, 0.1 * (t + 1) as f64))
+            .collect(),
+    )
+    .unwrap();
+    let mut fm = FailureModel::exponential(0.05);
+    fm.permanent_prob = 0.2;
+    fm.restart_overhead_secs = 0.001;
+    let res = ResilienceConfig::new(fm, retry_policy());
+    let reports = pair_runs_agree(&wf, &plan, &res, 0..24);
+    assert!(
+        reports.iter().any(|r| r.contains(r#""device":0,"#)),
+        "no seed moves work off `b`"
+    );
 }
 
 mod equivalence {
@@ -864,13 +1029,9 @@ mod equivalence {
                 .map(|pl| pl.finish.saturating_since(pl.start).as_secs())
                 .fold(0.0, f64::max);
             let mttf = if budgeted { mttf } else { mttf.max(2.0 * longest) };
-            // Nor may it park a task for good: under elasticity a task
-            // whose only feasible device died waits for capacity as
-            // long as any device can still join.
-            let lasting = budgeted || !elastic;
             let mut fm = FailureModel::exponential(mttf);
             fm.degraded_prob = degraded_prob;
-            fm.permanent_prob = if permanent && lasting { 0.05 } else { 0.0 };
+            fm.permanent_prob = if permanent { 0.05 } else { 0.0 };
             fm.restart_overhead_secs = 0.001;
             let retries = if few_retries { retries } else { 10_000 };
             let mut res = ResilienceConfig::new(fm, policy(which, retries));
@@ -887,7 +1048,6 @@ mod equivalence {
                 } else {
                     (vec![], 0.5)
                 };
-                let permanent_prob = if lasting { permanent_prob } else { 0.0 };
                 res = res.with_domains(vec![FailureDomain {
                     mttf_secs: 2.0 * mttf,
                     weibull_shape: None,

@@ -158,6 +158,27 @@ impl<E> EventQueue<E> {
         (time, seq)
     }
 
+    /// Schedules `payload` under a key that [`skip`](EventQueue::skip)
+    /// handed out earlier: it pops exactly where it would have if it had
+    /// been pushed at skip time.
+    ///
+    /// A producer can reserve an event's place in the pop order first
+    /// and decide later whether to queue it or to handle it in place
+    /// (when [`precedes_all`](EventQueue::precedes_all) says nothing
+    /// queued comes first).
+    pub fn push_skipped(&mut self, key: (SimTime, u64), payload: E) {
+        debug_assert!(key.1 < self.next_seq, "key was not handed out by skip");
+        let (time, seq) = key;
+        self.heap.push(ScheduledEvent { time, seq, payload });
+    }
+
+    /// Whether an event under `key` would pop before every queued event
+    /// (always, when the queue is empty).
+    #[must_use]
+    pub fn precedes_all(&self, key: (SimTime, u64)) -> bool {
+        self.peek_key().is_none_or(|head| key < head)
+    }
+
     /// Returns the `(time, sequence)` key of the earliest pending event:
     /// the pop order is ascending in this key.
     #[must_use]
@@ -249,6 +270,7 @@ impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
@@ -368,6 +390,92 @@ mod tests {
         assert!(skipped < q.peek_key().unwrap());
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.peek_key(), None);
+    }
+
+    #[test]
+    fn push_skipped_pops_where_the_skip_was() {
+        // An event pushed later under a skipped key pops exactly where
+        // it would have if it had been pushed at skip time, ties with
+        // earlier and later pushes at the same instant included.
+        let mut late = EventQueue::new();
+        let mut direct = EventQueue::new();
+        late.push(t(1.0), "a");
+        direct.push(t(1.0), "a");
+        let key = late.skip(t(1.0));
+        direct.push(t(1.0), "skipped");
+        for q in [&mut late, &mut direct] {
+            q.push(t(1.0), "b");
+            q.push(t(0.5), "c");
+        }
+        assert!(!late.precedes_all(key), "c and a are queued before it");
+        late.push_skipped(key, "skipped");
+        let a: Vec<_> = std::iter::from_fn(|| late.pop()).collect();
+        let b: Vec<_> = std::iter::from_fn(|| direct.pop()).collect();
+        assert_eq!(a, b);
+        assert_eq!(
+            a.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+            ["c", "a", "skipped", "b"]
+        );
+    }
+
+    #[test]
+    fn precedes_all_breaks_time_ties_on_the_sequence() {
+        let mut q = EventQueue::new();
+        let alone = q.skip(t(9.0));
+        assert!(q.precedes_all(alone), "an empty queue");
+        q.push(t(1.0), ());
+        let tie = q.skip(t(1.0));
+        assert!(!q.precedes_all(tie), "a tie goes to the earlier push");
+        let earlier = q.skip(t(0.5));
+        assert!(q.precedes_all(earlier));
+        let later = q.skip(t(1.5));
+        assert!(!q.precedes_all(later));
+    }
+
+    proptest! {
+        /// Random pushes, skips released later with `push_skipped`, and
+        /// pops, at a few instants so that ties are common: the queue
+        /// pops exactly like one that pushed every event at skip time.
+        #[test]
+        fn deferred_pushes_pop_like_immediate_ones(
+            ops in prop::collection::vec(0u8..24, 0..48),
+        ) {
+            let mut late = EventQueue::new();
+            let mut direct = EventQueue::new();
+            let mut deferred = Vec::new();
+            for (i, &op) in ops.iter().enumerate() {
+                let at = t(f64::from(op / 4));
+                match op % 4 {
+                    0 => {
+                        late.push(at, i);
+                        direct.push(at, i);
+                    }
+                    1 => {
+                        deferred.push((late.skip(at), i));
+                        direct.push(at, i);
+                    }
+                    2 => {
+                        if let Some((key, e)) = deferred.pop() {
+                            late.push_skipped(key, e);
+                        }
+                    }
+                    _ => {
+                        // A deferred event must be queued before it is due.
+                        for (key, e) in deferred.drain(..) {
+                            late.push_skipped(key, e);
+                        }
+                        prop_assert_eq!(late.peek_key(), direct.peek_key());
+                        prop_assert_eq!(late.pop(), direct.pop());
+                    }
+                }
+            }
+            for (key, e) in deferred.drain(..) {
+                late.push_skipped(key, e);
+            }
+            let a: Vec<_> = std::iter::from_fn(|| late.pop()).collect();
+            let b: Vec<_> = std::iter::from_fn(|| direct.pop()).collect();
+            prop_assert_eq!(a, b);
+        }
     }
 
     #[test]

@@ -11,14 +11,19 @@
 //! `capacity_exhausted` measurement rather than a driver error.
 
 use helios_core::{
-    merge_shards, CampaignSpec, ElasticEvent, ElasticEventKind, ElasticityConfig, EngineConfig,
-    EngineError, FailureDomain, FailureModel, IncompleteReason, RecoveryPolicy, ResilienceConfig,
-    ResilientRunner, ShardSpec, SweepDriver,
+    merge_shards, CampaignSpec, ElasticChurn, ElasticEvent, ElasticEventKind, ElasticityConfig,
+    EngineConfig, EngineError, FailureDomain, FailureModel, IncompleteReason, RecoveryPolicy,
+    ResilienceConfig, ResilientRunner, ShardSpec, SweepDriver,
 };
 use helios_platform::presets;
-use helios_platform::{DeviceBuilder, DeviceKind, InterconnectBuilder, Platform, PlatformBuilder};
+use helios_platform::{
+    ComputeCost, DeviceBuilder, DeviceKind, InterconnectBuilder, KernelClass, Link, Platform,
+    PlatformBuilder,
+};
 use helios_sched::HeftScheduler;
+use helios_sim::SimDuration;
 use helios_workflow::generators::montage;
+use helios_workflow::{Task, WorkflowBuilder};
 
 /// One representative instance of each of the four recovery policies.
 fn all_policies() -> Vec<RecoveryPolicy> {
@@ -363,6 +368,76 @@ fn a_pending_join_parks_work_instead_of_exhausting() {
         report.makespan().as_secs() >= 0.05,
         "completion cannot predate the re-join: {}",
         report.makespan()
+    );
+}
+
+/// An untrusted CPU and a fully trusted GPU joined by one link.
+fn cpu_gpu_platform() -> Platform {
+    let mut b = PlatformBuilder::new("cpu-gpu");
+    let cpu = b.add_device(
+        DeviceBuilder::new("cpu0", DeviceKind::Cpu)
+            .trust_level(0)
+            .build()
+            .expect("device parameters are valid"),
+    );
+    let gpu = b.add_device(
+        DeviceBuilder::new("gpu0", DeviceKind::Gpu)
+            .build()
+            .expect("device parameters are valid"),
+    );
+    let mut ic = InterconnectBuilder::new();
+    let pcie = ic.add_link(Link::new("pcie", 16.0, SimDuration::from_secs(1e-6)).expect("link"));
+    ic.route_symmetric(cpu, gpu, vec![pcie]);
+    b.interconnect(ic.build());
+    b.build().expect("cpu-gpu platform is valid")
+}
+
+#[test]
+fn a_parked_task_no_returning_device_can_run_ends_the_run() {
+    // The middle task of a 3-task chain needs full trust, so only gpu0
+    // can run it. gpu0 leaves for good before it starts; cpu0 churns
+    // (leaves and comes back) forever. A churning CPU is no hope for a
+    // GPU-only task, so the run must end as a measurement instead of
+    // parking the task while churn events keep the run going.
+    let platform = cpu_gpu_platform();
+    let cost = ComputeCost::new(5.0, 1e6, KernelClass::DenseLinearAlgebra);
+    let mut b = WorkflowBuilder::new("trusted-middle");
+    let prep = b.add_task(Task::new("prep", "prep", cost));
+    let secure = b.add_task(Task::new("secure", "secure", cost).with_required_trust(3));
+    let post = b.add_task(Task::new("post", "post", cost));
+    b.add_dep(prep, secure, 1e6).expect("edge");
+    b.add_dep(secure, post, 1e6).expect("edge");
+    let wf = b.build().expect("chain is valid");
+    let cfg = elastic_config(
+        5,
+        all_policies().remove(0),
+        ElasticityConfig {
+            events: vec![event("gpu0", 1e-6, ElasticEventKind::Leave)],
+            churn: vec![ElasticChurn {
+                device: "cpu0".into(),
+                mtbp_secs: 0.01,
+                weibull_shape: None,
+                notice_secs: 0.001,
+                rejoin_secs: 0.005,
+            }],
+        },
+    );
+    // Watchdog: before the fix this run never returned.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(ResilientRunner::new(cfg).run(&platform, &wf, &HeftScheduler::default()));
+    });
+    let err = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the run ends by itself")
+        .expect_err("the GPU-only task can never run");
+    assert!(
+        matches!(
+            err,
+            EngineError::AllDevicesLost { total: 3, .. }
+                | EngineError::CapacityExhausted { total: 3, .. }
+        ),
+        "{err:?}"
     );
 }
 
