@@ -114,6 +114,30 @@ if [ "$typo_status" -ne 1 ] || ! grep -q 'noise_cvv' "$sweep_tmp/typo.err"; then
 fi
 echo "unknown spec key refused: $(cat "$sweep_tmp/typo.err")"
 
+echo "==> oversized specs are refused"
+# A platform or grid past its declared range must be refused by spec
+# validation, naming the key, before anything is built or allocated:
+# cluster<N> builds N^2 routes and a grid allocates its cells up front.
+# Each case runs under a 1 GB address-space limit and a 10 s timeout,
+# so a regression fails fast instead of exhausting the machine.
+for case in \
+    'platforms|s/"workstation"/"cluster100000"/' \
+    'seeds.count|s/"count": 2/"count": 1000000000000/' \
+    'seeds.count|s/"montage", "sipht"/"montage", "sipht", "ligo", "epigenomics"/; s/"count": 2/"count": 4611686018427387904/'; do
+    key=${case%%|*}
+    sed "${case#*|}" examples/specs/smoke.json > "$sweep_tmp/oversized.json"
+    oversized_status=0
+    (ulimit -v 1048576 && timeout 10 "$helios" campaign run \
+        --spec "$sweep_tmp/oversized.json" --out "$sweep_tmp/oversized_out.json") \
+        > /dev/null 2> "$sweep_tmp/oversized.err" || oversized_status=$?
+    if [ "$oversized_status" -ne 1 ] || ! grep -q "$key" "$sweep_tmp/oversized.err"; then
+        cat "$sweep_tmp/oversized.err" >&2
+        echo "oversized spec ($case): exit $oversized_status, expected 1 naming $key" >&2
+        exit 1
+    fi
+    echo "refused: $(cat "$sweep_tmp/oversized.err")"
+done
+
 echo "==> paper-grid pin and workflow-reuse identity"
 # The full 1200-cell paper grid, pinned by digest in release (ignored in
 # the debug suite for time). Then the release binary sweeps it

@@ -15,7 +15,9 @@ use crate::CliError;
 fn platform_by_name(name: &str) -> Result<Platform, CliError> {
     presets::by_name(name).ok_or_else(|| {
         CliError::Usage(format!(
-            "unknown platform {name:?} (workstation, hpc_node, cluster<N>, edge_soc)"
+            "unknown platform {name:?} ({}; N {})",
+            presets::NAMES,
+            presets::CLUSTER_NODES
         ))
     })
 }

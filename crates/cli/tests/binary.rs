@@ -502,6 +502,27 @@ fn step_budget_env_override_times_cells_out() {
     );
 }
 
+/// `HELIOS_CELL_STEP_BUDGET` is held to the same declared range as the
+/// spec's `cell_step_budget`: zero is refused naming the variable.
+#[test]
+fn zero_step_budget_env_is_refused_naming_the_variable() {
+    let dir = std::env::temp_dir().join("helios-bin-budget-zero");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, SPEC_JSON).unwrap();
+    let out = helios()
+        .args(["campaign", "run", "--spec", spec.to_str().unwrap()])
+        .env("HELIOS_CELL_STEP_BUDGET", "0")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "a zero budget must be refused");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`HELIOS_CELL_STEP_BUDGET` must be >= 1, got 0"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn bad_workflow_file_is_reported() {
     let out = helios()

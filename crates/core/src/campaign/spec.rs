@@ -23,14 +23,18 @@
 
 use serde::{Deserialize, Serialize};
 
+use helios_platform::presets::{self, CLUSTER_NODES, NAMES as PLATFORM_NAMES};
+use helios_sched::LookaheadScheduler;
+use helios_sim::failure::SCALE_SECS;
+use helios_sim::KnobRange;
 use helios_workflow::generators::WorkflowClass;
 
 use super::CampaignError;
 use crate::elastic::ElasticityConfig;
 use crate::resilience::{
-    FailureDomain, FailureModel, LinkFaultModel, RecoveryPolicy, ResilienceConfig,
+    FailureDomain, FailureModel, LinkFaultModel, RecoveryPolicy, ResilienceConfig, DURATION_SECS,
 };
-use crate::EngineError;
+use crate::{EngineConfig, EngineError};
 
 /// A consecutive seed range: `base, base + 1, …, base + count - 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -145,13 +149,12 @@ pub struct ResilienceKnob {
 }
 
 impl ResilienceKnob {
-    /// Builds the validated engine-level resilience configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] naming the offending parameter.
-    pub fn to_config(&self) -> Result<ResilienceConfig, EngineError> {
-        let config = ResilienceConfig::new(
+    /// The engine-level resilience configuration, not yet validated:
+    /// [`CampaignSpec::resilience_config`] validates it whole, with the
+    /// spec's interconnect faults and failure domains.
+    #[must_use]
+    pub fn to_config(&self) -> ResilienceConfig {
+        ResilienceConfig::new(
             FailureModel {
                 mttf_secs: self.mttf_secs,
                 weibull_shape: self.weibull_shape,
@@ -162,9 +165,7 @@ impl ResilienceKnob {
                 restart_overhead_secs: self.restart_overhead_secs,
             },
             self.policy.clone(),
-        );
-        config.validate()?;
-        Ok(config)
+        )
     }
 }
 
@@ -189,6 +190,9 @@ pub struct SchedulerParamsKnob {
 }
 
 impl SchedulerParamsKnob {
+    /// Legal range of `annealing_iterations`.
+    pub const ANNEALING_ITERATIONS: KnobRange<u32> = KnobRange::at_least(1);
+
     /// True when no override is set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -290,9 +294,6 @@ pub struct CampaignSpec {
 /// The workflow families a spec may name, for validation errors.
 const FAMILY_NAMES: &str = "montage, cybershake, epigenomics, ligo, sipht";
 
-/// The platform presets a spec may name, for validation errors.
-const PLATFORM_NAMES: &str = "workstation, hpc_node, cluster<N>, edge_soc";
-
 /// One expanded grid point: a single deterministic simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepCell {
@@ -330,49 +331,67 @@ impl CampaignSpec {
         Ok(spec)
     }
 
-    /// Checks every grid axis is non-empty and resolvable, and that
-    /// every fault block is legal (interconnect faults and failure
-    /// domains require a resilience block, domain members must resolve
-    /// on every spec platform).
+    /// Checks every grid axis is non-empty and resolvable, that every
+    /// numeric knob lies in its declared range and the grid within
+    /// [`CELLS`](CampaignSpec::CELLS), and that every fault block is
+    /// legal (interconnect faults and failure domains require a
+    /// resilience block, domain members must resolve on every spec
+    /// platform).
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::InvalidSpec`] (wrapped in
-    /// [`EngineError::Campaign`]) naming the offending field; an empty
-    /// axis is a hard error because it silently expands to zero cells.
+    /// [`EngineError::Campaign`]) naming the offending key as the spec
+    /// spells it; an empty axis is a hard error because it silently
+    /// expands to zero cells.
     pub fn validate(&self) -> Result<(), EngineError> {
-        let fail = |msg: String| {
-            Err(EngineError::Campaign(CampaignError::InvalidSpec {
+        self.check().map_err(|e| match e {
+            EngineError::Config(detail) => EngineError::Campaign(CampaignError::InvalidSpec {
                 spec: self.name.clone(),
-                detail: msg,
-            }))
-        };
+                detail,
+            }),
+            other => other,
+        })
+    }
+
+    /// The checks of [`validate`](CampaignSpec::validate), refusing with
+    /// [`EngineError::Config`].
+    fn check(&self) -> Result<(), EngineError> {
         if self.families.is_empty() {
-            return fail(format!(
+            return Err(format!(
                 "`families` is empty, so the grid has no cells; list at least one of \
                  {FAMILY_NAMES}"
-            ));
+            )
+            .into());
         }
         for f in &self.families {
-            if family_class(f).is_none() {
-                return fail(format!("unknown family {f:?} ({FAMILY_NAMES})"));
-            }
+            let Some(class) = family_class(f) else {
+                return Err(format!("unknown family {f:?} ({FAMILY_NAMES})").into());
+            };
+            class.check_tasks(self.tasks)?;
         }
         if self.platforms.is_empty() {
-            return fail(format!(
+            return Err(format!(
                 "`platforms` is empty, so the grid has no cells; list at least one of \
                  {PLATFORM_NAMES}"
-            ));
+            )
+            .into());
         }
+        let mut platforms = Vec::with_capacity(self.platforms.len());
         for p in &self.platforms {
-            if helios_platform::presets::by_name(p).is_none() {
-                return fail(format!("unknown platform {p:?} ({PLATFORM_NAMES})"));
-            }
+            let Some(platform) = presets::by_name(p) else {
+                return Err(format!(
+                    "unknown platform {p:?} in `platforms` ({PLATFORM_NAMES}; N {CLUSTER_NODES})"
+                )
+                .into());
+            };
+            platforms.push(platform);
         }
         if self.schedulers.is_empty() {
-            return fail(
+            return Err(
                 "`schedulers` is empty, so the grid has no cells; list at least one \
                  scheduler name (e.g. heft)"
+                    .to_owned()
                     .into(),
             );
         }
@@ -382,152 +401,82 @@ impl CampaignSpec {
                     .iter()
                     .map(|s| s.name().to_owned())
                     .collect();
-                return fail(format!(
-                    "unknown scheduler {s:?} (available: {})",
-                    names.join(", ")
-                ));
+                return Err(
+                    format!("unknown scheduler {s:?} (available: {})", names.join(", ")).into(),
+                );
             }
         }
         if let Some(sp) = &self.scheduler_params {
-            if sp.annealing_iterations == Some(0) {
-                return fail("`scheduler_params.annealing_iterations` must be >= 1".into());
+            if let Some(n) = sp.annealing_iterations {
+                let key = "scheduler_params.annealing_iterations";
+                SchedulerParamsKnob::ANNEALING_ITERATIONS.check(key, n)?;
             }
-            if sp.lookahead_depth == Some(0) {
-                return fail("`scheduler_params.lookahead_depth` must be >= 1".into());
+            if let Some(depth) = sp.lookahead_depth {
+                LookaheadScheduler::DEPTH.check("scheduler_params.lookahead_depth", depth)?;
             }
         }
-        if self.seeds.count == 0 {
-            return fail("`seeds.count` must be >= 1, a zero-seed sweep has no cells".into());
-        }
-        if self.tasks == 0 {
-            return fail("`tasks` must be >= 1".into());
-        }
-        if !(self.noise_cv.is_finite() && self.noise_cv >= 0.0) {
-            return fail(format!(
-                "`noise_cv` must be finite and >= 0, got {}",
-                self.noise_cv
-            ));
-        }
+        let key = "families × platforms × schedulers × seeds.count";
+        Self::CELLS.check(key, self.grid_size()).map_err(|e| {
+            let (f, p, s) = (
+                self.families.len(),
+                self.platforms.len(),
+                self.schedulers.len(),
+            );
+            format!("{e} cells ({f} × {p} × {s} × {})", self.seeds.count)
+        })?;
+        EngineConfig::NOISE_CV.check("noise_cv", self.noise_cv)?;
         if let Some(fk) = &self.faults {
-            if !(fk.mtbf_secs.is_finite() && fk.mtbf_secs > 0.0) {
-                return fail(format!(
-                    "`faults.mtbf_secs` must be positive, got {}",
-                    fk.mtbf_secs
-                ));
-            }
-            if !(fk.restart_overhead_secs.is_finite() && fk.restart_overhead_secs >= 0.0) {
-                return fail(format!(
-                    "`faults.restart_overhead_secs` must be finite and >= 0, got {}",
-                    fk.restart_overhead_secs
-                ));
-            }
+            SCALE_SECS.check("faults.mtbf_secs", fk.mtbf_secs)?;
+            DURATION_SECS.check("faults.restart_overhead_secs", fk.restart_overhead_secs)?;
         }
         if self.resilience.is_some() && self.faults.is_some() {
-            return fail(
+            return Err(
                 "`faults` and `resilience` are mutually exclusive; flat retry is \
                  `resilience.policy = {\"kind\": \"retry-backoff\", \"base_secs\": 0, ...}`"
+                    .to_owned()
                     .into(),
             );
         }
         if self.elasticity.is_some() && self.faults.is_some() {
-            return fail(
+            return Err(
                 "`faults` and `elasticity` are mutually exclusive: capacity events run \
                  through the resilient runner, which replaces the legacy fault path"
+                    .to_owned()
                     .into(),
             );
         }
         if self.resilience.is_none()
             && (self.interconnect_faults.is_some() || !self.failure_domains.is_empty())
         {
-            return fail(
+            return Err(
                 "`interconnect_faults` and `failure_domains` require a `resilience` block: \
                  link outages and correlated strikes need a recovery policy to run under"
+                    .to_owned()
                     .into(),
             );
         }
-        if self.cell_step_budget == Some(0) {
-            return fail("`cell_step_budget` must be at least 1 simulated event".into());
+        if let Some(budget) = self.cell_step_budget {
+            EngineConfig::STEP_BUDGET.check("cell_step_budget", budget)?;
         }
         // Builds the full engine-level config, which validates the fault
         // model, the link-fault parameters, every domain (kind tag,
         // members, probabilities) and domain-name uniqueness.
-        self.resilience_config().map_err(|e| {
-            EngineError::Campaign(CampaignError::InvalidSpec {
-                spec: self.name.clone(),
-                detail: format!("`resilience`: {e}"),
-            })
-        })?;
+        self.resilience_config()?;
         // Times, notices and churn rates are validated by the
         // engine-level elasticity config; device names below, per
         // platform.
         if let Some(el) = &self.elasticity {
-            el.validate().map_err(|e| {
-                EngineError::Campaign(CampaignError::InvalidSpec {
-                    spec: self.name.clone(),
-                    detail: format!("`elasticity`: {e}"),
-                })
-            })?;
+            el.validate()?;
         }
         // Domain members and elasticity targets must resolve on *every*
         // platform of the grid — a typo must die at validation, not in
         // shard 7 of 32.
-        for pname in &self.platforms {
-            let Some(platform) = helios_platform::presets::by_name(pname) else {
-                continue; // Unknown platforms were rejected above.
-            };
+        for platform in &platforms {
             for domain in &self.failure_domains {
-                for dev in &domain.devices {
-                    if platform.device_by_name(dev).is_none() {
-                        let names: Vec<&str> =
-                            platform.devices().iter().map(|d| d.name()).collect();
-                        return fail(format!(
-                            "failure domain {:?}: unknown device {dev:?} on platform \
-                             {pname:?} (devices: {})",
-                            domain.name,
-                            names.join(", ")
-                        ));
-                    }
-                }
-                for link in &domain.links {
-                    if platform.interconnect().links_by_name(link).is_empty() {
-                        let mut names: Vec<&str> = platform
-                            .interconnect()
-                            .links()
-                            .iter()
-                            .map(|l| l.name())
-                            .collect();
-                        names.dedup();
-                        return fail(format!(
-                            "failure domain {:?}: unknown link {link:?} on platform \
-                             {pname:?} (links: {})",
-                            domain.name,
-                            names.join(", ")
-                        ));
-                    }
-                }
+                domain.members(platform)?;
             }
             if let Some(el) = &self.elasticity {
-                let unknown_device = |what: String, dev: &str| {
-                    let names: Vec<&str> = platform.devices().iter().map(|d| d.name()).collect();
-                    fail(format!(
-                        "{what}: unknown device {dev:?} on platform {pname:?} \
-                         (devices: {})",
-                        names.join(", ")
-                    ))
-                };
-                for (i, ev) in el.events.iter().enumerate() {
-                    if platform.device_by_name(&ev.device).is_none() {
-                        return unknown_device(
-                            format!("elasticity event {i} ({})", ev.kind.name()),
-                            &ev.device,
-                        );
-                    }
-                }
-                for c in &el.churn {
-                    if platform.device_by_name(&c.device).is_none() {
-                        return unknown_device("elasticity churn".to_owned(), &c.device);
-                    }
-                }
+                el.device_ids(platform)?;
             }
         }
         Ok(())
@@ -545,7 +494,7 @@ impl CampaignSpec {
         let Some(rk) = &self.resilience else {
             return Ok(None);
         };
-        let mut config = rk.to_config()?;
+        let mut config = rk.to_config();
         config.link_faults = self.interconnect_faults.clone();
         config.domains = self.failure_domains.clone();
         config.validate()?;
@@ -566,10 +515,27 @@ impl CampaignSpec {
         Ok(Some(config.clone()))
     }
 
-    /// The number of cells the spec expands to.
+    /// Legal number of cells in a spec's grid. A grid's cells are
+    /// allocated up front, so the product of its axes is capped.
+    pub const CELLS: KnobRange<u128> = KnobRange::closed(1, 1_000_000);
+
+    /// The number of cells the spec expands to; at most
+    /// [`CELLS`](CampaignSpec::CELLS) once the spec validates.
     #[must_use]
     pub fn num_cells(&self) -> usize {
-        self.families.len() * self.platforms.len() * self.schedulers.len() * self.seeds.count
+        usize::try_from(self.grid_size()).unwrap_or(usize::MAX)
+    }
+
+    /// The product of the grid's axes, saturating instead of wrapping.
+    fn grid_size(&self) -> u128 {
+        [
+            self.families.len(),
+            self.platforms.len(),
+            self.schedulers.len(),
+            self.seeds.count,
+        ]
+        .into_iter()
+        .fold(1, |n, axis| n.saturating_mul(axis as u128))
     }
 
     /// Expands the grid into cells, in declaration order (family ×
@@ -777,7 +743,7 @@ mod tests {
             assert_eq!(rk.mttf_secs, 0.25);
             assert_eq!(rk.weibull_shape, Some(1.5));
             assert_eq!(rk.degraded_slowdown, 2.0, "defaulted");
-            let cfg = rk.to_config().unwrap();
+            let cfg = rk.to_config();
             assert!(policy.contains(cfg.policy.name()), "{policy}");
             // And the knob round-trips through canonical JSON.
             let round = CampaignSpec::from_json(&serde_json::to_string(&spec).unwrap()).unwrap();
@@ -1022,6 +988,31 @@ mod tests {
         ))
         .unwrap();
         assert_ne!(with_links.digest(), tweaked.digest());
+    }
+
+    #[test]
+    fn tasks_clusters_and_grids_outside_their_ranges_are_refused() {
+        let invalid = |from: &str, to: &str| {
+            let json = minimal_json().replace(from, to);
+            match CampaignSpec::from_json(&json).unwrap_err() {
+                EngineError::Campaign(CampaignError::InvalidSpec { detail, .. }) => detail,
+                other => panic!("{to}: not an InvalidSpec: {other}"),
+            }
+        };
+        let detail = invalid(r#""workstation""#, r#""cluster100000""#);
+        assert!(detail.contains("`platforms`"), "{detail}");
+        let detail = invalid(r#""count": 3"#, r#""count": 1000000000000"#);
+        assert!(
+            detail.contains("seeds.count` must be in [1, 1000000], got 4000000000000"),
+            "{detail}"
+        );
+        // 2 families × 1 × 2 schedulers × 2^62 seeds = 2^64 cells: a
+        // wrapping product would read 0.
+        let detail = invalid(r#""count": 3"#, r#""count": 4611686018427387904"#);
+        assert!(detail.contains("got 18446744073709551616"), "{detail}");
+        // montage accepts 12 tasks, sipht does not.
+        let detail = invalid(r#""count": 3}"#, r#""count": 3}, "tasks": 12"#);
+        assert_eq!(detail, "sipht: `tasks` must be >= 14, got 12");
     }
 
     #[test]

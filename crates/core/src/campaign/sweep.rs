@@ -1032,14 +1032,17 @@ fn benign_resilience() -> crate::resilience::ResilienceConfig {
 /// The per-cell simulated-event watchdog budget: the
 /// `HELIOS_CELL_STEP_BUDGET` environment variable when set (an
 /// operational override for stuck campaigns), else the spec's
-/// `cell_step_budget`.
+/// `cell_step_budget`. Both are held to
+/// [`EngineConfig::STEP_BUDGET`].
 fn cell_step_budget(spec: &CampaignSpec) -> Result<Option<u64>, EngineError> {
-    match std::env::var("HELIOS_CELL_STEP_BUDGET") {
-        Ok(v) if !v.trim().is_empty() => v.trim().parse::<u64>().map(Some).map_err(|_| {
-            EngineError::Config(format!(
-                "HELIOS_CELL_STEP_BUDGET must be a non-negative integer, got {v:?}"
-            ))
-        }),
+    const VAR: &str = "HELIOS_CELL_STEP_BUDGET";
+    match std::env::var(VAR) {
+        Ok(v) if !v.trim().is_empty() => {
+            let budget = v.trim().parse::<u64>();
+            let budget = budget.map_err(|_| format!("{VAR} must be an integer, got {v:?}"))?;
+            EngineConfig::STEP_BUDGET.check(VAR, budget)?;
+            Ok(Some(budget))
+        }
         _ => Ok(spec.cell_step_budget),
     }
 }
@@ -1276,7 +1279,9 @@ mod tests {
 
     #[test]
     fn generation_errors_are_not_kept() {
-        let spec = CampaignSpec::from_json(
+        // Validation refuses `tasks` below a family's minimum, so the
+        // spec is built unvalidated to reach the generator's own refusal.
+        let spec: CampaignSpec = serde_json::from_str(
             r#"{
                 "name": "too-small",
                 "families": ["montage"],
@@ -1287,7 +1292,18 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let pending = spec.expand().unwrap();
+        let pending: Vec<SweepCell> = spec
+            .schedulers
+            .iter()
+            .enumerate()
+            .map(|(index, scheduler)| SweepCell {
+                index,
+                family: "montage".into(),
+                platform: "workstation".into(),
+                scheduler: scheduler.clone(),
+                seed: 0,
+            })
+            .collect();
         let workflows = Workflows::new(&spec, &pending);
         let errors: Vec<String> = pending
             .iter()
@@ -1300,10 +1316,14 @@ mod tests {
             .collect();
         assert_eq!(errors.len(), 2);
         assert_eq!(errors[0], errors[1]);
-        assert!(errors[0].contains("montage needs n >= 11"), "{}", errors[0]);
+        assert!(
+            errors[0].contains("montage: `tasks` must be >= 11, got 5"),
+            "{}",
+            errors[0]
+        );
         assert_eq!(workflows.generated.into_inner(), 0);
         let err = SweepDriver::new(1).run(&spec).unwrap_err().to_string();
-        assert_eq!(err, errors[0]);
+        assert!(err.contains("montage: `tasks` must be >= 11"), "{err}");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::elastic::ElasticityConfig;
 use crate::error::EngineError;
 use crate::resilience::{RecoveryPolicy, ResilienceConfig};
+use helios_sim::KnobRange;
 
 /// Complete engine configuration.
 ///
@@ -61,32 +62,30 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
+    /// Legal range of [`noise_cv`](EngineConfig::noise_cv).
+    pub const NOISE_CV: KnobRange<f64> = KnobRange::at_least(0.0);
+
+    /// Legal range of each [`device_slowdown`](EngineConfig::device_slowdown)
+    /// factor.
+    pub const DEVICE_SLOWDOWN: KnobRange<f64> = KnobRange::above(0.0);
+
+    /// Legal range of [`step_budget`](EngineConfig::step_budget): at
+    /// least one simulated event.
+    pub const STEP_BUDGET: KnobRange<u64> = KnobRange::at_least(1);
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] for a negative or non-finite
-    /// noise coefficient.
+    /// Returns [`EngineError::Config`] naming the first knob outside its
+    /// declared range.
     pub fn validate(&self) -> Result<(), EngineError> {
-        if !self.noise_cv.is_finite() || self.noise_cv < 0.0 {
-            return Err(EngineError::Config(format!(
-                "noise_cv must be non-negative, got {}",
-                self.noise_cv
-            )));
+        Self::NOISE_CV.check("noise_cv", self.noise_cv)?;
+        for (i, &f) in self.device_slowdown.iter().flatten().enumerate() {
+            Self::DEVICE_SLOWDOWN.check(format_args!("device_slowdown[{i}]"), f)?;
         }
-        if let Some(slow) = &self.device_slowdown {
-            for (i, &f) in slow.iter().enumerate() {
-                if !(f.is_finite() && f > 0.0) {
-                    return Err(EngineError::Config(format!(
-                        "device_slowdown[{i}] must be positive, got {f}"
-                    )));
-                }
-            }
-        }
-        if self.step_budget == Some(0) {
-            return Err(EngineError::Config(
-                "step_budget must be at least 1 simulated event".into(),
-            ));
+        if let Some(budget) = self.step_budget {
+            Self::STEP_BUDGET.check("step_budget", budget)?;
         }
         if let Some(res) = &self.resilience {
             res.validate()?;

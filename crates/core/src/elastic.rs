@@ -40,7 +40,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::EngineError;
-use helios_sim::failure::FailureDistribution;
+use crate::resilience::{DURATION_SECS, PERIOD_SECS};
+use helios_platform::Platform;
+use helios_sim::failure::{FailureDistribution, ProcessKeys};
+use helios_sim::Block;
 
 /// What happens to the named device at an [`ElasticEvent`]'s time.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,15 +198,7 @@ impl ElasticChurn {
     /// The inter-preemption distribution this churn model describes.
     #[must_use]
     pub fn distribution(&self) -> FailureDistribution {
-        match self.weibull_shape {
-            None => FailureDistribution::Exponential {
-                mttf_secs: self.mtbp_secs,
-            },
-            Some(shape) => FailureDistribution::Weibull {
-                scale_secs: self.mtbp_secs,
-                shape,
-            },
-        }
+        FailureDistribution::new(self.mtbp_secs, self.weibull_shape)
     }
 }
 
@@ -243,77 +238,86 @@ impl ElasticityConfig {
             ));
         }
         for (i, ev) in self.events.iter().enumerate() {
-            let fail = |msg: String| {
-                Err(EngineError::Config(format!(
-                    "elasticity event {i} ({} {:?}): {msg}",
-                    ev.kind.name(),
-                    ev.device
-                )))
-            };
+            let block = Block("elasticity.events", Some(i));
             if ev.device.is_empty() {
-                return fail("device name must not be empty".into());
+                return Err(EngineError::Config(format!(
+                    "`{}` must not be empty",
+                    block.key("device")
+                )));
             }
-            if !(ev.at_secs.is_finite() && ev.at_secs >= 0.0) {
-                return fail(format!(
-                    "at_secs must be finite and non-negative, got {}",
-                    ev.at_secs
-                ));
-            }
+            DURATION_SECS.check(block.key("at_secs"), ev.at_secs)?;
             match ev.kind {
                 ElasticEventKind::Drain { deadline_secs } => {
                     if !(deadline_secs.is_finite() && deadline_secs > ev.at_secs) {
-                        return fail(format!(
-                            "deadline_secs must be finite and after at_secs {}, got {}",
-                            ev.at_secs, deadline_secs
-                        ));
+                        return Err(EngineError::Config(format!(
+                            "`{}` must be finite and after `at_secs` {}, got {deadline_secs}",
+                            block.key("deadline_secs"),
+                            ev.at_secs
+                        )));
                     }
                 }
                 ElasticEventKind::Preempt { notice_secs } => {
-                    if !(notice_secs.is_finite() && notice_secs > 0.0) {
-                        return fail(format!(
-                            "notice_secs must be finite and positive \
-                             (a zero-notice kill is `leave`), got {notice_secs}"
-                        ));
-                    }
+                    PERIOD_SECS.check(block.key("notice_secs"), notice_secs)?;
                 }
                 ElasticEventKind::Join | ElasticEventKind::Leave => {}
             }
         }
         let mut churned: Vec<&str> = Vec::new();
-        for c in &self.churn {
-            let fail = |msg: String| {
-                Err(EngineError::Config(format!(
-                    "elasticity churn for {:?}: {msg}",
-                    c.device
-                )))
+        for (i, c) in self.churn.iter().enumerate() {
+            let keys = ProcessKeys {
+                block: Block("elasticity.churn", Some(i)),
+                scale: "mtbp_secs",
+                shape: "weibull_shape",
             };
             if c.device.is_empty() {
-                return fail("device name must not be empty".into());
+                return Err(EngineError::Config(format!(
+                    "`{}` must not be empty",
+                    keys.block.key("device")
+                )));
             }
             if churned.contains(&c.device.as_str()) {
-                return fail("device has two churn processes; at most one is allowed".into());
+                return Err(EngineError::Config(format!(
+                    "`{}` {:?} has two churn processes; at most one is allowed",
+                    keys.block.key("device"),
+                    c.device
+                )));
             }
             churned.push(&c.device);
-            for (name, v) in [("mtbp_secs", c.mtbp_secs), ("rejoin_secs", c.rejoin_secs)] {
-                if !(v.is_finite() && v > 0.0) {
-                    return fail(format!("{name} must be finite and positive, got {v}"));
-                }
-            }
-            if !(c.notice_secs.is_finite() && c.notice_secs > 0.0) {
-                return fail(format!(
-                    "notice_secs must be finite and positive, got {}",
-                    c.notice_secs
-                ));
-            }
-            if let Some(shape) = c.weibull_shape {
-                if !(shape.is_finite() && shape > 0.0) {
-                    return fail(format!(
-                        "weibull_shape must be finite and positive, got {shape}"
-                    ));
-                }
-            }
+            c.distribution().check(keys)?;
+            PERIOD_SECS.check(keys.block.key("notice_secs"), c.notice_secs)?;
+            PERIOD_SECS.check(keys.block.key("rejoin_secs"), c.rejoin_secs)?;
         }
         Ok(())
+    }
+
+    /// Resolves the device of every event, then of every churn
+    /// process, on `platform`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Config`] naming the key of an unknown
+    /// device and the platform's devices.
+    pub fn device_ids(&self, platform: &Platform) -> Result<(Vec<usize>, Vec<usize>), EngineError> {
+        let resolve = |block: &str, i: usize, name: &str| match platform.device_by_name(name) {
+            Some(device) => Ok(device.id().0),
+            None => {
+                let known: Vec<&str> = platform.devices().iter().map(|d| d.name()).collect();
+                Err(EngineError::Config(format!(
+                    "`elasticity.{block}[{i}].device`: unknown device {name:?} on platform \
+                     {:?} (devices: {})",
+                    platform.name(),
+                    known.join(", ")
+                )))
+            }
+        };
+        let events = self.events.iter().enumerate();
+        let events = events.map(|(i, ev)| resolve("events", i, &ev.device));
+        let churn = self.churn.iter().enumerate();
+        let churn = churn.map(|(i, c)| resolve("churn", i, &c.device));
+        Ok((
+            events.collect::<Result<_, _>>()?,
+            churn.collect::<Result<_, _>>()?,
+        ))
     }
 
     /// Whether any capacity event (timed or stochastic) can ever fire.

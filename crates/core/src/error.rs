@@ -137,6 +137,14 @@ impl std::error::Error for EngineError {
     }
 }
 
+/// A refusal message of a declared range check
+/// ([`KnobRange::check`](helios_sim::KnobRange::check)) is a config error.
+impl From<String> for EngineError {
+    fn from(msg: String) -> Self {
+        EngineError::Config(msg)
+    }
+}
+
 impl From<crate::campaign::CampaignError> for EngineError {
     fn from(e: crate::campaign::CampaignError) -> Self {
         EngineError::Campaign(e)

@@ -13,14 +13,19 @@
 //! 2 × 2 × 2 × 2 cells, 15–30 tasks) because every case is swept
 //! several times over by the differential oracles.
 
-use helios_sim::SimRng;
+use helios_sched::LookaheadScheduler;
+use helios_sim::failure::{PROBABILITY, SCALE_SECS, SHAPE};
+use helios_sim::{KnobRange, KnobValue, SimRng};
 use helios_workflow::generators::WorkflowClass;
 
 use crate::campaign::{
     CampaignSpec, DvfsKnob, FaultKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange,
 };
 use crate::elastic::{ElasticChurn, ElasticEvent, ElasticEventKind, ElasticityConfig};
-use crate::resilience::{FailureDomain, LinkFaultModel, RecoveryPolicy};
+use crate::resilience::{
+    FailureDomain, LinkFaultModel, RecoveryPolicy, DURATION_SECS, PERIOD_SECS, REPLICAS, SLOWDOWN,
+};
+use crate::EngineConfig;
 
 /// Workflow families a generated spec may sweep: every generator class,
 /// in [`WorkflowClass::ALL`] order.
@@ -46,9 +51,32 @@ fn scheduler_menu() -> Vec<String> {
         .collect()
 }
 
-/// The smallest `tasks` value every family's generator accepts
-/// (epigenomics needs n ≥ 15, the largest of the five minimums).
-pub const MIN_TASKS: usize = 15;
+/// The smallest `tasks` value every family's generator accepts:
+/// epigenomics' minimum, the largest (a unit test checks that).
+pub const MIN_TASKS: usize = WorkflowClass::Epigenomics.min_tasks();
+
+/// `rng.uniform(lo, hi)` for a knob declared legal in `range`: the
+/// generator draws inside narrower ranges on purpose, never outside.
+fn draw(rng: &mut SimRng, range: KnobRange<f64>, lo: f64, hi: f64) -> f64 {
+    let inside = range.contains(lo) && range.contains(hi);
+    assert!(inside, "draw [{lo}, {hi}] leaves {range}");
+    rng.uniform(lo, hi)
+}
+
+/// [`draw`] for an integer knob of type `T`.
+fn draw_int<T: KnobValue + TryFrom<usize>>(
+    rng: &mut SimRng,
+    range: KnobRange<T>,
+    lo: usize,
+    hi: usize,
+) -> T {
+    let legal = |v: usize| T::try_from(v).ok().filter(|&v| range.contains(v));
+    assert!(
+        legal(lo).and(legal(hi)).is_some(),
+        "draw [{lo}, {hi}] leaves {range}"
+    );
+    legal(rng.uniform_usize(lo, hi)).expect("a draw between legal ends is legal")
+}
 
 /// Member devices and links of a preset, in preset order and each link
 /// name once, for generating failure domains whose members resolve
@@ -85,21 +113,21 @@ fn gen_policy(rng: &mut SimRng, schedulers: &[String]) -> RecoveryPolicy {
     let max_retries = rng.uniform_usize(1, 8) as u32;
     match rng.uniform_usize(0, 3) {
         0 => {
-            let base_secs = rng.uniform(0.0, 0.01);
+            let base_secs = draw(rng, DURATION_SECS, 0.0, 0.01);
             RecoveryPolicy::RetryBackoff {
                 base_secs,
-                factor: rng.uniform(1.0, 3.0),
-                cap_secs: base_secs + rng.uniform(0.0, 0.05),
+                factor: draw(rng, SLOWDOWN, 1.0, 3.0),
+                cap_secs: base_secs + draw(rng, DURATION_SECS, 0.0, 0.05),
                 max_retries,
             }
         }
         1 => RecoveryPolicy::ReplicateK {
-            replicas: rng.uniform_usize(2, 3),
+            replicas: draw_int(rng, REPLICAS, 2, 3),
             max_retries,
         },
         2 => RecoveryPolicy::CheckpointRestart {
-            interval_secs: rng.uniform(0.05, 0.5),
-            overhead_secs: rng.uniform(0.0, 0.02),
+            interval_secs: draw(rng, PERIOD_SECS, 0.05, 0.5),
+            overhead_secs: draw(rng, DURATION_SECS, 0.0, 0.02),
             max_retries,
         },
         _ => RecoveryPolicy::Reschedule {
@@ -107,7 +135,7 @@ fn gen_policy(rng: &mut SimRng, schedulers: &[String]) -> RecoveryPolicy {
                 .choose(schedulers)
                 .expect("scheduler menu is non-empty")
                 .clone(),
-            overhead_secs: rng.uniform(0.0, 0.02),
+            overhead_secs: draw(rng, DURATION_SECS, 0.0, 0.02),
             max_retries,
         },
     }
@@ -116,25 +144,25 @@ fn gen_policy(rng: &mut SimRng, schedulers: &[String]) -> RecoveryPolicy {
 /// Draws the device failure model plus recovery policy.
 fn gen_resilience(rng: &mut SimRng, schedulers: &[String]) -> ResilienceKnob {
     ResilienceKnob {
-        mttf_secs: rng.uniform(0.5, 5.0),
+        mttf_secs: draw(rng, SCALE_SECS, 0.5, 5.0),
         weibull_shape: if rng.chance(0.3) {
-            Some(rng.uniform(0.7, 2.2))
+            Some(draw(rng, SHAPE, 0.7, 2.2))
         } else {
             None
         },
         degraded_prob: if rng.chance(0.5) {
-            rng.uniform(0.0, 0.4)
+            draw(rng, PROBABILITY, 0.0, 0.4)
         } else {
             0.0
         },
         permanent_prob: if rng.chance(0.3) {
-            rng.uniform(0.0, 0.2)
+            draw(rng, PROBABILITY, 0.0, 0.2)
         } else {
             0.0
         },
-        degraded_slowdown: rng.uniform(1.0, 3.0),
-        degraded_repair_secs: rng.uniform(0.0, 0.3),
-        restart_overhead_secs: rng.uniform(0.0, 0.01),
+        degraded_slowdown: draw(rng, SLOWDOWN, 1.0, 3.0),
+        degraded_repair_secs: draw(rng, DURATION_SECS, 0.0, 0.3),
+        restart_overhead_secs: draw(rng, DURATION_SECS, 0.0, 0.01),
         policy: gen_policy(rng, schedulers),
     }
 }
@@ -142,16 +170,16 @@ fn gen_resilience(rng: &mut SimRng, schedulers: &[String]) -> ResilienceKnob {
 /// Draws the per-link interconnect fault model.
 fn gen_interconnect(rng: &mut SimRng) -> LinkFaultModel {
     LinkFaultModel {
-        mttf_secs: rng.uniform(0.2, 3.0),
+        mttf_secs: draw(rng, SCALE_SECS, 0.2, 3.0),
         weibull_shape: if rng.chance(0.3) {
-            Some(rng.uniform(0.7, 2.0))
+            Some(draw(rng, SHAPE, 0.7, 2.0))
         } else {
             None
         },
-        degraded_prob: rng.uniform(0.0, 0.6),
-        degraded_factor: rng.uniform(1.0, 4.0),
-        outage_secs: rng.uniform(0.0, 0.2),
-        degraded_repair_secs: rng.uniform(0.0, 0.2),
+        degraded_prob: draw(rng, PROBABILITY, 0.0, 0.6),
+        degraded_factor: draw(rng, SLOWDOWN, 1.0, 4.0),
+        outage_secs: draw(rng, DURATION_SECS, 0.0, 0.2),
+        degraded_repair_secs: draw(rng, DURATION_SECS, 0.0, 0.2),
     }
 }
 
@@ -175,23 +203,23 @@ fn gen_domains(rng: &mut SimRng, platform: &str) -> Vec<FailureDomain> {
                 } else {
                     Vec::new()
                 },
-                mttf_secs: rng.uniform(0.5, 5.0),
+                mttf_secs: draw(rng, SCALE_SECS, 0.5, 5.0),
                 weibull_shape: if rng.chance(0.25) {
-                    Some(rng.uniform(0.7, 2.0))
+                    Some(draw(rng, SHAPE, 0.7, 2.0))
                 } else {
                     None
                 },
                 degraded_prob: if rng.chance(0.5) {
-                    rng.uniform(0.0, 0.5)
+                    draw(rng, PROBABILITY, 0.0, 0.5)
                 } else {
                     0.0
                 },
                 permanent_prob: if rng.chance(0.3) {
-                    rng.uniform(0.0, 0.3)
+                    draw(rng, PROBABILITY, 0.0, 0.3)
                 } else {
                     0.0
                 },
-                outage_secs: rng.uniform(0.0, 0.2),
+                outage_secs: draw(rng, DURATION_SECS, 0.0, 0.2),
             }
         })
         .collect()
@@ -227,7 +255,7 @@ fn gen_elasticity(rng: &mut SimRng, devices: &[String]) -> ElasticityConfig {
             for device in pick_distinct(rng, devices, n) {
                 events.push(ElasticEvent {
                     device,
-                    at_secs: rng.uniform(0.0, 1.0),
+                    at_secs: draw(rng, DURATION_SECS, 0.0, 1.0),
                     kind: ElasticEventKind::Join,
                 });
             }
@@ -238,15 +266,15 @@ fn gen_elasticity(rng: &mut SimRng, devices: &[String]) -> ElasticityConfig {
             let device = (*rng.choose(devices).expect("device menu is non-empty")).to_owned();
             let mut at = 0.0;
             for _ in 0..rng.uniform_usize(2, 4) {
-                at += rng.uniform(0.05, 0.6);
+                at += draw(rng, DURATION_SECS, 0.05, 0.6);
                 events.push(ElasticEvent {
                     device: device.clone(),
                     at_secs: at,
                     kind: ElasticEventKind::Preempt {
-                        notice_secs: rng.uniform(0.005, 0.1),
+                        notice_secs: draw(rng, PERIOD_SECS, 0.005, 0.1),
                     },
                 });
-                at += rng.uniform(0.05, 0.4);
+                at += draw(rng, DURATION_SECS, 0.05, 0.4);
                 events.push(ElasticEvent {
                     device: device.clone(),
                     at_secs: at,
@@ -258,14 +286,14 @@ fn gen_elasticity(rng: &mut SimRng, devices: &[String]) -> ElasticityConfig {
         2 => {
             for _ in 0..rng.uniform_usize(1, 3) {
                 let device = (*rng.choose(devices).expect("device menu is non-empty")).to_owned();
-                let at_secs = rng.uniform(0.0, 1.5);
+                let at_secs = draw(rng, DURATION_SECS, 0.0, 1.5);
                 let kind = match rng.uniform_usize(0, 3) {
                     0 => ElasticEventKind::Join,
                     1 => ElasticEventKind::Drain {
-                        deadline_secs: at_secs + rng.uniform(0.01, 0.5),
+                        deadline_secs: at_secs + draw(rng, PERIOD_SECS, 0.01, 0.5),
                     },
                     2 => ElasticEventKind::Preempt {
-                        notice_secs: rng.uniform(0.005, 0.2),
+                        notice_secs: draw(rng, PERIOD_SECS, 0.005, 0.2),
                     },
                     _ => ElasticEventKind::Leave,
                 };
@@ -281,16 +309,16 @@ fn gen_elasticity(rng: &mut SimRng, devices: &[String]) -> ElasticityConfig {
             let n = rng.uniform_usize(1, 2.min(devices.len()));
             for device in pick_distinct(rng, devices, n) {
                 let weibull_shape = if rng.chance(0.3) {
-                    Some(rng.uniform(0.7, 2.0))
+                    Some(draw(rng, SHAPE, 0.7, 2.0))
                 } else {
                     None
                 };
                 churn.push(ElasticChurn {
                     device,
-                    mtbp_secs: rng.uniform(0.3, 3.0),
+                    mtbp_secs: draw(rng, SCALE_SECS, 0.3, 3.0),
                     weibull_shape,
-                    notice_secs: rng.uniform(0.005, 0.1),
-                    rejoin_secs: rng.uniform(0.05, 0.8),
+                    notice_secs: draw(rng, PERIOD_SECS, 0.005, 0.1),
+                    rejoin_secs: draw(rng, PERIOD_SECS, 0.05, 0.8),
                 });
             }
         }
@@ -335,12 +363,17 @@ pub fn generate_spec(fuzz_seed: u64, case: usize) -> CampaignSpec {
     let scheduler_params = if (has("annealing") || has("lookahead")) && rng.chance(0.5) {
         let knob = SchedulerParamsKnob {
             annealing_iterations: if has("annealing") && rng.chance(0.8) {
-                Some(rng.uniform_usize(5, 120) as u32)
+                Some(draw_int(
+                    &mut rng,
+                    SchedulerParamsKnob::ANNEALING_ITERATIONS,
+                    5,
+                    120,
+                ))
             } else {
                 None
             },
             lookahead_depth: if has("lookahead") && rng.chance(0.8) {
-                Some(rng.uniform_usize(1, 2) as u32)
+                Some(draw_int(&mut rng, LookaheadScheduler::DEPTH, 1, 2))
             } else {
                 None
             },
@@ -356,7 +389,7 @@ pub fn generate_spec(fuzz_seed: u64, case: usize) -> CampaignSpec {
     };
     let tasks = rng.uniform_usize(MIN_TASKS, 30);
     let noise_cv = if rng.chance(0.5) {
-        rng.uniform(0.01, 0.25)
+        draw(&mut rng, EngineConfig::NOISE_CV, 0.01, 0.25)
     } else {
         0.0
     };
@@ -369,8 +402,8 @@ pub fn generate_spec(fuzz_seed: u64, case: usize) -> CampaignSpec {
     };
 
     let faults = with_legacy_faults.then(|| FaultKnob {
-        mtbf_secs: rng.uniform(0.5, 4.0),
-        restart_overhead_secs: rng.uniform(0.0, 0.01),
+        mtbf_secs: draw(&mut rng, SCALE_SECS, 0.5, 4.0),
+        restart_overhead_secs: draw(&mut rng, DURATION_SECS, 0.0, 0.01),
         max_retries: rng.uniform_usize(0, 6) as u32,
     });
     let resilience = with_resilience.then(|| gen_resilience(&mut rng, &lineup));
@@ -385,7 +418,7 @@ pub fn generate_spec(fuzz_seed: u64, case: usize) -> CampaignSpec {
     // A tight budget occasionally exercises the timed_out path; most
     // cases run unbudgeted or under a ceiling no healthy cell reaches.
     let cell_step_budget = match rng.uniform_usize(0, 9) {
-        0 => Some(rng.uniform_usize(50, 2_000) as u64),
+        0 => Some(draw_int(&mut rng, EngineConfig::STEP_BUDGET, 50, 2_000)),
         1..=5 => None,
         _ => Some(5_000_000),
     };
@@ -501,6 +534,58 @@ mod tests {
             "elasticity undersampled: {with_elasticity}"
         );
         assert!(with_churn > 3, "spot churn undersampled: {with_churn}");
+    }
+
+    /// [`draw`] and [`draw_int`] assert that both ends of every draw lie
+    /// inside the knob's declared range; generating enough cases to
+    /// reach every branch that draws runs each of those checks.
+    #[test]
+    fn every_draw_lies_inside_its_declared_range() {
+        assert_eq!(
+            MIN_TASKS,
+            WorkflowClass::ALL
+                .map(WorkflowClass::min_tasks)
+                .into_iter()
+                .max()
+                .unwrap()
+        );
+        let mut reached = std::collections::BTreeSet::new();
+        for case in 0..600 {
+            let spec = generate_spec(7, case);
+            let rk = spec.resilience.as_ref();
+            reached.extend(rk.map(|rk| rk.policy.name()));
+            reached.extend(rk.and(spec.interconnect_faults.as_ref()).map(|_| "links"));
+            reached.extend((!spec.failure_domains.is_empty()).then_some("domains"));
+            reached.extend(spec.faults.map(|_| "faults"));
+            let tight = spec.cell_step_budget.is_some_and(|b| b < 5_000_000);
+            reached.extend(tight.then_some("budget"));
+            reached.extend(spec.scheduler_params.map(|_| "scheduler_params"));
+            for ev in spec.elasticity.iter().flat_map(|el| &el.events) {
+                reached.insert(ev.kind.name());
+            }
+            let churn = spec
+                .elasticity
+                .as_ref()
+                .is_some_and(|el| !el.churn.is_empty());
+            reached.extend(churn.then_some("churn"));
+        }
+        let want = [
+            "budget",
+            "checkpoint-restart",
+            "churn",
+            "domains",
+            "drain",
+            "faults",
+            "join",
+            "leave",
+            "links",
+            "preempt",
+            "replicate-k",
+            "reschedule",
+            "retry-backoff",
+            "scheduler_params",
+        ];
+        assert_eq!(reached.into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

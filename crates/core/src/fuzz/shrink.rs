@@ -12,14 +12,16 @@
 //! every accepted step strictly shrinks the spec, so the loop
 //! terminates without it.
 
+use helios_workflow::generators::WorkflowClass;
+
 use crate::campaign::spec::{CampaignSpec, DvfsKnob};
 use crate::resilience::RecoveryPolicy;
 
 use super::oracle::{check_spec, Divergence};
 
-/// The smallest task count any candidate proposes; families with a
-/// higher minimum reject smaller candidates through their generator.
-const TASK_FLOOR: usize = 8;
+/// The smallest task count any candidate proposes: the smallest family
+/// minimum, cybershake's (a unit test checks that).
+const TASK_FLOOR: usize = WorkflowClass::CyberShake.min_tasks();
 
 /// Upper bound on oracle evaluations across one shrink run.
 const MAX_EVALS: usize = 400;
@@ -120,7 +122,7 @@ fn candidates(spec: &CampaignSpec) -> Vec<CampaignSpec> {
     if spec.tasks > TASK_FLOOR {
         // Halve first; the single-step decrement is the fallback for
         // when halving overshoots the surviving family's minimum size
-        // (each family generator rejects counts below its floor).
+        // (validation refuses counts below it).
         let mut c = spec.clone();
         c.tasks = TASK_FLOOR.max(spec.tasks / 2);
         out.push(c);
@@ -241,6 +243,15 @@ mod tests {
             }"#,
         )
         .expect("spec is valid")
+    }
+
+    #[test]
+    fn task_floor_is_the_smallest_family_minimum() {
+        let min = WorkflowClass::ALL
+            .map(WorkflowClass::min_tasks)
+            .into_iter()
+            .min();
+        assert_eq!(Some(TASK_FLOOR), min);
     }
 
     #[test]

@@ -172,26 +172,10 @@ impl Sim<'_> {
             return Ok(());
         };
         let nd = self.platform.num_devices();
-        let resolve = |name: &str, what: &str| -> Result<usize, EngineError> {
-            self.platform
-                .device_by_name(name)
-                .map(|d| d.id().0)
-                .ok_or_else(|| {
-                    EngineError::Config(format!(
-                        "elasticity {what}: unknown device {name:?}; platform devices: {}",
-                        self.platform
-                            .devices()
-                            .iter()
-                            .map(|d| d.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ))
-                })
-        };
+        let (event_devices, churn_devices) = cfg.device_ids(self.platform)?;
         let mut timed = Vec::with_capacity(cfg.events.len());
         let mut ats = Vec::with_capacity(cfg.events.len());
-        for ev in &cfg.events {
-            let device = resolve(&ev.device, "event")?;
+        for (ev, &device) in cfg.events.iter().zip(&event_devices) {
             let kind = match ev.kind {
                 ElasticEventKind::Join => TimedKind::Join,
                 ElasticEventKind::Drain { deadline_secs } => TimedKind::Drain {
@@ -221,8 +205,7 @@ impl Sim<'_> {
             }
         }
         let mut churn: Vec<Option<ChurnRt>> = (0..nd).map(|_| None).collect();
-        for c in &cfg.churn {
-            let d = resolve(&c.device, "churn")?;
+        for (c, &d) in cfg.churn.iter().zip(&churn_devices) {
             churn[d] = Some(ChurnRt {
                 rng: base_rng.fork(ELASTIC_STREAM_BASE + d as u64),
                 dist: c.distribution(),

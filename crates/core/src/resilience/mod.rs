@@ -35,7 +35,27 @@ pub use runner::ResilientRunner;
 use serde::{Deserialize, Serialize};
 
 use crate::error::EngineError;
-use helios_sim::failure::{FailureDistribution, FailureProcess, LinkFailureProcess};
+use helios_platform::{LinkId, Platform};
+use helios_sim::failure::{FailureDistribution, FailureProcess, LinkFailureProcess, ProcessKeys};
+use helios_sim::{Block, KnobRange};
+
+/// Legal range of every duration that may be zero: restart overheads,
+/// repair and outage times, backoffs, checkpoint and re-planning
+/// overheads, and elastic event times.
+pub const DURATION_SECS: KnobRange<f64> = KnobRange::at_least(0.0);
+
+/// Legal range of every duration that must be positive: the checkpoint
+/// interval, preemption and churn notices (a zero-notice kill is a
+/// `leave` event) and the churn rejoin mean.
+pub const PERIOD_SECS: KnobRange<f64> = KnobRange::above(0.0);
+
+/// Legal range of a slowdown multiplier: degraded device and link
+/// slowdowns and the backoff growth factor. At least 1, so degradation
+/// can only slow work down.
+pub const SLOWDOWN: KnobRange<f64> = KnobRange::at_least(1.0);
+
+/// Legal `replicate-k` copy counts: one copy is no replication.
+pub const REPLICAS: KnobRange<usize> = KnobRange::at_least(2);
 
 /// Per-device failure process parameters plus the repair model.
 ///
@@ -89,20 +109,6 @@ impl FailureModel {
         }
     }
 
-    /// The inter-failure distribution this model describes.
-    #[must_use]
-    pub fn distribution(&self) -> FailureDistribution {
-        match self.weibull_shape {
-            None => FailureDistribution::Exponential {
-                mttf_secs: self.mttf_secs,
-            },
-            Some(shape) => FailureDistribution::Weibull {
-                scale_secs: self.mttf_secs,
-                shape,
-            },
-        }
-    }
-
     /// Builds the validated [`FailureProcess`] for one device.
     ///
     /// # Errors
@@ -110,28 +116,24 @@ impl FailureModel {
     /// Returns [`EngineError::Config`] describing the offending
     /// parameter.
     pub fn process(&self) -> Result<FailureProcess, EngineError> {
-        FailureProcess::new(self.distribution(), self.degraded_prob, self.permanent_prob)
-            .map_err(|e| EngineError::Config(format!("failure model: {e}")))
+        let keys = ProcessKeys {
+            block: Block("resilience", None),
+            scale: "mttf_secs",
+            shape: "weibull_shape",
+        };
+        let distribution = FailureDistribution::new(self.mttf_secs, self.weibull_shape);
+        FailureProcess::new(distribution, self.degraded_prob, self.permanent_prob, keys)
+            .map_err(EngineError::Config)
     }
 
     fn validate(&self) -> Result<(), EngineError> {
         self.process()?;
-        if !(self.degraded_slowdown.is_finite() && self.degraded_slowdown >= 1.0) {
-            return Err(EngineError::Config(format!(
-                "degraded_slowdown must be >= 1 (degradation cannot speed a device up), got {}",
-                self.degraded_slowdown
-            )));
-        }
-        for (name, v) in [
-            ("degraded_repair_secs", self.degraded_repair_secs),
-            ("restart_overhead_secs", self.restart_overhead_secs),
-        ] {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(EngineError::Config(format!(
-                    "{name} must be non-negative, got {v}"
-                )));
-            }
-        }
+        SLOWDOWN.check("resilience.degraded_slowdown", self.degraded_slowdown)?;
+        DURATION_SECS.check("resilience.degraded_repair_secs", self.degraded_repair_secs)?;
+        DURATION_SECS.check(
+            "resilience.restart_overhead_secs",
+            self.restart_overhead_secs,
+        )?;
         Ok(())
     }
 }
@@ -193,20 +195,6 @@ impl LinkFaultModel {
         }
     }
 
-    /// The inter-failure distribution this model describes.
-    #[must_use]
-    pub fn distribution(&self) -> FailureDistribution {
-        match self.weibull_shape {
-            None => FailureDistribution::Exponential {
-                mttf_secs: self.mttf_secs,
-            },
-            Some(shape) => FailureDistribution::Weibull {
-                scale_secs: self.mttf_secs,
-                shape,
-            },
-        }
-    }
-
     /// Builds the validated [`LinkFailureProcess`] for one link.
     ///
     /// # Errors
@@ -214,29 +202,23 @@ impl LinkFaultModel {
     /// Returns [`EngineError::Config`] describing the offending
     /// parameter.
     pub fn process(&self) -> Result<LinkFailureProcess, EngineError> {
-        LinkFailureProcess::new(self.distribution(), self.degraded_prob)
-            .map_err(|e| EngineError::Config(format!("link fault model: {e}")))
+        let keys = ProcessKeys {
+            block: Block("interconnect_faults", None),
+            scale: "mttf_secs",
+            shape: "shape",
+        };
+        let distribution = FailureDistribution::new(self.mttf_secs, self.weibull_shape);
+        LinkFailureProcess::new(distribution, self.degraded_prob, keys).map_err(EngineError::Config)
     }
 
     fn validate(&self) -> Result<(), EngineError> {
         self.process()?;
-        if !(self.degraded_factor.is_finite() && self.degraded_factor >= 1.0) {
-            return Err(EngineError::Config(format!(
-                "link degraded_factor must be >= 1 (degradation cannot speed transfers up), \
-                 got {}",
-                self.degraded_factor
-            )));
-        }
-        for (name, v) in [
-            ("link outage_secs", self.outage_secs),
-            ("link degraded_repair_secs", self.degraded_repair_secs),
-        ] {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(EngineError::Config(format!(
-                    "{name} must be non-negative, got {v}"
-                )));
-            }
-        }
+        SLOWDOWN.check("interconnect_faults.degraded_factor", self.degraded_factor)?;
+        DURATION_SECS.check("interconnect_faults.outage_secs", self.outage_secs)?;
+        DURATION_SECS.check(
+            "interconnect_faults.degraded_repair_secs",
+            self.degraded_repair_secs,
+        )?;
         Ok(())
     }
 }
@@ -378,27 +360,66 @@ impl FailureDomain {
         &["rack", "node", "psu"]
     }
 
-    /// Builds the validated shared [`FailureProcess`] for this domain.
+    /// Builds the validated shared [`FailureProcess`] for this domain,
+    /// entry `index` of the spec's `failure_domains`.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] describing the offending
-    /// parameter.
-    pub fn process(&self) -> Result<FailureProcess, EngineError> {
-        let distribution = match self.weibull_shape {
-            None => FailureDistribution::Exponential {
-                mttf_secs: self.mttf_secs,
-            },
-            Some(shape) => FailureDistribution::Weibull {
-                scale_secs: self.mttf_secs,
-                shape,
-            },
+    /// Returns [`EngineError::Config`] naming the offending key.
+    pub fn process(&self, index: usize) -> Result<FailureProcess, EngineError> {
+        let distribution = FailureDistribution::new(self.mttf_secs, self.weibull_shape);
+        let keys = ProcessKeys {
+            block: Block("failure_domains", Some(index)),
+            scale: "mttf_secs",
+            shape: "weibull_shape",
         };
-        FailureProcess::new(distribution, self.degraded_prob, self.permanent_prob)
-            .map_err(|e| EngineError::Config(format!("failure domain {:?}: {e}", self.name)))
+        FailureProcess::new(distribution, self.degraded_prob, self.permanent_prob, keys)
+            .map_err(EngineError::Config)
     }
 
-    fn validate(&self) -> Result<(), EngineError> {
+    /// Resolves the members on `platform`: the device ids, then the
+    /// sorted ids of every link carrying a member link's name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Config`] naming an unknown member and the
+    /// platform's devices or links.
+    pub fn members(&self, platform: &Platform) -> Result<(Vec<usize>, Vec<LinkId>), EngineError> {
+        let unknown = |what: &str, name: &str, mut known: Vec<&str>| {
+            known.dedup();
+            EngineError::Config(format!(
+                "failure domain {:?}: unknown {what} {name:?} on platform {:?} ({what}s: {})",
+                self.name,
+                platform.name(),
+                known.join(", ")
+            ))
+        };
+        let mut devices = Vec::with_capacity(self.devices.len());
+        for name in &self.devices {
+            let dev = platform.device_by_name(name).ok_or_else(|| {
+                unknown(
+                    "device",
+                    name,
+                    platform.devices().iter().map(|d| d.name()).collect(),
+                )
+            })?;
+            devices.push(dev.id().0);
+        }
+        let mut links = Vec::new();
+        for name in &self.links {
+            let matches = platform.interconnect().links_by_name(name);
+            if matches.is_empty() {
+                let known = platform.interconnect().links().iter().map(|l| l.name());
+                return Err(unknown("link", name, known.collect()));
+            }
+            links.extend(matches);
+        }
+        links.sort_unstable();
+        links.dedup();
+        Ok((devices, links))
+    }
+
+    fn validate(&self, index: usize) -> Result<(), EngineError> {
         let fail = |msg: String| {
             Err(EngineError::Config(format!(
                 "failure domain {:?}: {msg}",
@@ -420,13 +441,11 @@ impl FailureDomain {
         if self.devices.is_empty() && self.links.is_empty() {
             return fail("must name at least one member device or link".into());
         }
-        self.process()?;
-        if !(self.outage_secs.is_finite() && self.outage_secs >= 0.0) {
-            return fail(format!(
-                "outage_secs must be non-negative, got {}",
-                self.outage_secs
-            ));
-        }
+        self.process(index)?;
+        DURATION_SECS.check(
+            format_args!("failure_domains[{index}].outage_secs"),
+            self.outage_secs,
+        )?;
         Ok(())
     }
 }
@@ -557,12 +576,6 @@ impl RecoveryPolicy {
     }
 
     fn validate(&self) -> Result<(), EngineError> {
-        let fail = |msg: String| {
-            Err(EngineError::Config(format!(
-                "policy {:?}: {msg}",
-                self.name()
-            )))
-        };
         match *self {
             RecoveryPolicy::RetryBackoff {
                 base_secs,
@@ -570,40 +583,26 @@ impl RecoveryPolicy {
                 cap_secs,
                 ..
             } => {
-                if !(base_secs.is_finite() && base_secs >= 0.0) {
-                    return fail(format!("base_secs must be non-negative, got {base_secs}"));
-                }
-                if !(factor.is_finite() && factor >= 1.0) {
-                    return fail(format!("factor must be >= 1, got {factor}"));
-                }
-                if !(cap_secs.is_finite() && cap_secs >= base_secs) {
-                    return fail(format!(
-                        "cap_secs must be finite and >= base_secs, got {cap_secs}"
-                    ));
+                DURATION_SECS.check("resilience.policy.base_secs", base_secs)?;
+                SLOWDOWN.check("resilience.policy.factor", factor)?;
+                DURATION_SECS.check("resilience.policy.cap_secs", cap_secs)?;
+                if cap_secs < base_secs {
+                    return Err(EngineError::Config(format!(
+                        "`resilience.policy.cap_secs` must be >= `base_secs` {base_secs}, \
+                         got {cap_secs}"
+                    )));
                 }
             }
             RecoveryPolicy::ReplicateK { replicas, .. } => {
-                if replicas < 2 {
-                    return fail(format!(
-                        "replicas must be >= 2 (1 copy is no replication), got {replicas}"
-                    ));
-                }
+                REPLICAS.check("resilience.policy.replicas", replicas)?;
             }
             RecoveryPolicy::CheckpointRestart {
                 interval_secs,
                 overhead_secs,
                 ..
             } => {
-                if !(interval_secs.is_finite() && interval_secs > 0.0) {
-                    return fail(format!(
-                        "interval_secs must be positive, got {interval_secs}"
-                    ));
-                }
-                if !(overhead_secs.is_finite() && overhead_secs >= 0.0) {
-                    return fail(format!(
-                        "overhead_secs must be non-negative, got {overhead_secs}"
-                    ));
-                }
+                PERIOD_SECS.check("resilience.policy.interval_secs", interval_secs)?;
+                DURATION_SECS.check("resilience.policy.overhead_secs", overhead_secs)?;
             }
             RecoveryPolicy::Reschedule {
                 ref scheduler,
@@ -615,16 +614,13 @@ impl RecoveryPolicy {
                         .iter()
                         .map(|s| s.name().to_owned())
                         .collect();
-                    return fail(format!(
-                        "unknown scheduler {scheduler:?}; legal values: {}",
+                    return Err(EngineError::Config(format!(
+                        "`resilience.policy.scheduler`: unknown scheduler {scheduler:?}; \
+                         legal values: {}",
                         legal.join(", ")
-                    ));
+                    )));
                 }
-                if !(overhead_secs.is_finite() && overhead_secs >= 0.0) {
-                    return fail(format!(
-                        "overhead_secs must be non-negative, got {overhead_secs}"
-                    ));
-                }
+                DURATION_SECS.check("resilience.policy.overhead_secs", overhead_secs)?;
             }
         }
         Ok(())
@@ -685,8 +681,8 @@ impl ResilienceConfig {
             lf.validate()?;
         }
         let mut names: Vec<&str> = Vec::new();
-        for d in &self.domains {
-            d.validate()?;
+        for (i, d) in self.domains.iter().enumerate() {
+            d.validate(i)?;
             if names.contains(&d.name.as_str()) {
                 return Err(EngineError::Config(format!(
                     "failure domain {:?} is defined twice; domain names must be unique",
@@ -976,30 +972,30 @@ mod tests {
             permanent_prob: 0.1,
             outage_secs: 0.05,
         };
-        assert!(base.validate().is_ok());
+        assert!(base.validate(0).is_ok());
 
         let mut d = base.clone();
         d.kind = "blast-radius".into();
-        let err = d.validate().unwrap_err().to_string();
+        let err = d.validate(0).unwrap_err().to_string();
         assert!(err.contains("rack"), "error must name legal kinds: {err}");
         assert!(err.contains("psu"), "error must name legal kinds: {err}");
 
         let mut d = base.clone();
         d.name.clear();
-        assert!(d.validate().is_err());
+        assert!(d.validate(0).is_err());
 
         let mut d = base.clone();
         d.devices.clear();
         d.links.clear();
-        assert!(d.validate().is_err(), "a domain must have members");
+        assert!(d.validate(0).is_err(), "a domain must have members");
 
         let mut d = base.clone();
         d.mttf_secs = 0.0;
-        assert!(d.validate().is_err());
+        assert!(d.validate(0).is_err());
 
         let mut d = base.clone();
         d.outage_secs = -0.1;
-        assert!(d.validate().is_err());
+        assert!(d.validate(0).is_err());
     }
 
     #[test]

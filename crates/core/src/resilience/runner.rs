@@ -163,7 +163,6 @@ impl ResilientRunner {
         let res = self.config.resilience.as_ref().ok_or_else(|| {
             EngineError::Config("ResilientRunner requires EngineConfig::resilience".into())
         })?;
-        res.validate()?;
         if self.config.tracing {
             return Err(EngineError::Config(
                 "tracing is not supported by the ResilientRunner".into(),
@@ -447,51 +446,13 @@ impl<'a> Sim<'a> {
         // of silently injecting nothing.
         let mut domains_rt: Vec<DomainRt> = Vec::with_capacity(res.domains.len());
         for (i, dom) in res.domains.iter().enumerate() {
-            let mut device_ids = Vec::with_capacity(dom.devices.len());
-            for name in &dom.devices {
-                let dev = platform.device_by_name(name).ok_or_else(|| {
-                    EngineError::Config(format!(
-                        "failure domain {:?}: unknown device {:?}; platform devices: {}",
-                        dom.name,
-                        name,
-                        platform
-                            .devices()
-                            .iter()
-                            .map(|d| d.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ))
-                })?;
-                device_ids.push(dev.id().0);
-            }
-            let mut link_ids = Vec::new();
-            for name in &dom.links {
-                let matches = platform.interconnect().links_by_name(name);
-                if matches.is_empty() {
-                    let mut known: Vec<&str> = platform
-                        .interconnect()
-                        .links()
-                        .iter()
-                        .map(|l| l.name())
-                        .collect();
-                    known.dedup();
-                    return Err(EngineError::Config(format!(
-                        "failure domain {:?}: unknown link {:?}; platform links: {}",
-                        dom.name,
-                        name,
-                        known.join(", ")
-                    )));
-                }
-                link_ids.extend(matches);
-            }
-            link_ids.sort_unstable();
-            link_ids.dedup();
+            let (device_ids, link_ids) = dom.members(platform)?;
             domains_rt.push(DomainRt {
                 device_ids,
                 link_ids,
                 rng: base_rng.fork(DOMAIN_STREAM_BASE + i as u64),
                 pending: None,
-                process: dom.process()?,
+                process: dom.process(i)?,
                 outage: SimDuration::from_secs(dom.outage_secs),
             });
         }

@@ -13,7 +13,7 @@
 //! Parameters are ballpark public-datasheet figures; scheduling results
 //! depend on their *ratios*, which match real 2021-era hardware.
 
-use helios_sim::SimDuration;
+use helios_sim::{KnobRange, SimDuration};
 
 use crate::cost::KernelClass;
 use crate::device::{DeviceBuilder, DeviceId, DeviceKind};
@@ -251,9 +251,18 @@ pub fn all() -> Vec<Platform> {
     vec![workstation(), hpc_node(), cluster(16), edge_soc()]
 }
 
+/// Legal node counts `N` of a `cluster<N>` name. [`cluster`] adds four
+/// routes per node pair, so the build grows with `N²`; the largest
+/// cluster in use is [`all`]'s `cluster16`.
+pub const CLUSTER_NODES: KnobRange<usize> = KnobRange::closed(1, 64);
+
+/// The names [`by_name`] resolves, for refusal messages.
+pub const NAMES: &str = "workstation, hpc_node, cluster<N>, edge_soc";
+
 /// Resolves a preset by its CLI/spec-file name: `workstation`,
-/// `hpc_node`, `cluster<N>` (e.g. `cluster4`) or `edge_soc`. Returns
-/// `None` for anything else, including `cluster0`.
+/// `hpc_node`, `cluster<N>` with `N` in [`CLUSTER_NODES`] (e.g.
+/// `cluster4`) or `edge_soc`. Returns `None` for anything else,
+/// including `cluster0` and `cluster65`.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Platform> {
     match name {
@@ -263,7 +272,7 @@ pub fn by_name(name: &str) -> Option<Platform> {
         other => other
             .strip_prefix("cluster")
             .and_then(|n| n.parse::<usize>().ok())
-            .filter(|&nodes| nodes >= 1)
+            .filter(|&nodes| CLUSTER_NODES.contains(nodes))
             .map(cluster),
     }
 }
@@ -280,7 +289,8 @@ mod tests {
         assert_eq!(by_name("edge_soc").unwrap().name(), "edge_soc");
         let cluster = by_name("cluster3").unwrap();
         assert_eq!(cluster.num_devices(), super::cluster(3).num_devices());
-        for bad in ["cluster0", "cluster", "clusterx", "laptop", ""] {
+        assert!(by_name("cluster64").is_some());
+        for bad in ["cluster0", "cluster65", "cluster", "clusterx", "laptop", ""] {
             assert!(by_name(bad).is_none(), "{bad:?} must not resolve");
         }
     }

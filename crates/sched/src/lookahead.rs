@@ -3,6 +3,7 @@
 //! HEFT", 2010).
 
 use helios_platform::{DeviceId, Platform};
+use helios_sim::KnobRange;
 use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
@@ -26,11 +27,15 @@ pub struct LookaheadScheduler {
 }
 
 impl LookaheadScheduler {
-    /// Creates the scheduler with a lookahead depth (clamped to >= 1).
+    /// Legal lookahead depths; depth 1 is the published variant.
+    pub const DEPTH: KnobRange<u32> = KnobRange::at_least(1);
+
+    /// Creates the scheduler with a lookahead depth, raised to
+    /// [`DEPTH`](LookaheadScheduler::DEPTH)'s lower end if below it.
     #[must_use]
     pub fn with_depth(depth: u32) -> LookaheadScheduler {
         LookaheadScheduler {
-            depth: depth.max(1),
+            depth: depth.max(Self::DEPTH.lo),
         }
     }
 

@@ -14,8 +14,32 @@
 //! which callers observe via [`FailureEvent::kind`] and must not sample
 //! past.
 
+use crate::range::{Block, KnobRange};
 use crate::rng::SimRng;
 use crate::time::SimTime;
+
+/// Legal range of a distribution's scale: the exponential mean or the
+/// Weibull characteristic life, seconds.
+pub const SCALE_SECS: KnobRange<f64> = KnobRange::above(0.0);
+
+/// Legal range of a Weibull shape.
+pub const SHAPE: KnobRange<f64> = KnobRange::above(0.0);
+
+/// Legal range of a failure-mode probability.
+pub const PROBABILITY: KnobRange<f64> = KnobRange::closed(0.0, 1.0);
+
+/// How a spec spells a failure process's parameters: the [`Block`]
+/// they sit in and the names of its scale and Weibull shape keys; the
+/// probabilities are `degraded_prob` and `permanent_prob` everywhere.
+#[derive(Debug, Clone, Copy)]
+pub struct ProcessKeys<'a> {
+    /// Where the parameters sit.
+    pub block: Block<'a>,
+    /// The scale key, e.g. `mttf_secs`.
+    pub scale: &'a str,
+    /// The Weibull shape key, e.g. `weibull_shape`.
+    pub shape: &'a str,
+}
 
 /// What a failure does to the device it strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +93,36 @@ pub enum FailureDistribution {
 }
 
 impl FailureDistribution {
+    /// The exponential with mean `scale_secs`, or given a `shape` the
+    /// Weibull with characteristic life `scale_secs`.
+    #[must_use]
+    pub fn new(scale_secs: f64, shape: Option<f64>) -> FailureDistribution {
+        match shape {
+            None => FailureDistribution::Exponential {
+                mttf_secs: scale_secs,
+            },
+            Some(shape) => FailureDistribution::Weibull { scale_secs, shape },
+        }
+    }
+
+    /// Checks the scale against [`SCALE_SECS`] and a Weibull shape
+    /// against [`SHAPE`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the refusal message naming the key from `keys`.
+    pub fn check(self, keys: ProcessKeys<'_>) -> Result<(), String> {
+        match self {
+            FailureDistribution::Exponential { mttf_secs } => {
+                SCALE_SECS.check(keys.block.key(keys.scale), mttf_secs)
+            }
+            FailureDistribution::Weibull { scale_secs, shape } => {
+                SCALE_SECS.check(keys.block.key(keys.scale), scale_secs)?;
+                SHAPE.check(keys.block.key(keys.shape), shape)
+            }
+        }
+    }
+
     fn sample(self, rng: &mut SimRng) -> f64 {
         match self {
             FailureDistribution::Exponential { mttf_secs } => rng.exponential(mttf_secs),
@@ -127,13 +181,19 @@ fn gamma(x: f64) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use helios_sim::failure::{FailureDistribution, FailureProcess};
-/// use helios_sim::{SimRng, SimTime};
+/// use helios_sim::failure::{FailureDistribution, FailureProcess, ProcessKeys};
+/// use helios_sim::{Block, SimRng, SimTime};
 ///
+/// let keys = ProcessKeys {
+///     block: Block("resilience", None),
+///     scale: "mttf_secs",
+///     shape: "weibull_shape",
+/// };
 /// let process = FailureProcess::new(
 ///     FailureDistribution::Exponential { mttf_secs: 10.0 },
 ///     0.1, // 10% of failures degrade the device
 ///     0.0, // none are permanent
+///     keys,
 /// )
 /// .unwrap();
 /// let mut rng = SimRng::seed_from(42).fork(7);
@@ -154,47 +214,24 @@ impl FailureProcess {
     ///
     /// # Errors
     ///
-    /// Returns a description of the offending parameter if the
-    /// distribution parameters are not positive and finite, either
-    /// probability is outside `[0, 1]`, or the two probabilities sum to
-    /// more than 1.
+    /// Returns the refusal message, naming the key from `keys`, if the
+    /// distribution fails [`FailureDistribution::check`], either
+    /// probability lies outside [`PROBABILITY`], or the two
+    /// probabilities sum to more than 1.
     pub fn new(
         distribution: FailureDistribution,
         degraded_prob: f64,
         permanent_prob: f64,
+        keys: ProcessKeys<'_>,
     ) -> Result<FailureProcess, String> {
-        match distribution {
-            FailureDistribution::Exponential { mttf_secs } => {
-                if !(mttf_secs.is_finite() && mttf_secs > 0.0) {
-                    return Err(format!(
-                        "mttf_secs must be positive and finite, got {mttf_secs}"
-                    ));
-                }
-            }
-            FailureDistribution::Weibull { scale_secs, shape } => {
-                if !(scale_secs.is_finite() && scale_secs > 0.0) {
-                    return Err(format!(
-                        "weibull scale_secs must be positive and finite, got {scale_secs}"
-                    ));
-                }
-                if !(shape.is_finite() && shape > 0.0) {
-                    return Err(format!(
-                        "weibull shape must be positive and finite, got {shape}"
-                    ));
-                }
-            }
-        }
-        for (name, p) in [
-            ("degraded_prob", degraded_prob),
-            ("permanent_prob", permanent_prob),
-        ] {
-            if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-                return Err(format!("{name} must be in [0, 1], got {p}"));
-            }
-        }
+        distribution.check(keys)?;
+        PROBABILITY.check(keys.block.key("degraded_prob"), degraded_prob)?;
+        PROBABILITY.check(keys.block.key("permanent_prob"), permanent_prob)?;
         if degraded_prob + permanent_prob > 1.0 {
             return Err(format!(
-                "degraded_prob + permanent_prob must not exceed 1, got {}",
+                "`{}` + `{}` must not exceed 1, got {}",
+                keys.block.key("degraded_prob"),
+                keys.block.key("permanent_prob"),
                 degraded_prob + permanent_prob
             ));
         }
@@ -276,12 +313,18 @@ pub struct LinkFailureEvent {
 /// # Examples
 ///
 /// ```
-/// use helios_sim::failure::{FailureDistribution, LinkFailureProcess};
-/// use helios_sim::{SimRng, SimTime};
+/// use helios_sim::failure::{FailureDistribution, LinkFailureProcess, ProcessKeys};
+/// use helios_sim::{Block, SimRng, SimTime};
 ///
+/// let keys = ProcessKeys {
+///     block: Block("interconnect_faults", None),
+///     scale: "mttf_secs",
+///     shape: "shape",
+/// };
 /// let process = LinkFailureProcess::new(
 ///     FailureDistribution::Exponential { mttf_secs: 5.0 },
 ///     0.25, // a quarter of the faults degrade bandwidth instead
+///     keys,
 /// )
 /// .unwrap();
 /// let mut rng = SimRng::seed_from(7).fork(3);
@@ -301,20 +344,16 @@ impl LinkFailureProcess {
     ///
     /// # Errors
     ///
-    /// Returns a description of the offending parameter if the
-    /// distribution parameters are not positive and finite or
-    /// `degraded_prob` is outside `[0, 1]`.
+    /// Returns the refusal message, naming the key from `keys`, if the
+    /// distribution fails [`FailureDistribution::check`] or
+    /// `degraded_prob` lies outside [`PROBABILITY`].
     pub fn new(
         distribution: FailureDistribution,
         degraded_prob: f64,
+        keys: ProcessKeys<'_>,
     ) -> Result<LinkFailureProcess, String> {
-        // Reuse the device-process parameter validation.
-        FailureProcess::new(distribution, 0.0, 0.0)?;
-        if !(degraded_prob.is_finite() && (0.0..=1.0).contains(&degraded_prob)) {
-            return Err(format!(
-                "degraded_prob must be in [0, 1], got {degraded_prob}"
-            ));
-        }
+        distribution.check(keys)?;
+        PROBABILITY.check(keys.block.key("degraded_prob"), degraded_prob)?;
         Ok(LinkFailureProcess {
             distribution,
             degraded_prob,
@@ -351,21 +390,48 @@ impl LinkFailureProcess {
 mod tests {
     use super::*;
 
+    const KEYS: ProcessKeys<'static> = ProcessKeys {
+        block: Block("resilience", None),
+        scale: "mttf_secs",
+        shape: "weibull_shape",
+    };
+
     #[test]
     fn rejects_bad_parameters() {
         let exp = |m| FailureDistribution::Exponential { mttf_secs: m };
-        assert!(FailureProcess::new(exp(0.0), 0.0, 0.0).is_err());
-        assert!(FailureProcess::new(exp(f64::NAN), 0.0, 0.0).is_err());
-        assert!(FailureProcess::new(exp(1.0), -0.1, 0.0).is_err());
-        assert!(FailureProcess::new(exp(1.0), 0.0, 1.5).is_err());
-        assert!(FailureProcess::new(exp(1.0), 0.7, 0.7).is_err());
+        assert!(FailureProcess::new(exp(0.0), 0.0, 0.0, KEYS).is_err());
+        assert!(FailureProcess::new(exp(f64::NAN), 0.0, 0.0, KEYS).is_err());
+        assert!(FailureProcess::new(exp(1.0), -0.1, 0.0, KEYS).is_err());
+        assert!(FailureProcess::new(exp(1.0), 0.0, 1.5, KEYS).is_err());
+        assert!(FailureProcess::new(exp(1.0), 0.7, 0.7, KEYS).is_err());
         let weib = |s, k| FailureDistribution::Weibull {
             scale_secs: s,
             shape: k,
         };
-        assert!(FailureProcess::new(weib(1.0, 0.0), 0.0, 0.0).is_err());
-        assert!(FailureProcess::new(weib(-1.0, 2.0), 0.0, 0.0).is_err());
-        assert!(FailureProcess::new(weib(1.0, 2.0), 0.1, 0.1).is_ok());
+        assert!(FailureProcess::new(weib(1.0, 0.0), 0.0, 0.0, KEYS).is_err());
+        assert!(FailureProcess::new(weib(-1.0, 2.0), 0.0, 0.0, KEYS).is_err());
+        assert!(FailureProcess::new(weib(1.0, 2.0), 0.1, 0.1, KEYS).is_ok());
+    }
+
+    #[test]
+    fn refusals_name_the_key_as_the_spec_spells_it() {
+        let domain = ProcessKeys {
+            block: Block("failure_domains", Some(1)),
+            ..KEYS
+        };
+        let weib = FailureDistribution::Weibull {
+            scale_secs: 1.0,
+            shape: -2.0,
+        };
+        assert_eq!(
+            FailureProcess::new(weib, 0.0, 0.0, domain).unwrap_err(),
+            "`failure_domains[1].weibull_shape` must be > 0, got -2"
+        );
+        let exp = FailureDistribution::Exponential { mttf_secs: 1.0 };
+        assert_eq!(
+            FailureProcess::new(exp, 0.7, 0.7, KEYS).unwrap_err(),
+            "`resilience.degraded_prob` + `resilience.permanent_prob` must not exceed 1, got 1.4"
+        );
     }
 
     #[test]
@@ -374,6 +440,7 @@ mod tests {
             FailureDistribution::Exponential { mttf_secs: 5.0 },
             0.0,
             0.0,
+            KEYS,
         )
         .unwrap();
         let mut rng = SimRng::seed_from(1).fork(3);
@@ -398,7 +465,7 @@ mod tests {
         // E[X] = 4 * Γ(1.5) = 4 * (√π / 2) ≈ 3.5449.
         let expected = 4.0 * (std::f64::consts::PI.sqrt() / 2.0);
         assert!((dist.mean_secs() - expected).abs() < 1e-9, "gamma helper");
-        let process = FailureProcess::new(dist, 0.0, 0.0).unwrap();
+        let process = FailureProcess::new(dist, 0.0, 0.0, KEYS).unwrap();
         let mut rng = SimRng::seed_from(2).fork(4);
         let n = 20_000;
         let mut t = SimTime::ZERO;
@@ -418,6 +485,7 @@ mod tests {
             FailureDistribution::Exponential { mttf_secs: 1.0 },
             0.3,
             0.1,
+            KEYS,
         )
         .unwrap();
         let mut rng = SimRng::seed_from(5).fork(1);
@@ -453,17 +521,20 @@ mod tests {
     #[test]
     fn link_process_rejects_bad_parameters() {
         let exp = |m| FailureDistribution::Exponential { mttf_secs: m };
-        assert!(LinkFailureProcess::new(exp(0.0), 0.0).is_err());
-        assert!(LinkFailureProcess::new(exp(1.0), -0.1).is_err());
-        assert!(LinkFailureProcess::new(exp(1.0), 1.5).is_err());
-        assert!(LinkFailureProcess::new(exp(1.0), 0.5).is_ok());
+        assert!(LinkFailureProcess::new(exp(0.0), 0.0, KEYS).is_err());
+        assert!(LinkFailureProcess::new(exp(1.0), -0.1, KEYS).is_err());
+        assert!(LinkFailureProcess::new(exp(1.0), 1.5, KEYS).is_err());
+        assert!(LinkFailureProcess::new(exp(1.0), 0.5, KEYS).is_ok());
     }
 
     #[test]
     fn link_mode_probabilities_converge() {
-        let process =
-            LinkFailureProcess::new(FailureDistribution::Exponential { mttf_secs: 1.0 }, 0.25)
-                .unwrap();
+        let process = LinkFailureProcess::new(
+            FailureDistribution::Exponential { mttf_secs: 1.0 },
+            0.25,
+            KEYS,
+        )
+        .unwrap();
         let mut rng = SimRng::seed_from(6).fork(2);
         let (mut outage, mut degraded) = (0u32, 0u32);
         let n = 20_000;
@@ -494,6 +565,7 @@ mod tests {
                 shape: 1.2,
             },
             0.4,
+            KEYS,
         )
         .unwrap();
         let trace = |seed: u64, stream: u64| {
@@ -520,6 +592,7 @@ mod tests {
             },
             0.2,
             0.05,
+            KEYS,
         )
         .unwrap();
         let trace = |seed: u64, stream: u64| {

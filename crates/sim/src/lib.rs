@@ -11,6 +11,8 @@
 //! * [`failure`] — per-device failure processes (exponential/Weibull
 //!   inter-failure times, transient/degraded/permanent modes) that turn
 //!   forked RNG streams into deterministic failure traces,
+//! * [`KnobRange`] — the declared legal range of a numeric knob, read
+//!   by its check, its refusal message and the negative tests,
 //! * [`stats`] — online statistics (mean/variance/min/max), histograms and
 //!   percentile estimation for experiment reporting.
 //!
@@ -41,11 +43,13 @@
 
 mod event;
 pub mod failure;
+mod range;
 mod rng;
 pub mod stats;
 mod time;
 pub mod trace;
 
 pub use event::{EventQueue, ScheduledEvent};
+pub use range::{Block, KnobRange, KnobValue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime, TimeError};

@@ -8,7 +8,7 @@
 //! `n` maps onto its width parameter.
 
 use helios_platform::KernelClass;
-use helios_sim::SimRng;
+use helios_sim::{KnobRange, SimRng};
 
 use crate::dag::{Workflow, WorkflowBuilder};
 use crate::error::WorkflowError;
@@ -71,12 +71,37 @@ impl WorkflowClass {
         }
     }
 
+    /// The smallest task count the family's generator accepts.
+    #[must_use]
+    pub const fn min_tasks(self) -> usize {
+        match self {
+            WorkflowClass::Montage => 11,
+            WorkflowClass::CyberShake => 8,
+            WorkflowClass::Epigenomics => 15,
+            WorkflowClass::LigoInspiral => 12,
+            WorkflowClass::Sipht => 14,
+        }
+    }
+
+    /// Checks a requested task count against
+    /// [`min_tasks`](WorkflowClass::min_tasks).
+    ///
+    /// # Errors
+    ///
+    /// Returns the refusal message naming the family and `tasks`, e.g.
+    /// "epigenomics: `tasks` must be >= 15, got 5".
+    pub fn check_tasks(self, n: usize) -> Result<(), String> {
+        KnobRange::at_least(self.min_tasks())
+            .check("tasks", n)
+            .map_err(|e| format!("{self}: {e}"))
+    }
+
     /// Generates an instance with approximately `n` tasks.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkflowError::InvalidParameter`] if `n` is below the
-    /// family's minimum size.
+    /// Returns [`WorkflowError::InvalidParameter`] if `n` is below
+    /// [`min_tasks`](WorkflowClass::min_tasks).
     pub fn generate(self, n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
         match self {
             WorkflowClass::Montage => montage(n, seed),
@@ -88,13 +113,20 @@ impl WorkflowClass {
     }
 }
 
+/// [`WorkflowClass::check_tasks`] as a generator error.
+fn require_tasks(class: WorkflowClass, n: usize) -> Result<(), WorkflowError> {
+    class
+        .check_tasks(n)
+        .map_err(WorkflowError::InvalidParameter)
+}
+
 impl std::fmt::Display for WorkflowClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// Montage astronomy mosaic with approximately `n` tasks (`n ≥ 11`).
+/// Montage astronomy mosaic with approximately `n` tasks.
 ///
 /// Structure (width `w = (n - 5) / 3`): `w` × mProject → `w−1` × mDiffFit
 /// → mConcatFit → mBgModel → `w` × mBackground → mImgtbl → mAdd →
@@ -102,13 +134,10 @@ impl std::fmt::Display for WorkflowClass {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n < 11`.
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
+/// [`WorkflowClass::min_tasks`].
 pub fn montage(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
-    if n < 11 {
-        return Err(WorkflowError::InvalidParameter(format!(
-            "montage needs n >= 11, got {n}"
-        )));
-    }
+    require_tasks(WorkflowClass::Montage, n)?;
     let w = (n - 5) / 3;
     let mut rng = SimRng::seed_from(seed);
     let mut b = WorkflowBuilder::new(format!("montage-{n}"));
@@ -196,7 +225,7 @@ pub fn montage(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     unify_product_sizes(b.build()?)
 }
 
-/// CyberShake seismic hazard with approximately `n` tasks (`n ≥ 8`).
+/// CyberShake seismic hazard with approximately `n` tasks.
 ///
 /// Structure (pairs `s = (n - 4) / 2`): 2 × ExtractSGT → `s` ×
 /// SeismogramSynthesis (each reading both SGTs) → `s` × PeakValCalc →
@@ -204,13 +233,10 @@ pub fn montage(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n < 8`.
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
+/// [`WorkflowClass::min_tasks`].
 pub fn cybershake(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
-    if n < 8 {
-        return Err(WorkflowError::InvalidParameter(format!(
-            "cybershake needs n >= 8, got {n}"
-        )));
-    }
+    require_tasks(WorkflowClass::CyberShake, n)?;
     let s = (n - 4) / 2;
     let mut rng = SimRng::seed_from(seed);
     let mut b = WorkflowBuilder::new(format!("cybershake-{n}"));
@@ -272,7 +298,7 @@ pub fn cybershake(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     unify_product_sizes(b.build()?)
 }
 
-/// Epigenomics genome pipeline with approximately `n` tasks (`n ≥ 15`).
+/// Epigenomics genome pipeline with approximately `n` tasks.
 ///
 /// Structure (4 lanes, `k = (n - 3 - 8) / 16` splits per lane): per lane
 /// fastqSplit → `k` × (filterContams → sol2sanger → fastq2bfq → map) →
@@ -280,13 +306,10 @@ pub fn cybershake(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n < 15`.
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
+/// [`WorkflowClass::min_tasks`].
 pub fn epigenomics(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
-    if n < 15 {
-        return Err(WorkflowError::InvalidParameter(format!(
-            "epigenomics needs n >= 15, got {n}"
-        )));
-    }
+    require_tasks(WorkflowClass::Epigenomics, n)?;
     let lanes = 4usize;
     let k = ((n.saturating_sub(3 + 2 * lanes)) / (4 * lanes)).max(1);
     let mut rng = SimRng::seed_from(seed);
@@ -375,7 +398,7 @@ pub fn epigenomics(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     unify_product_sizes(b.build()?)
 }
 
-/// LIGO Inspiral matched-filtering with approximately `n` tasks (`n ≥ 12`).
+/// LIGO Inspiral matched-filtering with approximately `n` tasks.
 ///
 /// Structure (`g` groups of `t` templates, `n ≈ g(4t + 2)`): per group
 /// `t` × TmpltBank → `t` × Inspiral → Thinca → `t` × TrigBank → `t` ×
@@ -383,13 +406,10 @@ pub fn epigenomics(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n < 12`.
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
+/// [`WorkflowClass::min_tasks`].
 pub fn ligo_inspiral(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
-    if n < 12 {
-        return Err(WorkflowError::InvalidParameter(format!(
-            "ligo_inspiral needs n >= 12, got {n}"
-        )));
-    }
+    require_tasks(WorkflowClass::LigoInspiral, n)?;
     let g = (n / 50).max(1);
     let t = ((n / g).saturating_sub(2) / 4).max(1);
     let mut rng = SimRng::seed_from(seed);
@@ -445,7 +465,7 @@ pub fn ligo_inspiral(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     unify_product_sizes(b.build()?)
 }
 
-/// SIPHT sRNA annotation with approximately `n` tasks (`n ≥ 14`).
+/// SIPHT sRNA annotation with approximately `n` tasks.
 ///
 /// Structure (`p = n - 12` Patser tasks): `p` × Patser → PatserConcate;
 /// Transterm + Findterm + RNAMotif + Blast → SRNA (also reading
@@ -454,13 +474,10 @@ pub fn ligo_inspiral(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n < 14`.
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
+/// [`WorkflowClass::min_tasks`].
 pub fn sipht(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
-    if n < 14 {
-        return Err(WorkflowError::InvalidParameter(format!(
-            "sipht needs n >= 14, got {n}"
-        )));
-    }
+    require_tasks(WorkflowClass::Sipht, n)?;
     let p = n - 12;
     let mut rng = SimRng::seed_from(seed);
     let mut b = WorkflowBuilder::new(format!("sipht-{n}"));
