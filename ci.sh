@@ -115,13 +115,15 @@ fi
 echo "unknown spec key refused: $(cat "$sweep_tmp/typo.err")"
 
 echo "==> oversized specs are refused"
-# A platform or grid past its declared range must be refused by spec
-# validation, naming the key, before anything is built or allocated:
-# cluster<N> builds N^2 routes and a grid allocates its cells up front.
+# A platform, grid or workflow past its declared range must be refused
+# by spec validation, naming the key, before anything is built or
+# allocated: cluster<N> builds N^2 routes, a grid allocates its cells up
+# front, and a generator allocates its tasks.
 # Each case runs under a 1 GB address-space limit and a 10 s timeout,
 # so a regression fails fast instead of exhausting the machine.
 for case in \
     'platforms|s/"workstation"/"cluster100000"/' \
+    'tasks|s/"tasks": 24/"tasks": 1000000000000/' \
     'seeds.count|s/"count": 2/"count": 1000000000000/' \
     'seeds.count|s/"montage", "sipht"/"montage", "sipht", "ligo", "epigenomics"/; s/"count": 2/"count": 4611686018427387904/'; do
     key=${case%%|*}
@@ -324,8 +326,9 @@ echo "==> columnar store + query smoke"
 # the mixed-format merge path) byte-identical to the unsharded JSON
 # report, and each query below over the store shards must byte-match
 # the same query over the compiled JSON report: a GROUP BY scheduler
-# summary, a filter through `= null` and a numeric bound, and a
-# per-cell GROUP BY that makes one group of every row.
+# summary, a filter through `= null` and a numeric bound, a per-cell
+# GROUP BY that makes one group of every row, a string-equality filter
+# with a boolean conjunct, and a three-key GROUP BY.
 "$helios" campaign run --spec examples/specs/smoke.json --shard 1/2 \
     --store "$sweep_tmp/s1.store" > /dev/null
 "$helios" campaign run --spec examples/specs/smoke.json --shard 2/2 \
@@ -341,13 +344,15 @@ cmp "$sweep_tmp/full.json" "$sweep_tmp/full_remerged.json"
 for gq in \
     'SELECT scheduler, count(*), avg_completed(makespan_secs), frac(completed) GROUP BY scheduler' \
     'SELECT cell, makespan_secs WHERE incomplete_reason = null AND makespan_secs > 0' \
-    'SELECT cell, count(*) GROUP BY cell'; do
+    'SELECT cell, count(*) GROUP BY cell' \
+    "SELECT cell, makespan_secs WHERE scheduler = 'heft' AND completed = true" \
+    'SELECT family, platform, scheduler, count(*), avg_completed(slr) GROUP BY family, platform, scheduler'; do
     "$helios" query "$gq" --in "$sweep_tmp/s1.store" --in "$sweep_tmp/s2.store" \
         --json > "$sweep_tmp/q_store.json"
     "$helios" query "$gq" --in "$sweep_tmp/full.json" --json > "$sweep_tmp/q_json.json"
     cmp "$sweep_tmp/q_store.json" "$sweep_tmp/q_json.json"
 done
-echo "store merge, sweep-report re-merge and three queries are byte-identical to the JSON path"
+echo "store merge, sweep-report re-merge and five queries are byte-identical to the JSON path"
 
 echo "==> perf-trajectory smoke"
 # Reduced-iteration run of the pinned benchmark harness: verifies the

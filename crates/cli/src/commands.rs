@@ -2,6 +2,7 @@
 
 use std::io::Write;
 
+use helios_core::campaign::spec::family_class;
 use helios_core::{Engine, EngineConfig, OnlinePolicy, OnlineRunner};
 use helios_platform::{presets, Platform};
 use helios_sched::{all_schedulers, metrics::ScheduleMetrics, Scheduler};
@@ -55,29 +56,22 @@ pub fn generate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let tasks = args.parse_or("tasks", 100usize)?;
     let seed = args.parse_or("seed", 0u64)?;
 
-    let mut wf = match family {
-        "montage" | "cybershake" | "epigenomics" | "ligo" | "sipht" => {
-            let class = WorkflowClass::ALL
-                .into_iter()
-                .find(|c| c.as_str() == family)
-                .expect("names match WorkflowClass::as_str");
-            class.generate(tasks, seed)?
-        }
-        "layered" => {
-            let width = args.parse_or("width", 10usize)?;
-            let levels = args.parse_or("levels", tasks.div_ceil(width.max(1)))?;
-            let config = synthetic::LayeredConfig {
-                levels,
-                width,
-                ..synthetic::LayeredConfig::default()
-            };
-            synthetic::layered_random(&config, seed)?
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown family {other:?} (montage, cybershake, epigenomics, ligo, sipht, layered)"
-            )))
-        }
+    let mut wf = if let Some(class) = family_class(family) {
+        class.generate(tasks, seed)?
+    } else if family == "layered" {
+        let width = args.parse_or("width", 10usize)?;
+        let levels = args.parse_or("levels", tasks.div_ceil(width.max(1)))?;
+        let config = synthetic::LayeredConfig {
+            levels,
+            width,
+            ..synthetic::LayeredConfig::default()
+        };
+        synthetic::layered_random(&config, seed)?
+    } else {
+        return Err(CliError::Usage(format!(
+            "unknown family {family:?} ({}, layered)",
+            WorkflowClass::names()
+        )));
     };
     if let Some(ccr) = args.get("ccr") {
         let target: f64 = ccr

@@ -291,9 +291,6 @@ pub struct CampaignSpec {
     pub cell_step_budget: Option<u64>,
 }
 
-/// The workflow families a spec may name, for validation errors.
-const FAMILY_NAMES: &str = "montage, cybershake, epigenomics, ligo, sipht";
-
 /// One expanded grid point: a single deterministic simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepCell {
@@ -359,14 +356,14 @@ impl CampaignSpec {
     fn check(&self) -> Result<(), EngineError> {
         if self.families.is_empty() {
             return Err(format!(
-                "`families` is empty, so the grid has no cells; list at least one of \
-                 {FAMILY_NAMES}"
+                "`families` is empty, so the grid has no cells; list at least one of {}",
+                WorkflowClass::names()
             )
             .into());
         }
         for f in &self.families {
             let Some(class) = family_class(f) else {
-                return Err(format!("unknown family {f:?} ({FAMILY_NAMES})").into());
+                return Err(format!("unknown family {f:?} ({})", WorkflowClass::names()).into());
             };
             class.check_tasks(self.tasks)?;
         }
@@ -1012,7 +1009,13 @@ mod tests {
         assert!(detail.contains("got 18446744073709551616"), "{detail}");
         // montage accepts 12 tasks, sipht does not.
         let detail = invalid(r#""count": 3}"#, r#""count": 3}, "tasks": 12"#);
-        assert_eq!(detail, "sipht: `tasks` must be >= 14, got 12");
+        assert_eq!(detail, "sipht: `tasks` must be in [14, 100000], got 12");
+        // A task count no generator can allocate is refused up front.
+        let detail = invalid(r#""count": 3}"#, r#""count": 3}, "tasks": 1000000000000"#);
+        assert_eq!(
+            detail,
+            "montage: `tasks` must be in [11, 100000], got 1000000000000"
+        );
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl std::fmt::Display for ShardSpec {
 }
 
 /// The measured outcome of one grid cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CellResult {
     /// Global cell index in spec expansion order.
     pub cell: usize,
@@ -1317,13 +1317,16 @@ mod tests {
         assert_eq!(errors.len(), 2);
         assert_eq!(errors[0], errors[1]);
         assert!(
-            errors[0].contains("montage: `tasks` must be >= 11, got 5"),
+            errors[0].contains("montage: `tasks` must be in [11, 100000], got 5"),
             "{}",
             errors[0]
         );
         assert_eq!(workflows.generated.into_inner(), 0);
         let err = SweepDriver::new(1).run(&spec).unwrap_err().to_string();
-        assert!(err.contains("montage: `tasks` must be >= 11"), "{err}");
+        assert!(
+            err.contains("montage: `tasks` must be in [11, 100000]"),
+            "{err}"
+        );
     }
 
     #[test]

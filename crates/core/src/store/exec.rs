@@ -1,15 +1,15 @@
-//! Query evaluation over cell rows: WHERE predicates, aggregates and
-//! the hash group-by.
+//! Query evaluation over cells: WHERE predicates, aggregates and the
+//! hash group-by.
 //!
-//! Evaluation is direct: [`run_query`](super::run_query) builds each
-//! cell's row once with [`row_from_cell`], keeps the rows every
-//! [`Predicate`] matches, and then projects them or folds them through
-//! [`aggregate`]. The same [`aggregate`] serves three callers:
-//! `summarize` (a fixed group-by, see [`summarize_cells`]), `campaign
-//! merge` (which recomputes the summary through it), and `helios query`.
-//! The sweep's aggregation math — first-seen group order,
-//! completed-only means, null means for groups with no completed cell —
-//! therefore exists exactly once, here.
+//! Evaluation reads cells in place: every [`Predicate`], accumulator
+//! and group key reads its column through [`Column::get`], so a scan
+//! allocates nothing per cell, and owned [`Value`]s are built only for
+//! output rows (see [`run_query`](super::run_query)). The same
+//! [`aggregate`] serves three callers: `summarize` (a fixed group-by,
+//! see [`summarize_cells`]), `campaign merge` (which recomputes the
+//! summary through it), and `helios query`. The sweep's aggregation
+//! math — first-seen group order, completed-only means, null means for
+//! groups with no completed cell — therefore exists exactly once, here.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
@@ -17,7 +17,7 @@ use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use crate::campaign::sweep::{CellResult, SummaryRow};
 
 use super::schema::{
-    row_from_cell, summary_row_from_values, Column, Row, SummaryAgg, Value, SUMMARY_AGGREGATES,
+    summary_row_from_values, Column, Row, SummaryAgg, Value, ValueRef, SUMMARY_AGGREGATES,
     SUMMARY_KEYS,
 };
 
@@ -54,8 +54,8 @@ pub enum Literal {
 /// One `column op literal` conjunct of a WHERE clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
-    /// Input-schema index of the column under test.
-    pub col: usize,
+    /// The column under test.
+    pub col: Column,
     /// The comparison.
     pub op: CmpOp,
     /// The right-hand literal.
@@ -63,74 +63,62 @@ pub struct Predicate {
 }
 
 impl Predicate {
-    /// Whether `row` satisfies this predicate. Type agreement is the
+    /// Whether `cell` satisfies this predicate. Type agreement is the
     /// planner's job; a value/literal mismatch that slips through
     /// compares as not-equal, never panics.
     #[must_use]
-    pub fn matches(&self, row: &[Value]) -> bool {
-        let value = &row[self.col];
-        match &self.literal {
-            Literal::Num(rhs) => match value.as_f64() {
-                Some(lhs) => match self.op {
-                    CmpOp::Eq => lhs == *rhs,
-                    CmpOp::Ne => lhs != *rhs,
-                    CmpOp::Lt => lhs < *rhs,
-                    CmpOp::Le => lhs <= *rhs,
-                    CmpOp::Gt => lhs > *rhs,
-                    CmpOp::Ge => lhs >= *rhs,
-                },
-                None => self.op == CmpOp::Ne,
-            },
-            Literal::Str(rhs) => {
-                let eq = matches!(value, Value::Str(v) if v == rhs);
-                match self.op {
-                    CmpOp::Eq => eq,
-                    _ => !eq,
+    pub fn matches(&self, cell: &CellResult) -> bool {
+        let value = self.col.get(cell);
+        let eq = match &self.literal {
+            Literal::Num(rhs) => {
+                return match value.as_f64() {
+                    Some(lhs) => match self.op {
+                        CmpOp::Eq => lhs == *rhs,
+                        CmpOp::Ne => lhs != *rhs,
+                        CmpOp::Lt => lhs < *rhs,
+                        CmpOp::Le => lhs <= *rhs,
+                        CmpOp::Gt => lhs > *rhs,
+                        CmpOp::Ge => lhs >= *rhs,
+                    },
+                    None => self.op == CmpOp::Ne,
                 }
             }
-            Literal::Bool(rhs) => {
-                let eq = matches!(value, Value::Bool(v) if v == rhs);
-                match self.op {
-                    CmpOp::Eq => eq,
-                    _ => !eq,
-                }
-            }
-            Literal::Null => {
-                let is_null = matches!(value, Value::Null);
-                match self.op {
-                    CmpOp::Eq => is_null,
-                    _ => !is_null,
-                }
-            }
+            Literal::Str(rhs) => matches!(value, ValueRef::Str(v) if v == rhs),
+            Literal::Bool(rhs) => value == ValueRef::Bool(*rhs),
+            Literal::Null => value == ValueRef::Null,
+        };
+        match self.op {
+            CmpOp::Eq => eq,
+            _ => !eq,
         }
     }
 }
 
-/// An aggregation over one input column (or the whole row for
-/// [`Agg::CountStar`]), by input-schema index.
+/// An aggregation over one column (or the whole row for
+/// [`Agg::CountStar`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Agg {
     /// Row count of the group.
     CountStar,
     /// Sum of a numeric column; null over zero rows.
-    Sum(usize),
+    Sum(Column),
     /// Mean of a numeric column; null over zero rows.
-    Avg(usize),
+    Avg(Column),
     /// Minimum of a numeric column; null over zero rows.
-    Min(usize),
+    Min(Column),
     /// Maximum of a numeric column; null over zero rows.
-    Max(usize),
+    Max(Column),
     /// Mean of `metric` over rows where the boolean `completed`
     /// column is true; null when none are — the sweep's null-mean
     /// semantics.
     AvgCompleted {
         /// The numeric column being averaged.
-        metric: usize,
+        metric: Column,
         /// The boolean column gating contribution.
-        completed: usize,
+        completed: Column,
     },
     /// Fraction of the group's rows where the boolean column is true.
-    CompletedFrac(usize),
+    CompletedFrac(Column),
 }
 
 /// A running accumulator for one [`Agg`] in one group. Sums are added
@@ -156,12 +144,12 @@ impl Accum {
         }
     }
 
-    fn feed(&mut self, agg: Agg, row: &[Value]) {
+    fn feed(&mut self, agg: Agg, cell: &CellResult) {
         self.rows += 1;
         match agg {
             Agg::CountStar => {}
             Agg::Sum(col) | Agg::Avg(col) | Agg::Min(col) | Agg::Max(col) => {
-                if let Some(v) = row[col].as_f64() {
+                if let Some(v) = col.get(cell).as_f64() {
                     self.sum += v;
                     self.n += 1;
                     self.min = self.min.min(v);
@@ -169,15 +157,15 @@ impl Accum {
                 }
             }
             Agg::AvgCompleted { metric, completed } => {
-                if matches!(row[completed], Value::Bool(true)) {
-                    if let Some(v) = row[metric].as_f64() {
+                if completed.get(cell) == ValueRef::Bool(true) {
+                    if let Some(v) = metric.get(cell).as_f64() {
                         self.sum += v;
                         self.n += 1;
                     }
                 }
             }
             Agg::CompletedFrac(col) => {
-                if matches!(row[col], Value::Bool(true)) {
+                if col.get(cell) == ValueRef::Bool(true) {
                     self.n += 1;
                 }
             }
@@ -227,71 +215,77 @@ impl Accum {
     }
 }
 
-/// Hashes the group key of `row`: the `keys` columns, each as its
+/// Hashes the group key of `cell`: the `keys` columns, each as its
 /// variant and payload. A float hashes as `(v + 0.0).to_bits()`, so
 /// `-0.0` and `0.0` (equal under `==`) share a bucket. The keys come
 /// from input files, so the hasher is randomly keyed.
-fn key_hash(state: &RandomState, row: &[Value], keys: &[usize]) -> u64 {
+fn key_hash(state: &RandomState, cell: &CellResult, keys: &[Column]) -> u64 {
     let mut h = state.build_hasher();
     for &k in keys {
-        let value = &row[k];
-        std::mem::discriminant(value).hash(&mut h);
+        let value = k.get(cell);
+        std::mem::discriminant(&value).hash(&mut h);
         match value {
-            Value::U64(v) => v.hash(&mut h),
-            Value::U32(v) => v.hash(&mut h),
-            Value::F64(v) => (v + 0.0).to_bits().hash(&mut h),
-            Value::Bool(v) => v.hash(&mut h),
-            Value::Str(v) => v.hash(&mut h),
-            Value::Null => {}
+            ValueRef::U64(v) => v.hash(&mut h),
+            ValueRef::U32(v) => v.hash(&mut h),
+            ValueRef::F64(v) => (v + 0.0).to_bits().hash(&mut h),
+            ValueRef::Bool(v) => v.hash(&mut h),
+            ValueRef::Str(v) => v.hash(&mut h),
+            ValueRef::Null => {}
         }
     }
     h.finish()
 }
 
-/// Groups `rows` by the `keys` columns and computes `aggs` per group.
+/// Groups `cells` by the `keys` columns and computes `aggs` per group.
 /// Each output row is the group-key values followed by one value per
 /// aggregate. Groups appear in first-seen input order (the sweep's
-/// spec-declaration order, since cell rows arrive sorted by index).
-/// Two keys group together when their values are `==`, so `-0.0` and
-/// `0.0` merge and a NaN key never does. With no keys the output is
-/// exactly one global row, even over empty input.
+/// spec-declaration order, since cells arrive sorted by index), and a
+/// group's key values are read from its first cell. Two keys group
+/// together when their values are `==`, so `-0.0` and `0.0` merge and a
+/// NaN key never does. With no keys the output is exactly one global
+/// row, even over empty input.
 #[must_use]
-pub fn aggregate(rows: impl IntoIterator<Item = Row>, keys: &[usize], aggs: &[Agg]) -> Vec<Row> {
-    let mut groups: Vec<(Row, Vec<Accum>)> = Vec::new();
+pub fn aggregate<'a>(
+    cells: impl IntoIterator<Item = &'a CellResult>,
+    keys: &[Column],
+    aggs: &[Agg],
+) -> Vec<Row> {
+    let mut groups: Vec<(&CellResult, Vec<Accum>)> = Vec::new();
     // Each hash maps to its latest group; `next[g]` chains to the
     // group seen before `g` with the same hash.
     let mut heads: HashMap<u64, usize> = HashMap::new();
     let mut next: Vec<Option<usize>> = Vec::new();
     let state = RandomState::new();
-    for row in rows {
-        let hash = key_hash(&state, &row, keys);
+    for cell in cells {
+        let hash = key_hash(&state, cell, keys);
         let mut at = heads.get(&hash).copied();
         while let Some(g) = at {
-            if keys.iter().zip(&groups[g].0).all(|(&k, v)| row[k] == *v) {
+            let first = groups[g].0;
+            if keys.iter().all(|k| k.get(cell) == k.get(first)) {
                 break;
             }
             at = next[g];
         }
         let g = at.unwrap_or_else(|| {
             next.push(heads.insert(hash, groups.len()));
-            let key = keys.iter().map(|&k| row[k].clone()).collect();
-            groups.push((key, vec![Accum::new(); aggs.len()]));
+            groups.push((cell, vec![Accum::new(); aggs.len()]));
             groups.len() - 1
         });
         for (accum, &agg) in groups[g].1.iter_mut().zip(aggs) {
-            accum.feed(agg, &row);
+            accum.feed(agg, cell);
         }
     }
     if groups.is_empty() && keys.is_empty() {
         // A global aggregate always has one row: count 0, null
         // everything else.
-        groups.push((Vec::new(), vec![Accum::new(); aggs.len()]));
+        return vec![aggs.iter().map(|&agg| Accum::new().finish(agg)).collect()];
     }
     groups
-        .into_iter()
-        .map(|(mut key, accums)| {
-            key.extend(accums.iter().zip(aggs).map(|(a, &agg)| a.finish(agg)));
-            key
+        .iter()
+        .map(|(first, accums)| {
+            let mut row: Row = keys.iter().map(|k| k.get(first).to_value()).collect();
+            row.extend(accums.iter().zip(aggs).map(|(a, &agg)| a.finish(agg)));
+            row
         })
         .collect()
 }
@@ -300,10 +294,10 @@ fn summary_agg(agg: SummaryAgg) -> Agg {
     match agg {
         SummaryAgg::Count => Agg::CountStar,
         SummaryAgg::MeanCompleted(col) => Agg::AvgCompleted {
-            metric: col.index(),
-            completed: Column::Completed.index(),
+            metric: col,
+            completed: Column::Completed,
         },
-        SummaryAgg::CompletedFraction => Agg::CompletedFrac(Column::Completed.index()),
+        SummaryAgg::CompletedFraction => Agg::CompletedFrac(Column::Completed),
     }
 }
 
@@ -313,12 +307,9 @@ fn summary_agg(agg: SummaryAgg) -> Agg {
 /// shares; its output is field-for-field the legacy sequential loop.
 #[must_use]
 pub fn summarize_cells(cells: &[CellResult]) -> Vec<SummaryRow> {
-    let keys: Vec<usize> = SUMMARY_KEYS.iter().map(|&(c, _)| c.index()).collect();
-    let aggs: Vec<Agg> = SUMMARY_AGGREGATES
-        .iter()
-        .map(|c| summary_agg(c.agg))
-        .collect();
-    aggregate(cells.iter().map(row_from_cell), &keys, &aggs)
+    let keys = SUMMARY_KEYS.map(|(c, _)| c);
+    let aggs = SUMMARY_AGGREGATES.map(|c| summary_agg(c.agg));
+    aggregate(cells, &keys, &aggs)
         .iter()
         .map(|row| summary_row_from_values(row).expect("the summary emits summary-shaped rows"))
         .collect()
@@ -364,13 +355,8 @@ mod tests {
 
     #[test]
     fn predicates_cover_ordering_strings_bools_and_null() {
-        let cells = [cell(0, "heft", true, 4.0), cell(1, "olb", false, 9.0)];
-        let rows: Vec<Row> = cells.iter().map(row_from_cell).collect();
-        let pred = |col: Column, op, literal| Predicate {
-            col: col.index(),
-            op,
-            literal,
-        };
+        let rows = [cell(0, "heft", true, 4.0), cell(1, "olb", false, 9.0)];
+        let pred = |col, op, literal| Predicate { col, op, literal };
         assert!(pred(Column::MakespanSecs, CmpOp::Lt, Literal::Num(5.0)).matches(&rows[0]));
         assert!(!pred(Column::MakespanSecs, CmpOp::Ge, Literal::Num(5.0)).matches(&rows[0]));
         assert!(pred(Column::Completed, CmpOp::Eq, Literal::Bool(true)).matches(&rows[0]));
@@ -429,7 +415,7 @@ mod tests {
         let rows = aggregate(
             std::iter::empty(),
             &[],
-            &[Agg::CountStar, Agg::Avg(Column::MakespanSecs.index())],
+            &[Agg::CountStar, Agg::Avg(Column::MakespanSecs)],
         );
         assert_eq!(rows, vec![vec![Value::U64(0), Value::Null]]);
     }
@@ -437,12 +423,8 @@ mod tests {
     #[test]
     fn min_max_sum_cover_numeric_columns() {
         let cells = [cell(0, "heft", true, 4.0), cell(1, "heft", true, 9.0)];
-        let m = Column::MakespanSecs.index();
-        let rows = aggregate(
-            cells.iter().map(row_from_cell),
-            &[],
-            &[Agg::Min(m), Agg::Max(m), Agg::Sum(m)],
-        );
+        let m = Column::MakespanSecs;
+        let rows = aggregate(&cells, &[], &[Agg::Min(m), Agg::Max(m), Agg::Sum(m)]);
         assert_eq!(
             rows,
             vec![vec![Value::F64(4.0), Value::F64(9.0), Value::F64(13.0)]]
@@ -453,8 +435,13 @@ mod tests {
     fn hash_groups_keep_first_seen_order_and_value_equality() {
         // 500 groups, each revisited in an order unlike its first-seen
         // order: the output follows first sight, counts all land.
-        let rows = (0..2000u64).map(|i| vec![Value::U64((i * 7) % 500), Value::Null]);
-        let out = aggregate(rows, &[0], &[Agg::CountStar]);
+        let cells: Vec<CellResult> = (0..2000)
+            .map(|i| CellResult {
+                seed: (i as u64 * 7) % 500,
+                ..cell(i, "heft", true, 1.0)
+            })
+            .collect();
+        let out = aggregate(&cells, &[Column::Seed], &[Agg::CountStar]);
         let firsts: Vec<Row> = (0..500u64)
             .map(|i| vec![Value::U64((i * 7) % 500), Value::U64(4)])
             .collect();
@@ -463,8 +450,13 @@ mod tests {
         // -0.0 == 0.0 merges, keeping the first-seen key; a NaN key
         // equals nothing, not even itself, so each NaN row is a group.
         let keys = [-0.0, f64::NAN, 0.0, 1.5, f64::NAN, 0.0];
-        let rows = keys.iter().map(|&k| vec![Value::F64(k), Value::F64(k)]);
-        let out = aggregate(rows, &[0], &[Agg::CountStar, Agg::Sum(1)]);
+        let cells: Vec<CellResult> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| cell(i, "heft", true, k))
+            .collect();
+        let m = Column::MakespanSecs;
+        let out = aggregate(&cells, &[m], &[Agg::CountStar, Agg::Sum(m)]);
         let shape: Vec<String> = out.iter().map(|row| format!("{row:?}")).collect();
         assert_eq!(
             shape,

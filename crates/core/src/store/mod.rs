@@ -10,13 +10,14 @@
 //!   columnar row-group codec over the framed-file layer the cell
 //!   journal also uses (checksummed frames, longest-valid-prefix
 //!   salvage), written incrementally by [`StoreWriter`] as cells
-//!   finish.
+//!   finish. A group decodes column by column straight into cells.
 //! * [`exec`] + [`query`] — the small `SELECT … [WHERE …] [GROUP BY …]`
-//!   language `helios query` runs, evaluated directly: each row is
-//!   built once, filtered by [`Predicate`]s, then projected or folded
-//!   by the hash group-by [`aggregate`]. The sweep summary is itself
-//!   one [`aggregate`] call ([`summarize_cells`]), so the aggregation
-//!   math and the null-mean semantics exist exactly once.
+//!   language `helios query` runs, evaluated in place: [`Predicate`]s
+//!   filter the cells and the hash group-by [`aggregate`] folds them,
+//!   both reading columns through [`Column::get`], and owned
+//!   [`Value`]s are built only for output rows. The sweep summary is
+//!   itself one [`aggregate`] call ([`summarize_cells`]), so the
+//!   aggregation math and the null-mean semantics exist exactly once.
 
 pub mod exec;
 pub mod query;
@@ -26,8 +27,8 @@ pub mod segment;
 pub use exec::{aggregate, summarize_cells, Agg, CmpOp, Literal, Predicate};
 pub use query::{parse_query, run_query, QueryOutput, QueryPlan};
 pub use schema::{
-    cell_from_row, row_from_cell, schema_names, summary_row_from_values, summary_row_values,
-    Column, ColumnType, Row, SummaryAgg, SummaryColumn, Value, SUMMARY_AGGREGATES, SUMMARY_KEYS,
+    row_from_cell, schema_names, summary_row_from_values, summary_row_values, Column, ColumnType,
+    Row, SummaryAgg, SummaryColumn, Value, ValueRef, SUMMARY_AGGREGATES, SUMMARY_KEYS,
 };
 pub use segment::{
     is_store_bytes, read_store, recover_store, StoreHeader, StoreSalvage, StoreWriter,

@@ -1,6 +1,6 @@
 //! The `helios query` expression language.
 //!
-//! A tiny SQL subset, evaluated directly over the cells:
+//! A tiny SQL subset, evaluated in place over the cells:
 //!
 //! ```text
 //! SELECT proj [, proj]*
@@ -413,11 +413,7 @@ impl Parser {
                 format!("column {:?} supports only = and !=", col.name()),
             ));
         }
-        Ok(Predicate {
-            col: col.index(),
-            op,
-            literal,
-        })
+        Ok(Predicate { col, op, literal })
     }
 }
 
@@ -515,24 +511,26 @@ pub struct QueryOutput {
 fn to_agg(func: AggFunc, arg: Option<Column>) -> Agg {
     match (func, arg) {
         (AggFunc::Count, _) => Agg::CountStar,
-        (AggFunc::Sum, Some(c)) => Agg::Sum(c.index()),
-        (AggFunc::Avg, Some(c)) => Agg::Avg(c.index()),
-        (AggFunc::Min, Some(c)) => Agg::Min(c.index()),
-        (AggFunc::Max, Some(c)) => Agg::Max(c.index()),
+        (AggFunc::Sum, Some(c)) => Agg::Sum(c),
+        (AggFunc::Avg, Some(c)) => Agg::Avg(c),
+        (AggFunc::Min, Some(c)) => Agg::Min(c),
+        (AggFunc::Max, Some(c)) => Agg::Max(c),
         (AggFunc::AvgCompleted, Some(c)) => Agg::AvgCompleted {
-            metric: c.index(),
-            completed: Column::Completed.index(),
+            metric: c,
+            completed: Column::Completed,
         },
-        (AggFunc::Frac, Some(c)) => Agg::CompletedFrac(c.index()),
+        (AggFunc::Frac, Some(c)) => Agg::CompletedFrac(c),
         // The parser never emits a non-count aggregate without an arg.
         (_, None) => Agg::CountStar,
     }
 }
 
-/// Parses `expr` and runs it over `cells`: each cell's row is built
-/// once, filtered by the WHERE conjuncts, then projected or grouped.
-/// Rows are read in cell-index order regardless of input order, so
-/// results are deterministic across shard layouts.
+/// Parses `expr` and runs it over `cells`: the WHERE conjuncts and
+/// the aggregates read each cell in place, and owned values are built
+/// only for the output rows. Cells are read in cell-index order
+/// regardless of input order, so results are deterministic across
+/// shard layouts; cells already in that order (as `merge_shards`
+/// returns them) are read without a sort.
 ///
 /// # Errors
 ///
@@ -540,55 +538,73 @@ fn to_agg(func: AggFunc, arg: Option<Column>) -> Agg {
 /// over in-memory cells cannot fail.
 pub fn run_query(expr: &str, cells: &[CellResult]) -> Result<QueryOutput, EngineError> {
     let plan = parse_query(expr)?;
+    if cells.is_sorted_by_key(|c| c.cell) {
+        return Ok(plan.run(cells));
+    }
     let mut sorted: Vec<&CellResult> = cells.iter().collect();
     sorted.sort_by_key(|c| c.cell);
-    let rows = sorted
-        .into_iter()
-        .map(row_from_cell)
-        .filter(|row| plan.predicates.iter().all(|p| p.matches(row)));
+    Ok(plan.run(sorted))
+}
 
-    if plan.projections == [Proj::Star] {
-        // SELECT *: the full schema passes through unchanged.
-        return Ok(QueryOutput {
-            schema: schema_names(),
-            rows: rows.collect(),
-        });
-    }
-    let schema = plan.projections.iter().map(Proj::output_name).collect();
-    // A GROUP BY or an aggregate groups: one row per distinct key (one
-    // global row with no keys), as SQL does.
-    let grouped = !plan.group_by.is_empty()
-        || plan
-            .projections
-            .iter()
-            .any(|p| matches!(p, Proj::Agg { .. }));
-    // A pick indexes the full row, or when grouped the aggregate row:
-    // the group keys, then the aggregates.
-    let keys: Vec<usize> = plan.group_by.iter().map(|c| c.index()).collect();
-    let mut aggs: Vec<Agg> = Vec::new();
-    let mut picks: Vec<usize> = Vec::new();
-    for proj in &plan.projections {
-        picks.push(match proj {
-            Proj::Col { col, .. } if grouped => plan
-                .group_by
+impl QueryPlan {
+    /// Runs the plan over `cells`, taken in the order given.
+    fn run<'a>(&self, cells: impl IntoIterator<Item = &'a CellResult>) -> QueryOutput {
+        let cells = cells
+            .into_iter()
+            .filter(|cell| self.predicates.iter().all(|p| p.matches(cell)));
+        if self.projections == [Proj::Star] {
+            // SELECT *: the full schema passes through unchanged.
+            return QueryOutput {
+                schema: schema_names(),
+                rows: cells.map(row_from_cell).collect(),
+            };
+        }
+        let schema = self.projections.iter().map(Proj::output_name).collect();
+        // A GROUP BY or an aggregate groups: one row per distinct key
+        // (one global row with no keys), as SQL does.
+        let grouped = !self.group_by.is_empty()
+            || self
+                .projections
                 .iter()
-                .position(|g| g == col)
-                .expect("validated: selected column is a group key"),
-            Proj::Col { col, .. } => col.index(),
-            Proj::Agg { func, arg, .. } => {
-                aggs.push(to_agg(*func, *arg));
-                keys.len() + aggs.len() - 1
-            }
-            Proj::Star => unreachable!("validated: * stands alone"),
-        });
+                .any(|p| matches!(p, Proj::Agg { .. }));
+        if !grouped {
+            let cols: Vec<Column> = self
+                .projections
+                .iter()
+                .map(|proj| match proj {
+                    Proj::Col { col, .. } => *col,
+                    _ => unreachable!("validated: ungrouped projections are columns"),
+                })
+                .collect();
+            let rows = cells
+                .map(|cell| cols.iter().map(|c| c.get(cell).to_value()).collect())
+                .collect();
+            return QueryOutput { schema, rows };
+        }
+        // A pick indexes the aggregate row: the group keys, then the
+        // aggregates.
+        let mut aggs: Vec<Agg> = Vec::new();
+        let mut picks: Vec<usize> = Vec::new();
+        for proj in &self.projections {
+            picks.push(match proj {
+                Proj::Col { col, .. } => self
+                    .group_by
+                    .iter()
+                    .position(|g| g == col)
+                    .expect("validated: selected column is a group key"),
+                Proj::Agg { func, arg, .. } => {
+                    aggs.push(to_agg(*func, *arg));
+                    self.group_by.len() + aggs.len() - 1
+                }
+                Proj::Star => unreachable!("validated: * stands alone"),
+            });
+        }
+        let rows = aggregate(cells, &self.group_by, &aggs)
+            .iter()
+            .map(|row| picks.iter().map(|&i| row[i].clone()).collect())
+            .collect();
+        QueryOutput { schema, rows }
     }
-    let pick = |row: &Row| -> Row { picks.iter().map(|&i| row[i].clone()).collect() };
-    let rows = if grouped {
-        aggregate(rows, &keys, &aggs).iter().map(pick).collect()
-    } else {
-        rows.map(|row| pick(&row)).collect()
-    };
-    Ok(QueryOutput { schema, rows })
 }
 
 #[cfg(test)]

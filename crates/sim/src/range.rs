@@ -77,7 +77,7 @@ impl<T: KnobValue> KnobRange<T> {
     ///
     /// # Errors
     ///
-    /// Returns the refusal message, e.g. "`tasks` must be >= 15, got 5"
+    /// Returns the refusal message, e.g. "`mttf_secs` must be > 0, got 0"
     /// (or "must be finite and >= 0, got inf").
     pub fn check(&self, key: impl fmt::Display, value: T) -> Result<(), String> {
         if self.contains(value) {

@@ -49,6 +49,12 @@ pub enum WorkflowClass {
     Sipht,
 }
 
+/// The largest task count any family generates: 50 times the largest
+/// workflow in use (the 2000-task resilient benchmark cells), so a spec
+/// asking for a workflow that cannot fit in memory is refused before a
+/// generator allocates for it.
+pub const MAX_TASKS: usize = 100_000;
+
 impl WorkflowClass {
     /// All five families.
     pub const ALL: [WorkflowClass; 5] = [
@@ -83,25 +89,39 @@ impl WorkflowClass {
         }
     }
 
+    /// The task counts the family's generator accepts:
+    /// [`min_tasks`](WorkflowClass::min_tasks) up to [`MAX_TASKS`].
+    #[must_use]
+    pub const fn tasks_range(self) -> KnobRange<usize> {
+        KnobRange::closed(self.min_tasks(), MAX_TASKS)
+    }
+
     /// Checks a requested task count against
-    /// [`min_tasks`](WorkflowClass::min_tasks).
+    /// [`tasks_range`](WorkflowClass::tasks_range).
     ///
     /// # Errors
     ///
     /// Returns the refusal message naming the family and `tasks`, e.g.
-    /// "epigenomics: `tasks` must be >= 15, got 5".
+    /// "epigenomics: `tasks` must be in [15, 100000], got 5".
     pub fn check_tasks(self, n: usize) -> Result<(), String> {
-        KnobRange::at_least(self.min_tasks())
+        self.tasks_range()
             .check("tasks", n)
             .map_err(|e| format!("{self}: {e}"))
+    }
+
+    /// The family names in [`ALL`](WorkflowClass::ALL) order, comma
+    /// separated, for refusal messages.
+    #[must_use]
+    pub fn names() -> String {
+        WorkflowClass::ALL.map(WorkflowClass::as_str).join(", ")
     }
 
     /// Generates an instance with approximately `n` tasks.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkflowError::InvalidParameter`] if `n` is below
-    /// [`min_tasks`](WorkflowClass::min_tasks).
+    /// Returns [`WorkflowError::InvalidParameter`] if `n` is outside
+    /// [`tasks_range`](WorkflowClass::tasks_range).
     pub fn generate(self, n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
         match self {
             WorkflowClass::Montage => montage(n, seed),
@@ -134,8 +154,8 @@ impl std::fmt::Display for WorkflowClass {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
-/// [`WorkflowClass::min_tasks`].
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is outside
+/// [`WorkflowClass::tasks_range`].
 pub fn montage(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     require_tasks(WorkflowClass::Montage, n)?;
     let w = (n - 5) / 3;
@@ -233,8 +253,8 @@ pub fn montage(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
-/// [`WorkflowClass::min_tasks`].
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is outside
+/// [`WorkflowClass::tasks_range`].
 pub fn cybershake(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     require_tasks(WorkflowClass::CyberShake, n)?;
     let s = (n - 4) / 2;
@@ -306,8 +326,8 @@ pub fn cybershake(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
-/// [`WorkflowClass::min_tasks`].
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is outside
+/// [`WorkflowClass::tasks_range`].
 pub fn epigenomics(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     require_tasks(WorkflowClass::Epigenomics, n)?;
     let lanes = 4usize;
@@ -406,8 +426,8 @@ pub fn epigenomics(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
-/// [`WorkflowClass::min_tasks`].
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is outside
+/// [`WorkflowClass::tasks_range`].
 pub fn ligo_inspiral(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     require_tasks(WorkflowClass::LigoInspiral, n)?;
     let g = (n / 50).max(1);
@@ -474,8 +494,8 @@ pub fn ligo_inspiral(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
 ///
 /// # Errors
 ///
-/// Returns [`WorkflowError::InvalidParameter`] if `n` is below
-/// [`WorkflowClass::min_tasks`].
+/// Returns [`WorkflowError::InvalidParameter`] if `n` is outside
+/// [`WorkflowClass::tasks_range`].
 pub fn sipht(n: usize, seed: u64) -> Result<Workflow, WorkflowError> {
     require_tasks(WorkflowClass::Sipht, n)?;
     let p = n - 12;

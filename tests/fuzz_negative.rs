@@ -69,6 +69,11 @@ fn corruptions(bad: &str) -> Vec<Corruption> {
             needle: "scheduler",
         },
         Corruption {
+            label: "a workflow too large to generate",
+            json: spec_with("").replace(r#""tasks": 16"#, r#""tasks": 1000000000000"#),
+            needle: "montage: `tasks`",
+        },
+        Corruption {
             label: "empty families axis",
             json: spec_with("").replace(r#"["montage"]"#, "[]"),
             needle: "families",
@@ -554,9 +559,10 @@ fn int_knobs() -> Vec<(String, KnobRange<u64>, String)> {
         ),
     ];
     for class in WorkflowClass::ALL {
+        let tasks = class.tasks_range();
         knobs.push((
             format!("{class}: `tasks`"),
-            KnobRange::at_least(class.min_tasks() as u64),
+            KnobRange::closed(tasks.lo as u64, tasks.hi.unwrap() as u64),
             spec_with("")
                 .replace("montage", class.as_str())
                 .replace(r#""tasks": 16"#, r#""tasks": @"#),
