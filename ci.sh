@@ -71,6 +71,23 @@ if [ -n "$step_loops" ]; then
 fi
 echo "crates/core/src: one step loop (exec::drive)"
 
+echo "==> one spec resolution guard"
+# A sweep resolves its spec once per run: validation builds every
+# family's generator class, every platform and the cells' engine config
+# (CampaignSpec::resolve), and each cell reads them. A name lookup or
+# config build anywhere else in helios-core is a cell re-resolving its
+# set-up. The fuzz generator draws specs from the presets and is exempt.
+resolutions=$(grep -rnE 'presets::by_name\(|family_class\(|\.resilience_config\(\)|\.elasticity_config\(\)' \
+    crates/core/src --include='*.rs' \
+    | grep -v '^crates/core/src/campaign/spec\.rs:' \
+    | grep -v '^crates/core/src/fuzz/gen\.rs:' || true)
+if [ -n "$resolutions" ]; then
+    echo "$resolutions" >&2
+    echo "spec resolution outside campaign/spec.rs: read the run's Resolved set-up instead" >&2
+    exit 1
+fi
+echo "crates/core/src: one spec resolution (CampaignSpec::resolve)"
+
 echo "==> T15 ensemble table pin"
 # The release t15_ensemble table (18 ensemble runs, about a second) must
 # match its committed copy, with one worker and with two.
@@ -455,12 +472,13 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> rustdoc intra-doc links (helios crates)"
+echo "==> rustdoc (helios crates, warnings denied)"
 # A deleted, renamed or private item must not leave a dangling doc link
-# behind. --lib documents only the library targets: the root `helios`
-# lib and the helios-cli `helios` binary would otherwise collide on one
-# output file name.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+# behind, and no other rustdoc warning (a redundant explicit link
+# target, say) may creep back in. --lib documents only the library
+# targets: the root `helios` lib and the helios-cli `helios` binary
+# would otherwise collide on one output file name.
+RUSTDOCFLAGS="-D warnings" \
     cargo doc --no-deps --lib -p helios -p helios-sim -p helios-platform \
     -p helios-workflow -p helios-sched -p helios-energy -p helios-rt \
     -p helios-core -p helios-cli -p helios-bench

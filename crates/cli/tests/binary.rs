@@ -503,24 +503,34 @@ fn step_budget_env_override_times_cells_out() {
 }
 
 /// `HELIOS_CELL_STEP_BUDGET` is held to the same declared range as the
-/// spec's `cell_step_budget`: zero is refused naming the variable.
+/// spec's `cell_step_budget`: zero is refused naming the variable. It is
+/// read before anything is written, so a store-backed run leaves no
+/// store file behind.
 #[test]
 fn zero_step_budget_env_is_refused_naming_the_variable() {
     let dir = std::env::temp_dir().join("helios-bin-budget-zero");
     std::fs::create_dir_all(&dir).unwrap();
     let spec = dir.join("spec.json");
     std::fs::write(&spec, SPEC_JSON).unwrap();
-    let out = helios()
-        .args(["campaign", "run", "--spec", spec.to_str().unwrap()])
-        .env("HELIOS_CELL_STEP_BUDGET", "0")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "a zero budget must be refused");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("`HELIOS_CELL_STEP_BUDGET` must be >= 1, got 0"),
-        "{stderr}"
-    );
+    let store = dir.join("refused.store");
+    let _ = std::fs::remove_file(&store);
+    let run = ["campaign", "run", "--spec", spec.to_str().unwrap()];
+    let with_store = ["--store", store.to_str().unwrap()];
+    for extra in [&[][..], &with_store[..]] {
+        let out = helios()
+            .args(run)
+            .args(extra)
+            .env("HELIOS_CELL_STEP_BUDGET", "0")
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "a zero budget must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("`HELIOS_CELL_STEP_BUDGET` must be >= 1, got 0"),
+            "{extra:?}: {stderr}"
+        );
+        assert!(!store.exists(), "{extra:?}: the refused run wrote a store");
+    }
 }
 
 #[test]

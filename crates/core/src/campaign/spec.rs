@@ -24,7 +24,8 @@
 use serde::{Deserialize, Serialize};
 
 use helios_platform::presets::{self, CLUSTER_NODES, NAMES as PLATFORM_NAMES};
-use helios_sched::LookaheadScheduler;
+use helios_platform::Platform;
+use helios_sched::{AnnealingScheduler, LookaheadScheduler, Scheduler};
 use helios_sim::failure::SCALE_SECS;
 use helios_sim::KnobRange;
 use helios_workflow::generators::WorkflowClass;
@@ -286,7 +287,8 @@ pub struct CampaignSpec {
     /// Optional watchdog budget on simulated events per cell; a cell
     /// exceeding it is recorded as timed out instead of grinding the
     /// campaign. Overridable at run time via the
-    /// `HELIOS_CELL_STEP_BUDGET` environment variable.
+    /// `HELIOS_CELL_STEP_BUDGET` environment variable, which a sweep
+    /// reads and checks once per run, before anything is written.
     #[serde(default)]
     pub cell_step_budget: Option<u64>,
 }
@@ -342,6 +344,12 @@ impl CampaignSpec {
     /// spells it; an empty axis is a hard error because it silently
     /// expands to zero cells.
     pub fn validate(&self) -> Result<(), EngineError> {
+        self.resolve().map(drop)
+    }
+
+    /// [`validate`](CampaignSpec::validate), keeping what the checks
+    /// build for the cells of a run to share.
+    pub(crate) fn resolve(&self) -> Result<Resolved<'_>, EngineError> {
         self.check().map_err(|e| match e {
             EngineError::Config(detail) => EngineError::Campaign(CampaignError::InvalidSpec {
                 spec: self.name.clone(),
@@ -353,7 +361,7 @@ impl CampaignSpec {
 
     /// The checks of [`validate`](CampaignSpec::validate), refusing with
     /// [`EngineError::Config`].
-    fn check(&self) -> Result<(), EngineError> {
+    fn check(&self) -> Result<Resolved<'_>, EngineError> {
         if self.families.is_empty() {
             return Err(format!(
                 "`families` is empty, so the grid has no cells; list at least one of {}",
@@ -361,11 +369,13 @@ impl CampaignSpec {
             )
             .into());
         }
+        let mut classes = Vec::with_capacity(self.families.len());
         for f in &self.families {
             let Some(class) = family_class(f) else {
                 return Err(format!("unknown family {f:?} ({})", WorkflowClass::names()).into());
             };
             class.check_tasks(self.tasks)?;
+            classes.push(class);
         }
         if self.platforms.is_empty() {
             return Err(format!(
@@ -392,16 +402,16 @@ impl CampaignSpec {
                     .into(),
             );
         }
+        let lineup = helios_sched::all_schedulers();
+        let mut schedulers = Vec::with_capacity(self.schedulers.len());
         for s in &self.schedulers {
-            if helios_sched::scheduler_by_name(s).is_none() {
-                let names: Vec<String> = helios_sched::all_schedulers()
-                    .iter()
-                    .map(|s| s.name().to_owned())
-                    .collect();
+            let Some(at) = lineup.iter().position(|l| l.name() == s) else {
+                let names: Vec<&str> = lineup.iter().map(|l| l.name()).collect();
                 return Err(
                     format!("unknown scheduler {s:?} (available: {})", names.join(", ")).into(),
                 );
-            }
+            };
+            schedulers.push(at);
         }
         if let Some(sp) = &self.scheduler_params {
             if let Some(n) = sp.annealing_iterations {
@@ -458,7 +468,7 @@ impl CampaignSpec {
         // Builds the full engine-level config, which validates the fault
         // model, the link-fault parameters, every domain (kind tag,
         // members, probabilities) and domain-name uniqueness.
-        self.resilience_config()?;
+        let resilience = self.resilience_config()?;
         // Times, notices and churn rates are validated by the
         // engine-level elasticity config; device names below, per
         // platform.
@@ -476,7 +486,31 @@ impl CampaignSpec {
                 el.device_ids(platform)?;
             }
         }
-        Ok(())
+        // Elastic cells always run through the resilient runner:
+        // departures feed its recovery machinery. Without a `resilience`
+        // block they get a benign stack. A `faults` block (exclusive with
+        // both) is flat retry on the plain engine, whose occupancy model
+        // reads the same vocabulary.
+        let resilient = resilience.is_some() || self.elasticity.is_some();
+        let resilience = resilience
+            .or_else(|| self.elasticity.as_ref().map(|_| benign_resilience()))
+            .or_else(|| self.faults.map(|fk| fk.to_config()));
+        Ok(Resolved {
+            spec: self,
+            classes,
+            platforms,
+            schedulers,
+            config: EngineConfig {
+                noise_cv: self.noise_cv,
+                link_contention: self.link_contention,
+                data_caching: self.data_caching,
+                resilience,
+                elasticity: self.elasticity.clone(),
+                step_budget: self.cell_step_budget,
+                ..EngineConfig::default()
+            },
+            resilient,
+        })
     }
 
     /// The full engine-level resilience configuration of the spec:
@@ -496,20 +530,6 @@ impl CampaignSpec {
         config.domains = self.failure_domains.clone();
         config.validate()?;
         Ok(Some(config))
-    }
-
-    /// The engine-level elasticity configuration of the spec, validated.
-    /// `None` without an `elasticity` block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] naming the offending field.
-    pub fn elasticity_config(&self) -> Result<Option<ElasticityConfig>, EngineError> {
-        let Some(config) = &self.elasticity else {
-            return Ok(None);
-        };
-        config.validate()?;
-        Ok(Some(config.clone()))
     }
 
     /// Legal number of cells in a spec's grid. A grid's cells are
@@ -540,15 +560,51 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] if the spec is invalid or the
-    /// grid is empty.
+    /// Returns the refusal of [`validate`](CampaignSpec::validate): a
+    /// spec that validates has at least one cell.
     pub fn expand(&self) -> Result<Vec<SweepCell>, EngineError> {
-        self.validate()?;
-        let mut cells = Vec::with_capacity(self.num_cells());
-        for family in &self.families {
-            for platform in &self.platforms {
-                for scheduler in &self.schedulers {
-                    for seed in self.seeds.iter() {
+        Ok(self.resolve()?.cells())
+    }
+
+    /// A stable digest of the canonical spec JSON, used by the merge
+    /// path to refuse mixing shards from different specs. Stored as a
+    /// hex string (the JSON number space cannot carry 64 bits exactly).
+    #[must_use]
+    pub fn digest(&self) -> String {
+        let canonical = serde_json::to_string(self).expect("spec serialization is infallible");
+        format!("{:016x}", fnv1a(canonical.as_bytes()))
+    }
+}
+
+/// A validated spec and what its checks built, shared by every cell of
+/// one run. A cell finds its family, platform and scheduler from its
+/// global index, so no cell resolves a name again.
+pub(crate) struct Resolved<'a> {
+    pub(crate) spec: &'a CampaignSpec,
+    pub(crate) classes: Vec<WorkflowClass>,
+    platforms: Vec<Platform>,
+    /// Each spec scheduler's place in `helios_sched::all_schedulers`.
+    schedulers: Vec<usize>,
+    /// The cell config less its seed: noise, contention, caching, the
+    /// fault stack (a `resilience` block, the benign stack of an elastic
+    /// spec without one, or the `faults` knob), elasticity and the step
+    /// budget.
+    pub(crate) config: EngineConfig,
+    /// Whether cells run through the resilient runner rather than the
+    /// plain engine: a `resilience` or `elasticity` block.
+    pub(crate) resilient: bool,
+}
+
+impl Resolved<'_> {
+    /// The grid's cells, in declaration order (family × platform ×
+    /// scheduler × seed, seed innermost).
+    pub(crate) fn cells(&self) -> Vec<SweepCell> {
+        let spec = self.spec;
+        let mut cells = Vec::with_capacity(spec.num_cells());
+        for family in &spec.families {
+            for platform in &spec.platforms {
+                for scheduler in &spec.schedulers {
+                    for seed in spec.seeds.iter() {
                         cells.push(SweepCell {
                             index: cells.len(),
                             family: family.clone(),
@@ -560,23 +616,50 @@ impl CampaignSpec {
                 }
             }
         }
-        if cells.is_empty() {
-            return Err(EngineError::Campaign(CampaignError::InvalidSpec {
-                spec: self.name.clone(),
-                detail: "expands to zero cells".into(),
-            }));
-        }
-        Ok(cells)
+        cells
     }
 
-    /// A stable digest of the canonical spec JSON, used by the merge
-    /// path to refuse mixing shards from different specs. Stored as a
-    /// hex string (the JSON number space cannot carry 64 bits exactly).
-    #[must_use]
-    pub fn digest(&self) -> String {
-        let canonical = serde_json::to_string(self).expect("spec serialization is infallible");
-        format!("{:016x}", fnv1a(canonical.as_bytes()))
+    /// The family, platform and scheduler axis positions of `cell`,
+    /// read off its global index.
+    pub(crate) fn axes(&self, cell: &SweepCell) -> [usize; 3] {
+        let (platforms, schedulers) = (self.platforms.len(), self.schedulers.len());
+        let run = cell.index / self.spec.seeds.count;
+        let (family, platform) = (run / schedulers / platforms, run / schedulers % platforms);
+        [family, platform, run % schedulers]
     }
+
+    /// The platform `cell` runs on.
+    pub(crate) fn platform(&self, cell: &SweepCell) -> &Platform {
+        &self.platforms[self.axes(cell)[1]]
+    }
+
+    /// Builds the scheduler of `cell`, honoring the spec's per-scheduler
+    /// tuning overrides; schedulers without an override come from the
+    /// default lineup, so a knob-free spec is byte-identical to one swept
+    /// before the knobs existed.
+    pub(crate) fn scheduler(&self, cell: &SweepCell) -> Box<dyn Scheduler> {
+        let params = self.spec.scheduler_params.unwrap_or_default();
+        match (
+            cell.scheduler.as_str(),
+            params.annealing_iterations,
+            params.lookahead_depth,
+        ) {
+            ("annealing", Some(iterations), _) => Box::new(AnnealingScheduler::new(iterations, 0)),
+            ("lookahead", _, Some(depth)) => Box::new(LookaheadScheduler::with_depth(depth)),
+            _ => helios_sched::all_schedulers().swap_remove(self.schedulers[self.axes(cell)[2]]),
+        }
+    }
+}
+
+/// The resilience stack backing elastic cells of a spec without a
+/// `resilience` block: an astronomical MTTF keeps the failure machinery
+/// quiet, and flat retry with a generous budget recovers work lost to
+/// departures.
+fn benign_resilience() -> ResilienceConfig {
+    ResilienceConfig::new(
+        FailureModel::exponential(1e12),
+        RecoveryPolicy::flat_retry(100),
+    )
 }
 
 /// 64-bit FNV-1a over a byte string.
@@ -1151,8 +1234,13 @@ mod tests {
         assert_eq!(el.churn[0].weibull_shape, Some(1.4));
         let round = CampaignSpec::from_json(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(spec, round);
-        // And the knob lowers into a validating engine config.
-        spec.elasticity_config().unwrap().unwrap();
+        // And the knob lowers into the cells' engine config.
+        let resolved = spec.resolve().unwrap();
+        assert_eq!(
+            resolved.config.elasticity.as_ref(),
+            spec.elasticity.as_ref()
+        );
+        assert!(resolved.resilient, "elastic cells run the resilient runner");
 
         // Churn-only block, exponential (no shape).
         let spec = CampaignSpec::from_json(&elastic_json(

@@ -1,10 +1,14 @@
 //! The sharded sweep driver: shared-nothing partitions of a spec grid.
 //!
 //! A [`SweepDriver`] runs the cells of a [`CampaignSpec`] through the
-//! [`CampaignEngine`](super::CampaignEngine). Sharding splits the cell
-//! space by striding over global cell indices — shard `k` of `n` owns
-//! every cell with `index % n == k - 1` — so shards are balanced even
-//! when the grid's axes correlate with cost (e.g. seeds innermost).
+//! [`CampaignEngine`]. Sharding splits the cell space by striding over
+//! global cell indices — shard `k` of `n` owns every cell with
+//! `index % n == k - 1` — so shards are balanced even when the grid's
+//! axes correlate with cost (e.g. seeds innermost).
+//!
+//! A run resolves its spec once, before it opens its sink: validation
+//! builds every platform and the engine config the cells share, and
+//! each cell then only plans, applies the DVFS knob and runs.
 //!
 //! Every cell is a pure function of the spec and its grid coordinates:
 //! the workflow, plan and engine seed all derive from the cell's own
@@ -20,12 +24,12 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use helios_platform::{presets, Platform};
-use helios_sched::{AnnealingScheduler, LookaheadScheduler, Placement, Schedule, Scheduler};
+use helios_platform::Platform;
+use helios_sched::{Placement, Schedule};
 use helios_workflow::Workflow;
 
 use super::journal::{self, JournalHeader, JournalWriter, DEFAULT_POISON_LIMIT};
-use super::spec::{family_class, CampaignSpec, DvfsKnob, SweepCell};
+use super::spec::{CampaignSpec, DvfsKnob, Resolved, SweepCell};
 use super::{CampaignEngine, CampaignError};
 use crate::exec::IncompleteReason;
 use crate::resilience::ResilientRunner;
@@ -420,7 +424,11 @@ impl SweepDriver {
         mut sink: S,
         opts: &SweepOptions<'_>,
     ) -> Result<SweepOutcome, EngineError> {
-        let cells = spec.expand()?;
+        let mut run = spec.resolve()?;
+        if let Some(budget) = step_budget_override()? {
+            run.config.step_budget = Some(budget);
+        }
+        let cells = run.cells();
         let total_cells = cells.len();
         let mut report = ShardReport {
             spec_name: spec.name.clone(),
@@ -467,10 +475,10 @@ impl SweepDriver {
         // executes outside the sink lock, and only the appends serialize.
         let sink = Mutex::new(sink);
         let lock = || sink.lock().expect("no poisoned sink lock");
-        let workflows = Workflows::new(spec, &pending);
-        let run = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
+        let workflows = Workflows::new(&run, &pending);
+        let ran = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
             lock().attempt(cell.index)?;
-            let result = workflows.with(cell, |wf| run_cell(spec, cell, wf))?;
+            let result = workflows.with(cell, |wf| run_cell(&run, cell, wf))?;
             lock().append(&result)?;
             Ok::<_, EngineError>(result)
         });
@@ -478,7 +486,7 @@ impl SweepDriver {
         // become durable before the error (which takes precedence)
         // propagates.
         let flush = lock().flush();
-        let (fresh, drained) = run?;
+        let (fresh, drained) = ran?;
         flush?;
         remaining += pending.len() - fresh.len();
 
@@ -506,8 +514,9 @@ impl SweepDriver {
 /// Generation errors are not kept, so every cell of a failing pair fails
 /// on its own generation, as a cell with a workflow of its own would.
 struct Workflows<'a> {
-    spec: &'a CampaignSpec,
-    live: Mutex<HashMap<(String, u64), Live>>,
+    run: &'a Resolved<'a>,
+    /// Keyed by family axis position and seed.
+    live: Mutex<HashMap<(usize, u64), Live>>,
     /// Workflows generated so far.
     generated: AtomicUsize,
 }
@@ -520,10 +529,10 @@ struct Live {
 }
 
 impl<'a> Workflows<'a> {
-    fn new(spec: &'a CampaignSpec, pending: &[SweepCell]) -> Workflows<'a> {
-        let mut live: HashMap<(String, u64), Live> = HashMap::new();
+    fn new(run: &'a Resolved<'a>, pending: &[SweepCell]) -> Workflows<'a> {
+        let mut live: HashMap<(usize, u64), Live> = HashMap::new();
         for cell in pending {
-            live.entry((cell.family.clone(), cell.seed))
+            live.entry((run.axes(cell)[0], cell.seed))
                 .or_insert(Live {
                     uses: 0,
                     workflow: None,
@@ -531,7 +540,7 @@ impl<'a> Workflows<'a> {
                 .uses += 1;
         }
         Workflows {
-            spec,
+            run,
             live: Mutex::new(live),
             generated: AtomicUsize::new(0),
         }
@@ -544,18 +553,22 @@ impl<'a> Workflows<'a> {
         cell: &SweepCell,
         f: impl FnOnce(&Workflow) -> Result<R, EngineError>,
     ) -> Result<R, EngineError> {
-        let key = (cell.family.clone(), cell.seed);
+        let key = (self.run.axes(cell)[0], cell.seed);
         let lock = || self.live.lock().expect("no poisoned workflow lock");
         let workflow = {
             let mut live = lock();
             let pair = live.get_mut(&key).expect("a pending cell's pair is live");
             match &pair.workflow {
                 Some(wf) => Ok(Arc::clone(wf)),
-                None => self.generate(cell).map(|wf| {
-                    let wf = Arc::new(wf);
-                    pair.workflow = Some(Arc::clone(&wf));
-                    wf
-                }),
+                None => self.run.classes[key.0]
+                    .generate(self.run.spec.tasks, cell.seed)
+                    .map_err(EngineError::from)
+                    .map(|wf| {
+                        self.generated.fetch_add(1, Ordering::Relaxed);
+                        let wf = Arc::new(wf);
+                        pair.workflow = Some(Arc::clone(&wf));
+                        wf
+                    }),
             }
         };
         let result = workflow.and_then(|wf| f(&wf));
@@ -566,14 +579,6 @@ impl<'a> Workflows<'a> {
             live.remove(&key);
         }
         result
-    }
-
-    fn generate(&self, cell: &SweepCell) -> Result<Workflow, EngineError> {
-        let class = family_class(&cell.family)
-            .ok_or_else(|| EngineError::Config(format!("unknown family {:?}", cell.family)))?;
-        let wf = class.generate(self.spec.tasks, cell.seed)?;
-        self.generated.fetch_add(1, Ordering::Relaxed);
-        Ok(wf)
     }
 }
 
@@ -808,7 +813,10 @@ fn poisoned_result(cell: &SweepCell) -> CellResult {
 /// sinks honour, plus the journal's crash-injection hooks. Hooks are
 /// explicit fields (not environment variables) so parallel tests cannot
 /// race on process state; the CLI translates its `HELIOS_*` variables
-/// into these.
+/// into these. The one variable the driver reads itself,
+/// `HELIOS_CELL_STEP_BUDGET`, is an override of the spec's
+/// `cell_step_budget`, read and checked once per run, before anything
+/// is written.
 #[derive(Debug, Default)]
 pub struct SweepOptions<'a> {
     /// Cap on cells *executed* by this invocation (the
@@ -863,67 +871,18 @@ pub struct SweepOutcome {
     pub workflows_generated: usize,
 }
 
-/// Builds the scheduler for one cell, honoring the spec's per-scheduler
-/// tuning overrides; schedulers without an override come from the
-/// default lineup, so a knob-free spec is byte-identical to one swept
-/// before the knobs existed. Shared with the [`fuzz`](crate::fuzz)
-/// oracles, which must plan cells exactly the way the sweep does.
-pub(crate) fn cell_scheduler(spec: &CampaignSpec, name: &str) -> Option<Box<dyn Scheduler>> {
-    if let Some(params) = &spec.scheduler_params {
-        match name {
-            "annealing" => {
-                if let Some(iterations) = params.annealing_iterations {
-                    return Some(Box::new(AnnealingScheduler::new(iterations, 0)));
-                }
-            }
-            "lookahead" => {
-                if let Some(depth) = params.lookahead_depth {
-                    return Some(Box::new(LookaheadScheduler::with_depth(depth)));
-                }
-            }
-            _ => {}
-        }
-    }
-    helios_sched::scheduler_by_name(name)
-}
-
 /// Executes one grid cell on its (family, seed) workflow: plan, apply
-/// the DVFS knob, run.
+/// the DVFS knob, run. Everything else the cell needs was built once for
+/// the run.
 fn run_cell(
-    spec: &CampaignSpec,
+    run: &Resolved<'_>,
     cell: &SweepCell,
     wf: &Workflow,
 ) -> Result<CellResult, EngineError> {
-    let platform = presets::by_name(&cell.platform)
-        .ok_or_else(|| EngineError::Config(format!("unknown platform {:?}", cell.platform)))?;
-    let scheduler = cell_scheduler(spec, &cell.scheduler)
-        .ok_or_else(|| EngineError::Config(format!("unknown scheduler {:?}", cell.scheduler)))?;
-
-    // Elastic cells always run through the resilient runner: departures
-    // feed its recovery machinery. A spec with capacity events but no
-    // `resilience` block gets a benign stack — failures effectively
-    // never fire, departures recover through flat retry.
-    let elasticity = spec.elasticity_config()?;
-    let mut resilience = spec.resilience_config()?;
-    if elasticity.is_some() && resilience.is_none() {
-        resilience = Some(benign_resilience());
-    }
-    // The runner is chosen by the spec's own blocks: `resilience` (or
-    // capacity events) runs the resilient runner, which also fills the
-    // resilience columns. A `faults` block (exclusive with both) is flat
-    // retry on the plain engine, whose occupancy model reads the same
-    // vocabulary.
-    let resilient = resilience.is_some();
-    let resilience = resilience.or_else(|| spec.faults.map(|fk| fk.to_config()));
+    let platform = run.platform(cell);
     let config = EngineConfig {
         seed: cell.seed,
-        noise_cv: spec.noise_cv,
-        link_contention: spec.link_contention,
-        data_caching: spec.data_caching,
-        resilience,
-        elasticity,
-        step_budget: cell_step_budget(spec)?,
-        ..Default::default()
+        ..run.config.clone()
     };
 
     let mut result = blank_result(cell);
@@ -931,15 +890,16 @@ fn run_cell(
     // Planning and execution share one error funnel: an infeasible
     // family × platform pairing fails in `schedule`, everything else in
     // the runner, and both must become measurements when classifiable.
-    let outcome = scheduler
-        .schedule(wf, &platform)
+    let outcome = run
+        .scheduler(cell)
+        .schedule(wf, platform)
         .map_err(EngineError::from)
-        .and_then(|plan| apply_dvfs(spec.dvfs, &platform, plan))
+        .and_then(|plan| apply_dvfs(run.spec.dvfs, platform, plan))
         .and_then(|plan| {
-            if resilient {
-                ResilientRunner::new(config).execute_plan(&platform, wf, &plan)
+            if run.resilient {
+                ResilientRunner::new(config).execute_plan(platform, wf, &plan)
             } else {
-                Engine::new(config).execute_plan(&platform, wf, &plan)
+                Engine::new(config).execute_plan(platform, wf, &plan)
             }
         });
     let report = match outcome {
@@ -961,7 +921,7 @@ fn run_cell(
     };
 
     result.makespan_secs = report.makespan().as_secs();
-    result.slr = report.slr(wf, &platform)?;
+    result.slr = report.slr(wf, platform)?;
     result.energy_j = report.energy().total_j();
     result.transfers = report.transfers().count;
     result.transfer_bytes = report.transfers().bytes;
@@ -994,47 +954,16 @@ fn blank_result(cell: &SweepCell) -> CellResult {
         platform: cell.platform.clone(),
         scheduler: cell.scheduler.clone(),
         seed: cell.seed,
-        makespan_secs: 0.0,
-        slr: 0.0,
-        energy_j: 0.0,
-        transfers: 0,
-        transfer_bytes: 0.0,
-        failures: 0,
-        retries: 0,
         completed: true,
-        wasted_work_secs: 0.0,
-        recovery_overhead_secs: 0.0,
-        makespan_degradation: 0.0,
-        reroutes: 0,
-        partition_downtime_secs: 0.0,
-        rematerialized_tasks: 0,
-        rematerialized_bytes: 0.0,
-        incomplete_reason: None,
-        capacity_secs: 0.0,
-        preemptions: 0,
-        drain_migrated_tasks: 0,
-        join_utilization: 0.0,
+        ..CellResult::default()
     }
 }
 
-/// The resilience stack backing elastic cells of a spec without a
-/// `resilience` block: an astronomical MTTF keeps the failure machinery
-/// quiet, and flat retry with a generous budget recovers work lost to
-/// departures.
-fn benign_resilience() -> crate::resilience::ResilienceConfig {
-    use crate::resilience::{FailureModel, RecoveryPolicy, ResilienceConfig};
-    ResilienceConfig::new(
-        FailureModel::exponential(1e12),
-        RecoveryPolicy::flat_retry(100),
-    )
-}
-
-/// The per-cell simulated-event watchdog budget: the
-/// `HELIOS_CELL_STEP_BUDGET` environment variable when set (an
-/// operational override for stuck campaigns), else the spec's
-/// `cell_step_budget`. Both are held to
-/// [`EngineConfig::STEP_BUDGET`].
-fn cell_step_budget(spec: &CampaignSpec) -> Result<Option<u64>, EngineError> {
+/// The `HELIOS_CELL_STEP_BUDGET` environment variable, when set: an
+/// operational override of the spec's `cell_step_budget` for stuck
+/// campaigns, held to [`EngineConfig::STEP_BUDGET`]. Read once per run,
+/// before anything is written.
+fn step_budget_override() -> Result<Option<u64>, EngineError> {
     const VAR: &str = "HELIOS_CELL_STEP_BUDGET";
     match std::env::var(VAR) {
         Ok(v) if !v.trim().is_empty() => {
@@ -1043,7 +972,7 @@ fn cell_step_budget(spec: &CampaignSpec) -> Result<Option<u64>, EngineError> {
             EngineConfig::STEP_BUDGET.check(VAR, budget)?;
             Ok(Some(budget))
         }
-        _ => Ok(spec.cell_step_budget),
+        _ => Ok(None),
     }
 }
 
@@ -1151,7 +1080,9 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<SweepReport, EngineError> 
         .into());
     }
 
-    let summary = summarize(&cells);
+    // Means per (family, platform, scheduler) over completed cells, rows
+    // in declaration order (the cells are sorted by index).
+    let summary = crate::store::summarize_cells(&cells);
     Ok(SweepReport {
         spec_name: first.spec_name.clone(),
         spec_digest: first.spec_digest.clone(),
@@ -1159,25 +1090,6 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<SweepReport, EngineError> 
         cells,
         summary,
     })
-}
-
-/// Means per (family, platform, scheduler), rows in first-seen order —
-/// i.e. spec declaration order, since cells are sorted by index.
-///
-/// Means cover completed cells only (a lost workload has no makespan);
-/// incomplete cells count toward the row's size and depress its
-/// completion probability instead. A row where *every* cell is
-/// incomplete carries `None` means: `0.0` would be indistinguishable
-/// from a genuinely instant run.
-/// Since PR 10 this is a group-by plan over the columnar executor
-/// pipeline — `SUMMARY_KEYS`/`SUMMARY_AGGREGATES` in
-/// [`crate::store::schema`] are the single description of the keys,
-/// the aggregates and the null-mean rule, shared with `helios query`
-/// and the CLI printer. The plan accumulates sums in the same
-/// cell-sorted order as the original sequential loop, so its output is
-/// bit-identical.
-fn summarize(cells: &[CellResult]) -> Vec<SummaryRow> {
-    crate::store::summarize_cells(cells)
 }
 
 #[cfg(test)]
@@ -1192,9 +1104,10 @@ mod tests {
         let (mut generated, mut peak) = (0, 0);
         for k in 1..=n {
             let shard = ShardSpec::new(k, n).unwrap();
-            let mut pending = spec.expand().unwrap();
+            let run = spec.resolve().unwrap();
+            let mut pending = run.cells();
             pending.retain(|c| shard.owns(c.index));
-            let workflows = Workflows::new(spec, &pending);
+            let workflows = Workflows::new(&run, &pending);
             let engine = CampaignEngine::new(jobs);
             let resident = || {
                 let live = workflows.live.lock().unwrap();
@@ -1280,7 +1193,9 @@ mod tests {
     #[test]
     fn generation_errors_are_not_kept() {
         // Validation refuses `tasks` below a family's minimum, so the
-        // spec is built unvalidated to reach the generator's own refusal.
+        // spec is built unvalidated, and the run resolved from a copy with
+        // a legal count is pointed at it, to reach the generator's own
+        // refusal.
         let spec: CampaignSpec = serde_json::from_str(
             r#"{
                 "name": "too-small",
@@ -1304,7 +1219,13 @@ mod tests {
                 seed: 0,
             })
             .collect();
-        let workflows = Workflows::new(&spec, &pending);
+        let legal = CampaignSpec {
+            tasks: 11,
+            ..spec.clone()
+        };
+        let mut run = legal.resolve().unwrap();
+        run.spec = &spec;
+        let workflows = Workflows::new(&run, &pending);
         let errors: Vec<String> = pending
             .iter()
             .map(|cell| {

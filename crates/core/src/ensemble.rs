@@ -6,11 +6,10 @@
 //! [`EnsembleRunner`] shares the platform between members under a
 //! configurable [`EnsemblePolicy`].
 //!
-//! An ensemble is the online dispatcher of
-//! [`OnlineRunner`](crate::OnlineRunner) over one union DAG: every
-//! member's tasks and edges, in the member's own order, so member `m`'s
-//! task `t` is global task `base[m] + t` and keeps its own noise and
-//! fault streams. Each member's entry tasks are released at its arrival,
+//! An ensemble is the online dispatcher of [`OnlineRunner`] over one
+//! union DAG: every member's tasks and edges, in the member's own order,
+//! so member `m`'s task `t` is global task `base[m] + t` and keeps its
+//! own noise and fault streams. Each member's entry tasks are released at its arrival,
 //! and the ranked order puts a member key (the policy) ahead of task
 //! rank. This module builds the union and splits the outcome back into
 //! per-member reports.

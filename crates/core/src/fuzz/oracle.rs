@@ -35,11 +35,9 @@
 //!
 //! [`Schedule::validate`]: helios_sched::Schedule::validate
 
-use helios_platform::presets;
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::spec::{family_class, CampaignSpec, SweepCell};
-use crate::campaign::sweep::cell_scheduler;
+use crate::campaign::spec::{CampaignSpec, Resolved};
 use crate::campaign::{merge_shards, ShardSpec, SweepDriver, SweepReport};
 use crate::config::EngineConfig;
 use crate::engine::Engine;
@@ -112,8 +110,7 @@ pub fn check_spec(
             )));
         }
     }
-    let cells = spec.expand()?;
-    if let Some(d) = single_cell_oracles(spec, &cells, broken)? {
+    if let Some(d) = single_cell_oracles(&spec.resolve()?, broken)? {
         return Ok(Some(d));
     }
     sweep_oracles(spec, broken)
@@ -125,20 +122,13 @@ pub fn check_spec(
 /// infeasible family × platform pairing) are the sweep driver's
 /// business and are checked by the cell-result invariants instead.
 fn single_cell_oracles(
-    spec: &CampaignSpec,
-    cells: &[SweepCell],
+    run: &Resolved<'_>,
     broken: Option<&str>,
 ) -> Result<Option<Divergence>, EngineError> {
-    for cell in cells {
-        let platform = presets::by_name(&cell.platform)
-            .ok_or_else(|| EngineError::Config(format!("unknown platform {:?}", cell.platform)))?;
-        let class = family_class(&cell.family)
-            .ok_or_else(|| EngineError::Config(format!("unknown family {:?}", cell.family)))?;
-        let scheduler = cell_scheduler(spec, &cell.scheduler).ok_or_else(|| {
-            EngineError::Config(format!("unknown scheduler {:?}", cell.scheduler))
-        })?;
-        let wf = class.generate(spec.tasks, cell.seed)?;
-        let Ok(plan) = scheduler.schedule(&wf, &platform) else {
+    for cell in run.cells() {
+        let platform = run.platform(&cell);
+        let wf = run.classes[run.axes(&cell)[0]].generate(run.spec.tasks, cell.seed)?;
+        let Ok(plan) = run.scheduler(&cell).schedule(&wf, platform) else {
             continue;
         };
         let at = format!(
@@ -149,7 +139,7 @@ fn single_cell_oracles(
         if broken == Some("schedule_invariants") {
             return Ok(Some(Divergence::sabotaged("schedule_invariants")));
         }
-        if let Err(e) = plan.validate(&wf, &platform) {
+        if let Err(e) = plan.validate(&wf, platform) {
             return Ok(Some(Divergence::new(
                 "schedule_invariants",
                 format!("{at}: planned schedule violates its contract: {e}"),
@@ -160,7 +150,7 @@ fn single_cell_oracles(
             seed: cell.seed,
             ..EngineConfig::default()
         })
-        .execute_plan(&platform, &wf, &plan)?;
+        .execute_plan(platform, &wf, &plan)?;
         if let Some(detail) = realized_violation(&at, &plain, wf.num_tasks()) {
             return Ok(Some(Divergence::new("schedule_invariants", detail)));
         }
@@ -169,7 +159,7 @@ fn single_cell_oracles(
             return Ok(Some(Divergence::sabotaged("hooks_off_identity")));
         }
         let composed = Engine::new(EngineConfig::all_hooks_off(cell.seed))
-            .execute_plan(&platform, &wf, &plan)?;
+            .execute_plan(platform, &wf, &plan)?;
         if plain != composed {
             return Ok(Some(Divergence::new(
                 "hooks_off_identity",
@@ -293,7 +283,7 @@ fn crash_resume_identity(
     if broken == Some("crash_resume_identity") {
         return Ok(Some(Divergence::sabotaged("crash_resume_identity")));
     }
-    let total = spec.expand()?.len();
+    let total = spec.num_cells();
     let digest = spec.digest();
     let h = crate::campaign::spec::fnv1a(digest.as_bytes());
     let driver = SweepDriver::new(1);
@@ -401,7 +391,7 @@ fn store_identity(
     if broken == Some("store_identity") {
         return Ok(Some(Divergence::sabotaged("store_identity")));
     }
-    let total = spec.expand()?.len();
+    let total = spec.num_cells();
     let digest = spec.digest();
     let h = crate::campaign::spec::fnv1a(digest.as_bytes());
     let driver = SweepDriver::new(1);

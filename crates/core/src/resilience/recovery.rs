@@ -297,7 +297,7 @@ impl Sim<'_> {
                 }
                 let secs = self.work_on(task, dev, device.nominal_level())?.as_secs();
                 let cand = (secs, dev.0);
-                if best.is_none() || cand < best.expect("checked") {
+                if best.is_none_or(|b| cand < b) {
                     best = Some(cand);
                 }
             }
@@ -313,26 +313,44 @@ impl Sim<'_> {
             let overhead = self.res.failures.restart_overhead_secs;
             self.counters.recovery += overhead;
             let ordinal = self.task_replicas[task.0].len();
-            let ri = self.replicas.len();
-            let remaining = self.work_on(task, device, level)?;
-            self.replicas.push(Replica {
-                task,
-                device,
-                level,
-                sort_key: (self.plan_key[task.0], task.0, ordinal),
-                state: RState::Queued,
-                gen: 0,
-                retries: 0,
-                launched: false,
-                occupied_from: SimTime::ZERO,
-                remaining_work: remaining,
-                floor: now + SimDuration::from_secs(overhead),
-                attempt: Attempt::default(),
-            });
-            self.task_replicas[task.0].push(ri);
+            let key = (self.plan_key[task.0], task.0, ordinal);
+            let floor = now + SimDuration::from_secs(overhead);
+            let ri = self.queue_replica(task, device, level, key, floor)?;
             self.insert_queued(d, ri);
         }
         Ok(())
+    }
+
+    /// Adds a queued replica of `task` on `device` at `level`, ordered
+    /// by `sort_key` and not startable before `floor`, with its full
+    /// work left; returns its index. The caller places it in the
+    /// device's queue.
+    pub(super) fn queue_replica(
+        &mut self,
+        task: TaskId,
+        device: DeviceId,
+        level: DvfsLevel,
+        sort_key: (SimTime, usize, usize),
+        floor: SimTime,
+    ) -> Result<usize, EngineError> {
+        let ri = self.replicas.len();
+        let remaining_work = self.work_on(task, device, level)?;
+        self.replicas.push(Replica {
+            task,
+            device,
+            level,
+            sort_key,
+            state: RState::Queued,
+            gen: 0,
+            retries: 0,
+            launched: false,
+            occupied_from: SimTime::ZERO,
+            remaining_work,
+            floor,
+            attempt: Attempt::default(),
+        });
+        self.task_replicas[task.0].push(ri);
+        Ok(ri)
     }
 
     /// Inserts a new queued replica into the unconsumed suffix of device
@@ -403,24 +421,8 @@ impl Sim<'_> {
             // plan2's device ids index the surviving platform; map back.
             let orig = alive[p.device.0];
             self.plan_key[t.0] = p.start;
-            let ordinal = self.task_replicas[t.0].len();
-            let ri = self.replicas.len();
-            let remaining = self.work_on(t, orig, p.level)?;
-            self.replicas.push(Replica {
-                task: t,
-                device: orig,
-                level: p.level,
-                sort_key: (p.start, t.0, ordinal),
-                state: RState::Queued,
-                gen: 0,
-                retries: 0,
-                launched: false,
-                occupied_from: SimTime::ZERO,
-                remaining_work: remaining,
-                floor,
-                attempt: Attempt::default(),
-            });
-            self.task_replicas[t.0].push(ri);
+            let key = (p.start, t.0, self.task_replicas[t.0].len());
+            let ri = self.queue_replica(t, orig, p.level, key, floor)?;
             new_queues[orig.0].push(ri);
         }
         for (d, queued) in new_queues.iter_mut().enumerate() {

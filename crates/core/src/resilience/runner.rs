@@ -525,23 +525,8 @@ impl<'a> Sim<'a> {
         for t in 0..n {
             let task = TaskId(t);
             let primary = plan_dev[t];
-            let ri = sim.replicas.len();
-            let remaining = sim.work_on(task, primary, plan_level[t])?;
-            sim.replicas.push(Replica {
-                task,
-                device: primary,
-                level: plan_level[t],
-                sort_key: (sim.plan_key[t], t, 0),
-                state: RState::Queued,
-                gen: 0,
-                retries: 0,
-                launched: false,
-                occupied_from: SimTime::ZERO,
-                remaining_work: remaining,
-                floor: SimTime::ZERO,
-                attempt: Attempt::default(),
-            });
-            sim.task_replicas[t].push(ri);
+            let key = (sim.plan_key[t], t, 0);
+            sim.queue_replica(task, primary, plan_level[t], key, SimTime::ZERO)?;
             if k > 1 {
                 // Fastest feasible alternates first; ties break on id.
                 let mut cands: Vec<(f64, usize)> = Vec::new();
@@ -562,23 +547,8 @@ impl<'a> Sim<'a> {
                 for (ordinal, &(_, d)) in cands.iter().take(k - 1).enumerate() {
                     let device = DeviceId(d);
                     let level = platform.device(device)?.nominal_level();
-                    let ri = sim.replicas.len();
-                    let remaining = sim.work_on(task, device, level)?;
-                    sim.replicas.push(Replica {
-                        task,
-                        device,
-                        level,
-                        sort_key: (sim.plan_key[t], t, ordinal + 1),
-                        state: RState::Queued,
-                        gen: 0,
-                        retries: 0,
-                        launched: false,
-                        occupied_from: SimTime::ZERO,
-                        remaining_work: remaining,
-                        floor: SimTime::ZERO,
-                        attempt: Attempt::default(),
-                    });
-                    sim.task_replicas[t].push(ri);
+                    let key = (sim.plan_key[t], t, ordinal + 1);
+                    sim.queue_replica(task, device, level, key, SimTime::ZERO)?;
                 }
             }
         }
