@@ -111,7 +111,11 @@ helios=target/release/helios
 "$helios" campaign merge --in "$sweep_tmp/s1.json" --in "$sweep_tmp/s2.json" \
     --out "$sweep_tmp/merged.json" > /dev/null
 cmp "$sweep_tmp/full.json" "$sweep_tmp/merged.json"
-echo "2-shard merge is byte-identical to the unsharded sweep"
+# Shard order does not matter: the reverse order merges to the same bytes.
+"$helios" campaign merge --in "$sweep_tmp/s2.json" --in "$sweep_tmp/s1.json" \
+    --out "$sweep_tmp/merged_rev.json" > /dev/null
+cmp "$sweep_tmp/full.json" "$sweep_tmp/merged_rev.json"
+echo "2-shard merge, in either order, is byte-identical to the unsharded sweep"
 
 echo "==> closed spec schema (an unknown key is refused by name)"
 # A misspelled knob must not run another experiment in silence: the
@@ -340,8 +344,9 @@ echo "infeasible cells are measurements and merge byte-identically"
 
 echo "==> columnar store + query smoke"
 # The smoke spec swept into 2 columnar store shards must merge (through
-# the mixed-format merge path) byte-identical to the unsharded JSON
-# report, and each query below over the store shards must byte-match
+# the mixed-format merge path, in either order or paired with the JSON
+# shard) byte-identical to the unsharded JSON report, a shard given
+# twice must be refused, and each query below over the store shards must byte-match
 # the same query over the compiled JSON report: a GROUP BY scheduler
 # summary, a filter through `= null` and a numeric bound, a per-cell
 # GROUP BY that makes one group of every row, a string-equality filter
@@ -353,6 +358,25 @@ echo "==> columnar store + query smoke"
 "$helios" campaign merge --in "$sweep_tmp/s1.store" --in "$sweep_tmp/s2.store" \
     --out "$sweep_tmp/store_merged.json" > /dev/null
 cmp "$sweep_tmp/full.json" "$sweep_tmp/store_merged.json"
+# The same shards in reverse order, and as a mixed JSON + store pair.
+"$helios" campaign merge --in "$sweep_tmp/s2.store" --in "$sweep_tmp/s1.store" \
+    --out "$sweep_tmp/store_merged_rev.json" > /dev/null
+cmp "$sweep_tmp/full.json" "$sweep_tmp/store_merged_rev.json"
+"$helios" campaign merge --in "$sweep_tmp/s2.store" --in "$sweep_tmp/s1.json" \
+    --out "$sweep_tmp/mixed_merged.json" > /dev/null
+cmp "$sweep_tmp/full.json" "$sweep_tmp/mixed_merged.json"
+# A shard given twice is an overlap: exit 1 with exactly this message.
+dup_status=0
+"$helios" campaign merge --in "$sweep_tmp/s1.store" --in "$sweep_tmp/s1.store" \
+    --in "$sweep_tmp/s2.store" --out "$sweep_tmp/dup_merged.json" \
+    > /dev/null 2> "$sweep_tmp/dup.err" || dup_status=$?
+if [ "$dup_status" -ne 1 ] || ! printf '%s\n' \
+    'helios: campaign error: overlapping shards: cell 0 appears more than once' \
+    | cmp -s - "$sweep_tmp/dup.err"; then
+    cat "$sweep_tmp/dup.err" >&2
+    echo "duplicated store shard: exit $dup_status, expected 1 naming the overlap" >&2
+    exit 1
+fi
 # merge reads what query reads: the complete JSON sweep report is a
 # valid merge input (shard 1/1) and merges back to itself.
 "$helios" campaign merge --in "$sweep_tmp/full.json" \
@@ -369,7 +393,7 @@ for gq in \
     "$helios" query "$gq" --in "$sweep_tmp/full.json" --json > "$sweep_tmp/q_json.json"
     cmp "$sweep_tmp/q_store.json" "$sweep_tmp/q_json.json"
 done
-echo "store merge, sweep-report re-merge and five queries are byte-identical to the JSON path"
+echo "store merge (either order, or mixed with JSON), sweep-report re-merge and five queries are byte-identical to the JSON path; a duplicated shard is refused"
 
 echo "==> perf-trajectory smoke"
 # Reduced-iteration run of the pinned benchmark harness: verifies the

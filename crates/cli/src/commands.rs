@@ -5,7 +5,7 @@ use std::io::Write;
 use helios_core::campaign::spec::family_class;
 use helios_core::{Engine, EngineConfig, OnlinePolicy, OnlineRunner};
 use helios_platform::{presets, Platform};
-use helios_sched::{all_schedulers, metrics::ScheduleMetrics, Scheduler};
+use helios_sched::{metrics::ScheduleMetrics, Scheduler};
 use helios_workflow::generators::{synthetic, WorkflowClass};
 use helios_workflow::{analysis, io as wfio, Workflow};
 
@@ -26,14 +26,8 @@ fn platform_by_name(name: &str) -> Result<Platform, CliError> {
 /// Resolves a scheduler by its report name.
 fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, CliError> {
     helios_sched::scheduler_by_name(name).ok_or_else(|| {
-        let names: Vec<String> = all_schedulers()
-            .iter()
-            .map(|s| s.name().to_owned())
-            .collect();
-        CliError::Usage(format!(
-            "unknown scheduler {name:?} (available: {})",
-            names.join(", ")
-        ))
+        let names = helios_sched::LINEUP.map(|(name, _)| name).join(", ");
+        CliError::Usage(format!("unknown scheduler {name:?} (available: {names})"))
     })
 }
 

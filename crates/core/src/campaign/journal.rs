@@ -409,6 +409,38 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Completions mostly in rising cell order with repeats mixed in,
+    /// each repeat with other values, read back as the reference
+    /// salvage says: the first occurrence of each cell, in append order.
+    #[test]
+    fn repeated_completions_salvage_like_the_reference() {
+        use rand::{Rng, SeedableRng};
+        let path = tmp("repeated.journal");
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        for _ in 0..40 {
+            let mut w = JournalWriter::create(&path, &header(), None).unwrap();
+            let mut expected = Vec::new();
+            for n in 0..rng.gen_range(0..24) {
+                let repeat = rng.gen_range(0..3) == 0;
+                let mut c = cell(if repeat { rng.gen_range(0..12) } else { n });
+                c.makespan_secs = n as f64;
+                if rng.gen_range(0..3) == 0 {
+                    w.append_attempt(c.cell).unwrap();
+                }
+                w.append_cell(&c).unwrap();
+                expected.push(c);
+            }
+            drop(w);
+            let mut seen = std::collections::HashSet::new();
+            expected.retain(|c| seen.insert(c.cell));
+            let s = read_journal(&path).unwrap();
+            assert_eq!(s.cells, expected);
+            assert_eq!(s.valid_bytes, std::fs::metadata(&path).unwrap().len());
+            assert_eq!(s.dropped_bytes, 0);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn torn_tail_is_salvaged_and_truncated() {
         let path = tmp("torn.journal");

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use helios_platform::presets::{self, CLUSTER_NODES, NAMES as PLATFORM_NAMES};
 use helios_platform::Platform;
-use helios_sched::{AnnealingScheduler, LookaheadScheduler, Scheduler};
+use helios_sched::{AnnealingScheduler, LookaheadScheduler, Scheduler, SchedulerBuilder, LINEUP};
 use helios_sim::failure::SCALE_SECS;
 use helios_sim::KnobRange;
 use helios_workflow::generators::WorkflowClass;
@@ -234,7 +234,7 @@ pub struct CampaignSpec {
     /// Platform preset names (`workstation`, `hpc_node`, `cluster<N>`,
     /// `edge_soc`).
     pub platforms: Vec<String>,
-    /// Scheduler report names (see `helios_sched::all_schedulers`).
+    /// Scheduler report names (see `helios_sched::LINEUP`).
     pub schedulers: Vec<String>,
     /// Optional per-scheduler tuning overrides (annealing iteration
     /// budget, lookahead depth). Omitted from the canonical JSON when
@@ -402,16 +402,13 @@ impl CampaignSpec {
                     .into(),
             );
         }
-        let lineup = helios_sched::all_schedulers();
         let mut schedulers = Vec::with_capacity(self.schedulers.len());
         for s in &self.schedulers {
-            let Some(at) = lineup.iter().position(|l| l.name() == s) else {
-                let names: Vec<&str> = lineup.iter().map(|l| l.name()).collect();
-                return Err(
-                    format!("unknown scheduler {s:?} (available: {})", names.join(", ")).into(),
-                );
+            let Some(&(_, build)) = LINEUP.iter().find(|(name, _)| name == s) else {
+                let names = LINEUP.map(|(name, _)| name).join(", ");
+                return Err(format!("unknown scheduler {s:?} (available: {names})").into());
             };
-            schedulers.push(at);
+            schedulers.push(build);
         }
         if let Some(sp) = &self.scheduler_params {
             if let Some(n) = sp.annealing_iterations {
@@ -583,8 +580,8 @@ pub(crate) struct Resolved<'a> {
     pub(crate) spec: &'a CampaignSpec,
     pub(crate) classes: Vec<WorkflowClass>,
     platforms: Vec<Platform>,
-    /// Each spec scheduler's place in `helios_sched::all_schedulers`.
-    schedulers: Vec<usize>,
+    /// Each spec scheduler's builder from `helios_sched::LINEUP`.
+    schedulers: Vec<SchedulerBuilder>,
     /// The cell config less its seed: noise, contention, caching, the
     /// fault stack (a `resilience` block, the benign stack of an elastic
     /// spec without one, or the `faults` knob), elasticity and the step
@@ -646,7 +643,7 @@ impl Resolved<'_> {
         ) {
             ("annealing", Some(iterations), _) => Box::new(AnnealingScheduler::new(iterations, 0)),
             ("lookahead", _, Some(depth)) => Box::new(LookaheadScheduler::with_depth(depth)),
-            _ => helios_sched::all_schedulers().swap_remove(self.schedulers[self.axes(cell)[2]]),
+            _ => self.schedulers[self.axes(cell)[2]](),
         }
     }
 }

@@ -1008,6 +1008,13 @@ fn apply_dvfs(
 /// cell set, so merging `[1/2, 2/2]` equals merging `[2/2, 1/2]`
 /// equals the unsharded run, byte for byte.
 ///
+/// Each cell is placed, by reference, in the slot for its index: a
+/// complete partition fills each of the `total_cells` slots exactly
+/// once, so the merged cells come out in index order with no sort, and
+/// each is cloned once, into a `Vec` of exactly the grid's size, only
+/// after the checks pass. Any conflict falls back to sorting the cell
+/// indices, which names the lowest offending cell.
+///
 /// # Errors
 ///
 /// Returns [`CampaignError::MergeConflict`] (wrapped in
@@ -1042,43 +1049,13 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<SweepReport, EngineError> 
         }
     }
 
-    let mut cells: Vec<CellResult> = shards.iter().flat_map(|s| s.cells.clone()).collect();
-    cells.sort_by_key(|c| c.cell);
-    for pair in cells.windows(2) {
-        if pair[0].cell == pair[1].cell {
-            return Err(CampaignError::MergeConflict(format!(
-                "overlapping shards: cell {} appears more than once",
-                pair[0].cell
-            ))
-            .into());
-        }
-    }
-    if let Some(out_of_range) = cells.iter().find(|c| c.cell >= first.total_cells) {
-        return Err(CampaignError::MergeConflict(format!(
-            "shard cell index {} is outside the {}-cell grid",
-            out_of_range.cell, first.total_cells
-        ))
-        .into());
-    }
-    if cells.len() != first.total_cells {
-        let have: Vec<usize> = cells.iter().map(|c| c.cell).collect();
-        let missing: Vec<usize> = (0..first.total_cells)
-            .filter(|i| have.binary_search(i).is_err())
-            .take(8)
-            .collect();
-        return Err(CampaignError::MergeConflict(format!(
-            "incomplete partition: {} of {} cells present, missing cells {missing:?}{} — \
-             merge every shard of the partition",
-            cells.len(),
-            first.total_cells,
-            if first.total_cells - cells.len() > missing.len() {
-                "…"
-            } else {
-                ""
-            }
-        ))
-        .into());
-    }
+    let total = first.total_cells;
+    let Some(slots) = place_by_index(shards, total) else {
+        return Err(partition_conflict(shards, total));
+    };
+    // Every slot is filled, so `flatten` drops nothing.
+    let mut cells = Vec::with_capacity(total);
+    cells.extend(slots.into_iter().flatten().cloned());
 
     // Means per (family, platform, scheduler) over completed cells, rows
     // in declaration order (the cells are sorted by index).
@@ -1086,14 +1063,154 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<SweepReport, EngineError> 
     Ok(SweepReport {
         spec_name: first.spec_name.clone(),
         spec_digest: first.spec_digest.clone(),
-        total_cells: first.total_cells,
+        total_cells: total,
         cells,
         summary,
     })
 }
 
+/// Each cell of `shards` in the slot for its index, or `None` unless
+/// the cells are exactly one partition of `0..total`: as many cells as
+/// slots, each in range and no slot filled twice, which leaves no slot
+/// empty.
+fn place_by_index(shards: &[ShardReport], total: usize) -> Option<Vec<Option<&CellResult>>> {
+    if shards.iter().map(|s| s.cells.len()).sum::<usize>() != total {
+        return None;
+    }
+    let mut slots = vec![None; total];
+    for cell in shards.iter().flat_map(|s| &s.cells) {
+        if slots.get_mut(cell.cell)?.replace(cell).is_some() {
+            return None;
+        }
+    }
+    Some(slots)
+}
+
+/// Why the cells of `shards` are not one partition of the `total`-cell
+/// grid, checked in order over the sorted cell indices: the lowest
+/// index that appears twice, else the lowest out of range, else the
+/// first missing ones.
+fn partition_conflict(shards: &[ShardReport], total: usize) -> EngineError {
+    let mut have: Vec<usize> = shards
+        .iter()
+        .flat_map(|s| &s.cells)
+        .map(|c| c.cell)
+        .collect();
+    have.sort_unstable();
+    let twice = have
+        .windows(2)
+        .find(|pair| pair[0] == pair[1])
+        .map(|pair| pair[0]);
+    let detail = if let Some(cell) = twice {
+        format!("overlapping shards: cell {cell} appears more than once")
+    } else if let Some(out_of_range) = have.iter().find(|&&i| i >= total) {
+        format!("shard cell index {out_of_range} is outside the {total}-cell grid")
+    } else {
+        let missing: Vec<usize> = (0..total)
+            .filter(|i| have.binary_search(i).is_err())
+            .take(8)
+            .collect();
+        format!(
+            "incomplete partition: {} of {total} cells present, missing cells {missing:?}{} — \
+             merge every shard of the partition",
+            have.len(),
+            if total - have.len() > missing.len() {
+                "…"
+            } else {
+                ""
+            }
+        )
+    };
+    CampaignError::MergeConflict(detail).into()
+}
+
+/// The sort-based merge [`merge_shards`] replaced: clone every cell,
+/// stable-sort by index, then check. Kept as the oracle the
+/// index-placing merge is checked against.
+#[cfg(test)]
+mod reference {
+    use super::{CampaignError, CellResult, EngineError, ShardReport, SweepReport};
+
+    pub(super) fn merge_shards(shards: &[ShardReport]) -> Result<SweepReport, EngineError> {
+        let first = shards.first().ok_or_else(|| {
+            EngineError::Campaign(CampaignError::MergeConflict(
+                "cannot merge zero shard reports; pass at least one --in file".into(),
+            ))
+        })?;
+        for s in shards {
+            if s.spec_name != first.spec_name
+                || s.spec_digest != first.spec_digest
+                || s.total_cells != first.total_cells
+            {
+                return Err(CampaignError::MergeConflict(format!(
+                    "shard reports disagree on the spec: {:?} (digest {}, {} cells) vs \
+                     {:?} (digest {}, {} cells) — merge only shards of one campaign run",
+                    first.spec_name,
+                    first.spec_digest,
+                    first.total_cells,
+                    s.spec_name,
+                    s.spec_digest,
+                    s.total_cells
+                ))
+                .into());
+            }
+        }
+
+        let mut cells: Vec<CellResult> = shards.iter().flat_map(|s| s.cells.clone()).collect();
+        cells.sort_by_key(|c| c.cell);
+        for pair in cells.windows(2) {
+            if pair[0].cell == pair[1].cell {
+                return Err(CampaignError::MergeConflict(format!(
+                    "overlapping shards: cell {} appears more than once",
+                    pair[0].cell
+                ))
+                .into());
+            }
+        }
+        if let Some(out_of_range) = cells.iter().find(|c| c.cell >= first.total_cells) {
+            return Err(CampaignError::MergeConflict(format!(
+                "shard cell index {} is outside the {}-cell grid",
+                out_of_range.cell, first.total_cells
+            ))
+            .into());
+        }
+        if cells.len() != first.total_cells {
+            let have: Vec<usize> = cells.iter().map(|c| c.cell).collect();
+            let missing: Vec<usize> = (0..first.total_cells)
+                .filter(|i| have.binary_search(i).is_err())
+                .take(8)
+                .collect();
+            return Err(CampaignError::MergeConflict(format!(
+                "incomplete partition: {} of {} cells present, missing cells {missing:?}{} — \
+                 merge every shard of the partition",
+                cells.len(),
+                first.total_cells,
+                if first.total_cells - cells.len() > missing.len() {
+                    "…"
+                } else {
+                    ""
+                }
+            ))
+            .into());
+        }
+
+        // Means per (family, platform, scheduler) over completed cells, rows
+        // in declaration order (the cells are sorted by index).
+        let summary = crate::store::summarize_cells(&cells);
+        Ok(SweepReport {
+            spec_name: first.spec_name.clone(),
+            spec_digest: first.spec_digest.clone(),
+            total_cells: first.total_cells,
+            cells,
+            summary,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Fetches the workflow of every cell of an `n`-shard partition of
@@ -1344,6 +1461,103 @@ mod tests {
         assert_eq!(ok.summary.len(), 1);
         assert_eq!(ok.summary[0].cells, 4);
         assert_eq!(ok.summary[0].completion_probability, 1.0);
+    }
+
+    /// Cell `i` with metrics and grid axes drawn from `salt`, so merged
+    /// summaries hold several rows and a duplicate can differ.
+    fn varied_cell(i: usize, salt: u64) -> CellResult {
+        let x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+        CellResult {
+            cell: i,
+            family: ["montage", "ligo"][(x % 2) as usize].into(),
+            platform: "workstation".into(),
+            scheduler: ["heft", "olb", "random"][(x / 2 % 3) as usize].into(),
+            seed: x % 5,
+            makespan_secs: (x % 1000) as f64 / 8.0,
+            slr: 1.0 + (x % 7) as f64,
+            completed: !x.is_multiple_of(4),
+            incomplete_reason: x.is_multiple_of(4).then(|| "retries_exhausted".into()),
+            ..CellResult::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The index-placing merge returns what the sort-based reference
+        /// returns on random partitions of `0..total` into `k` shards,
+        /// shuffled or not, with one fault applied: a report that
+        /// serializes to the same bytes, or the same error message.
+        #[test]
+        fn merge_matches_the_sort_reference(
+            total in 0usize..40,
+            k in 1usize..5,
+            owners in prop::collection::vec(0usize..4, 40..41),
+            shuffle: bool,
+            salt: u64,
+            fault in 0usize..9,
+            a: usize,
+        ) {
+            let mut shards: Vec<ShardReport> = (1..=k)
+                .map(|index| ShardReport {
+                    spec_name: "t".into(),
+                    spec_digest: "d".into(),
+                    total_cells: total,
+                    shard_index: index,
+                    shard_count: k,
+                    cells: Vec::new(),
+                })
+                .collect();
+            for i in 0..total {
+                shards[owners[i] % k].cells.push(varied_cell(i, salt));
+            }
+            if shuffle {
+                let mut x = salt | 1;
+                for shard in &mut shards {
+                    for at in (1..shard.cells.len()).rev() {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        shard.cells.swap(at, (x >> 33) as usize % (at + 1));
+                    }
+                }
+            }
+            let pick = a % k;
+            let len = shards[pick].cells.len();
+            match fault {
+                // A cell repeated, with other values, in some shard.
+                1 if total > 0 => {
+                    let twin = varied_cell(a % total, !salt);
+                    shards[a / 7 % k].cells.push(twin);
+                }
+                // An index at or above `total_cells`, added or replacing.
+                2 => shards[pick].cells.push(varied_cell(total + a % 3, salt)),
+                3 if len > 0 => shards[pick].cells[a % len].cell = total + a % 3,
+                // A missing cell.
+                4 if len > 0 => {
+                    shards[pick].cells.remove(a % len);
+                }
+                // A cell moved onto another's index: the count still
+                // matches, one index is doubled and one missing.
+                5 if len > 0 && total > 1 => {
+                    let at = a % len;
+                    let cell = shards[pick].cells[at].cell;
+                    shards[pick].cells[at].cell = (cell + 1 + a % (total - 1)) % total;
+                }
+                // Shards of another spec, or of another grid size.
+                6 => shards[pick].spec_digest = "other".into(),
+                7 => shards[pick].total_cells += 1,
+                8 => shards.clear(),
+                _ => {}
+            }
+            let run = |merged: Result<SweepReport, EngineError>| {
+                merged
+                    .map(|r| serde_json::to_string(&r).unwrap())
+                    .map_err(|e| e.to_string())
+            };
+            prop_assert_eq!(
+                run(merge_shards(&shards)),
+                run(reference::merge_shards(&shards))
+            );
+        }
     }
 
     fn spec_json(extra: &str) -> String {

@@ -18,7 +18,11 @@
 //! bounds, CRC or decode starts the torn tail, which recovery truncates
 //! (fsync'd) so the file can be appended to again. Cells are pure
 //! functions of the spec, so a cell recorded twice is recorded
-//! identically, and the scan keeps its first occurrence.
+//! identically, and the scan keeps its first occurrence. A file whose
+//! cell indices strictly rise (a store shard, a one-worker journal) has
+//! no repeat to find, so the scan keeps no seen-set while indices rise:
+//! it builds one from the cells kept so far only at the first index
+//! that does not rise.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
@@ -202,8 +206,10 @@ impl Format {
         };
 
         let tag = usize::from(self.tagged);
-        let mut cells = Vec::new();
-        let mut seen = HashSet::new();
+        let mut cells: Vec<CellResult> = Vec::new();
+        // Built at the first cell index that does not rise; until then
+        // the last kept index is larger than every other kept one.
+        let mut seen: Option<HashSet<usize>> = None;
         while valid + tag < bytes.len() {
             let kind = if self.tagged { bytes[valid] } else { 0 };
             let Some((payload, end)) = frame_at(&bytes, valid + tag) else {
@@ -217,7 +223,16 @@ impl Format {
             // Keep the first occurrence of each cell, in place.
             let mut kept = first;
             for at in first..cells.len() {
-                if seen.insert(cells[at].cell) {
+                let index = cells[at].cell;
+                let fresh = match &mut seen {
+                    Some(seen) => seen.insert(index),
+                    None if kept == 0 || cells[kept - 1].cell < index => true,
+                    None => {
+                        let kept_cells = cells[..kept].iter().map(|c| c.cell);
+                        seen.insert(kept_cells.collect()).insert(index)
+                    }
+                };
+                if fresh {
                     cells.swap(kept, at);
                     kept += 1;
                 }

@@ -43,11 +43,11 @@ pub const PLATFORMS: &[&str] = &[
 ];
 
 /// Schedulers a generated spec may sweep: the full lineup, in
-/// [`helios_sched::all_schedulers`] order.
+/// [`helios_sched::LINEUP`] order.
 fn scheduler_menu() -> Vec<String> {
-    helios_sched::all_schedulers()
+    helios_sched::LINEUP
         .iter()
-        .map(|s| s.name().to_owned())
+        .map(|(name, _)| (*name).to_owned())
         .collect()
 }
 

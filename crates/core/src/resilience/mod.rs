@@ -609,15 +609,12 @@ impl RecoveryPolicy {
                 overhead_secs,
                 ..
             } => {
-                if helios_sched::scheduler_by_name(scheduler).is_none() {
-                    let legal: Vec<String> = helios_sched::all_schedulers()
-                        .iter()
-                        .map(|s| s.name().to_owned())
-                        .collect();
+                let lineup = helios_sched::LINEUP.map(|(name, _)| name);
+                if !lineup.contains(&scheduler.as_str()) {
                     return Err(EngineError::Config(format!(
                         "`resilience.policy.scheduler`: unknown scheduler {scheduler:?}; \
                          legal values: {}",
-                        legal.join(", ")
+                        lineup.join(", ")
                     )));
                 }
                 DURATION_SECS.check("resilience.policy.overhead_secs", overhead_secs)?;

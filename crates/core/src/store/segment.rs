@@ -198,15 +198,17 @@ impl<'a> Cursor<'a> {
         Some(u32::from_le_bytes(self.array()?))
     }
 
-    /// Decodes one `N`-byte value per cell into column `col`.
+    /// Decodes one `N`-byte value per cell into column `col`, taking
+    /// the whole column's bytes with one bounds check.
     fn column<const N: usize>(
         &mut self,
         cells: &mut [CellResult],
         col: Column,
         value: impl Fn([u8; N]) -> Option<Value>,
     ) -> Option<()> {
-        for cell in cells {
-            col.set(cell, value(self.array()?)?)?;
+        let (values, _) = self.take(N.checked_mul(cells.len())?)?.as_chunks::<N>();
+        for (cell, &bytes) in cells.iter_mut().zip(values) {
+            col.set(cell, value(bytes)?)?;
         }
         Some(())
     }
@@ -233,17 +235,20 @@ fn row_bytes() -> usize {
         .sum()
 }
 
-/// Decodes one columnar group payload straight into cells, column by
-/// column: each string value is one `String` copied from its group's
-/// dictionary. `None` on any structural damage (the caller treats the
-/// record as the start of the torn tail).
-fn decode_group(payload: &[u8]) -> Option<Vec<CellResult>> {
+/// Decodes one columnar group payload straight onto the end of `out`,
+/// column by column: each string value is one `String` copied from its
+/// group's dictionary. `None` on any structural damage, with `out` then
+/// holding partly decoded rows past its old length, which the caller
+/// cuts off (it treats the record as the start of the torn tail).
+fn decode_group(payload: &[u8], out: &mut Vec<CellResult>) -> Option<()> {
     let mut cur = Cursor {
         bytes: payload,
         at: 0,
     };
     let rows = cur.count(row_bytes())?;
-    let mut cells = vec![CellResult::default(); rows];
+    let first = out.len();
+    out.resize_with(first + rows, CellResult::default);
+    let cells = &mut out[first..];
     for col in Column::ALL {
         match col.column_type() {
             ColumnType::Str | ColumnType::OptStr => {
@@ -255,7 +260,7 @@ fn decode_group(payload: &[u8]) -> Option<Vec<CellResult>> {
                     let len = cur.u32()? as usize;
                     dict.push(std::str::from_utf8(cur.take(len)?).ok()?);
                 }
-                for cell in &mut cells {
+                for cell in cells.iter_mut() {
                     let code = cur.u32()? as usize;
                     // Code 0 of a nullable column is null; entry k
                     // lives at code k + 1 there.
@@ -267,15 +272,15 @@ fn decode_group(payload: &[u8]) -> Option<Vec<CellResult>> {
                 }
             }
             ColumnType::U64 => {
-                cur.column(&mut cells, col, |b| Some(Value::U64(u64::from_le_bytes(b))))?
+                cur.column(cells, col, |b| Some(Value::U64(u64::from_le_bytes(b))))?
             }
             ColumnType::U32 => {
-                cur.column(&mut cells, col, |b| Some(Value::U32(u32::from_le_bytes(b))))?
+                cur.column(cells, col, |b| Some(Value::U32(u32::from_le_bytes(b))))?
             }
-            ColumnType::F64 => cur.column(&mut cells, col, |b| {
+            ColumnType::F64 => cur.column(cells, col, |b| {
                 Some(Value::F64(f64::from_bits(u64::from_le_bytes(b))))
             })?,
-            ColumnType::Bool => cur.column(&mut cells, col, |[b]| match b {
+            ColumnType::Bool => cur.column(cells, col, |[b]| match b {
                 0 | 1 => Some(Value::Bool(b == 1)),
                 _ => None,
             })?,
@@ -283,7 +288,7 @@ fn decode_group(payload: &[u8]) -> Option<Vec<CellResult>> {
     }
     // A valid group consumes its payload exactly; trailing bytes mean
     // the record was not written by this codec.
-    (cur.at == payload.len()).then_some(cells)
+    (cur.at == payload.len()).then_some(())
 }
 
 /// Reads and salvages a store file without modifying it: the longest
@@ -297,10 +302,8 @@ fn decode_group(payload: &[u8]) -> Option<Vec<CellResult>> {
 /// there is nothing to salvage without a trusted header — and I/O
 /// errors as [`EngineError::Config`].
 pub fn read_store(path: &Path) -> Result<StoreSalvage, EngineError> {
-    let scan = FORMAT.read::<StoreHeader>(path, |_, payload, cells| {
-        cells.extend(decode_group(payload)?);
-        Some(())
-    })?;
+    let scan =
+        FORMAT.read::<StoreHeader>(path, |_, payload, cells| decode_group(payload, cells))?;
     if scan.header.columns != schema_names() {
         return Err(framed::corrupt(
             path,
@@ -784,6 +787,12 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// One group payload decoded on its own.
+    fn decode(payload: &[u8]) -> Option<Vec<CellResult>> {
+        let mut cells = Vec::new();
+        decode_group(payload, &mut cells).map(|()| cells)
+    }
+
     /// A CRC-valid frame whose payload is `payload`.
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
@@ -833,7 +842,7 @@ mod tests {
         for (at, n) in [(0, 2), (0, u32::MAX), (12, 1 << 20), (12, u32::MAX)] {
             let mut bad = payload.clone();
             bad[at..at + 4].copy_from_slice(&n.to_le_bytes());
-            assert!(decode_group(&bad).is_none(), "count {n} at {at}");
+            assert!(decode(&bad).is_none(), "count {n} at {at}");
         }
     }
 
@@ -841,15 +850,15 @@ mod tests {
     fn dictionary_codes_handle_nulls_and_repeats() {
         let cells: Vec<CellResult> = (0..5).map(cell).collect();
         let payload = encode_group(&cells);
-        assert_eq!(decode_group(&payload).unwrap(), cells);
+        assert_eq!(decode(&payload).unwrap(), cells);
         // Truncated payloads never decode.
         for cut in [1, payload.len() / 2, payload.len() - 1] {
-            assert!(decode_group(&payload[..cut]).is_none(), "cut {cut}");
+            assert!(decode(&payload[..cut]).is_none(), "cut {cut}");
         }
         // Trailing garbage is rejected (exact-consumption check).
         let mut padded = payload.clone();
         padded.push(0);
-        assert!(decode_group(&padded).is_none());
+        assert!(decode(&padded).is_none());
     }
 
     /// Cells with varied strings (some repeated, some not ASCII), nulls,
@@ -1001,6 +1010,19 @@ mod tests {
         }
     }
 
+    /// The frames after the magic of a framed file: its header frame
+    /// first, then one per group, each whole (length, CRC, payload).
+    fn frames(bytes: &[u8]) -> Vec<&[u8]> {
+        let mut at = STORE_MAGIC.len();
+        let mut out = Vec::new();
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            out.push(&bytes[at..at + 8 + len]);
+            at += 8 + len;
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -1022,9 +1044,9 @@ mod tests {
             let bits = |c: &Option<Vec<CellResult>>| c.as_deref().map(encode_group);
             let cells = varied_cells(seed, rows);
             let mut payload = encode_group(&cells);
-            prop_assert_eq!(bits(&decode_group(&payload)), Some(payload.clone()));
+            prop_assert_eq!(bits(&decode(&payload)), Some(payload.clone()));
             let always_refused = mutate(&mut payload, rows, kind, a, b);
-            let new = decode_group(&payload);
+            let new = decode(&payload);
             let old = reference::decode_cells(&payload);
             prop_assert_eq!(bits(&new), bits(&old));
             if always_refused {
@@ -1051,6 +1073,70 @@ mod tests {
                     prop_assert_eq!(salvage.dropped_bytes, 0);
                 }
             }
+        }
+
+        /// A real store file's groups, reframed reordered and repeated
+        /// and followed by an optional torn tail, read back exactly as a
+        /// reference salvage says: each intact group decoded by the row
+        /// reference, the first occurrence of each cell kept (groups
+        /// overlap and need not rise), and the tail dropped.
+        #[test]
+        fn reordered_and_repeated_groups_salvage_like_the_reference(
+            seed: u64,
+            groups in 1usize..5,
+            rows in 1usize..12,
+            picks in prop::collection::vec(0usize..5, 1..9),
+            shuffle: bool,
+            tail in 0usize..3,
+        ) {
+            let path = tmp("reordered.store");
+            let mut w = StoreWriter::create(&path, &header()).unwrap();
+            for g in 0..groups {
+                let mut cells = varied_cells(seed ^ g as u64, rows);
+                for (i, c) in cells.iter_mut().enumerate() {
+                    c.cell = (seed as usize >> (g * 4)) % 16 + i;
+                }
+                if shuffle {
+                    cells.rotate_left(g % rows);
+                }
+                for c in &cells {
+                    w.append_cell(c).unwrap();
+                }
+                w.flush().unwrap();
+            }
+            drop(w);
+            let written = std::fs::read(&path).unwrap();
+            let written = frames(&written);
+
+            let mut file = STORE_MAGIC.to_vec();
+            file.extend_from_slice(written[0]);
+            let mut expected = Vec::new();
+            for &pick in &picks {
+                let group = written[1 + pick % groups];
+                file.extend_from_slice(group);
+                expected.extend(reference::decode_cells(&group[8..]).unwrap());
+            }
+            let valid_bytes = file.len() as u64;
+            match tail {
+                // A group cut short.
+                1 => file.extend_from_slice(&written[1][..written[1].len() - 1]),
+                // A group failing its CRC.
+                2 => {
+                    let mut bad = written[1].to_vec();
+                    *bad.last_mut().unwrap() ^= 1;
+                    file.extend(bad);
+                }
+                _ => {}
+            }
+            std::fs::write(&path, &file).unwrap();
+            let salvage = read_store(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+
+            let mut seen = std::collections::HashSet::new();
+            expected.retain(|c| seen.insert(c.cell));
+            prop_assert_eq!(encode_group(&salvage.cells), encode_group(&expected));
+            prop_assert_eq!(salvage.valid_bytes, valid_bytes);
+            prop_assert_eq!(salvage.dropped_bytes, file.len() as u64 - valid_bytes);
         }
     }
 }

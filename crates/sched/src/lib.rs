@@ -148,31 +148,44 @@ pub trait Scheduler {
     fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError>;
 }
 
-/// Every scheduler in the crate with default configuration — the lineup
-/// used by the comparison experiments (figure F3).
+/// Builds one scheduler of the [`LINEUP`] with its default
+/// configuration.
+pub type SchedulerBuilder = fn() -> Box<dyn Scheduler>;
+
+/// Every scheduler in the crate by report name, in lineup order, each
+/// with the builder of its default configuration — the lineup used by
+/// the comparison experiments (figure F3). A builder is a plain `fn`,
+/// so set-up shared across threads can hold one and build a scheduler
+/// per use without building the rest of the lineup.
+pub const LINEUP: [(&str, SchedulerBuilder); 12] = [
+    ("heft", || Box::new(HeftScheduler::default())),
+    ("cpop", || Box::new(CpopScheduler::default())),
+    ("peft", || Box::new(PeftScheduler::default())),
+    ("lookahead", || Box::new(LookaheadScheduler::default())),
+    ("min-min", || Box::new(MinMinScheduler::default())),
+    ("max-min", || Box::new(MaxMinScheduler::default())),
+    ("mct", || Box::new(MctScheduler::default())),
+    ("met", || Box::new(MetScheduler::default())),
+    ("olb", || Box::new(OlbScheduler::default())),
+    ("round-robin", || Box::new(RoundRobinScheduler::default())),
+    ("random", || Box::new(RandomScheduler::new(0))),
+    ("annealing", || Box::new(AnnealingScheduler::new(500, 0))),
+];
+
+/// Every scheduler of the [`LINEUP`], built, in lineup order.
 #[must_use]
 pub fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(HeftScheduler::default()),
-        Box::new(CpopScheduler::default()),
-        Box::new(PeftScheduler::default()),
-        Box::new(LookaheadScheduler::default()),
-        Box::new(MinMinScheduler::default()),
-        Box::new(MaxMinScheduler::default()),
-        Box::new(MctScheduler::default()),
-        Box::new(MetScheduler::default()),
-        Box::new(OlbScheduler::default()),
-        Box::new(RoundRobinScheduler::default()),
-        Box::new(RandomScheduler::new(0)),
-        Box::new(AnnealingScheduler::new(500, 0)),
-    ]
+    LINEUP.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks up a scheduler from [`all_schedulers`] by its report name
-/// (`"heft"`, `"min-min"`, …). Returns `None` for unknown names.
+/// Builds the [`LINEUP`] scheduler with report name `name` (`"heft"`,
+/// `"min-min"`, …). Returns `None` for unknown names.
 #[must_use]
 pub fn scheduler_by_name(name: &str) -> Option<Box<dyn Scheduler>> {
-    all_schedulers().into_iter().find(|s| s.name() == name)
+    LINEUP
+        .iter()
+        .find(|(lineup_name, _)| *lineup_name == name)
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
