@@ -25,6 +25,13 @@ cargo test --workspace -q
 echo "==> scheduler conformance battery"
 cargo test -q --test sched_conformance
 
+echo "==> annealing reference oracle at grid size (release)"
+# AnnealingScheduler must match its plain reference decoder bit for bit
+# on the paper grid's five families at 100 tasks, on its four platforms,
+# with its 500-iteration budget; ignored in the debug suite for time,
+# about a second in release.
+cargo test --release -q -p helios-sched every_family_at_grid_size -- --ignored
+
 echo "==> resilience battery"
 cargo test -q --test fault_paths
 

@@ -9,8 +9,9 @@ use helios_workflow::{analysis, TaskId, Workflow};
 
 use crate::context::SchedContext;
 use crate::error::SchedError;
+use crate::heft;
 use crate::schedule::Schedule;
-use crate::{HeftScheduler, Scheduler};
+use crate::Scheduler;
 
 /// A metaheuristic scheduler: simulated annealing over the joint space
 /// of per-task *device assignments* and *priority values*, decoded by
@@ -102,19 +103,16 @@ struct Decoded<'a> {
 }
 
 impl<'a> Decoded<'a> {
-    /// A state with nothing placed, whose order is the workflow's
-    /// topological order, so a decode from step 0 decodes every task.
-    fn new(wf: &'a Workflow, platform: &'a Platform) -> Result<Decoded<'a>, SchedError> {
-        let order = wf.topo_order().to_vec();
-        let mut step = vec![0; wf.num_tasks()];
+    /// A state in the restorable context `ctx`, which has nothing placed,
+    /// whose order is the workflow's topological order, so a decode from
+    /// step 0 decodes every task.
+    fn new(ctx: SchedContext<'a>) -> Decoded<'a> {
+        let order = ctx.workflow().topo_order().to_vec();
+        let mut step = vec![0; order.len()];
         for (j, t) in order.iter().enumerate() {
             step[t.0] = j;
         }
-        Ok(Decoded {
-            ctx: SchedContext::new(wf, platform, true)?,
-            order,
-            step,
-        })
+        Decoded { ctx, order, step }
     }
 }
 
@@ -189,9 +187,11 @@ struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    fn new(wf: &'a Workflow, platform: &'a Platform) -> Result<Decoder<'a>, SchedError> {
-        let accepted = Decoded::new(wf, platform)?;
-        let ctx = &accepted.ctx;
+    /// A decoder whose two states are clones of `ctx`, which must have
+    /// nothing placed and use the insertion policy.
+    fn new(ctx: SchedContext<'a>) -> Decoder<'a> {
+        let wf = ctx.workflow();
+        let ctx = ctx.restorable();
         let mut tail = vec![0.0f64; wf.num_tasks()];
         for &t in wf.topo_order().iter().rev() {
             tail[t.0] = wf.successor_tasks(t).fold(0.0, |longest, s| {
@@ -203,13 +203,13 @@ impl<'a> Decoder<'a> {
                 longest.max(fastest + tail[s.0])
             });
         }
-        Ok(Decoder {
-            candidate: Decoded::new(wf, platform)?,
-            accepted,
+        Decoder {
+            accepted: Decoded::new(ctx.clone()),
+            candidate: Decoded::new(ctx),
             indegree: vec![0; wf.num_tasks()],
             ready: BinaryHeap::new(),
             tail,
-        })
+        }
     }
 
     /// The first step of the accepted pop order that a move on `task`
@@ -251,7 +251,9 @@ impl<'a> Decoder<'a> {
     /// Decodes (`priority`, `assignment`) into the candidate. Steps
     /// before `from` are taken from the accepted state as they are, so
     /// they must be ones the change cannot alter (see
-    /// [`Decoder::divergence`]); from there on the decoder repeatedly
+    /// [`Decoder::divergence`]): [`SchedContext::restore`] copies their
+    /// placements and reservations, in one pass over the accepted
+    /// timelines that reserves nothing. From there on the decoder repeatedly
     /// commits the highest-priority ready task to its assigned device at
     /// its EFT. Without a `trial` it decodes in full and returns
     /// [`Fate::Cost`]. With one, it stops as soon as the move's fate is
@@ -265,9 +267,8 @@ impl<'a> Decoder<'a> {
     ///   under the same priorities, so the rest of the decode would
     ///   repeat the accepted state exactly and the cost equals the
     ///   accepted one. The candidate's pop order is copied into the
-    ///   accepted state, whose placements already match; the timelines
-    ///   need no copy, since [`SchedContext::replay`] reads only
-    ///   placements and order.
+    ///   accepted state, whose placements, and so whose timelines and
+    ///   their task tags, already match.
     /// * **Rejected**: the larger of the running makespan and every
     ///   decoded task's finish plus its `tail`, scaled by (1 − 1e−9) for
     ///   rounding, bounds the candidate's makespan from below. Once it
@@ -292,7 +293,11 @@ impl<'a> Decoder<'a> {
         } = self;
         let wf = candidate.ctx.workflow();
         let prefix = &accepted.order[..from];
-        let mut last = candidate.ctx.replay(&accepted.ctx, prefix)?;
+        let mut last = candidate
+            .ctx
+            .restore(&accepted.ctx, &accepted.order, &accepted.step, from);
+        #[cfg(test)]
+        crate::probe::add(crate::probe::Site::Restored, from as u64);
         candidate.order.clear();
         candidate.order.extend_from_slice(prefix);
         candidate.step.copy_from_slice(&accepted.step);
@@ -400,21 +405,25 @@ impl Scheduler for AnnealingScheduler {
     }
 
     fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        // Seed state: HEFT assignment + upward-rank priorities.
-        let heft = HeftScheduler::default().schedule(wf, platform)?;
-        let mut assignment: Vec<DeviceId> = vec![DeviceId(0); wf.num_tasks()];
-        for p in heft.placements() {
-            assignment[p.task.0] = p.device;
-        }
+        // Seed state: HEFT assignment + upward-rank priorities, from one
+        // rank computation and one context, cloned for the HEFT pass.
         let mut priority = analysis::bottom_levels(wf, platform)?;
+        let ctx = SchedContext::new(wf, platform, true)?;
+        let mut assignment: Vec<DeviceId> = {
+            let mut seed = ctx.clone();
+            heft::place_in_order(&mut seed, &heft::rank_order(&priority))?;
+            // HEFT placed every task, so each has a feasible device.
+            (0..wf.num_tasks())
+                .map(|i| {
+                    seed.placement(TaskId(i))
+                        .expect("HEFT places every task")
+                        .device
+                })
+                .collect()
+        };
         let priority_span = priority.iter().fold(0.0f64, |a, &b| a.max(b)).max(1e-12);
 
-        let mut decoder = Decoder::new(wf, platform)?;
-        for i in 0..wf.num_tasks() {
-            if decoder.accepted.ctx.feasible_set(TaskId(i)).is_empty() {
-                return Err(SchedError::NoFeasibleDevice(TaskId(i)));
-            }
-        }
+        let mut decoder = Decoder::new(ctx);
 
         // The accepted state is `assignment` + `priority`; only a new best
         // is materialized as a schedule.
@@ -496,11 +505,17 @@ impl Scheduler for AnnealingScheduler {
 mod tests {
     use super::*;
     use crate::testkit::{platform, random_workflow};
+    use crate::HeftScheduler;
     use helios_platform::presets;
-    use helios_workflow::generators::{montage, sipht};
+    use helios_workflow::generators::{montage, sipht, WorkflowClass};
     use proptest::prelude::*;
 
-    impl Decoder<'_> {
+    impl<'a> Decoder<'a> {
+        /// A decoder for `wf` on `platform`, with a context of its own.
+        fn of(wf: &'a Workflow, platform: &'a Platform) -> Decoder<'a> {
+            Decoder::new(SchedContext::new(wf, platform, true).unwrap())
+        }
+
         /// A decode without a trial, which always runs in full.
         fn decode_all(
             &mut self,
@@ -658,6 +673,46 @@ mod tests {
         }
     }
 
+    /// [`AnnealingScheduler`] against [`reference_schedule`], bit for
+    /// bit, on each of the paper grid's five Pegasus families of `tasks`
+    /// tasks (workflow seeds 0 and 1) on each of `platforms`. A pair no
+    /// schedule exists for (cybershake on `edge_soc`) must fail alike.
+    fn check_families(tasks: usize, iterations: u32, platforms: &[Platform]) {
+        for class in WorkflowClass::ALL {
+            for seed in 0..2 {
+                let wf = class.generate(tasks, seed).unwrap();
+                for p in platforms {
+                    let got = AnnealingScheduler::new(iterations, seed).schedule(&wf, p);
+                    let want = reference_schedule(iterations, seed, &wf, p);
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{} {tasks}/{seed} on {}",
+                        class.as_str(),
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_equals_the_reference_on_every_family() {
+        let platforms: Vec<Platform> = (0..4).map(platform).collect();
+        check_families(24, 100, &platforms);
+    }
+
+    #[test]
+    #[ignore = "about 10 s in a debug build; ci.sh runs it in release"]
+    fn schedule_equals_the_reference_on_every_family_at_grid_size() {
+        // The paper grid's task count, platforms and iteration budget.
+        let platforms: Vec<Platform> = ["workstation", "hpc_node", "cluster4", "edge_soc"]
+            .iter()
+            .map(|name| presets::by_name(name).unwrap())
+            .collect();
+        check_families(100, 500, &platforms);
+    }
+
     #[test]
     fn priority_ties_break_toward_the_lower_task_id() {
         // Random priorities never tie exactly; flat and coarsely rounded
@@ -670,7 +725,7 @@ mod tests {
             let ranks = analysis::bottom_levels(&wf, &p).unwrap();
             let coarse: Vec<f64> = ranks.iter().map(|r| (r * 2.0).round()).collect();
             for priority in [vec![0.0; wf.num_tasks()], coarse] {
-                let mut decoder = Decoder::new(&wf, &p).unwrap();
+                let mut decoder = Decoder::of(&wf, &p);
                 decoder.decode_all(&priority, &assignment, 0);
                 assert_eq!(
                     decoder.candidate.ctx.snapshot().unwrap(),
@@ -689,16 +744,16 @@ mod tests {
         let heft = HeftScheduler::default().schedule(&wf, &p).unwrap();
         let assignment: Vec<DeviceId> = heft.placements().iter().map(|pl| pl.device).collect();
         // Two other decodes first leave placements and reservations
-        // behind in both contexts for `replay` to clear.
+        // behind in both contexts for `restore` to clear.
         let reversed: Vec<f64> = priority.iter().map(|r| -r).collect();
         let on_zero = vec![DeviceId(0); wf.num_tasks()];
-        let mut reused = Decoder::new(&wf, &p).unwrap();
+        let mut reused = Decoder::of(&wf, &p);
         reused.decode_all(&reversed, &on_zero, 0);
         reused.accept();
         reused.decode_all(&priority, &on_zero, 0);
         let makespan = reused.decode_all(&priority, &assignment, 0);
 
-        let mut fresh = Decoder::new(&wf, &p).unwrap();
+        let mut fresh = Decoder::of(&wf, &p);
         assert_eq!(fresh.decode_all(&priority, &assignment, 0), makespan);
         let want = reference_decode(&wf, &p, &priority, &assignment).unwrap();
         assert_eq!(reused.candidate.ctx.snapshot().unwrap(), want);
@@ -774,7 +829,7 @@ mod tests {
             let wf = random_workflow(shape, seed);
             let p = platform(preset);
             let n = wf.num_tasks();
-            let mut decoder = Decoder::new(&wf, &p).unwrap();
+            let mut decoder = Decoder::of(&wf, &p);
             if (0..n).any(|i| decoder.accepted.ctx.feasible_set(TaskId(i)).is_empty()) {
                 return;
             }
@@ -831,15 +886,19 @@ mod tests {
     fn early_exit_counts_witness() {
         // The grid's annealing (500 iterations, seed 0) on montage 60/1
         // on hpc_node, as [decode steps, converged exits, early
-        // rejections]. Without the exits the same run decodes 15,570
-        // steps.
+        // rejections, restored prefix reservations]. Without the exits
+        // the same run decodes 15,570 steps. The restore copies the
+        // 13,989 prefix reservations that a replay would reserve again.
         let p = presets::hpc_node();
         let wf = montage(60, 1).unwrap();
         crate::probe::take();
         let got = AnnealingScheduler::new(500, 0).schedule(&wf, &p).unwrap();
-        let [steps, converged, rejected, _] = crate::probe::take();
+        let [steps, converged, rejected, _, restored] = crate::probe::take();
         assert!(converged > 0 && rejected > 0, "both exits must fire");
-        assert_eq!([steps, converged, rejected], [7105, 156, 219]);
+        assert_eq!(
+            [steps, converged, rejected, restored],
+            [7105, 156, 219, 13_989]
+        );
         let want = reference_schedule(500, 0, &wf, &p).unwrap();
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }

@@ -1,7 +1,7 @@
 //! Shared machinery for list schedulers: cost tables, earliest-start /
 //! earliest-finish computation, and incremental placement.
 
-use helios_platform::{DeviceId, Platform, TransferTable};
+use helios_platform::{DeviceId, DvfsLevel, Platform, TransferTable};
 use helios_sim::{SimDuration, SimTime};
 use helios_workflow::{TaskId, Workflow};
 
@@ -14,7 +14,9 @@ use crate::timeline::DeviceTimeline;
 /// Precomputes the task-on-device execution-time matrix at nominal DVFS
 /// and tracks per-device timelines plus committed placements. All `est` /
 /// `eft` queries use the platform's transfer model between the committed
-/// placement of each predecessor and the candidate device.
+/// placement of each predecessor and the candidate device. A clone keeps
+/// the cost tables, so planners that need several states build one
+/// context and clone it.
 ///
 /// # Examples
 ///
@@ -32,7 +34,7 @@ use crate::timeline::DeviceTimeline;
 /// ctx.place(entry, dev, start, finish)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SchedContext<'a> {
     wf: &'a Workflow,
     platform: &'a Platform,
@@ -43,7 +45,13 @@ pub struct SchedContext<'a> {
     transfers: TransferTable<'a>,
     /// `feasible[task]`: the devices that can host the task, in id order.
     feasible: Vec<Vec<DeviceId>>,
+    /// `nominal[device]`: the DVFS level every placement runs at.
+    nominal: Vec<DvfsLevel>,
     timelines: Vec<DeviceTimeline>,
+    /// `owners[d][i]`: the task holding device `d`'s `i`-th reservation.
+    /// Kept only by restorable contexts and empty in every other, so
+    /// planners that never restore pay nothing for it.
+    owners: Vec<Vec<TaskId>>,
     placements: Vec<Option<Placement>>,
     insertion: bool,
 }
@@ -87,41 +95,56 @@ impl<'a> SchedContext<'a> {
             exec,
             transfers: platform.transfer_table(),
             feasible,
+            nominal: platform
+                .devices()
+                .iter()
+                .map(|d| d.nominal_level())
+                .collect(),
             timelines: vec![DeviceTimeline::new(); platform.num_devices()],
+            owners: Vec::new(),
             placements: vec![None; wf.num_tasks()],
             insertion,
         })
     }
 
-    /// Makes this context hold exactly `source`'s placements of `tasks`,
-    /// reserved in that order, keeping the cost tables and the
-    /// timelines' capacity, and returns their latest finish
-    /// ([`SimTime::ZERO`] for none). Replaying the order in which
-    /// `source` placed them repeats its insertion sequence, so
-    /// zero-length reservations land where they did there. Both
-    /// contexts must schedule the same workflow on the same platform.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedError::Unscheduled`] if `source` has not placed
-    /// one of `tasks`.
-    pub(crate) fn replay(
+    /// This context, tagging each reservation with its task from now on,
+    /// so it can [`SchedContext::restore`] from a restorable clone. Call
+    /// it before placing anything; a restorable context is never
+    /// unplaced from.
+    pub(crate) fn restorable(mut self) -> SchedContext<'a> {
+        debug_assert!(self.placements.iter().all(Option::is_none));
+        self.owners = vec![Vec::new(); self.timelines.len()];
+        self
+    }
+
+    /// Makes this context hold exactly `source`'s placements of the tasks
+    /// `order[..from]`, keeping the cost tables and the timelines'
+    /// capacity, and returns their latest finish ([`SimTime::ZERO`] for
+    /// none). `order` lists every task once, and `step[t]` is task `t`'s
+    /// position in it. Each timeline is sorted by (start, finish), so it
+    /// depends on its set of intervals alone: copying the kept ones gives
+    /// what reserving the kept placements, in any order, would. No
+    /// interval is searched for or inserted. Both contexts must be
+    /// restorable clones of one context.
+    pub(crate) fn restore(
         &mut self,
         source: &SchedContext<'a>,
-        tasks: &[TaskId],
-    ) -> Result<SimTime, SchedError> {
-        for timeline in &mut self.timelines {
-            timeline.clear();
-        }
-        self.placements.fill(None);
+        order: &[TaskId],
+        step: &[usize],
+        from: usize,
+    ) -> SimTime {
+        let keep = |t: TaskId| step[t.0] < from;
         let mut last = SimTime::ZERO;
-        for &task in tasks {
-            let p = source.placements[task.0].ok_or(SchedError::Unscheduled(task))?;
-            self.timelines[p.device.0].reserve(p.start, p.finish);
-            self.placements[task.0] = Some(p);
-            last = last.max(p.finish);
+        for (d, (timeline, owners)) in self.timelines.iter_mut().zip(&mut self.owners).enumerate() {
+            timeline.copy_kept(owners, &source.timelines[d], &source.owners[d], keep);
+            // The finishes never decrease, so the last is the latest.
+            last = last.max(timeline.ready_time());
         }
-        Ok(last)
+        self.placements.copy_from_slice(&source.placements);
+        for t in &order[from..] {
+            self.placements[t.0] = None;
+        }
+        last
     }
 
     /// The workflow being scheduled.
@@ -321,7 +344,8 @@ impl<'a> SchedContext<'a> {
     /// # Panics
     ///
     /// Panics if the reservation overlaps an existing one — callers must
-    /// pass intervals obtained from [`SchedContext::eft`].
+    /// pass intervals obtained from [`SchedContext::eft`] — or if
+    /// `device` is not one of the platform's.
     pub fn place(
         &mut self,
         task: TaskId,
@@ -332,12 +356,14 @@ impl<'a> SchedContext<'a> {
         if self.placements[task.0].is_some() {
             return Err(SchedError::Internal(format!("task {task} placed twice")));
         }
-        self.timelines[device.0].reserve(start, finish);
-        let level = self.platform.device(device)?.nominal_level();
+        let at = self.timelines[device.0].reserve(start, finish);
+        if let Some(owners) = self.owners.get_mut(device.0) {
+            owners.insert(at, task);
+        }
         self.placements[task.0] = Some(Placement {
             task,
             device,
-            level,
+            level: self.nominal[device.0],
             start,
             finish,
         });
@@ -354,6 +380,7 @@ impl<'a> SchedContext<'a> {
         let p = self.placements[task.0]
             .take()
             .ok_or(SchedError::Unscheduled(task))?;
+        debug_assert!(self.owners.is_empty(), "restorable contexts never unplace");
         self.timelines[p.device.0].release(p.start, p.finish);
         Ok(())
     }

@@ -31,12 +31,29 @@ pub struct HeftScheduler {
     pub no_insertion: bool,
 }
 
-/// Task ids sorted by decreasing upward rank (ties by id, deterministic).
-pub(crate) fn rank_order(wf: &Workflow, platform: &Platform) -> Result<Vec<TaskId>, SchedError> {
-    let ranks = analysis::bottom_levels(wf, platform)?;
-    let mut order: Vec<TaskId> = (0..wf.num_tasks()).map(TaskId).collect();
+/// Task ids sorted by decreasing upward rank (`ranks`, from
+/// [`analysis::bottom_levels`]; ties by id, deterministic).
+pub(crate) fn rank_order(ranks: &[f64]) -> Vec<TaskId> {
+    let mut order: Vec<TaskId> = (0..ranks.len()).map(TaskId).collect();
     order.sort_by(|a, b| ranks[b.0].total_cmp(&ranks[a.0]).then(a.0.cmp(&b.0)));
-    Ok(order)
+    order
+}
+
+/// HEFT's placement pass: each task of `order`, in turn, on its
+/// earliest-finish device.
+///
+/// # Errors
+///
+/// Same as [`SchedContext::best_eft`].
+pub(crate) fn place_in_order(
+    ctx: &mut SchedContext<'_>,
+    order: &[TaskId],
+) -> Result<(), SchedError> {
+    for &task in order {
+        let (dev, start, finish) = ctx.best_eft(task)?;
+        ctx.place(task, dev, start, finish)?;
+    }
+    Ok(())
 }
 
 impl Scheduler for HeftScheduler {
@@ -49,12 +66,9 @@ impl Scheduler for HeftScheduler {
     }
 
     fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let order = rank_order(wf, platform)?;
+        let order = rank_order(&analysis::bottom_levels(wf, platform)?);
         let mut ctx = SchedContext::new(wf, platform, !self.no_insertion)?;
-        for task in order {
-            let (dev, start, finish) = ctx.best_eft(task)?;
-            ctx.place(task, dev, start, finish)?;
-        }
+        place_in_order(&mut ctx, &order)?;
         ctx.into_schedule()
     }
 }
@@ -69,7 +83,7 @@ mod tests {
     fn rank_order_is_topologically_consistent() {
         let wf = montage(50, 2).unwrap();
         let p = presets::hpc_node();
-        let order = rank_order(&wf, &p).unwrap();
+        let order = rank_order(&analysis::bottom_levels(&wf, &p).unwrap());
         let pos: Vec<usize> = {
             let mut pos = vec![0; wf.num_tasks()];
             for (i, &t) in order.iter().enumerate() {

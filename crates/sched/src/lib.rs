@@ -80,10 +80,13 @@ pub(crate) mod probe {
         Rejected,
         /// One (task, device) start probe by Min-Min/Max-Min.
         BatchProbe,
+        /// One reservation of the accepted prefix that the annealing
+        /// decoder restored into its candidate (copied, not reserved).
+        Restored,
     }
 
     thread_local! {
-        static COUNTS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
+        static COUNTS: Cell<[u64; 5]> = const { Cell::new([0; 5]) };
     }
 
     pub(crate) fn count(site: Site) {
@@ -99,9 +102,9 @@ pub(crate) mod probe {
     }
 
     /// Returns `[decode steps, converged exits, early rejections, batch
-    /// probes]` and resets them.
-    pub(crate) fn take() -> [u64; 4] {
-        COUNTS.with(|c| c.replace([0; 4]))
+    /// probes, restored reservations]` and resets them.
+    pub(crate) fn take() -> [u64; 5] {
+        COUNTS.with(|c| c.replace([0; 5]))
     }
 }
 

@@ -4,7 +4,7 @@
 
 use helios_platform::{DeviceId, Platform};
 use helios_sim::KnobRange;
-use helios_workflow::{TaskId, Workflow};
+use helios_workflow::{analysis, TaskId, Workflow};
 
 use crate::context::SchedContext;
 use crate::error::SchedError;
@@ -98,7 +98,7 @@ impl Scheduler for LookaheadScheduler {
     }
 
     fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let order = rank_order(wf, platform)?;
+        let order = rank_order(&analysis::bottom_levels(wf, platform)?);
         let mut placed = vec![false; wf.num_tasks()];
         let mut ctx = SchedContext::new(wf, platform, true)?;
         for task in order {

@@ -1,10 +1,11 @@
 //! Per-device busy-interval timelines with insertion-based placement.
 
 use helios_sim::{SimDuration, SimTime};
+use helios_workflow::TaskId;
 
-/// The reservation timeline of one device: a sorted list of disjoint busy
-/// intervals. Supports the two placement policies of the list-scheduling
-/// literature:
+/// The reservation timeline of one device: a list of disjoint busy
+/// intervals sorted by (start, finish). Supports the two placement
+/// policies of the list-scheduling literature:
 ///
 /// * **insertion** — a task may fill an idle gap between existing
 ///   reservations (HEFT's insertion policy),
@@ -26,7 +27,9 @@ use helios_sim::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DeviceTimeline {
-    /// Disjoint, sorted (start, finish) busy intervals.
+    /// Disjoint busy intervals, sorted by (start, finish). Only
+    /// zero-length intervals can share a start with another, and they
+    /// sort first, so the finishes never decrease either.
     busy: Vec<(SimTime, SimTime)>,
 }
 
@@ -37,7 +40,7 @@ impl DeviceTimeline {
         DeviceTimeline::default()
     }
 
-    /// The busy intervals, sorted by start.
+    /// The busy intervals, sorted by (start, finish).
     #[must_use]
     pub fn busy_intervals(&self) -> &[(SimTime, SimTime)] {
         &self.busy
@@ -84,23 +87,31 @@ impl DeviceTimeline {
         candidate
     }
 
-    /// Reserves `[start, finish)`.
+    /// Reserves `[start, finish)` and returns its index in
+    /// [`DeviceTimeline::busy_intervals`]. The interval goes after every
+    /// one that sorts at or before it; list scheduling mostly appends, so
+    /// the last interval is compared first and an append costs O(1).
     ///
     /// # Panics
     ///
     /// Panics if the interval is inverted or overlaps an existing
     /// reservation — callers must only reserve what
     /// [`DeviceTimeline::earliest_start`] returned.
-    pub fn reserve(&mut self, start: SimTime, finish: SimTime) {
+    pub fn reserve(&mut self, start: SimTime, finish: SimTime) -> usize {
         assert!(start <= finish, "inverted reservation {start}..{finish}");
-        let idx = self.busy.partition_point(|&(s, _)| s < start);
+        let interval = (start, finish);
+        let idx = match self.busy.last() {
+            Some(&last) if last > interval => self.busy.partition_point(|&b| b <= interval),
+            _ => self.busy.len(),
+        };
         let no_overlap_prev = idx == 0 || self.busy[idx - 1].1 <= start;
         let no_overlap_next = idx == self.busy.len() || finish <= self.busy[idx].0;
         assert!(
             no_overlap_prev && no_overlap_next,
             "reservation {start}..{finish} overlaps an existing interval"
         );
-        self.busy.insert(idx, (start, finish));
+        self.busy.insert(idx, interval);
+        idx
     }
 
     /// Releases a previously reserved `[start, finish)` interval.
@@ -110,18 +121,38 @@ impl DeviceTimeline {
     /// Panics if the exact interval is not currently reserved — releases
     /// must mirror earlier [`DeviceTimeline::reserve`] calls.
     pub fn release(&mut self, start: SimTime, finish: SimTime) {
-        let first = self.busy.partition_point(|&(s, _)| s < start);
-        let idx = self.busy[first..]
-            .iter()
-            .take_while(|&&(s, _)| s == start)
-            .position(|&(_, f)| f == finish)
-            .unwrap_or_else(|| panic!("release of unreserved interval {start}..{finish}"));
-        self.busy.remove(first + idx);
+        let idx = self.busy.partition_point(|&b| b < (start, finish));
+        if self.busy.get(idx) != Some(&(start, finish)) {
+            panic!("release of unreserved interval {start}..{finish}");
+        }
+        self.busy.remove(idx);
     }
 
-    /// Releases every reservation, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.busy.clear();
+    /// Makes this timeline hold `source`'s intervals whose tags `keep`
+    /// accepts, in order, and `kept` their tags, keeping both
+    /// allocations; `tags[i]` tags `source`'s `i`-th interval. A
+    /// subsequence of a sorted, disjoint list is one too. The copy is
+    /// compacted in place without a branch on `keep`, whose verdicts
+    /// follow no pattern.
+    pub(crate) fn copy_kept(
+        &mut self,
+        kept: &mut Vec<TaskId>,
+        source: &DeviceTimeline,
+        tags: &[TaskId],
+        keep: impl Fn(TaskId) -> bool,
+    ) {
+        debug_assert_eq!(source.busy.len(), tags.len());
+        self.busy.clone_from(&source.busy);
+        kept.clear();
+        kept.extend_from_slice(tags);
+        let mut len = 0;
+        for (i, &tag) in tags.iter().enumerate() {
+            self.busy[len] = self.busy[i];
+            kept[len] = tag;
+            len += usize::from(keep(tag));
+        }
+        self.busy.truncate(len);
+        kept.truncate(len);
     }
 
     /// Total busy time.
@@ -216,6 +247,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "overlaps")]
+    fn overlapping_reserve_before_the_last_panics() {
+        let mut tl = DeviceTimeline::new();
+        tl.reserve(t(2.0), t(4.0));
+        tl.reserve(t(1.0), t(3.0));
+    }
+
+    #[test]
     fn zero_length_reservations_allowed() {
         let mut tl = DeviceTimeline::new();
         tl.reserve(t(1.0), t(1.0));
@@ -245,9 +284,9 @@ mod tests {
     /// A sorted, disjoint timeline from steps that each encode a gap
     /// (`step / 3`) and a length (`step % 3`) in half seconds: zero gaps
     /// make back-to-back intervals and zero lengths make zero-length
-    /// ones. Built directly, because `reserve` reaches a zero-length
-    /// interval followed by one with the same start only by inserting
-    /// the zero-length one second.
+    /// ones. Built directly, so these tests do not lean on `reserve`;
+    /// `reserve` builds the same list from the same intervals in any
+    /// order (see `reserve_equals_a_sorted_insert`).
     fn timeline_of(steps: &[u8]) -> DeviceTimeline {
         let mut busy = Vec::with_capacity(steps.len());
         let mut at = 0.0;
@@ -300,6 +339,72 @@ mod tests {
             want.remove(idx);
             tl.release(start, finish);
             prop_assert_eq!(tl.busy_intervals(), &want[..]);
+        }
+    }
+
+    #[test]
+    fn a_start_on_a_zero_length_interval_can_be_reserved() {
+        // `earliest_start` offers the instant of a zero-length interval
+        // to a longer task; the reservation must sort after it instead
+        // of being refused as an overlap.
+        let mut tl = DeviceTimeline::new();
+        tl.reserve(t(1.0), t(1.0));
+        let start = tl.earliest_start(t(1.0), d(1.0), true);
+        assert_eq!(start, t(1.0));
+        assert_eq!(tl.reserve(start, t(2.0)), 1);
+        assert_eq!(tl.busy_intervals(), &[(t(1.0), t(1.0)), (t(1.0), t(2.0))]);
+        // And the other way round: a zero-length interval at the start
+        // of a longer one sorts before it.
+        let mut tl = DeviceTimeline::new();
+        tl.reserve(t(1.0), t(2.0));
+        assert_eq!(tl.reserve(t(1.0), t(1.0)), 0);
+        assert_eq!(tl.busy_intervals(), &[(t(1.0), t(1.0)), (t(1.0), t(2.0))]);
+    }
+
+    /// The reference `reserve` must reproduce: a linear search for the
+    /// first interval sorting after the new one, and a linear overlap
+    /// check against every interval; `None` where `reserve` must panic.
+    fn sorted_insert(
+        busy: &mut Vec<(SimTime, SimTime)>,
+        start: SimTime,
+        finish: SimTime,
+    ) -> Option<usize> {
+        // Two intervals overlap when each starts before the other ends:
+        // a zero-length one overlaps only a span it lies strictly inside.
+        if busy.iter().any(|&(s, f)| s < finish && start < f) {
+            return None;
+        }
+        let idx = busy
+            .iter()
+            .position(|&b| b > (start, finish))
+            .unwrap_or(busy.len());
+        busy.insert(idx, (start, finish));
+        Some(idx)
+    }
+
+    proptest! {
+        #[test]
+        fn reserve_equals_a_sorted_insert(
+            intervals in prop::collection::vec(0u8..36, 0..24),
+        ) {
+            // Each draw encodes a start (`/ 3`) on a half-second grid and
+            // a length (`% 3`) of 0 to 1 s: equal starts, zero-length
+            // intervals, back-to-back ones, appends (the fast path) and
+            // insertions before the last.
+            let mut tl = DeviceTimeline::new();
+            let mut want = Vec::new();
+            for interval in intervals {
+                let (start, len) = (interval / 3, interval % 3);
+                let start = f64::from(start) * 0.5;
+                let (start, finish) = (t(start), t(start + f64::from(len) * 0.5));
+                let expected = sorted_insert(&mut want, start, finish);
+                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    tl.reserve(start, finish)
+                }))
+                .ok();
+                prop_assert_eq!(got, expected, "reserve({:?}, {:?})", start, finish);
+                prop_assert_eq!(tl.busy_intervals(), &want[..]);
+            }
         }
     }
 
