@@ -95,6 +95,45 @@ if [ -n "$resolutions" ]; then
 fi
 echo "crates/core/src: one spec resolution (CampaignSpec::resolve)"
 
+echo "==> one cost model guard"
+# What a task costs on a device, where it may run, the mean costs, the
+# ranks and the SLR bound are derived in one place, the cost model
+# (crates/sched/src/cost.rs), built once per (workflow, platform) and
+# read by the planners, the SLR bound and the runners. A call of one of
+# the derivations below anywhere else in helios-sched or helios-core
+# derives again what the model holds; method calls on the model do not
+# match. Schedule::validate checks plans made elsewhere, so its
+# feasibility check is exempt. So is test code: files included only by
+# tests (*_tests.rs, testkit.rs, exec/conformance.rs), and every item
+# under a `#[cfg(test)]` line, which may sit anywhere in a file. That
+# item is skipped from the attribute to its last line: the first line at
+# the attribute's indentation that is a lone `}` or ends in `;` or `,`
+# (a closed module, function or block, a statement, a field), or the
+# first line indented less (the enclosing block ended).
+derivations=$(find crates/sched/src crates/core/src -name '*.rs' \
+    ! -name '*_tests.rs' ! -name 'testkit.rs' ! -path '*/exec/conformance.rs' | sort \
+    | xargs awk '
+        FNR == 1 { skip = 0 }
+        skip && !/^ *$/ {
+            match($0, /^ */)
+            if (RLENGTH == indent && ($0 ~ /^ *}$/ || $0 ~ /[;,]$/)) { skip = 0; next }
+            if (RLENGTH >= indent) next
+            skip = 0
+        }
+        skip { next }
+        /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); indent = RLENGTH; skip = 1; next }
+        /[^._[:alnum:]](placement_feasible|mean_exec_times|mean_comm_times|(bottom|top)_levels(_with)?|critical_path(_with)?)\(|\.mean_execution_time\(|execution_time\(.*nominal_level\(\)/ {
+            print FILENAME ":" FNR ":" $0
+        }' \
+    | grep -v '^crates/sched/src/cost\.rs:' \
+    | grep -v '^crates/sched/src/schedule\.rs:[0-9]*: *if !crate::placement_feasible(device, wf\.task(t)?) {$' || true)
+if [ -n "$derivations" ]; then
+    echo "$derivations" >&2
+    echo "cost derivations outside crates/sched/src/cost.rs: read the CostModel instead" >&2
+    exit 1
+fi
+echo "crates/sched/src, crates/core/src: one cost model (CostModel)"
+
 echo "==> T15 ensemble table pin"
 # The release t15_ensemble table (18 ensemble runs, about a second) must
 # match its committed copy, with one worker and with two.
@@ -496,6 +535,23 @@ if ! cargo run --release --offline -p helios-bench --bin benchmark -- \
     exit 1
 fi
 echo "store_query seed 0 matches its pinned digest"
+
+echo "==> full-size durable_sweep digest (release, one pass)"
+# One measured pass of the full-size seed-0 durable_sweep workload
+# (10,000 cells of 20 tasks through the write-ahead journal, as 50 shard
+# jobs in which each (family, seed, platform) group's 4 scheduler cells
+# share one cost model): the benchmark exits non-zero unless the merged
+# report matches the pinned Workload::seed0_digest (1ba1061d1c5129a4).
+# This pins the grid's smallest cells, and the model shared the most,
+# at full size; a few seconds in release, most of it fsync.
+if ! cargo run --release --offline -p helios-bench --bin benchmark -- \
+    --workload durable_sweep --seed 0 --seconds 0 \
+    > "$sweep_tmp/durable_sweep.log" 2>&1; then
+    cat "$sweep_tmp/durable_sweep.log" >&2
+    echo "full-size durable_sweep failed its seed-0 digest check" >&2
+    exit 1
+fi
+echo "durable_sweep seed 0 matches its pinned digest"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

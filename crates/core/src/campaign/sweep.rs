@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use helios_platform::Platform;
-use helios_sched::{Placement, Schedule};
+use helios_sched::{CostModel, Placement, Schedule};
 use helios_workflow::Workflow;
 
 use super::journal::{self, JournalHeader, JournalWriter, DEFAULT_POISON_LIMIT};
@@ -478,7 +478,7 @@ impl SweepDriver {
         let workflows = Workflows::new(&run, &pending);
         let ran = self.engine.run_partial(&pending, opts.cancel, |_, cell| {
             lock().attempt(cell.index)?;
-            let result = workflows.with(cell, |wf| run_cell(&run, cell, wf))?;
+            let result = workflows.with(cell, |wf, model| run_cell(&run, cell, wf, model))?;
             lock().append(&result)?;
             Ok::<_, EngineError>(result)
         });
@@ -506,36 +506,43 @@ impl SweepDriver {
     }
 }
 
-/// The workflows of one run's pending cells. Every cell of a (family,
-/// seed) pair runs on the same workflow, so each pair's is generated on
-/// its first use and dropped after its last: only pairs whose cells
-/// interleave are resident together. A workflow is generated under the
-/// lock, so concurrent cells of a pair never both generate it.
+/// The workflows of one run's pending cells and their cost models.
+/// Every cell of a (family, seed) pair runs on the same workflow, so
+/// each pair's is generated on its first use and dropped after its last:
+/// only pairs whose cells interleave are resident together. The cells of
+/// a pair on one platform (a cell group) share one [`CostModel`], built
+/// on the group's first use and dropped with the workflow. Both are
+/// built under the lock, so concurrent cells never both build one.
 /// Generation errors are not kept, so every cell of a failing pair fails
 /// on its own generation, as a cell with a workflow of its own would.
 struct Workflows<'a> {
     run: &'a Resolved<'a>,
     /// Keyed by family axis position and seed.
-    live: Mutex<HashMap<(usize, u64), Live>>,
+    live: Mutex<HashMap<(usize, u64), Live<'a>>>,
     /// Workflows generated so far.
     generated: AtomicUsize,
+    /// Cost models built so far.
+    modeled: AtomicUsize,
 }
 
 /// One (family, seed) pair: the pending cells that have yet to finish
-/// with its workflow, and the workflow once generated.
-struct Live {
+/// with its workflow, the workflow once generated, and its cost model on
+/// each platform, by platform axis position, once built.
+struct Live<'a> {
     uses: usize,
     workflow: Option<Arc<Workflow>>,
+    models: Vec<Option<Arc<CostModel<'a>>>>,
 }
 
 impl<'a> Workflows<'a> {
     fn new(run: &'a Resolved<'a>, pending: &[SweepCell]) -> Workflows<'a> {
-        let mut live: HashMap<(usize, u64), Live> = HashMap::new();
+        let mut live: HashMap<(usize, u64), Live<'a>> = HashMap::new();
         for cell in pending {
             live.entry((run.axes(cell)[0], cell.seed))
-                .or_insert(Live {
+                .or_insert_with(|| Live {
                     uses: 0,
                     workflow: None,
+                    models: vec![None; run.spec.platforms.len()],
                 })
                 .uses += 1;
         }
@@ -543,35 +550,33 @@ impl<'a> Workflows<'a> {
             run,
             live: Mutex::new(live),
             generated: AtomicUsize::new(0),
+            modeled: AtomicUsize::new(0),
         }
     }
 
     /// Runs `f` on the workflow of `cell`, one of the pending cells this
-    /// set was built from, generating the workflow if no other cell has.
+    /// set was built from, and on its cost model on the cell's platform,
+    /// building either if no other cell has.
     fn with<R>(
         &self,
         cell: &SweepCell,
-        f: impl FnOnce(&Workflow) -> Result<R, EngineError>,
+        f: impl FnOnce(&Workflow, &CostModel<'_>) -> Result<R, EngineError>,
     ) -> Result<R, EngineError> {
-        let key = (self.run.axes(cell)[0], cell.seed);
+        let [family, platform, _] = self.run.axes(cell);
+        let key = (family, cell.seed);
         let lock = || self.live.lock().expect("no poisoned workflow lock");
-        let workflow = {
+        let shared = || {
             let mut live = lock();
             let pair = live.get_mut(&key).expect("a pending cell's pair is live");
-            match &pair.workflow {
-                Some(wf) => Ok(Arc::clone(wf)),
-                None => self.run.classes[key.0]
-                    .generate(self.run.spec.tasks, cell.seed)
-                    .map_err(EngineError::from)
-                    .map(|wf| {
-                        self.generated.fetch_add(1, Ordering::Relaxed);
-                        let wf = Arc::new(wf);
-                        pair.workflow = Some(Arc::clone(&wf));
-                        wf
-                    }),
-            }
+            let wf = cached(&mut pair.workflow, &self.generated, || {
+                Ok(self.run.classes[family].generate(self.run.spec.tasks, cell.seed)?)
+            })?;
+            let model = cached(&mut pair.models[platform], &self.modeled, || {
+                Ok(CostModel::new(&wf, self.run.platform(cell))?)
+            })?;
+            Ok((wf, model))
         };
-        let result = workflow.and_then(|wf| f(&wf));
+        let result = shared().and_then(|(wf, model)| f(&wf, &model));
         let mut live = lock();
         let pair = live.get_mut(&key).expect("a pending cell's pair is live");
         pair.uses -= 1;
@@ -580,6 +585,21 @@ impl<'a> Workflows<'a> {
         }
         result
     }
+}
+
+/// The value in `slot`, built and counted in `built` first if there is
+/// none. A failed build leaves the slot empty.
+fn cached<T>(
+    slot: &mut Option<Arc<T>>,
+    built: &AtomicUsize,
+    build: impl FnOnce() -> Result<T, EngineError>,
+) -> Result<Arc<T>, EngineError> {
+    if let Some(value) = slot {
+        return Ok(Arc::clone(value));
+    }
+    let value = Arc::new(build()?);
+    built.fetch_add(1, Ordering::Relaxed);
+    Ok(Arc::clone(slot.insert(value)))
 }
 
 /// Where the sweep loop keeps finished cells. `salvage` runs once,
@@ -871,15 +891,16 @@ pub struct SweepOutcome {
     pub workflows_generated: usize,
 }
 
-/// Executes one grid cell on its (family, seed) workflow: plan, apply
-/// the DVFS knob, run. Everything else the cell needs was built once for
-/// the run.
+/// Executes one grid cell on its (family, seed) workflow and the cost
+/// model of its group: plan, apply the DVFS knob, run. Everything else
+/// the cell needs was built once for the run.
 fn run_cell(
     run: &Resolved<'_>,
     cell: &SweepCell,
     wf: &Workflow,
+    model: &CostModel<'_>,
 ) -> Result<CellResult, EngineError> {
-    let platform = run.platform(cell);
+    let platform = model.platform();
     let config = EngineConfig {
         seed: cell.seed,
         ..run.config.clone()
@@ -892,12 +913,12 @@ fn run_cell(
     // the runner, and both must become measurements when classifiable.
     let outcome = run
         .scheduler(cell)
-        .schedule(wf, platform)
+        .schedule_with(wf, model)
         .map_err(EngineError::from)
         .and_then(|plan| apply_dvfs(run.spec.dvfs, platform, plan))
         .and_then(|plan| {
             if run.resilient {
-                ResilientRunner::new(config).execute_plan(platform, wf, &plan)
+                ResilientRunner::new(config).execute_plan_with(model, wf, &plan)
             } else {
                 Engine::new(config).execute_plan(platform, wf, &plan)
             }
@@ -921,7 +942,7 @@ fn run_cell(
     };
 
     result.makespan_secs = report.makespan().as_secs();
-    result.slr = report.slr(wf, platform)?;
+    result.slr = model.slr(wf, report.makespan())?;
     result.energy_j = report.energy().total_j();
     result.transfers = report.transfers().count;
     result.transfer_bytes = report.transfers().bytes;
@@ -1213,12 +1234,13 @@ mod tests {
 
     use super::*;
 
-    /// Fetches the workflow of every cell of an `n`-shard partition of
-    /// `spec` the way `drive` does, one shard after another with `jobs`
-    /// workers, without running the cells. Returns the workflows
-    /// generated and, with one worker, the most resident at once.
-    fn generation_profile(spec: &CampaignSpec, n: usize, jobs: usize) -> (usize, usize) {
-        let (mut generated, mut peak) = (0, 0);
+    /// Fetches the workflow and cost model of every cell of an `n`-shard
+    /// partition of `spec` the way `drive` does, one shard after another
+    /// with `jobs` workers, without running the cells. Returns the
+    /// workflows generated, with one worker the most resident at once,
+    /// and the cost models built.
+    fn generation_profile(spec: &CampaignSpec, n: usize, jobs: usize) -> (usize, usize, usize) {
+        let (mut generated, mut peak, mut modeled) = (0, 0, 0);
         for k in 1..=n {
             let shard = ShardSpec::new(k, n).unwrap();
             let run = spec.resolve().unwrap();
@@ -1232,7 +1254,7 @@ mod tests {
             };
             let (done, _) = engine
                 .run_partial(&pending, None, |_, cell| {
-                    workflows.with(cell, |_| Ok(if jobs == 1 { resident() } else { 0 }))
+                    workflows.with(cell, |_, _| Ok(if jobs == 1 { resident() } else { 0 }))
                 })
                 .unwrap();
             assert_eq!(done.len(), pending.len());
@@ -1242,8 +1264,9 @@ mod tests {
                 "every pair released"
             );
             generated += workflows.generated.into_inner();
+            modeled += workflows.modeled.into_inner();
         }
-        (generated, peak)
+        (generated, peak, modeled)
     }
 
     #[test]
@@ -1255,8 +1278,8 @@ mod tests {
         // seed per shard, so each of the 35 shards generates its 5
         // families' workflows one after another; unsharded, the 5 seeds
         // of a family interleave.
-        assert_eq!(generation_profile(&grid, 35, 1), (175, 1));
-        assert_eq!(generation_profile(&grid, 1, 1), (25, 5));
+        assert_eq!(generation_profile(&grid, 35, 1), (175, 1, 700));
+        assert_eq!(generation_profile(&grid, 1, 1), (25, 5, 100));
         assert_eq!(generation_profile(&grid, 35, 2).0, 175);
         assert_eq!(generation_profile(&grid, 1, 2).0, 25);
 
@@ -1274,8 +1297,25 @@ mod tests {
             }"#,
         )
         .unwrap();
-        assert_eq!(generation_profile(&resilient, 48, 1), (96, 1));
+        assert_eq!(generation_profile(&resilient, 48, 1), (96, 1, 96));
         assert_eq!(generation_profile(&resilient, 48, 2).0, 96);
+    }
+
+    #[test]
+    fn each_cell_group_builds_one_cost_model_per_run() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+        let json = std::fs::read_to_string(dir.join("paper_grid.json")).unwrap();
+        let grid = CampaignSpec::from_json(&json).unwrap();
+        // 1200 cells in 100 (family, seed, platform) groups of 12
+        // schedulers. Unsharded, each group builds its model once, with
+        // any number of workers. A stride of 3 spreads every group's 12
+        // cells over all 3 shards, so each shard builds all 100. (The
+        // benchmark's stride of 35 puts 1 or 2 of a group's cells in a
+        // shard: 700 models, pinned above.)
+        for jobs in [1, 3] {
+            assert_eq!(generation_profile(&grid, 1, jobs).2, 100, "--jobs {jobs}");
+            assert_eq!(generation_profile(&grid, 3, jobs).2, 300, "--jobs {jobs}");
+        }
     }
 
     #[test]
@@ -1347,7 +1387,7 @@ mod tests {
             .iter()
             .map(|cell| {
                 workflows
-                    .with(cell, |_| Ok(()))
+                    .with(cell, |_, _| Ok(()))
                     .expect_err("montage needs 11 tasks")
                     .to_string()
             })

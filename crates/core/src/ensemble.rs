@@ -16,9 +16,9 @@
 
 use helios_energy::account;
 use helios_platform::Platform;
-use helios_sched::{Placement, SchedError, Schedule};
+use helios_sched::{CostModel, Placement, SchedError, Schedule};
 use helios_sim::{SimDuration, SimTime};
-use helios_workflow::{analysis, TaskId, Workflow, WorkflowBuilder};
+use helios_workflow::{TaskId, Workflow, WorkflowBuilder};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
@@ -144,7 +144,7 @@ impl EnsembleRunner {
             }
             // Ranks come from each member alone, so a rank error names
             // the member-local task.
-            ranks.extend(analysis::bottom_levels(wf, platform)?);
+            ranks.extend_from_slice(CostModel::new(wf, platform)?.bottom_levels(wf)?);
         }
         let union = union.build()?;
         let arbitration = Arbitration {
@@ -168,8 +168,9 @@ impl EnsembleRunner {
             ..self.config.clone()
         };
         let runner = OnlineRunner::new(config, OnlinePolicy::RankedJit);
+        let model = CostModel::new(&union, platform)?;
         let exec = runner
-            .execute(platform, &union, &union, arbitration)
+            .execute(&model, &union, &union, arbitration)
             .map_err(|e| match e {
                 EngineError::Sched(SchedError::NoFeasibleDevice(g)) => {
                     EngineError::Sched(SchedError::NoFeasibleDevice(local(g)))

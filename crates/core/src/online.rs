@@ -16,10 +16,10 @@
 
 use helios_energy::DvfsGovernor;
 use helios_platform::{DeviceId, DvfsLevel, Platform};
-use helios_sched::Placement;
+use helios_sched::{CostModel, Placement};
 use helios_sim::trace::Trace;
 use helios_sim::{EventQueue, SimRng, SimTime};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_workflow::{TaskId, Workflow};
 
 use crate::config::EngineConfig;
 use crate::ensemble::EnsemblePolicy;
@@ -123,11 +123,19 @@ impl OnlineRunner {
                 "estimate workflow differs structurally from the executed one".into(),
             ));
         }
+        // Feasibility comes from the executed workflow, ranks from the
+        // believed one.
+        let model = CostModel::new(wf, platform)?;
         let ranks = match self.policy {
-            OnlinePolicy::RankedJit => analysis::bottom_levels(believed, platform)?,
+            OnlinePolicy::RankedJit if std::ptr::eq(believed, wf) => {
+                model.bottom_levels(wf)?.to_vec()
+            }
+            OnlinePolicy::RankedJit => CostModel::new(believed, platform)?
+                .bottom_levels(believed)?
+                .to_vec(),
             OnlinePolicy::Jit => vec![0.0; n],
         };
-        let exec = self.execute(platform, wf, believed, Arbitration::single(ranks))?;
+        let exec = self.execute(&model, wf, believed, Arbitration::single(ranks))?;
         finish_report(
             platform,
             wf,
@@ -139,20 +147,20 @@ impl OnlineRunner {
         )
     }
 
-    /// Runs the dispatcher over `wf` to completion: the one hook set
-    /// behind this runner and the
+    /// Runs the dispatcher over `wf`, whose cost model is `model`, to
+    /// completion: the one hook set behind this runner and the
     /// [`EnsembleRunner`](crate::EnsembleRunner), which passes the union
     /// of its members as `wf` and their arbitration. Each distinct
     /// member arrival is one release event, so the entry tasks released
     /// at one instant are dispatched together, in policy order.
     pub(crate) fn execute<'a>(
         &'a self,
-        platform: &'a Platform,
+        model: &'a CostModel<'a>,
         wf: &'a Workflow,
         believed: &'a Workflow,
         arbitration: Arbitration,
     ) -> Result<OnlineExec<'a>, EngineError> {
-        let n = wf.num_tasks();
+        let (n, platform) = (wf.num_tasks(), model.platform());
         let base_rng = SimRng::seed_from(self.config.seed);
         let mut queue = EventQueue::new();
         let mut instants = arbitration.arrival.clone();
@@ -166,6 +174,7 @@ impl OnlineRunner {
             policy: self.policy,
             governor: self.governor.as_deref(),
             platform,
+            model,
             wf,
             believed,
             faults: self.config.fault_view()?,
@@ -270,6 +279,8 @@ pub(crate) struct OnlineExec<'a> {
     policy: OnlinePolicy,
     governor: Option<&'a dyn DvfsGovernor>,
     platform: &'a Platform,
+    /// The executed workflow's costs: feasibility and nominal levels.
+    model: &'a CostModel<'a>,
     wf: &'a Workflow,
     believed: &'a Workflow,
     faults: Option<&'a ResilienceConfig>,
@@ -335,8 +346,7 @@ impl OnlineExec<'_> {
     /// forcing it onto a slow idle device (OLB behaviour) is the failure
     /// mode this dispatcher exists to avoid.
     fn dispatch(&mut self, now: SimTime) -> Result<(), EngineError> {
-        let platform = self.platform;
-        let wf = self.wf;
+        let (platform, model, wf) = (self.platform, self.model, self.wf);
         loop {
             let idle_count = self.device_idle.iter().filter(|&&i| i).count();
             if idle_count == 0 || self.ready.is_empty() {
@@ -364,17 +374,12 @@ impl OnlineExec<'_> {
                 // Best device over ALL devices, busy ones at their
                 // predicted free time.
                 let mut best: Option<(DeviceId, DvfsLevel, f64)> = None;
-                for d in 0..platform.num_devices() {
-                    let dev = DeviceId(d);
-                    let device = platform.device(dev)?;
-                    if !helios_sched::placement_feasible(device, wf.task(task)?) {
-                        continue;
-                    }
+                for &dev in model.feasible_devices(task) {
                     let level = match self.governor {
-                        Some(g) => g.select_level(device, pressure),
-                        None => device.nominal_level(),
+                        Some(g) => g.select_level(platform.device(dev)?, pressure),
+                        None => model.nominal_level(dev),
                     };
-                    let est = now.max(self.device_free_pred[d]);
+                    let est = now.max(self.device_free_pred[dev.0]);
                     let score = self.predict(task, dev, est, level)?;
                     if best.is_none_or(|(_, _, b)| score < b) {
                         best = Some((dev, level, score));

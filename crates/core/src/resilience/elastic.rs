@@ -274,14 +274,8 @@ impl Sim<'_> {
         let Some(el) = self.elastic.as_ref() else {
             return false;
         };
-        let can_take = |d: usize| {
-            self.avail.is_up(DeviceId(d))
-                && self.platform.device(DeviceId(d)).is_ok_and(|device| {
-                    self.wf
-                        .task(task)
-                        .is_ok_and(|t| placement_feasible(device, t))
-                })
-        };
+        let can_take =
+            |d: usize| self.avail.is_up(DeviceId(d)) && self.model.feasible(task, DeviceId(d));
         el.timed
             .iter()
             .zip(&el.fired)

@@ -288,14 +288,12 @@ impl Sim<'_> {
                 if !self.dispatchable(dev.0) {
                     continue;
                 }
-                let device = self.platform.device(dev)?;
-                if !placement_feasible(device, self.wf.task(task)?) {
+                if !self.model.feasible(task, dev) || !self.reachable_for(task, dev)? {
                     continue;
                 }
-                if !self.reachable_for(task, dev)? {
-                    continue;
-                }
-                let secs = self.work_on(task, dev, device.nominal_level())?.as_secs();
+                let secs = self
+                    .work_on(task, dev, self.model.nominal_level(dev))?
+                    .as_secs();
                 let cand = (secs, dev.0);
                 if best.is_none_or(|b| cand < b) {
                     best = Some(cand);
@@ -309,7 +307,7 @@ impl Sim<'_> {
                 });
             };
             let device = DeviceId(d);
-            let level = self.platform.device(device)?.nominal_level();
+            let level = self.model.nominal_level(device);
             let overhead = self.res.failures.restart_overhead_secs;
             self.counters.recovery += overhead;
             let ordinal = self.task_replicas[task.0].len();

@@ -37,7 +37,7 @@
 
 use helios_energy::account;
 use helios_platform::{Availability, DeviceId, DvfsLevel, LinkAvailability, LinkId, Platform};
-use helios_sched::{placement_feasible, scheduler_by_name, Placement, Schedule, Scheduler};
+use helios_sched::{scheduler_by_name, CostModel, Placement, Schedule, Scheduler};
 use helios_sim::failure::{FailureKind, FailureProcess, LinkFailureKind, LinkFailureProcess};
 use helios_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use helios_workflow::{TaskId, Workflow};
@@ -139,8 +139,9 @@ impl ResilientRunner {
         wf: &Workflow,
         scheduler: &dyn Scheduler,
     ) -> Result<ExecutionReport, EngineError> {
-        let plan = scheduler.schedule(wf, platform)?;
-        self.execute_plan(platform, wf, &plan)
+        let model = CostModel::new(wf, platform)?;
+        let plan = scheduler.schedule_with(wf, &model)?;
+        self.execute_plan_with(&model, wf, &plan)
     }
 
     /// Executes a precomputed plan under the configured failure model
@@ -159,6 +160,18 @@ impl ResilientRunner {
         wf: &Workflow,
         plan: &Schedule,
     ) -> Result<ExecutionReport, EngineError> {
+        self.execute_plan_with(&CostModel::new(wf, platform)?, wf, plan)
+    }
+
+    /// [`ResilientRunner::execute_plan`] on `model`'s platform, with
+    /// `model`, the cost model of `wf`, shared by both passes.
+    pub(crate) fn execute_plan_with(
+        &self,
+        model: &CostModel<'_>,
+        wf: &Workflow,
+        plan: &Schedule,
+    ) -> Result<ExecutionReport, EngineError> {
+        let platform = model.platform();
         self.config.validate_for(platform)?;
         let res = self.config.resilience.as_ref().ok_or_else(|| {
             EngineError::Config("ResilientRunner requires EngineConfig::resilience".into())
@@ -169,8 +182,8 @@ impl ResilientRunner {
             ));
         }
 
-        let faulty = Sim::execute(&self.config, res, platform, wf, plan, true)?;
-        let baseline = Sim::execute(&self.config, res, platform, wf, plan, false)?;
+        let faulty = Sim::execute(&self.config, res, model, wf, plan, true)?;
+        let baseline = Sim::execute(&self.config, res, model, wf, plan, false)?;
 
         let mk = faulty.schedule.makespan().as_secs();
         let base_mk = baseline.schedule.makespan().as_secs();
@@ -379,6 +392,8 @@ struct Sim<'a> {
     cfg: &'a EngineConfig,
     res: &'a ResilienceConfig,
     platform: &'a Platform,
+    /// The cost model of `wf`: feasibility and nominal costs.
+    model: &'a CostModel<'a>,
     wf: &'a Workflow,
     noise: Vec<f64>,
     replicas: Vec<Replica>,
@@ -431,12 +446,12 @@ impl<'a> Sim<'a> {
     fn execute(
         cfg: &'a EngineConfig,
         res: &'a ResilienceConfig,
-        platform: &'a Platform,
+        model: &'a CostModel<'a>,
         wf: &'a Workflow,
         plan: &Schedule,
         inject: bool,
     ) -> Result<Outcome, EngineError> {
-        let n = wf.num_tasks();
+        let (n, platform) = (wf.num_tasks(), model.platform());
         let nd = platform.num_devices();
         let nl = platform.interconnect().links().len();
         let base_rng = SimRng::seed_from(cfg.seed);
@@ -480,6 +495,7 @@ impl<'a> Sim<'a> {
             cfg,
             res,
             platform,
+            model,
             wf,
             noise,
             replicas: Vec::new(),
@@ -529,25 +545,16 @@ impl<'a> Sim<'a> {
             sim.queue_replica(task, primary, plan_level[t], key, SimTime::ZERO)?;
             if k > 1 {
                 // Fastest feasible alternates first; ties break on id.
-                let mut cands: Vec<(f64, usize)> = Vec::new();
-                for d in 0..nd {
-                    if d == primary.0 || !sim.device_live(d) {
-                        continue;
-                    }
-                    let device = platform.device(DeviceId(d))?;
-                    if !placement_feasible(device, wf.task(task)?) {
-                        continue;
-                    }
-                    let secs = device
-                        .execution_time(wf.task(task)?.cost(), device.nominal_level())?
-                        .as_secs();
-                    cands.push((secs, d));
-                }
-                cands.sort_by(|a, b| a.partial_cmp(b).expect("finite exec times"));
-                for (ordinal, &(_, d)) in cands.iter().take(k - 1).enumerate() {
-                    let device = DeviceId(d);
-                    let level = platform.device(device)?.nominal_level();
+                let mut cands: Vec<(SimDuration, DeviceId)> = model
+                    .feasible_devices(task)
+                    .iter()
+                    .filter(|&&d| d != primary && sim.device_live(d.0))
+                    .map(|&d| (model.exec_time(task, d), d))
+                    .collect();
+                cands.sort_unstable();
+                for (ordinal, &(_, device)) in cands.iter().take(k - 1).enumerate() {
                     let key = (sim.plan_key[t], t, ordinal + 1);
+                    let level = model.nominal_level(device);
                     sim.queue_replica(task, device, level, key, SimTime::ZERO)?;
                 }
             }

@@ -220,7 +220,11 @@ impl Scheduler for FixedPlan {
     fn name(&self) -> &str {
         "fixed"
     }
-    fn schedule(&self, _wf: &Workflow, _p: &Platform) -> Result<Schedule, SchedError> {
+    fn schedule_with(
+        &self,
+        _wf: &Workflow,
+        _model: &CostModel<'_>,
+    ) -> Result<Schedule, SchedError> {
         Ok(self.0.clone())
     }
 }

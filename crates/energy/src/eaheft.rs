@@ -1,8 +1,8 @@
 //! Energy-aware HEFT.
 
-use helios_platform::{DeviceId, Platform};
-use helios_sched::{SchedContext, SchedError, Schedule, Scheduler};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_platform::DeviceId;
+use helios_sched::{CostModel, SchedContext, SchedError, Schedule, Scheduler};
+use helios_workflow::Workflow;
 
 /// A HEFT variant whose device-selection objective is a weighted blend of
 /// normalized earliest finish time and normalized execution energy:
@@ -52,24 +52,18 @@ impl Scheduler for EnergyAwareHeft {
         "ea-heft"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let ranks = analysis::bottom_levels(wf, platform)?;
-        let mut order: Vec<TaskId> = (0..wf.num_tasks()).map(TaskId).collect();
-        order.sort_by(|a, b| ranks[b.0].total_cmp(&ranks[a.0]).then(a.0.cmp(&b.0)));
-
-        let mut ctx = SchedContext::new(wf, platform, true)?;
-        for task in order {
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let platform = model.platform();
+        let mut ctx = SchedContext::new(wf, model, true);
+        for task in model.rank_order(wf)? {
             let cost = wf.task(task)?.cost();
             // Gather candidates with EFT and energy.
             let mut candidates = Vec::with_capacity(platform.num_devices());
-            for d in 0..platform.num_devices() {
-                let dev_id = DeviceId(d);
-                if !ctx.feasible(task, dev_id) {
-                    continue;
-                }
+            for &dev_id in model.feasible_devices(task) {
                 let (start, finish) = ctx.eft(task, dev_id)?;
-                let device = platform.device(dev_id)?;
-                let energy = device.execution_energy(cost, device.nominal_level())?;
+                let energy = platform
+                    .device(dev_id)?
+                    .execution_energy(cost, model.nominal_level(dev_id))?;
                 candidates.push((dev_id, start, finish, energy));
             }
             if candidates.is_empty() {

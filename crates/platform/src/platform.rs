@@ -160,20 +160,6 @@ impl Platform {
         self.interconnect.transfer_time(bytes, from, to)
     }
 
-    /// Execution time of `cost` on device `id` at its nominal DVFS state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::UnknownDevice`] for an out-of-range id.
-    pub fn execution_time(
-        &self,
-        cost: &ComputeCost,
-        id: DeviceId,
-    ) -> Result<SimDuration, PlatformError> {
-        let d = self.device(id)?;
-        d.execution_time(cost, d.nominal_level())
-    }
-
     /// Mean nominal execution time of `cost` across all devices — the
     /// quantity HEFT-family schedulers use for upward ranks.
     ///
@@ -356,8 +342,11 @@ mod tests {
     fn mean_execution_time_averages() {
         let p = two_device();
         let cost = ComputeCost::new(450.0, 0.0, KernelClass::DenseLinearAlgebra);
-        let t_cpu = p.execution_time(&cost, DeviceId(0)).unwrap();
-        let t_gpu = p.execution_time(&cost, DeviceId(1)).unwrap();
+        let nominal = |d| {
+            let d = p.device(DeviceId(d)).unwrap();
+            d.execution_time(&cost, d.nominal_level()).unwrap()
+        };
+        let (t_cpu, t_gpu) = (nominal(0), nominal(1));
         let mean = p.mean_execution_time(&cost).unwrap();
         let expect = (t_cpu.as_secs() + t_gpu.as_secs()) / 2.0;
         assert!((mean.as_secs() - expect).abs() < 1e-12);

@@ -3,11 +3,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use helios_platform::{DeviceId, Platform};
+use helios_platform::DeviceId;
 use helios_sim::{SimDuration, SimRng, SimTime};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::heft;
 use crate::schedule::Schedule;
@@ -190,14 +191,15 @@ impl<'a> Decoder<'a> {
     /// A decoder whose two states are clones of `ctx`, which must have
     /// nothing placed and use the insertion policy.
     fn new(ctx: SchedContext<'a>) -> Decoder<'a> {
-        let wf = ctx.workflow();
+        let (wf, model) = (ctx.workflow(), ctx.model());
         let ctx = ctx.restorable();
         let mut tail = vec![0.0f64; wf.num_tasks()];
         for &t in wf.topo_order().iter().rev() {
             tail[t.0] = wf.successor_tasks(t).fold(0.0, |longest, s| {
-                let fastest = ctx
+                let fastest = model
                     .feasible_devices(s)
-                    .map(|d| ctx.exec_time(s, d).as_secs())
+                    .iter()
+                    .map(|&d| model.exec_time(s, d).as_secs())
                     .reduce(f64::min)
                     .unwrap_or(0.0);
                 longest.max(fastest + tail[s.0])
@@ -404,14 +406,14 @@ impl Scheduler for AnnealingScheduler {
         "annealing"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        // Seed state: HEFT assignment + upward-rank priorities, from one
-        // rank computation and one context, cloned for the HEFT pass.
-        let mut priority = analysis::bottom_levels(wf, platform)?;
-        let ctx = SchedContext::new(wf, platform, true)?;
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        // Seed state: HEFT assignment + upward-rank priorities, from the
+        // model's ranks and one context, cloned for the HEFT pass.
+        let mut priority = model.bottom_levels(wf)?.to_vec();
+        let ctx = SchedContext::new(wf, model, true);
         let mut assignment: Vec<DeviceId> = {
             let mut seed = ctx.clone();
-            heft::place_in_order(&mut seed, &heft::rank_order(&priority))?;
+            heft::place_in_order(&mut seed, &model.rank_order(wf)?)?;
             // HEFT placed every task, so each has a feasible device.
             (0..wf.num_tasks())
                 .map(|i| {
@@ -447,7 +449,7 @@ impl Scheduler for AnnealingScheduler {
         for _ in 0..self.iterations {
             // Propose a neighbor.
             let task = TaskId(rng.uniform_usize(0, wf.num_tasks() - 1));
-            let choices = decoder.accepted.ctx.feasible_set(task);
+            let choices = model.feasible_devices(task);
             let move_device = rng.chance(0.5) && choices.len() > 1;
             let (old_dev, old_prio) = (assignment[task.0], priority[task.0]);
             if move_device {
@@ -506,14 +508,15 @@ mod tests {
     use super::*;
     use crate::testkit::{platform, random_workflow};
     use crate::HeftScheduler;
-    use helios_platform::presets;
+    use helios_platform::{presets, Platform};
+    use helios_workflow::analysis;
     use helios_workflow::generators::{montage, sipht, WorkflowClass};
     use proptest::prelude::*;
 
     impl<'a> Decoder<'a> {
-        /// A decoder for `wf` on `platform`, with a context of its own.
-        fn of(wf: &'a Workflow, platform: &'a Platform) -> Decoder<'a> {
-            Decoder::new(SchedContext::new(wf, platform, true).unwrap())
+        /// A decoder for `wf` over `model`, with a context of its own.
+        fn of(wf: &'a Workflow, model: &'a CostModel<'a>) -> Decoder<'a> {
+            Decoder::new(SchedContext::new(wf, model, true))
         }
 
         /// A decode without a trial, which always runs in full.
@@ -539,7 +542,8 @@ mod tests {
         priority: &[f64],
         assignment: &[DeviceId],
     ) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+        let model = CostModel::new(wf, platform)?;
+        let mut ctx = SchedContext::new(wf, &model, true);
         let mut indegree: Vec<usize> = (0..wf.num_tasks())
             .map(|i| wf.predecessors(TaskId(i)).len())
             .collect();
@@ -725,7 +729,8 @@ mod tests {
             let ranks = analysis::bottom_levels(&wf, &p).unwrap();
             let coarse: Vec<f64> = ranks.iter().map(|r| (r * 2.0).round()).collect();
             for priority in [vec![0.0; wf.num_tasks()], coarse] {
-                let mut decoder = Decoder::of(&wf, &p);
+                let model = CostModel::new(&wf, &p).unwrap();
+                let mut decoder = Decoder::of(&wf, &model);
                 decoder.decode_all(&priority, &assignment, 0);
                 assert_eq!(
                     decoder.candidate.ctx.snapshot().unwrap(),
@@ -747,13 +752,13 @@ mod tests {
         // behind in both contexts for `restore` to clear.
         let reversed: Vec<f64> = priority.iter().map(|r| -r).collect();
         let on_zero = vec![DeviceId(0); wf.num_tasks()];
-        let mut reused = Decoder::of(&wf, &p);
+        let model = CostModel::new(&wf, &p).unwrap();
+        let mut reused = Decoder::of(&wf, &model);
         reused.decode_all(&reversed, &on_zero, 0);
         reused.accept();
         reused.decode_all(&priority, &on_zero, 0);
         let makespan = reused.decode_all(&priority, &assignment, 0);
-
-        let mut fresh = Decoder::of(&wf, &p);
+        let mut fresh = Decoder::of(&wf, &model);
         assert_eq!(fresh.decode_all(&priority, &assignment, 0), makespan);
         let want = reference_decode(&wf, &p, &priority, &assignment).unwrap();
         assert_eq!(reused.candidate.ctx.snapshot().unwrap(), want);
@@ -829,8 +834,9 @@ mod tests {
             let wf = random_workflow(shape, seed);
             let p = platform(preset);
             let n = wf.num_tasks();
-            let mut decoder = Decoder::of(&wf, &p);
-            if (0..n).any(|i| decoder.accepted.ctx.feasible_set(TaskId(i)).is_empty()) {
+            let model = CostModel::new(&wf, &p).unwrap();
+            let mut decoder = Decoder::of(&wf, &model);
+            if (0..n).any(|i| model.feasible_devices(TaskId(i)).is_empty()) {
                 return;
             }
             // A random state; coarse priorities tie often.
@@ -842,7 +848,7 @@ mod tests {
                 })
                 .collect();
             let mut assignment: Vec<DeviceId> = (0..n)
-                .map(|i| *rng.choose(decoder.accepted.ctx.feasible_set(TaskId(i))).unwrap())
+                .map(|i| *rng.choose(model.feasible_devices(TaskId(i))).unwrap())
                 .collect();
             decoder.decode_all(&priority, &assignment, 0);
             decoder.accept();
@@ -850,7 +856,7 @@ mod tests {
             for x in (0..n).map(TaskId) {
                 // Every device move of `x`.
                 let old_dev = assignment[x.0];
-                let choices = decoder.accepted.ctx.feasible_set(x).to_vec();
+                let choices = model.feasible_devices(x);
                 for &dev in choices.iter().filter(|&&d| d != old_dev) {
                     assignment[x.0] = dev;
                     check_move(&mut decoder, &wf, &p, &priority, &assignment, x, true);

@@ -13,11 +13,12 @@
 //! bit-identical to the all-device sweep, which the tests keep as the
 //! reference.
 
-use helios_platform::{DeviceId, Platform};
+use helios_platform::DeviceId;
 use helios_sim::SimTime;
 use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
@@ -38,7 +39,7 @@ impl Row {
     /// as [`SchedContext::best_eft`] does.
     fn new(ctx: &SchedContext<'_>, task: TaskId) -> Result<Row, SchedError> {
         let preds = ctx.pred_terms(task)?;
-        let devices = ctx.feasible_set(task);
+        let devices = ctx.model().feasible_devices(task);
         let mut probes = Vec::with_capacity(devices.len());
         for &dev in devices {
             let ready = ctx.ready_from(&preds, dev)?;
@@ -92,10 +93,10 @@ impl Row {
 /// all-device sweep (`swap_remove` of the pick, successors appended).
 fn batch_schedule(
     wf: &Workflow,
-    platform: &Platform,
+    model: &CostModel<'_>,
     max_min: bool,
 ) -> Result<Schedule, SchedError> {
-    let mut ctx = SchedContext::new(wf, platform, true)?;
+    let mut ctx = SchedContext::new(wf, model, true);
     let mut indegree: Vec<usize> = (0..wf.num_tasks())
         .map(|i| wf.predecessors(TaskId(i)).len())
         .collect();
@@ -140,8 +141,8 @@ impl Scheduler for MinMinScheduler {
         "min-min"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        batch_schedule(wf, platform, false)
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        batch_schedule(wf, model, false)
     }
 }
 
@@ -157,8 +158,8 @@ impl Scheduler for MaxMinScheduler {
         "max-min"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        batch_schedule(wf, platform, true)
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        batch_schedule(wf, model, true)
     }
 }
 
@@ -166,7 +167,7 @@ impl Scheduler for MaxMinScheduler {
 mod tests {
     use super::*;
     use crate::testkit::{flat_costs, platform, random_workflow};
-    use helios_platform::presets;
+    use helios_platform::{presets, Platform};
     use helios_workflow::generators::{cybershake, montage};
     use proptest::prelude::*;
 
@@ -177,7 +178,8 @@ mod tests {
         platform: &Platform,
         max_min: bool,
     ) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+        let model = CostModel::new(wf, platform)?;
+        let mut ctx = SchedContext::new(wf, &model, true);
         let mut indegree: Vec<usize> = (0..wf.num_tasks())
             .map(|i| wf.predecessors(TaskId(i)).len())
             .collect();
@@ -192,7 +194,7 @@ mod tests {
                 let (dev, start, finish) = ctx.best_eft(task)?;
                 crate::probe::add(
                     crate::probe::Site::BatchProbe,
-                    ctx.feasible_set(task).len() as u64,
+                    model.feasible_devices(task).len() as u64,
                 );
                 let better = match pick {
                     None => true,
@@ -228,7 +230,10 @@ mod tests {
     fn both(wf: &Workflow, p: &Platform) -> [(String, String); 2] {
         [false, true].map(|max_min| {
             (
-                format!("{:?}", batch_schedule(wf, p, max_min)),
+                format!(
+                    "{:?}",
+                    batch_schedule(wf, &CostModel::new(wf, p).unwrap(), max_min)
+                ),
                 format!("{:?}", reference_batch_schedule(wf, p, max_min)),
             )
         })
@@ -265,7 +270,8 @@ mod tests {
         for max_min in [false, true] {
             let want = reference_batch_schedule(&wf, &p, max_min).unwrap();
             let reference = crate::probe::take()[3];
-            assert_eq!(batch_schedule(&wf, &p, max_min).unwrap(), want);
+            let model = CostModel::new(&wf, &p).unwrap();
+            assert_eq!(batch_schedule(&wf, &model, max_min).unwrap(), want);
             counts.push((reference, crate::probe::take()[3]));
         }
         assert_eq!(counts, [(3752, 882), (3704, 876)]);

@@ -1,34 +1,37 @@
-//! Shared machinery for list schedulers: cost tables, earliest-start /
-//! earliest-finish computation, and incremental placement.
+//! Shared machinery for list schedulers: earliest-start /
+//! earliest-finish computation and incremental placement over a
+//! [`CostModel`].
 
-use helios_platform::{DeviceId, DvfsLevel, Platform, TransferTable};
-use helios_sim::{SimDuration, SimTime};
+use helios_platform::DeviceId;
+use helios_sim::SimTime;
 use helios_workflow::{TaskId, Workflow};
 
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::{Placement, Schedule};
 use crate::timeline::DeviceTimeline;
 
 /// Incremental scheduling state shared by the list-scheduling algorithms.
 ///
-/// Precomputes the task-on-device execution-time matrix at nominal DVFS
-/// and tracks per-device timelines plus committed placements. All `est` /
-/// `eft` queries use the platform's transfer model between the committed
-/// placement of each predecessor and the candidate device. A clone keeps
-/// the cost tables, so planners that need several states build one
-/// context and clone it.
+/// Borrows the workflow's [`CostModel`] for every execution time,
+/// feasible device and transfer term, and tracks per-device timelines
+/// plus committed placements. All `est` / `eft` queries use the model's
+/// transfer terms between the committed placement of each predecessor
+/// and the candidate device. A clone copies only the timelines and
+/// placements, so planners that need several states build one context
+/// and clone it.
 ///
 /// # Examples
 ///
 /// ```
 /// use helios_platform::presets;
-/// use helios_sched::SchedContext;
+/// use helios_sched::{CostModel, SchedContext};
 /// use helios_workflow::generators::montage;
-/// use helios_workflow::TaskId;
 ///
 /// let platform = presets::workstation();
 /// let wf = montage(20, 1)?;
-/// let mut ctx = SchedContext::new(&wf, &platform, true)?;
+/// let model = CostModel::new(&wf, &platform)?;
+/// let mut ctx = SchedContext::new(&wf, &model, true);
 /// let entry = wf.entry_tasks()[0];
 /// let (dev, start, finish) = ctx.best_eft(entry)?;
 /// ctx.place(entry, dev, start, finish)?;
@@ -37,16 +40,7 @@ use crate::timeline::DeviceTimeline;
 #[derive(Debug, Clone)]
 pub struct SchedContext<'a> {
     wf: &'a Workflow,
-    platform: &'a Platform,
-    /// `exec[task][device]` nominal execution times.
-    exec: Vec<Vec<SimDuration>>,
-    /// Memoized interconnect terms, so the hot EST/EFT loops never
-    /// re-walk routes or links.
-    transfers: TransferTable<'a>,
-    /// `feasible[task]`: the devices that can host the task, in id order.
-    feasible: Vec<Vec<DeviceId>>,
-    /// `nominal[device]`: the DVFS level every placement runs at.
-    nominal: Vec<DvfsLevel>,
+    model: &'a CostModel<'a>,
     timelines: Vec<DeviceTimeline>,
     /// `owners[d][i]`: the task holding device `d`'s `i`-th reservation.
     /// Kept only by restorable contexts and empty in every other, so
@@ -57,54 +51,18 @@ pub struct SchedContext<'a> {
 }
 
 impl<'a> SchedContext<'a> {
-    /// Builds the context, precomputing the execution-time matrix.
-    /// `insertion` selects the gap-filling placement policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform model errors.
-    pub fn new(
-        wf: &'a Workflow,
-        platform: &'a Platform,
-        insertion: bool,
-    ) -> Result<SchedContext<'a>, SchedError> {
-        let mut exec = Vec::with_capacity(wf.num_tasks());
-        for t in wf.tasks() {
-            let mut row = Vec::with_capacity(platform.num_devices());
-            for d in platform.devices() {
-                row.push(d.execution_time(t.cost(), d.nominal_level())?);
-            }
-            exec.push(row);
-        }
-        let feasible = wf
-            .tasks()
-            .iter()
-            .map(|t| {
-                platform
-                    .devices()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| crate::placement_feasible(d, t))
-                    .map(|(i, _)| DeviceId(i))
-                    .collect()
-            })
-            .collect();
-        Ok(SchedContext {
+    /// An empty context over `model`, which must have been built from
+    /// `wf`. `insertion` selects the gap-filling placement policy.
+    #[must_use]
+    pub fn new(wf: &'a Workflow, model: &'a CostModel<'a>, insertion: bool) -> SchedContext<'a> {
+        SchedContext {
             wf,
-            platform,
-            exec,
-            transfers: platform.transfer_table(),
-            feasible,
-            nominal: platform
-                .devices()
-                .iter()
-                .map(|d| d.nominal_level())
-                .collect(),
-            timelines: vec![DeviceTimeline::new(); platform.num_devices()],
+            model,
+            timelines: vec![DeviceTimeline::new(); model.platform().num_devices()],
             owners: Vec::new(),
             placements: vec![None; wf.num_tasks()],
             insertion,
-        })
+        }
     }
 
     /// This context, tagging each reservation with its task from now on,
@@ -118,9 +76,8 @@ impl<'a> SchedContext<'a> {
     }
 
     /// Makes this context hold exactly `source`'s placements of the tasks
-    /// `order[..from]`, keeping the cost tables and the timelines'
-    /// capacity, and returns their latest finish ([`SimTime::ZERO`] for
-    /// none). `order` lists every task once, and `step[t]` is task `t`'s
+    /// `order[..from]`, keeping the timelines' capacity, and returns
+    /// their latest finish ([`SimTime::ZERO`] for none). `order` lists every task once, and `step[t]` is task `t`'s
     /// position in it. Each timeline is sorted by (start, finish), so it
     /// depends on its set of intervals alone: copying the kept ones gives
     /// what reserving the kept placements, in any order, would. No
@@ -153,35 +110,10 @@ impl<'a> SchedContext<'a> {
         self.wf
     }
 
-    /// The target platform.
+    /// The cost model the context plans from.
     #[must_use]
-    pub fn platform(&self) -> &Platform {
-        self.platform
-    }
-
-    /// Nominal execution time of `task` on `device`.
-    #[must_use]
-    pub fn exec_time(&self, task: TaskId, device: DeviceId) -> SimDuration {
-        self.exec[task.0][device.0]
-    }
-
-    /// Whether `device` can host `task`: the working set fits its
-    /// memory and its trust level clears the task's requirement.
-    #[must_use]
-    pub fn feasible(&self, task: TaskId, device: DeviceId) -> bool {
-        self.feasible_set(task).contains(&device)
-    }
-
-    /// Devices (in id order) that can host `task`.
-    pub fn feasible_devices(&self, task: TaskId) -> impl Iterator<Item = DeviceId> + '_ {
-        self.feasible_set(task).iter().copied()
-    }
-
-    /// The devices that can host `task`, in id order; empty for an
-    /// unknown task.
-    #[must_use]
-    pub(crate) fn feasible_set(&self, task: TaskId) -> &[DeviceId] {
-        self.feasible.get(task.0).map_or(&[], Vec::as_slice)
+    pub(crate) fn model(&self) -> &'a CostModel<'a> {
+        self.model
     }
 
     /// The committed placement of `task`, if placed.
@@ -211,35 +143,8 @@ impl<'a> SchedContext<'a> {
                 .as_ref()
                 .ok_or(SchedError::Unscheduled(edge.src))?;
             let transfer = self
-                .transfers
-                .transfer_time(edge.bytes, pred.device, device)?;
-            ready = ready.max(pred.finish + transfer);
-        }
-        Ok(ready)
-    }
-
-    /// Reference implementation of [`SchedContext::data_ready`] that
-    /// bypasses the memoized transfer table and queries the platform model
-    /// directly. Exists so tests can assert the cache is bit-identical;
-    /// not for production use.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SchedContext::data_ready`].
-    #[doc(hidden)]
-    pub fn data_ready_uncached(
-        &self,
-        task: TaskId,
-        device: DeviceId,
-    ) -> Result<SimTime, SchedError> {
-        let mut ready = SimTime::ZERO;
-        for &e in self.wf.predecessors(task) {
-            let edge = self.wf.edge(e);
-            let pred = self.placements[edge.src.0]
-                .as_ref()
-                .ok_or(SchedError::Unscheduled(edge.src))?;
-            let transfer = self
-                .platform
+                .model
+                .transfers()
                 .transfer_time(edge.bytes, pred.device, device)?;
             ready = ready.max(pred.finish + transfer);
         }
@@ -264,7 +169,7 @@ impl<'a> SchedContext<'a> {
         device: DeviceId,
         ready: SimTime,
     ) -> (SimTime, SimTime) {
-        let exec = self.exec[task.0][device.0];
+        let exec = self.model.exec_time(task, device);
         let start = self.timelines[device.0].earliest_start(ready, exec, self.insertion);
         (start, start + exec)
     }
@@ -307,7 +212,10 @@ impl<'a> SchedContext<'a> {
     ) -> Result<SimTime, SchedError> {
         let mut ready = SimTime::ZERO;
         for &(pred_finish, pred_dev, bytes) in preds {
-            let transfer = self.transfers.transfer_time(bytes, pred_dev, device)?;
+            let transfer = self
+                .model
+                .transfers()
+                .transfer_time(bytes, pred_dev, device)?;
             ready = ready.max(pred_finish + transfer);
         }
         Ok(ready)
@@ -325,7 +233,7 @@ impl<'a> SchedContext<'a> {
     pub fn best_eft(&self, task: TaskId) -> Result<(DeviceId, SimTime, SimTime), SchedError> {
         let preds = self.pred_terms(task)?;
         let mut best: Option<(DeviceId, SimTime, SimTime)> = None;
-        for &dev in &self.feasible[task.0] {
+        for &dev in self.model.feasible_devices(task) {
             let (start, finish) = self.start_after(task, dev, self.ready_from(&preds, dev)?);
             if best.is_none_or(|(_, _, bf)| finish < bf) {
                 best = Some((dev, start, finish));
@@ -363,7 +271,7 @@ impl<'a> SchedContext<'a> {
         self.placements[task.0] = Some(Placement {
             task,
             device,
-            level: self.nominal[device.0],
+            level: self.model.nominal_level(device),
             start,
             finish,
         });
@@ -413,6 +321,7 @@ mod tests {
     use super::*;
     use helios_platform::presets;
     use helios_platform::{ComputeCost, KernelClass};
+    use helios_sim::SimDuration;
     use helios_workflow::{Task, WorkflowBuilder};
 
     fn chain2() -> Workflow {
@@ -428,7 +337,8 @@ mod tests {
     fn entry_task_data_ready_is_zero() {
         let wf = chain2();
         let p = presets::workstation();
-        let ctx = SchedContext::new(&wf, &p, true).unwrap();
+        let model = CostModel::new(&wf, &p).unwrap();
+        let ctx = SchedContext::new(&wf, &model, true);
         assert_eq!(
             ctx.data_ready(TaskId(0), DeviceId(0)).unwrap(),
             SimTime::ZERO
@@ -444,7 +354,8 @@ mod tests {
     fn transfer_cost_included_cross_device() {
         let wf = chain2();
         let p = presets::workstation();
-        let mut ctx = SchedContext::new(&wf, &p, true).unwrap();
+        let model = CostModel::new(&wf, &p).unwrap();
+        let mut ctx = SchedContext::new(&wf, &model, true);
         let (d, s, f) = ctx.best_eft(TaskId(0)).unwrap();
         ctx.place(TaskId(0), d, s, f).unwrap();
         // Same device: no transfer. Different device: transfer > 0.
@@ -459,7 +370,8 @@ mod tests {
     fn best_eft_prefers_faster_device() {
         let wf = chain2();
         let p = presets::workstation();
-        let ctx = SchedContext::new(&wf, &p, true).unwrap();
+        let model = CostModel::new(&wf, &p).unwrap();
+        let ctx = SchedContext::new(&wf, &model, true);
         // Dense linear algebra: the GPU (device 2) dominates.
         let (d, _, _) = ctx.best_eft(TaskId(0)).unwrap();
         assert_eq!(p.device(d).unwrap().name(), "gpu0");
@@ -469,7 +381,8 @@ mod tests {
     fn double_place_rejected() {
         let wf = chain2();
         let p = presets::workstation();
-        let mut ctx = SchedContext::new(&wf, &p, true).unwrap();
+        let model = CostModel::new(&wf, &p).unwrap();
+        let mut ctx = SchedContext::new(&wf, &model, true);
         let (d, s, f) = ctx.best_eft(TaskId(0)).unwrap();
         ctx.place(TaskId(0), d, s, f).unwrap();
         assert!(ctx
@@ -481,7 +394,8 @@ mod tests {
     fn incomplete_schedule_rejected() {
         let wf = chain2();
         let p = presets::workstation();
-        let mut ctx = SchedContext::new(&wf, &p, true).unwrap();
+        let model = CostModel::new(&wf, &p).unwrap();
+        let mut ctx = SchedContext::new(&wf, &model, true);
         let (d, s, f) = ctx.best_eft(TaskId(0)).unwrap();
         ctx.place(TaskId(0), d, s, f).unwrap();
         assert!(!ctx.is_complete());

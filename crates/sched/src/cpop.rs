@@ -1,9 +1,10 @@
 //! CPOP — Critical Path On a Processor (Topcuoglu et al., 2002).
 
-use helios_platform::{DeviceId, Platform};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_platform::DeviceId;
+use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
@@ -22,51 +23,40 @@ impl Scheduler for CpopScheduler {
         "cpop"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let exec = analysis::mean_exec_times(wf, platform)?;
-        let comm = analysis::mean_comm_times(wf, platform)?;
-        let bottom = analysis::bottom_levels_with(wf, &exec, &comm)?;
-        let top = analysis::top_levels_with(wf, &exec, &comm);
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let bottom = model.bottom_levels(wf)?;
+        let top = model.top_levels(wf)?;
         let priority: Vec<f64> = bottom.iter().zip(&top).map(|(b, t)| b + t).collect();
 
         // The critical path: tasks whose priority equals the entry task's
         // maximum priority (within tolerance).
         let cp_value = priority.iter().fold(0.0f64, |a, &b| a.max(b));
         let tol = 1e-9 * cp_value.max(1.0);
-        let on_cp: Vec<bool> = priority
-            .iter()
-            .map(|&p| (cp_value - p).abs() <= tol)
+        let cp: Vec<TaskId> = (0..priority.len())
+            .filter(|&i| (cp_value - priority[i]).abs() <= tol)
+            .map(TaskId)
             .collect();
 
         // Pick the device minimizing the summed execution of CP tasks,
-        // among devices whose memory fits every CP task; fall back to
-        // plain EFT placement when no single device can host the path.
+        // among devices that can host every CP task; fall back to plain
+        // EFT placement when no single device can host the path.
         let mut best_dev: Option<DeviceId> = None;
         let mut best_total = f64::INFINITY;
-        for d in 0..platform.num_devices() {
-            let dev = platform.device(DeviceId(d))?;
-            let mut total = 0.0;
-            let mut fits_all = true;
-            for (i, &cp) in on_cp.iter().enumerate() {
-                if cp {
-                    let task = wf.task(TaskId(i))?;
-                    if !crate::placement_feasible(dev, task) {
-                        fits_all = false;
-                        break;
-                    }
-                    total += dev
-                        .execution_time(task.cost(), dev.nominal_level())?
-                        .as_secs();
+        for d in (0..model.platform().num_devices()).map(DeviceId) {
+            if cp.iter().all(|&t| model.feasible(t, d)) {
+                let total = cp
+                    .iter()
+                    .fold(0.0, |total, &t| total + model.exec_time(t, d).as_secs());
+                if total < best_total {
+                    best_total = total;
+                    best_dev = Some(d);
                 }
             }
-            if fits_all && total < best_total {
-                best_total = total;
-                best_dev = Some(DeviceId(d));
-            }
         }
+        let on_cp = |t: TaskId| cp.binary_search(&t).is_ok();
 
         // Priority queue: ready tasks by decreasing priority.
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+        let mut ctx = SchedContext::new(wf, model, true);
         let mut indegree: Vec<usize> = (0..wf.num_tasks())
             .map(|i| wf.predecessors(TaskId(i)).len())
             .collect();
@@ -86,7 +76,7 @@ impl Scheduler for CpopScheduler {
                 .ok_or_else(|| SchedError::Internal("empty ready set".into()))?;
             ready.swap_remove(idx);
 
-            if let (true, Some(best_dev)) = (on_cp[task.0], best_dev) {
+            if let (true, Some(best_dev)) = (on_cp(task), best_dev) {
                 let (start, finish) = ctx.eft(task, best_dev)?;
                 ctx.place(task, best_dev, start, finish)?;
             } else {

@@ -1,9 +1,9 @@
 //! HEFT — Heterogeneous Earliest Finish Time (Topcuoglu et al., 2002).
 
-use helios_platform::Platform;
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
@@ -29,14 +29,6 @@ use crate::Scheduler;
 pub struct HeftScheduler {
     /// Disable the insertion policy (append-only placement).
     pub no_insertion: bool,
-}
-
-/// Task ids sorted by decreasing upward rank (`ranks`, from
-/// [`analysis::bottom_levels`]; ties by id, deterministic).
-pub(crate) fn rank_order(ranks: &[f64]) -> Vec<TaskId> {
-    let mut order: Vec<TaskId> = (0..ranks.len()).map(TaskId).collect();
-    order.sort_by(|a, b| ranks[b.0].total_cmp(&ranks[a.0]).then(a.0.cmp(&b.0)));
-    order
 }
 
 /// HEFT's placement pass: each task of `order`, in turn, on its
@@ -65,10 +57,9 @@ impl Scheduler for HeftScheduler {
         }
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let order = rank_order(&analysis::bottom_levels(wf, platform)?);
-        let mut ctx = SchedContext::new(wf, platform, !self.no_insertion)?;
-        place_in_order(&mut ctx, &order)?;
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let mut ctx = SchedContext::new(wf, model, !self.no_insertion);
+        place_in_order(&mut ctx, &model.rank_order(wf)?)?;
         ctx.into_schedule()
     }
 }
@@ -83,7 +74,7 @@ mod tests {
     fn rank_order_is_topologically_consistent() {
         let wf = montage(50, 2).unwrap();
         let p = presets::hpc_node();
-        let order = rank_order(&analysis::bottom_levels(&wf, &p).unwrap());
+        let order = CostModel::new(&wf, &p).unwrap().rank_order(&wf).unwrap();
         let pos: Vec<usize> = {
             let mut pos = vec![0; wf.num_tasks()];
             for (i, &t) in order.iter().enumerate() {

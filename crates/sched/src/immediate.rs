@@ -2,13 +2,14 @@
 //! and random assignment. All traverse tasks in topological order and
 //! commit each without reconsidering earlier decisions.
 
-use helios_platform::{DeviceId, Platform};
+use helios_platform::DeviceId;
 use helios_sim::SimRng;
 use helios_workflow::Workflow;
 
 use parking_lot_free_cell::SeedCell;
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
@@ -34,8 +35,8 @@ impl Scheduler for MctScheduler {
         "mct"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let mut ctx = SchedContext::new(wf, model, true);
         for &task in wf.topo_order() {
             let (dev, start, finish) = ctx.best_eft(task)?;
             ctx.place(task, dev, start, finish)?;
@@ -56,12 +57,13 @@ impl Scheduler for MetScheduler {
         "met"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let mut ctx = SchedContext::new(wf, model, true);
         for &task in wf.topo_order() {
-            let dev = ctx
+            let dev = *model
                 .feasible_devices(task)
-                .min_by(|&a, &b| ctx.exec_time(task, a).cmp(&ctx.exec_time(task, b)))
+                .iter()
+                .min_by_key(|&&d| model.exec_time(task, d))
                 .ok_or(SchedError::NoFeasibleDevice(task))?;
             let (start, finish) = ctx.eft(task, dev)?;
             ctx.place(task, dev, start, finish)?;
@@ -83,12 +85,12 @@ impl Scheduler for OlbScheduler {
         "olb"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let mut ctx = SchedContext::new(wf, model, true);
         for &task in wf.topo_order() {
             // Earliest start (not finish) wins, among feasible devices.
             let mut best: Option<(DeviceId, _, _)> = None;
-            for dev in ctx.feasible_devices(task).collect::<Vec<_>>() {
+            for &dev in model.feasible_devices(task) {
                 let (start, finish) = ctx.eft(task, dev)?;
                 if best.is_none_or(|(_, bs, _)| start < bs) {
                     best = Some((dev, start, finish));
@@ -113,14 +115,14 @@ impl Scheduler for RoundRobinScheduler {
         "round-robin"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, platform, true)?;
-        let n = platform.num_devices();
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let mut ctx = SchedContext::new(wf, model, true);
+        let n = model.platform().num_devices();
         for (i, &task) in wf.topo_order().iter().enumerate() {
             // Next feasible device in the cycle.
             let dev = (0..n)
                 .map(|off| DeviceId((i + off) % n))
-                .find(|&d| ctx.feasible(task, d))
+                .find(|&d| model.feasible(task, d))
                 .ok_or(SchedError::NoFeasibleDevice(task))?;
             let (start, finish) = ctx.eft(task, dev)?;
             ctx.place(task, dev, start, finish)?;
@@ -151,13 +153,12 @@ impl Scheduler for RandomScheduler {
         "random"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
         let mut rng = SimRng::seed_from(self.seed.0);
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+        let mut ctx = SchedContext::new(wf, model, true);
         for &task in wf.topo_order() {
-            let feasible: Vec<DeviceId> = ctx.feasible_devices(task).collect();
             let dev = *rng
-                .choose(&feasible)
+                .choose(model.feasible_devices(task))
                 .ok_or(SchedError::NoFeasibleDevice(task))?;
             let (start, finish) = ctx.eft(task, dev)?;
             ctx.place(task, dev, start, finish)?;

@@ -49,6 +49,7 @@
 mod annealing;
 mod batch;
 mod context;
+mod cost;
 mod cpop;
 mod error;
 mod heft;
@@ -111,6 +112,7 @@ pub(crate) mod probe {
 pub use annealing::AnnealingScheduler;
 pub use batch::{MaxMinScheduler, MinMinScheduler};
 pub use context::SchedContext;
+pub use cost::{placement_feasible, CostModel};
 pub use cpop::CpopScheduler;
 pub use error::SchedError;
 pub use heft::HeftScheduler;
@@ -122,33 +124,40 @@ pub use peft::PeftScheduler;
 pub use schedule::{Placement, Schedule};
 pub use timeline::DeviceTimeline;
 
-use helios_platform::{Device, Platform};
-use helios_workflow::{Task, Workflow};
+use helios_platform::Platform;
+use helios_workflow::Workflow;
 
-/// The placement feasibility predicate every scheduler (and the engine's
-/// dispatchers) enforces: the task's working set fits the device's
-/// memory **and** the device's trust level clears the task's security
-/// requirement (see the survey's observation that a heterogeneous
-/// system is only as secure as its weakest component).
-#[must_use]
-pub fn placement_feasible(device: &Device, task: &Task) -> bool {
-    device.fits(task.cost()) && device.trust_level() >= task.required_trust()
-}
-
-/// A static workflow scheduler: given the full DAG and the platform,
-/// produce a complete placement plan.
+/// A static workflow scheduler: given the full DAG and its
+/// [`CostModel`] on the target platform, produce a complete placement
+/// plan.
+///
+/// A planner reads every task and transfer cost from the model, so the
+/// planners of one (workflow, platform) pair can share one: build it with
+/// [`CostModel::new`] and pass it to [`Scheduler::schedule_with`] of
+/// each. [`Scheduler::schedule`] builds a model for a single plan.
 pub trait Scheduler {
     /// A short stable name for reports ("heft", "min-min", …).
     fn name(&self) -> &str;
 
-    /// Computes a complete, valid schedule.
+    /// Computes a complete, valid schedule of `wf` from `model`, which
+    /// must have been built from `wf`.
     ///
     /// # Errors
     ///
     /// Returns [`SchedError`] if the workflow and platform are
     /// incompatible (e.g. unroutable device pairs) or an internal
     /// invariant fails.
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError>;
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError>;
+
+    /// Computes a complete, valid schedule of `wf` on `platform`, from a
+    /// cost model built for this plan alone.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Scheduler::schedule_with`].
+    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
+        self.schedule_with(wf, &CostModel::new(wf, platform)?)
+    }
 }
 
 /// Builds one scheduler of the [`LINEUP`] with its default

@@ -2,13 +2,13 @@
 //! (Bittencourt et al., "DAG scheduling using a lookahead variant of
 //! HEFT", 2010).
 
-use helios_platform::{DeviceId, Platform};
+use helios_platform::DeviceId;
 use helios_sim::KnobRange;
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
-use crate::heft::rank_order;
 use crate::schedule::Schedule;
 use crate::Scheduler;
 
@@ -97,11 +97,10 @@ impl Scheduler for LookaheadScheduler {
         "lookahead"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let order = rank_order(&analysis::bottom_levels(wf, platform)?);
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
         let mut placed = vec![false; wf.num_tasks()];
-        let mut ctx = SchedContext::new(wf, platform, true)?;
-        for task in order {
+        let mut ctx = SchedContext::new(wf, model, true);
+        for task in model.rank_order(wf)? {
             // Children whose every other parent is already placed can have
             // their EFT evaluated once `task` is tentatively committed.
             let has_evaluable = wf
@@ -109,7 +108,7 @@ impl Scheduler for LookaheadScheduler {
                 .any(|c| wf.predecessor_tasks(c).all(|p| p == task || placed[p.0]));
 
             let mut best: Option<(DeviceId, _, _, f64)> = None;
-            for dev in ctx.feasible_devices(task).collect::<Vec<_>>() {
+            for &dev in model.feasible_devices(task) {
                 let (start, finish) = ctx.eft(task, dev)?;
                 let score = if !has_evaluable {
                     finish.as_secs()

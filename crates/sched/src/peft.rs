@@ -1,9 +1,10 @@
 //! PEFT — Predict Earliest Finish Time (Arabnejad & Barbosa, 2014).
 
-use helios_platform::{DeviceId, Platform};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_platform::DeviceId;
+use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
@@ -22,30 +23,21 @@ pub struct PeftScheduler {
 /// Computes the optimistic cost table: `oct[task][device]`.
 pub(crate) fn optimistic_cost_table(
     wf: &Workflow,
-    platform: &Platform,
+    model: &CostModel<'_>,
 ) -> Result<Vec<Vec<f64>>, SchedError> {
-    let n = wf.num_tasks();
-    let m = platform.num_devices();
-    // exec[t][d]
-    let mut exec = vec![vec![0.0f64; m]; n];
-    for (i, t) in wf.tasks().iter().enumerate() {
-        for (d, slot) in exec[i].iter_mut().enumerate() {
-            let dev = platform.device(DeviceId(d))?;
-            *slot = dev.execution_time(t.cost(), dev.nominal_level())?.as_secs();
-        }
-    }
-    let comm = analysis::mean_comm_times(wf, platform)?;
-    let mut oct = vec![vec![0.0f64; m]; n];
+    let m = model.platform().num_devices();
+    let comm = model.mean_comm_times(wf)?;
+    let mut oct = vec![vec![0.0f64; m]; wf.num_tasks()];
     for &t in wf.topo_order().iter().rev() {
         for d in 0..m {
             let mut worst_child = 0.0f64;
             for &e in wf.successors(t) {
-                let edge = wf.edge(e);
+                let child = wf.edge(e).dst;
                 let mut best_w = f64::INFINITY;
-                for w in 0..m {
+                for (w, &rest) in oct[child.0].iter().enumerate() {
                     let comm_cost = if w == d { 0.0 } else { comm[e.0] };
-                    let cost = oct[edge.dst.0][w] + exec[edge.dst.0][w] + comm_cost;
-                    best_w = best_w.min(cost);
+                    let exec = model.exec_time(child, DeviceId(w)).as_secs();
+                    best_w = best_w.min(rest + exec + comm_cost);
                 }
                 worst_child = worst_child.max(best_w);
             }
@@ -60,12 +52,12 @@ impl Scheduler for PeftScheduler {
         "peft"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        let oct = optimistic_cost_table(wf, platform)?;
-        let m = platform.num_devices() as f64;
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        let oct = optimistic_cost_table(wf, model)?;
+        let m = model.platform().num_devices() as f64;
         let rank_oct: Vec<f64> = oct.iter().map(|row| row.iter().sum::<f64>() / m).collect();
 
-        let mut ctx = SchedContext::new(wf, platform, true)?;
+        let mut ctx = SchedContext::new(wf, model, true);
         let mut indegree: Vec<usize> = (0..wf.num_tasks())
             .map(|i| wf.predecessors(TaskId(i)).len())
             .collect();
@@ -85,7 +77,7 @@ impl Scheduler for PeftScheduler {
 
             // Minimize O_EFT = EFT + OCT, among feasible devices.
             let mut best: Option<(DeviceId, _, _, f64)> = None;
-            for dev in ctx.feasible_devices(task).collect::<Vec<_>>() {
+            for &dev in model.feasible_devices(task) {
                 let (start, finish) = ctx.eft(task, dev)?;
                 let o_eft = finish.as_secs() + oct[task.0][dev.0];
                 if best.is_none_or(|(_, _, _, b)| o_eft < b) {
@@ -115,7 +107,7 @@ mod tests {
     fn oct_is_zero_for_exit_tasks() {
         let wf = montage(30, 1).unwrap();
         let p = presets::workstation();
-        let oct = optimistic_cost_table(&wf, &p).unwrap();
+        let oct = optimistic_cost_table(&wf, &CostModel::new(&wf, &p).unwrap()).unwrap();
         for exit in wf.exit_tasks() {
             assert!(oct[exit.0].iter().all(|&v| v == 0.0));
         }
@@ -129,7 +121,7 @@ mod tests {
     fn oct_decreases_along_paths() {
         let wf = helios_workflow::generators::synthetic::chain(6, 50.0, 1e6, 1).unwrap();
         let p = presets::workstation();
-        let oct = optimistic_cost_table(&wf, &p).unwrap();
+        let oct = optimistic_cost_table(&wf, &CostModel::new(&wf, &p).unwrap()).unwrap();
         for i in 0..5 {
             assert!(oct[i][0] > oct[i + 1][0], "OCT must shrink toward the exit");
         }

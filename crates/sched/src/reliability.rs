@@ -12,9 +12,10 @@
 //! the same bi-objective shape as energy-aware HEFT.
 
 use helios_platform::{DeviceId, Platform};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_workflow::Workflow;
 
 use crate::context::SchedContext;
+use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
@@ -107,18 +108,14 @@ impl Scheduler for ReliabilityAwareHeft {
         "rel-heft"
     }
 
-    fn schedule(&self, wf: &Workflow, platform: &Platform) -> Result<Schedule, SchedError> {
-        check_rates(platform, &self.rates)?;
-        let ranks = analysis::bottom_levels(wf, platform)?;
-        let mut order: Vec<TaskId> = (0..wf.num_tasks()).map(TaskId).collect();
-        order.sort_by(|a, b| ranks[b.0].total_cmp(&ranks[a.0]).then(a.0.cmp(&b.0)));
-
-        let mut ctx = SchedContext::new(wf, platform, true)?;
-        for task in order {
+    fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
+        check_rates(model.platform(), &self.rates)?;
+        let mut ctx = SchedContext::new(wf, model, true);
+        for task in model.rank_order(wf)? {
             let mut candidates = Vec::new();
-            for dev in ctx.feasible_devices(task).collect::<Vec<_>>() {
+            for &dev in model.feasible_devices(task) {
                 let (start, finish) = ctx.eft(task, dev)?;
-                let hazard = self.rates[dev.0] * ctx.exec_time(task, dev).as_secs();
+                let hazard = self.rates[dev.0] * model.exec_time(task, dev).as_secs();
                 candidates.push((dev, start, finish, hazard));
             }
             if candidates.is_empty() {

@@ -7,8 +7,9 @@ use serde::{Deserialize, Serialize};
 
 use helios_platform::{DeviceId, DvfsLevel, Platform};
 use helios_sim::{SimDuration, SimTime};
-use helios_workflow::{analysis, TaskId, Workflow};
+use helios_workflow::{TaskId, Workflow};
 
+use crate::cost::CostModel;
 use crate::error::SchedError;
 
 /// Tolerance for floating-point comparisons in schedule validation.
@@ -234,28 +235,14 @@ impl Schedule {
 /// Schedule length ratio: makespan divided by the sum of each
 /// critical-path task's *minimum* execution time across devices — the
 /// standard heterogeneous lower-bound normalization. Lower is better;
-/// 1.0 is the (usually unreachable) bound.
+/// 1.0 is the (usually unreachable) bound. See [`CostModel::slr`], which
+/// reuses a model's bound.
 ///
 /// # Errors
 ///
 /// Propagates platform and placement errors.
 pub fn slr(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f64, SchedError> {
-    let (cp, _) = analysis::critical_path(wf, platform)?;
-    let mut bound = 0.0;
-    for t in cp {
-        let cost = wf.task(t)?.cost();
-        let mut best = f64::INFINITY;
-        for d in platform.devices() {
-            best = best.min(d.execution_time(cost, d.nominal_level())?.as_secs());
-        }
-        bound += best;
-    }
-    if bound == 0.0 {
-        return Err(SchedError::Internal(
-            "critical-path lower bound is zero".into(),
-        ));
-    }
-    Ok(schedule.makespan().as_secs() / bound)
+    CostModel::new(wf, platform)?.slr(wf, schedule.makespan())
 }
 
 /// Speedup: the best single-device sequential execution time divided by
@@ -265,11 +252,12 @@ pub fn slr(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f6
 ///
 /// Propagates platform errors.
 pub fn speedup(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f64, SchedError> {
+    let model = CostModel::new(wf, platform)?;
     let mut best_seq = f64::INFINITY;
-    for d in platform.devices() {
+    for d in (0..platform.num_devices()).map(DeviceId) {
         let mut total = 0.0;
-        for t in wf.tasks() {
-            total += d.execution_time(t.cost(), d.nominal_level())?.as_secs();
+        for t in (0..wf.num_tasks()).map(TaskId) {
+            total += model.exec_time(t, d).as_secs();
         }
         best_seq = best_seq.min(total);
     }

@@ -169,12 +169,19 @@ pub fn critical_path(
     let exec = mean_exec_times(wf, platform)?;
     let comm = mean_comm_times(wf, platform)?;
     let ranks = bottom_levels_with(wf, &exec, &comm)?;
+    Ok(critical_path_with(wf, &comm, &ranks))
+}
+
+/// [`critical_path`] from precomputed [`mean_comm_times`] and
+/// [`bottom_levels`].
+#[must_use]
+pub fn critical_path_with(wf: &Workflow, comm: &[f64], ranks: &[f64]) -> (Vec<TaskId>, f64) {
     let start = wf
         .entry_tasks()
         .into_iter()
         .max_by(|a, b| ranks[a.0].total_cmp(&ranks[b.0]));
     let Some(mut current) = start else {
-        return Ok((Vec::new(), 0.0));
+        return (Vec::new(), 0.0);
     };
     let length = ranks[current.0];
     let mut path = vec![current];
@@ -196,7 +203,7 @@ pub fn critical_path(
             None => break,
         }
     }
-    Ok((path, length))
+    (path, length)
 }
 
 /// Communication-to-computation ratio: total mean edge cost over total

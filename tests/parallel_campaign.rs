@@ -11,11 +11,11 @@
 //!    bit-for-bit on every Pegasus workflow family.
 
 use helios_core::{CampaignEngine, EngineConfig, EnsembleMember, EnsemblePolicy, EnsembleRunner};
-use helios_platform::presets;
-use helios_sched::{HeftScheduler, SchedContext, Scheduler};
+use helios_platform::{presets, DeviceId, Platform};
+use helios_sched::{CostModel, HeftScheduler, SchedContext, Scheduler};
 use helios_sim::SimTime;
 use helios_workflow::generators::WorkflowClass;
-use helios_workflow::TaskId;
+use helios_workflow::{TaskId, Workflow};
 use proptest::prelude::*;
 
 /// Runs one randomized campaign grid with the given worker count and
@@ -102,6 +102,28 @@ fn campaign_errors_match_the_sequential_path() {
     }
 }
 
+/// [`SchedContext::data_ready`] computed without the memoized transfer
+/// table: each predecessor's finish plus the platform model's transfer
+/// time, maximized in edge order.
+fn data_ready_uncached(
+    wf: &Workflow,
+    platform: &Platform,
+    ctx: &SchedContext<'_>,
+    task: TaskId,
+    device: DeviceId,
+) -> SimTime {
+    let mut ready = SimTime::ZERO;
+    for &e in wf.predecessors(task) {
+        let edge = wf.edge(e);
+        let pred = ctx.placement(edge.src).expect("predecessor placed");
+        let transfer = platform
+            .transfer_time(edge.bytes, pred.device, device)
+            .expect("routable");
+        ready = ready.max(pred.finish + transfer);
+    }
+    ready
+}
+
 #[test]
 fn cached_sched_context_matches_uncached_reference_on_all_families() {
     for platform in [presets::workstation(), presets::hpc_node()] {
@@ -121,17 +143,18 @@ fn cached_sched_context_matches_uncached_reference_on_all_families() {
                 });
                 order
             };
-            let mut ctx = SchedContext::new(&wf, &platform, true).expect("context");
+            let model = CostModel::new(&wf, &platform).expect("cost model");
+            let mut ctx = SchedContext::new(&wf, &model, true);
             for &task in &order {
-                let devices: Vec<_> = ctx.feasible_devices(task).collect();
+                let devices = model.feasible_devices(task);
                 assert!(
                     !devices.is_empty(),
                     "{}: task {task} unplaceable",
                     class.as_str()
                 );
-                for &dev in &devices {
+                for &dev in devices {
                     let cached = ctx.data_ready(task, dev).expect("data_ready");
-                    let reference = ctx.data_ready_uncached(task, dev).expect("reference");
+                    let reference = data_ready_uncached(&wf, &platform, &ctx, task, dev);
                     assert_eq!(
                         cached,
                         reference,
@@ -144,7 +167,7 @@ fn cached_sched_context_matches_uncached_reference_on_all_families() {
                 // best_eft must agree with the per-device eft probe.
                 let (s2, f2) = ctx.eft(task, dev).expect("eft");
                 assert_eq!((start, finish), (s2, f2));
-                for &d in &devices {
+                for &d in devices {
                     let (_, f) = ctx.eft(task, d).expect("eft");
                     assert!(
                         f > finish || (f == finish && d.0 >= dev.0),
