@@ -258,8 +258,11 @@ echo "==> kill -9 chaos loop (journal and store survive hard kills)"
 # recover` then salvages the file (truncating any torn tail) and a final
 # run completes it; the compiled view must be byte-identical to a run
 # that was never interrupted. The loop runs once per durable sink flag:
-# `--journal` (fsync'd per record) and `--store` (fsync'd per row group),
-# which share one sweep loop. HELIOS_POISON_LIMIT is raised so a cell
+# `--journal` (one fsync per cell: a completion rides the next cell's
+# attempt record) and `--store` (fsync'd per row group), which share one
+# sweep loop. The journal loop runs at `--jobs 1` and at `--jobs 2`: with
+# one worker a completion always rides that worker's next attempt, with
+# two it may ride the other worker's. HELIOS_POISON_LIMIT is raised so a cell
 # the random kills keep hitting is retried rather than quarantined
 # (quarantine changes the bytes by design; the store ignores it).
 cspec="$sweep_tmp/chaos_spec.json"
@@ -267,7 +270,8 @@ sed 's/"count": 3/"count": 3000/' "$rspec" > "$cspec"
 "$helios" campaign run --spec "$cspec" --out "$sweep_tmp/chaos_ref.json" > /dev/null
 chaos_kill_loop() {
     sink=$1
-    chaos_file="$sweep_tmp/chaos.$sink"
+    jobs=$2
+    chaos_file="$sweep_tmp/chaos.$jobs.$sink"
     kills=0
     tries=0
     while [ "$kills" -lt 5 ]; do
@@ -277,7 +281,7 @@ chaos_kill_loop() {
             exit 1
         fi
         HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
-            "--$sink" "$chaos_file" --out "$sweep_tmp/chaos.json" \
+            --jobs "$jobs" "--$sink" "$chaos_file" --out "$sweep_tmp/chaos.json" \
             > /dev/null 2>&1 &
         chaos_pid=$!
         # POSIX sh has no $RANDOM: draw two bytes from /dev/urandom for a
@@ -295,13 +299,14 @@ chaos_kill_loop() {
     done
     "$helios" campaign recover "$chaos_file" > /dev/null
     HELIOS_POISON_LIMIT=100 "$helios" campaign run --spec "$cspec" \
-        "--$sink" "$chaos_file" --out "$sweep_tmp/chaos.json" > /dev/null
+        --jobs "$jobs" "--$sink" "$chaos_file" --out "$sweep_tmp/chaos.json" > /dev/null
     cmp "$sweep_tmp/chaos_ref.json" "$sweep_tmp/chaos.json"
     rm -f "$sweep_tmp/chaos.json"
-    echo "--$sink survived $kills hard kills ($tries runs) byte-identically"
+    echo "--$sink --jobs $jobs survived $kills hard kills ($tries runs) byte-identically"
 }
-chaos_kill_loop journal
-chaos_kill_loop store
+chaos_kill_loop journal 1
+chaos_kill_loop journal 2
+chaos_kill_loop store 1
 
 echo "==> torn-write smoke (mid-record kill is salvaged, not hand-repaired)"
 # The torn-write hook persists half of one record's bytes and dies —

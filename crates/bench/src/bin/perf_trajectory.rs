@@ -9,8 +9,9 @@
 //!   planning and the exec-core step loop together.
 //! * `paper_grid_journal_cells_per_sec` — the same grid driven through
 //!   the write-ahead cell journal (`SweepDriver::run_journal`), so the
-//!   durability tax — two fsync'd appends per cell — is a pinned number
-//!   next to the journal-free baseline instead of folklore.
+//!   durability tax — two record appends and one fsync per cell — is a
+//!   pinned number next to the journal-free baseline instead of
+//!   folklore.
 //! * `merge_rows_per_sec` — shard-merge throughput over the columnar
 //!   cell store: a 100k-row synthetic sweep split into 4 shard
 //!   segments, read back and recombined by `merge_shards`. The JSON
@@ -99,9 +100,9 @@ fn bench_paper_grid(smoke: bool) -> Result<SeriesOut, Box<dyn std::error::Error>
 }
 
 /// Cells/sec for the same grid slice through the write-ahead journal:
-/// identical execution plus two fsync'd record appends per cell. The
-/// gap between this and `paper_grid_cells_per_sec` is the durability
-/// overhead.
+/// identical execution plus two record appends and one fsync per cell.
+/// The gap between this and `paper_grid_cells_per_sec` is the
+/// durability overhead.
 fn bench_paper_grid_journal(smoke: bool) -> Result<SeriesOut, Box<dyn std::error::Error>> {
     use helios_core::JournalOptions;
 

@@ -215,8 +215,10 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///   and run it (or one shard of it). Without `--shard` the merged
 ///   sweep report is produced directly; with `--shard`, a shard report
 ///   for later `merge`. With `--journal`, every cell is appended to a
-///   fsync'd write-ahead journal first; `kill -9` at any byte loses at
-///   most the torn tail record. With `--store`, cells are appended to
+///   write-ahead journal with one fsync per cell: a finished cell is
+///   durable before its worker starts another, and at once when none is
+///   left to start; `kill -9` at any byte loses at most the torn tail
+///   records. With `--store`, cells are appended to
 ///   the columnar cell store instead (the `helios query` substrate)
 ///   with the same durability and resume semantics. `--out` is always
 ///   a view, written once at the end.
@@ -244,8 +246,10 @@ pub fn campaign(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// The one fork is where finished cells go. Without a sink they live
 /// only in memory, and nothing can resume the run. With `--journal FILE`
-/// the run is crash-consistent: cells are appended to a fsync'd
-/// write-ahead journal as they finish, SIGINT/SIGTERM drain instead of
+/// the run is crash-consistent: cells are appended to a write-ahead
+/// journal as they finish, one fsync per cell (a finished cell's record
+/// rides the next cell's attempt record, or is written at once when no
+/// cell is left to start), SIGINT/SIGTERM drain instead of
 /// killing, and a re-run salvages the longest valid prefix of an
 /// interrupted journal (torn tail truncated) and resumes. With
 /// `--store FILE` the durable file is the columnar cell store

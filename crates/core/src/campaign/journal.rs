@@ -13,9 +13,15 @@
 //! so a record is its kind byte followed by a standard frame. Two
 //! record kinds exist: an *attempt* (kind 1, `{"cell":N}`) appended
 //! before a cell executes, and a *completion* (kind 2, a compact-JSON
-//! [`CellResult`]) appended after. Every append is `fsync`'d, so a
-//! `kill -9` at any instant loses at most the record being written —
-//! never a cell that was reported durable.
+//! [`CellResult`]) appended after. A sweep makes one `fsync` per cell:
+//! a completion record is staged, and the next durable write (the next
+//! cell's attempt record, or the end of the run) carries it in the same
+//! `write` and `fsync`. The sweep stages a completion only while a
+//! pending cell has yet to start and no drain is requested, so a
+//! finished cell is durable before its worker starts another cell, and
+//! at once when none is left to start. A `kill -9` at any instant loses
+//! at most the records being written — never a cell that was reported
+//! durable — and a lost completion only re-runs its cell.
 //!
 //! This module holds only the payload codec; the framing, the
 //! longest-valid-prefix salvage of [`read_journal`] and the in-place
@@ -182,16 +188,24 @@ pub fn recover_journal(path: &Path) -> Result<Salvage, EngineError> {
     Ok(salvage)
 }
 
-/// Appends checksummed, fsync'd records to a journal file.
+/// Appends checksummed records to a journal file. The public appends
+/// are durable on return: each writes the records staged before it and
+/// its own in one `write` and one `fsync`. The sweep driver also stages
+/// completion records, which reach the file in append order with the
+/// next durable append or when the sweep flushes the writer.
 #[derive(Debug)]
 pub struct JournalWriter {
     out: Appender,
     /// Record appends completed since this writer opened (attempt +
-    /// completion records; the header is not counted).
+    /// completion records, staged or written; the header is not
+    /// counted).
     appends: u64,
-    /// Crash-injection hook: the append with this ordinal writes only
-    /// half its bytes, fsyncs, and fails with [`TORN_WRITE_INJECTED`].
+    /// Crash-injection hook: the append with this ordinal writes the
+    /// staged records and half its own bytes, fsyncs, and fails with
+    /// [`TORN_WRITE_INJECTED`].
     tear_after: Option<u64>,
+    /// Whole records appended but not yet written.
+    staged: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -209,6 +223,7 @@ impl JournalWriter {
             out: Appender::create(&FORMAT, path, header)?,
             appends: 0,
             tear_after,
+            staged: Vec::new(),
         })
     }
 
@@ -223,10 +238,12 @@ impl JournalWriter {
             out: Appender::open_append(&FORMAT, path)?,
             appends: 0,
             tear_after,
+            staged: Vec::new(),
         })
     }
 
-    /// Durably records that `cell` is about to execute.
+    /// Durably records that `cell` is about to execute, with the
+    /// records staged before it.
     ///
     /// # Errors
     ///
@@ -234,35 +251,64 @@ impl JournalWriter {
     pub fn append_attempt(&mut self, cell: usize) -> Result<(), EngineError> {
         let payload = serde_json::to_string(&AttemptRecord { cell })
             .map_err(|e| EngineError::Config(format!("serialize attempt record: {e}")))?;
-        self.append_record(KIND_ATTEMPT, payload.as_bytes())
+        self.append_record(KIND_ATTEMPT, payload.as_bytes())?;
+        self.flush()
     }
 
-    /// Durably records a completed cell.
+    /// Durably records a completed cell, with the records staged before
+    /// it.
     ///
     /// # Errors
     ///
     /// I/O failures, and the injected tear when armed.
     pub fn append_cell(&mut self, cell: &CellResult) -> Result<(), EngineError> {
+        self.stage_cell(cell)?;
+        self.flush()
+    }
+
+    /// Records a completed cell without writing it: the next durable
+    /// append or [`flush`](JournalWriter::flush) writes it. An armed
+    /// tear still fires on this record's ordinal.
+    pub(crate) fn stage_cell(&mut self, cell: &CellResult) -> Result<(), EngineError> {
         let payload = serde_json::to_string(cell)
             .map_err(|e| EngineError::Config(format!("serialize cell record: {e}")))?;
         self.append_record(KIND_CELL, payload.as_bytes())
     }
 
+    /// Writes the staged records with one `write` and one `fsync`; a
+    /// no-op when none is staged.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures. The staged records are dropped either way, so a
+    /// failed write is never repeated after its partial bytes.
+    pub(crate) fn flush(&mut self) -> Result<(), EngineError> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let written = self.out.write_synced("append", FORMAT.record, &self.staged);
+        self.staged.clear();
+        written
+    }
+
+    /// Stages one record, or, on the armed tear's ordinal, writes the
+    /// staged records and half of this one and fails.
     fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), EngineError> {
+        let record = self.out.record(kind, payload)?;
         if self.tear_after == Some(self.appends) {
             // Crash injection: persist half the record — exactly what a
             // power cut mid-write leaves behind — then die.
-            let buf = self.out.record(kind, payload)?;
-            let half = (buf.len() / 2).max(1);
-            self.out
-                .write_synced("write", "torn record", &buf[..half])?;
+            let half = (record.len() / 2).max(1);
+            let mut bytes = std::mem::take(&mut self.staged);
+            bytes.extend_from_slice(&record[..half]);
+            self.out.write_synced("write", "torn record", &bytes)?;
             return Err(EngineError::Config(format!(
                 "{TORN_WRITE_INJECTED}: wrote {half} of {} record bytes to {} and aborted",
-                buf.len(),
+                record.len(),
                 self.out.path().display()
             )));
         }
-        self.out.append(kind, payload)?;
+        self.staged.extend_from_slice(&record);
         self.appends += 1;
         Ok(())
     }

@@ -356,11 +356,15 @@ impl SweepDriver {
     /// crash-consistent execution path. A fresh path is initialized
     /// with a checksummed header binding the spec digest and shard
     /// geometry; an existing journal is salvaged (torn tail truncated)
-    /// and resumed. Every cell appends an fsync'd attempt record before
-    /// executing and an fsync'd completion record after, so a `kill -9`
-    /// at any instant — including mid-write — loses at most the cell in
-    /// flight, and the compiled report is byte-identical to an
-    /// uninterrupted run.
+    /// and resumed. Every cell appends an attempt record before
+    /// executing and a completion record after, with one fsync per cell:
+    /// a completion is staged while a pending cell has yet to start and
+    /// no drain is requested, and the next cell's attempt record carries
+    /// it in the same write and fsync; otherwise it is written and
+    /// fsync'd at once. So a finished cell is durable before its worker
+    /// starts another cell, a `kill -9` at any instant — including
+    /// mid-write — loses at most the cells in flight, and the compiled
+    /// report is byte-identical to an uninterrupted run.
     ///
     /// Cells whose attempt count reaches the poison limit with no
     /// completion record have crashed the process that many times; they
@@ -386,6 +390,8 @@ impl SweepDriver {
             crash_cell: opts.crash_cell,
             tear_after: opts.tear_after,
             poison_limit: opts.poison_limit.unwrap_or(DEFAULT_POISON_LIMIT),
+            cancel: opts.cancel,
+            unattempted: 0,
         };
         self.drive(spec, shard, sink, opts)
     }
@@ -473,6 +479,7 @@ impl SweepDriver {
 
         // The attempt record is durable before the cell runs; the cell
         // executes outside the sink lock, and only the appends serialize.
+        sink.expect_attempts(pending.len());
         let sink = Mutex::new(sink);
         let lock = || sink.lock().expect("no poisoned sink lock");
         let workflows = Workflows::new(&run, &pending);
@@ -603,11 +610,13 @@ fn cached<T>(
 }
 
 /// Where the sweep loop keeps finished cells. `salvage` runs once,
-/// before any cell; then every cell gets `attempt` before it executes
-/// and `append` after it finishes, each under the loop's lock; `flush`
-/// runs once at the end, also when the run failed. Every step defaults
-/// to a no-op: the sink of [`SweepDriver::run_shard`], which keeps
-/// finished cells only in the returned report.
+/// before any cell, and quarantined cells get `append` right after it;
+/// `expect_attempts` then says how many cells may start. Every cell
+/// gets `attempt` before it executes and `append` after it finishes,
+/// each under the loop's lock; `flush` runs once at the end, also when
+/// the run failed. Every step defaults to a no-op: the sink of
+/// [`SweepDriver::run_shard`], which keeps finished cells only in the
+/// returned report.
 trait CellSink: Send {
     /// Opens the sink for a run of `expected`'s campaign and shard, and
     /// returns what a previous run left in it, checked by
@@ -615,6 +624,9 @@ trait CellSink: Send {
     fn salvage(&mut self, _expected: &ShardReport) -> Result<Salvaged, EngineError> {
         Ok(Salvaged::default())
     }
+
+    /// Hears that up to `cells` cells will get `attempt` from now on.
+    fn expect_attempts(&mut self, _cells: usize) {}
 
     /// Durably records that global cell `cell` is about to execute.
     fn attempt(&mut self, _cell: usize) -> Result<(), EngineError> {
@@ -651,15 +663,24 @@ struct MemorySink;
 
 impl CellSink for MemorySink {}
 
-/// The write-ahead journal sink: an fsync'd attempt record before each
-/// cell and an fsync'd completion record after. It owns the journal-only
-/// hooks: the synthetic crash, the torn write and the poison limit.
+/// The write-ahead journal sink: an attempt record before each cell
+/// and a completion record after, one fsync per cell. A completion is
+/// staged while some pending cell has yet to be attempted and no drain
+/// is requested: a worker is then about to start a cell, and that
+/// cell's attempt record makes it durable. Otherwise it is written
+/// through at once, and `flush` writes whatever a failed or drained run
+/// left staged. It owns the journal-only hooks: the synthetic crash,
+/// the torn write and the poison limit.
 struct JournalSink<'a> {
     path: &'a Path,
     writer: Option<JournalWriter>,
     crash_cell: Option<usize>,
     tear_after: Option<u64>,
     poison_limit: u32,
+    /// The run's drain flag.
+    cancel: Option<&'a AtomicBool>,
+    /// Cells that may still start but have no attempt record yet.
+    unattempted: usize,
 }
 
 impl JournalSink<'_> {
@@ -698,7 +719,12 @@ impl CellSink for JournalSink<'_> {
         })
     }
 
+    fn expect_attempts(&mut self, cells: usize) {
+        self.unattempted = cells;
+    }
+
     fn attempt(&mut self, cell: usize) -> Result<(), EngineError> {
+        self.unattempted -= 1;
         self.writer().append_attempt(cell)?;
         if self.crash_cell == Some(cell) {
             return Err(EngineError::Config(format!(
@@ -709,7 +735,16 @@ impl CellSink for JournalSink<'_> {
     }
 
     fn append(&mut self, result: &CellResult) -> Result<(), EngineError> {
-        self.writer().append_cell(result)
+        let draining = self.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+        if self.unattempted > 0 && !draining {
+            self.writer().stage_cell(result)
+        } else {
+            self.writer().append_cell(result)
+        }
+    }
+
+    fn flush(&mut self) -> Result<(), EngineError> {
+        self.writer().flush()
     }
 }
 
@@ -851,9 +886,9 @@ pub struct SweepOptions<'a> {
     /// repeatable "this cell kills the process" poisoning scenario.
     pub crash_cell: Option<usize>,
     /// Journal only. Torn-write injection: the Nth record append
-    /// (0-based, attempts and completions counted together) persists
-    /// only half its bytes and fails (the `HELIOS_JOURNAL_TORN_WRITE`
-    /// hook).
+    /// (0-based, attempts and completions counted together, staged or
+    /// not) persists the records staged before it whole and only half
+    /// its own bytes, and fails (the `HELIOS_JOURNAL_TORN_WRITE` hook).
     pub tear_after: Option<u64>,
     /// Journal only. Attempts without completion before a cell is
     /// quarantined; `None` means [`DEFAULT_POISON_LIMIT`].
@@ -1902,5 +1937,198 @@ mod tests {
             base_run.cells, tuned_run.cells,
             "tuning overrides must change some cell"
         );
+    }
+
+    /// A fresh scratch path, unique per process and test.
+    fn scratch_path(name: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("helios-sweep-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Six cells: one montage workflow per seed, three planners each.
+    fn six_cells() -> CampaignSpec {
+        CampaignSpec::from_json(
+            r#"{
+                "name": "staged",
+                "families": ["montage"],
+                "platforms": ["workstation"],
+                "schedulers": ["heft", "mct", "olb"],
+                "seeds": {"base": 0, "count": 2},
+                "tasks": 20,
+                "noise_cv": 0.1
+            }"#,
+        )
+        .unwrap()
+    }
+
+    fn tear(n: Option<u64>) -> JournalOptions<'static> {
+        JournalOptions {
+            tear_after: n,
+            ..JournalOptions::default()
+        }
+    }
+
+    /// The differential oracle of staging: at one worker, a sweep's
+    /// journal under every tear ordinal (and none) holds the bytes of
+    /// the same records written one by one through the public
+    /// write-through appends with the same tear, at one fsync per cell
+    /// where the reference makes two.
+    #[test]
+    fn staged_journals_equal_the_write_through_reference_under_every_tear() {
+        let spec = six_cells();
+        let driver = SweepDriver::new(1);
+        let cells = driver.run_shard(&spec, ShardSpec::full()).unwrap().cells;
+        let n = cells.len();
+        assert_eq!(n, 6);
+        let header = JournalHeader {
+            spec_name: spec.name.clone(),
+            spec_digest: spec.digest(),
+            total_cells: n,
+            shard_index: 1,
+            shard_count: 1,
+        };
+        let (staged, reference) = (scratch_path("staged"), scratch_path("reference"));
+        for ordinal in (0..2 * n as u64).map(Some).chain([None]) {
+            let mut w = JournalWriter::create(&reference, &header, ordinal).unwrap();
+            let written = cells.iter().try_for_each(|c| {
+                w.append_attempt(c.cell)?;
+                w.append_cell(c)
+            });
+            drop(w);
+            assert_eq!(written.is_err(), ordinal.is_some());
+            let _ = std::fs::remove_file(&staged);
+            let run = driver.run_journal(&spec, ShardSpec::full(), &staged, &tear(ordinal));
+            match (ordinal, run) {
+                (Some(_), Err(e)) => {
+                    assert!(e.to_string().contains(journal::TORN_WRITE_INJECTED), "{e}")
+                }
+                (None, Ok(run)) => assert_eq!(run.report.cells, cells),
+                (ordinal, run) => panic!("tear {ordinal:?}: unexpected {run:?}"),
+            }
+            assert_eq!(
+                std::fs::read(&staged).unwrap(),
+                std::fs::read(&reference).unwrap(),
+                "tear {ordinal:?}: journal bytes differ from the reference"
+            );
+            let (staged_syncs, reference_syncs) = (
+                crate::framed::probe::take(&staged),
+                crate::framed::probe::take(&reference),
+            );
+            if ordinal.is_none() {
+                // Header, one per attempt, and the last completion, which
+                // has no next attempt to ride.
+                assert_eq!(
+                    (staged_syncs, reference_syncs),
+                    (n as u64 + 2, 2 * n as u64 + 1)
+                );
+            }
+        }
+        std::fs::remove_file(&staged).unwrap();
+        std::fs::remove_file(&reference).unwrap();
+    }
+
+    /// With several workers a completion may ride another worker's
+    /// attempt or be written at once; never more than the two syncs per
+    /// cell of the write-through journal, plus the header and one flush.
+    #[test]
+    fn parallel_journals_sync_at_most_twice_per_cell() {
+        let spec = six_cells();
+        let reference = SweepDriver::new(1).run(&spec).unwrap();
+        let path = scratch_path("parallel");
+        let run = SweepDriver::new(2)
+            .run_journal(&spec, ShardSpec::full(), &path, &tear(None))
+            .unwrap();
+        let syncs = crate::framed::probe::take(&path);
+        assert!((8..=14).contains(&syncs), "{syncs} syncs for 6 cells");
+        assert_eq!(merge_shards(&[run.report]).unwrap(), reference);
+        let salvage = journal::read_journal(&path).unwrap();
+        assert_eq!((salvage.cells.len(), salvage.attempts.len()), (6, 6));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A cell that fails right after its durable attempt record finds
+    /// every earlier completion durable: each rode an attempt record.
+    #[test]
+    fn a_crashing_cell_finds_every_earlier_completion_durable() {
+        let spec = six_cells();
+        let path = scratch_path("crash");
+        for k in 0..6 {
+            let _ = std::fs::remove_file(&path);
+            let opts = JournalOptions {
+                crash_cell: Some(k),
+                ..JournalOptions::default()
+            };
+            let err = SweepDriver::new(1)
+                .run_journal(&spec, ShardSpec::full(), &path, &opts)
+                .unwrap_err();
+            assert!(err.to_string().contains("injected crash"), "{err}");
+            let salvage = journal::read_journal(&path).unwrap();
+            let done: Vec<usize> = salvage.cells.iter().map(|c| c.cell).collect();
+            assert_eq!(done, (0..k).collect::<Vec<_>>(), "crash at cell {k}");
+            assert_eq!(salvage.attempts, (0..=k).collect::<Vec<_>>());
+            assert_eq!(salvage.dropped_bytes, 0);
+            assert_eq!(crate::framed::probe::take(&path), k as u64 + 2);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The staging rule on its own: a completion is staged only while a
+    /// cell may still start and no drain is requested.
+    #[test]
+    fn the_journal_sink_stages_only_while_a_cell_may_start() {
+        let path = scratch_path("rule");
+        let cancel = AtomicBool::new(false);
+        let mut sink = JournalSink {
+            path: &path,
+            writer: None,
+            crash_cell: None,
+            tear_after: None,
+            poison_limit: DEFAULT_POISON_LIMIT,
+            cancel: Some(&cancel),
+            unattempted: 0,
+        };
+        let expected = ShardReport {
+            spec_name: "rule".into(),
+            spec_digest: "d".into(),
+            total_cells: 4,
+            shard_index: 1,
+            shard_count: 1,
+            cells: Vec::new(),
+        };
+        sink.salvage(&expected).unwrap();
+        let cell = |i| CellResult {
+            cell: i,
+            ..CellResult::default()
+        };
+        let syncs = || crate::framed::probe::take(&path);
+        assert_eq!(syncs(), 1, "the header");
+        sink.expect_attempts(4);
+        sink.attempt(0).unwrap();
+        sink.append(&cell(0)).unwrap();
+        assert_eq!(syncs(), 1, "cell 0's completion is staged");
+        sink.attempt(1).unwrap();
+        assert_eq!(syncs(), 1, "cell 1's attempt carries it");
+        cancel.store(true, Ordering::Relaxed);
+        sink.append(&cell(1)).unwrap();
+        assert_eq!(syncs(), 1, "a drain writes cell 1's completion through");
+        cancel.store(false, Ordering::Relaxed);
+        sink.attempt(2).unwrap();
+        sink.append(&cell(2)).unwrap();
+        assert_eq!(syncs(), 1, "cell 3 may start: cell 2 is staged");
+        // What a failed or drained run ends with.
+        sink.flush().unwrap();
+        assert_eq!(syncs(), 1, "a flush writes what is staged");
+        sink.flush().unwrap();
+        assert_eq!(syncs(), 0, "and then nothing");
+        sink.attempt(3).unwrap();
+        sink.append(&cell(3)).unwrap();
+        assert_eq!(syncs(), 2, "no cell is left to start: written through");
+        drop(sink);
+        let salvage = journal::read_journal(&path).unwrap();
+        assert_eq!(salvage.cells, (0..4).map(cell).collect::<Vec<_>>());
+        assert_eq!(salvage.attempts, vec![0, 1, 2, 3]);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -12,8 +12,10 @@
 //! Integers are little-endian, the CRC is IEEE CRC-32 over the payload,
 //! and only a *tagged* format (the journal) has the kind byte. The
 //! codecs above own the header type and the record payloads, nothing
-//! else. Every write is one `write_all` of a whole frame plus
-//! `sync_data`, so a `kill -9` loses at most the frame being written.
+//! else. Every write is one `write_all` of whole frames plus one
+//! `sync_data`, so a `kill -9` loses at most the frames being written:
+//! the store writes one row group at a time, the journal the records it
+//! staged and the one that makes them durable.
 //! Reading is longest-valid-prefix salvage: the first frame failing its
 //! bounds, CRC or decode starts the torn tail, which recovery truncates
 //! (fsync'd) so the file can be appended to again. Cells are pure
@@ -271,7 +273,7 @@ impl Format {
     }
 }
 
-/// Appends whole frames to a framed file, each with one `write_all`
+/// Appends whole frames to a framed file, each write one `write_all`
 /// and one `sync_data`.
 #[derive(Debug)]
 pub(crate) struct Appender {
@@ -363,9 +365,35 @@ impl Appender {
         self.file
             .write_all(bytes)
             .map_err(|e| format.io_err(path, &format!("{verb} {what}"), &e))?;
+        #[cfg(test)]
+        probe::count(path);
         self.file
             .sync_data()
             .map_err(|e| format.io_err(path, &format!("fsync {what}"), &e))
+    }
+}
+
+/// Test-only count of the `sync_data` calls [`Appender`] makes, by
+/// file path. Keyed by path, not by thread as `helios_sched`'s probe
+/// is, because a multi-worker sweep syncs from its worker threads; each
+/// test writes its own paths, so it reads exactly its own syncs.
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
+    use std::sync::Mutex;
+
+    static SYNCS: Mutex<BTreeMap<PathBuf, u64>> = Mutex::new(BTreeMap::new());
+
+    pub(crate) fn count(path: &Path) {
+        let mut syncs = SYNCS.lock().expect("no poisoned probe lock");
+        *syncs.entry(path.to_path_buf()).or_insert(0) += 1;
+    }
+
+    /// Returns the syncs of `path` so far and resets them.
+    pub(crate) fn take(path: &Path) -> u64 {
+        let mut syncs = SYNCS.lock().expect("no poisoned probe lock");
+        syncs.remove(path).unwrap_or(0)
     }
 }
 

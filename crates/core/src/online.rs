@@ -327,11 +327,9 @@ impl OnlineExec<'_> {
         let mut data_at = now;
         for &e in self.wf.predecessors(task) {
             let edge = self.wf.edge(e);
-            let t = self.platform.transfer_time(
-                edge.bytes,
-                self.producer_device[edge.src.0],
-                device,
-            )?;
+            let t =
+                self.model
+                    .transfer_time(edge.bytes, self.producer_device[edge.src.0], device)?;
             data_at = data_at.max(now + t);
         }
         let exec = self

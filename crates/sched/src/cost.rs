@@ -160,6 +160,23 @@ impl<'p> CostModel<'p> {
         &self.transfers
     }
 
+    /// Time to move `bytes` from `from` to `to`, bit-identical to
+    /// [`Platform::transfer_time`] but read from the memoized route
+    /// terms instead of walking the route.
+    ///
+    /// # Errors
+    ///
+    /// The platform's error for a pair without a route or an unknown
+    /// device.
+    pub fn transfer_time(
+        &self,
+        bytes: f64,
+        from: DeviceId,
+        to: DeviceId,
+    ) -> Result<SimDuration, PlatformError> {
+        self.transfers.transfer_time(bytes, from, to)
+    }
+
     /// Mean nominal execution time of every task over all devices, in
     /// seconds, indexed by task id: the durations summed in device order,
     /// then divided by the device count, as
@@ -370,6 +387,24 @@ mod tests {
                         assert_eq!(model.feasible(TaskId(i), d.id()), feasible, "{at}");
                     }
                 }
+                for e in wf.edges() {
+                    for from in p.devices() {
+                        for to in p.devices() {
+                            let (from, to) = (from.id(), to.id());
+                            let want = p.transfer_time(e.bytes, from, to).unwrap();
+                            let got = model.transfer_time(e.bytes, from, to).unwrap();
+                            assert_eq!(got.as_secs().to_bits(), want.as_secs().to_bits(), "{at}");
+                        }
+                    }
+                }
+                // Past the last device the table falls back to the walk.
+                let stray = DeviceId(p.num_devices());
+                let bits_of = |t: Result<SimDuration, _>| t.map(|t| t.as_secs().to_bits());
+                assert_eq!(
+                    bits_of(model.transfer_time(1e6, DeviceId(0), stray)),
+                    bits_of(p.transfer_time(1e6, DeviceId(0), stray)),
+                    "{at}"
+                );
                 let exec = analysis::mean_exec_times(&wf, &p).unwrap();
                 let comm = analysis::mean_comm_times(&wf, &p).unwrap();
                 let bottom = analysis::bottom_levels(&wf, &p).unwrap();
@@ -465,5 +500,11 @@ mod tests {
         }
         assert_eq!(model.slr_bound(&wf).unwrap_err(), want);
         assert_eq!(crate::metrics::slr(&met, &wf, &islands).unwrap_err(), want);
+        // A single transfer across the islands fails as the route walk does.
+        let (a, b) = (DeviceId(0), DeviceId(1));
+        assert_eq!(
+            model.transfer_time(1e6, a, b).unwrap_err(),
+            islands.transfer_time(1e6, a, b).unwrap_err()
+        );
     }
 }

@@ -5,8 +5,9 @@ pub use crate::schedule::{efficiency, slr, speedup};
 use helios_platform::Platform;
 use helios_workflow::Workflow;
 
+use crate::cost::CostModel;
 use crate::error::SchedError;
-use crate::schedule::Schedule;
+use crate::schedule::{speedup_with, Schedule};
 
 /// Everything the comparison experiments report about one schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +25,7 @@ pub struct ScheduleMetrics {
 }
 
 impl ScheduleMetrics {
-    /// Computes all metrics for `schedule`.
+    /// Computes all metrics for `schedule`, from one cost model of `wf`.
     ///
     /// # Errors
     ///
@@ -41,11 +42,14 @@ impl ScheduleMetrics {
         } else {
             used.iter().sum::<f64>() / used.len() as f64
         };
+        let model = CostModel::new(wf, platform)?;
+        let slr = model.slr(wf, schedule.makespan())?;
+        let speedup = speedup_with(schedule, wf, &model)?;
         Ok(ScheduleMetrics {
             makespan_secs: schedule.makespan().as_secs(),
-            slr: slr(schedule, wf, platform)?,
-            speedup: speedup(schedule, wf, platform)?,
-            efficiency: efficiency(schedule, wf, platform)?,
+            slr,
+            speedup,
+            efficiency: speedup / platform.num_devices() as f64,
             mean_utilization,
         })
     }
@@ -54,9 +58,9 @@ impl ScheduleMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HeftScheduler, Scheduler};
+    use crate::{all_schedulers, HeftScheduler, Scheduler};
     use helios_platform::presets;
-    use helios_workflow::generators::montage;
+    use helios_workflow::generators::{montage, WorkflowClass};
 
     #[test]
     fn summary_is_internally_consistent() {
@@ -68,6 +72,34 @@ mod tests {
         assert!(m.slr > 0.0);
         assert!((m.efficiency - m.speedup / p.num_devices() as f64).abs() < 1e-12);
         assert!(m.mean_utilization > 0.0 && m.mean_utilization <= 1.0);
+    }
+
+    /// One model gives the bits of the three free functions, which
+    /// build one each.
+    #[test]
+    fn summary_equals_the_free_functions_bit_for_bit() {
+        let mut compared = 0;
+        for p in presets::all() {
+            for class in WorkflowClass::ALL {
+                let wf = class.generate(30, 3).unwrap();
+                for s in all_schedulers() {
+                    let Ok(plan) = s.schedule(&wf, &p) else {
+                        continue; // a family too big for the platform
+                    };
+                    compared += 1;
+                    let m = ScheduleMetrics::compute(&plan, &wf, &p).unwrap();
+                    let at = format!("{} on {class} on {}", s.name(), p.name());
+                    let want = [
+                        slr(&plan, &wf, &p).unwrap(),
+                        speedup(&plan, &wf, &p).unwrap(),
+                        efficiency(&plan, &wf, &p).unwrap(),
+                    ];
+                    let got = [m.slr, m.speedup, m.efficiency];
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{at}");
+                }
+            }
+        }
+        assert!(compared > 100, "{compared} plans compared");
     }
 }
 

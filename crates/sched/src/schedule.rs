@@ -252,9 +252,17 @@ pub fn slr(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f6
 ///
 /// Propagates platform errors.
 pub fn speedup(schedule: &Schedule, wf: &Workflow, platform: &Platform) -> Result<f64, SchedError> {
-    let model = CostModel::new(wf, platform)?;
+    speedup_with(schedule, wf, &CostModel::new(wf, platform)?)
+}
+
+/// [`speedup`] read from `model`, the cost model of `wf`.
+pub(crate) fn speedup_with(
+    schedule: &Schedule,
+    wf: &Workflow,
+    model: &CostModel<'_>,
+) -> Result<f64, SchedError> {
     let mut best_seq = f64::INFINITY;
-    for d in (0..platform.num_devices()).map(DeviceId) {
+    for d in (0..model.platform().num_devices()).map(DeviceId) {
         let mut total = 0.0;
         for t in (0..wf.num_tasks()).map(TaskId) {
             total += model.exec_time(t, d).as_secs();
