@@ -469,8 +469,9 @@ fn refuse_durable_out(path: &str) -> Result<(), CliError> {
 /// sweep file with zero hand-repair: a cell journal or a columnar store
 /// is truncated in place to its longest valid record prefix (the
 /// `--out` view is optional). For a journal the pending-attempt tally
-/// is printed too, so poisoned cells are visible before resuming.
-/// Anything else is a typed `corrupt resume file` error.
+/// is printed too, so poisoned cells are visible before resuming; the
+/// quarantine threshold is `campaign run`'s, `HELIOS_POISON_LIMIT=N`
+/// included. Anything else is a typed `corrupt resume file` error.
 fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use helios_core::campaign::journal::{self, DEFAULT_POISON_LIMIT};
     use helios_core::{CampaignError, EngineError};
@@ -498,6 +499,7 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
         })
         .into());
     };
+    let poison_limit = env_hook("HELIOS_POISON_LIMIT")?.unwrap_or(DEFAULT_POISON_LIMIT);
     let path = std::path::Path::new(file);
     let (unit, dropped, pending, report) = if noun == "journal" {
         let salvage = journal::recover_journal(path)?;
@@ -523,7 +525,7 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
         report.cells.len()
     )?;
     for (cell, attempts) in pending {
-        let fate = if attempts >= DEFAULT_POISON_LIMIT {
+        let fate = if attempts >= poison_limit {
             " — will be quarantined as poisoned on resume"
         } else {
             ""
@@ -637,23 +639,18 @@ fn write_sweep_summary(
     writeln!(out, "{header}")?;
     for row in &report.summary {
         let values = summary_row_values(row);
+        let (keys, aggs) = values.split_at(SUMMARY_KEYS.len());
         let mut line = String::new();
-        for (i, (_, width)) in SUMMARY_KEYS.iter().enumerate() {
-            match &values[i] {
-                Value::Str(s) => line.push_str(&format!("{s:<width$}")),
-                other => unreachable!("summary key {i} is a string, got {other:?}"),
-            }
+        for ((_, width), key) in SUMMARY_KEYS.iter().zip(keys) {
+            line.push_str(&format!("{:<width$}", render_query_value(key)));
         }
-        for (j, spec) in SUMMARY_AGGREGATES.iter().enumerate() {
-            let text = match (&values[SUMMARY_KEYS.len() + j], spec.precision) {
-                // Rows where no cell completed have no means: print a
-                // dash, not a zero that would read as an instant run.
-                (Value::Null, _) => "-".to_owned(),
+        for (spec, value) in SUMMARY_AGGREGATES.iter().zip(aggs) {
+            // Rows where no cell completed have no means: the value is
+            // null and prints as a dash, not a zero that would read as
+            // an instant run.
+            let text = match (value, spec.precision) {
                 (Value::F64(v), Some(prec)) => format!("{v:.prec$}"),
-                (Value::U64(v), None) => v.to_string(),
-                (other, prec) => {
-                    unreachable!("summary {:?} with precision {prec:?}: {other:?}", spec.name)
-                }
+                (value, _) => render_query_value(value),
             };
             line.push_str(&format!("{text:>width$}", width = spec.width));
         }

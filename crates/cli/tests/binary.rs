@@ -350,6 +350,78 @@ fn killed_sweep_resumes_byte_identically() {
     assert_ne!(other.as_bytes(), full.as_slice(), "of the other spec");
 }
 
+/// `campaign recover` predicts quarantine with the threshold `campaign
+/// run` applies, `HELIOS_POISON_LIMIT` included.
+#[test]
+fn recover_predicts_quarantine_under_the_poison_limit_override() {
+    let dir = std::env::temp_dir().join("helios-bin-poison");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    std::fs::write(dir.join("spec.json"), SPEC_JSON).unwrap();
+
+    // Crash right after journaling cell 0's attempt: one attempt, no
+    // completion.
+    let out = helios()
+        .args([
+            "campaign",
+            "run",
+            "--spec",
+            &path("spec.json"),
+            "--journal",
+            &path("sweep.journal"),
+        ])
+        .env("HELIOS_JOURNAL_CRASH_CELL", "0")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "the injected crash must fail");
+
+    let recover = |limit: Option<&str>| {
+        let mut cmd = helios();
+        cmd.args(["campaign", "recover", &path("sweep.journal")]);
+        match limit {
+            Some(limit) => cmd.env("HELIOS_POISON_LIMIT", limit),
+            None => cmd.env_remove("HELIOS_POISON_LIMIT"),
+        };
+        cmd.output().unwrap()
+    };
+    let out = recover(Some("1"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(
+            "cell 0: 1 attempt(s) without completion — will be quarantined as poisoned on resume"
+        ),
+        "{stdout}"
+    );
+
+    let out = recover(None);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("cell 0: 1 attempt(s) without completion\n"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("quarantined"), "{stdout}");
+
+    // A bad override is the usage error `campaign run` gives.
+    let out = recover(Some("many"));
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("HELIOS_POISON_LIMIT must be a non-negative integer"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn malformed_spec_file_is_a_hard_error() {
     let dir = std::env::temp_dir().join("helios-bin-badspec");

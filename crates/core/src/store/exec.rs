@@ -16,10 +16,7 @@ use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
 use crate::campaign::sweep::{CellResult, SummaryRow};
 
-use super::schema::{
-    summary_row_from_values, Column, Row, SummaryAgg, Value, ValueRef, SUMMARY_AGGREGATES,
-    SUMMARY_KEYS,
-};
+use super::schema::{Column, Row, Value, ValueRef, SUMMARY_AGGREGATES, SUMMARY_KEYS};
 
 /// A comparison operator in a filter predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,31 +91,91 @@ impl Predicate {
     }
 }
 
-/// An aggregation over one column (or the whole row for
-/// [`Agg::CountStar`]).
+/// An aggregate over one column (or the whole row for [`Agg::Count`])
+/// — the one aggregate vocabulary: the query language parses it (see
+/// [`Agg::parse`]), the summary plan (`SUMMARY_AGGREGATES`) names it,
+/// and [`aggregate`] computes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Agg {
-    /// Row count of the group.
-    CountStar,
-    /// Sum of a numeric column; null over zero rows.
+    /// `count(*)`: row count of the group.
+    Count,
+    /// `sum(col)`: sum of a numeric column; null over zero rows.
     Sum(Column),
-    /// Mean of a numeric column; null over zero rows.
+    /// `avg(col)`: mean of a numeric column; null over zero rows.
     Avg(Column),
-    /// Minimum of a numeric column; null over zero rows.
+    /// `min(col)`: minimum of a numeric column; null over zero rows.
     Min(Column),
-    /// Maximum of a numeric column; null over zero rows.
+    /// `max(col)`: maximum of a numeric column; null over zero rows.
     Max(Column),
-    /// Mean of `metric` over rows where the boolean `completed`
-    /// column is true; null when none are — the sweep's null-mean
-    /// semantics.
-    AvgCompleted {
-        /// The numeric column being averaged.
-        metric: Column,
-        /// The boolean column gating contribution.
-        completed: Column,
-    },
-    /// Fraction of the group's rows where the boolean column is true.
-    CompletedFrac(Column),
+    /// `avg_completed(col)`: mean of a numeric column over rows whose
+    /// `completed` column is true; null when none are — the sweep's
+    /// null-mean semantics.
+    AvgCompleted(Column),
+    /// `frac(col)`: fraction of the group's rows where a boolean
+    /// column is true.
+    Frac(Column),
+}
+
+impl Agg {
+    /// Every aggregate over `col` (which `count(*)` ignores), in the
+    /// order the query parser lists them.
+    pub(crate) fn every(col: Column) -> [Agg; 7] {
+        [
+            Agg::Count,
+            Agg::Sum(col),
+            Agg::Avg(col),
+            Agg::Min(col),
+            Agg::Max(col),
+            Agg::AvgCompleted(col),
+            Agg::Frac(col),
+        ]
+    }
+
+    /// Every aggregate's SQL spelling, in the order the query parser
+    /// lists them.
+    pub(crate) fn names() -> [&'static str; 7] {
+        Agg::every(Column::Cell).map(Agg::name)
+    }
+
+    /// The aggregate's SQL spelling, lower case: `count`, `sum`, `avg`,
+    /// `min`, `max`, `avg_completed` or `frac`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Agg::Count => "count",
+            Agg::Sum(_) => "sum",
+            Agg::Avg(_) => "avg",
+            Agg::Min(_) => "min",
+            Agg::Max(_) => "max",
+            Agg::AvgCompleted(_) => "avg_completed",
+            Agg::Frac(_) => "frac",
+        }
+    }
+
+    /// The aggregated column; `None` for `count(*)`.
+    #[must_use]
+    pub fn arg(self) -> Option<Column> {
+        match self {
+            Agg::Count => None,
+            Agg::Sum(c)
+            | Agg::Avg(c)
+            | Agg::Min(c)
+            | Agg::Max(c)
+            | Agg::AvgCompleted(c)
+            | Agg::Frac(c) => Some(c),
+        }
+    }
+
+    /// The aggregate spelled `name` (in any case) over `arg`: `count`
+    /// takes no column (`count(*)`), every other aggregate one. `None`
+    /// when no aggregate is spelled so with that argument. Column types
+    /// are the query planner's to check.
+    #[must_use]
+    pub fn parse(name: &str, arg: Option<Column>) -> Option<Agg> {
+        Agg::every(arg.unwrap_or(Column::Cell))
+            .into_iter()
+            .find(|agg| agg.name().eq_ignore_ascii_case(name) && agg.arg() == arg)
+    }
 }
 
 /// A running accumulator for one [`Agg`] in one group. Sums are added
@@ -147,7 +204,7 @@ impl Accum {
     fn feed(&mut self, agg: Agg, cell: &CellResult) {
         self.rows += 1;
         match agg {
-            Agg::CountStar => {}
+            Agg::Count => {}
             Agg::Sum(col) | Agg::Avg(col) | Agg::Min(col) | Agg::Max(col) => {
                 if let Some(v) = col.get(cell).as_f64() {
                     self.sum += v;
@@ -156,15 +213,15 @@ impl Accum {
                     self.max = self.max.max(v);
                 }
             }
-            Agg::AvgCompleted { metric, completed } => {
-                if completed.get(cell) == ValueRef::Bool(true) {
-                    if let Some(v) = metric.get(cell).as_f64() {
+            Agg::AvgCompleted(col) => {
+                if Column::Completed.get(cell) == ValueRef::Bool(true) {
+                    if let Some(v) = col.get(cell).as_f64() {
                         self.sum += v;
                         self.n += 1;
                     }
                 }
             }
-            Agg::CompletedFrac(col) => {
+            Agg::Frac(col) => {
                 if col.get(cell) == ValueRef::Bool(true) {
                     self.n += 1;
                 }
@@ -173,44 +230,15 @@ impl Accum {
     }
 
     fn finish(&self, agg: Agg) -> Value {
-        let mean = || {
-            if self.n > 0 {
-                Value::F64(self.sum / self.n as f64)
-            } else {
-                Value::Null
-            }
-        };
+        // `v` over `n` contributing rows: null when there were none.
+        let over = |n: u64, v: f64| if n > 0 { Value::F64(v) } else { Value::Null };
         match agg {
-            Agg::CountStar => Value::U64(self.rows),
-            Agg::Sum(_) => {
-                if self.n > 0 {
-                    Value::F64(self.sum)
-                } else {
-                    Value::Null
-                }
-            }
-            Agg::Avg(_) | Agg::AvgCompleted { .. } => mean(),
-            Agg::Min(_) => {
-                if self.n > 0 {
-                    Value::F64(self.min)
-                } else {
-                    Value::Null
-                }
-            }
-            Agg::Max(_) => {
-                if self.n > 0 {
-                    Value::F64(self.max)
-                } else {
-                    Value::Null
-                }
-            }
-            Agg::CompletedFrac(_) => {
-                if self.rows > 0 {
-                    Value::F64(self.n as f64 / self.rows as f64)
-                } else {
-                    Value::Null
-                }
-            }
+            Agg::Count => Value::U64(self.rows),
+            Agg::Sum(_) => over(self.n, self.sum),
+            Agg::Avg(_) | Agg::AvgCompleted(_) => over(self.n, self.sum / self.n as f64),
+            Agg::Min(_) => over(self.n, self.min),
+            Agg::Max(_) => over(self.n, self.max),
+            Agg::Frac(_) => over(self.rows, self.n as f64 / self.rows as f64),
         }
     }
 }
@@ -290,17 +318,6 @@ pub fn aggregate<'a>(
         .collect()
 }
 
-fn summary_agg(agg: SummaryAgg) -> Agg {
-    match agg {
-        SummaryAgg::Count => Agg::CountStar,
-        SummaryAgg::MeanCompleted(col) => Agg::AvgCompleted {
-            metric: col,
-            completed: Column::Completed,
-        },
-        SummaryAgg::CompletedFraction => Agg::CompletedFrac(Column::Completed),
-    }
-}
-
 /// The sweep summary: the cells grouped by `SUMMARY_KEYS` with
 /// `SUMMARY_AGGREGATES` computed per group. This *is* the `summarize`
 /// every caller (merge, sweep reports, the CLI, `helios query`)
@@ -308,11 +325,40 @@ fn summary_agg(agg: SummaryAgg) -> Agg {
 #[must_use]
 pub fn summarize_cells(cells: &[CellResult]) -> Vec<SummaryRow> {
     let keys = SUMMARY_KEYS.map(|(c, _)| c);
-    let aggs = SUMMARY_AGGREGATES.map(|c| summary_agg(c.agg));
+    let aggs = SUMMARY_AGGREGATES.map(|c| c.agg);
     aggregate(cells, &keys, &aggs)
-        .iter()
-        .map(|row| summary_row_from_values(row).expect("the summary emits summary-shaped rows"))
+        .into_iter()
+        .map(summary_row)
         .collect()
+}
+
+/// Moves one `summarize_cells` group row into its [`SummaryRow`]. The
+/// row has the summary plan's shape, so any other is a bug here.
+fn summary_row(row: Row) -> SummaryRow {
+    let text = |v| match v {
+        Value::Str(s) => s,
+        other => unreachable!("summary key {other:?}"),
+    };
+    let mean = |v| match v {
+        Value::F64(v) => Some(v),
+        Value::Null => None,
+        other => unreachable!("summary mean {other:?}"),
+    };
+    match <[Value; 8]>::try_from(row) {
+        Ok([family, platform, scheduler, Value::U64(n), makespan, slr, energy, Value::F64(p)]) => {
+            SummaryRow {
+                family: text(family),
+                platform: text(platform),
+                scheduler: text(scheduler),
+                cells: n as usize,
+                mean_makespan_secs: mean(makespan),
+                mean_slr: mean(slr),
+                mean_energy_j: mean(energy),
+                completion_probability: p,
+            }
+        }
+        other => unreachable!("summary row out of the plan's shape: {other:?}"),
+    }
 }
 
 #[cfg(test)]
@@ -415,7 +461,7 @@ mod tests {
         let rows = aggregate(
             std::iter::empty(),
             &[],
-            &[Agg::CountStar, Agg::Avg(Column::MakespanSecs)],
+            &[Agg::Count, Agg::Avg(Column::MakespanSecs)],
         );
         assert_eq!(rows, vec![vec![Value::U64(0), Value::Null]]);
     }
@@ -441,7 +487,7 @@ mod tests {
                 ..cell(i, "heft", true, 1.0)
             })
             .collect();
-        let out = aggregate(&cells, &[Column::Seed], &[Agg::CountStar]);
+        let out = aggregate(&cells, &[Column::Seed], &[Agg::Count]);
         let firsts: Vec<Row> = (0..500u64)
             .map(|i| vec![Value::U64((i * 7) % 500), Value::U64(4)])
             .collect();
@@ -456,7 +502,7 @@ mod tests {
             .map(|(i, &k)| cell(i, "heft", true, k))
             .collect();
         let m = Column::MakespanSecs;
-        let out = aggregate(&cells, &[m], &[Agg::CountStar, Agg::Sum(m)]);
+        let out = aggregate(&cells, &[m], &[Agg::Count, Agg::Sum(m)]);
         let shape: Vec<String> = out.iter().map(|row| format!("{row:?}")).collect();
         assert_eq!(
             shape,

@@ -133,46 +133,11 @@ fn tokenize(expr: &str) -> Result<Vec<Token>, EngineError> {
     Ok(out)
 }
 
-/// An aggregate function name in a projection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AggFunc {
-    Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
-    AvgCompleted,
-    Frac,
-}
-
-impl AggFunc {
-    fn by_name(name: &str) -> Option<AggFunc> {
-        let lower = name.to_ascii_lowercase();
-        match lower.as_str() {
-            "count" => Some(AggFunc::Count),
-            "sum" => Some(AggFunc::Sum),
-            "avg" => Some(AggFunc::Avg),
-            "min" => Some(AggFunc::Min),
-            "max" => Some(AggFunc::Max),
-            "avg_completed" => Some(AggFunc::AvgCompleted),
-            "frac" => Some(AggFunc::Frac),
-            _ => None,
-        }
-    }
-}
-
 #[derive(Debug, Clone, PartialEq)]
 enum Proj {
     Star,
-    Col {
-        col: Column,
-        alias: Option<String>,
-    },
-    Agg {
-        func: AggFunc,
-        arg: Option<Column>,
-        alias: Option<String>,
-    },
+    Col { col: Column, alias: Option<String> },
+    Agg { agg: Agg, alias: Option<String> },
 }
 
 impl Proj {
@@ -180,20 +145,9 @@ impl Proj {
         match self {
             Proj::Star => "*".into(),
             Proj::Col { col, alias } => alias.clone().unwrap_or_else(|| col.name().to_owned()),
-            Proj::Agg { func, arg, alias } => alias.clone().unwrap_or_else(|| {
-                let func = match func {
-                    AggFunc::Count => "count",
-                    AggFunc::Sum => "sum",
-                    AggFunc::Avg => "avg",
-                    AggFunc::Min => "min",
-                    AggFunc::Max => "max",
-                    AggFunc::AvgCompleted => "avg_completed",
-                    AggFunc::Frac => "frac",
-                };
-                match arg {
-                    Some(col) => format!("{func}({})", col.name()),
-                    None => format!("{func}(*)"),
-                }
+            Proj::Agg { agg, alias } => alias.clone().unwrap_or_else(|| {
+                let arg = agg.arg().map_or("*", Column::name);
+                format!("{}({arg})", agg.name())
             }),
         }
     }
@@ -291,15 +245,18 @@ impl Parser {
                 // A word followed by `(` is an aggregate call; anything
                 // else is a column reference.
                 if matches!(self.tokens.get(self.at + 1), Some(Token::Punct("("))) {
-                    let Some(func) = AggFunc::by_name(&w) else {
+                    let names = Agg::names();
+                    if !names.iter().any(|n| n.eq_ignore_ascii_case(&w)) {
                         return Err(err(
                             &w,
-                            "unknown aggregate; legal aggregates are count, sum, avg, \
-                             min, max, avg_completed, frac",
+                            format!(
+                                "unknown aggregate; legal aggregates are {}",
+                                names.join(", ")
+                            ),
                         ));
-                    };
+                    }
                     self.at += 2;
-                    let arg = if func == AggFunc::Count {
+                    let arg = if w.eq_ignore_ascii_case(Agg::Count.name()) {
                         match self.peek() {
                             Some(Token::Punct("*")) => self.at += 1,
                             other => {
@@ -312,19 +269,16 @@ impl Parser {
                         Some(self.column()?)
                     };
                     self.expect_punct(")")?;
+                    let agg = Agg::parse(&w, arg).expect("a legal name with its argument");
                     if let Some(col) = arg {
-                        let numeric = matches!(
-                            col.column_type(),
-                            ColumnType::U64 | ColumnType::U32 | ColumnType::F64
-                        );
-                        if func == AggFunc::Frac {
+                        if matches!(agg, Agg::Frac(_)) {
                             if col.column_type() != ColumnType::Bool {
                                 return Err(err(
                                     col.name(),
                                     "frac needs a boolean column (completed)",
                                 ));
                             }
-                        } else if !numeric {
+                        } else if !col.column_type().is_numeric() {
                             return Err(err(
                                 col.name(),
                                 format!(
@@ -336,7 +290,7 @@ impl Parser {
                         }
                     }
                     let alias = self.alias()?;
-                    Ok(Proj::Agg { func, arg, alias })
+                    Ok(Proj::Agg { agg, alias })
                 } else {
                     let col = self.column()?;
                     let alias = self.alias()?;
@@ -387,10 +341,7 @@ impl Parser {
             }
         };
         let (literal, raw) = self.literal()?;
-        let numeric = matches!(
-            col.column_type(),
-            ColumnType::U64 | ColumnType::U32 | ColumnType::F64
-        );
+        let numeric = col.column_type().is_numeric();
         let ok = match &literal {
             Literal::Num(_) => numeric,
             Literal::Str(_) => matches!(col.column_type(), ColumnType::Str | ColumnType::OptStr),
@@ -508,23 +459,6 @@ pub struct QueryOutput {
     pub rows: Vec<Row>,
 }
 
-fn to_agg(func: AggFunc, arg: Option<Column>) -> Agg {
-    match (func, arg) {
-        (AggFunc::Count, _) => Agg::CountStar,
-        (AggFunc::Sum, Some(c)) => Agg::Sum(c),
-        (AggFunc::Avg, Some(c)) => Agg::Avg(c),
-        (AggFunc::Min, Some(c)) => Agg::Min(c),
-        (AggFunc::Max, Some(c)) => Agg::Max(c),
-        (AggFunc::AvgCompleted, Some(c)) => Agg::AvgCompleted {
-            metric: c,
-            completed: Column::Completed,
-        },
-        (AggFunc::Frac, Some(c)) => Agg::CompletedFrac(c),
-        // The parser never emits a non-count aggregate without an arg.
-        (_, None) => Agg::CountStar,
-    }
-}
-
 /// Parses `expr` and runs it over `cells`: the WHERE conjuncts and
 /// the aggregates read each cell in place, and owned values are built
 /// only for the output rows. Cells are read in cell-index order
@@ -592,8 +526,8 @@ impl QueryPlan {
                     .iter()
                     .position(|g| g == col)
                     .expect("validated: selected column is a group key"),
-                Proj::Agg { func, arg, .. } => {
-                    aggs.push(to_agg(*func, *arg));
+                Proj::Agg { agg, .. } => {
+                    aggs.push(*agg);
                     self.group_by.len() + aggs.len() - 1
                 }
                 Proj::Star => unreachable!("validated: * stands alone"),
@@ -788,5 +722,44 @@ mod tests {
         assert_eq!(invalid_token("SELECT cell WHERE cell = 'oops"), "'oops");
         assert_eq!(invalid_token(""), "");
         assert_eq!(invalid_token("SUMMARIZE *"), "SUMMARIZE");
+    }
+
+    #[test]
+    fn every_aggregate_spelling_round_trips() {
+        let mut seen = Vec::new();
+        for col in Column::ALL {
+            for agg in Agg::every(col) {
+                assert_eq!(Agg::parse(agg.name(), agg.arg()), Some(agg), "{agg:?}");
+                let upper = agg.name().to_ascii_uppercase();
+                assert_eq!(Agg::parse(&upper, agg.arg()), Some(agg), "{upper}");
+                if !seen.contains(&agg.name()) {
+                    seen.push(agg.name());
+                }
+            }
+        }
+        assert_eq!(seen, Agg::names());
+        // count takes no column; every other aggregate takes one.
+        assert_eq!(Agg::parse("count", Some(Column::Cell)), None);
+        assert_eq!(Agg::parse("sum", None), None);
+        assert_eq!(Agg::parse("median", Some(Column::Cell)), None);
+    }
+
+    #[test]
+    fn the_unknown_aggregate_message_lists_exactly_the_parseable_names() {
+        let detail = match run_query("SELECT median(slr)", &cells()).unwrap_err() {
+            EngineError::Campaign(CampaignError::InvalidQuery { detail, .. }) => detail,
+            other => panic!("expected InvalidQuery, got {other:?}"),
+        };
+        assert_eq!(
+            detail,
+            "unknown aggregate; legal aggregates are count, sum, avg, min, max, \
+             avg_completed, frac"
+        );
+        let listed: Vec<&str> = detail.split_once(" are ").unwrap().1.split(", ").collect();
+        assert_eq!(listed, Agg::names());
+        for name in listed {
+            let arg = (name != "count").then_some(Column::Slr);
+            assert!(Agg::parse(name, arg).is_some(), "{name} must parse");
+        }
     }
 }

@@ -1,19 +1,20 @@
 //! The sweep row schema, defined once.
 //!
 //! [`Column`] enumerates every field of a [`CellResult`] in declaration
-//! (= serialization) order; everything that consumes cell rows — the
-//! segment codec, the query evaluator and planner, the summary
-//! aggregation and the CLI printer — derives its column list from this
-//! enum instead of hand-maintaining its own. Cells are read in place
-//! through [`Column::get`] (a borrowed [`ValueRef`]) and filled by the
-//! segment decoder through `Column::set`. Those two, and
-//! [`summary_row_values`] / [`summary_row_from_values`], destructure
-//! the structs field by field with no `..` rest pattern, so adding a
-//! sweep field without teaching the schema about it is a compile error,
-//! not a silently dropped column.
+//! (= serialization) order, and one table gives each column's name and
+//! [`ColumnType`]; everything that consumes cell rows — the segment
+//! codec, the query evaluator and planner, the summary aggregation and
+//! the CLI printer — derives its column list from them instead of
+//! hand-maintaining its own. The summary plan names its aggregates in
+//! the query evaluator's own [`Agg`] vocabulary. Cells are read in
+//! place through [`Column::get`] (a borrowed [`ValueRef`]) and filled
+//! by the segment decoder through `Column::set`. Those two, and
+//! [`summary_row_values`], destructure the structs field by field with
+//! no `..` rest pattern, so adding a sweep field without teaching the
+//! schema about it is a compile error, not a silently dropped column.
 
+use super::exec::Agg;
 use crate::campaign::sweep::{CellResult, SummaryRow};
-use crate::EngineError;
 
 /// One column of the cell-row schema, in [`CellResult`] field order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,36 +88,59 @@ pub enum ColumnType {
     OptStr,
 }
 
+impl ColumnType {
+    /// Whether values of this type compare and aggregate as numbers.
+    #[must_use]
+    pub fn is_numeric(self) -> bool {
+        matches!(self, ColumnType::U64 | ColumnType::U32 | ColumnType::F64)
+    }
+}
+
+/// Every column with its name and type, in [`CellResult`] field order:
+/// the one place a column's name and type are stated. Entry `i` is the
+/// variant whose discriminant is `i` (checked at compile time below).
+#[rustfmt::skip]
+const COLUMNS: [(Column, &str, ColumnType); 25] = [
+    (Column::Cell, "cell", ColumnType::U64),
+    (Column::Family, "family", ColumnType::Str),
+    (Column::Platform, "platform", ColumnType::Str),
+    (Column::Scheduler, "scheduler", ColumnType::Str),
+    (Column::Seed, "seed", ColumnType::U64),
+    (Column::MakespanSecs, "makespan_secs", ColumnType::F64),
+    (Column::Slr, "slr", ColumnType::F64),
+    (Column::EnergyJ, "energy_j", ColumnType::F64),
+    (Column::Transfers, "transfers", ColumnType::U64),
+    (Column::TransferBytes, "transfer_bytes", ColumnType::F64),
+    (Column::Failures, "failures", ColumnType::U32),
+    (Column::Retries, "retries", ColumnType::U32),
+    (Column::Completed, "completed", ColumnType::Bool),
+    (Column::WastedWorkSecs, "wasted_work_secs", ColumnType::F64),
+    (Column::RecoveryOverheadSecs, "recovery_overhead_secs", ColumnType::F64),
+    (Column::MakespanDegradation, "makespan_degradation", ColumnType::F64),
+    (Column::Reroutes, "reroutes", ColumnType::U32),
+    (Column::PartitionDowntimeSecs, "partition_downtime_secs", ColumnType::F64),
+    (Column::RematerializedTasks, "rematerialized_tasks", ColumnType::U32),
+    (Column::RematerializedBytes, "rematerialized_bytes", ColumnType::F64),
+    (Column::IncompleteReason, "incomplete_reason", ColumnType::OptStr),
+    (Column::CapacitySecs, "capacity_secs", ColumnType::F64),
+    (Column::Preemptions, "preemptions", ColumnType::U32),
+    (Column::DrainMigratedTasks, "drain_migrated_tasks", ColumnType::U32),
+    (Column::JoinUtilization, "join_utilization", ColumnType::F64),
+];
+
 impl Column {
     /// Every column, in [`CellResult`] field order — the canonical
     /// schema of store segments and query rows.
-    pub const ALL: [Column; 25] = [
-        Column::Cell,
-        Column::Family,
-        Column::Platform,
-        Column::Scheduler,
-        Column::Seed,
-        Column::MakespanSecs,
-        Column::Slr,
-        Column::EnergyJ,
-        Column::Transfers,
-        Column::TransferBytes,
-        Column::Failures,
-        Column::Retries,
-        Column::Completed,
-        Column::WastedWorkSecs,
-        Column::RecoveryOverheadSecs,
-        Column::MakespanDegradation,
-        Column::Reroutes,
-        Column::PartitionDowntimeSecs,
-        Column::RematerializedTasks,
-        Column::RematerializedBytes,
-        Column::IncompleteReason,
-        Column::CapacitySecs,
-        Column::Preemptions,
-        Column::DrainMigratedTasks,
-        Column::JoinUtilization,
-    ];
+    pub const ALL: [Column; 25] = {
+        let mut all = [Column::Cell; 25];
+        let mut i = 0;
+        while i < all.len() {
+            assert!(COLUMNS[i].0 as usize == i, "COLUMNS is in variant order");
+            all[i] = COLUMNS[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// The column's position in [`Column::ALL`] (= its index in a
     /// full-schema row).
@@ -129,67 +153,19 @@ impl Column {
     /// and the JSON report key.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Column::Cell => "cell",
-            Column::Family => "family",
-            Column::Platform => "platform",
-            Column::Scheduler => "scheduler",
-            Column::Seed => "seed",
-            Column::MakespanSecs => "makespan_secs",
-            Column::Slr => "slr",
-            Column::EnergyJ => "energy_j",
-            Column::Transfers => "transfers",
-            Column::TransferBytes => "transfer_bytes",
-            Column::Failures => "failures",
-            Column::Retries => "retries",
-            Column::Completed => "completed",
-            Column::WastedWorkSecs => "wasted_work_secs",
-            Column::RecoveryOverheadSecs => "recovery_overhead_secs",
-            Column::MakespanDegradation => "makespan_degradation",
-            Column::Reroutes => "reroutes",
-            Column::PartitionDowntimeSecs => "partition_downtime_secs",
-            Column::RematerializedTasks => "rematerialized_tasks",
-            Column::RematerializedBytes => "rematerialized_bytes",
-            Column::IncompleteReason => "incomplete_reason",
-            Column::CapacitySecs => "capacity_secs",
-            Column::Preemptions => "preemptions",
-            Column::DrainMigratedTasks => "drain_migrated_tasks",
-            Column::JoinUtilization => "join_utilization",
-        }
+        COLUMNS[self.index()].1
     }
 
     /// The column's physical type.
     #[must_use]
     pub fn column_type(self) -> ColumnType {
-        match self {
-            Column::Cell | Column::Seed | Column::Transfers => ColumnType::U64,
-            Column::Failures
-            | Column::Retries
-            | Column::Reroutes
-            | Column::RematerializedTasks
-            | Column::Preemptions
-            | Column::DrainMigratedTasks => ColumnType::U32,
-            Column::MakespanSecs
-            | Column::Slr
-            | Column::EnergyJ
-            | Column::TransferBytes
-            | Column::WastedWorkSecs
-            | Column::RecoveryOverheadSecs
-            | Column::MakespanDegradation
-            | Column::PartitionDowntimeSecs
-            | Column::RematerializedBytes
-            | Column::CapacitySecs
-            | Column::JoinUtilization => ColumnType::F64,
-            Column::Completed => ColumnType::Bool,
-            Column::Family | Column::Platform | Column::Scheduler => ColumnType::Str,
-            Column::IncompleteReason => ColumnType::OptStr,
-        }
+        COLUMNS[self.index()].2
     }
 
     /// Resolves a column by its name; `None` for unknown names.
     #[must_use]
     pub fn by_name(name: &str) -> Option<Column> {
-        Column::ALL.into_iter().find(|c| c.name() == name)
+        COLUMNS.iter().find(|c| c.1 == name).map(|c| c.0)
     }
 }
 
@@ -401,33 +377,18 @@ pub fn row_from_cell(cell: &CellResult) -> Row {
     Column::ALL.iter().map(|c| c.get(cell).to_value()).collect()
 }
 
-/// How one summary column is aggregated from cell rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SummaryAgg {
-    /// Row count of the group.
-    Count,
-    /// Mean of the column over completed cells; null when none
-    /// completed (the PR 6 null-mean semantics).
-    MeanCompleted(Column),
-    /// Fraction of the group's cells with `completed = true`.
-    CompletedFraction,
-}
-
-/// One aggregated column of a [`SummaryRow`]: JSON field name, CLI
-/// header, CLI column width and float precision, and the aggregation
-/// that produces it.
+/// One aggregated column of a [`SummaryRow`]: CLI header, CLI column
+/// width and float precision, and the aggregate that produces it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SummaryColumn {
-    /// The [`SummaryRow`] field (= JSON key) this column fills.
-    pub name: &'static str,
     /// The CLI table header.
     pub header: &'static str,
     /// The CLI column width (right-aligned).
     pub width: usize,
     /// Float precision for the CLI cell; `None` renders as an integer.
     pub precision: Option<usize>,
-    /// The aggregation producing the value.
-    pub agg: SummaryAgg,
+    /// The aggregate producing the value.
+    pub agg: Agg,
 }
 
 /// The summary group-by keys with their CLI column widths
@@ -442,39 +403,34 @@ pub const SUMMARY_KEYS: [(Column, usize); 3] = [
 /// one description `merge`, `summarize` and the CLI printer all share.
 pub const SUMMARY_AGGREGATES: [SummaryColumn; 5] = [
     SummaryColumn {
-        name: "cells",
         header: "cells",
         width: 6,
         precision: None,
-        agg: SummaryAgg::Count,
+        agg: Agg::Count,
     },
     SummaryColumn {
-        name: "mean_makespan_secs",
         header: "makespan (s)",
         width: 16,
         precision: Some(6),
-        agg: SummaryAgg::MeanCompleted(Column::MakespanSecs),
+        agg: Agg::AvgCompleted(Column::MakespanSecs),
     },
     SummaryColumn {
-        name: "mean_slr",
         header: "SLR",
         width: 10,
         precision: Some(3),
-        agg: SummaryAgg::MeanCompleted(Column::Slr),
+        agg: Agg::AvgCompleted(Column::Slr),
     },
     SummaryColumn {
-        name: "mean_energy_j",
         header: "energy (J)",
         width: 14,
         precision: Some(1),
-        agg: SummaryAgg::MeanCompleted(Column::EnergyJ),
+        agg: Agg::AvgCompleted(Column::EnergyJ),
     },
     SummaryColumn {
-        name: "completion_probability",
         header: "compl",
         width: 8,
         precision: Some(2),
-        agg: SummaryAgg::CompletedFraction,
+        agg: Agg::Frac(Column::Completed),
     },
 ];
 
@@ -507,63 +463,6 @@ pub fn summary_row_values(row: &SummaryRow) -> Vec<Value> {
         opt(mean_energy_j),
         Value::F64(*completion_probability),
     ]
-}
-
-/// Rebuilds a [`SummaryRow`] from values in `SUMMARY_KEYS ++
-/// SUMMARY_AGGREGATES` order — the inverse of [`summary_row_values`],
-/// and the bridge the group-by plan uses to emit summary rows.
-///
-/// # Errors
-///
-/// [`EngineError::Config`] when the value list is the wrong length or a
-/// value has the wrong type for its slot.
-pub fn summary_row_from_values(values: &[Value]) -> Result<SummaryRow, EngineError> {
-    let expect = SUMMARY_KEYS.len() + SUMMARY_AGGREGATES.len();
-    if values.len() != expect {
-        return Err(EngineError::Config(format!(
-            "summary row has {} values, the plan has {expect} columns",
-            values.len()
-        )));
-    }
-    let str_v = |at: usize, what: &str| match &values[at] {
-        Value::Str(v) => Ok(v.clone()),
-        other => Err(EngineError::Config(format!(
-            "summary {what}: expected a string, got {other:?}"
-        ))),
-    };
-    let f64_opt = |at: usize, what: &str| match &values[at] {
-        Value::F64(v) => Ok(Some(*v)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Config(format!(
-            "summary {what}: expected a float or null, got {other:?}"
-        ))),
-    };
-    let cells = match &values[3] {
-        Value::U64(v) => *v as usize,
-        other => {
-            return Err(EngineError::Config(format!(
-                "summary cells: expected an integer, got {other:?}"
-            )))
-        }
-    };
-    let completion_probability = match &values[7] {
-        Value::F64(v) => *v,
-        other => {
-            return Err(EngineError::Config(format!(
-                "summary completion_probability: expected a float, got {other:?}"
-            )))
-        }
-    };
-    Ok(SummaryRow {
-        family: str_v(0, "family")?,
-        platform: str_v(1, "platform")?,
-        scheduler: str_v(2, "scheduler")?,
-        cells,
-        mean_makespan_secs: f64_opt(4, "mean_makespan_secs")?,
-        mean_slr: f64_opt(5, "mean_slr")?,
-        mean_energy_j: f64_opt(6, "mean_energy_j")?,
-        completion_probability,
-    })
 }
 
 #[cfg(test)]
@@ -694,19 +593,29 @@ mod tests {
     }
 
     #[test]
-    fn summary_row_bridges_round_trip() {
-        let row = SummaryRow {
-            family: "montage".into(),
-            platform: "workstation".into(),
-            scheduler: "heft".into(),
-            cells: 5,
-            mean_makespan_secs: Some(1.5),
-            mean_slr: None,
-            mean_energy_j: Some(2.0),
-            completion_probability: 0.8,
+    fn summarize_cells_is_the_summary_plan_over_aggregate() {
+        let cell = |i: usize, scheduler: &str, completed: bool| CellResult {
+            cell: i,
+            scheduler: scheduler.into(),
+            makespan_secs: 1.0 + i as f64,
+            completed,
+            ..sample_cell()
         };
-        let values = summary_row_values(&row);
-        assert_eq!(values.len(), SUMMARY_KEYS.len() + SUMMARY_AGGREGATES.len());
-        assert_eq!(summary_row_from_values(&values).unwrap(), row);
+        let cells = [
+            cell(0, "heft", true),
+            cell(1, "olb", false),
+            cell(2, "heft", false),
+            cell(3, "heft", true),
+        ];
+        let keys = SUMMARY_KEYS.map(|(c, _)| c);
+        let aggs = SUMMARY_AGGREGATES.map(|c| c.agg);
+        let rows = crate::store::aggregate(&cells, &keys, &aggs);
+        let summary = crate::store::summarize_cells(&cells);
+        assert_eq!(summary.len(), 2);
+        for (row, summary) in rows.iter().zip(&summary) {
+            assert_eq!(&summary_row_values(summary), row);
+        }
+        // olb never completed: its means are null.
+        assert_eq!(summary[1].mean_makespan_secs, None);
     }
 }

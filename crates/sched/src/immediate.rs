@@ -6,22 +6,11 @@ use helios_platform::DeviceId;
 use helios_sim::SimRng;
 use helios_workflow::Workflow;
 
-use parking_lot_free_cell::SeedCell;
-
 use crate::context::SchedContext;
 use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
-
-/// A tiny interior-mutability shim so [`RandomScheduler`] can be used
-/// through `&self` while remaining deterministic per call.
-mod parking_lot_free_cell {
-    /// Stores the base seed; each `schedule` call derives a fresh RNG so
-    /// repeated calls on the same scheduler are reproducible.
-    #[derive(Debug, Clone, Copy)]
-    pub struct SeedCell(pub u64);
-}
 
 /// MCT — minimum completion time: each task (topological order) goes to
 /// the device finishing it earliest. HEFT without the rank ordering.
@@ -131,20 +120,19 @@ impl Scheduler for RoundRobinScheduler {
     }
 }
 
-/// Random baseline: each task goes to a uniformly random device. The
-/// seed makes every `schedule` call reproducible.
+/// Random baseline: each task goes to a uniformly random device. Each
+/// `schedule` call draws from a fresh RNG seeded with the base seed, so
+/// repeated calls on the same scheduler are reproducible.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
-    seed: SeedCell,
+    seed: u64,
 }
 
 impl RandomScheduler {
     /// Creates a random scheduler with the given base seed.
     #[must_use]
     pub fn new(seed: u64) -> RandomScheduler {
-        RandomScheduler {
-            seed: SeedCell(seed),
-        }
+        RandomScheduler { seed }
     }
 }
 
@@ -154,7 +142,7 @@ impl Scheduler for RandomScheduler {
     }
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
-        let mut rng = SimRng::seed_from(self.seed.0);
+        let mut rng = SimRng::seed_from(self.seed);
         let mut ctx = SchedContext::new(wf, model, true);
         for &task in wf.topo_order() {
             let dev = *rng
