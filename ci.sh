@@ -134,6 +134,22 @@ if [ -n "$derivations" ]; then
 fi
 echo "crates/sched/src, crates/core/src: one cost model (CostModel)"
 
+echo "==> one device-probe guard"
+# Every list planner in helios-sched and helios-energy chooses a task's
+# device from one placement probe, SchedContext::probe in
+# crates/sched/src/context.rs: each feasible device's data-ready time,
+# start and finish, with the predecessor terms gathered once. A loop
+# over a task's feasible devices anywhere else probes a second way.
+probe_loops=$(grep -rnE 'for &[[:alnum:]_]+ in .*feasible_devices\(' \
+    crates/sched/src crates/energy/src \
+    | grep -v '^crates/sched/src/context\.rs:' || true)
+if [ -n "$probe_loops" ]; then
+    echo "$probe_loops" >&2
+    echo "device loops outside crates/sched/src/context.rs: choose from SchedContext::probe instead" >&2
+    exit 1
+fi
+echo "crates/sched/src, crates/energy/src: one device probe (SchedContext::probe)"
+
 echo "==> T15 ensemble table pin"
 # The release t15_ensemble table (18 ensemble runs, about a second) must
 # match its committed copy, with one worker and with two.

@@ -18,7 +18,7 @@
 
 use helios_bench::{print_header, Agg};
 use helios_core::{
-    ElasticEvent, ElasticEventKind, ElasticityConfig, EngineConfig, EngineError, FailureModel,
+    ElasticEvent, ElasticEventKind, ElasticityConfig, EngineConfig, FailureModel, IncompleteReason,
     RecoveryPolicy, ResilienceConfig, ResilientRunner,
 };
 use helios_platform::presets;
@@ -120,11 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 // Lost workloads are measurements: they depress the
                 // completion column instead of aborting the experiment.
-                Err(
-                    EngineError::RetriesExhausted { .. }
-                    | EngineError::AllDevicesLost { .. }
-                    | EngineError::CapacityExhausted { .. },
-                ) => {}
+                Err(e) if IncompleteReason::from_error(&e).is_some() => {}
                 Err(other) => return Err(other.into()),
             }
         }
@@ -203,11 +199,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     join_util.push(m.join_utilization);
                     done += 1;
                 }
-                Err(
-                    EngineError::RetriesExhausted { .. }
-                    | EngineError::AllDevicesLost { .. }
-                    | EngineError::CapacityExhausted { .. },
-                ) => {}
+                Err(e) if IncompleteReason::from_error(&e).is_some() => {}
                 Err(other) => return Err(other.into()),
             }
         }

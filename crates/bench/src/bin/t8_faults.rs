@@ -21,8 +21,8 @@
 
 use helios_bench::{print_header, Agg};
 use helios_core::{
-    Engine, EngineConfig, EngineError, FailureDomain, FailureModel, LinkFaultModel, RecoveryPolicy,
-    ResilienceConfig, ResilientRunner,
+    Engine, EngineConfig, FailureDomain, FailureModel, IncompleteReason, LinkFaultModel,
+    RecoveryPolicy, ResilienceConfig, ResilientRunner,
 };
 use helios_platform::presets;
 use helios_sched::{HeftScheduler, Scheduler};
@@ -168,7 +168,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 // Lost workloads are measurements: they depress the
                 // completion column instead of aborting the experiment.
-                Err(EngineError::RetriesExhausted { .. } | EngineError::AllDevicesLost { .. }) => {}
+                Err(e) if IncompleteReason::from_error(&e).is_some() => {}
                 Err(other) => return Err(other.into()),
             }
         }
@@ -267,9 +267,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         remat.push(f64::from(m.rematerialized_tasks));
                         done += 1;
                     }
-                    Err(
-                        EngineError::RetriesExhausted { .. } | EngineError::AllDevicesLost { .. },
-                    ) => {}
+                    Err(e) if IncompleteReason::from_error(&e).is_some() => {}
                     Err(other) => return Err(other.into()),
                 }
             }

@@ -218,10 +218,12 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///   write-ahead journal with one fsync per cell: a finished cell is
 ///   durable before its worker starts another, and at once when none is
 ///   left to start; `kill -9` at any byte loses at most the torn tail
-///   records. With `--store`, cells are appended to
-///   the columnar cell store instead (the `helios query` substrate)
-///   with the same durability and resume semantics. `--out` is always
-///   a view, written once at the end.
+///   records. With `--store`, cells are appended to the columnar cell
+///   store instead (the `helios query` substrate), which resumes the
+///   same way but writes no attempt records, so it quarantines nothing,
+///   and fsyncs one row group per 256 finished cells and at the end:
+///   `kill -9` can lose up to 255 finished cells, which a resume re-runs.
+///   `--out` is always a view, written once at the end.
 /// * `campaign merge --in FILE [--in FILE …] [--out FILE]` — recombine
 ///   shard reports, cell journals and/or columnar stores
 ///   (overlap/gap/spec-mismatch checked) into the aggregate sweep

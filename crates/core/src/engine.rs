@@ -285,12 +285,6 @@ impl Hooks for PlanExec<'_> {
                         self.arrivals.push((at.max(now), edge.dst));
                         continue;
                     }
-                    // The transfer label is only rendered when a trace
-                    // is actually recording.
-                    let label = self
-                        .trace
-                        .is_some()
-                        .then(|| format!("{}->{}", edge.src, edge.dst));
                     let arrival = self.links.transfer_arrival(
                         self.platform,
                         self.config.link_contention,
@@ -299,9 +293,7 @@ impl Hooks for PlanExec<'_> {
                         dst_dev,
                         now,
                         &mut self.stats,
-                        self.trace
-                            .as_mut()
-                            .and_then(|t| label.as_deref().map(|l| (t, l))),
+                        self.trace.as_mut().map(|t| (t, edge.src, edge.dst)),
                     )?;
                     self.delivered.record(task, dst_dev, arrival);
                     self.arrivals.push((arrival, edge.dst));

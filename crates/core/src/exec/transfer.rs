@@ -73,8 +73,9 @@ impl LinkState {
 
     /// Computes the arrival time of a transfer leaving `from` at `ready`
     /// toward `to`, updating link occupancy when contention is enabled.
-    /// Optionally records a transfer span on the trace (track = first
-    /// link of the route).
+    /// Given a recording trace and the edge's (source, destination)
+    /// tasks, records a `src->dst` transfer span on it (track = first
+    /// link of the route); the label is rendered only then.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn transfer_arrival(
         &mut self,
@@ -85,7 +86,7 @@ impl LinkState {
         to: DeviceId,
         ready: SimTime,
         stats: &mut TransferStats,
-        trace: Option<(&mut helios_sim::trace::Trace, &str)>,
+        trace: Option<(&mut helios_sim::trace::Trace, TaskId, TaskId)>,
     ) -> Result<SimTime, EngineError> {
         if from == to {
             return Ok(ready);
@@ -109,14 +110,14 @@ impl LinkState {
         stats.count += 1;
         stats.bytes += bytes;
         stats.total_secs += duration.as_secs();
-        if let Some((trace, label)) = trace {
+        if let Some((trace, src, dst)) = trace {
             let track = platform
                 .interconnect()
                 .route(from, to)?
                 .first()
                 .map_or(0, |l| l.0);
             trace.record(
-                label.to_owned(),
+                format!("{src}->{dst}"),
                 helios_sim::trace::TraceKind::Transfer,
                 track,
                 start,

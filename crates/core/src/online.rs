@@ -403,12 +403,6 @@ impl OnlineExec<'_> {
                         start = start.max(at);
                         continue;
                     }
-                    // The transfer label is only rendered when a trace
-                    // is actually recording.
-                    let label = self
-                        .trace
-                        .is_some()
-                        .then(|| format!("{}->{}", edge.src, edge.dst));
                     let arrival = self.links.transfer_arrival(
                         platform,
                         self.config.link_contention,
@@ -417,9 +411,7 @@ impl OnlineExec<'_> {
                         dev,
                         now,
                         &mut self.stats,
-                        self.trace
-                            .as_mut()
-                            .and_then(|t| label.as_deref().map(|l| (t, l))),
+                        self.trace.as_mut().map(|t| (t, edge.src, edge.dst)),
                     )?;
                     self.delivered.record(edge.src, dev, arrival);
                     start = start.max(arrival);

@@ -1,7 +1,6 @@
 //! Energy-aware HEFT.
 
-use helios_platform::DeviceId;
-use helios_sched::{CostModel, SchedContext, SchedError, Schedule, Scheduler};
+use helios_sched::{weighted_heft, CostModel, SchedError, Schedule, Scheduler};
 use helios_workflow::Workflow;
 
 /// A HEFT variant whose device-selection objective is a weighted blend of
@@ -10,7 +9,8 @@ use helios_workflow::Workflow;
 /// `score(d) = alpha · EFT(d)/min_EFT + (1 − alpha) · E(d)/min_E`
 ///
 /// `alpha = 1` reproduces plain HEFT; `alpha = 0` greedily minimizes
-/// per-task energy. The interesting regime is in between, where a few
+/// per-task energy. This is [`weighted_heft`] with minimums floored at
+/// `1e-30`. The interesting regime is in between, where a few
 /// percent of makespan buys a large energy cut by steering work away
 /// from power-hungry devices whose speed advantage is marginal.
 #[derive(Debug, Clone)]
@@ -54,39 +54,12 @@ impl Scheduler for EnergyAwareHeft {
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
         let platform = model.platform();
-        let mut ctx = SchedContext::new(wf, model, true);
-        for task in model.rank_order(wf)? {
+        weighted_heft(wf, model, self.alpha, 1e-30, |task, dev| {
             let cost = wf.task(task)?.cost();
-            // Gather candidates with EFT and energy.
-            let mut candidates = Vec::with_capacity(platform.num_devices());
-            for &dev_id in model.feasible_devices(task) {
-                let (start, finish) = ctx.eft(task, dev_id)?;
-                let energy = platform
-                    .device(dev_id)?
-                    .execution_energy(cost, model.nominal_level(dev_id))?;
-                candidates.push((dev_id, start, finish, energy));
-            }
-            if candidates.is_empty() {
-                return Err(SchedError::NoFeasibleDevice(task));
-            }
-            let min_finish = candidates
-                .iter()
-                .map(|c| c.2.as_secs())
-                .fold(f64::INFINITY, f64::min);
-            let min_energy = candidates.iter().map(|c| c.3).fold(f64::INFINITY, f64::min);
-            let (dev, start, finish, _) = candidates
-                .into_iter()
-                .min_by(|a, b| {
-                    let score = |c: &(DeviceId, _, helios_sim::SimTime, f64)| {
-                        self.alpha * c.2.as_secs() / min_finish.max(1e-30)
-                            + (1.0 - self.alpha) * c.3 / min_energy.max(1e-30)
-                    };
-                    score(a).total_cmp(&score(b)).then(a.0.cmp(&b.0))
-                })
-                .ok_or_else(|| SchedError::Internal("no devices".into()))?;
-            ctx.place(task, dev, start, finish)?;
-        }
-        ctx.into_schedule()
+            Ok(platform
+                .device(dev)?
+                .execution_energy(cost, model.nominal_level(dev))?)
+        })
     }
 }
 

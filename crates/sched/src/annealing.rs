@@ -534,8 +534,9 @@ mod tests {
     }
 
     /// The reference decoder that [`Decoder::decode`] must reproduce: a
-    /// fresh context per decode, a linear-scan ready set, a full
-    /// schedule every time.
+    /// fresh context per decode, the list planners' linear-scan ready
+    /// list ([`SchedContext::place_by_priority`]), a full schedule every
+    /// time.
     fn reference_decode(
         wf: &Workflow,
         platform: &Platform,
@@ -544,32 +545,11 @@ mod tests {
     ) -> Result<Schedule, SchedError> {
         let model = CostModel::new(wf, platform)?;
         let mut ctx = SchedContext::new(wf, &model, true);
-        let mut indegree: Vec<usize> = (0..wf.num_tasks())
-            .map(|i| wf.predecessors(TaskId(i)).len())
-            .collect();
-        let mut ready: Vec<TaskId> = (0..wf.num_tasks())
-            .filter(|&i| indegree[i] == 0)
-            .map(TaskId)
-            .collect();
-        while !ready.is_empty() {
-            let (idx, &task) = ready
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    priority[a.0].total_cmp(&priority[b.0]).then(b.0.cmp(&a.0))
-                })
-                .expect("non-empty ready set");
-            ready.swap_remove(idx);
+        ctx.place_by_priority(priority, |ctx, task| {
             let dev = assignment[task.0];
-            let (start, finish) = ctx.eft(task, dev)?;
-            ctx.place(task, dev, start, finish)?;
-            for s in wf.successor_tasks(task) {
-                indegree[s.0] -= 1;
-                if indegree[s.0] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
+            ctx.eft(task, dev)
+                .map(|(start, finish)| (dev, start, finish))
+        })?;
         ctx.into_schedule()
     }
 

@@ -3,21 +3,21 @@
 //!
 //! Each round commits one ready task, chosen by its minimum EFT over the
 //! devices. Instead of probing every (ready task, device) pair again in
-//! every round, each ready task keeps a [`Row`]: its data-ready time,
-//! start and finish on every feasible device, filled once when it becomes
-//! ready. That is exact because a ready task's data-ready times never
-//! change (its predecessors are placed), and a reservation on device `d`
-//! can only change start times on `d`. So a commit to `d` re-probes only
-//! the `d` entry of each ready row, a timeline scan with no transfer
-//! math, and re-picks that row's first strict minimum. The placements are
-//! bit-identical to the all-device sweep, which the tests keep as the
-//! reference.
+//! every round, each ready task keeps a [`Row`]: the placement probe
+//! ([`SchedContext::probe`]) of every feasible device, its data-ready
+//! time, start and finish, taken once when the task becomes ready. That
+//! is exact because a ready task's data-ready times never change (its
+//! predecessors are placed), and a reservation on device `d` can only
+//! change start times on `d`. So a commit to `d` re-probes only the `d`
+//! entry of each ready row, a timeline scan with no transfer math, and
+//! re-picks that row's device by the planners' one rule, the first
+//! strict minimum finish. The placements are bit-identical to the
+//! all-device sweep, which the tests keep as the reference.
 
 use helios_platform::DeviceId;
-use helios_sim::SimTime;
 use helios_workflow::{TaskId, Workflow};
 
-use crate::context::SchedContext;
+use crate::context::{first_min, Probe, SchedContext};
 use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
@@ -26,53 +26,32 @@ use crate::Scheduler;
 /// A ready task's probes of its feasible devices.
 struct Row {
     task: TaskId,
-    /// (device, data-ready, start, finish) per feasible device, in id
-    /// order.
-    probes: Vec<(DeviceId, SimTime, SimTime, SimTime)>,
-    /// The index in `probes` of the first strict minimum finish: the
-    /// device [`SchedContext::best_eft`] would pick.
-    best: usize,
+    /// [`SchedContext::probe`]'s probes, kept up to date.
+    probes: Vec<Probe>,
+    /// The first strict minimum finish of `probes`: the device
+    /// [`SchedContext::best_eft`] would pick.
+    best: Probe,
 }
 
 impl Row {
-    /// Probes every feasible device of `task`, computing data-ready times
-    /// as [`SchedContext::best_eft`] does.
     fn new(ctx: &SchedContext<'_>, task: TaskId) -> Result<Row, SchedError> {
-        let preds = ctx.pred_terms(task)?;
-        let devices = ctx.model().feasible_devices(task);
-        let mut probes = Vec::with_capacity(devices.len());
-        for &dev in devices {
-            let ready = ctx.ready_from(&preds, dev)?;
-            let (start, finish) = ctx.start_after(task, dev, ready);
-            probes.push((dev, ready, start, finish));
+        let mut probes = Vec::with_capacity(ctx.model().feasible_devices(task).len());
+        for probe in ctx.probe(task)? {
+            probes.push(probe?);
         }
         #[cfg(test)]
         crate::probe::add(crate::probe::Site::BatchProbe, probes.len() as u64);
-        if probes.is_empty() {
-            return Err(SchedError::NoFeasibleDevice(task));
-        }
-        let mut row = Row {
-            task,
-            probes,
-            best: 0,
-        };
+        let best = *probes.first().ok_or(SchedError::NoFeasibleDevice(task))?;
+        let mut row = Row { task, probes, best };
         row.repick();
         Ok(row)
     }
 
-    /// The minimum finish over the row.
-    fn finish(&self) -> SimTime {
-        self.probes[self.best].3
-    }
-
     fn repick(&mut self) {
-        let mut best = 0;
-        for (i, p) in self.probes.iter().enumerate().skip(1) {
-            if p.3 < self.probes[best].3 {
-                best = i;
-            }
+        let probes = self.probes.iter().map(Ok);
+        if let Ok(Some(&best)) = first_min(probes, |p| Ok(p.3)) {
+            self.best = best;
         }
-        self.best = best;
     }
 
     /// Re-probes the entry on `device` after a reservation there.
@@ -107,13 +86,13 @@ fn batch_schedule(
     while !ready.is_empty() {
         let mut idx = 0;
         for (i, row) in ready.iter().enumerate().skip(1) {
-            let (finish, best) = (row.finish(), ready[idx].finish());
+            let (finish, best) = (row.best.3, ready[idx].best.3);
             if (max_min && finish > best) || (!max_min && finish < best) {
                 idx = i;
             }
         }
         let row = ready.swap_remove(idx);
-        let (dev, _, start, finish) = row.probes[row.best];
+        let (dev, _, start, finish) = row.best;
         ctx.place(row.task, dev, start, finish)?;
         for other in &mut ready {
             other.refresh(&ctx, dev);

@@ -1,6 +1,12 @@
-//! Shared machinery for list schedulers: earliest-start /
-//! earliest-finish computation and incremental placement over a
-//! [`CostModel`].
+//! Shared machinery for list schedulers over a [`CostModel`]:
+//! earliest-start / earliest-finish computation, incremental placement,
+//! and the one device-choice rule. Every list planner picks a task's
+//! device from the placement probe ([`SchedContext::probe`]: data-ready
+//! time, start and finish on each feasible device, in id order) by the
+//! first strict minimum of its own score ([`first_min`]), and places its
+//! tasks through one of two drivers: a fixed order
+//! ([`SchedContext::place_each`]) or a ready list by priority
+//! ([`SchedContext::place_by_priority`]).
 
 use helios_platform::DeviceId;
 use helios_sim::SimTime;
@@ -10,6 +16,31 @@ use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::{Placement, Schedule};
 use crate::timeline::DeviceTimeline;
+
+/// One device's probe of a task: (device, data-ready, start, finish).
+pub(crate) type Probe = (DeviceId, SimTime, SimTime, SimTime);
+
+/// The first of `items` with the least `score`: a later item replaces
+/// the pick only when its score is strictly less, so of equals the
+/// earliest wins (for probes, the lower device id). `None` for no items.
+///
+/// # Errors
+///
+/// Returns the first error, of an item or of its score.
+pub(crate) fn first_min<T, S: PartialOrd>(
+    items: impl IntoIterator<Item = Result<T, SchedError>>,
+    mut score: impl FnMut(&T) -> Result<S, SchedError>,
+) -> Result<Option<T>, SchedError> {
+    let mut best: Option<(T, S)> = None;
+    for item in items {
+        let item = item?;
+        let s = score(&item)?;
+        if best.as_ref().is_none_or(|(_, b)| s < *b) {
+            best = Some((item, s));
+        }
+    }
+    Ok(best.map(|(item, _)| item))
+}
 
 /// Incremental scheduling state shared by the list-scheduling algorithms.
 ///
@@ -182,10 +213,7 @@ impl<'a> SchedContext<'a> {
     ///
     /// Returns [`SchedError::Unscheduled`] if a predecessor has not been
     /// placed yet.
-    pub(crate) fn pred_terms(
-        &self,
-        task: TaskId,
-    ) -> Result<Vec<(SimTime, DeviceId, f64)>, SchedError> {
+    fn pred_terms(&self, task: TaskId) -> Result<Vec<(SimTime, DeviceId, f64)>, SchedError> {
         let pred_edges = self.wf.predecessors(task);
         let mut preds = Vec::with_capacity(pred_edges.len());
         for &e in pred_edges {
@@ -201,11 +229,7 @@ impl<'a> SchedContext<'a> {
     /// [`SchedContext::data_ready`] on `device` from
     /// [`SchedContext::pred_terms`]: the same maximum, taken in the same
     /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a routing error.
-    pub(crate) fn ready_from(
+    fn ready_from(
         &self,
         preds: &[(SimTime, DeviceId, f64)],
         device: DeviceId,
@@ -221,6 +245,46 @@ impl<'a> SchedContext<'a> {
         Ok(ready)
     }
 
+    /// The placement probe: every feasible device of `task`, in id order,
+    /// with its data-ready time, start and finish. The predecessor terms
+    /// are gathered once, so each device costs one transfer maximum and
+    /// one timeline scan; the values are [`SchedContext::data_ready`] and
+    /// [`SchedContext::eft`]'s, bit for bit. Every list planner chooses
+    /// its device from this probe.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::Unscheduled`] if a predecessor has not been
+    /// placed yet; each item may be a routing error.
+    pub(crate) fn probe(
+        &self,
+        task: TaskId,
+    ) -> Result<impl Iterator<Item = Result<Probe, SchedError>> + '_, SchedError> {
+        let preds = self.pred_terms(task)?;
+        Ok(self.model.feasible_devices(task).iter().map(move |&dev| {
+            let ready = self.ready_from(&preds, dev)?;
+            let (start, finish) = self.start_after(task, dev, ready);
+            Ok((dev, ready, start, finish))
+        }))
+    }
+
+    /// The probe of `task` with the least `score`, the first of equals
+    /// ([`first_min`]), as (device, start, finish).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::NoFeasibleDevice`] when `task` has no
+    /// feasible device; otherwise same as [`SchedContext::probe`].
+    pub(crate) fn best_by<S: PartialOrd>(
+        &self,
+        task: TaskId,
+        mut score: impl FnMut(&Probe) -> S,
+    ) -> Result<(DeviceId, SimTime, SimTime), SchedError> {
+        let (dev, _, start, finish) = first_min(self.probe(task)?, |p| Ok(score(p)))?
+            .ok_or(SchedError::NoFeasibleDevice(task))?;
+        Ok((dev, start, finish))
+    }
+
     /// The memory-feasible device minimizing EFT for `task`, with its
     /// start/finish. Ties break toward the lower device id
     /// (deterministic).
@@ -231,15 +295,65 @@ impl<'a> SchedContext<'a> {
     /// the task's working set; otherwise same as
     /// [`SchedContext::data_ready`].
     pub fn best_eft(&self, task: TaskId) -> Result<(DeviceId, SimTime, SimTime), SchedError> {
-        let preds = self.pred_terms(task)?;
-        let mut best: Option<(DeviceId, SimTime, SimTime)> = None;
-        for &dev in self.model.feasible_devices(task) {
-            let (start, finish) = self.start_after(task, dev, self.ready_from(&preds, dev)?);
-            if best.is_none_or(|(_, _, bf)| finish < bf) {
-                best = Some((dev, start, finish));
+        self.best_by(task, |p| p.3)
+    }
+
+    /// Places each task of `order` in turn where `pick` says: the
+    /// (device, start, finish) it returns. `pick` may place tasks
+    /// tentatively but must unplace them before it returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns `pick`'s first error, or [`SchedContext::place`]'s.
+    pub(crate) fn place_each(
+        &mut self,
+        order: &[TaskId],
+        mut pick: impl FnMut(&mut Self, TaskId) -> Result<(DeviceId, SimTime, SimTime), SchedError>,
+    ) -> Result<(), SchedError> {
+        for &task in order {
+            let (dev, start, finish) = pick(self, task)?;
+            self.place(task, dev, start, finish)?;
+        }
+        Ok(())
+    }
+
+    /// The ready-list driver: places every task where `pick` says, taking
+    /// next the ready task of highest `priority` (ties to the lower task
+    /// id). The pick leaves the list by `swap_remove`, and its successors
+    /// join the end, in edge order, once their last predecessor is placed.
+    ///
+    /// # Errors
+    ///
+    /// Returns `pick`'s first error, or [`SchedContext::place`]'s.
+    pub(crate) fn place_by_priority(
+        &mut self,
+        priority: &[f64],
+        mut pick: impl FnMut(&Self, TaskId) -> Result<(DeviceId, SimTime, SimTime), SchedError>,
+    ) -> Result<(), SchedError> {
+        let wf = self.wf;
+        let mut indegree: Vec<usize> = (0..wf.num_tasks())
+            .map(|i| wf.predecessors(TaskId(i)).len())
+            .collect();
+        let mut ready: Vec<TaskId> = (0..wf.num_tasks())
+            .filter(|&i| indegree[i] == 0)
+            .map(TaskId)
+            .collect();
+        while let Some((idx, _)) = ready
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| priority[a.0].total_cmp(&priority[b.0]).then(b.0.cmp(&a.0)))
+        {
+            let task = ready.swap_remove(idx);
+            let (dev, start, finish) = pick(self, task)?;
+            self.place(task, dev, start, finish)?;
+            for s in wf.successor_tasks(task) {
+                indegree[s.0] -= 1;
+                if indegree[s.0] == 0 {
+                    ready.push(s);
+                }
             }
         }
-        best.ok_or(SchedError::NoFeasibleDevice(task))
+        Ok(())
     }
 
     /// Commits `task` to `device` over `[start, finish)` at the device's
@@ -322,6 +436,7 @@ mod tests {
     use helios_platform::presets;
     use helios_platform::{ComputeCost, KernelClass};
     use helios_sim::SimDuration;
+    use helios_workflow::generators::WorkflowClass;
     use helios_workflow::{Task, WorkflowBuilder};
 
     fn chain2() -> Workflow {
@@ -331,6 +446,42 @@ mod tests {
         let c = b.add_task(Task::new("b", "s", cost));
         b.add_dep(a, c, 100e6).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn probe_equals_eft_on_every_feasible_device() {
+        // Every preset × the five Pegasus families at 40 tasks, with and
+        // without insertion: each task, in HEFT's order, is probed once
+        // its predecessors are placed, then placed at its best EFT.
+        let bits = |t: SimTime| t.as_secs().to_bits();
+        let mut probed = 0;
+        for platform in presets::all() {
+            for class in WorkflowClass::ALL {
+                let wf = class.generate(40, 1).unwrap();
+                let model = CostModel::new(&wf, &platform).unwrap();
+                for insertion in [true, false] {
+                    let mut ctx = SchedContext::new(&wf, &model, insertion);
+                    for task in model.rank_order(&wf).unwrap() {
+                        let probes: Vec<Probe> =
+                            ctx.probe(task).unwrap().map(Result::unwrap).collect();
+                        let devices: Vec<DeviceId> = probes.iter().map(|p| p.0).collect();
+                        assert_eq!(devices, model.feasible_devices(task));
+                        for (dev, ready, start, finish) in probes {
+                            let (s, f) = ctx.eft(task, dev).unwrap();
+                            let want = [ctx.data_ready(task, dev).unwrap(), s, f];
+                            assert_eq!([ready, start, finish].map(bits), want.map(bits));
+                            probed += 1;
+                        }
+                        // A task no device can hold ends this run.
+                        let Ok((dev, start, finish)) = ctx.best_eft(task) else {
+                            break;
+                        };
+                        ctx.place(task, dev, start, finish).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(probed > 10_000, "{probed} probes");
     }
 
     #[test]

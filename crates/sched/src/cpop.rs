@@ -1,4 +1,10 @@
 //! CPOP — Critical Path On a Processor (Topcuoglu et al., 2002).
+//!
+//! Tasks go through the list planners' ready-list driver
+//! ([`SchedContext::place_by_priority`]) by top + bottom rank; a
+//! critical-path task takes the path's device at its earliest start, any
+//! other the placement probe's earliest finish
+//! ([`SchedContext::best_eft`]).
 
 use helios_platform::DeviceId;
 use helios_workflow::{TaskId, Workflow};
@@ -55,48 +61,13 @@ impl Scheduler for CpopScheduler {
         }
         let on_cp = |t: TaskId| cp.binary_search(&t).is_ok();
 
-        // Priority queue: ready tasks by decreasing priority.
         let mut ctx = SchedContext::new(wf, model, true);
-        let mut indegree: Vec<usize> = (0..wf.num_tasks())
-            .map(|i| wf.predecessors(TaskId(i)).len())
-            .collect();
-        let mut ready: Vec<TaskId> = (0..wf.num_tasks())
-            .filter(|&i| indegree[i] == 0)
-            .map(TaskId)
-            .collect();
-        let mut scheduled = 0usize;
-        while !ready.is_empty() {
-            // Highest priority first; ties by id.
-            let (idx, &task) = ready
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    priority[a.0].total_cmp(&priority[b.0]).then(b.0.cmp(&a.0))
-                })
-                .ok_or_else(|| SchedError::Internal("empty ready set".into()))?;
-            ready.swap_remove(idx);
-
-            if let (true, Some(best_dev)) = (on_cp(task), best_dev) {
-                let (start, finish) = ctx.eft(task, best_dev)?;
-                ctx.place(task, best_dev, start, finish)?;
-            } else {
-                let (dev, start, finish) = ctx.best_eft(task)?;
-                ctx.place(task, dev, start, finish)?;
-            }
-            scheduled += 1;
-            for s in wf.successor_tasks(task) {
-                indegree[s.0] -= 1;
-                if indegree[s.0] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        if scheduled != wf.num_tasks() {
-            return Err(SchedError::Internal(format!(
-                "scheduled {scheduled} of {} tasks",
-                wf.num_tasks()
-            )));
-        }
+        ctx.place_by_priority(&priority, |ctx, task| match best_dev {
+            Some(dev) if on_cp(task) => ctx
+                .eft(task, dev)
+                .map(|(start, finish)| (dev, start, finish)),
+            _ => ctx.best_eft(task),
+        })?;
         ctx.into_schedule()
     }
 }

@@ -1,8 +1,9 @@
 //! HEFT — Heterogeneous Earliest Finish Time (Topcuoglu et al., 2002).
 
+use helios_platform::DeviceId;
 use helios_workflow::{TaskId, Workflow};
 
-use crate::context::SchedContext;
+use crate::context::{first_min, SchedContext};
 use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
@@ -41,11 +42,59 @@ pub(crate) fn place_in_order(
     ctx: &mut SchedContext<'_>,
     order: &[TaskId],
 ) -> Result<(), SchedError> {
-    for &task in order {
-        let (dev, start, finish) = ctx.best_eft(task)?;
-        ctx.place(task, dev, start, finish)?;
-    }
-    Ok(())
+    ctx.place_each(order, |ctx, task| ctx.best_eft(task))
+}
+
+/// HEFT with a two-objective device choice, the pass of
+/// [`ReliabilityAwareHeft`](crate::reliability::ReliabilityAwareHeft)
+/// and energy-aware HEFT: each task, in upward-rank order, goes to the
+/// first of its feasible devices minimizing
+///
+/// `alpha · EFT(d)/min_EFT + (1 − alpha) · secondary(task, d)/min_secondary`
+///
+/// with both minimums taken over the task's feasible devices and raised
+/// to at least `floor`. `alpha = 1` reproduces plain HEFT.
+///
+/// # Errors
+///
+/// Returns `secondary`'s first error, [`SchedError::NoFeasibleDevice`]
+/// for a task no device can hold, or a routing error.
+pub fn weighted_heft(
+    wf: &Workflow,
+    model: &CostModel<'_>,
+    alpha: f64,
+    floor: f64,
+    mut secondary: impl FnMut(TaskId, DeviceId) -> Result<f64, SchedError>,
+) -> Result<Schedule, SchedError> {
+    // `f64::total_cmp`'s order as an integer, the order the scores have
+    // always been compared in. It differs from `<` only on signed zeros
+    // and NaN (an infinite secondary cost times a zero weight).
+    let key = |x: f64| {
+        let bits = x.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    };
+    let mut ctx = SchedContext::new(wf, model, true);
+    let mut candidates = Vec::new();
+    ctx.place_each(&model.rank_order(wf)?, |ctx, task| {
+        candidates.clear();
+        let (mut min_finish, mut min_secondary) = (f64::INFINITY, f64::INFINITY);
+        for probe in ctx.probe(task)? {
+            let (dev, _, start, finish) = probe?;
+            let cost = secondary(task, dev)?;
+            min_finish = min_finish.min(finish.as_secs());
+            min_secondary = min_secondary.min(cost);
+            candidates.push(((dev, start, finish), cost));
+        }
+        let (min_finish, min_secondary) = (min_finish.max(floor), min_secondary.max(floor));
+        let best = first_min(candidates.iter().map(Ok), |((_, _, finish), cost)| {
+            Ok(key(
+                alpha * finish.as_secs() / min_finish + (1.0 - alpha) * cost / min_secondary
+            ))
+        })?;
+        best.map(|&(placement, _)| placement)
+            .ok_or(SchedError::NoFeasibleDevice(task))
+    })?;
+    ctx.into_schedule()
 }
 
 impl Scheduler for HeftScheduler {

@@ -3,14 +3,25 @@
 //! commit each without reconsidering earlier decisions.
 
 use helios_platform::DeviceId;
-use helios_sim::SimRng;
-use helios_workflow::Workflow;
+use helios_sim::{SimRng, SimTime};
+use helios_workflow::{TaskId, Workflow};
 
 use crate::context::SchedContext;
 use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::Scheduler;
+
+/// Places every task of `wf` in topological order where `pick` says.
+fn place_topo(
+    wf: &Workflow,
+    model: &CostModel<'_>,
+    pick: impl FnMut(&mut SchedContext<'_>, TaskId) -> Result<(DeviceId, SimTime, SimTime), SchedError>,
+) -> Result<Schedule, SchedError> {
+    let mut ctx = SchedContext::new(wf, model, true);
+    ctx.place_each(wf.topo_order(), pick)?;
+    ctx.into_schedule()
+}
 
 /// MCT — minimum completion time: each task (topological order) goes to
 /// the device finishing it earliest. HEFT without the rank ordering.
@@ -25,12 +36,7 @@ impl Scheduler for MctScheduler {
     }
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, model, true);
-        for &task in wf.topo_order() {
-            let (dev, start, finish) = ctx.best_eft(task)?;
-            ctx.place(task, dev, start, finish)?;
-        }
-        ctx.into_schedule()
+        place_topo(wf, model, |ctx, task| ctx.best_eft(task))
     }
 }
 
@@ -47,17 +53,15 @@ impl Scheduler for MetScheduler {
     }
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, model, true);
-        for &task in wf.topo_order() {
+        place_topo(wf, model, |ctx, task| {
             let dev = *model
                 .feasible_devices(task)
                 .iter()
                 .min_by_key(|&&d| model.exec_time(task, d))
                 .ok_or(SchedError::NoFeasibleDevice(task))?;
-            let (start, finish) = ctx.eft(task, dev)?;
-            ctx.place(task, dev, start, finish)?;
-        }
-        ctx.into_schedule()
+            ctx.eft(task, dev)
+                .map(|(start, finish)| (dev, start, finish))
+        })
     }
 }
 
@@ -75,20 +79,8 @@ impl Scheduler for OlbScheduler {
     }
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, model, true);
-        for &task in wf.topo_order() {
-            // Earliest start (not finish) wins, among feasible devices.
-            let mut best: Option<(DeviceId, _, _)> = None;
-            for &dev in model.feasible_devices(task) {
-                let (start, finish) = ctx.eft(task, dev)?;
-                if best.is_none_or(|(_, bs, _)| start < bs) {
-                    best = Some((dev, start, finish));
-                }
-            }
-            let (dev, start, finish) = best.ok_or(SchedError::NoFeasibleDevice(task))?;
-            ctx.place(task, dev, start, finish)?;
-        }
-        ctx.into_schedule()
+        // Earliest start (not finish) wins, among feasible devices.
+        place_topo(wf, model, |ctx, task| ctx.best_by(task, |p| p.2))
     }
 }
 
@@ -105,18 +97,18 @@ impl Scheduler for RoundRobinScheduler {
     }
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
-        let mut ctx = SchedContext::new(wf, model, true);
         let n = model.platform().num_devices();
-        for (i, &task) in wf.topo_order().iter().enumerate() {
-            // Next feasible device in the cycle.
+        let mut i = 0;
+        place_topo(wf, model, |ctx, task| {
+            // Next feasible device in the cycle from the task's position.
             let dev = (0..n)
                 .map(|off| DeviceId((i + off) % n))
                 .find(|&d| model.feasible(task, d))
                 .ok_or(SchedError::NoFeasibleDevice(task))?;
-            let (start, finish) = ctx.eft(task, dev)?;
-            ctx.place(task, dev, start, finish)?;
-        }
-        ctx.into_schedule()
+            i += 1;
+            ctx.eft(task, dev)
+                .map(|(start, finish)| (dev, start, finish))
+        })
     }
 }
 
@@ -143,15 +135,13 @@ impl Scheduler for RandomScheduler {
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
         let mut rng = SimRng::seed_from(self.seed);
-        let mut ctx = SchedContext::new(wf, model, true);
-        for &task in wf.topo_order() {
+        place_topo(wf, model, |ctx, task| {
             let dev = *rng
                 .choose(model.feasible_devices(task))
                 .ok_or(SchedError::NoFeasibleDevice(task))?;
-            let (start, finish) = ctx.eft(task, dev)?;
-            ctx.place(task, dev, start, finish)?;
-        }
-        ctx.into_schedule()
+            ctx.eft(task, dev)
+                .map(|(start, finish)| (dev, start, finish))
+        })
     }
 }
 

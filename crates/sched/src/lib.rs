@@ -115,7 +115,7 @@ pub use context::SchedContext;
 pub use cost::{placement_feasible, CostModel};
 pub use cpop::CpopScheduler;
 pub use error::SchedError;
-pub use heft::HeftScheduler;
+pub use heft::{weighted_heft, HeftScheduler};
 pub use immediate::{
     MctScheduler, MetScheduler, OlbScheduler, RandomScheduler, RoundRobinScheduler,
 };

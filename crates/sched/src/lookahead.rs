@@ -2,11 +2,10 @@
 //! (Bittencourt et al., "DAG scheduling using a lookahead variant of
 //! HEFT", 2010).
 
-use helios_platform::DeviceId;
 use helios_sim::KnobRange;
 use helios_workflow::{TaskId, Workflow};
 
-use crate::context::SchedContext;
+use crate::context::{first_min, SchedContext};
 use crate::cost::CostModel;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
@@ -54,21 +53,23 @@ impl Default for LookaheadScheduler {
 }
 
 /// Worst earliest finish time among the evaluable descendants of
-/// `task` (already tentatively placed and marked in `placed`), down to
-/// `depth` generations. Levels beyond the first commit each evaluable
-/// child at its best EFT before recursing, and roll every tentative
-/// placement back before returning.
+/// `task` (already tentatively placed), down to `depth` generations.
+/// Levels beyond the first commit each evaluable child at its best EFT
+/// before recursing, and roll every tentative placement back before
+/// returning.
 fn worst_descendant_eft(
     ctx: &mut SchedContext,
     wf: &Workflow,
-    placed: &mut [bool],
     task: TaskId,
     depth: u32,
     baseline: f64,
 ) -> Result<f64, SchedError> {
     let evaluable: Vec<TaskId> = wf
         .successor_tasks(task)
-        .filter(|&c| !placed[c.0] && wf.predecessor_tasks(c).all(|p| placed[p.0]))
+        .filter(|&c| {
+            ctx.placement(c).is_none()
+                && wf.predecessor_tasks(c).all(|p| ctx.placement(p).is_some())
+        })
         .collect();
     let mut worst = baseline;
     for &c in &evaluable {
@@ -76,16 +77,13 @@ fn worst_descendant_eft(
         worst = worst.max(finish.as_secs());
         if depth > 1 {
             ctx.place(c, dev, start, finish)?;
-            placed[c.0] = true;
             worst = worst.max(worst_descendant_eft(
                 ctx,
                 wf,
-                placed,
                 c,
                 depth - 1,
                 finish.as_secs(),
             )?);
-            placed[c.0] = false;
             ctx.unplace(c)?;
         }
     }
@@ -98,43 +96,29 @@ impl Scheduler for LookaheadScheduler {
     }
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
-        let mut placed = vec![false; wf.num_tasks()];
         let mut ctx = SchedContext::new(wf, model, true);
-        for task in model.rank_order(wf)? {
+        ctx.place_each(&model.rank_order(wf)?, |ctx, task| {
             // Children whose every other parent is already placed can have
             // their EFT evaluated once `task` is tentatively committed.
-            let has_evaluable = wf
-                .successor_tasks(task)
-                .any(|c| wf.predecessor_tasks(c).all(|p| p == task || placed[p.0]));
-
-            let mut best: Option<(DeviceId, _, _, f64)> = None;
-            for &dev in model.feasible_devices(task) {
-                let (start, finish) = ctx.eft(task, dev)?;
-                let score = if !has_evaluable {
-                    finish.as_secs()
-                } else {
-                    ctx.place(task, dev, start, finish)?;
-                    placed[task.0] = true;
-                    let worst = worst_descendant_eft(
-                        &mut ctx,
-                        wf,
-                        &mut placed,
-                        task,
-                        self.depth,
-                        finish.as_secs(),
-                    )?;
-                    placed[task.0] = false;
-                    ctx.unplace(task)?;
-                    worst
-                };
-                if best.is_none_or(|(_, _, _, b)| score < b) {
-                    best = Some((dev, start, finish, score));
+            let has_evaluable = wf.successor_tasks(task).any(|c| {
+                wf.predecessor_tasks(c)
+                    .all(|p| p == task || ctx.placement(p).is_some())
+            });
+            // The probes are taken before any tentative placement, which
+            // each score rolls back.
+            let probes: Vec<_> = ctx.probe(task)?.collect();
+            let (dev, _, start, finish) = first_min(probes, |&(dev, _, start, finish)| {
+                if !has_evaluable {
+                    return Ok(finish.as_secs());
                 }
-            }
-            let (dev, start, finish, _) = best.ok_or(SchedError::NoFeasibleDevice(task))?;
-            ctx.place(task, dev, start, finish)?;
-            placed[task.0] = true;
-        }
+                ctx.place(task, dev, start, finish)?;
+                let worst = worst_descendant_eft(ctx, wf, task, self.depth, finish.as_secs())?;
+                ctx.unplace(task)?;
+                Ok(worst)
+            })?
+            .ok_or(SchedError::NoFeasibleDevice(task))?;
+            Ok((dev, start, finish))
+        })?;
         ctx.into_schedule()
     }
 }

@@ -1,7 +1,12 @@
 //! PEFT — Predict Earliest Finish Time (Arabnejad & Barbosa, 2014).
+//!
+//! Tasks go through the list planners' ready-list driver
+//! ([`SchedContext::place_by_priority`]) by mean optimistic cost, each to
+//! the first device of the placement probe ([`SchedContext::probe`])
+//! minimizing EFT + OCT.
 
 use helios_platform::DeviceId;
-use helios_workflow::{TaskId, Workflow};
+use helios_workflow::Workflow;
 
 use crate::context::SchedContext;
 use crate::cost::CostModel;
@@ -58,41 +63,12 @@ impl Scheduler for PeftScheduler {
         let rank_oct: Vec<f64> = oct.iter().map(|row| row.iter().sum::<f64>() / m).collect();
 
         let mut ctx = SchedContext::new(wf, model, true);
-        let mut indegree: Vec<usize> = (0..wf.num_tasks())
-            .map(|i| wf.predecessors(TaskId(i)).len())
-            .collect();
-        let mut ready: Vec<TaskId> = (0..wf.num_tasks())
-            .filter(|&i| indegree[i] == 0)
-            .map(TaskId)
-            .collect();
-        while !ready.is_empty() {
-            let (idx, &task) = ready
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    rank_oct[a.0].total_cmp(&rank_oct[b.0]).then(b.0.cmp(&a.0))
-                })
-                .ok_or_else(|| SchedError::Internal("empty ready set".into()))?;
-            ready.swap_remove(idx);
-
-            // Minimize O_EFT = EFT + OCT, among feasible devices.
-            let mut best: Option<(DeviceId, _, _, f64)> = None;
-            for &dev in model.feasible_devices(task) {
-                let (start, finish) = ctx.eft(task, dev)?;
-                let o_eft = finish.as_secs() + oct[task.0][dev.0];
-                if best.is_none_or(|(_, _, _, b)| o_eft < b) {
-                    best = Some((dev, start, finish, o_eft));
-                }
-            }
-            let (dev, start, finish, _) = best.ok_or(SchedError::NoFeasibleDevice(task))?;
-            ctx.place(task, dev, start, finish)?;
-            for s in wf.successor_tasks(task) {
-                indegree[s.0] -= 1;
-                if indegree[s.0] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
+        // Minimize O_EFT = EFT + OCT, among feasible devices.
+        ctx.place_by_priority(&rank_oct, |ctx, task| {
+            ctx.best_by(task, |&(dev, _, _, finish)| {
+                finish.as_secs() + oct[task.0][dev.0]
+            })
+        })?;
         ctx.into_schedule()
     }
 }

@@ -11,12 +11,12 @@
 //! dependable devices, trading makespan for completion probability —
 //! the same bi-objective shape as energy-aware HEFT.
 
-use helios_platform::{DeviceId, Platform};
+use helios_platform::Platform;
 use helios_workflow::Workflow;
 
-use crate::context::SchedContext;
 use crate::cost::CostModel;
 use crate::error::SchedError;
+use crate::heft::weighted_heft;
 use crate::schedule::Schedule;
 use crate::Scheduler;
 
@@ -79,7 +79,9 @@ pub fn schedule_reliability(
 /// `score(d) = alpha · EFT(d)/min_EFT + (1 − alpha) · hazard(d)/min_hazard`
 ///
 /// where `hazard(d) = λ_d · exec(d)` is the task's expected fault count
-/// on `d`. `alpha = 1` reproduces plain HEFT.
+/// on `d`. `alpha = 1` reproduces plain HEFT. This is
+/// [`weighted_heft`] with minimums floored at
+/// `1e-300`.
 #[derive(Debug, Clone)]
 pub struct ReliabilityAwareHeft {
     alpha: f64,
@@ -110,39 +112,9 @@ impl Scheduler for ReliabilityAwareHeft {
 
     fn schedule_with(&self, wf: &Workflow, model: &CostModel<'_>) -> Result<Schedule, SchedError> {
         check_rates(model.platform(), &self.rates)?;
-        let mut ctx = SchedContext::new(wf, model, true);
-        for task in model.rank_order(wf)? {
-            let mut candidates = Vec::new();
-            for &dev in model.feasible_devices(task) {
-                let (start, finish) = ctx.eft(task, dev)?;
-                let hazard = self.rates[dev.0] * model.exec_time(task, dev).as_secs();
-                candidates.push((dev, start, finish, hazard));
-            }
-            if candidates.is_empty() {
-                return Err(SchedError::NoFeasibleDevice(task));
-            }
-            let min_finish = candidates
-                .iter()
-                .map(|c| c.2.as_secs())
-                .fold(f64::INFINITY, f64::min);
-            let min_hazard = candidates
-                .iter()
-                .map(|c| c.3)
-                .fold(f64::INFINITY, f64::min)
-                .max(1e-300);
-            let (dev, start, finish, _) = candidates
-                .into_iter()
-                .min_by(|a, b| {
-                    let score = |c: &(DeviceId, _, helios_sim::SimTime, f64)| {
-                        self.alpha * c.2.as_secs() / min_finish.max(1e-300)
-                            + (1.0 - self.alpha) * c.3 / min_hazard
-                    };
-                    score(a).total_cmp(&score(b)).then(a.0.cmp(&b.0))
-                })
-                .ok_or_else(|| SchedError::Internal("no devices".into()))?;
-            ctx.place(task, dev, start, finish)?;
-        }
-        ctx.into_schedule()
+        weighted_heft(wf, model, self.alpha, 1e-300, |task, dev| {
+            Ok(self.rates[dev.0] * model.exec_time(task, dev).as_secs())
+        })
     }
 }
 

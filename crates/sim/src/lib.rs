@@ -13,8 +13,8 @@
 //!   forked RNG streams into deterministic failure traces,
 //! * [`KnobRange`] — the declared legal range of a numeric knob, read
 //!   by its check, its refusal message and the negative tests,
-//! * [`stats`] — online statistics (mean/variance/min/max), histograms and
-//!   percentile estimation for experiment reporting.
+//! * [`stats`] — online statistics (mean/variance/min/max) for experiment
+//!   reporting.
 //!
 //! Determinism is a design requirement: two runs with the same seed must
 //! produce byte-identical results on every platform. This is why the RNG is

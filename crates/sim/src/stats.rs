@@ -1,9 +1,8 @@
 //! Online statistics for experiment reporting.
 //!
-//! The experiment harness aggregates many simulation runs; these helpers
-//! compute summary statistics without storing every sample ([`OnlineStats`],
-//! Welford's algorithm) or with storage when percentiles are needed
-//! ([`Sample`]), plus a fixed-width [`Histogram`] for distribution shapes.
+//! The experiment harness aggregates many simulation runs; [`OnlineStats`]
+//! computes their summary statistics without storing every sample
+//! (Welford's algorithm).
 
 use serde::{Deserialize, Serialize};
 
@@ -143,226 +142,6 @@ impl FromIterator<f64> for OnlineStats {
     }
 }
 
-/// A stored sample supporting exact percentiles.
-///
-/// # Examples
-///
-/// ```
-/// use helios_sim::stats::Sample;
-///
-/// let mut s: Sample = (1..=100).map(f64::from).collect();
-/// assert_eq!(s.percentile(50.0), Some(50.5));
-/// assert_eq!(s.percentile(100.0), Some(100.0));
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Sample {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Sample {
-    /// Creates an empty sample.
-    #[must_use]
-    pub fn new() -> Sample {
-        Sample::default()
-    }
-
-    /// Adds a value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN.
-    pub fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "cannot store NaN sample");
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of stored values.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns `true` when no values are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Exact percentile `p` in `[0, 100]` with linear interpolation, or
-    /// `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.values.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let n = self.values.len();
-        if n == 1 {
-            return Some(self.values[0]);
-        }
-        let rank = p / 100.0 * (n - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        Some(self.values[lo] * (1.0 - frac) + self.values[hi] * frac)
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&mut self) -> Option<f64> {
-        self.percentile(50.0)
-    }
-
-    /// Borrows the raw values (insertion order not guaranteed after a
-    /// percentile query, which sorts in place).
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl Extend<f64> for Sample {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Sample {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Sample::new();
-        s.extend(iter);
-        s
-    }
-}
-
-/// A fixed-width histogram over `[low, high)` with overflow/underflow bins.
-///
-/// # Examples
-///
-/// ```
-/// use helios_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.record(2.5);
-/// h.record(-1.0); // underflow
-/// assert_eq!(h.bin_count(1), 1);
-/// assert_eq!(h.underflow(), 1);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning
-    /// `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high`, `bins == 0`, or the bounds are not finite.
-    #[must_use]
-    pub fn new(low: f64, high: f64, bins: usize) -> Histogram {
-        assert!(
-            low.is_finite() && high.is_finite() && low < high,
-            "invalid histogram range [{low}, {high})"
-        );
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            low,
-            high,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records a value.
-    pub fn record(&mut self, x: f64) {
-        if x < self.low {
-            self.underflow += 1;
-        } else if x >= self.high {
-            self.overflow += 1;
-        } else {
-            let width = (self.high - self.low) / self.bins.len() as f64;
-            let idx = ((x - self.low) / width) as usize;
-            // Floating-point edge: x just below `high` can round to len().
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[must_use]
-    pub fn bin_count(&self, idx: usize) -> u64 {
-        self.bins[idx]
-    }
-
-    /// Number of bins.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// `[start, end)` interval covered by bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[must_use]
-    pub fn bin_range(&self, idx: usize) -> (f64, f64) {
-        assert!(idx < self.bins.len(), "bin index {idx} out of bounds");
-        let width = (self.high - self.low) / self.bins.len() as f64;
-        let start = self.low + width * idx as f64;
-        (start, start + width)
-    }
-
-    /// Samples recorded below the histogram range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples recorded at or above the histogram range.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded, including under/overflow.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,47 +192,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn online_stats_rejects_nan() {
         OnlineStats::new().push(f64::NAN);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let mut s: Sample = (1..=4).map(f64::from).collect();
-        assert_eq!(s.percentile(0.0), Some(1.0));
-        assert_eq!(s.percentile(100.0), Some(4.0));
-        assert_eq!(s.median(), Some(2.5));
-        assert_eq!(s.percentile(25.0), Some(1.75));
-    }
-
-    #[test]
-    fn percentile_edge_cases() {
-        let mut empty = Sample::new();
-        assert_eq!(empty.percentile(50.0), None);
-        let mut one: Sample = std::iter::once(7.0).collect();
-        assert_eq!(one.percentile(10.0), Some(7.0));
-        assert_eq!(one.mean(), Some(7.0));
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(f64::from(i) + 0.5);
-        }
-        h.record(10.0); // overflow (range is half-open)
-        h.record(-0.1);
-        for i in 0..10 {
-            assert_eq!(h.bin_count(i), 1, "bin {i}");
-        }
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 12);
-        assert_eq!(h.bin_range(0), (0.0, 1.0));
-        assert_eq!(h.num_bins(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid histogram range")]
-    fn histogram_rejects_bad_range() {
-        let _ = Histogram::new(5.0, 5.0, 4);
     }
 }
