@@ -32,6 +32,13 @@ echo "==> annealing reference oracle at grid size (release)"
 # about a second in release.
 cargo test --release -q -p helios-sched every_family_at_grid_size -- --ignored
 
+echo "==> large-workflow placement golden (release)"
+# HEFT, CPOP, PEFT, MCT, OLB and round-robin on four families at 2000
+# tasks on workstation and hpc_node, where the device timelines grow
+# long enough to be block-indexed: every placement bit for bit as
+# pinned. The debug suite runs it too; this step keeps it in release.
+cargo test --release -q --test placement_golden insertion_planners_place_large_workflows_as_pinned
+
 echo "==> resilience battery"
 cargo test -q --test fault_paths
 

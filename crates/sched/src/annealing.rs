@@ -1,11 +1,19 @@
 //! Simulated-annealing schedule refinement.
+//!
+//! Each move is decoded by list scheduling into one of two contexts, the
+//! accepted state and a candidate, from the first step the move can
+//! change. The decoder owns the device assignment and keeps each edge's
+//! transfer time under it, so a device move derives the moved task's
+//! in- and out-edges again and a decode step derives no transfer: it
+//! takes the max of predecessor finish plus kept term, then one timeline
+//! search.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use helios_platform::DeviceId;
 use helios_sim::{SimDuration, SimRng, SimTime};
-use helios_workflow::{TaskId, Workflow};
+use helios_workflow::{EdgeId, TaskId, Workflow};
 
 use crate::context::SchedContext;
 use crate::cost::CostModel;
@@ -170,15 +178,21 @@ impl Trial<'_> {
     }
 }
 
-/// Decodes (priority, assignment) pairs with two contexts: the accepted
-/// state and a candidate. A candidate that differs from the accepted
-/// state in one task re-decodes only from the first step the move can
-/// change; accepting it swaps the two, rejecting it leaves the accepted
-/// state untouched. The cost tables, the timelines' capacity and the
-/// ready-set buffers live for the whole annealing run.
+/// Decodes priorities under its device assignment with two contexts: the
+/// accepted state and a candidate. A candidate that differs from the
+/// accepted state in one task re-decodes only from the first step the
+/// move can change; accepting it swaps the two, rejecting it leaves the
+/// accepted state untouched. The cost tables, the timelines' capacity
+/// and the ready-set buffers live for the whole annealing run.
 struct Decoder<'a> {
     accepted: Decoded<'a>,
     candidate: Decoded<'a>,
+    /// `assignment[t]`: the device every decode places task `t` on.
+    assignment: Vec<DeviceId>,
+    /// `comm[e]`: edge `e`'s transfer time from its source's assigned
+    /// device to its destination's, kept up to date by
+    /// [`Decoder::assign`], so a decode step derives no transfer.
+    comm: Vec<SimDuration>,
     indegree: Vec<usize>,
     ready: BinaryHeap<Ready>,
     /// `tail[t]`: the longest chain of minimum feasible execution times
@@ -189,8 +203,13 @@ struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// A decoder whose two states are clones of `ctx`, which must have
-    /// nothing placed and use the insertion policy.
-    fn new(ctx: SchedContext<'a>) -> Decoder<'a> {
+    /// nothing placed and use the insertion policy, placing each task on
+    /// its device in `assignment`.
+    ///
+    /// # Errors
+    ///
+    /// A routing error of an edge between its tasks' devices.
+    fn new(ctx: SchedContext<'a>, assignment: Vec<DeviceId>) -> Result<Decoder<'a>, SchedError> {
         let (wf, model) = (ctx.workflow(), ctx.model());
         let ctx = ctx.restorable();
         let mut tail = vec![0.0f64; wf.num_tasks()];
@@ -205,13 +224,45 @@ impl<'a> Decoder<'a> {
                 longest.max(fastest + tail[s.0])
             });
         }
-        Decoder {
+        let mut decoder = Decoder {
             accepted: Decoded::new(ctx.clone()),
             candidate: Decoded::new(ctx),
+            assignment,
+            comm: vec![SimDuration::ZERO; wf.num_edges()],
             indegree: vec![0; wf.num_tasks()],
             ready: BinaryHeap::new(),
             tail,
+        };
+        for e in 0..wf.num_edges() {
+            decoder.derive(EdgeId(e))?;
         }
+        Ok(decoder)
+    }
+
+    /// Derives `comm[e]` from the current assignment.
+    fn derive(&mut self, e: EdgeId) -> Result<(), SchedError> {
+        #[cfg(test)]
+        crate::probe::count(crate::probe::Site::Transfer);
+        let ctx = &self.candidate.ctx;
+        let edge = ctx.workflow().edge(e);
+        let (from, to) = (self.assignment[edge.src.0], self.assignment[edge.dst.0]);
+        self.comm[e.0] = ctx.model().transfer_time(edge.bytes, from, to)?;
+        Ok(())
+    }
+
+    /// Assigns `task` to `device` and derives the transfer terms of its
+    /// in-edges and out-edges again; no other edge's changes.
+    ///
+    /// # Errors
+    ///
+    /// A routing error of one of those edges.
+    fn assign(&mut self, task: TaskId, device: DeviceId) -> Result<(), SchedError> {
+        self.assignment[task.0] = device;
+        let wf = self.candidate.ctx.workflow();
+        for &e in wf.predecessors(task).iter().chain(wf.successors(task)) {
+            self.derive(e)?;
+        }
+        Ok(())
     }
 
     /// The first step of the accepted pop order that a move on `task`
@@ -250,14 +301,15 @@ impl<'a> Decoder<'a> {
             .unwrap_or(at)
     }
 
-    /// Decodes (`priority`, `assignment`) into the candidate. Steps
-    /// before `from` are taken from the accepted state as they are, so
-    /// they must be ones the change cannot alter (see
+    /// Decodes `priority` under the decoder's assignment into the
+    /// candidate. Steps before `from` are taken from the accepted state
+    /// as they are, so they must be ones the change cannot alter (see
     /// [`Decoder::divergence`]): [`SchedContext::restore`] copies their
     /// placements and reservations, in one pass over the accepted
     /// timelines that reserves nothing. From there on the decoder repeatedly
     /// commits the highest-priority ready task to its assigned device at
-    /// its EFT. Without a `trial` it decodes in full and returns
+    /// its EFT: the data-ready time from the kept transfer terms, then
+    /// one timeline search. Without a `trial` it decodes in full and returns
     /// [`Fate::Cost`]. With one, it stops as soon as the move's fate is
     /// known:
     ///
@@ -282,13 +334,14 @@ impl<'a> Decoder<'a> {
     fn decode(
         &mut self,
         priority: &[f64],
-        assignment: &[DeviceId],
         from: usize,
         mut trial: Option<&mut Trial<'_>>,
     ) -> Result<Fate, SchedError> {
         let Decoder {
             accepted,
             candidate,
+            assignment,
+            comm,
             indegree,
             ready,
             tail,
@@ -330,7 +383,8 @@ impl<'a> Decoder<'a> {
             #[cfg(test)]
             crate::probe::count(crate::probe::Site::DecodeStep);
             let dev = assignment[task.0];
-            let (start, finish) = candidate.ctx.eft(task, dev)?;
+            let ready_at = candidate.ctx.data_ready_with(task, comm)?;
+            let (start, finish) = candidate.ctx.start_after(task, dev, ready_at);
             candidate.ctx.place(task, dev, start, finish)?;
             let j = candidate.order.len();
             candidate.step[task.0] = j;
@@ -411,7 +465,7 @@ impl Scheduler for AnnealingScheduler {
         // model's ranks and one context, cloned for the HEFT pass.
         let mut priority = model.bottom_levels(wf)?.to_vec();
         let ctx = SchedContext::new(wf, model, true);
-        let mut assignment: Vec<DeviceId> = {
+        let assignment: Vec<DeviceId> = {
             let mut seed = ctx.clone();
             heft::place_in_order(&mut seed, &model.rank_order(wf)?)?;
             // HEFT placed every task, so each has a feasible device.
@@ -425,12 +479,12 @@ impl Scheduler for AnnealingScheduler {
         };
         let priority_span = priority.iter().fold(0.0f64, |a, &b| a.max(b)).max(1e-12);
 
-        let mut decoder = Decoder::new(ctx);
+        let mut decoder = Decoder::new(ctx, assignment)?;
 
         // The accepted state is `assignment` + `priority`; only a new best
         // is materialized as a schedule.
         let mut rng = SimRng::seed_from(self.seed);
-        let Fate::Cost(seed_cost) = decoder.decode(&priority, &assignment, 0, None)? else {
+        let Fate::Cost(seed_cost) = decoder.decode(&priority, 0, None)? else {
             unreachable!("a decode without a trial runs in full");
         };
         let mut current_cost = seed_cost.as_secs();
@@ -451,7 +505,7 @@ impl Scheduler for AnnealingScheduler {
             let task = TaskId(rng.uniform_usize(0, wf.num_tasks() - 1));
             let choices = model.feasible_devices(task);
             let move_device = rng.chance(0.5) && choices.len() > 1;
-            let (old_dev, old_prio) = (assignment[task.0], priority[task.0]);
+            let (old_dev, old_prio) = (decoder.assignment[task.0], priority[task.0]);
             if move_device {
                 let new_dev = loop {
                     let d = *rng.choose(choices).expect("feasible set is non-empty");
@@ -459,7 +513,7 @@ impl Scheduler for AnnealingScheduler {
                         break d;
                     }
                 };
-                assignment[task.0] = new_dev;
+                decoder.assign(task, new_dev)?;
             } else {
                 priority[task.0] = (old_prio + rng.normal(0.0, 0.05 * priority_span)).max(0.0);
             }
@@ -475,7 +529,7 @@ impl Scheduler for AnnealingScheduler {
             // A converged move costs `current_cost` and is accepted
             // without a draw, as a full decode would be; the accepted
             // state already holds it.
-            let accept = match decoder.decode(&priority, &assignment, from, Some(&mut trial))? {
+            let accept = match decoder.decode(&priority, from, Some(&mut trial))? {
                 Fate::Cost(cost) => {
                     let cost = cost.as_secs();
                     let accept = trial.accepts(cost);
@@ -494,7 +548,9 @@ impl Scheduler for AnnealingScheduler {
             };
             if !accept {
                 // Revert.
-                assignment[task.0] = old_dev;
+                if move_device {
+                    decoder.assign(task, old_dev)?;
+                }
                 priority[task.0] = old_prio;
             }
             temp *= cooling;
@@ -514,19 +570,39 @@ mod tests {
     use proptest::prelude::*;
 
     impl<'a> Decoder<'a> {
-        /// A decoder for `wf` over `model`, with a context of its own.
-        fn of(wf: &'a Workflow, model: &'a CostModel<'a>) -> Decoder<'a> {
-            Decoder::new(SchedContext::new(wf, model, true))
+        /// A decoder for `wf` over `model` under `assignment`, with a
+        /// context of its own.
+        fn of(wf: &'a Workflow, model: &'a CostModel<'a>, assignment: &[DeviceId]) -> Decoder<'a> {
+            Decoder::new(SchedContext::new(wf, model, true), assignment.to_vec()).unwrap()
         }
 
-        /// A decode without a trial, which always runs in full.
+        /// Moves each task whose device differs from `assignment`'s
+        /// there, one [`Decoder::assign`] at a time, and checks every
+        /// kept transfer term against one derived afresh.
+        fn reassign(&mut self, assignment: &[DeviceId]) {
+            for (i, &dev) in assignment.iter().enumerate() {
+                if self.assignment[i] != dev {
+                    self.assign(TaskId(i), dev).unwrap();
+                }
+            }
+            let ctx = &self.candidate.ctx;
+            for (e, edge) in ctx.workflow().edges().iter().enumerate() {
+                let (from, to) = (assignment[edge.src.0], assignment[edge.dst.0]);
+                let fresh = ctx.model().transfer_time(edge.bytes, from, to).unwrap();
+                assert_eq!(self.comm[e].as_secs().to_bits(), fresh.as_secs().to_bits());
+            }
+        }
+
+        /// A decode under `assignment` without a trial, which always
+        /// runs in full.
         fn decode_all(
             &mut self,
             priority: &[f64],
             assignment: &[DeviceId],
             from: usize,
         ) -> SimDuration {
-            match self.decode(priority, assignment, from, None).unwrap() {
+            self.reassign(assignment);
+            match self.decode(priority, from, None).unwrap() {
                 Fate::Cost(makespan) => makespan,
                 fate => panic!("a decode without a trial ended {fate:?}"),
             }
@@ -710,7 +786,7 @@ mod tests {
             let coarse: Vec<f64> = ranks.iter().map(|r| (r * 2.0).round()).collect();
             for priority in [vec![0.0; wf.num_tasks()], coarse] {
                 let model = CostModel::new(&wf, &p).unwrap();
-                let mut decoder = Decoder::of(&wf, &model);
+                let mut decoder = Decoder::of(&wf, &model, &assignment);
                 decoder.decode_all(&priority, &assignment, 0);
                 assert_eq!(
                     decoder.candidate.ctx.snapshot().unwrap(),
@@ -733,12 +809,12 @@ mod tests {
         let reversed: Vec<f64> = priority.iter().map(|r| -r).collect();
         let on_zero = vec![DeviceId(0); wf.num_tasks()];
         let model = CostModel::new(&wf, &p).unwrap();
-        let mut reused = Decoder::of(&wf, &model);
+        let mut reused = Decoder::of(&wf, &model, &on_zero);
         reused.decode_all(&reversed, &on_zero, 0);
         reused.accept();
         reused.decode_all(&priority, &on_zero, 0);
         let makespan = reused.decode_all(&priority, &assignment, 0);
-        let mut fresh = Decoder::of(&wf, &model);
+        let mut fresh = Decoder::of(&wf, &model, &assignment);
         assert_eq!(fresh.decode_all(&priority, &assignment, 0), makespan);
         let want = reference_decode(&wf, &p, &priority, &assignment).unwrap();
         assert_eq!(reused.candidate.ctx.snapshot().unwrap(), want);
@@ -776,9 +852,8 @@ mod tests {
             rng: &mut rng,
             u: None,
         };
-        let fate = decoder
-            .decode(priority, assignment, from, Some(&mut trial))
-            .unwrap();
+        decoder.reassign(assignment);
+        let fate = decoder.decode(priority, from, Some(&mut trial)).unwrap();
 
         let makespan = decoder.decode_all(priority, assignment, from);
         let want = reference_decode(wf, platform, priority, assignment).unwrap();
@@ -815,7 +890,6 @@ mod tests {
             let p = platform(preset);
             let n = wf.num_tasks();
             let model = CostModel::new(&wf, &p).unwrap();
-            let mut decoder = Decoder::of(&wf, &model);
             if (0..n).any(|i| model.feasible_devices(TaskId(i)).is_empty()) {
                 return;
             }
@@ -830,6 +904,7 @@ mod tests {
             let mut assignment: Vec<DeviceId> = (0..n)
                 .map(|i| *rng.choose(model.feasible_devices(TaskId(i))).unwrap())
                 .collect();
+            let mut decoder = Decoder::of(&wf, &model, &assignment);
             decoder.decode_all(&priority, &assignment, 0);
             decoder.accept();
 
@@ -872,18 +947,21 @@ mod tests {
     fn early_exit_counts_witness() {
         // The grid's annealing (500 iterations, seed 0) on montage 60/1
         // on hpc_node, as [decode steps, converged exits, early
-        // rejections, restored prefix reservations]. Without the exits
-        // the same run decodes 15,570 steps. The restore copies the
-        // 13,989 prefix reservations that a replay would reserve again.
+        // rejections, restored prefix reservations, transfer terms
+        // derived]. Without the exits the same run decodes 15,570 steps.
+        // The restore copies the 13,989 prefix reservations that a replay
+        // would reserve again. The transfer terms are derived once per
+        // edge, then per edge of a moved task, on each move and revert:
+        // a decoder deriving each decoded task's in-edges derives 16,188.
         let p = presets::hpc_node();
         let wf = montage(60, 1).unwrap();
         crate::probe::take();
         let got = AnnealingScheduler::new(500, 0).schedule(&wf, &p).unwrap();
-        let [steps, converged, rejected, _, restored] = crate::probe::take();
+        let [steps, converged, rejected, _, restored, _, _, transfers] = crate::probe::take();
         assert!(converged > 0 && rejected > 0, "both exits must fire");
         assert_eq!(
-            [steps, converged, rejected, restored],
-            [7105, 156, 219, 13_989]
+            [steps, converged, rejected, restored, transfers],
+            [7105, 156, 219, 13_989, 1907]
         );
         let want = reference_schedule(500, 0, &wf, &p).unwrap();
         assert_eq!(format!("{got:?}"), format!("{want:?}"));

@@ -9,7 +9,7 @@
 //! ([`SchedContext::place_by_priority`]).
 
 use helios_platform::DeviceId;
-use helios_sim::SimTime;
+use helios_sim::{SimDuration, SimTime};
 use helios_workflow::{TaskId, Workflow};
 
 use crate::cost::CostModel;
@@ -178,6 +178,31 @@ impl<'a> SchedContext<'a> {
                 .transfers()
                 .transfer_time(edge.bytes, pred.device, device)?;
             ready = ready.max(pred.finish + transfer);
+        }
+        Ok(ready)
+    }
+
+    /// [`SchedContext::data_ready`] from given transfer terms: the max over
+    /// `task`'s in-edges `e`, in edge order, of its source's finish plus
+    /// `comm[e]`. Bit for bit the same when `comm[e]` is the transfer
+    /// from the source's device to the one `task` will run on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::Unscheduled`] if a predecessor has not been
+    /// placed yet.
+    pub(crate) fn data_ready_with(
+        &self,
+        task: TaskId,
+        comm: &[SimDuration],
+    ) -> Result<SimTime, SchedError> {
+        let mut ready = SimTime::ZERO;
+        for &e in self.wf.predecessors(task) {
+            let src = self.wf.edge(e).src;
+            let pred = self.placements[src.0]
+                .as_ref()
+                .ok_or(SchedError::Unscheduled(src))?;
+            ready = ready.max(pred.finish + comm[e.0]);
         }
         Ok(ready)
     }
@@ -435,7 +460,6 @@ mod tests {
     use super::*;
     use helios_platform::presets;
     use helios_platform::{ComputeCost, KernelClass};
-    use helios_sim::SimDuration;
     use helios_workflow::generators::WorkflowClass;
     use helios_workflow::{Task, WorkflowBuilder};
 

@@ -84,10 +84,16 @@ pub(crate) mod probe {
         /// One reservation of the accepted prefix that the annealing
         /// decoder restored into its candidate (copied, not reserved).
         Restored,
+        /// One insertion gap search that reached the interval scan.
+        Scan,
+        /// One busy interval visited by an insertion gap search.
+        Visit,
+        /// One transfer term the annealing decoder derived.
+        Transfer,
     }
 
     thread_local! {
-        static COUNTS: Cell<[u64; 5]> = const { Cell::new([0; 5]) };
+        static COUNTS: Cell<[u64; 8]> = const { Cell::new([0; 8]) };
     }
 
     pub(crate) fn count(site: Site) {
@@ -103,9 +109,10 @@ pub(crate) mod probe {
     }
 
     /// Returns `[decode steps, converged exits, early rejections, batch
-    /// probes, restored reservations]` and resets them.
-    pub(crate) fn take() -> [u64; 5] {
-        COUNTS.with(|c| c.replace([0; 5]))
+    /// probes, restored reservations, gap scans, visited intervals,
+    /// decoder transfer terms]` and resets them.
+    pub(crate) fn take() -> [u64; 8] {
+        COUNTS.with(|c| c.replace([0; 8]))
     }
 }
 

@@ -1,7 +1,25 @@
 //! Per-device busy-interval timelines with insertion-based placement.
+//!
+//! A timeline is a sorted list of disjoint busy intervals. Once it holds
+//! [`INDEX_FROM`] intervals it also keeps a block index: for each block
+//! of [`BLOCK`] consecutive intervals, the widest gap before one of them
+//! (from the previous interval's finish to its start) and the block's
+//! last start. The gap search skips a block only when no gap in it,
+//! widened by a rounding margin, can hold the task, and scans every
+//! other interval one by one, so it returns what a plain scan from the
+//! first interval would, bit for bit. The short timelines of small
+//! workflows never build the index and pay nothing for it.
 
 use helios_sim::{SimDuration, SimTime};
 use helios_workflow::TaskId;
+
+/// Intervals per block of a timeline's index.
+const BLOCK: usize = 32;
+
+/// The interval count from which a timeline keeps its block index. Below
+/// it a scan is short, and keeping the index would cost more than it
+/// saves.
+const INDEX_FROM: usize = 2 * BLOCK;
 
 /// The reservation timeline of one device: a list of disjoint busy
 /// intervals sorted by (start, finish). Supports the two placement
@@ -31,6 +49,25 @@ pub struct DeviceTimeline {
     /// zero-length intervals can share a start with another, and they
     /// sort first, so the finishes never decrease either.
     busy: Vec<(SimTime, SimTime)>,
+    /// The block index, empty below [`INDEX_FROM`] intervals: for the
+    /// `b`-th block of [`BLOCK`] intervals, the widest gap `start_i −
+    /// finish_{i−1}` over its intervals `i` (the first interval's gap
+    /// runs from time zero), and its last start, both in seconds.
+    blocks: Vec<(f64, f64)>,
+}
+
+/// Whether no interval of a block whose widest gap is `gap` and whose
+/// last start is `last` can host a task of `duration`, all in seconds.
+/// The scan reaches a block's interval `i` with a candidate `c ≥
+/// finish_{i−1}`, and floating-point addition is monotone, so the task
+/// fits there only if `finish_{i−1} + duration ≤ start_i` in floating
+/// point, which needs `duration ≤ g_i + u·(finish_{i−1} + duration)` for
+/// the exact gap `g_i` and unit roundoff `u`. `gap` is within `u·g_i` of
+/// `g_i`, and `g_i ≤ start_i ≤ last`, so a fit needs `duration` within
+/// about `5u·max(last, duration)` of `gap`; the margin of `16u` covers
+/// that three times over, rounding of this test included.
+fn too_narrow(gap: f64, last: f64, duration: f64) -> bool {
+    gap + 8.0 * f64::EPSILON * last.max(duration) < duration
 }
 
 impl DeviceTimeline {
@@ -77,14 +114,74 @@ impl DeviceTimeline {
             Some(_) if self.busy[0].1 > ready => 0,
             Some(_) => self.busy.partition_point(|&(_, f)| f <= ready),
         };
+        #[cfg(test)]
+        crate::probe::count(crate::probe::Site::Scan);
+        let len = self.busy.len();
         let mut candidate = ready;
-        for &(start, finish) in &self.busy[first..] {
-            if candidate + duration <= start {
+        let mut at = first;
+        loop {
+            // Scan to the end of the current block (of the timeline, when
+            // it keeps no index) one interval at a time.
+            let end = if self.blocks.is_empty() {
+                len
+            } else {
+                ((at / BLOCK + 1) * BLOCK).min(len)
+            };
+            for &(start, finish) in &self.busy[at..end] {
+                #[cfg(test)]
+                crate::probe::count(crate::probe::Site::Visit);
+                if candidate + duration <= start {
+                    return candidate;
+                }
+                candidate = candidate.max(finish);
+            }
+            if end == len {
                 return candidate;
             }
-            candidate = candidate.max(finish);
+            // The candidate is now at least the last finish scanned, so
+            // a block too narrow for the task only raises it to its own
+            // last finish.
+            let mut block = end / BLOCK;
+            while let Some(&(gap, last)) = self.blocks.get(block) {
+                if !too_narrow(gap, last, duration.as_secs()) {
+                    break;
+                }
+                block += 1;
+                candidate = candidate.max(self.busy[(block * BLOCK).min(len) - 1].1);
+            }
+            at = block * BLOCK;
+            if at >= len {
+                return candidate;
+            }
         }
-        candidate
+    }
+
+    /// Brings the block index up to date after a change at interval
+    /// `from` and beyond: the blocks before `from`'s are untouched, the
+    /// rest are recomputed. Drops the index below [`INDEX_FROM`]
+    /// intervals and builds it whole on reaching that count.
+    fn reindex(&mut self, from: usize) {
+        if self.busy.len() < INDEX_FROM {
+            self.blocks.clear();
+            return;
+        }
+        let block = if self.blocks.is_empty() {
+            0
+        } else {
+            from / BLOCK
+        };
+        self.blocks.truncate(block);
+        let at = block * BLOCK;
+        let mut prev = at.checked_sub(1).map_or(0.0, |i| self.busy[i].1.as_secs());
+        for chunk in self.busy[at..].chunks(BLOCK) {
+            let mut gap = 0.0f64;
+            for &(start, finish) in chunk {
+                gap = gap.max(start.as_secs() - prev);
+                prev = finish.as_secs();
+            }
+            let last = chunk[chunk.len() - 1].0.as_secs();
+            self.blocks.push((gap, last));
+        }
     }
 
     /// Reserves `[start, finish)` and returns its index in
@@ -111,6 +208,7 @@ impl DeviceTimeline {
             "reservation {start}..{finish} overlaps an existing interval"
         );
         self.busy.insert(idx, interval);
+        self.reindex(idx);
         idx
     }
 
@@ -126,6 +224,7 @@ impl DeviceTimeline {
             panic!("release of unreserved interval {start}..{finish}");
         }
         self.busy.remove(idx);
+        self.reindex(idx);
     }
 
     /// Makes this timeline hold `source`'s intervals whose tags `keep`
@@ -133,7 +232,7 @@ impl DeviceTimeline {
     /// allocations; `tags[i]` tags `source`'s `i`-th interval. A
     /// subsequence of a sorted, disjoint list is one too. The copy is
     /// compacted in place without a branch on `keep`, whose verdicts
-    /// follow no pattern.
+    /// follow no pattern, and its block index is built afresh.
     pub(crate) fn copy_kept(
         &mut self,
         kept: &mut Vec<TaskId>,
@@ -153,6 +252,7 @@ impl DeviceTimeline {
         }
         self.busy.truncate(len);
         kept.truncate(len);
+        self.reindex(0);
     }
 
     /// Total busy time.
@@ -281,22 +381,64 @@ mod tests {
         candidate
     }
 
+    /// The block index of `busy` computed from scratch: nothing below
+    /// [`INDEX_FROM`] intervals, else per block of [`BLOCK`] intervals
+    /// the widest gap before one of them and the last start.
+    fn index_of(busy: &[(SimTime, SimTime)]) -> Vec<(f64, f64)> {
+        if busy.len() < INDEX_FROM {
+            return Vec::new();
+        }
+        let gaps: Vec<f64> = (0..busy.len())
+            .map(|i| busy[i].0.as_secs() - if i == 0 { 0.0 } else { busy[i - 1].1.as_secs() })
+            .collect();
+        gaps.chunks(BLOCK)
+            .zip(busy.chunks(BLOCK))
+            .map(|(g, b)| {
+                (
+                    g.iter().fold(0.0f64, |a, &x| a.max(x)),
+                    b[b.len() - 1].0.as_secs(),
+                )
+            })
+            .collect()
+    }
+
     /// A sorted, disjoint timeline from steps that each encode a gap
-    /// (`step / 3`) and a length (`step % 3`) in half seconds: zero gaps
-    /// make back-to-back intervals and zero lengths make zero-length
-    /// ones. Built directly, so these tests do not lean on `reserve`;
-    /// `reserve` builds the same list from the same intervals in any
-    /// order (see `reserve_equals_a_sorted_insert`).
-    fn timeline_of(steps: &[u8]) -> DeviceTimeline {
+    /// (`step / 3`) and a length (`step % 3`) in `unit` seconds: zero
+    /// gaps make back-to-back intervals and zero lengths make
+    /// zero-length ones, and a `unit` of 0.1 makes times that are no
+    /// dyadic fractions and gather rounding as they add up. Built
+    /// directly, with its block index from 64 intervals, so these tests
+    /// do not lean on `reserve`; `reserve` builds the same list from the
+    /// same intervals in any order (see `reserve_equals_a_sorted_insert`).
+    fn timeline_of(steps: &[u8], unit: f64) -> DeviceTimeline {
         let mut busy = Vec::with_capacity(steps.len());
         let mut at = 0.0;
         for &step in steps {
             let (gap, len) = (step / 3, step % 3);
-            let start = at + f64::from(gap) * 0.5;
-            at = start + f64::from(len) * 0.5;
+            let start = at + f64::from(gap) * unit;
+            at = start + f64::from(len) * unit;
             busy.push((t(start), t(at)));
         }
-        DeviceTimeline { busy }
+        let mut tl = DeviceTimeline {
+            busy,
+            blocks: Vec::new(),
+        };
+        tl.reindex(0);
+        tl
+    }
+
+    /// The gap before `busy[i]` (from time zero for the first), as a
+    /// duration, or one ulp shorter (`width` 0) or longer (`width` 2):
+    /// the durations at the edge of fitting that the index's rounding
+    /// margin must never skip.
+    fn gap_width(busy: &[(SimTime, SimTime)], i: usize, width: u8) -> SimDuration {
+        let prev = if i == 0 { 0.0 } else { busy[i - 1].1.as_secs() };
+        let gap = busy[i].0.as_secs() - prev;
+        d(match width {
+            0 => gap.next_down().max(0.0),
+            1 => gap,
+            _ => gap.next_up(),
+        })
     }
 
     proptest! {
@@ -308,7 +450,7 @@ mod tests {
             on_boundary: bool,
             duration_halves in 0u8..5,
         ) {
-            let tl = timeline_of(&steps);
+            let tl = timeline_of(&steps, 0.5);
             // Half the cases put `ready` exactly on an interval boundary.
             let boundaries: Vec<SimTime> =
                 tl.busy_intervals().iter().flat_map(|&(s, f)| [s, f]).collect();
@@ -325,11 +467,47 @@ mod tests {
         }
 
         #[test]
+        fn indexed_search_equals_the_linear_scan(
+            steps in prop::collection::vec(0u8..15, 0..400),
+            queries in prop::collection::vec(0u64..u64::MAX, 1..48),
+        ) {
+            let tl = timeline_of(&steps, 0.1);
+            prop_assert_eq!(&tl.blocks, &index_of(tl.busy_intervals()));
+            let busy = tl.busy_intervals();
+            for query in queries {
+                // Each draw encodes where `ready` is, the duration's kind,
+                // and which intervals they refer to.
+                let (at, width) = (query % 4, (query / 4 % 4) as u8);
+                let pick = (query / 16) as usize;
+                let (i, j) = (pick % busy.len().max(1), (pick / 7) % busy.len().max(1));
+                // `ready` at zero, on either end of an interval, or
+                // inside one; the duration a gap, an ulp either side of
+                // it, or twice it.
+                let ready = match (at, busy.get(i)) {
+                    (_, None) | (0, _) => SimTime::ZERO,
+                    (1, Some(&(s, _))) => s,
+                    (2, Some(&(_, f))) => f,
+                    (_, Some(&(s, f))) => t((s.as_secs() + f.as_secs()) / 3.0),
+                };
+                let duration = match (width, busy.is_empty()) {
+                    (_, true) => d(0.1),
+                    (3, false) => gap_width(busy, j, 1) + gap_width(busy, j, 1),
+                    (w, false) => gap_width(busy, j, w),
+                };
+                prop_assert_eq!(
+                    tl.earliest_start(ready, duration, true),
+                    linear_earliest_start(&tl, ready, duration),
+                    "ready {:?}, duration {:?}", ready, duration
+                );
+            }
+        }
+
+        #[test]
         fn release_removes_the_first_exact_match(
-            steps in prop::collection::vec(0u8..9, 1..12),
+            steps in prop::collection::vec(0u8..9, 1..400),
             pick: usize,
         ) {
-            let mut tl = timeline_of(&steps);
+            let mut tl = timeline_of(&steps, 0.1);
             let mut want = tl.busy_intervals().to_vec();
             let (start, finish) = want[pick % want.len()];
             let idx = want
@@ -339,6 +517,7 @@ mod tests {
             want.remove(idx);
             tl.release(start, finish);
             prop_assert_eq!(tl.busy_intervals(), &want[..]);
+            prop_assert_eq!(&tl.blocks, &index_of(&want));
         }
     }
 
@@ -385,18 +564,19 @@ mod tests {
     proptest! {
         #[test]
         fn reserve_equals_a_sorted_insert(
-            intervals in prop::collection::vec(0u8..36, 0..24),
+            intervals in prop::collection::vec(0u16..2400, 0..400),
         ) {
-            // Each draw encodes a start (`/ 3`) on a half-second grid and
-            // a length (`% 3`) of 0 to 1 s: equal starts, zero-length
-            // intervals, back-to-back ones, appends (the fast path) and
-            // insertions before the last.
+            // Each draw encodes a start (`/ 3`) on a grid of tenths of a
+            // second and a length (`% 3`) of 0 to 0.2 s: equal starts,
+            // zero-length intervals, back-to-back ones and ones an ulp
+            // apart, appends (the fast path) and insertions before the
+            // last, on timelines long enough to be indexed.
             let mut tl = DeviceTimeline::new();
             let mut want = Vec::new();
             for interval in intervals {
                 let (start, len) = (interval / 3, interval % 3);
-                let start = f64::from(start) * 0.5;
-                let (start, finish) = (t(start), t(start + f64::from(len) * 0.5));
+                let start = f64::from(start) * 0.1;
+                let (start, finish) = (t(start), t(start + f64::from(len) * 0.1));
                 let expected = sorted_insert(&mut want, start, finish);
                 let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     tl.reserve(start, finish)
@@ -405,7 +585,92 @@ mod tests {
                 prop_assert_eq!(got, expected, "reserve({:?}, {:?})", start, finish);
                 prop_assert_eq!(tl.busy_intervals(), &want[..]);
             }
+            prop_assert_eq!(&tl.blocks, &index_of(&want));
         }
+
+        #[test]
+        fn the_index_follows_reserve_release_and_copy_kept(
+            ops in prop::collection::vec(0u64..u64::MAX, 0..800),
+        ) {
+            // Mostly reservations where the search puts them, some
+            // releases, and now and then a copy of all but about one in
+            // sixteen intervals into a reused timeline, so timelines grow
+            // to a few hundred intervals; after each, the index must be
+            // the one built from scratch and searches must equal the scan.
+            let (mut tl, mut spare) = (DeviceTimeline::new(), DeviceTimeline::new());
+            let mut tags = Vec::new();
+            let mut want: Vec<(SimTime, SimTime)> = Vec::new();
+            for op in ops {
+                // Each draw encodes the operation, a duration in tenths
+                // of a second, and which intervals it refers to.
+                let (kind, tenths) = (op % 40, (op / 40 % 30) as u8);
+                let pick = (op / 1200) as usize;
+                let some = |n: usize| pick % n.max(1);
+                match kind {
+                    0..=29 => {
+                        let ready = want.get(some(want.len())).map_or(SimTime::ZERO, |&(s, f)| {
+                            if pick.is_multiple_of(2) { s } else { f }
+                        });
+                        let duration = if tenths < 3 && !want.is_empty() {
+                            gap_width(&want, some(want.len() + 7) % want.len(), tenths)
+                        } else {
+                            d(f64::from(tenths) * 0.1)
+                        };
+                        let start = tl.earliest_start(ready, duration, true);
+                        prop_assert_eq!(start, linear_earliest_start(&tl, ready, duration));
+                        let finish = start + duration;
+                        prop_assert_eq!(tl.reserve(start, finish), sorted_insert(&mut want, start, finish).unwrap());
+                    }
+                    30..=37 if !want.is_empty() => {
+                        let (start, finish) = want.remove(some(want.len()));
+                        tl.release(start, finish);
+                    }
+                    _ => {
+                        let ids: Vec<TaskId> = (0..want.len()).map(TaskId).collect();
+                        let keep = |t: TaskId| !(t.0 ^ pick).is_multiple_of(16);
+                        spare.copy_kept(&mut tags, &tl, &ids, keep);
+                        std::mem::swap(&mut tl, &mut spare);
+                        let mut i = 0;
+                        want.retain(|_| {
+                            i += 1;
+                            keep(TaskId(i - 1))
+                        });
+                    }
+                }
+                prop_assert_eq!(tl.busy_intervals(), &want[..]);
+                prop_assert_eq!(&tl.blocks, &index_of(&want));
+            }
+        }
+    }
+
+    #[test]
+    fn scan_counts_witness() {
+        // montage 2000/0 on workstation: [gap scans, visited intervals]
+        // of each insertion planner's whole run. Without the block index
+        // the same scans visit 809,897, 880,587 and 245,771 intervals.
+        use crate::{HeftScheduler, OlbScheduler, RoundRobinScheduler, Scheduler};
+        let p = helios_platform::presets::workstation();
+        let wf = helios_workflow::generators::montage(2000, 0).unwrap();
+        let planners: [(&str, Box<dyn Scheduler>); 3] = [
+            ("heft", Box::new(HeftScheduler::default())),
+            ("olb", Box::new(OlbScheduler::default())),
+            ("round-robin", Box::new(RoundRobinScheduler::default())),
+        ];
+        crate::probe::take();
+        let mut got = Vec::new();
+        for (name, planner) in planners {
+            planner.schedule(&wf, &p).unwrap();
+            let [.., scans, visited, _] = crate::probe::take();
+            got.push((name, scans, visited));
+        }
+        assert_eq!(
+            got,
+            [
+                ("heft", 5908, 111_080),
+                ("olb", 5970, 118_973),
+                ("round-robin", 1778, 31_580)
+            ]
+        );
     }
 
     #[test]

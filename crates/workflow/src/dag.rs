@@ -59,9 +59,48 @@ pub struct Workflow {
     name: String,
     tasks: Vec<Task>,
     edges: Vec<DataDep>,
-    succs: Vec<Vec<EdgeId>>,
-    preds: Vec<Vec<EdgeId>>,
+    succs: Adjacency,
+    preds: Adjacency,
     topo: Vec<TaskId>,
+}
+
+/// Every task's edges of one direction, in edge order, in one flat list:
+/// task `t`'s are `edges[start[t]..start[t + 1]]`. Two allocations per
+/// direction instead of one per task.
+#[derive(Debug, Clone, PartialEq)]
+struct Adjacency {
+    start: Vec<usize>,
+    edges: Vec<EdgeId>,
+}
+
+impl Adjacency {
+    /// The ids of `edges` grouped by the task `end` picks from each, in
+    /// edge order within a task: a counting sort over `n` tasks.
+    fn new(n: usize, edges: &[DataDep], end: impl Fn(&DataDep) -> TaskId) -> Adjacency {
+        // After the prefix sum, `start[t + 1]` is where task `t`'s edges
+        // begin; filling advances it to where they end, which is task
+        // `t + 1`'s beginning.
+        let mut start = vec![0; n + 2];
+        for e in edges {
+            start[end(e).0 + 2] += 1;
+        }
+        for t in 2..start.len() {
+            start[t] += start[t - 1];
+        }
+        let mut ids = vec![EdgeId(0); edges.len()];
+        for (i, e) in edges.iter().enumerate() {
+            let at = &mut start[end(e).0 + 1];
+            ids[*at] = EdgeId(i);
+            *at += 1;
+        }
+        start.pop();
+        Adjacency { start, edges: ids }
+    }
+
+    /// Task `t`'s edges.
+    fn of(&self, t: TaskId) -> &[EdgeId] {
+        &self.edges[self.start[t.0]..self.start[t.0 + 1]]
+    }
 }
 
 impl Workflow {
@@ -117,13 +156,13 @@ impl Workflow {
     /// Outgoing edges of `id`.
     #[must_use]
     pub fn successors(&self, id: TaskId) -> &[EdgeId] {
-        &self.succs[id.0]
+        self.succs.of(id)
     }
 
     /// Incoming edges of `id`.
     #[must_use]
     pub fn predecessors(&self, id: TaskId) -> &[EdgeId] {
-        &self.preds[id.0]
+        self.preds.of(id)
     }
 
     /// The edge with the given id.
@@ -139,19 +178,19 @@ impl Workflow {
 
     /// Successor task ids of `id`.
     pub fn successor_tasks(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.succs[id.0].iter().map(move |&e| self.edges[e.0].dst)
+        self.succs.of(id).iter().map(move |&e| self.edges[e.0].dst)
     }
 
     /// Predecessor task ids of `id`.
     pub fn predecessor_tasks(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.preds[id.0].iter().map(move |&e| self.edges[e.0].src)
+        self.preds.of(id).iter().map(move |&e| self.edges[e.0].src)
     }
 
     /// Tasks with no predecessors, in id order.
     #[must_use]
     pub fn entry_tasks(&self) -> Vec<TaskId> {
         (0..self.tasks.len())
-            .filter(|&i| self.preds[i].is_empty())
+            .filter(|&i| self.preds.of(TaskId(i)).is_empty())
             .map(TaskId)
             .collect()
     }
@@ -160,7 +199,7 @@ impl Workflow {
     #[must_use]
     pub fn exit_tasks(&self) -> Vec<TaskId> {
         (0..self.tasks.len())
-            .filter(|&i| self.succs[i].is_empty())
+            .filter(|&i| self.succs.of(TaskId(i)).is_empty())
             .map(TaskId)
             .collect()
     }
@@ -234,7 +273,26 @@ impl Workflow {
                 return Err(WorkflowError::DuplicateEdge(e.src, e.dst));
             }
         }
-        topo_sort(self.tasks.len(), &self.edges).map(|_| ())
+        let (succs, preds) = adjacency(self.tasks.len(), &self.edges);
+        topo_sort(&self.edges, &succs, &preds).map(|_| ())
+    }
+
+    /// Sets each edge's payload to `bytes(edge)`, in edge order, keeping
+    /// the graph as it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkflowError::InvalidParameter`] for the first
+    /// negative or non-finite size, as [`WorkflowBuilder::add_dep`]
+    /// does; the edges before it are already rewritten.
+    pub(crate) fn set_edge_bytes(
+        &mut self,
+        mut bytes: impl FnMut(&DataDep) -> f64,
+    ) -> Result<(), WorkflowError> {
+        for e in &mut self.edges {
+            e.bytes = edge_bytes(bytes(e))?;
+        }
+        Ok(())
     }
 
     /// Returns a copy with each task's cost transformed by `f` (used to
@@ -271,21 +329,42 @@ impl fmt::Display for Workflow {
     }
 }
 
-/// Kahn topological sort; returns the order or the id of a task on a cycle.
-fn topo_sort(n: usize, edges: &[DataDep]) -> Result<Vec<TaskId>, WorkflowError> {
-    let mut indegree = vec![0usize; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in edges {
-        indegree[e.dst.0] += 1;
-        succs[e.src.0].push(e.dst.0);
+/// `bytes` as an edge payload: refused unless non-negative and finite.
+fn edge_bytes(bytes: f64) -> Result<f64, WorkflowError> {
+    if bytes.is_finite() && bytes >= 0.0 {
+        Ok(bytes)
+    } else {
+        Err(WorkflowError::InvalidParameter(format!(
+            "edge bytes must be non-negative and finite, got {bytes}"
+        )))
     }
+}
+
+/// Each of `n` tasks' outgoing and incoming edges, in edge order.
+fn adjacency(n: usize, edges: &[DataDep]) -> (Adjacency, Adjacency) {
+    (
+        Adjacency::new(n, edges, |e| e.src),
+        Adjacency::new(n, edges, |e| e.dst),
+    )
+}
+
+/// Kahn topological sort over [`adjacency`]'s lists; returns the order
+/// or the id of a task on a cycle.
+fn topo_sort(
+    edges: &[DataDep],
+    succs: &Adjacency,
+    preds: &Adjacency,
+) -> Result<Vec<TaskId>, WorkflowError> {
+    let n = preds.start.len() - 1;
+    let mut indegree: Vec<usize> = (0..n).map(|t| preds.of(TaskId(t)).len()).collect();
     // A queue ordered by task id keeps the produced order deterministic.
     let mut ready: std::collections::VecDeque<usize> =
         (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(u) = ready.pop_front() {
         order.push(TaskId(u));
-        for &v in &succs[u] {
+        for &e in succs.of(TaskId(u)) {
+            let v = edges[e.0].dst.0;
             indegree[v] -= 1;
             if indegree[v] == 0 {
                 ready.push_back(v);
@@ -362,11 +441,7 @@ impl WorkflowBuilder {
         if src == dst {
             return Err(WorkflowError::SelfLoop(src));
         }
-        if !bytes.is_finite() || bytes < 0.0 {
-            return Err(WorkflowError::InvalidParameter(format!(
-                "edge bytes must be non-negative and finite, got {bytes}"
-            )));
-        }
+        let bytes = edge_bytes(bytes)?;
         if !self.edge_set.insert((src, dst)) {
             return Err(WorkflowError::DuplicateEdge(src, dst));
         }
@@ -399,13 +474,8 @@ impl WorkflowBuilder {
                 return Err(WorkflowError::InvalidCost(TaskId(i)));
             }
         }
-        let topo = topo_sort(self.tasks.len(), &self.edges)?;
-        let mut succs = vec![Vec::new(); self.tasks.len()];
-        let mut preds = vec![Vec::new(); self.tasks.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            succs[e.src.0].push(EdgeId(i));
-            preds[e.dst.0].push(EdgeId(i));
-        }
+        let (succs, preds) = adjacency(self.tasks.len(), &self.edges);
+        let topo = topo_sort(&self.edges, &succs, &preds)?;
         Ok(Workflow {
             name: self.name,
             tasks: self.tasks,

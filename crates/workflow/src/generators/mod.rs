@@ -28,7 +28,7 @@ pub use synthetic::{
 use helios_platform::{ComputeCost, KernelClass};
 use helios_sim::SimRng;
 
-use crate::dag::{Workflow, WorkflowBuilder};
+use crate::dag::Workflow;
 use crate::error::WorkflowError;
 use crate::task::Task;
 
@@ -36,25 +36,20 @@ use crate::task::Task;
 /// payload: the mean of the task's sampled out-edge sizes. Consumers of
 /// one task read the *same data product*, so their edges must agree —
 /// this also makes per-device data caching well-defined. Total
-/// communication volume is preserved exactly.
-pub(crate) fn unify_product_sizes(wf: Workflow) -> Result<Workflow, WorkflowError> {
+/// communication volume is preserved exactly. The sizes are rewritten
+/// in place: the graph, its adjacency and its topological order stay.
+pub(crate) fn unify_product_sizes(mut wf: Workflow) -> Result<Workflow, WorkflowError> {
     let mut mean_out = vec![0.0f64; wf.num_tasks()];
-    for (i, _) in wf.tasks().iter().enumerate() {
+    for (i, mean) in mean_out.iter_mut().enumerate() {
         let succs = wf.successors(crate::task::TaskId(i));
         if succs.is_empty() {
             continue;
         }
         let total: f64 = succs.iter().map(|&e| wf.edge(e).bytes).sum();
-        mean_out[i] = total / succs.len() as f64;
+        *mean = total / succs.len() as f64;
     }
-    let mut b = WorkflowBuilder::new(wf.name().to_owned());
-    for t in wf.tasks() {
-        b.add_task(t.clone());
-    }
-    for e in wf.edges() {
-        b.add_dep(e.src, e.dst, mean_out[e.src.0])?;
-    }
-    b.build()
+    wf.set_edge_bytes(|e| mean_out[e.src.0])?;
+    Ok(wf)
 }
 
 /// Specification of one pipeline stage used by the scientific generators:
@@ -117,5 +112,64 @@ mod tests {
         assert_eq!(ta.stage(), "stage");
         let bytes = spec.sample_out_bytes(&mut a);
         assert!(bytes >= 5e6);
+    }
+
+    /// The rebuild the in-place rewrite must equal: every task and edge
+    /// added again to a new builder, each edge at its source's mean.
+    fn rebuilt_with_means(wf: &Workflow) -> Result<Workflow, WorkflowError> {
+        let mut b = crate::dag::WorkflowBuilder::new(wf.name());
+        for t in wf.tasks() {
+            b.add_task(t.clone());
+        }
+        for e in wf.edges() {
+            let succs = wf.successors(e.src);
+            let total: f64 = succs.iter().map(|&s| wf.edge(s).bytes).sum();
+            b.add_dep(e.src, e.dst, total / succs.len() as f64)?;
+        }
+        b.build()
+    }
+
+    #[test]
+    fn unified_sizes_equal_a_rebuild() {
+        // On each family's workflow and on one with uneven out-edges, the
+        // rewrite must equal the rebuild, field for field.
+        for class in WorkflowClass::ALL {
+            let wf = class.generate(60, 2).unwrap();
+            let want = rebuilt_with_means(&wf).unwrap();
+            assert_eq!(unify_product_sizes(wf).unwrap(), want);
+        }
+        let mut b = crate::dag::WorkflowBuilder::new("fan");
+        let cost = ComputeCost::new(1.0, 0.0, KernelClass::Reduction);
+        let ids: Vec<_> = (0..5)
+            .map(|i| b.add_task(Task::new(format!("t{i}"), "s", cost)))
+            .collect();
+        for (i, &dst) in ids[1..].iter().enumerate() {
+            b.add_dep(ids[0], dst, 1e6 * (i + 1) as f64).unwrap();
+        }
+        b.add_dep(ids[1], ids[4], 3.5e5).unwrap();
+        let wf = b.build().unwrap();
+        let want = rebuilt_with_means(&wf).unwrap();
+        assert_eq!(unify_product_sizes(wf).unwrap(), want);
+        assert_eq!(want.edge(crate::dag::EdgeId(0)).bytes, 2.5e6);
+    }
+
+    #[test]
+    fn a_mean_out_of_range_is_refused() {
+        // Two near-maximal payloads sum to infinity, so their mean is
+        // no edge size; the rewrite refuses it as a builder would.
+        let mut b = crate::dag::WorkflowBuilder::new("huge");
+        let cost = ComputeCost::new(1.0, 0.0, KernelClass::Reduction);
+        let ids: Vec<_> = (0..3)
+            .map(|i| b.add_task(Task::new(format!("t{i}"), "s", cost)))
+            .collect();
+        b.add_dep(ids[0], ids[1], f64::MAX).unwrap();
+        b.add_dep(ids[0], ids[2], f64::MAX).unwrap();
+        let wf = b.build().unwrap();
+        let err = unify_product_sizes(wf.clone()).unwrap_err().to_string();
+        assert!(
+            err.contains("edge bytes must be non-negative and finite"),
+            "{err}"
+        );
+        assert_eq!(rebuilt_with_means(&wf).unwrap_err().to_string(), err);
     }
 }

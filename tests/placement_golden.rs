@@ -9,10 +9,15 @@
 //! fit no device of `edge_soc`) feeds its error text instead, so the
 //! failures are pinned as well. A refactor of the planning layer that claims
 //! bit-identical placements must leave every digest as it is.
+//!
+//! At 40 tasks no device timeline grows long enough to be block-indexed,
+//! so a second golden pins the insertion planners on four families at
+//! 2000 tasks, where the indexed gap search carries most placements.
 
 use helios::energy::EnergyAwareHeft;
 use helios::platform::{presets, Platform};
 use helios::sched::reliability::ReliabilityAwareHeft;
+use helios::sched::Schedule;
 use helios::sched::{Scheduler, LINEUP};
 use helios::workflow::generators::WorkflowClass;
 use helios::workflow::Workflow;
@@ -78,6 +83,17 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// Feeds every placement of `plan` to `hash`.
+fn digest_plan(hash: &mut u64, plan: &Schedule) {
+    for p in plan.placements() {
+        fnv(hash, &(p.task.0 as u64).to_le_bytes());
+        fnv(hash, &(p.device.0 as u64).to_le_bytes());
+        fnv(hash, &(p.level.0 as u64).to_le_bytes());
+        fnv(hash, &p.start.as_secs().to_bits().to_le_bytes());
+        fnv(hash, &p.finish.as_secs().to_bits().to_le_bytes());
+    }
+}
+
 #[test]
 fn every_planner_places_as_pinned() {
     let platforms = presets::all();
@@ -96,13 +112,7 @@ fn every_planner_places_as_pinned() {
                         continue;
                     }
                 };
-                for p in plan.placements() {
-                    fnv(hash, &(p.task.0 as u64).to_le_bytes());
-                    fnv(hash, &(p.device.0 as u64).to_le_bytes());
-                    fnv(hash, &(p.level.0 as u64).to_le_bytes());
-                    fnv(hash, &p.start.as_secs().to_bits().to_le_bytes());
-                    fnv(hash, &p.finish.as_secs().to_bits().to_le_bytes());
-                }
+                digest_plan(hash, &plan);
             }
         }
     }
@@ -114,6 +124,59 @@ fn every_planner_places_as_pinned() {
     let want: Vec<(String, String)> = GOLDEN
         .iter()
         .map(|&(l, d)| (l.to_owned(), d.to_owned()))
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// The pinned 2000-task digests, one per planner, each over its
+/// schedules of [`LARGE_FAMILIES`] (workflow seed 0) on `workstation`,
+/// then on `hpc_node`.
+const LARGE_GOLDEN: [(&str, &str); 6] = [
+    ("heft", "6ac2ff41868d56b5"),
+    ("cpop", "5339b98be2e192bf"),
+    ("peft", "f2be2a56c7a2bbcb"),
+    ("mct", "09d4a36b086f0c79"),
+    ("olb", "4e5d06f08a85fb30"),
+    ("round-robin", "712bb88fa76ec0eb"),
+];
+
+const LARGE_FAMILIES: [WorkflowClass; 4] = [
+    WorkflowClass::Montage,
+    WorkflowClass::LigoInspiral,
+    WorkflowClass::Epigenomics,
+    WorkflowClass::Sipht,
+];
+
+#[test]
+fn insertion_planners_place_large_workflows_as_pinned() {
+    let platforms = [presets::workstation(), presets::hpc_node()];
+    let workflows: Vec<Workflow> = LARGE_FAMILIES
+        .iter()
+        .map(|class| {
+            class
+                .generate(2000, 0)
+                .expect("family generates at 2000 tasks")
+        })
+        .collect();
+    let mut got = Vec::new();
+    for (label, _) in LARGE_GOLDEN {
+        let (_, build) = LINEUP
+            .iter()
+            .find(|(name, _)| *name == label)
+            .expect("a lineup planner");
+        let scheduler = build();
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for platform in &platforms {
+            for wf in &workflows {
+                let plan = scheduler.schedule(wf, platform).expect("a schedule");
+                digest_plan(&mut hash, &plan);
+            }
+        }
+        got.push((label, format!("{hash:016x}")));
+    }
+    let want: Vec<(&str, String)> = LARGE_GOLDEN
+        .iter()
+        .map(|&(l, d)| (l, d.to_owned()))
         .collect();
     assert_eq!(got, want);
 }
