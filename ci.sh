@@ -157,6 +157,41 @@ if [ -n "$probe_loops" ]; then
 fi
 echo "crates/sched/src, crates/energy/src: one device probe (SchedContext::probe)"
 
+echo "==> one durable-format guard"
+# The cell journal and the columnar store are told apart, read and
+# recovered in one place, helios_core::Durable
+# (crates/core/src/campaign/durable.rs). Non-test code in the CLI and
+# the fuzz harness names neither format's readers nor its magic, and
+# uses no format name as a value: a `== "journal"` or a
+# `Some("store")` there is a second fork on the format. Flag names
+# passed to Args (`args.get("journal")`, a `&["...", "store"]` flag
+# list) are not values and are allowed. Test code is skipped as in the
+# cost model guard.
+durable_forks=$(find crates/cli/src crates/core/src/fuzz -name '*.rs' | sort \
+    | xargs awk '
+        FNR == 1 { skip = 0 }
+        skip && !/^ *$/ {
+            match($0, /^ */)
+            if (RLENGTH == indent && ($0 ~ /^ *}$/ || $0 ~ /[;,]$/)) { skip = 0; next }
+            if (RLENGTH >= indent) next
+            skip = 0
+        }
+        skip { next }
+        /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); indent = RLENGTH; skip = 1; next }
+        {
+            line = $0
+            gsub(/\.(get|get_all|require)\("(journal|store)"\)/, "", line)
+            gsub(/&\[("[a-z_-]+", *)*"[a-z_-]+",? *\]/, "", line)
+            if (line ~ /read_journal|recover_journal|read_store|recover_store|JOURNAL_MAGIC|STORE_MAGIC|"(journal|store)"/)
+                print FILENAME ":" FNR ":" $0
+        }' || true)
+if [ -n "$durable_forks" ]; then
+    echo "$durable_forks" >&2
+    echo "durable-format forks outside crates/core/src/campaign/durable.rs: go through helios_core::Durable instead" >&2
+    exit 1
+fi
+echo "crates/cli/src, crates/core/src/fuzz: one durable-format vocabulary (Durable)"
+
 echo "==> T15 ensemble table pin"
 # The release t15_ensemble table (18 ensemble runs, about a second) must
 # match its committed copy, with one worker and with two.

@@ -268,7 +268,7 @@ pub fn campaign(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// Nth journal append halfway; `HELIOS_POISON_LIMIT=N` overrides the
 /// attempts-without-completion quarantine threshold.
 fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::{merge_shards, CampaignSpec, ShardSpec, SweepDriver, SweepOptions};
+    use helios_core::{merge_shards, CampaignSpec, Durable, ShardSpec, SweepDriver, SweepOptions};
 
     let args = Args::parse(
         argv,
@@ -290,17 +290,15 @@ fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         None => None,
     };
     let out_path = args.get("out");
-    let durable = match (args.get("journal"), args.get("store")) {
+    let durable_path = match (args.get("journal"), args.get("store")) {
         (Some(_), Some(_)) => {
             return Err(CliError::Usage(
                 "--journal and --store are both durable result paths; pick one".into(),
             ))
         }
-        (Some(path), None) => Some(("journal", path)),
-        (None, Some(path)) => Some(("store", path)),
-        (None, None) => None,
+        (journal, store) => journal.or(store),
     };
-    if durable.is_none() {
+    if durable_path.is_none() {
         if abort_after.is_some() {
             return Err(CliError::Usage(
                 "HELIOS_SWEEP_ABORT_AFTER cuts the run short, and only a durable sink \
@@ -321,28 +319,27 @@ fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let effective = shard.unwrap_or_else(ShardSpec::full);
 
-    let report = match durable {
-        None => driver.run_shard(&spec, effective)?,
-        Some((flag, path)) => {
-            let file = std::path::Path::new(path);
+    let (report, durable) = match durable_path {
+        None => (driver.run_shard(&spec, effective)?, None),
+        Some(path) => {
             let mut opts = SweepOptions {
                 limit: abort_after,
                 cancel: Some(crate::drain::install()),
                 ..SweepOptions::default()
             };
-            let run = if flag == "journal" {
+            // The one fork on the format: the flag names it, and only a
+            // journal has crash hooks to arm.
+            let durable = if args.get("journal").is_some() {
                 opts.crash_cell = env_hook("HELIOS_JOURNAL_CRASH_CELL")?;
                 opts.tear_after = env_hook("HELIOS_JOURNAL_TORN_WRITE")?;
                 opts.poison_limit = env_hook("HELIOS_POISON_LIMIT")?;
-                driver.run_journal(&spec, effective, file, &opts)?
+                Durable::Journal
             } else {
-                driver.run_store(&spec, effective, file, &opts)?
+                Durable::Store
             };
-            let (unit, verb) = if flag == "journal" {
-                ("cell", "journaled")
-            } else {
-                ("row", "stored")
-            };
+            let file = std::path::Path::new(path);
+            let run = driver.run_durable(durable, &spec, effective, file, &opts)?;
+            let (flag, unit) = (durable.noun(), durable.unit());
             if run.salvaged_cells > 0 || run.dropped_bytes > 0 {
                 writeln!(
                     out,
@@ -377,11 +374,13 @@ fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             if let Some(shard) = shard {
                 writeln!(
                     out,
-                    "shard {shard} of {:?}: {done} of {} cells {verb} in {path}",
-                    run.report.spec_name, run.report.total_cells
+                    "shard {shard} of {:?}: {done} of {} cells {} in {path}",
+                    run.report.spec_name,
+                    run.report.total_cells,
+                    durable.verb()
                 )?;
             }
-            run.report
+            (run.report, Some(durable))
         }
     };
 
@@ -406,7 +405,11 @@ fn campaign_run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     refuse_durable_out(view)?;
     std::fs::write(view, json)?;
     match (durable, shard) {
-        (Some((flag, _)), _) => writeln!(out, "wrote {view} (view compiled from the {flag})")?,
+        (Some(durable), _) => writeln!(
+            out,
+            "wrote {view} (view compiled from the {})",
+            durable.noun()
+        )?,
         (None, Some(shard)) => writeln!(
             out,
             "shard {shard} of {:?}: {} of {} cells -> {view}",
@@ -430,40 +433,18 @@ fn env_hook<T: std::str::FromStr>(name: &str) -> Result<Option<T>, CliError> {
     }
 }
 
-/// The durable format of the file at `path`, told by its magic — the
-/// only bytes read: `Some("journal")`, `Some("store")` (each the file's
-/// noun and CLI flag), or `None` for anything else.
-fn durable_kind(path: &str) -> std::io::Result<Option<&'static str>> {
-    use std::io::Read as _;
-
-    let mut magic = Vec::with_capacity(8);
-    std::fs::File::open(path)?.take(8).read_to_end(&mut magic)?;
-    Ok(
-        if helios_core::campaign::journal::is_journal_bytes(&magic) {
-            Some("journal")
-        } else if helios_core::store::is_store_bytes(&magic) {
-            Some("store")
-        } else {
-            None
-        },
-    )
-}
-
 /// Refuses an `--out` view path that holds a journal or a store:
 /// writing the view would destroy the durable cells, so the message
 /// points at the flag that resumes the file instead.
 fn refuse_durable_out(path: &str) -> Result<(), CliError> {
-    let Ok(Some(noun)) = durable_kind(path) else {
+    let Ok(Some(durable)) = helios_core::Durable::of(std::path::Path::new(path)) else {
         return Ok(());
     };
-    let what = if noun == "journal" {
-        "a cell journal"
-    } else {
-        "a columnar cell store"
-    };
     Err(CliError::Usage(format!(
-        "{path:?} is {what}, not a JSON report; resume it with --{noun} {path} \
-         (and drop --out, or point --out elsewhere for the view)"
+        "{path:?} is {}, not a JSON report; resume it with --{} {path} \
+         (and drop --out, or point --out elsewhere for the view)",
+        durable.description(),
+        durable.noun()
     )))
 }
 
@@ -475,8 +456,8 @@ fn refuse_durable_out(path: &str) -> Result<(), CliError> {
 /// quarantine threshold is `campaign run`'s, `HELIOS_POISON_LIMIT=N`
 /// included. Anything else is a typed `corrupt resume file` error.
 fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use helios_core::campaign::journal::{self, DEFAULT_POISON_LIMIT};
-    use helios_core::{CampaignError, EngineError};
+    use helios_core::campaign::journal::DEFAULT_POISON_LIMIT;
+    use helios_core::{CampaignError, Durable, EngineError};
 
     let Some((file, rest)) = argv.split_first() else {
         return Err(CliError::Usage(
@@ -489,9 +470,9 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
         )));
     }
     let args = Args::parse(rest, &["out"], &[])?;
-    let kind =
-        durable_kind(file).map_err(|e| CliError::Helios(format!("cannot read {file:?}: {e}")))?;
-    let Some(noun) = kind else {
+    let path = std::path::Path::new(file);
+    let cannot_read = |e| CliError::Helios(format!("cannot read {file:?}: {e}"));
+    let Some(durable) = Durable::of(path).map_err(cannot_read)? else {
         return Err(EngineError::from(CampaignError::CorruptResume {
             file: (*file).clone(),
             offset: 0,
@@ -502,16 +483,8 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
         .into());
     };
     let poison_limit = env_hook("HELIOS_POISON_LIMIT")?.unwrap_or(DEFAULT_POISON_LIMIT);
-    let path = std::path::Path::new(file);
-    let (unit, dropped, pending, report) = if noun == "journal" {
-        let salvage = journal::recover_journal(path)?;
-        let (dropped, pending) = (salvage.dropped_bytes, salvage.pending_attempts());
-        ("cell", dropped, pending, salvage.to_shard_report())
-    } else {
-        let salvage = helios_core::recover_store(path)?;
-        let dropped = salvage.dropped_bytes;
-        ("row", dropped, Vec::new(), salvage.to_shard_report())
-    };
+    let salvage = durable.recover(path)?;
+    let (noun, report) = (durable.noun(), salvage.report);
     writeln!(
         out,
         "{noun} {file}: spec {:?} (digest {}), shard {}/{}, {} total cells",
@@ -523,10 +496,12 @@ fn campaign_recover(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
     )?;
     writeln!(
         out,
-        "salvaged {} completed {unit}(s); truncated {dropped} torn byte(s)",
-        report.cells.len()
+        "salvaged {} completed {}(s); truncated {} torn byte(s)",
+        report.cells.len(),
+        durable.unit(),
+        salvage.dropped_bytes
     )?;
-    for (cell, attempts) in pending {
+    for (cell, attempts) in salvage.pending {
         let fate = if attempts >= poison_limit {
             " — will be quarantined as poisoned on resume"
         } else {
@@ -586,12 +561,8 @@ fn read_result_file(path: &str, role: &str) -> Result<helios_core::ShardReport, 
     let cannot_read =
         |e: std::io::Error| CliError::Helios(format!("cannot read {role} {path:?}: {e}"));
     let file = std::path::Path::new(path);
-    match durable_kind(path).map_err(cannot_read)? {
-        Some("journal") => {
-            return Ok(helios_core::campaign::journal::read_journal(file)?.to_shard_report())
-        }
-        Some(_) => return Ok(helios_core::read_store(file)?.to_shard_report()),
-        None => {}
+    if let Some(durable) = helios_core::Durable::of(file).map_err(cannot_read)? {
+        return Ok(durable.read(file)?.report);
     }
     let bytes = std::fs::read(path).map_err(cannot_read)?;
     let json = String::from_utf8_lossy(&bytes);

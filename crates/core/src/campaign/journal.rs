@@ -25,7 +25,12 @@
 //!
 //! This module holds only the payload codec; the framing, the
 //! longest-valid-prefix salvage of [`read_journal`] and the in-place
-//! truncation of [`recover_journal`] are the framed-file layer's.
+//! truncation of [`Durable::recover`](crate::Durable::recover) are the
+//! framed-file layer's. The sweep, the CLI and the fuzz oracles reach
+//! the journal through [`Durable`](crate::Durable), the one place that
+//! knows the durable formats: it tells a journal by its magic, words
+//! its messages and reads or recovers it into the view a store reads
+//! into.
 //! Because cells are pure functions of the spec and their coordinates,
 //! a resumed sweep re-runs exactly the missing cells and compiles a
 //! report byte-identical to an uninterrupted run.
@@ -86,12 +91,6 @@ pub struct JournalHeader {
 #[derive(Debug, Serialize, Deserialize)]
 struct AttemptRecord {
     cell: usize,
-}
-
-/// Whether `bytes` begin with the journal magic.
-#[must_use]
-pub fn is_journal_bytes(bytes: &[u8]) -> bool {
-    FORMAT.matches(bytes)
 }
 
 /// The salvageable state of a journal: header, the longest valid
@@ -175,19 +174,6 @@ pub fn read_journal(path: &Path) -> Result<Salvage, EngineError> {
     })
 }
 
-/// Salvages a journal **in place**: scans like [`read_journal`], then
-/// truncates the torn tail (fsync'd) so the file ends on a record
-/// boundary and can be appended to again.
-///
-/// # Errors
-///
-/// As [`read_journal`], plus I/O errors from the truncation itself.
-pub fn recover_journal(path: &Path) -> Result<Salvage, EngineError> {
-    let salvage = read_journal(path)?;
-    FORMAT.cut_torn_tail(path, salvage.valid_bytes, salvage.dropped_bytes)?;
-    Ok(salvage)
-}
-
 /// Appends checksummed records to a journal file. The public appends
 /// are durable on return: each writes the records staged before it and
 /// its own in one `write` and one `fsync`. The sweep driver also stages
@@ -228,7 +214,8 @@ impl JournalWriter {
     }
 
     /// Opens an existing journal for appending. The caller is expected
-    /// to have validated/salvaged it first ([`recover_journal`]).
+    /// to have validated/salvaged it first
+    /// ([`Durable::recover`](crate::Durable::recover)).
     ///
     /// # Errors
     ///
@@ -500,8 +487,8 @@ mod tests {
         f.write_all(&[KIND_CELL, 200, 0, 0, 0, 1, 2]).unwrap();
         drop(f);
 
-        let s = recover_journal(&path).unwrap();
-        assert_eq!(s.cells.len(), 2);
+        let s = crate::Durable::Journal.recover(&path).unwrap();
+        assert_eq!(s.report.cells.len(), 2);
         assert_eq!(s.valid_bytes, intact);
         assert_eq!(s.dropped_bytes, 7);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
@@ -544,8 +531,8 @@ mod tests {
         let err = w.append_cell(&cell(1)).unwrap_err().to_string();
         assert!(err.contains(TORN_WRITE_INJECTED), "{err}");
         drop(w);
-        let s = recover_journal(&path).unwrap();
-        assert_eq!(s.cells, vec![cell(0)]);
+        let s = crate::Durable::Journal.recover(&path).unwrap();
+        assert_eq!(s.report.cells, vec![cell(0)]);
         assert!(s.dropped_bytes > 0, "the half-record must be measurable");
         std::fs::remove_file(&path).unwrap();
     }

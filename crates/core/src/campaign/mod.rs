@@ -27,6 +27,7 @@ use std::sync::Mutex;
 
 use helios_sim::SimRng;
 
+pub mod durable;
 pub mod journal;
 pub mod spec;
 pub mod sweep;
@@ -104,6 +105,7 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
+pub use durable::{Durable, DurableSalvage};
 pub use journal::{JournalHeader, JournalWriter, Salvage};
 pub use spec::{
     CampaignSpec, DvfsKnob, FaultKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange, SweepCell,

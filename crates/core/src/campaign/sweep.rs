@@ -16,6 +16,11 @@
 //! reassembles any complete partition into a [`SweepReport`] that is
 //! **byte-identical** to the unsharded sequential run, while refusing
 //! overlapping shards, missing cells and shards of different specs.
+//!
+//! A durable run keeps its cells in a journal or a store. The two sinks
+//! differ only in how they write a cell; they salvage a previous run's
+//! file through one body that reads it with [`Durable`], the one place
+//! that knows the durable formats.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -28,12 +33,13 @@ use helios_platform::Platform;
 use helios_sched::{CostModel, Placement, Schedule};
 use helios_workflow::Workflow;
 
-use super::journal::{self, JournalHeader, JournalWriter, DEFAULT_POISON_LIMIT};
+use super::durable::{Durable, DurableSalvage};
+use super::journal::{JournalHeader, JournalWriter, DEFAULT_POISON_LIMIT};
 use super::spec::{CampaignSpec, DvfsKnob, Resolved, SweepCell};
 use super::{CampaignEngine, CampaignError};
 use crate::exec::IncompleteReason;
 use crate::resilience::ResilientRunner;
-use crate::store::{segment, StoreHeader, StoreWriter};
+use crate::store::{StoreHeader, StoreWriter};
 use crate::{Engine, EngineConfig, EngineError};
 
 /// One shard of a partition: `index` of `count`, 1-based.
@@ -347,8 +353,9 @@ impl SweepDriver {
         spec: &CampaignSpec,
         shard: ShardSpec,
     ) -> Result<ShardReport, EngineError> {
+        let opts = SweepOptions::default();
         Ok(self
-            .drive(spec, shard, MemorySink, &SweepOptions::default())?
+            .drive(spec, shard, &opts, |_| Ok((MemorySink, None)))?
             .report)
     }
 
@@ -384,16 +391,29 @@ impl SweepDriver {
         path: &Path,
         opts: &SweepOptions<'_>,
     ) -> Result<SweepOutcome, EngineError> {
-        let sink = JournalSink {
-            path,
-            writer: None,
-            crash_cell: opts.crash_cell,
-            tear_after: opts.tear_after,
-            poison_limit: opts.poison_limit.unwrap_or(DEFAULT_POISON_LIMIT),
-            cancel: opts.cancel,
-            unattempted: 0,
-        };
-        self.drive(spec, shard, sink, opts)
+        self.drive(spec, shard, opts, |expected| {
+            let header = JournalHeader {
+                spec_name: expected.spec_name.clone(),
+                spec_digest: expected.spec_digest.clone(),
+                total_cells: expected.total_cells,
+                shard_index: expected.shard_index,
+                shard_count: expected.shard_count,
+            };
+            let (writer, salvaged) = reopen(
+                Durable::Journal,
+                path,
+                expected,
+                || JournalWriter::create(path, &header, opts.tear_after),
+                || JournalWriter::open_append(path, opts.tear_after),
+            )?;
+            let sink = JournalSink {
+                writer,
+                crash_cell: opts.crash_cell,
+                cancel: opts.cancel,
+                unattempted: 0,
+            };
+            Ok((sink, salvaged))
+        })
     }
 
     /// Runs `shard` against a columnar store segment file at `path` —
@@ -419,16 +439,55 @@ impl SweepDriver {
         path: &Path,
         opts: &SweepOptions<'_>,
     ) -> Result<SweepOutcome, EngineError> {
-        self.drive(spec, shard, StoreSink { path, writer: None }, opts)
+        self.drive(spec, shard, opts, |expected| {
+            let header = StoreHeader {
+                spec_name: expected.spec_name.clone(),
+                spec_digest: expected.spec_digest.clone(),
+                total_cells: expected.total_cells,
+                shard_index: expected.shard_index,
+                shard_count: expected.shard_count,
+                columns: crate::store::schema_names(),
+            };
+            reopen(
+                Durable::Store,
+                path,
+                expected,
+                || StoreWriter::create(path, &header),
+                || StoreWriter::open_append(path),
+            )
+        })
     }
 
-    /// The one sweep loop behind every entry point.
+    /// Runs `shard` against the `durable` file at `path`:
+    /// [`run_journal`](SweepDriver::run_journal) for a journal,
+    /// [`run_store`](SweepDriver::run_store) for a store.
+    ///
+    /// # Errors
+    ///
+    /// As the entry point it picks.
+    pub fn run_durable(
+        &self,
+        durable: Durable,
+        spec: &CampaignSpec,
+        shard: ShardSpec,
+        path: &Path,
+        opts: &SweepOptions<'_>,
+    ) -> Result<SweepOutcome, EngineError> {
+        match durable {
+            Durable::Journal => self.run_journal(spec, shard, path, opts),
+            Durable::Store => self.run_store(spec, shard, path, opts),
+        }
+    }
+
+    /// The one sweep loop behind every entry point. `open` opens the
+    /// entry point's sink for a run of its argument's campaign and
+    /// shard, and returns what a previous run left there.
     fn drive<S: CellSink>(
         &self,
         spec: &CampaignSpec,
         shard: ShardSpec,
-        mut sink: S,
         opts: &SweepOptions<'_>,
+        open: impl FnOnce(&ShardReport) -> Result<(S, Option<DurableSalvage>), EngineError>,
     ) -> Result<SweepOutcome, EngineError> {
         let mut run = spec.resolve()?;
         if let Some(budget) = step_budget_override()? {
@@ -445,15 +504,19 @@ impl SweepDriver {
             cells: Vec::new(),
         };
 
-        let salvaged = sink.salvage(&report)?;
-        let mut done = salvaged.cells;
+        let (mut sink, salvaged) = open(&report)?;
+        let (mut done, pending, dropped_bytes) = match salvaged {
+            Some(salvage) => (salvage.report.cells, salvage.pending, salvage.dropped_bytes),
+            None => (Vec::new(), Vec::new(), 0),
+        };
         let salvaged_cells = done.len();
 
         // Quarantine: a cell that has crashed the process `poison_limit`
         // times becomes a zero-metric measurement, not another attempt.
+        let poison_limit = opts.poison_limit.unwrap_or(DEFAULT_POISON_LIMIT);
         let mut poisoned: Vec<usize> = Vec::new();
-        for index in salvaged.crash_looped {
-            if shard.owns(index) && index < total_cells {
+        for (index, attempts) in pending {
+            if attempts >= poison_limit && shard.owns(index) && index < total_cells {
                 let result = poisoned_result(&cells[index]);
                 sink.append(&result)?;
                 done.push(result);
@@ -505,7 +568,7 @@ impl SweepDriver {
             skipped,
             remaining,
             salvaged_cells,
-            dropped_bytes: salvaged.dropped_bytes,
+            dropped_bytes,
             poisoned,
             drained,
             workflows_generated: workflows.generated.into_inner(),
@@ -609,22 +672,15 @@ fn cached<T>(
     Ok(Arc::clone(slot.insert(value)))
 }
 
-/// Where the sweep loop keeps finished cells. `salvage` runs once,
-/// before any cell, and quarantined cells get `append` right after it;
-/// `expect_attempts` then says how many cells may start. Every cell
-/// gets `attempt` before it executes and `append` after it finishes,
-/// each under the loop's lock; `flush` runs once at the end, also when
-/// the run failed. Every step defaults to a no-op: the sink of
-/// [`SweepDriver::run_shard`], which keeps finished cells only in the
-/// returned report.
+/// Where the sweep loop keeps finished cells. The loop opens the sink
+/// once, before any cell, and quarantined cells get `append` right
+/// after; `expect_attempts` then says how many cells may start. Every
+/// cell gets `attempt` before it executes and `append` after it
+/// finishes, each under the loop's lock; `flush` runs once at the end,
+/// also when the run failed. Every step defaults to a no-op: the sink
+/// of [`SweepDriver::run_shard`], which keeps finished cells only in
+/// the returned report.
 trait CellSink: Send {
-    /// Opens the sink for a run of `expected`'s campaign and shard, and
-    /// returns what a previous run left in it, checked by
-    /// [`check_prior`].
-    fn salvage(&mut self, _expected: &ShardReport) -> Result<Salvaged, EngineError> {
-        Ok(Salvaged::default())
-    }
-
     /// Hears that up to `cells` cells will get `attempt` from now on.
     fn expect_attempts(&mut self, _cells: usize) {}
 
@@ -644,19 +700,6 @@ trait CellSink: Send {
     }
 }
 
-/// What a sink already holds when a run starts.
-#[derive(Debug, Default)]
-struct Salvaged {
-    /// The completed cells a previous run left, sorted by index; empty
-    /// for a fresh sink.
-    cells: Vec<CellResult>,
-    /// Cells whose attempt records reached the poison limit with no
-    /// completion, sorted.
-    crash_looped: Vec<usize>,
-    /// Torn-tail bytes truncated during salvage.
-    dropped_bytes: u64,
-}
-
 /// The in-memory sink: nothing to salvage, and finished cells live only
 /// in the returned report.
 struct MemorySink;
@@ -669,63 +712,25 @@ impl CellSink for MemorySink {}
 /// is requested: a worker is then about to start a cell, and that
 /// cell's attempt record makes it durable. Otherwise it is written
 /// through at once, and `flush` writes whatever a failed or drained run
-/// left staged. It owns the journal-only hooks: the synthetic crash,
-/// the torn write and the poison limit.
+/// left staged. It owns the synthetic crash hook; the torn-write hook
+/// is the writer's.
 struct JournalSink<'a> {
-    path: &'a Path,
-    writer: Option<JournalWriter>,
+    writer: JournalWriter,
     crash_cell: Option<usize>,
-    tear_after: Option<u64>,
-    poison_limit: u32,
     /// The run's drain flag.
     cancel: Option<&'a AtomicBool>,
     /// Cells that may still start but have no attempt record yet.
     unattempted: usize,
 }
 
-impl JournalSink<'_> {
-    fn writer(&mut self) -> &mut JournalWriter {
-        self.writer.as_mut().expect("salvage opens the journal")
-    }
-}
-
 impl CellSink for JournalSink<'_> {
-    fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError> {
-        if !has_bytes(self.path) {
-            let header = JournalHeader {
-                spec_name: expected.spec_name.clone(),
-                spec_digest: expected.spec_digest.clone(),
-                total_cells: expected.total_cells,
-                shard_index: expected.shard_index,
-                shard_count: expected.shard_count,
-            };
-            self.writer = Some(JournalWriter::create(self.path, &header, self.tear_after)?);
-            return Ok(Salvaged::default());
-        }
-        let salvage = journal::recover_journal(self.path)?;
-        let crash_looped = salvage
-            .pending_attempts()
-            .into_iter()
-            .filter(|&(_, attempts)| attempts >= self.poison_limit)
-            .map(|(cell, _)| cell)
-            .collect();
-        let dropped_bytes = salvage.dropped_bytes;
-        let cells = check_prior(salvage.to_shard_report(), expected, journal::FORMAT.noun)?;
-        self.writer = Some(JournalWriter::open_append(self.path, self.tear_after)?);
-        Ok(Salvaged {
-            cells,
-            crash_looped,
-            dropped_bytes,
-        })
-    }
-
     fn expect_attempts(&mut self, cells: usize) {
         self.unattempted = cells;
     }
 
     fn attempt(&mut self, cell: usize) -> Result<(), EngineError> {
         self.unattempted -= 1;
-        self.writer().append_attempt(cell)?;
+        self.writer.append_attempt(cell)?;
         if self.crash_cell == Some(cell) {
             return Err(EngineError::Config(format!(
                 "injected crash while executing cell {cell}"
@@ -737,80 +742,60 @@ impl CellSink for JournalSink<'_> {
     fn append(&mut self, result: &CellResult) -> Result<(), EngineError> {
         let draining = self.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
         if self.unattempted > 0 && !draining {
-            self.writer().stage_cell(result)
+            self.writer.stage_cell(result)
         } else {
-            self.writer().append_cell(result)
+            self.writer.append_cell(result)
         }
     }
 
     fn flush(&mut self) -> Result<(), EngineError> {
-        self.writer().flush()
+        self.writer.flush()
     }
 }
 
 /// The columnar store sink: finished cells are buffered into row groups,
 /// each group checksummed and fsync'd as it fills and on `flush`.
-struct StoreSink<'a> {
-    path: &'a Path,
-    writer: Option<StoreWriter>,
-}
-
-impl StoreSink<'_> {
-    fn writer(&mut self) -> &mut StoreWriter {
-        self.writer.as_mut().expect("salvage opens the store")
-    }
-}
-
-impl CellSink for StoreSink<'_> {
-    fn salvage(&mut self, expected: &ShardReport) -> Result<Salvaged, EngineError> {
-        if !has_bytes(self.path) {
-            let header = StoreHeader {
-                spec_name: expected.spec_name.clone(),
-                spec_digest: expected.spec_digest.clone(),
-                total_cells: expected.total_cells,
-                shard_index: expected.shard_index,
-                shard_count: expected.shard_count,
-                columns: crate::store::schema_names(),
-            };
-            self.writer = Some(StoreWriter::create(self.path, &header)?);
-            return Ok(Salvaged::default());
-        }
-        let salvage = crate::store::recover_store(self.path)?;
-        let dropped_bytes = salvage.dropped_bytes;
-        let cells = check_prior(salvage.to_shard_report(), expected, segment::FORMAT.noun)?;
-        self.writer = Some(StoreWriter::open_append(self.path)?);
-        Ok(Salvaged {
-            cells,
-            crash_looped: Vec::new(),
-            dropped_bytes,
-        })
-    }
-
+impl CellSink for StoreWriter {
     fn append(&mut self, result: &CellResult) -> Result<(), EngineError> {
-        self.writer().append_cell(result)
+        self.append_cell(result)
     }
 
     fn flush(&mut self) -> Result<(), EngineError> {
-        self.writer().flush()
+        StoreWriter::flush(self)
     }
 }
 
-/// Whether `path` names a file with at least one byte: an absent or
-/// empty file starts a fresh sink.
-fn has_bytes(path: &Path) -> bool {
-    std::fs::metadata(path).is_ok_and(|m| m.len() > 0)
+/// The one salvage body of both durable sinks. An absent or empty file
+/// at `path` starts fresh: `create` writes its header, and nothing is
+/// salvaged. An existing one is recovered (torn tail truncated), what
+/// it holds is checked by [`check_prior`], and `open_append` reopens it
+/// for the run's cells.
+fn reopen<W>(
+    durable: Durable,
+    path: &Path,
+    expected: &ShardReport,
+    create: impl FnOnce() -> Result<W, EngineError>,
+    open_append: impl FnOnce() -> Result<W, EngineError>,
+) -> Result<(W, Option<DurableSalvage>), EngineError> {
+    if !std::fs::metadata(path).is_ok_and(|m| m.len() > 0) {
+        return Ok((create()?, None));
+    }
+    let salvage = durable.recover(path)?;
+    check_prior(&salvage.report, expected, durable)?;
+    Ok((open_append()?, Some(salvage)))
 }
 
 /// Refuses what a durable file holds when it belongs to a different
 /// campaign or shard geometry than `expected`, or claims a cell that
-/// shard does not own; otherwise returns its cells (sorted and listed
-/// once each, as every salvage yields them). The messages name the file
-/// by its `noun` (`journal` or `store`), which is also its CLI flag.
+/// shard does not own. Its cells are sorted and listed once each, as
+/// every salvage yields them. The messages name the file by its noun,
+/// which is also its CLI flag.
 fn check_prior(
-    prior: ShardReport,
+    prior: &ShardReport,
     expected: &ShardReport,
-    noun: &str,
-) -> Result<Vec<CellResult>, EngineError> {
+    durable: Durable,
+) -> Result<(), EngineError> {
+    let noun = durable.noun();
     let shard = ShardSpec {
         index: expected.shard_index,
         count: expected.shard_count,
@@ -851,7 +836,7 @@ fn check_prior(
             bad.cell
         ));
     }
-    Ok(prior.cells)
+    Ok(())
 }
 
 /// The quarantine measurement for a cell that repeatedly killed the
@@ -1267,6 +1252,7 @@ mod reference {
 mod tests {
     use proptest::prelude::*;
 
+    use super::super::journal;
     use super::*;
 
     /// Fetches the workflow and cost model of every cell of an `n`-shard
@@ -1373,7 +1359,7 @@ mod tests {
                     limit,
                     ..SweepOptions::default()
                 };
-                driver.drive(&spec, ShardSpec::full(), MemorySink, &opts)
+                driver.drive(&spec, ShardSpec::full(), &opts, |_| Ok((MemorySink, None)))
             };
             assert_eq!(run(None).unwrap().workflows_generated, 4);
             // The first 3 cells are montage on the workstation with heft
@@ -2080,24 +2066,19 @@ mod tests {
     fn the_journal_sink_stages_only_while_a_cell_may_start() {
         let path = scratch_path("rule");
         let cancel = AtomicBool::new(false);
-        let mut sink = JournalSink {
-            path: &path,
-            writer: None,
-            crash_cell: None,
-            tear_after: None,
-            poison_limit: DEFAULT_POISON_LIMIT,
-            cancel: Some(&cancel),
-            unattempted: 0,
-        };
-        let expected = ShardReport {
+        let header = JournalHeader {
             spec_name: "rule".into(),
             spec_digest: "d".into(),
             total_cells: 4,
             shard_index: 1,
             shard_count: 1,
-            cells: Vec::new(),
         };
-        sink.salvage(&expected).unwrap();
+        let mut sink = JournalSink {
+            writer: JournalWriter::create(&path, &header, None).unwrap(),
+            crash_cell: None,
+            cancel: Some(&cancel),
+            unattempted: 0,
+        };
         let cell = |i| CellResult {
             cell: i,
             ..CellResult::default()

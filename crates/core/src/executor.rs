@@ -2,10 +2,10 @@
 //!
 //! The simulated [`Engine`](crate::Engine) asserts what *should* happen;
 //! this module makes it happen on OS threads: one worker per modeled
-//! device, crossbeam-style condvar synchronization for data
-//! dependencies, and wall-clock sleeps standing in for kernel execution
-//! and data transfers (scaled by a configurable time factor so a
-//! 1000-second simulated run finishes in a second of wall time).
+//! device, a mutex and condvar for data dependencies, and wall-clock
+//! sleeps standing in for kernel execution and data transfers (scaled
+//! by a configurable time factor so a 1000-second simulated run
+//! finishes in a second of wall time).
 //!
 //! Experiment F12 executes the same plan in both worlds and checks the
 //! wall-clock makespan matches the simulated one within scheduler
@@ -19,10 +19,8 @@
 //! the same device-exclusivity and precedence invariants as a simulated
 //! one.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use helios_platform::Platform;
 use helios_sched::{Placement, Schedule};
@@ -135,7 +133,10 @@ impl ThreadedExecutor {
                     // data-arrival instant.
                     let mut data_at = epoch;
                     {
-                        let mut done = lock.lock();
+                        // Every update writes one slot, so the vector is
+                        // valid even under a lock another worker's panic
+                        // poisoned; that panic surfaces at `join`.
+                        let mut done = lock.lock().unwrap_or_else(PoisonError::into_inner);
                         for &(edge_idx, pred) in &preds[i] {
                             loop {
                                 if let Some(at) = done[pred.0] {
@@ -145,7 +146,7 @@ impl ThreadedExecutor {
                                     }
                                     break;
                                 }
-                                cvar.wait(&mut done);
+                                done = cvar.wait(done).unwrap_or_else(PoisonError::into_inner);
                             }
                         }
                     }
@@ -155,7 +156,7 @@ impl ThreadedExecutor {
                         std::thread::sleep(data_at - now);
                     }
                     std::thread::sleep(exec[i]);
-                    let mut done = lock.lock();
+                    let mut done = lock.lock().unwrap_or_else(PoisonError::into_inner);
                     done[task.0] = Some(Instant::now());
                     cvar.notify_all();
                 }
@@ -169,7 +170,7 @@ impl ThreadedExecutor {
 
         // De-scale completions into simulated time; starts are derived
         // by subtracting the task's own wall duration.
-        let done = state.0.lock();
+        let done = state.0.lock().unwrap_or_else(PoisonError::into_inner);
         let mut placements = Vec::with_capacity(n);
         for p in plan.placements() {
             let finished_at = done[p.task.0]

@@ -37,8 +37,13 @@
 
 use serde::{Deserialize, Serialize};
 
+use std::path::PathBuf;
+
 use crate::campaign::spec::{CampaignSpec, Resolved};
-use crate::campaign::{merge_shards, ShardSpec, SweepDriver, SweepReport};
+use crate::campaign::{
+    merge_shards, Durable, ShardReport, ShardSpec, SweepDriver, SweepOptions, SweepOutcome,
+    SweepReport,
+};
 use crate::config::EngineConfig;
 use crate::engine::Engine;
 use crate::error::EngineError;
@@ -273,188 +278,178 @@ fn sweep_oracles(
 /// Kills a journaled sweep twice — once at a spec-derived cell
 /// boundary, once mid-record via the torn-write hook — then salvages,
 /// resumes, and demands the compiled report match the straight-through
-/// bytes exactly. The crash points derive from the spec digest, so a
-/// shrunk fixture replays the identical crash.
+/// bytes exactly.
 fn crash_resume_identity(
     spec: &CampaignSpec,
     reference_bytes: &str,
     broken: Option<&str>,
 ) -> Result<Option<Divergence>, EngineError> {
-    if broken == Some("crash_resume_identity") {
-        return Ok(Some(Divergence::sabotaged("crash_resume_identity")));
-    }
-    let total = spec.num_cells();
-    let digest = spec.digest();
-    let h = crate::campaign::spec::fnv1a(digest.as_bytes());
-    let driver = SweepDriver::new(1);
-    let path = scratch_path("journal");
-    let _ = std::fs::remove_file(&path);
-    let result = crash_resume_identity_at(spec, reference_bytes, total, h, &driver, &path);
-    let _ = std::fs::remove_file(&path);
-    result
+    let (oracle, then) = ("crash_resume_identity", DurableCase::torn_write_resumes);
+    DurableCase::check(
+        oracle,
+        Durable::Journal,
+        spec,
+        reference_bytes,
+        broken,
+        then,
+    )
 }
 
-fn crash_resume_identity_at(
-    spec: &CampaignSpec,
-    reference_bytes: &str,
-    total: usize,
-    h: u64,
-    driver: &SweepDriver,
-    path: &std::path::Path,
-) -> Result<Option<Divergence>, EngineError> {
-    use crate::campaign::journal::TORN_WRITE_INJECTED;
-    use crate::campaign::JournalOptions;
-
-    // (a) Crash at a cell boundary: run 0..total-1 cells, then resume.
-    let cut = (h as usize) % total;
-    driver.run_journal(
-        spec,
-        ShardSpec::full(),
-        path,
-        &JournalOptions {
-            limit: Some(cut),
-            ..JournalOptions::default()
-        },
-    )?;
-    let resumed = driver.run_journal(spec, ShardSpec::full(), path, &JournalOptions::default())?;
-    if resumed.salvaged_cells != cut {
-        return Ok(Some(Divergence::new(
-            "crash_resume_identity",
-            format!(
-                "journal salvaged {} cells after a boundary crash at {cut}",
-                resumed.salvaged_cells
-            ),
-        )));
-    }
-    if report_bytes(&merge_shards(&[resumed.report])?)? != reference_bytes {
-        return Ok(Some(Divergence::new(
-            "crash_resume_identity",
-            format!("resume after a boundary crash at cell {cut} diverges from the straight-through run"),
-        )));
-    }
-
-    // (b) Tear a record mid-write: every cell appends one attempt and
-    // one completion record, so ordinal `h % 2·total` always lands on
-    // a real append; salvage must truncate the half-record and the
-    // resumed bytes must still match.
-    std::fs::remove_file(path)
-        .map_err(|e| EngineError::Config(format!("fuzz scratch journal: {e}")))?;
-    let tear = h % (2 * total as u64);
-    match driver.run_journal(
-        spec,
-        ShardSpec::full(),
-        path,
-        &JournalOptions {
-            tear_after: Some(tear),
-            ..JournalOptions::default()
-        },
-    ) {
-        Ok(_) => {
-            return Ok(Some(Divergence::new(
-                "crash_resume_identity",
-                format!("armed torn-write hook at append {tear} never fired"),
-            )));
-        }
-        Err(e) if e.to_string().contains(TORN_WRITE_INJECTED) => {}
-        Err(e) => return Err(e),
-    }
-    let resumed = driver.run_journal(spec, ShardSpec::full(), path, &JournalOptions::default())?;
-    if resumed.dropped_bytes == 0 {
-        return Ok(Some(Divergence::new(
-            "crash_resume_identity",
-            format!("torn write at append {tear} left no measurable torn tail"),
-        )));
-    }
-    if report_bytes(&merge_shards(&[resumed.report])?)? != reference_bytes {
-        return Ok(Some(Divergence::new(
-            "crash_resume_identity",
-            format!(
-                "resume after a mid-record tear at append {tear} diverges from the \
-                 straight-through run"
-            ),
-        )));
-    }
-    Ok(None)
-}
-
-/// Runs the same sweep through the columnar store path — straight
-/// through, and killed at a spec-derived cell boundary then resumed
-/// from the salvaged row groups — and demands the report compiled from
+/// Runs the same sweep through the columnar store path — killed at a
+/// spec-derived cell boundary then resumed from the salvaged row
+/// groups, and straight through — and demands the report compiled from
 /// the store match the straight-through bytes exactly. This is the
-/// round-trip theorem of the store refactor: encode → segment file →
-/// salvage → decode must reproduce every `CellResult` bit for bit.
+/// round-trip theorem of the store: encode → segment file → salvage →
+/// decode must reproduce every `CellResult` bit for bit.
 fn store_identity(
     spec: &CampaignSpec,
     reference_bytes: &str,
     broken: Option<&str>,
 ) -> Result<Option<Divergence>, EngineError> {
-    if broken == Some("store_identity") {
-        return Ok(Some(Divergence::sabotaged("store_identity")));
-    }
-    let total = spec.num_cells();
-    let digest = spec.digest();
-    let h = crate::campaign::spec::fnv1a(digest.as_bytes());
-    let driver = SweepDriver::new(1);
-    let path = scratch_path("store");
-    let _ = std::fs::remove_file(&path);
-    let result = store_identity_at(spec, reference_bytes, total, h, &driver, &path);
-    let _ = std::fs::remove_file(&path);
-    result
+    let (oracle, then) = ("store_identity", DurableCase::straight_through_matches);
+    DurableCase::check(oracle, Durable::Store, spec, reference_bytes, broken, then)
 }
 
-fn store_identity_at(
-    spec: &CampaignSpec,
-    reference_bytes: &str,
-    total: usize,
+/// One run of a durable oracle: sequential sweeps of `spec` through a
+/// scratch file of one durable format. Crash points derive from the
+/// spec digest's hash `h`, so a shrunk fixture replays the identical
+/// crashes.
+struct DurableCase<'a> {
+    oracle: &'a str,
+    durable: Durable,
+    spec: &'a CampaignSpec,
+    reference_bytes: &'a str,
     h: u64,
-    driver: &SweepDriver,
-    path: &std::path::Path,
-) -> Result<Option<Divergence>, EngineError> {
-    use crate::campaign::SweepOptions;
+    path: PathBuf,
+}
 
-    // (a) Straight through the store.
-    let run = driver.run_store(spec, ShardSpec::full(), path, &SweepOptions::default())?;
-    if report_bytes(&merge_shards(&[run.report])?)? != reference_bytes {
-        return Ok(Some(Divergence::new(
-            "store_identity",
-            "report compiled from the columnar store diverges from the straight-through run".into(),
-        )));
+impl<'a> DurableCase<'a> {
+    /// The shared body of the two durable oracles: the boundary crash
+    /// and resume of [`boundary_crash_resumes`](Self::boundary_crash_resumes),
+    /// then the oracle's own check `then` on an emptied file. The
+    /// scratch file is removed whatever the verdict.
+    fn check(
+        oracle: &'a str,
+        durable: Durable,
+        spec: &'a CampaignSpec,
+        reference_bytes: &'a str,
+        broken: Option<&str>,
+        then: fn(&Self) -> Result<Option<Divergence>, EngineError>,
+    ) -> Result<Option<Divergence>, EngineError> {
+        if broken == Some(oracle) {
+            return Ok(Some(Divergence::sabotaged(oracle)));
+        }
+        let case = DurableCase {
+            oracle,
+            durable,
+            spec,
+            reference_bytes,
+            h: crate::campaign::spec::fnv1a(spec.digest().as_bytes()),
+            path: scratch_path(durable.noun()),
+        };
+        let _ = std::fs::remove_file(&case.path);
+        let result = match case.boundary_crash_resumes() {
+            Ok(None) => std::fs::remove_file(&case.path)
+                .map_err(|e| EngineError::Config(format!("fuzz scratch {}: {e}", durable.noun())))
+                .and_then(|()| then(&case)),
+            found => found,
+        };
+        let _ = std::fs::remove_file(&case.path);
+        result
     }
 
-    // (b) Crash at a spec-derived cell boundary, then resume from the
-    // salvaged row groups.
-    std::fs::remove_file(path)
-        .map_err(|e| EngineError::Config(format!("fuzz scratch store: {e}")))?;
-    let cut = (h as usize) % total;
-    driver.run_store(
-        spec,
-        ShardSpec::full(),
-        path,
-        &SweepOptions {
+    /// One sequential sweep of the whole grid through the scratch file.
+    fn run(&self, opts: &SweepOptions<'_>) -> Result<SweepOutcome, EngineError> {
+        let (durable, full) = (self.durable, ShardSpec::full());
+        SweepDriver::new(1).run_durable(durable, self.spec, full, &self.path, opts)
+    }
+
+    fn diverged(&self, detail: String) -> Result<Option<Divergence>, EngineError> {
+        Ok(Some(Divergence::new(self.oracle, detail)))
+    }
+
+    /// Diverges with `detail` unless `report`, merged, serializes to the
+    /// straight-through bytes.
+    fn unless_identical(
+        &self,
+        report: ShardReport,
+        detail: impl FnOnce() -> String,
+    ) -> Result<Option<Divergence>, EngineError> {
+        if report_bytes(&merge_shards(&[report])?)? == self.reference_bytes {
+            return Ok(None);
+        }
+        self.diverged(detail())
+    }
+
+    /// Runs the sweep until the cell boundary `h % cells`, resumes it,
+    /// and demands that exactly the cells before the cut were salvaged
+    /// and that the resumed report match the straight-through bytes.
+    fn boundary_crash_resumes(&self) -> Result<Option<Divergence>, EngineError> {
+        let cut = (self.h as usize) % self.spec.num_cells();
+        self.run(&SweepOptions {
             limit: Some(cut),
             ..SweepOptions::default()
-        },
-    )?;
-    let resumed = driver.run_store(spec, ShardSpec::full(), path, &SweepOptions::default())?;
-    if resumed.salvaged_cells != cut {
-        return Ok(Some(Divergence::new(
-            "store_identity",
+        })?;
+        let resumed = self.run(&SweepOptions::default())?;
+        let noun = self.durable.noun();
+        if resumed.salvaged_cells != cut {
+            return self.diverged(format!(
+                "{noun} salvaged {} {}s after a boundary crash at {cut}",
+                resumed.salvaged_cells,
+                self.durable.unit()
+            ));
+        }
+        self.unless_identical(resumed.report, || {
             format!(
-                "store salvaged {} rows after a boundary crash at {cut}",
-                resumed.salvaged_cells
-            ),
-        )));
-    }
-    if report_bytes(&merge_shards(&[resumed.report])?)? != reference_bytes {
-        return Ok(Some(Divergence::new(
-            "store_identity",
-            format!(
-                "resume from the store after a boundary crash at cell {cut} diverges from \
+                "resume from the {noun} after a boundary crash at cell {cut} diverges from \
                  the straight-through run"
-            ),
-        )));
+            )
+        })
     }
-    Ok(None)
+
+    /// Tears a journal record mid-write: every cell appends one attempt
+    /// and one completion record, so ordinal `h % 2·cells` always lands
+    /// on a real append. Salvage must truncate the half-record and the
+    /// resumed bytes must still match.
+    fn torn_write_resumes(&self) -> Result<Option<Divergence>, EngineError> {
+        use crate::campaign::journal::TORN_WRITE_INJECTED;
+
+        let tear = self.h % (2 * self.spec.num_cells() as u64);
+        let torn = SweepOptions {
+            tear_after: Some(tear),
+            ..SweepOptions::default()
+        };
+        match self.run(&torn) {
+            Ok(_) => {
+                return self.diverged(format!(
+                    "armed torn-write hook at append {tear} never fired"
+                ))
+            }
+            Err(e) if e.to_string().contains(TORN_WRITE_INJECTED) => {}
+            Err(e) => return Err(e),
+        }
+        let resumed = self.run(&SweepOptions::default())?;
+        if resumed.dropped_bytes == 0 {
+            return self.diverged(format!(
+                "torn write at append {tear} left no measurable torn tail"
+            ));
+        }
+        self.unless_identical(resumed.report, || {
+            format!(
+                "resume after a mid-record tear at append {tear} diverges from the \
+                 straight-through run"
+            )
+        })
+    }
+
+    /// Runs the sweep straight through the store and demands the report
+    /// compiled from its rows match the straight-through bytes.
+    fn straight_through_matches(&self) -> Result<Option<Divergence>, EngineError> {
+        let run = self.run(&SweepOptions::default())?;
+        self.unless_identical(run.report, || {
+            "report compiled from the columnar store diverges from the straight-through run".into()
+        })
+    }
 }
 
 /// A collision-free scratch path for one oracle invocation: tests run

@@ -35,6 +35,5 @@ pub use schema::{
     ValueRef, SUMMARY_AGGREGATES, SUMMARY_KEYS,
 };
 pub use segment::{
-    is_store_bytes, read_store, recover_store, StoreHeader, StoreSalvage, StoreWriter,
-    DEFAULT_SEGMENT_ROWS, STORE_MAGIC,
+    read_store, StoreHeader, StoreSalvage, StoreWriter, DEFAULT_SEGMENT_ROWS, STORE_MAGIC,
 };

@@ -23,9 +23,12 @@
 //! This module holds only the header check and the columnar codec; the
 //! framing and its longest-valid-prefix salvage are the framed-file
 //! layer's. A group that fails length/CRC/decode checks starts the torn
-//! tail, [`recover_store`] truncates that tail in place so the file can
-//! be appended to again, and duplicated cells keep their first
-//! occurrence.
+//! tail, [`Durable::recover`](crate::Durable::recover) truncates that
+//! tail in place so the file can be appended to again, and duplicated
+//! cells keep their first occurrence. The sweep, the CLI and the fuzz
+//! oracles reach the store through [`Durable`](crate::Durable), the one
+//! place that knows the durable formats and tells a store from a
+//! journal by its magic.
 
 use std::path::Path;
 
@@ -66,12 +69,6 @@ pub struct StoreHeader {
     pub shard_count: usize,
     /// Column names in write order; must match the current schema.
     pub columns: Vec<String>,
-}
-
-/// Whether `bytes` begin with the store magic.
-#[must_use]
-pub fn is_store_bytes(bytes: &[u8]) -> bool {
-    FORMAT.matches(bytes)
 }
 
 /// The salvageable state of a store file: header, the longest valid
@@ -322,19 +319,6 @@ pub fn read_store(path: &Path) -> Result<StoreSalvage, EngineError> {
     })
 }
 
-/// Salvages a store file **in place**: scans like [`read_store`], then
-/// truncates the torn tail (fsync'd) so the file ends on a group
-/// boundary and can be appended to again.
-///
-/// # Errors
-///
-/// As [`read_store`], plus I/O errors from the truncation itself.
-pub fn recover_store(path: &Path) -> Result<StoreSalvage, EngineError> {
-    let salvage = read_store(path)?;
-    FORMAT.cut_torn_tail(path, salvage.valid_bytes, salvage.dropped_bytes)?;
-    Ok(salvage)
-}
-
 /// Appends cell rows to a store file as checksummed columnar groups.
 ///
 /// Rows are buffered and flushed [`DEFAULT_SEGMENT_ROWS`] at a time;
@@ -364,7 +348,8 @@ impl StoreWriter {
     }
 
     /// Opens an existing store for appending. The caller is expected
-    /// to have validated/salvaged it first ([`recover_store`]).
+    /// to have validated/salvaged it first
+    /// ([`Durable::recover`](crate::Durable::recover)).
     ///
     /// # Errors
     ///
@@ -698,8 +683,8 @@ mod tests {
         f.write_all(&[200, 0, 0, 0, 1, 2, 3]).unwrap();
         drop(f);
 
-        let s = recover_store(&path).unwrap();
-        assert_eq!(s.cells, vec![cell(0)]);
+        let s = crate::Durable::Store.recover(&path).unwrap();
+        assert_eq!(s.report.cells, vec![cell(0)]);
         assert_eq!(s.valid_bytes, intact);
         assert_eq!(s.dropped_bytes, 7);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);

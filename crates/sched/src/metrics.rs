@@ -102,63 +102,3 @@ mod tests {
         assert!(compared > 100, "{compared} plans compared");
     }
 }
-
-/// Per-stage aggregation of a schedule: where the execution time went.
-///
-/// Returns `(stage name, total busy seconds, task count)` sorted by
-/// descending time — the first rows are the pipeline's bottleneck
-/// stages.
-///
-/// # Errors
-///
-/// Returns [`SchedError::Unscheduled`] if the schedule is missing a
-/// task.
-pub fn stage_breakdown(
-    schedule: &Schedule,
-    wf: &Workflow,
-) -> Result<Vec<(String, f64, usize)>, SchedError> {
-    let mut agg: std::collections::BTreeMap<&str, (f64, usize)> = std::collections::BTreeMap::new();
-    for (i, task) in wf.tasks().iter().enumerate() {
-        let p = schedule.placement(helios_workflow::TaskId(i))?;
-        let entry = agg.entry(task.stage()).or_insert((0.0, 0));
-        entry.0 += p.duration().as_secs();
-        entry.1 += 1;
-    }
-    let mut rows: Vec<(String, f64, usize)> = agg
-        .into_iter()
-        .map(|(stage, (secs, count))| (stage.to_owned(), secs, count))
-        .collect();
-    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-    Ok(rows)
-}
-
-#[cfg(test)]
-mod stage_tests {
-    use super::*;
-    use crate::{HeftScheduler, Scheduler};
-    use helios_platform::presets;
-    use helios_workflow::generators::epigenomics;
-
-    #[test]
-    fn breakdown_sums_to_total_busy_time() {
-        let p = presets::hpc_node();
-        let wf = epigenomics(80, 1).unwrap();
-        let s = HeftScheduler::default().schedule(&wf, &p).unwrap();
-        let rows = stage_breakdown(&s, &wf).unwrap();
-        let total: f64 = rows.iter().map(|r| r.1).sum();
-        let busy: f64 = s
-            .placements()
-            .iter()
-            .map(|pl| pl.duration().as_secs())
-            .sum();
-        assert!((total - busy).abs() < 1e-9);
-        let tasks: usize = rows.iter().map(|r| r.2).sum();
-        assert_eq!(tasks, wf.num_tasks());
-        // Epigenomics is map-dominated.
-        assert_eq!(rows[0].0, "map", "{rows:?}");
-        // Sorted descending.
-        for pair in rows.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
-    }
-}

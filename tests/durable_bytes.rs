@@ -10,9 +10,9 @@
 
 use std::path::{Path, PathBuf};
 
-use helios_core::campaign::journal::{read_journal, recover_journal, TORN_WRITE_INJECTED};
+use helios_core::campaign::journal::{read_journal, TORN_WRITE_INJECTED};
 use helios_core::{
-    read_store, recover_store, CampaignSpec, JournalOptions, ShardSpec, SweepDriver, SweepOptions,
+    read_store, CampaignSpec, Durable, JournalOptions, ShardSpec, SweepDriver, SweepOptions,
 };
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -108,7 +108,8 @@ fn torn_journal_and_its_recovery_are_byte_pinned() {
     let torn = read_journal(&path).expect("torn journal reads");
     assert_eq!((torn.cells.len(), torn.attempts.len()), (1, 2));
     assert!(torn.dropped_bytes > 0, "the half record is the torn tail");
-    let recovered = recover_journal(&path).expect("recovers");
+    let torn = Durable::Journal.read(&path).expect("torn journal reads");
+    let recovered = Durable::Journal.recover(&path).expect("recovers");
     assert_eq!(recovered, torn);
     assert_eq!(
         pin(&path),
@@ -152,8 +153,8 @@ fn store_recovered_from_a_half_group_is_byte_pinned() {
     file.set_len(one_group + (len - one_group) / 2)
         .expect("cut");
     drop(file);
-    let salvage = recover_store(&path).expect("recovers");
-    assert_eq!(salvage.cells.len(), 4);
+    let salvage = Durable::Store.recover(&path).expect("recovers");
+    assert_eq!(salvage.report.cells.len(), 4);
     assert_eq!(salvage.valid_bytes, one_group);
     assert_eq!(salvage.dropped_bytes, (len - one_group) / 2);
     assert_eq!(
