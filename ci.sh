@@ -102,24 +102,15 @@ if [ -n "$resolutions" ]; then
 fi
 echo "crates/core/src: one spec resolution (CampaignSpec::resolve)"
 
-echo "==> one cost model guard"
-# What a task costs on a device, where it may run, the mean costs, the
-# ranks and the SLR bound are derived in one place, the cost model
-# (crates/sched/src/cost.rs), built once per (workflow, platform) and
-# read by the planners, the SLR bound and the runners. A call of one of
-# the derivations below anywhere else in helios-sched or helios-core
-# derives again what the model holds; method calls on the model do not
-# match. Schedule::validate checks plans made elsewhere, so its
-# feasibility check is exempt. So is test code: files included only by
-# tests (*_tests.rs, testkit.rs, exec/conformance.rs), and every item
-# under a `#[cfg(test)]` line, which may sit anywhere in a file. That
-# item is skipped from the attribute to its last line: the first line at
-# the attribute's indentation that is a lone `}` or ends in `;` or `,`
-# (a closed module, function or block, a statement, a field), or the
-# first line indented less (the enclosing block ended).
-derivations=$(find crates/sched/src crates/core/src -name '*.rs' \
-    ! -name '*_tests.rs' ! -name 'testkit.rs' ! -path '*/exec/conformance.rs' | sort \
-    | xargs awk '
+# Runs the awk rules in $1 over the Rust files named on stdin, skipping
+# test code: every item under a `#[cfg(test)]` line, which may sit
+# anywhere in a file. That item is skipped from the attribute to its
+# last line: the first line at the attribute's indentation that is a
+# lone `}` or ends in `;` or `,` (a closed module, function or block, a
+# statement, a field), or the first line indented less (the enclosing
+# block ended). The guards below that read non-test code go through it.
+non_test_awk() {
+    xargs awk '
         FNR == 1 { skip = 0 }
         skip && !/^ *$/ {
             match($0, /^ */)
@@ -129,6 +120,23 @@ derivations=$(find crates/sched/src crates/core/src -name '*.rs' \
         }
         skip { next }
         /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); indent = RLENGTH; skip = 1; next }
+    '"$1"
+}
+
+echo "==> one cost model guard"
+# What a task costs on a device, where it may run, the mean costs, the
+# ranks and the SLR bound are derived in one place, the cost model
+# (crates/sched/src/cost.rs), built once per (workflow, platform) and
+# read by the planners, the SLR bound and the runners. A call of one of
+# the derivations below anywhere else in helios-sched or helios-core
+# derives again what the model holds; method calls on the model do not
+# match. Schedule::validate checks plans made elsewhere, so its
+# feasibility check is exempt. So is test code: files included only by
+# tests (*_tests.rs, testkit.rs, exec/conformance.rs), and every
+# `#[cfg(test)]` item (non_test_awk).
+derivations=$(find crates/sched/src crates/core/src -name '*.rs' \
+    ! -name '*_tests.rs' ! -name 'testkit.rs' ! -path '*/exec/conformance.rs' | sort \
+    | non_test_awk '
         /[^._[:alnum:]](placement_feasible|mean_exec_times|mean_comm_times|(bottom|top)_levels(_with)?|critical_path(_with)?)\(|\.mean_execution_time\(|execution_time\(.*nominal_level\(\)/ {
             print FILENAME ":" FNR ":" $0
         }' \
@@ -165,19 +173,10 @@ echo "==> one durable-format guard"
 # uses no format name as a value: a `== "journal"` or a
 # `Some("store")` there is a second fork on the format. Flag names
 # passed to Args (`args.get("journal")`, a `&["...", "store"]` flag
-# list) are not values and are allowed. Test code is skipped as in the
-# cost model guard.
+# list) are not values and are allowed. Test code is skipped
+# (non_test_awk).
 durable_forks=$(find crates/cli/src crates/core/src/fuzz -name '*.rs' | sort \
-    | xargs awk '
-        FNR == 1 { skip = 0 }
-        skip && !/^ *$/ {
-            match($0, /^ */)
-            if (RLENGTH == indent && ($0 ~ /^ *}$/ || $0 ~ /[;,]$/)) { skip = 0; next }
-            if (RLENGTH >= indent) next
-            skip = 0
-        }
-        skip { next }
-        /^ *#\[cfg\(test\)\]$/ { match($0, /^ */); indent = RLENGTH; skip = 1; next }
+    | non_test_awk '
         {
             line = $0
             gsub(/\.(get|get_all|require)\("(journal|store)"\)/, "", line)
@@ -191,6 +190,34 @@ if [ -n "$durable_forks" ]; then
     exit 1
 fi
 echo "crates/cli/src, crates/core/src/fuzz: one durable-format vocabulary (Durable)"
+
+echo "==> one resilient transition guard"
+# Each state change of the resilient runner has one routine, and every
+# trigger (a device fault, a domain strike, an elastic departure) goes
+# through it: a device degrades in `degrade`, a link goes down in
+# `strike_link`, devices leave the run in `remove_devices`, and churn
+# gaps are drawn by `FailureDistribution::sample` in helios-sim. So in
+# the non-test code of crates/core/src/resilience a device
+# `set_degraded(` call, a `LinkRepair` push and a
+# `rematerialize_lost_products()` call may each appear on one line at
+# most, and an arm of a match on `FailureDistribution` on none: a
+# further line is a second copy of the transition. Test code is skipped
+# (`*_tests.rs` files and non_test_awk).
+transition_forks=$(find crates/core/src/resilience -name '*.rs' ! -name '*_tests.rs' | sort \
+    | non_test_awk '
+        BEGIN { split("1 1 1 0", most) }
+        function site(k) { n[k]++; at[k] = at[k] FILENAME ":" FNR ":" $0 "\n" }
+        /[^_]avail\.set_degraded\(/ { site(1) }
+        /Ev::LinkRepair \{( link:|$)/ { site(2) }
+        /\.rematerialize_lost_products\(\)/ { site(3) }
+        /FailureDistribution::[[:alnum:]]+ \{[^}]*\} =>/ { site(4) }
+        END { for (k = 1; k <= 4; k++) if (n[k] > most[k]) printf "%s", at[k] }' || true)
+if [ -n "$transition_forks" ]; then
+    echo "$transition_forks" >&2
+    echo "a resilient transition with two sites: route the trigger through degrade, strike_link, remove_devices or FailureDistribution::sample" >&2
+    exit 1
+fi
+echo "crates/core/src/resilience: one routine per transition (degrade, strike_link, remove_devices, sample)"
 
 echo "==> T15 ensemble table pin"
 # The release t15_ensemble table (18 ensemble runs, about a second) must

@@ -3,9 +3,10 @@
 //!
 //! The algorithm is plain greedy descent to a fixpoint: propose
 //! size-reducing candidate edits (drop a grid axis entry, halve the
-//! task count, drop a fault class, clear a knob), re-run the oracles on
-//! each candidate, and accept the first candidate that still diverges
-//! on the target oracle — then start over from the smaller spec.
+//! task count, drop a fault class or a capacity event, clear a knob),
+//! re-run the oracles on each candidate, and accept the first candidate
+//! that still diverges on the target oracle — then start over from the
+//! smaller spec.
 //! Candidates that fail validation or error during the check are
 //! skipped, so e.g. a task count below the surviving family's minimum
 //! rejects itself. A global evaluation budget bounds the worst case;
@@ -88,7 +89,8 @@ pub fn shrink_spec(
 
 /// All candidate reductions of `spec`, largest first: grid-axis drops
 /// shed whole cell rows, then the fault stack peels away class by
-/// class, then scalar knobs reset toward the quiet defaults.
+/// class, then the capacity plan event by event, then scalar knobs
+/// reset toward the quiet defaults.
 fn candidates(spec: &CampaignSpec) -> Vec<CampaignSpec> {
     let mut out: Vec<CampaignSpec> = Vec::new();
 
@@ -155,6 +157,31 @@ fn candidates(spec: &CampaignSpec) -> Vec<CampaignSpec> {
         let mut c = spec.clone();
         c.failure_domains.remove(i);
         out.push(c);
+    }
+    // Capacity-plan drops, coarsest first: the whole elasticity block,
+    // then its timed events one by one, then its churn processes.
+    if let Some(el) = &spec.elasticity {
+        let mut c = spec.clone();
+        c.elasticity = None;
+        out.push(c);
+        for i in 0..el.events.len() {
+            let mut c = spec.clone();
+            c.elasticity
+                .as_mut()
+                .expect("elasticity present")
+                .events
+                .remove(i);
+            out.push(c);
+        }
+        for i in 0..el.churn.len() {
+            let mut c = spec.clone();
+            c.elasticity
+                .as_mut()
+                .expect("elasticity present")
+                .churn
+                .remove(i);
+            out.push(c);
+        }
     }
     if let Some(r) = &spec.resilience {
         // Simplify the policy to the flat-retry floor; gated on not
@@ -239,6 +266,15 @@ mod tests {
                     "mttf_secs": 2.0,
                     "weibull_shape": 1.3,
                     "policy": {"kind": "replicate-k", "replicas": 2, "max_retries": 4}
+                },
+                "elasticity": {
+                    "events": [
+                        {"kind": "preempt", "device": "cpu1", "at_secs": 0.002, "notice_secs": 0.001},
+                        {"kind": "join", "device": "cpu1", "at_secs": 0.02}
+                    ],
+                    "churn": [
+                        {"device": "gpu0", "mtbp_secs": 0.05, "notice_secs": 0.002, "rejoin_secs": 0.02}
+                    ]
                 }
             }"#,
         )
@@ -274,6 +310,7 @@ mod tests {
         assert_eq!(out.spec.seeds.base, 0);
         assert!(out.spec.tasks <= MIN_TASKS, "tasks: {}", out.spec.tasks);
         assert!(out.spec.resilience.is_none());
+        assert!(out.spec.elasticity.is_none());
         assert!(out.spec.cell_step_budget.is_none());
         assert_eq!(out.spec.noise_cv, 0.0);
         assert!(!out.spec.link_contention && !out.spec.data_caching);

@@ -21,10 +21,13 @@
 //! order, so traces are byte-identical per seed across `--jobs` and
 //! shards.
 //!
-//! Departure reuses the permanent-loss machinery — queued replicas are
-//! lost and migrate, resident data products are treated as lost and the
-//! lineage re-materializes — but never touches [`Availability`]: a
-//! later join brings the device back blank. The one exception is a
+//! Departure takes the permanent-loss path, `remove_devices` with
+//! `Removal::Departure` — queued replicas are lost and migrate,
+//! resident data products are treated as lost and the lineage
+//! re-materializes — but never touches [`Availability`]: a later join
+//! brings the device back blank. Membership ends in one place,
+//! `end_membership`, for departures, permanent failures and the end of
+//! the run alike. The one exception is a
 //! device the failure machinery killed permanently: dead capacity stays
 //! dead, and elastic events on it become counted no-ops
 //! (`dead_capacity_events`). A task with no live candidate parks only
@@ -34,6 +37,7 @@
 
 use super::*;
 
+use super::recovery::Removal;
 use crate::elastic::{ElasticEventKind, ElasticityMetrics};
 use crate::exec::ELASTIC_STREAM_BASE;
 use helios_sim::failure::FailureDistribution;
@@ -110,6 +114,21 @@ impl ElasticRt {
     /// Whether device `d` is currently a member of the platform.
     pub(super) fn is_present(&self, d: usize) -> bool {
         self.present[d]
+    }
+
+    /// Ends device `d`'s membership at `at`: integrates its open
+    /// capacity interval and cancels any drain or pending departure
+    /// (bumping `seq`, so their deadline pops stale). The one place
+    /// capacity closes: departures, permanent failures and the end of
+    /// the run.
+    fn end_membership(&mut self, d: usize, at: SimTime) {
+        if let Some(since) = self.present_since[d].take() {
+            self.capacity[d] += at.saturating_since(since).as_secs();
+        }
+        self.present[d] = false;
+        self.draining[d] = false;
+        self.pending_depart[d] = None;
+        self.seq[d] += 1;
     }
 }
 
@@ -350,20 +369,22 @@ impl Sim<'_> {
         })
     }
 
-    /// A permanent failure removed `d`: close its capacity interval and
-    /// cancel any pending departure or churn — dead capacity stays
-    /// dead, and later elastic events on it become counted no-ops.
-    pub(super) fn elastic_note_dead(&mut self, d: usize, now: SimTime) {
+    /// Device `d` left the run at `now` for `removal`: its membership
+    /// ends. A departure is counted and its churn renewal continues (a
+    /// churned-away device re-acquires). A failure is final: dead
+    /// capacity stays dead, and later elastic events on it become
+    /// counted no-ops.
+    pub(super) fn elastic_leave(&mut self, d: usize, removal: Removal, now: SimTime) {
         let Some(el) = self.elastic.as_mut() else {
             return;
         };
-        if let Some(since) = el.present_since[d].take() {
-            el.capacity[d] += now.saturating_since(since).as_secs();
+        el.end_membership(d, now);
+        if removal == Removal::Departure {
+            el.departures += 1;
+            if el.churn[d].is_some() {
+                self.schedule_churn(d, now);
+            }
         }
-        el.present[d] = false;
-        el.draining[d] = false;
-        el.pending_depart[d] = None;
-        el.seq[d] += 1;
     }
 
     pub(super) fn handle_elastic_timed(
@@ -400,7 +421,7 @@ impl Sim<'_> {
             }
             TimedKind::Leave => {
                 if el.present[d] {
-                    return self.depart_device(d, now);
+                    return self.remove_devices(&[d], Removal::Departure, now);
                 }
             }
         }
@@ -422,7 +443,7 @@ impl Sim<'_> {
         if el.pending_depart[d] == Some(DepartKind::Preempt) {
             el.preemptions += 1;
         }
-        self.depart_device(d, now)
+        self.remove_devices(&[d], Removal::Departure, now)
     }
 
     pub(super) fn handle_elastic_churn(
@@ -479,10 +500,7 @@ impl Sim<'_> {
         } else {
             (c.rejoin, ChurnNext::Rejoin)
         };
-        let gap = match dist {
-            FailureDistribution::Exponential { mttf_secs } => c.rng.exponential(mttf_secs),
-            FailureDistribution::Weibull { scale_secs, shape } => c.rng.weibull(scale_secs, shape),
-        };
+        let gap = dist.sample(&mut c.rng);
         c.pending = Some(next);
         self.queue.push(
             now + SimDuration::from_secs(gap),
@@ -556,65 +574,13 @@ impl Sim<'_> {
         tasks
     }
 
-    /// Removes `d` from the platform now. The held attempt (if any) is
-    /// lost — under CheckpointRestart the notice window drained the
-    /// last snapshot, so completed checkpoint intervals are not counted
-    /// as waste, though the replacement attempt still restarts from
-    /// zero (snapshots are device-local). Resident data products die
-    /// with the device and the lineage re-materializes; stranded tasks
-    /// re-enter recovery.
-    fn depart_device(&mut self, d: usize, now: SimTime) -> Result<(), EngineError> {
-        self.dispatch_dirty = true;
-        if let Some(ri) = self.devs[d].running.take() {
-            match self.replicas[ri].state {
-                RState::Running => {
-                    self.update_progress(ri, now);
-                    let done = self.replicas[ri].attempt.done_eff;
-                    let preserved = self.preserved_work(done);
-                    self.counters.wasted += (done - preserved).as_secs();
-                    self.replicas[ri].state = RState::Lost;
-                    self.replicas[ri].gen += 1;
-                }
-                RState::WaitingRestart => {
-                    self.replicas[ri].state = RState::Lost;
-                    self.replicas[ri].gen += 1;
-                }
-                _ => {}
-            }
-        }
-        self.lose_queued(d);
-        let el = self.elastic.as_mut().expect("elastic runtime");
-        el.present[d] = false;
-        el.draining[d] = false;
-        el.pending_depart[d] = None;
-        el.seq[d] += 1;
-        el.departures += 1;
-        if let Some(since) = el.present_since[d].take() {
-            el.capacity[d] += now.saturating_since(since).as_secs();
-        }
-        let has_churn = el.churn[d].is_some();
-        if has_churn {
-            // The renewal continues: a churned-away device re-acquires.
-            self.schedule_churn(d, now);
-        }
-        self.rematerialize_lost_products();
-        let stranded: Vec<TaskId> = (0..self.wf.num_tasks())
-            .map(TaskId)
-            .filter(|&t| self.finished_at[t.0].is_none() && !self.task_has_live_replica(t))
-            .collect();
-        self.recover_stranded(&stranded, now)?;
-        self.check_parked(now)
-    }
-
     /// Closes capacity accounting at the end of the run (devices still
     /// present integrate up to the makespan).
     pub(super) fn elastic_outcome(&mut self, makespan: SimDuration) -> Option<ElasticOutcome> {
         let mut el = self.elastic.take()?;
         let end = SimTime::ZERO + makespan;
         for d in 0..el.capacity.len() {
-            if let Some(since) = el.present_since[d].take() {
-                el.capacity[d] += end.saturating_since(since).as_secs();
-            }
+            el.end_membership(d, end);
         }
         Some(ElasticOutcome {
             capacity: el.capacity,

@@ -3,6 +3,12 @@
 //! changes. An `impl` extension of [`Sim`], split out of `runner.rs` so
 //! the path source holds only the hook set and the dispatcher.
 //!
+//! Each state change has one routine, shared by a device's or link's
+//! own fault and a domain strike on its members: `abort_running` and
+//! `degrade` strike a device, `strike_link` degrades or takes down a
+//! link (for good when its `until` is `None`), and a permanent loss
+//! removes devices through `remove_devices` (`recovery.rs`).
+//!
 //! # Restarts and faults in place
 //!
 //! A device's own events often follow each other with nothing else due
@@ -32,6 +38,7 @@
 //!
 //! The test-only reference mode queues every event.
 
+use super::recovery::Removal;
 use super::*;
 
 impl Sim<'_> {
@@ -131,39 +138,18 @@ impl Sim<'_> {
                 .pending_kind
                 .take()
                 .expect("fault event without a drawn mode");
-            let mut restart = None;
-            match kind {
-                FailureKind::Transient => {
-                    // Idle devices shrug transient faults off.
-                    if let Some(ri) = self.devs[d].running {
-                        if self.replicas[ri].state == RState::Running {
-                            self.counters.transient += 1;
-                            restart = self.abort_attempt(ri, now)?;
-                        }
-                    }
-                }
+            let restart = match kind {
+                FailureKind::Transient => self.abort_running(d, now)?,
                 FailureKind::Degraded => {
-                    self.counters.degraded += 1;
-                    let factor = self.res.failures.degraded_slowdown;
-                    self.avail.set_degraded(DeviceId(d), factor);
-                    if let Some(ri) = self.devs[d].running {
-                        if self.replicas[ri].state == RState::Running {
-                            self.reproject(ri, now, factor);
-                        }
-                    }
-                    self.devs[d].repair_seq += 1;
-                    let seq = self.devs[d].repair_seq;
-                    self.queue.push(
-                        now + SimDuration::from_secs(self.res.failures.degraded_repair_secs),
-                        Ev::Repair { device: d, seq },
-                    );
+                    self.degrade(d, now);
+                    None
                 }
                 FailureKind::Permanent => {
                     self.counters.permanent += 1;
-                    self.handle_device_loss(d, now)?;
+                    self.remove_devices(&[d], Removal::Failure, now)?;
                     return self.dispatch_after(now);
                 }
-            }
+            };
             // Reserve keys in the order a queue without in-place events
             // numbers them: the restart, then the next fault.
             let restart = restart.map(|(at, replica, gen)| (self.queue.skip(at), replica, gen));
@@ -195,19 +181,16 @@ impl Sim<'_> {
             return; // Superseded by a newer degradation, or device lost.
         }
         self.avail.repair(DeviceId(d));
-        if let Some(ri) = self.devs[d].running {
-            if self.replicas[ri].state == RState::Running {
-                self.reproject(ri, now, 1.0);
-            }
+        if let Some(ri) = self.running_attempt(d) {
+            self.reproject(ri, now, 1.0);
         }
     }
 
     pub(super) fn handle_link_fault(&mut self, l: usize, now: SimTime) {
-        let link = LinkId(l);
-        if self.links_avail.down_until(link).is_some() {
+        if let Some(until) = self.links_avail.down_until(LinkId(l)) {
             // Already out. A permanently severed link ends its trace; a
             // timed outage just waits for the next draw.
-            if !matches!(self.links_avail.down_until(link), Some(None)) {
+            if until.is_some() {
                 self.schedule_next_link_fault(l, now);
             }
             return;
@@ -221,23 +204,12 @@ impl Sim<'_> {
             .link_faults
             .as_ref()
             .expect("link fault event without a model");
+        let secs = match kind {
+            LinkFailureKind::Degraded => lf.degraded_repair_secs,
+            LinkFailureKind::Outage => lf.outage_secs,
+        };
         self.counters.link_faults += 1;
-        self.link_rt[l].repair_seq += 1;
-        let seq = self.link_rt[l].repair_seq;
-        match kind {
-            LinkFailureKind::Degraded => {
-                self.links_avail.set_degraded(link, lf.degraded_factor);
-                self.queue.push(
-                    now + SimDuration::from_secs(lf.degraded_repair_secs),
-                    Ev::LinkRepair { link: l, seq },
-                );
-            }
-            LinkFailureKind::Outage => {
-                let until = now + SimDuration::from_secs(lf.outage_secs);
-                self.links_avail.set_down(link, Some(until));
-                self.queue.push(until, Ev::LinkRepair { link: l, seq });
-            }
-        }
+        self.strike_link(l, kind, Some(now + SimDuration::from_secs(secs)));
         self.schedule_next_link_fault(l, now);
     }
 
@@ -251,22 +223,27 @@ impl Sim<'_> {
         self.links_avail.repair(LinkId(l));
     }
 
-    /// Takes every member link of domain `i` down until `now +
-    /// outage`, superseding pending repairs. Links that are already
-    /// down — permanently severed or mid-outage — are left alone: an
-    /// outage runs its configured course from its onset, it is not
-    /// extended by later strikes.
-    fn domain_link_outage(&mut self, i: usize, now: SimTime) {
-        let until = now + self.domains_rt[i].outage;
-        let links = self.domains_rt[i].link_ids.clone();
-        for link in links {
-            if self.links_avail.down_until(link).is_some() {
-                continue;
+    /// Strikes link `l` with `kind` until `until`, superseding its
+    /// pending repair: a degradation slows it by the link model's
+    /// factor, an outage takes it down, and an outage `until` `None`
+    /// severs it for good. The one place a link's state worsens.
+    fn strike_link(&mut self, l: usize, kind: LinkFailureKind, until: Option<SimTime>) {
+        let link = LinkId(l);
+        match kind {
+            LinkFailureKind::Degraded => {
+                let lf = self
+                    .res
+                    .link_faults
+                    .as_ref()
+                    .expect("link degradation without a model");
+                self.links_avail.set_degraded(link, lf.degraded_factor);
             }
-            self.links_avail.set_down(link, Some(until));
-            self.link_rt[link.0].repair_seq += 1;
-            let seq = self.link_rt[link.0].repair_seq;
-            self.queue.push(until, Ev::LinkRepair { link: link.0, seq });
+            LinkFailureKind::Outage => self.links_avail.set_down(link, until),
+        }
+        self.link_rt[l].repair_seq += 1;
+        if let Some(at) = until {
+            let seq = self.link_rt[l].repair_seq;
+            self.queue.push(at, Ev::LinkRepair { link: l, seq });
         }
     }
 
@@ -294,79 +271,85 @@ impl Sim<'_> {
             .expect("domain fault event without a drawn mode");
         self.counters.domain_events += 1;
         let member_devs = self.domains_rt[i].device_ids.clone();
-        match kind {
-            FailureKind::Transient => {
-                for &d in &member_devs {
-                    if !self.avail.is_up(DeviceId(d)) {
-                        continue;
-                    }
-                    if let Some(ri) = self.devs[d].running {
-                        if self.replicas[ri].state == RState::Running {
-                            self.counters.transient += 1;
-                            if let Some((at, replica, gen)) = self.abort_attempt(ri, now)? {
-                                self.queue.push(at, Ev::Resume { replica, gen });
-                            }
-                        }
-                    }
-                }
-                self.domain_link_outage(i, now);
-                self.schedule_next_domain_fault(i, now);
+        let links = self.domains_rt[i].link_ids.clone();
+        if kind == FailureKind::Permanent {
+            // Sever member links first so recovery placement sees the
+            // partition, then fail the member devices as one batch (one
+            // data-loss pass, one recovery pass). The domain burnt
+            // itself out: no further events.
+            for link in links {
+                self.strike_link(link.0, LinkFailureKind::Outage, None);
             }
-            FailureKind::Degraded => {
-                let factor = self.res.failures.degraded_slowdown;
-                let repair = self.res.failures.degraded_repair_secs;
-                for &d in &member_devs {
-                    if !self.avail.is_up(DeviceId(d)) {
-                        continue;
-                    }
-                    self.counters.degraded += 1;
-                    self.avail.set_degraded(DeviceId(d), factor);
-                    if let Some(ri) = self.devs[d].running {
-                        if self.replicas[ri].state == RState::Running {
-                            self.reproject(ri, now, factor);
-                        }
-                    }
-                    self.devs[d].repair_seq += 1;
-                    let seq = self.devs[d].repair_seq;
-                    self.queue.push(
-                        now + SimDuration::from_secs(repair),
-                        Ev::Repair { device: d, seq },
-                    );
-                }
-                self.domain_link_outage(i, now);
-                self.schedule_next_domain_fault(i, now);
+            let dead: Vec<usize> = member_devs
+                .into_iter()
+                .filter(|&d| self.avail.is_up(DeviceId(d)))
+                .collect();
+            self.counters.permanent += dead.len() as u32;
+            return self.remove_devices(&dead, Removal::Failure, now);
+        }
+        for d in member_devs {
+            if !self.avail.is_up(DeviceId(d)) {
+                continue;
             }
-            FailureKind::Permanent => {
-                // Sever member links first so recovery placement sees the
-                // partition, then fail the member devices as one batch
-                // (one data-loss pass, one recovery pass).
-                let links = self.domains_rt[i].link_ids.clone();
-                for link in links {
-                    self.links_avail.set_down(link, None);
-                    self.link_rt[link.0].repair_seq += 1;
-                }
-                let dead: Vec<usize> = member_devs
-                    .iter()
-                    .copied()
-                    .filter(|&d| self.avail.is_up(DeviceId(d)))
-                    .collect();
-                self.counters.permanent += dead.len() as u32;
-                self.fail_devices(&dead, now)?;
-                // The domain burnt itself out: no further events.
+            if kind == FailureKind::Degraded {
+                self.degrade(d, now);
+            } else if let Some((at, replica, gen)) = self.abort_running(d, now)? {
+                self.queue.push(at, Ev::Resume { replica, gen });
             }
         }
+        // Member links already down, severed or mid-outage, are left
+        // alone: an outage runs its configured course from its onset, it
+        // is not extended by later strikes.
+        let until = now + self.domains_rt[i].outage;
+        for link in links {
+            if self.links_avail.down_until(link).is_none() {
+                self.strike_link(link.0, LinkFailureKind::Outage, Some(until));
+            }
+        }
+        self.schedule_next_domain_fault(i, now);
         Ok(())
     }
 
-    /// Aborts the running attempt of `ri` after a transient fault:
-    /// either returns the retry's restart as `(instant, replica, gen)`,
-    /// for the caller to queue or run (the device stays held through the
-    /// restart overhead and backoff), or fails the replica for good.
-    fn abort_attempt(
+    /// The replica whose attempt is executing on device `d`, if any: a
+    /// held replica waiting out its restart has none.
+    fn running_attempt(&self, d: usize) -> Option<usize> {
+        self.devs[d]
+            .running
+            .filter(|&ri| self.replicas[ri].state == RState::Running)
+    }
+
+    /// Slows device `d` by the degraded slowdown until its repair,
+    /// superseding any pending repair, and reprojects its running
+    /// attempt. The one place a device degrades.
+    fn degrade(&mut self, d: usize, now: SimTime) {
+        self.counters.degraded += 1;
+        let factor = self.res.failures.degraded_slowdown;
+        self.avail.set_degraded(DeviceId(d), factor);
+        if let Some(ri) = self.running_attempt(d) {
+            self.reproject(ri, now, factor);
+        }
+        self.devs[d].repair_seq += 1;
+        let seq = self.devs[d].repair_seq;
+        self.queue.push(
+            now + SimDuration::from_secs(self.res.failures.degraded_repair_secs),
+            Ev::Repair { device: d, seq },
+        );
+    }
+
+    /// Aborts device `d`'s running attempt after a transient fault (an
+    /// idle device shrugs the fault off): either returns the retry's
+    /// restart as `(instant, replica, gen)`, for the caller to queue or
+    /// run (the device stays held through the restart overhead and
+    /// backoff), or fails the replica for good.
+    fn abort_running(
         &mut self,
-        ri: usize,
+        d: usize,
         now: SimTime,
     ) -> Result<Option<(SimTime, usize, u32)>, EngineError> {
+        let Some(ri) = self.running_attempt(d) else {
+            return Ok(None);
+        };
+        self.counters.transient += 1;
         self.update_progress(ri, now);
         let done_eff = self.replicas[ri].attempt.done_eff;
         let preserved = self.preserved_work(done_eff);
@@ -379,7 +362,6 @@ impl Sim<'_> {
             r.gen += 1;
             let task = r.task;
             let attempts = r.retries + 1;
-            let d = r.device.0;
             self.release(d);
             self.devs[d].pos += 1;
             if !self.task_has_live_replica(task) {

@@ -1,10 +1,27 @@
-//! Recovery machinery: permanent device loss, data-product lineage
+//! Recovery machinery: device removal, data-product lineage
 //! re-materialization, greedy reassignment and full replanning, plus
 //! the checkpoint-policy arithmetic. An `impl` extension of [`Sim`],
 //! split out of `runner.rs` so the path source holds only the hook set
 //! and the dispatcher.
+//!
+//! [`Sim::remove_devices`] is the one device-removal path: a permanent
+//! device fault, a permanent domain strike (its member devices as one
+//! batch) and an elastic departure all go through it, told apart only
+//! by their [`Removal`] cause.
 
 use super::*;
+
+/// Why devices leave the run, for [`Sim::remove_devices`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Removal {
+    /// A permanent failure: the device goes down for good, and all of a
+    /// lost attempt's progress is waste (snapshots are device-local).
+    Failure,
+    /// An elastic departure (a leave, or a drain or preemption reaching
+    /// its deadline): the device stays healthy and may join again, and
+    /// work its completed checkpoints hold is not counted as waste.
+    Departure,
+}
 
 impl Sim<'_> {
     /// Effective seconds one attempt needs: the base work plus one
@@ -101,39 +118,48 @@ impl Sim<'_> {
         Ok(true)
     }
 
-    /// Permanent loss of device `d` alone (per-device failure trace).
-    pub(super) fn handle_device_loss(&mut self, d: usize, now: SimTime) -> Result<(), EngineError> {
-        self.fail_devices(&[d], now)
-    }
-
-    /// Permanent loss of every device in `dead` at once (one batch for a
-    /// correlated domain event): orphan their replicas, destroy the data
-    /// products resident on them, re-materialize the lost lineage, then
-    /// recover stranded tasks by policy (full replan under Reschedule,
-    /// greedy per-task reassignment otherwise).
-    pub(super) fn fail_devices(&mut self, dead: &[usize], now: SimTime) -> Result<(), EngineError> {
-        for &d in dead {
-            self.avail.set_down(DeviceId(d));
-            self.elastic_note_dead(d, now);
+    /// Removes every device in `gone` from the run at `now`, as one
+    /// batch (one data-loss pass, one recovery pass), for either cause:
+    /// loses the replicas running and queued on each, ends each
+    /// device's elastic membership, re-materializes the data products
+    /// lost with them, then recovers the stranded tasks by policy. The
+    /// one device-removal path.
+    pub(super) fn remove_devices(
+        &mut self,
+        gone: &[usize],
+        removal: Removal,
+        now: SimTime,
+    ) -> Result<(), EngineError> {
+        for &d in gone {
+            if removal == Removal::Failure {
+                self.avail.set_down(DeviceId(d));
+            }
             self.release(d);
             let suffix: Vec<usize> = self.devs[d].queue[self.devs[d].pos..].to_vec();
             for ri in suffix {
-                match self.replicas[ri].state {
-                    RState::Running => {
-                        self.update_progress(ri, now);
-                        self.counters.wasted += self.replicas[ri].attempt.done_eff.as_secs();
-                        self.replicas[ri].state = RState::Lost;
-                        self.replicas[ri].gen += 1;
-                    }
-                    RState::Queued | RState::WaitingRestart => {
-                        self.replicas[ri].state = RState::Lost;
-                        self.replicas[ri].gen += 1;
-                    }
-                    _ => {}
+                let state = self.replicas[ri].state;
+                if state == RState::Running {
+                    self.update_progress(ri, now);
+                    let done = self.replicas[ri].attempt.done_eff;
+                    let waste = match removal {
+                        Removal::Failure => done,
+                        // The notice window drained the last snapshot.
+                        Removal::Departure => done - self.preserved_work(done),
+                    };
+                    self.counters.wasted += waste.as_secs();
+                }
+                if matches!(
+                    state,
+                    RState::Running | RState::Queued | RState::WaitingRestart
+                ) {
+                    self.replicas[ri].state = RState::Lost;
+                    self.replicas[ri].gen += 1;
                 }
             }
+            self.elastic_leave(d, removal, now);
         }
         let n = self.wf.num_tasks();
+        // A departure leaves the device up, so only failures end here.
         if self.avail.num_up() == 0 {
             return Err(EngineError::AllDevicesLost {
                 at_secs: now.as_secs(),

@@ -54,16 +54,6 @@ impl EnergyReport {
     pub fn edp(&self) -> f64 {
         self.total_j() * self.makespan_secs
     }
-
-    /// Mean power draw over the makespan, watts.
-    #[must_use]
-    pub fn mean_power_w(&self) -> f64 {
-        if self.makespan_secs == 0.0 {
-            0.0
-        } else {
-            self.total_j() / self.makespan_secs
-        }
-    }
 }
 
 /// Computes the energy a schedule dissipates on `platform`.
@@ -176,7 +166,6 @@ mod tests {
         let sum: f64 = r.per_device.iter().map(DeviceEnergy::total_j).sum();
         assert!((sum - r.total_j()).abs() < 1e-9);
         assert!(r.edp() > 0.0);
-        assert!(r.mean_power_w() > 0.0);
     }
 
     #[test]

@@ -143,17 +143,6 @@ impl ComputeCost {
         self.kernel_class
     }
 
-    /// Arithmetic intensity in flop/byte (`∞` is capped to a large finite
-    /// value when no memory is touched).
-    #[must_use]
-    pub fn arithmetic_intensity(&self) -> f64 {
-        if self.bytes_touched == 0.0 {
-            f64::MAX
-        } else {
-            self.gflop * 1e9 / self.bytes_touched
-        }
-    }
-
     /// Returns this cost scaled by `factor` (work and traffic together).
     ///
     /// # Panics
@@ -178,14 +167,6 @@ mod tests {
         assert!(ComputeCost::try_new(-1.0, 0.0, KernelClass::Fft).is_err());
         assert!(ComputeCost::try_new(1.0, f64::NAN, KernelClass::Fft).is_err());
         assert!(ComputeCost::try_new(0.0, 0.0, KernelClass::Fft).is_ok());
-    }
-
-    #[test]
-    fn intensity() {
-        let c = ComputeCost::new(2.0, 1e9, KernelClass::Stencil);
-        assert!((c.arithmetic_intensity() - 2.0).abs() < 1e-12);
-        let pure = ComputeCost::new(2.0, 0.0, KernelClass::Stencil);
-        assert_eq!(pure.arithmetic_intensity(), f64::MAX);
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl PowerModel {
         self.idle_w
     }
 
-    /// Leakage (static) component, in watts.
-    #[must_use]
-    pub fn static_power(&self) -> f64 {
-        self.static_w
-    }
-
     /// Energy in joules for executing for `duration` at `state`.
     #[must_use]
     pub fn active_energy(&self, state: &DvfsState, duration: SimDuration) -> f64 {
@@ -237,7 +231,6 @@ mod tests {
         assert!(pm.active_power(&hotter) > pm.active_power(&base));
         assert_eq!(pm.active_power(&base), 5.0 + 10.0);
         assert_eq!(pm.idle_power(), 2.0);
-        assert_eq!(pm.static_power(), 5.0);
     }
 
     #[test]

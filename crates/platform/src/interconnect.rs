@@ -224,26 +224,6 @@ impl Interconnect {
         }
     }
 
-    /// The bottleneck bandwidth (GB/s) between two devices, or `None` for
-    /// same-device transfers (infinite).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::NoRoute`] if no route exists.
-    pub fn bottleneck_bandwidth_gbs(
-        &self,
-        from: DeviceId,
-        to: DeviceId,
-    ) -> Result<Option<f64>, PlatformError> {
-        let route = self.route(from, to)?;
-        let mut min_bw: Option<f64> = None;
-        for id in route {
-            let bw = self.link(id)?.bandwidth_gbs();
-            min_bw = Some(min_bw.map_or(bw, |m: f64| m.min(bw)));
-        }
-        Ok(min_bw)
-    }
-
     /// Time to move `bytes` from `from` to `to`: route latencies plus
     /// `bytes / bottleneck_bandwidth`. Zero for same-device transfers.
     ///
@@ -508,11 +488,6 @@ mod tests {
         let t = ic.transfer_time(1e12, DeviceId(3), DeviceId(3)).unwrap();
         assert_eq!(t, SimDuration::ZERO);
         assert_eq!(ic.route(DeviceId(3), DeviceId(3)).unwrap(), Vec::new());
-        assert_eq!(
-            ic.bottleneck_bandwidth_gbs(DeviceId(1), DeviceId(1))
-                .unwrap(),
-            None
-        );
     }
 
     #[test]
@@ -533,11 +508,6 @@ mod tests {
         let t = ic.transfer_time(1e9, DeviceId(0), DeviceId(1)).unwrap();
         // bottleneck 1 GB/s → 1 s, latencies 3 µs.
         assert!((t.as_secs() - (1.0 + 3e-6)).abs() < 1e-12);
-        assert_eq!(
-            ic.bottleneck_bandwidth_gbs(DeviceId(0), DeviceId(1))
-                .unwrap(),
-            Some(1.0)
-        );
         // No reverse route and no default link.
         assert!(matches!(
             ic.transfer_time(1.0, DeviceId(1), DeviceId(0)),

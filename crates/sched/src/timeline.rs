@@ -255,12 +255,6 @@ impl DeviceTimeline {
         self.reindex(0);
     }
 
-    /// Total busy time.
-    #[must_use]
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy.iter().map(|&(s, f)| f.saturating_since(s)).sum()
-    }
-
     /// Number of reservations.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -334,7 +328,6 @@ mod tests {
             .map(|&(s, _)| s.as_secs())
             .collect();
         assert_eq!(starts, vec![0.0, 2.0, 5.0]);
-        assert_eq!(tl.busy_time(), d(3.0));
         assert_eq!(tl.len(), 3);
     }
 
@@ -359,7 +352,6 @@ mod tests {
         let mut tl = DeviceTimeline::new();
         tl.reserve(t(1.0), t(1.0));
         assert_eq!(tl.len(), 1);
-        assert_eq!(tl.busy_time(), d(0.0));
         // Another task can start at the same instant.
         assert_eq!(tl.earliest_start(t(1.0), d(1.0), true), t(1.0));
     }

@@ -38,12 +38,6 @@ impl<E> ScheduledEvent<E> {
     pub fn payload(&self) -> &E {
         &self.payload
     }
-
-    /// Consumes the entry, returning the payload.
-    #[must_use]
-    pub fn into_payload(self) -> E {
-        self.payload
-    }
 }
 
 impl<E> PartialEq for ScheduledEvent<E> {

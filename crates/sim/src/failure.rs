@@ -123,7 +123,8 @@ impl FailureDistribution {
         }
     }
 
-    fn sample(self, rng: &mut SimRng) -> f64 {
+    /// Draws one gap from `rng`, in seconds.
+    pub fn sample(self, rng: &mut SimRng) -> f64 {
         match self {
             FailureDistribution::Exponential { mttf_secs } => rng.exponential(mttf_secs),
             FailureDistribution::Weibull { scale_secs, shape } => rng.weibull(scale_secs, shape),

@@ -121,19 +121,6 @@ impl Trace {
             .filter(move |e| e.end >= from && e.start <= to)
     }
 
-    /// Total busy time per track for one activity kind. The result maps
-    /// `track -> seconds`; missing tracks saw no activity.
-    #[must_use]
-    pub fn busy_by_track(&self, kind: TraceKind) -> std::collections::BTreeMap<usize, f64> {
-        let mut busy = std::collections::BTreeMap::new();
-        for e in &self.events {
-            if e.kind == kind {
-                *busy.entry(e.track).or_insert(0.0) += e.end.saturating_since(e.start).as_secs();
-            }
-        }
-        busy
-    }
-
     /// Serializes to the Chrome trace-event format (a JSON array of
     /// complete `"X"` events, microsecond timestamps). `track_names`
     /// labels the execution tracks (device names); transfer tracks are
@@ -211,16 +198,6 @@ mod tests {
         assert!(!tr.is_empty());
         let in_window: Vec<_> = tr.window(t(1.5), t(2.5)).collect();
         assert_eq!(in_window.len(), 2, "task b and the transfer overlap");
-    }
-
-    #[test]
-    fn busy_accounting() {
-        let tr = sample();
-        let exec = tr.busy_by_track(TraceKind::Execution);
-        assert_eq!(exec[&0], 2.0);
-        let xfer = tr.busy_by_track(TraceKind::Transfer);
-        assert_eq!(xfer[&1], 1.0);
-        assert!(tr.busy_by_track(TraceKind::Sleep).is_empty());
     }
 
     #[test]

@@ -143,16 +143,6 @@ impl Workflow {
         self.tasks.get(id.0).ok_or(WorkflowError::UnknownTask(id))
     }
 
-    /// Looks up a task by name.
-    #[must_use]
-    pub fn task_by_name(&self, name: &str) -> Option<(TaskId, &Task)> {
-        self.tasks
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.name() == name)
-            .map(|(i, t)| (TaskId(i), t))
-    }
-
     /// Outgoing edges of `id`.
     #[must_use]
     pub fn successors(&self, id: TaskId) -> &[EdgeId] {
@@ -605,13 +595,8 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name() {
-        let wf = diamond();
-        let (id, t) = wf.task_by_name("c").unwrap();
-        assert_eq!(id, TaskId(2));
-        assert_eq!(t.name(), "c");
-        assert!(wf.task_by_name("zz").is_none());
-        assert!(wf.task(TaskId(99)).is_err());
+    fn lookup_out_of_range() {
+        assert!(diamond().task(TaskId(99)).is_err());
     }
 
     #[test]
