@@ -219,6 +219,31 @@ if [ -n "$transition_forks" ]; then
 fi
 echo "crates/core/src/resilience: one routine per transition (degrade, strike_link, remove_devices, sample)"
 
+echo "==> one summary site guard"
+# A sweep report's per-combination means are derived from its cells on
+# demand, by SweepReport::summary (crates/core/src/campaign/sweep.rs),
+# so a merge or a read that wants only the cells never pays for them.
+# In non-test code, a `summarize_cells(` call outside the query
+# evaluator (crates/core/src/store/exec.rs, which defines it) and that
+# one method builds a summary eagerly again. Comment lines and test code
+# (non_test_awk) are skipped.
+summary_sites=$(find crates/*/src src -name '*.rs' ! -path 'crates/core/src/store/exec.rs' | sort \
+    | non_test_awk '
+        FNR == 1 { in_fn = "" }
+        /^ *(pub(\([a-z]+\))? )?fn / { in_fn = $0 }
+        /^ *\/\// { next }
+        /summarize_cells\(/ {
+            if (FILENAME != "crates/core/src/campaign/sweep.rs" \
+                || in_fn !~ /^    pub fn summary\(&self\) -> Vec<SummaryRow> \{$/)
+                print FILENAME ":" FNR ":" $0
+        }' || true)
+if [ -n "$summary_sites" ]; then
+    echo "$summary_sites" >&2
+    echo "an eager summary outside SweepReport::summary: call report.summary() where the means are read" >&2
+    exit 1
+fi
+echo "crates/*/src, src: one summary site (SweepReport::summary)"
+
 echo "==> T15 ensemble table pin"
 # The release t15_ensemble table (18 ensemble runs, about a second) must
 # match its committed copy, with one worker and with two.

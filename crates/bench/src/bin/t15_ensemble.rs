@@ -103,7 +103,7 @@ fn run_spec(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         "SLR",
         "energy (J)",
     ]);
-    for row in &report.summary {
+    for row in &report.summary() {
         let dash = |v: Option<f64>, prec: usize| match v {
             Some(v) => format!("{v:.prec$}"),
             None => "-".to_owned(),

@@ -610,7 +610,7 @@ fn write_sweep_summary(
         header.push_str(&format!("{:>width$}", spec.header, width = spec.width));
     }
     writeln!(out, "{header}")?;
-    for row in &report.summary {
+    for row in &report.summary() {
         let values = summary_row_values(row);
         let (keys, aggs) = values.split_at(SUMMARY_KEYS.len());
         let mut line = String::new();

@@ -66,6 +66,8 @@ pub(crate) static FORMAT: Format = Format {
     noun: "journal",
     record: "record",
     tagged: true,
+    // A cell record is the cell's JSON, which names all 25 fields.
+    cell_bytes: 256,
 };
 
 const KIND_ATTEMPT: u8 = 1;
@@ -323,6 +325,14 @@ mod tests {
             shard_index: 1,
             shard_count: 1,
         }
+    }
+
+    #[test]
+    fn no_cell_record_is_shorter_than_cell_bytes() {
+        // The smallest cell writes the shortest record: every number 0,
+        // every string empty, no incomplete reason.
+        let shortest = serde_json::to_string(&CellResult::default()).unwrap();
+        assert!(FORMAT.cell_bytes <= shortest.len(), "{}", shortest.len());
     }
 
     fn cell(i: usize) -> CellResult {

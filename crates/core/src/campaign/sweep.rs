@@ -289,8 +289,14 @@ pub struct SummaryRow {
     pub completion_probability: f64,
 }
 
-/// The merged, complete sweep: every cell plus per-combination means.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The merged, complete sweep: every cell, sorted by index.
+///
+/// The per-combination means are not stored: [`summary`](Self::summary)
+/// derives them from the cells on demand, so a caller that reads only
+/// the cells never pays for them. The JSON form still carries them, as
+/// a `summary` key after `cells` computed when the report is written;
+/// reading a report ignores that key, which the cells determine.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SweepReport {
     /// Spec name.
     pub spec_name: String,
@@ -300,8 +306,35 @@ pub struct SweepReport {
     pub total_cells: usize,
     /// Every cell result, sorted by global cell index.
     pub cells: Vec<CellResult>,
-    /// Per-(family, platform, scheduler) means, in declaration order.
-    pub summary: Vec<SummaryRow>,
+}
+
+impl SweepReport {
+    /// Per-(family, platform, scheduler) means over completed cells,
+    /// rows in declaration order (the cells are sorted by index).
+    #[must_use]
+    pub fn summary(&self) -> Vec<SummaryRow> {
+        crate::store::summarize_cells(&self.cells)
+    }
+}
+
+/// The report's JSON object: its fields in declaration order, then the
+/// summary under `summary`.
+impl Serialize for SweepReport {
+    fn to_value(&self) -> serde::Value {
+        let SweepReport {
+            spec_name,
+            spec_digest,
+            total_cells,
+            cells,
+        } = self;
+        serde::Value::Object(vec![
+            ("spec_name".to_string(), spec_name.to_value()),
+            ("spec_digest".to_string(), spec_digest.to_value()),
+            ("total_cells".to_string(), total_cells.to_value()),
+            ("cells".to_string(), cells.to_value()),
+            ("summary".to_string(), self.summary().to_value()),
+        ])
+    }
 }
 
 /// Runs spec grids, whole or shard-by-shard.
@@ -1054,7 +1087,9 @@ fn apply_dvfs(
 /// once, so the merged cells come out in index order with no sort, and
 /// each is cloned once, into a `Vec` of exactly the grid's size, only
 /// after the checks pass. Any conflict falls back to sorting the cell
-/// indices, which names the lowest offending cell.
+/// indices, which names the lowest offending cell. The merge computes
+/// no summary: [`SweepReport::summary`] derives it when it is asked for
+/// or written.
 ///
 /// # Errors
 ///
@@ -1097,16 +1132,11 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<SweepReport, EngineError> 
     // Every slot is filled, so `flatten` drops nothing.
     let mut cells = Vec::with_capacity(total);
     cells.extend(slots.into_iter().flatten().cloned());
-
-    // Means per (family, platform, scheduler) over completed cells, rows
-    // in declaration order (the cells are sorted by index).
-    let summary = crate::store::summarize_cells(&cells);
     Ok(SweepReport {
         spec_name: first.spec_name.clone(),
         spec_digest: first.spec_digest.clone(),
         total_cells: total,
         cells,
-        summary,
     })
 }
 
@@ -1235,15 +1265,11 @@ mod reference {
             .into());
         }
 
-        // Means per (family, platform, scheduler) over completed cells, rows
-        // in declaration order (the cells are sorted by index).
-        let summary = crate::store::summarize_cells(&cells);
         Ok(SweepReport {
             spec_name: first.spec_name.clone(),
             spec_digest: first.spec_digest.clone(),
             total_cells: first.total_cells,
             cells,
-            summary,
         })
     }
 }
@@ -1519,9 +1545,10 @@ mod tests {
 
         let ok = merge_shards(&[shard(2, 2, vec![1, 3]), shard(1, 2, vec![0, 2])]).unwrap();
         assert_eq!(ok.cells.len(), 4);
-        assert_eq!(ok.summary.len(), 1);
-        assert_eq!(ok.summary[0].cells, 4);
-        assert_eq!(ok.summary[0].completion_probability, 1.0);
+        let summary = ok.summary();
+        assert_eq!(summary.len(), 1);
+        assert_eq!(summary[0].cells, 4);
+        assert_eq!(summary[0].completion_probability, 1.0);
     }
 
     /// Cell `i` with metrics and grid axes drawn from `salt`, so merged
@@ -1539,6 +1566,34 @@ mod tests {
             completed: !x.is_multiple_of(4),
             incomplete_reason: x.is_multiple_of(4).then(|| "retries_exhausted".into()),
             ..CellResult::default()
+        }
+    }
+
+    /// A report is written with the summary of its cells and read back
+    /// from its cells alone: a stale or missing `summary` key changes
+    /// nothing, and writing the report again restores the summary.
+    #[test]
+    fn the_summary_is_derived_from_the_cells_on_write() {
+        let report = SweepReport {
+            spec_name: "t".into(),
+            spec_digest: "d".into(),
+            total_cells: 12,
+            cells: (0..12).map(|i| varied_cell(i, 7)).collect(),
+        };
+        let summary = report.summary();
+        assert!(summary.len() > 1);
+        assert_eq!(summary, crate::store::summarize_cells(&report.cells));
+        let json = serde_json::to_string(&report).unwrap();
+        let cells = serde_json::to_string(&report.cells).unwrap();
+        let rows = serde_json::to_string(&summary).unwrap();
+        assert!(json.ends_with(&format!(",\"cells\":{cells},\"summary\":{rows}}}")));
+
+        let stale = json.replace(&rows, "[]");
+        let missing = json.replace(&format!(",\"summary\":{rows}"), "");
+        for text in [stale, missing] {
+            let back: SweepReport = serde_json::from_str(&text).unwrap();
+            assert_eq!(back, report);
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
         }
     }
 
@@ -1667,7 +1722,7 @@ mod tests {
                 .any(|c| c.wasted_work_secs > 0.0 || c.recovery_overhead_secs > 0.0),
             "recovery must cost something somewhere"
         );
-        assert_eq!(seq.summary[0].completion_probability, 1.0);
+        assert_eq!(seq.summary()[0].completion_probability, 1.0);
 
         let par = SweepDriver::new(4).run(&spec).unwrap();
         assert_eq!(seq, par, "--jobs must not affect resilient results");
@@ -1713,7 +1768,7 @@ mod tests {
                 .all(|c| c.incomplete_reason.is_none()),
             "completed cells carry no incomplete reason"
         );
-        let row = &report.summary[0];
+        let row = &report.summary()[0];
         assert!(row.completion_probability < 1.0);
         assert_eq!(
             row.completion_probability,
@@ -1749,7 +1804,7 @@ mod tests {
             report.cells.iter().all(|c| !c.completed),
             "a 0.1 ms MTTF with one retry must lose every cell"
         );
-        let row = &report.summary[0];
+        let row = &report.summary()[0];
         assert_eq!(row.completion_probability, 0.0);
         assert_eq!(row.mean_makespan_secs, None);
         assert_eq!(row.mean_slr, None);
@@ -1794,8 +1849,8 @@ mod tests {
             "feasible families in the same grid still run"
         );
         let cyber_row = report
-            .summary
-            .iter()
+            .summary()
+            .into_iter()
             .find(|r| r.family == "cybershake")
             .unwrap();
         assert_eq!(cyber_row.completion_probability, 0.0);
@@ -1826,7 +1881,7 @@ mod tests {
                     && c.makespan_secs == 0.0),
                 "every budget-starved cell is a timed-out measurement"
             );
-            assert_eq!(report.summary[0].completion_probability, 0.0);
+            assert_eq!(report.summary()[0].completion_probability, 0.0);
             let par = SweepDriver::new(4).run(&spec).unwrap();
             assert_eq!(report, par, "timed-out cells are jobs-invariant");
         }

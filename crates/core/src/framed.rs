@@ -112,6 +112,10 @@ pub(crate) struct Format {
     pub(crate) record: &'static str,
     /// Whether each record frame follows a kind byte.
     pub(crate) tagged: bool,
+    /// The fewest bytes one cell takes in a record. A read sizes its
+    /// cells once, for the file's length over this many bytes a cell,
+    /// instead of regrowing them record by record.
+    pub(crate) cell_bytes: usize,
 }
 
 /// The trusted header and longest valid record prefix of a framed file.
@@ -208,7 +212,7 @@ impl Format {
         };
 
         let tag = usize::from(self.tagged);
-        let mut cells: Vec<CellResult> = Vec::new();
+        let mut cells: Vec<CellResult> = Vec::with_capacity(bytes.len() / self.cell_bytes);
         // Built at the first cell index that does not rise; until then
         // the last kept index is larger than every other kept one.
         let mut seen: Option<HashSet<usize>> = None;
@@ -407,6 +411,7 @@ mod tests {
         noun: "test",
         record: "record",
         tagged: true,
+        cell_bytes: 8,
     };
 
     fn cell(i: usize) -> CellResult {

@@ -5,14 +5,16 @@
 //! and group key reads its column through [`Column::get`], so a scan
 //! allocates nothing per cell, and owned [`Value`]s are built only for
 //! output rows (see [`run_query`](super::run_query)). The same
-//! [`aggregate`] serves three callers: `summarize` (a fixed group-by,
-//! see [`summarize_cells`]), `campaign merge` (which recomputes the
-//! summary through it), and `helios query`. The sweep's aggregation
-//! math — first-seen group order, completed-only means, null means for
-//! groups with no completed cell — therefore exists exactly once, here.
+//! [`aggregate`] serves two callers: the sweep summary (a fixed
+//! group-by, [`summarize_cells`], which only
+//! [`SweepReport::summary`](crate::SweepReport::summary) calls, when a
+//! report's means are read or written) and `helios query`. The sweep's
+//! aggregation math — first-seen group order, completed-only means,
+//! null means for groups with no completed cell — therefore exists
+//! exactly once, here.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 
 use crate::campaign::sweep::{CellResult, SummaryRow};
 
@@ -264,6 +266,25 @@ fn key_hash(state: &RandomState, cell: &CellResult, keys: &[Column]) -> u64 {
     h.finish()
 }
 
+/// The hasher of a map keyed by [`key_hash`] outputs: a key is already
+/// a randomly keyed hash, so it is its own hash and is not hashed again.
+#[derive(Default)]
+struct Hashed(u64);
+
+impl Hasher for Hashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only `u64` keys are hashed")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 /// Groups `cells` by the `keys` columns and computes `aggs` per group.
 /// Each output row is the group-key values followed by one value per
 /// aggregate. Groups appear in first-seen input order (the sweep's
@@ -281,7 +302,7 @@ pub fn aggregate<'a>(
     let mut groups: Vec<(&CellResult, Vec<Accum>)> = Vec::new();
     // Each hash maps to its latest group; `next[g]` chains to the
     // group seen before `g` with the same hash.
-    let mut heads: HashMap<u64, usize> = HashMap::new();
+    let mut heads: HashMap<u64, usize, BuildHasherDefault<Hashed>> = HashMap::default();
     let mut next: Vec<Option<usize>> = Vec::new();
     let state = RandomState::new();
     for cell in cells {
@@ -319,9 +340,10 @@ pub fn aggregate<'a>(
 }
 
 /// The sweep summary: the cells grouped by `SUMMARY_KEYS` with
-/// `SUMMARY_AGGREGATES` computed per group. This *is* the `summarize`
-/// every caller (merge, sweep reports, the CLI, `helios query`)
-/// shares; its output is field-for-field the legacy sequential loop.
+/// `SUMMARY_AGGREGATES` computed per group, the same plan a `helios
+/// query` group-by runs. [`SweepReport::summary`](crate::SweepReport::summary)
+/// derives a report's means through it; its output is field-for-field
+/// the legacy sequential loop.
 #[must_use]
 pub fn summarize_cells(cells: &[CellResult]) -> Vec<SummaryRow> {
     let keys = SUMMARY_KEYS.map(|(c, _)| c);

@@ -8,10 +8,12 @@
 //! hand-maintaining its own. The summary plan names its aggregates in
 //! the query evaluator's own [`Agg`] vocabulary. Cells are read in
 //! place through [`Column::get`] (a borrowed [`ValueRef`]) and filled
-//! by the segment decoder through `Column::set`. Those two, and
-//! [`summary_row_values`], destructure the structs field by field with
-//! no `..` rest pattern, so adding a sweep field without teaching the
-//! schema about it is a compile error, not a silently dropped column.
+//! by the segment decoder through `Column::fill`, which names each
+//! column's field once, with a typed setter. `get` and
+//! [`summary_row_values`] destructure the structs field by field with
+//! no `..` rest pattern, and `fill` matches every column, so adding a
+//! sweep field without teaching the schema about it is a compile error,
+//! not a silently dropped column.
 
 use super::exec::Agg;
 use crate::campaign::sweep::{CellResult, SummaryRow};
@@ -145,7 +147,7 @@ impl Column {
     /// The column's position in [`Column::ALL`] (= its index in a
     /// full-schema row).
     #[must_use]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         self as usize
     }
 
@@ -158,7 +160,7 @@ impl Column {
 
     /// The column's physical type.
     #[must_use]
-    pub fn column_type(self) -> ColumnType {
+    pub const fn column_type(self) -> ColumnType {
         COLUMNS[self.index()].2
     }
 
@@ -306,68 +308,58 @@ impl Column {
         }
     }
 
-    /// Stores `value` in this column of `cell` — the inverse of
-    /// [`Column::get`], and how the segment decoder fills cells column
-    /// by column. `None` when `value` does not carry the column's type.
-    pub(crate) fn set(self, cell: &mut CellResult, value: Value) -> Option<()> {
-        let CellResult {
-            cell: index,
-            family,
-            platform,
-            scheduler,
-            seed,
-            makespan_secs,
-            slr,
-            energy_j,
-            transfers,
-            transfer_bytes,
-            failures,
-            retries,
-            completed,
-            wasted_work_secs,
-            recovery_overhead_secs,
-            makespan_degradation,
-            reroutes,
-            partition_downtime_secs,
-            rematerialized_tasks,
-            rematerialized_bytes,
-            incomplete_reason,
-            capacity_secs,
-            preemptions,
-            drain_migrated_tasks,
-            join_utilization,
-        } = cell;
-        match (self, value) {
-            (Column::Cell, Value::U64(v)) => *index = v as usize,
-            (Column::Family, Value::Str(v)) => *family = v,
-            (Column::Platform, Value::Str(v)) => *platform = v,
-            (Column::Scheduler, Value::Str(v)) => *scheduler = v,
-            (Column::Seed, Value::U64(v)) => *seed = v,
-            (Column::MakespanSecs, Value::F64(v)) => *makespan_secs = v,
-            (Column::Slr, Value::F64(v)) => *slr = v,
-            (Column::EnergyJ, Value::F64(v)) => *energy_j = v,
-            (Column::Transfers, Value::U64(v)) => *transfers = v as usize,
-            (Column::TransferBytes, Value::F64(v)) => *transfer_bytes = v,
-            (Column::Failures, Value::U32(v)) => *failures = v,
-            (Column::Retries, Value::U32(v)) => *retries = v,
-            (Column::Completed, Value::Bool(v)) => *completed = v,
-            (Column::WastedWorkSecs, Value::F64(v)) => *wasted_work_secs = v,
-            (Column::RecoveryOverheadSecs, Value::F64(v)) => *recovery_overhead_secs = v,
-            (Column::MakespanDegradation, Value::F64(v)) => *makespan_degradation = v,
-            (Column::Reroutes, Value::U32(v)) => *reroutes = v,
-            (Column::PartitionDowntimeSecs, Value::F64(v)) => *partition_downtime_secs = v,
-            (Column::RematerializedTasks, Value::U32(v)) => *rematerialized_tasks = v,
-            (Column::RematerializedBytes, Value::F64(v)) => *rematerialized_bytes = v,
-            (Column::IncompleteReason, Value::Str(v)) => *incomplete_reason = Some(v),
-            (Column::IncompleteReason, Value::Null) => *incomplete_reason = None,
-            (Column::CapacitySecs, Value::F64(v)) => *capacity_secs = v,
-            (Column::Preemptions, Value::U32(v)) => *preemptions = v,
-            (Column::DrainMigratedTasks, Value::U32(v)) => *drain_migrated_tasks = v,
-            (Column::JoinUtilization, Value::F64(v)) => *join_utilization = v,
-            _ => return None,
+    /// Hands `into` this column's setter, by the column's type: the one
+    /// list of the field each column fills, the inverse of
+    /// [`Column::get`]. The segment decoder resolves a column's field
+    /// here once, then writes every row's value straight into it.
+    pub(crate) fn fill(self, into: &mut impl Fill) -> Option<()> {
+        match self {
+            Column::Cell => into.u64(|c, v| c.cell = v as usize),
+            Column::Family => into.str(|c, v| c.family = v),
+            Column::Platform => into.str(|c, v| c.platform = v),
+            Column::Scheduler => into.str(|c, v| c.scheduler = v),
+            Column::Seed => into.u64(|c, v| c.seed = v),
+            Column::MakespanSecs => into.f64(|c, v| c.makespan_secs = v),
+            Column::Slr => into.f64(|c, v| c.slr = v),
+            Column::EnergyJ => into.f64(|c, v| c.energy_j = v),
+            Column::Transfers => into.u64(|c, v| c.transfers = v as usize),
+            Column::TransferBytes => into.f64(|c, v| c.transfer_bytes = v),
+            Column::Failures => into.u32(|c, v| c.failures = v),
+            Column::Retries => into.u32(|c, v| c.retries = v),
+            Column::Completed => into.bool(|c, v| c.completed = v),
+            Column::WastedWorkSecs => into.f64(|c, v| c.wasted_work_secs = v),
+            Column::RecoveryOverheadSecs => into.f64(|c, v| c.recovery_overhead_secs = v),
+            Column::MakespanDegradation => into.f64(|c, v| c.makespan_degradation = v),
+            Column::Reroutes => into.u32(|c, v| c.reroutes = v),
+            Column::PartitionDowntimeSecs => into.f64(|c, v| c.partition_downtime_secs = v),
+            Column::RematerializedTasks => into.u32(|c, v| c.rematerialized_tasks = v),
+            Column::RematerializedBytes => into.f64(|c, v| c.rematerialized_bytes = v),
+            Column::IncompleteReason => into.opt_str(|c, v| c.incomplete_reason = v),
+            Column::CapacitySecs => into.f64(|c, v| c.capacity_secs = v),
+            Column::Preemptions => into.u32(|c, v| c.preemptions = v),
+            Column::DrainMigratedTasks => into.u32(|c, v| c.drain_migrated_tasks = v),
+            Column::JoinUtilization => into.f64(|c, v| c.join_utilization = v),
         }
-        Some(())
     }
+}
+
+/// Fills cells one column at a time: [`Column::fill`] calls the method
+/// for the column's [`ColumnType`] with a setter for the column's
+/// field, and the method writes each cell's value through it. `None`
+/// stops the fill (the segment decoder's damaged group).
+pub(crate) trait Fill {
+    /// Fills a [`ColumnType::U64`] column.
+    fn u64(&mut self, set: impl Fn(&mut CellResult, u64)) -> Option<()>;
+    /// Fills a [`ColumnType::U32`] column.
+    fn u32(&mut self, set: impl Fn(&mut CellResult, u32)) -> Option<()>;
+    /// Fills a [`ColumnType::F64`] column.
+    fn f64(&mut self, set: impl Fn(&mut CellResult, f64)) -> Option<()>;
+    /// Fills a [`ColumnType::Bool`] column.
+    fn bool(&mut self, set: impl Fn(&mut CellResult, bool)) -> Option<()>;
+    /// Fills a [`ColumnType::Str`] column.
+    fn str(&mut self, set: impl Fn(&mut CellResult, String)) -> Option<()>;
+    /// Fills a [`ColumnType::OptStr`] column.
+    fn opt_str(&mut self, set: impl Fn(&mut CellResult, Option<String>)) -> Option<()>;
 }
 
 /// Converts a [`CellResult`] into a full-schema row of owned values,
@@ -515,6 +507,59 @@ mod tests {
         }
     }
 
+    /// Stores `value` in column `col` of `cell` through
+    /// [`Column::fill`]; `None` when `value` does not carry the type of
+    /// the setter `fill` hands over.
+    fn set(col: Column, cell: &mut CellResult, value: Value) -> Option<()> {
+        struct One<'a>(&'a mut CellResult, Option<Value>);
+        impl Fill for One<'_> {
+            fn u64(&mut self, set: impl Fn(&mut CellResult, u64)) -> Option<()> {
+                let Some(Value::U64(v)) = self.1.take() else {
+                    return None;
+                };
+                set(self.0, v);
+                Some(())
+            }
+            fn u32(&mut self, set: impl Fn(&mut CellResult, u32)) -> Option<()> {
+                let Some(Value::U32(v)) = self.1.take() else {
+                    return None;
+                };
+                set(self.0, v);
+                Some(())
+            }
+            fn f64(&mut self, set: impl Fn(&mut CellResult, f64)) -> Option<()> {
+                let Some(Value::F64(v)) = self.1.take() else {
+                    return None;
+                };
+                set(self.0, v);
+                Some(())
+            }
+            fn bool(&mut self, set: impl Fn(&mut CellResult, bool)) -> Option<()> {
+                let Some(Value::Bool(v)) = self.1.take() else {
+                    return None;
+                };
+                set(self.0, v);
+                Some(())
+            }
+            fn str(&mut self, set: impl Fn(&mut CellResult, String)) -> Option<()> {
+                let Some(Value::Str(v)) = self.1.take() else {
+                    return None;
+                };
+                set(self.0, v);
+                Some(())
+            }
+            fn opt_str(&mut self, set: impl Fn(&mut CellResult, Option<String>)) -> Option<()> {
+                match self.1.take()? {
+                    Value::Str(v) => set(self.0, Some(v)),
+                    Value::Null => set(self.0, None),
+                    _ => return None,
+                }
+                Some(())
+            }
+        }
+        col.fill(&mut One(cell, Some(value)))
+    }
+
     #[test]
     fn set_inverts_get_for_every_column() {
         for cell in [sample_cell(), {
@@ -527,7 +572,7 @@ mod tests {
             assert_eq!(row.len(), Column::ALL.len());
             let mut back = CellResult::default();
             for (col, value) in Column::ALL.into_iter().zip(row) {
-                assert_eq!(col.set(&mut back, value), Some(()), "{}", col.name());
+                assert_eq!(set(col, &mut back, value), Some(()), "{}", col.name());
             }
             assert_eq!(back, cell);
         }
@@ -544,7 +589,7 @@ mod tests {
             (Column::Completed, Value::F64(1.0)),
         ];
         for (col, value) in wrong {
-            assert_eq!(col.set(&mut cell, value), None, "{}", col.name());
+            assert_eq!(set(col, &mut cell, value), None, "{}", col.name());
         }
         assert_eq!(cell, sample_cell());
     }

@@ -34,7 +34,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use super::schema::{schema_names, Column, ColumnType, Value, ValueRef};
+use super::schema::{schema_names, Column, ColumnType, Fill, ValueRef};
 use crate::campaign::sweep::{CellResult, ShardReport};
 use crate::framed::{self, Appender, Format};
 use crate::EngineError;
@@ -51,6 +51,7 @@ pub(crate) static FORMAT: Format = Format {
     noun: "store",
     record: "group",
     tagged: false,
+    cell_bytes: row_bytes(),
 };
 
 /// The checksummed first record: campaign identity, shard geometry,
@@ -195,21 +196,6 @@ impl<'a> Cursor<'a> {
         Some(u32::from_le_bytes(self.array()?))
     }
 
-    /// Decodes one `N`-byte value per cell into column `col`, taking
-    /// the whole column's bytes with one bounds check.
-    fn column<const N: usize>(
-        &mut self,
-        cells: &mut [CellResult],
-        col: Column,
-        value: impl Fn([u8; N]) -> Option<Value>,
-    ) -> Option<()> {
-        let (values, _) = self.take(N.checked_mul(cells.len())?)?.as_chunks::<N>();
-        for (cell, &bytes) in cells.iter_mut().zip(values) {
-            col.set(cell, value(bytes)?)?;
-        }
-        Some(())
-    }
-
     /// Reads a count of items that each take at least `item_bytes` of
     /// what is left; `None` when the rest cannot hold that many, so a
     /// hostile count never sizes an allocation.
@@ -221,20 +207,110 @@ impl<'a> Cursor<'a> {
 
 /// Bytes one row takes in a group payload at least: its fixed-width
 /// values plus one dictionary code per string column.
-fn row_bytes() -> usize {
-    Column::ALL
-        .iter()
-        .map(|col| match col.column_type() {
+const fn row_bytes() -> usize {
+    let mut bytes = 0;
+    let mut at = 0;
+    while at < Column::ALL.len() {
+        bytes += match Column::ALL[at].column_type() {
             ColumnType::U64 | ColumnType::F64 => 8,
             ColumnType::U32 | ColumnType::Str | ColumnType::OptStr => 4,
             ColumnType::Bool => 1,
-        })
-        .sum()
+        };
+        at += 1;
+    }
+    bytes
+}
+
+/// A group payload being decoded into its cells, one column at a time:
+/// [`Column::fill`] resolves each column's field once, and every row's
+/// value is written straight into it.
+struct Group<'p, 'c> {
+    cur: Cursor<'p>,
+    cells: &'c mut [CellResult],
+}
+
+impl Group<'_, '_> {
+    /// Decodes one `N`-byte value per cell through `set`, taking the
+    /// whole column's bytes with one bounds check.
+    fn fixed<const N: usize, T>(
+        &mut self,
+        value: impl Fn([u8; N]) -> Option<T>,
+        set: impl Fn(&mut CellResult, T),
+    ) -> Option<()> {
+        let (values, _) = self
+            .cur
+            .take(N.checked_mul(self.cells.len())?)?
+            .as_chunks::<N>();
+        for (cell, &bytes) in self.cells.iter_mut().zip(values) {
+            set(cell, value(bytes)?);
+        }
+        Some(())
+    }
+
+    /// Decodes a string column, its dictionary then one code per cell,
+    /// through `value` and `set`: each string is one `String` copied
+    /// from the dictionary, and code 0 of a `nullable` column is null
+    /// (entry k lives at code k + 1 there).
+    fn strings<T>(
+        &mut self,
+        nullable: bool,
+        value: impl Fn(Option<String>) -> Option<T>,
+        set: impl Fn(&mut CellResult, T),
+    ) -> Option<()> {
+        // Each entry takes at least its length prefix.
+        let entries = self.cur.count(4)?;
+        let mut dict: Vec<&str> = Vec::with_capacity(entries);
+        for _ in 0..entries {
+            let len = self.cur.u32()? as usize;
+            dict.push(std::str::from_utf8(self.cur.take(len)?).ok()?);
+        }
+        for cell in self.cells.iter_mut() {
+            let code = self.cur.u32()? as usize;
+            let text = match code.checked_sub(usize::from(nullable)) {
+                Some(entry) => Some((*dict.get(entry)?).to_owned()),
+                None => None,
+            };
+            set(cell, value(text)?);
+        }
+        Some(())
+    }
+}
+
+impl Fill for Group<'_, '_> {
+    fn u64(&mut self, set: impl Fn(&mut CellResult, u64)) -> Option<()> {
+        self.fixed(|b| Some(u64::from_le_bytes(b)), set)
+    }
+
+    fn u32(&mut self, set: impl Fn(&mut CellResult, u32)) -> Option<()> {
+        self.fixed(|b| Some(u32::from_le_bytes(b)), set)
+    }
+
+    fn f64(&mut self, set: impl Fn(&mut CellResult, f64)) -> Option<()> {
+        self.fixed(|b| Some(f64::from_bits(u64::from_le_bytes(b))), set)
+    }
+
+    fn bool(&mut self, set: impl Fn(&mut CellResult, bool)) -> Option<()> {
+        self.fixed(
+            |[b]| match b {
+                0 | 1 => Some(b == 1),
+                _ => None,
+            },
+            set,
+        )
+    }
+
+    fn str(&mut self, set: impl Fn(&mut CellResult, String)) -> Option<()> {
+        // Only a nullable column decodes a null.
+        self.strings(false, std::convert::identity, set)
+    }
+
+    fn opt_str(&mut self, set: impl Fn(&mut CellResult, Option<String>)) -> Option<()> {
+        self.strings(true, Some, set)
+    }
 }
 
 /// Decodes one columnar group payload straight onto the end of `out`,
-/// column by column: each string value is one `String` copied from its
-/// group's dictionary. `None` on any structural damage, with `out` then
+/// column by column. `None` on any structural damage, with `out` then
 /// holding partly decoded rows past its old length, which the caller
 /// cuts off (it treats the record as the start of the torn tail).
 fn decode_group(payload: &[u8], out: &mut Vec<CellResult>) -> Option<()> {
@@ -245,47 +321,16 @@ fn decode_group(payload: &[u8], out: &mut Vec<CellResult>) -> Option<()> {
     let rows = cur.count(row_bytes())?;
     let first = out.len();
     out.resize_with(first + rows, CellResult::default);
-    let cells = &mut out[first..];
+    let mut group = Group {
+        cur,
+        cells: &mut out[first..],
+    };
     for col in Column::ALL {
-        match col.column_type() {
-            ColumnType::Str | ColumnType::OptStr => {
-                let nullable = col.column_type() == ColumnType::OptStr;
-                // Each entry takes at least its length prefix.
-                let entries = cur.count(4)?;
-                let mut dict: Vec<&str> = Vec::with_capacity(entries);
-                for _ in 0..entries {
-                    let len = cur.u32()? as usize;
-                    dict.push(std::str::from_utf8(cur.take(len)?).ok()?);
-                }
-                for cell in cells.iter_mut() {
-                    let code = cur.u32()? as usize;
-                    // Code 0 of a nullable column is null; entry k
-                    // lives at code k + 1 there.
-                    let value = match code.checked_sub(usize::from(nullable)) {
-                        Some(entry) => Value::Str((*dict.get(entry)?).to_owned()),
-                        None => Value::Null,
-                    };
-                    col.set(cell, value)?;
-                }
-            }
-            ColumnType::U64 => {
-                cur.column(cells, col, |b| Some(Value::U64(u64::from_le_bytes(b))))?
-            }
-            ColumnType::U32 => {
-                cur.column(cells, col, |b| Some(Value::U32(u32::from_le_bytes(b))))?
-            }
-            ColumnType::F64 => cur.column(cells, col, |b| {
-                Some(Value::F64(f64::from_bits(u64::from_le_bytes(b))))
-            })?,
-            ColumnType::Bool => cur.column(cells, col, |[b]| match b {
-                0 | 1 => Some(Value::Bool(b == 1)),
-                _ => None,
-            })?,
-        }
+        col.fill(&mut group)?;
     }
     // A valid group consumes its payload exactly; trailing bytes mean
     // the record was not written by this codec.
-    (cur.at == payload.len()).then_some(())
+    (group.cur.at == payload.len()).then_some(())
 }
 
 /// Reads and salvages a store file without modifying it: the longest
@@ -598,37 +643,39 @@ mod tests {
         }
     }
 
+    /// Cell `i`: no two fields of one type hold the same value, so a
+    /// value decoded into the wrong field does not round-trip.
     fn cell(i: usize) -> CellResult {
         CellResult {
             cell: i,
             family: "montage".into(),
             platform: "workstation".into(),
             scheduler: "heft".into(),
-            seed: i as u64,
+            seed: 1000 + i as u64,
             makespan_secs: 1.5 + i as f64,
             slr: 1.0,
             energy_j: 2.0,
-            transfers: 1,
+            transfers: 100,
             transfer_bytes: 10.0,
-            failures: 0,
-            retries: 0,
+            failures: 1,
+            retries: 2,
             completed: i.is_multiple_of(2),
-            wasted_work_secs: 0.0,
-            recovery_overhead_secs: 0.0,
-            makespan_degradation: 0.0,
-            reroutes: 0,
-            partition_downtime_secs: 0.0,
-            rematerialized_tasks: 0,
-            rematerialized_bytes: 0.0,
+            wasted_work_secs: 0.25,
+            recovery_overhead_secs: 0.5,
+            makespan_degradation: 0.125,
+            reroutes: 3,
+            partition_downtime_secs: 0.75,
+            rematerialized_tasks: 4,
+            rematerialized_bytes: 20.0,
             incomplete_reason: if i.is_multiple_of(2) {
                 None
             } else {
                 Some("retries_exhausted".into())
             },
-            capacity_secs: 0.0,
-            preemptions: 0,
-            drain_migrated_tasks: 0,
-            join_utilization: 0.0,
+            capacity_secs: 9.0,
+            preemptions: 5,
+            drain_migrated_tasks: 6,
+            join_utilization: 0.375,
         }
     }
 
@@ -846,29 +893,78 @@ mod tests {
         assert!(decode(&padded).is_none());
     }
 
-    /// Cells with varied strings (some repeated, some not ASCII), nulls,
-    /// booleans and float bit patterns, drawn from `seed`.
+    /// Fixed-width bit patterns at the edges of the column types: zero,
+    /// all ones, `u32::MAX`, `-0.0`, `±inf`, NaNs with payloads and the
+    /// smallest and largest subnormals.
+    const EDGE_BITS: [u64; 10] = [
+        0,
+        u64::MAX,
+        u32::MAX as u64,
+        0x8000_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0001,
+        0xfff4_dead_beef_0000,
+        1,
+        0x000f_ffff_ffff_ffff,
+    ];
+
+    /// The next draw of the generator at `x`.
+    fn next(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *x >> 11
+    }
+
+    /// A fixed-width value's bits: an edge pattern one draw in three,
+    /// else 64 raw bits.
+    fn bits(x: &mut u64) -> u64 {
+        if next(x).is_multiple_of(3) {
+            EDGE_BITS[next(x) as usize % EDGE_BITS.len()]
+        } else {
+            (next(x) << 11) ^ next(x)
+        }
+    }
+
+    /// Cells drawn from `seed`: every fixed-width column from raw bits
+    /// and edge patterns (so floats include NaNs, and fields of one type
+    /// differ), every string column from a small dictionary (some
+    /// entries repeated, one empty, one not ASCII), and nulls.
     fn varied_cells(seed: u64, rows: usize) -> Vec<CellResult> {
         const NAMES: [&str; 5] = ["montage", "ligo", "hpc_node", "", "héliös-ü"];
         let mut x = seed;
-        let mut next = move || {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            x >> 11
-        };
+        let name = |x: &mut u64, n: usize| NAMES[next(x) as usize % n].to_owned();
         (0..rows)
-            .map(|i| {
-                let mut c = cell(i);
-                c.family = NAMES[next() as usize % 5].into();
-                c.platform = NAMES[next() as usize % 5].into();
-                c.scheduler = NAMES[next() as usize % 3].into();
-                c.completed = next() % 2 == 0;
-                c.incomplete_reason = (next() % 3 == 0).then(|| NAMES[next() as usize % 5].into());
-                c.seed = next();
-                c.makespan_secs = f64::from_bits(next() << 11);
-                c.failures = next() as u32;
-                c
+            .map(|_| {
+                let x = &mut x;
+                CellResult {
+                    cell: bits(x) as usize,
+                    family: name(x, 5),
+                    platform: name(x, 5),
+                    scheduler: name(x, 3),
+                    seed: bits(x),
+                    makespan_secs: f64::from_bits(bits(x)),
+                    slr: f64::from_bits(bits(x)),
+                    energy_j: f64::from_bits(bits(x)),
+                    transfers: bits(x) as usize,
+                    transfer_bytes: f64::from_bits(bits(x)),
+                    failures: bits(x) as u32,
+                    retries: bits(x) as u32,
+                    completed: next(x).is_multiple_of(2),
+                    wasted_work_secs: f64::from_bits(bits(x)),
+                    recovery_overhead_secs: f64::from_bits(bits(x)),
+                    makespan_degradation: f64::from_bits(bits(x)),
+                    reroutes: bits(x) as u32,
+                    partition_downtime_secs: f64::from_bits(bits(x)),
+                    rematerialized_tasks: bits(x) as u32,
+                    rematerialized_bytes: f64::from_bits(bits(x)),
+                    incomplete_reason: next(x).is_multiple_of(3).then(|| name(x, 5)),
+                    capacity_secs: f64::from_bits(bits(x)),
+                    preemptions: bits(x) as u32,
+                    drain_migrated_tasks: bits(x) as u32,
+                    join_utilization: f64::from_bits(bits(x)),
+                }
             })
             .collect()
     }

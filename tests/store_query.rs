@@ -228,7 +228,8 @@ fn sweep_through_the_store_is_byte_identical_to_the_direct_run() {
     assert_eq!(report_bytes(&remerged), report_bytes(&reference));
 
     // The summary is the same group-by plan the query language runs.
-    assert_eq!(reference.summary, legacy_summary(&reference.cells));
+    let summary = reference.summary();
+    assert_eq!(summary, legacy_summary(&reference.cells));
     let out = run_query(
         "SELECT family, platform, scheduler, count(*), avg_completed(makespan_secs), \
          avg_completed(slr), avg_completed(energy_j), frac(completed) \
@@ -236,8 +237,8 @@ fn sweep_through_the_store_is_byte_identical_to_the_direct_run() {
         &reference.cells,
     )
     .expect("group-by query");
-    assert_eq!(out.rows.len(), reference.summary.len());
-    for (row, summary) in out.rows.iter().zip(&reference.summary) {
+    assert_eq!(out.rows.len(), summary.len());
+    for (row, summary) in out.rows.iter().zip(&summary) {
         assert_eq!(row[0], Value::Str(summary.family.clone()));
         assert_eq!(row[1], Value::Str(summary.platform.clone()));
         assert_eq!(row[2], Value::Str(summary.scheduler.clone()));
@@ -270,7 +271,7 @@ fn null_means_survive_the_store_and_the_query() {
         reference.cells.iter().all(|c| !c.completed),
         "the fixture must lose every cell"
     );
-    for row in &reference.summary {
+    for row in &reference.summary() {
         assert_eq!(row.mean_makespan_secs, None);
         assert_eq!(row.mean_slr, None);
         assert_eq!(row.mean_energy_j, None);
@@ -367,8 +368,7 @@ fn paper_grid_summary_is_byte_identical_through_the_pipeline() {
     let json = std::fs::read_to_string(dir.join("paper_grid.json")).expect("paper_grid.json");
     let spec = CampaignSpec::from_json(&json).expect("paper grid parses");
     let report = SweepDriver::new(0).run(&spec).expect("paper grid runs");
-    assert_eq!(report.summary, legacy_summary(&report.cells));
-    assert_eq!(report.summary, summarize_cells(&report.cells));
+    assert_eq!(report.summary(), legacy_summary(&report.cells));
 }
 
 // ---- Query differential oracle ----------------------------------------

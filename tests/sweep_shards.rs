@@ -27,14 +27,19 @@ fn report_bytes(report: &SweepReport) -> String {
     serde_json::to_string_pretty(report).expect("report serializes")
 }
 
-/// FNV-1a (64-bit) over a report's serialized bytes, as 16 hex digits.
-fn report_digest(report: &SweepReport) -> String {
+/// FNV-1a (64-bit) over `text`, as 16 hex digits.
+fn fnv(text: &str) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in report_bytes(report).as_bytes() {
+    for &b in text.as_bytes() {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0100_0000_01b3);
     }
     format!("{hash:016x}")
+}
+
+/// FNV-1a (64-bit) over a report's serialized bytes, as 16 hex digits.
+fn report_digest(report: &SweepReport) -> String {
+    fnv(&report_bytes(report))
 }
 
 #[test]
@@ -112,10 +117,58 @@ fn sweep_report_roundtrips_through_json() {
     let back: SweepReport = serde_json::from_str(&json).expect("roundtrip");
     assert_eq!(back, report);
     assert_eq!(report.total_cells, spec.num_cells());
-    assert_eq!(report.summary.len(), 4, "one row per (family, scheduler)");
-    for row in &report.summary {
+    let summary = report.summary();
+    assert_eq!(summary.len(), 4, "one row per (family, scheduler)");
+    for row in &summary {
         assert_eq!(row.cells, 2, "two seeds per combination");
         assert!(row.mean_makespan_secs.unwrap() > 0.0 && row.mean_slr.unwrap() >= 1.0);
+    }
+}
+
+/// The exact JSON bytes of two merged 2-shard reports, compact and
+/// pretty, pinned by length and digest: the smoke grid, and the
+/// infeasible grid, where no cell completes and every summary mean is
+/// `null`. The summary is the last key, after the cells.
+#[test]
+fn merged_report_json_bytes_are_pinned() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/specs");
+    let pins = [
+        (
+            "smoke.json",
+            (5176, "991fadbe396b3a3f"),
+            (7179, "92fc17a4433b36a5"),
+        ),
+        (
+            "infeasible_smoke.json",
+            (2342, "564a836e089f6817"),
+            (3357, "2061d481423e4c27"),
+        ),
+    ];
+    for (file, compact_pin, pretty_pin) in pins {
+        let json = std::fs::read_to_string(dir.join(file)).expect("example spec");
+        let spec = CampaignSpec::from_json(&json).expect("example spec parses");
+        let shards: Vec<ShardReport> = (1..=2)
+            .map(|k| {
+                SweepDriver::new(1)
+                    .run_shard(&spec, ShardSpec::new(k, 2).unwrap())
+                    .expect("shard runs")
+            })
+            .collect();
+        let merged = merge_shards(&shards).expect("merge");
+        let compact = serde_json::to_string(&merged).expect("report serializes");
+        let pretty = serde_json::to_string_pretty(&merged).expect("report serializes");
+        assert_eq!(
+            (
+                (compact.len(), fnv(&compact).as_str()),
+                (pretty.len(), fnv(&pretty).as_str())
+            ),
+            (compact_pin, pretty_pin),
+            "{file}"
+        );
+        assert!(compact.contains("}],\"summary\":[{\"family\":"), "{file}");
+        assert!(compact.ends_with("}]}"), "{file}");
+        let null_means = compact.contains("\"mean_makespan_secs\":null");
+        assert_eq!(null_means, file.starts_with("infeasible"), "{file}");
     }
 }
 
