@@ -191,6 +191,32 @@ if [ -n "$durable_forks" ]; then
 fi
 echo "crates/cli/src, crates/core/src/fuzz: one durable-format vocabulary (Durable)"
 
+echo "==> one salvage type guard"
+# A salvaged journal or store has one shape, helios_core::DurableSalvage
+# (crates/core/src/campaign/durable.rs), built in one place: the framed
+# layer's read (crates/core/src/framed.rs). Each format's reader only
+# decodes its payloads into it. So in the non-test code of
+# crates/core/src, a struct, enum or type alias named `*Salvage` other
+# than DurableSalvage is a second salvage shape, and a second
+# `fn to_shard_report` bridges one to the shard report again. Test code
+# is skipped (`*_tests.rs` files and non_test_awk).
+salvage_forks=$(find crates/core/src -name '*.rs' ! -name '*_tests.rs' | sort \
+    | non_test_awk '
+        function site(k) { n[k]++; at[k] = at[k] FILENAME ":" FNR ":" $0 "\n" }
+        /(^|[^[:alnum:]_])(struct|enum|type) [[:alnum:]_]*Salvage([^[:alnum:]_]|$)/ \
+            && !/(struct|enum|type) DurableSalvage([^[:alnum:]_]|$)/ { site(1) }
+        /(^|[^[:alnum:]_])fn to_shard_report([^[:alnum:]_]|$)/ { site(2) }
+        END {
+            printf "%s", at[1]
+            if (n[2] != 1) printf "%d fns named to_shard_report, not 1:\n%s", n[2], at[2]
+        }' || true)
+if [ -n "$salvage_forks" ]; then
+    echo "$salvage_forks" >&2
+    echo "a second salvage shape: read durable files into helios_core::DurableSalvage through framed::Format::read" >&2
+    exit 1
+fi
+echo "crates/core/src: one salvage type (DurableSalvage) and one to_shard_report"
+
 echo "==> one resilient transition guard"
 # Each state change of the resilient runner has one routine, and every
 # trigger (a device fault, a domain strike, an elastic departure) goes

@@ -23,14 +23,16 @@
 //! at most the records being written — never a cell that was reported
 //! durable — and a lost completion only re-runs its cell.
 //!
-//! This module holds only the payload codec; the framing, the
-//! longest-valid-prefix salvage of [`read_journal`] and the in-place
-//! truncation of [`Durable::recover`](crate::Durable::recover) are the
-//! framed-file layer's. The sweep, the CLI and the fuzz oracles reach
-//! the journal through [`Durable`](crate::Durable), the one place that
-//! knows the durable formats: it tells a journal by its magic, words
-//! its messages and reads or recovers it into the view a store reads
-//! into.
+//! This module holds only the payload codec: [`read_journal`] is one
+//! call of the framed-file layer's read with the record decoder, and
+//! the framing, the longest-valid-prefix salvage into the one
+//! [`DurableSalvage`] of both formats, the tally of attempts without a
+//! completion and the in-place truncation of
+//! [`Durable::recover`](crate::Durable::recover) are that layer's. The
+//! sweep, the CLI and the fuzz oracles reach the journal through
+//! [`Durable`](crate::Durable), the one place that knows the durable
+//! formats: it tells a journal by its magic, words its messages and
+//! reads or recovers it.
 //! Because cells are pure functions of the spec and their coordinates,
 //! a resumed sweep re-runs exactly the missing cells and compiles a
 //! report byte-identical to an uninterrupted run.
@@ -41,12 +43,12 @@
 //! (recorded `completed = false, incomplete_reason = "poisoned"`)
 //! instead of being retried forever.
 
-use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use super::sweep::{CellResult, ShardReport};
+use super::durable::DurableSalvage;
+use super::sweep::CellResult;
 use crate::framed::{Appender, Format};
 use crate::EngineError;
 
@@ -95,60 +97,9 @@ struct AttemptRecord {
     cell: usize,
 }
 
-/// The salvageable state of a journal: header, the longest valid
-/// record prefix, and how much torn tail follows it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Salvage {
-    /// The validated header record.
-    pub header: JournalHeader,
-    /// Completion records in append order, first occurrence per cell.
-    pub cells: Vec<CellResult>,
-    /// Attempt records in append order (may repeat a cell).
-    pub attempts: Vec<usize>,
-    /// Bytes of valid prefix (magic + header + intact records).
-    pub valid_bytes: u64,
-    /// Bytes of torn tail after the valid prefix.
-    pub dropped_bytes: u64,
-}
-
-impl Salvage {
-    /// The salvaged completions as a [`ShardReport`] — the bridge that
-    /// lets `merge_shards` consume journal files directly. It consumes
-    /// the salvage, so the cells move instead of being cloned; read
-    /// `dropped_bytes` or [`pending_attempts`](Salvage::pending_attempts)
-    /// first.
-    // A consuming `to_*`: every caller drops the salvage right after,
-    // and the benchmark calls it by this name.
-    #[allow(clippy::wrong_self_convention)]
-    #[must_use]
-    pub fn to_shard_report(self) -> ShardReport {
-        let h = self.header;
-        ShardReport::salvaged(
-            h.spec_name,
-            h.spec_digest,
-            h.total_cells,
-            h.shard_index,
-            h.shard_count,
-            self.cells,
-        )
-    }
-
-    /// Cells with attempt records but no completion record, with their
-    /// attempt counts — the poisoned-cell candidates. Sorted by cell;
-    /// O((attempts + cells) · log) however the records interleave.
-    #[must_use]
-    pub fn pending_attempts(&self) -> Vec<(usize, u32)> {
-        let done: HashSet<usize> = self.cells.iter().map(|c| c.cell).collect();
-        let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
-        for &cell in self.attempts.iter().filter(|c| !done.contains(c)) {
-            *counts.entry(cell).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
-    }
-}
-
 /// Reads and salvages a journal without modifying it: the longest
-/// valid record prefix plus the size of the torn tail.
+/// valid record prefix plus the size of the torn tail, and the cells
+/// attempted without a completion.
 ///
 /// # Errors
 ///
@@ -156,24 +107,25 @@ impl Salvage {
 /// when the file is not a journal (bad magic) or its header record is
 /// torn — there is nothing to salvage without a trusted header — and
 /// I/O errors as [`EngineError::Config`].
-pub fn read_journal(path: &Path) -> Result<Salvage, EngineError> {
-    let mut attempts = Vec::new();
-    let scan = FORMAT.read::<JournalHeader>(path, |kind, payload, cells| {
-        let text = std::str::from_utf8(payload).ok()?;
-        match kind {
-            KIND_ATTEMPT => attempts.push(serde_json::from_str::<AttemptRecord>(text).ok()?.cell),
-            KIND_CELL => cells.push(serde_json::from_str(text).ok()?),
-            _ => return None,
-        }
-        Some(())
-    })?;
-    Ok(Salvage {
-        header: scan.header,
-        cells: scan.cells,
-        attempts,
-        valid_bytes: scan.valid_bytes,
-        dropped_bytes: scan.dropped_bytes,
-    })
+pub fn read_journal(path: &Path) -> Result<DurableSalvage, EngineError> {
+    FORMAT.read(path, |_: &JournalHeader| Ok(()), decode_record)
+}
+
+/// Decodes one record payload: an attempt's cell index onto `attempts`
+/// or a completion's cell onto `cells`; `None` for anything else.
+fn decode_record(
+    kind: u8,
+    payload: &[u8],
+    cells: &mut Vec<CellResult>,
+    attempts: &mut Vec<usize>,
+) -> Option<()> {
+    let text = std::str::from_utf8(payload).ok()?;
+    match kind {
+        KIND_ATTEMPT => attempts.push(serde_json::from_str::<AttemptRecord>(text).ok()?.cell),
+        KIND_CELL => cells.push(serde_json::from_str(text).ok()?),
+        _ => return None,
+    }
+    Some(())
 }
 
 /// Appends checksummed records to a journal file. The public appends
@@ -303,6 +255,23 @@ impl JournalWriter {
     }
 }
 
+/// The attempt records of the journal at `path`, in append order.
+#[cfg(test)]
+pub(crate) fn attempt_log(path: &Path) -> Vec<usize> {
+    let mut log = Vec::new();
+    let record = |kind, payload: &[u8], cells: &mut Vec<CellResult>, attempts: &mut Vec<_>| {
+        decode_record(kind, payload, cells, attempts)?;
+        if kind == KIND_ATTEMPT {
+            log.extend(attempts.last());
+        }
+        Some(())
+    };
+    FORMAT
+        .read(path, |_: &JournalHeader| Ok(()), record)
+        .expect("a readable journal");
+    log
+}
+
 #[cfg(test)]
 mod tests {
     use std::fs::OpenOptions;
@@ -310,6 +279,7 @@ mod tests {
     use std::path::PathBuf;
 
     use super::*;
+    use crate::campaign::sweep::ShardReport;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -375,63 +345,20 @@ mod tests {
         drop(w);
 
         let s = read_journal(&path).unwrap();
-        assert_eq!(s.header, header());
-        assert_eq!(s.cells, vec![cell(0)]);
-        assert_eq!(s.attempts, vec![0, 2]);
-        assert_eq!(s.dropped_bytes, 0);
-        assert_eq!(s.pending_attempts(), vec![(2, 1)]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// The quadratic tally `pending_attempts` replaced: one scan of the
-    /// completions and one of the tally per attempt record.
-    fn pending_attempts_reference(s: &Salvage) -> Vec<(usize, u32)> {
-        let mut out: Vec<(usize, u32)> = Vec::new();
-        for &cell in &s.attempts {
-            if s.cells.iter().any(|c| c.cell == cell) {
-                continue;
-            }
-            match out.iter_mut().find(|(c, _)| *c == cell) {
-                Some((_, n)) => *n += 1,
-                None => out.push((cell, 1)),
-            }
-        }
-        out.sort_unstable_by_key(|&(c, _)| c);
-        out
-    }
-
-    #[test]
-    fn pending_attempts_match_the_quadratic_reference() {
-        use rand::{Rng, SeedableRng};
-        let salvage = |cells: Vec<usize>, attempts: Vec<usize>| Salvage {
-            header: header(),
-            cells: cells.into_iter().map(cell).collect(),
-            attempts,
-            valid_bytes: 0,
-            dropped_bytes: 0,
+        let h = header();
+        let report = ShardReport {
+            spec_name: h.spec_name,
+            spec_digest: h.spec_digest,
+            total_cells: h.total_cells,
+            shard_index: h.shard_index,
+            shard_count: h.shard_count,
+            cells: vec![cell(0)],
         };
-        // Hand-made journals: repeated attempts, completed cells among
-        // them, completions before and after their attempts.
-        let mut cases = vec![
-            salvage(vec![], vec![]),
-            salvage(vec![0, 1], vec![0, 1]),
-            salvage(vec![2], vec![5, 2, 5, 3, 5, 2, 3]),
-            salvage(vec![7, 1], vec![9, 9, 9, 1, 7, 1, 0, 9, 0]),
-        ];
-        // Random interleavings: 40 journals of up to 60 attempts over
-        // 12 cells, a third of the cells completed.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-        for _ in 0..40 {
-            let attempts = (0..rng.gen_range(0..60))
-                .map(|_| rng.gen_range(0..12))
-                .collect();
-            let cells = (0..12).filter(|_| rng.gen_range(0..3) == 0).collect();
-            cases.push(salvage(cells, attempts));
-        }
-        for s in &cases {
-            assert_eq!(s.pending_attempts(), pending_attempts_reference(s), "{s:?}");
-        }
-        assert_eq!(cases[2].pending_attempts(), vec![(3, 2), (5, 3)]);
+        assert_eq!(s.report, report);
+        assert_eq!(attempt_log(&path), vec![0, 2]);
+        assert_eq!(s.dropped_bytes, 0);
+        assert_eq!(s.pending, vec![(2, 1)]);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -446,15 +373,16 @@ mod tests {
         w.append_attempt(0).unwrap();
         drop(w);
         let s = read_journal(&path).unwrap();
-        assert_eq!(s.cells, vec![cell(0), cell(1)]);
-        assert_eq!(s.attempts, vec![0]);
+        assert_eq!(s.report.cells, vec![cell(0), cell(1)]);
+        assert_eq!(attempt_log(&path), vec![0]);
+        assert!(s.pending.is_empty());
         assert_eq!(s.dropped_bytes, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
     /// Completions mostly in rising cell order with repeats mixed in,
     /// each repeat with other values, read back as the reference
-    /// salvage says: the first occurrence of each cell, in append order.
+    /// salvage says: the first occurrence of each cell, by cell.
     #[test]
     fn repeated_completions_salvage_like_the_reference() {
         use rand::{Rng, SeedableRng};
@@ -476,8 +404,9 @@ mod tests {
             drop(w);
             let mut seen = std::collections::HashSet::new();
             expected.retain(|c| seen.insert(c.cell));
+            expected.sort_by_key(|c| c.cell);
             let s = read_journal(&path).unwrap();
-            assert_eq!(s.cells, expected);
+            assert_eq!(s.report.cells, expected);
             assert_eq!(s.valid_bytes, std::fs::metadata(&path).unwrap().len());
             assert_eq!(s.dropped_bytes, 0);
         }
@@ -508,7 +437,7 @@ mod tests {
         let mut w = JournalWriter::open_append(&path, None).unwrap();
         w.append_cell(&cell(2)).unwrap();
         drop(w);
-        assert_eq!(read_journal(&path).unwrap().cells.len(), 3);
+        assert_eq!(read_journal(&path).unwrap().report.cells.len(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -527,7 +456,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let s = read_journal(&path).unwrap();
-        assert_eq!(s.cells.len(), 1, "the CRC-failing record is dropped");
+        assert_eq!(s.report.cells.len(), 1, "the CRC-failing record is dropped");
         assert_eq!(s.valid_bytes, boundary);
         assert!(s.dropped_bytes > 0);
         std::fs::remove_file(&path).unwrap();

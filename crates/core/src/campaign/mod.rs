@@ -106,7 +106,7 @@ impl fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {}
 
 pub use durable::{Durable, DurableSalvage};
-pub use journal::{JournalHeader, JournalWriter, Salvage};
+pub use journal::{JournalHeader, JournalWriter};
 pub use spec::{
     CampaignSpec, DvfsKnob, FaultKnob, ResilienceKnob, SchedulerParamsKnob, SeedRange, SweepCell,
 };

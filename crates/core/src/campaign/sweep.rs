@@ -230,34 +230,6 @@ pub struct ShardReport {
     pub cells: Vec<CellResult>,
 }
 
-impl ShardReport {
-    /// `cells`, sorted by index, under the campaign and shard identity
-    /// of a durable file's header: the one body of the journal's and the
-    /// store's `to_shard_report`, which bridge salvaged files to
-    /// [`merge_shards`] and the sweep loop.
-    pub(crate) fn salvaged(
-        spec_name: String,
-        spec_digest: String,
-        total_cells: usize,
-        shard_index: usize,
-        shard_count: usize,
-        mut cells: Vec<CellResult>,
-    ) -> ShardReport {
-        cells.sort_by_key(|c| c.cell);
-        // The salvage grew `cells` push by push; a report may be held
-        // for a whole merge, so it keeps no spare capacity.
-        cells.shrink_to_fit();
-        ShardReport {
-            spec_name,
-            spec_digest,
-            total_cells,
-            shard_index,
-            shard_count,
-            cells,
-        }
-    }
-}
-
 /// Mean metrics over the seed replicates of one grid combination.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SummaryRow {
@@ -2085,7 +2057,8 @@ mod tests {
         assert!((8..=14).contains(&syncs), "{syncs} syncs for 6 cells");
         assert_eq!(merge_shards(&[run.report]).unwrap(), reference);
         let salvage = journal::read_journal(&path).unwrap();
-        assert_eq!((salvage.cells.len(), salvage.attempts.len()), (6, 6));
+        assert_eq!(salvage.report.cells.len(), 6);
+        assert_eq!(journal::attempt_log(&path).len(), 6);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2106,9 +2079,10 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("injected crash"), "{err}");
             let salvage = journal::read_journal(&path).unwrap();
-            let done: Vec<usize> = salvage.cells.iter().map(|c| c.cell).collect();
+            let done: Vec<usize> = salvage.report.cells.iter().map(|c| c.cell).collect();
             assert_eq!(done, (0..k).collect::<Vec<_>>(), "crash at cell {k}");
-            assert_eq!(salvage.attempts, (0..=k).collect::<Vec<_>>());
+            assert_eq!(journal::attempt_log(&path), (0..=k).collect::<Vec<_>>());
+            assert_eq!(salvage.pending, vec![(k, 1)]);
             assert_eq!(salvage.dropped_bytes, 0);
             assert_eq!(crate::framed::probe::take(&path), k as u64 + 2);
         }
@@ -2163,8 +2137,8 @@ mod tests {
         assert_eq!(syncs(), 2, "no cell is left to start: written through");
         drop(sink);
         let salvage = journal::read_journal(&path).unwrap();
-        assert_eq!(salvage.cells, (0..4).map(cell).collect::<Vec<_>>());
-        assert_eq!(salvage.attempts, vec![0, 1, 2, 3]);
+        assert_eq!(salvage.report.cells, (0..4).map(cell).collect::<Vec<_>>());
+        assert_eq!(journal::attempt_log(&path), vec![0, 1, 2, 3]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,6 +1,6 @@
-//! Shared report accounting: the one place an execution turns into an
-//! [`ExecutionReport`], and the normalized vocabulary for runs that
-//! stop short.
+//! Shared report accounting: where the engine's and the online
+//! runner's executions turn into an [`ExecutionReport`], and the
+//! normalized vocabulary for runs that stop short.
 
 use helios_energy::account;
 use helios_platform::Platform;
@@ -13,9 +13,11 @@ use crate::report::{ExecutionReport, TransferStats};
 
 /// Assembles the final report from realized placements: records
 /// execution spans on the trace, validates the schedule, accounts
-/// energy, and packs the transfer/fault tallies. Every simulated path
-/// ends here, so the report columns are computed identically
-/// everywhere.
+/// energy, and packs the transfer/fault tallies. The engine and the
+/// online runner end here. The resilient runner does not: it runs
+/// untraced and its simulation already yields a validated schedule, so
+/// `ResilientRunner::execute_plan_with` calls the same `account` and
+/// `ExecutionReport::new` on it directly.
 pub(crate) fn finish_report(
     platform: &Platform,
     wf: &Workflow,

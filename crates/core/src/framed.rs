@@ -12,13 +12,18 @@
 //! Integers are little-endian, the CRC is IEEE CRC-32 over the payload,
 //! and only a *tagged* format (the journal) has the kind byte. The
 //! codecs above own the header type and the record payloads, nothing
-//! else. Every write is one `write_all` of whole frames plus one
+//! else: a read hands each intact record's payload to the format's
+//! decoder and builds the one salvaged shape of both formats,
+//! [`DurableSalvage`], itself. Every write is one `write_all` of whole frames plus one
 //! `sync_data`, so a `kill -9` loses at most the frames being written:
 //! the store writes one row group at a time, the journal the records it
 //! staged and the one that makes them durable.
 //! Reading is longest-valid-prefix salvage: the first frame failing its
 //! bounds, CRC or decode starts the torn tail, which recovery truncates
-//! (fsync'd) so the file can be appended to again. Cells are pure
+//! (fsync'd) so the file can be appended to again. The salvage's report
+//! takes the campaign and shard identity from the header frame and the
+//! kept cells sorted by index; its pending list is the attempted cells
+//! (journal attempt records) that have no completion. Cells are pure
 //! functions of the spec, so a cell recorded twice is recorded
 //! identically, and the scan keeps its first occurrence. A file whose
 //! cell indices strictly rise (a store shard, a one-worker journal) has
@@ -26,15 +31,15 @@
 //! it builds one from the cells kept so far only at the first index
 //! that does not rise.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::sweep::CellResult;
-use crate::campaign::CampaignError;
+use crate::campaign::sweep::{CellResult, ShardReport};
+use crate::campaign::{CampaignError, DurableSalvage};
 use crate::EngineError;
 
 /// Upper bound on a single frame payload; anything larger in the
@@ -118,17 +123,16 @@ pub(crate) struct Format {
     pub(crate) cell_bytes: usize,
 }
 
-/// The trusted header and longest valid record prefix of a framed file.
-pub(crate) struct Scan<H> {
-    /// The decoded header frame.
-    pub(crate) header: H,
-    /// Cells the valid records carry, in append order, first occurrence
-    /// per cell.
-    pub(crate) cells: Vec<CellResult>,
-    /// Bytes of valid prefix (magic + header + intact records).
-    pub(crate) valid_bytes: u64,
-    /// Bytes of torn tail after the valid prefix.
-    pub(crate) dropped_bytes: u64,
+/// The campaign and shard a durable file belongs to, as its header
+/// frame names them: a journal's header is exactly these fields, and a
+/// store's adds its column list.
+#[derive(Deserialize)]
+struct Identity {
+    spec_name: String,
+    spec_digest: String,
+    total_cells: usize,
+    shard_index: usize,
+    shard_count: usize,
 }
 
 /// A typed `CorruptResume` error for `path`, valid up to `offset`.
@@ -155,6 +159,19 @@ fn frame_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
     (crc32(payload) == crc).then_some((payload, end))
 }
 
+/// The cells of `attempts` with no completion among `cells` (sorted by
+/// cell), with their attempt counts, sorted by cell: the poisoned-cell
+/// candidates. O(attempts · log) however the records interleave, and
+/// nothing for a file without attempt records.
+fn pending(attempts: &[usize], cells: &[CellResult]) -> Vec<(usize, u32)> {
+    let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
+    for &cell in attempts {
+        *counts.entry(cell).or_insert(0) += 1;
+    }
+    counts.retain(|cell, _| cells.binary_search_by_key(cell, |c| c.cell).is_err());
+    counts.into_iter().collect()
+}
+
 /// Appends `[len][crc32][payload]` to `buf`.
 fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -172,17 +189,21 @@ impl Format {
         EngineError::Config(format!("{} {}: {what}: {e}", self.noun, path.display()))
     }
 
-    /// Reads `path` without modifying it. A bad magic or a torn header
-    /// is a [`CampaignError::CorruptResume`] (nothing can be salvaged
-    /// without a trusted header); after the header, `decode` gets each
-    /// intact frame's kind byte (0 when untagged) and payload and pushes
-    /// the cells it carries, or returns `None` to start the torn tail
-    /// there (the frame's cells are then dropped).
+    /// Reads and salvages `path` without modifying it, into the one
+    /// [`DurableSalvage`] view of both formats. A bad magic, a torn
+    /// header, or a header `H` that `trust` refuses is a
+    /// [`CampaignError::CorruptResume`] (nothing can be salvaged without
+    /// a trusted header). After the header, `decode` gets each intact
+    /// frame's kind byte (0 when untagged) and payload and pushes the
+    /// cells and attempted cell indices it carries, or returns `None` to
+    /// start the torn tail there (the frame's cells and attempts are then
+    /// dropped).
     pub(crate) fn read<H: for<'de> Deserialize<'de>>(
         &self,
         path: &Path,
-        mut decode: impl FnMut(u8, &[u8], &mut Vec<CellResult>) -> Option<()>,
-    ) -> Result<Scan<H>, EngineError> {
+        trust: impl FnOnce(&H) -> Result<(), &'static str>,
+        mut decode: impl FnMut(u8, &[u8], &mut Vec<CellResult>, &mut Vec<usize>) -> Option<()>,
+    ) -> Result<DurableSalvage, EngineError> {
         let bytes = std::fs::read(path).map_err(|e| self.io_err(path, "read", &e))?;
         let noun = self.noun;
         if !self.matches(&bytes) {
@@ -198,9 +219,11 @@ impl Format {
         let at = self.magic.len();
         let header = frame_at(&bytes, at).and_then(|(payload, end)| {
             let text = std::str::from_utf8(payload).ok()?;
-            Some((serde_json::from_str(text).ok()?, end))
+            let header: H = serde_json::from_str(text).ok()?;
+            let identity: Identity = serde_json::from_str(text).ok()?;
+            Some((header, identity, end))
         });
-        let Some((header, mut valid)) = header else {
+        let Some((header, identity, mut valid)) = header else {
             return Err(corrupt(
                 path,
                 at as u64,
@@ -210,9 +233,11 @@ impl Format {
                 ),
             ));
         };
+        trust(&header).map_err(|detail| corrupt(path, at as u64, detail.into()))?;
 
         let tag = usize::from(self.tagged);
         let mut cells: Vec<CellResult> = Vec::with_capacity(bytes.len() / self.cell_bytes);
+        let mut attempts: Vec<usize> = Vec::new();
         // Built at the first cell index that does not rise; until then
         // the last kept index is larger than every other kept one.
         let mut seen: Option<HashSet<usize>> = None;
@@ -221,9 +246,10 @@ impl Format {
             let Some((payload, end)) = frame_at(&bytes, valid + tag) else {
                 break;
             };
-            let first = cells.len();
-            if decode(kind, payload, &mut cells).is_none() {
+            let (first, tried) = (cells.len(), attempts.len());
+            if decode(kind, payload, &mut cells, &mut attempts).is_none() {
                 cells.truncate(first);
+                attempts.truncate(tried);
                 break;
             }
             // Keep the first occurrence of each cell, in place.
@@ -246,11 +272,27 @@ impl Format {
             cells.truncate(kept);
             valid = end;
         }
-        Ok(Scan {
-            header,
-            cells,
+        let dropped_bytes = (bytes.len() - valid) as u64;
+        // Free the file before the shrink below copies the cells, so
+        // the read's peak holds one or the other, not both.
+        drop(bytes);
+        cells.sort_by_key(|c| c.cell);
+        // The scan reserved `cells` for the most the file could hold; a
+        // report may be held for a whole merge, so it keeps no spare
+        // capacity.
+        cells.shrink_to_fit();
+        Ok(DurableSalvage {
+            pending: pending(&attempts, &cells),
+            report: ShardReport {
+                spec_name: identity.spec_name,
+                spec_digest: identity.spec_digest,
+                total_cells: identity.total_cells,
+                shard_index: identity.shard_index,
+                shard_count: identity.shard_count,
+                cells,
+            },
             valid_bytes: valid as u64,
-            dropped_bytes: (bytes.len() - valid) as u64,
+            dropped_bytes,
         })
     }
 
@@ -404,6 +446,7 @@ pub(crate) mod probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::JournalHeader;
     use proptest::prelude::*;
 
     static TEST: Format = Format {
@@ -421,31 +464,119 @@ mod tests {
         }
     }
 
+    fn header() -> JournalHeader {
+        JournalHeader {
+            spec_name: "t".into(),
+            spec_digest: "d".into(),
+            total_cells: 4,
+            shard_index: 1,
+            shard_count: 2,
+        }
+    }
+
     #[test]
     fn a_frame_that_fails_to_decode_keeps_none_of_its_cells() {
         let path = std::env::temp_dir().join(format!("helios-framed-{}", std::process::id()));
-        let mut out = Appender::create(&TEST, &path, &"header").unwrap();
+        let mut out = Appender::create(&TEST, &path, &header()).unwrap();
         out.append(1, b"cells 0 and 0").unwrap();
         let boundary = std::fs::metadata(&path).unwrap().len();
         out.append(2, b"cells 1 then a failure").unwrap();
         drop(out);
-        // Kind 1 carries cell 0 twice; kind 2 pushes cell 1, then fails.
-        let scan = TEST
-            .read::<String>(&path, |kind, _, cells| {
-                cells.push(cell(0));
-                if kind == 2 {
-                    cells.push(cell(1));
-                    return None;
-                }
-                cells.push(cell(0));
-                Some(())
-            })
+        // Kind 1 carries cell 0 twice and attempt 3; kind 2 pushes cell
+        // 1 and attempt 2, then fails.
+        let salvage = TEST
+            .read(
+                &path,
+                |_: &JournalHeader| Ok(()),
+                |kind, _, cells, attempts| {
+                    cells.push(cell(0));
+                    if kind == 2 {
+                        cells.push(cell(1));
+                        attempts.push(2);
+                        return None;
+                    }
+                    cells.push(cell(0));
+                    attempts.push(3);
+                    Some(())
+                },
+            )
             .unwrap();
-        assert_eq!(scan.header, "header");
-        assert_eq!(scan.cells, vec![cell(0)]);
-        assert_eq!(scan.valid_bytes, boundary);
-        assert_eq!(scan.dropped_bytes, 9 + 22);
+        let h = header();
+        let report = ShardReport {
+            spec_name: h.spec_name,
+            spec_digest: h.spec_digest,
+            total_cells: h.total_cells,
+            shard_index: h.shard_index,
+            shard_count: h.shard_count,
+            cells: vec![cell(0)],
+        };
+        assert_eq!(salvage.report, report);
+        assert_eq!(salvage.pending, vec![(3, 1)]);
+        assert_eq!(salvage.valid_bytes, boundary);
+        assert_eq!(salvage.dropped_bytes, 9 + 22);
+
+        // A header the format does not trust is refused at its offset.
+        let err = TEST
+            .read(
+                &path,
+                |_: &JournalHeader| Err("untrusted"),
+                |_, _, _, _| Some(()),
+            )
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("at byte 8: untrusted"), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The quadratic tally [`pending`] replaced: one scan of the
+    /// completions and one of the tally per attempt record.
+    fn pending_reference(attempts: &[usize], cells: &[usize]) -> Vec<(usize, u32)> {
+        let mut out: Vec<(usize, u32)> = Vec::new();
+        for &cell in attempts {
+            if cells.contains(&cell) {
+                continue;
+            }
+            match out.iter_mut().find(|(c, _)| *c == cell) {
+                Some((_, n)) => *n += 1,
+                None => out.push((cell, 1)),
+            }
+        }
+        out.sort_unstable_by_key(|&(c, _)| c);
+        out
+    }
+
+    #[test]
+    fn pending_matches_the_quadratic_reference() {
+        use rand::{Rng, SeedableRng};
+        // Hand-made journals: repeated attempts, completed cells among
+        // them, completions before and after their attempts.
+        let mut cases: Vec<(Vec<usize>, Vec<usize>)> = vec![
+            (vec![], vec![]),
+            (vec![0, 1], vec![0, 1]),
+            (vec![5, 2, 5, 3, 5, 2, 3], vec![2]),
+            (vec![9, 9, 9, 1, 7, 1, 0, 9, 0], vec![1, 7]),
+        ];
+        // Random interleavings: 40 journals of up to 60 attempts over
+        // 12 cells, a third of the cells completed.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        for _ in 0..40 {
+            let attempts = (0..rng.gen_range(0..60))
+                .map(|_| rng.gen_range(0..12))
+                .collect();
+            let cells = (0..12).filter(|_| rng.gen_range(0..3) == 0).collect();
+            cases.push((attempts, cells));
+        }
+        for (attempts, done) in &cases {
+            let cells: Vec<CellResult> = done.iter().map(|&i| cell(i)).collect();
+            assert_eq!(
+                pending(attempts, &cells),
+                pending_reference(attempts, done),
+                "{attempts:?} {done:?}"
+            );
+        }
+        let (attempts, done) = &cases[2];
+        let cells: Vec<CellResult> = done.iter().map(|&i| cell(i)).collect();
+        assert_eq!(pending(attempts, &cells), vec![(3, 2), (5, 3)]);
     }
 
     #[test]

@@ -110,8 +110,8 @@ pub mod store;
 pub use campaign::{
     cell_rng, merge_shards, CampaignEngine, CampaignError, CampaignSpec, CellResult, Durable,
     DurableSalvage, DvfsKnob, FaultKnob, JournalHeader, JournalOptions, JournalWriter,
-    ResilienceKnob, Salvage, SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, SummaryRow,
-    SweepCell, SweepDriver, SweepOptions, SweepOutcome, SweepReport,
+    ResilienceKnob, SchedulerParamsKnob, SeedRange, ShardReport, ShardSpec, SummaryRow, SweepCell,
+    SweepDriver, SweepOptions, SweepOutcome, SweepReport,
 };
 pub use config::EngineConfig;
 pub use elastic::{
@@ -127,4 +127,4 @@ pub use resilience::{
     FailureDomain, FailureModel, LinkFaultModel, RecoveryPolicy, ResilienceConfig,
     ResilienceMetrics, ResilientRunner,
 };
-pub use store::{read_store, run_query, QueryOutput, StoreHeader, StoreSalvage, StoreWriter};
+pub use store::{read_store, run_query, QueryOutput, StoreHeader, StoreWriter};

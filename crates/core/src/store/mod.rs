@@ -34,6 +34,4 @@ pub use schema::{
     row_from_cell, schema_names, summary_row_values, Column, ColumnType, Row, SummaryColumn, Value,
     ValueRef, SUMMARY_AGGREGATES, SUMMARY_KEYS,
 };
-pub use segment::{
-    read_store, StoreHeader, StoreSalvage, StoreWriter, DEFAULT_SEGMENT_ROWS, STORE_MAGIC,
-};
+pub use segment::{read_store, StoreHeader, StoreWriter, DEFAULT_SEGMENT_ROWS, STORE_MAGIC};

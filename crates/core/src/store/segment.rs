@@ -20,12 +20,14 @@
 //! size), one shard geometry, and the writing schema, so resume, merge,
 //! and query refuse foreign or stale files with typed errors.
 //!
-//! This module holds only the header check and the columnar codec; the
-//! framing and its longest-valid-prefix salvage are the framed-file
-//! layer's. A group that fails length/CRC/decode checks starts the torn
-//! tail, [`Durable::recover`](crate::Durable::recover) truncates that
-//! tail in place so the file can be appended to again, and duplicated
-//! cells keep their first occurrence. The sweep, the CLI and the fuzz
+//! This module holds only the header check and the columnar codec:
+//! [`read_store`] is one call of the framed-file layer's read, which
+//! salvages the longest valid group prefix into the one
+//! [`DurableSalvage`] of both formats. A group that fails
+//! length/CRC/decode checks starts the torn tail,
+//! [`Durable::recover`](crate::Durable::recover) truncates that tail in
+//! place so the file can be appended to again, and duplicated cells
+//! keep their first occurrence. The sweep, the CLI and the fuzz
 //! oracles reach the store through [`Durable`](crate::Durable), the one
 //! place that knows the durable formats and tells a store from a
 //! journal by its magic.
@@ -35,8 +37,9 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use super::schema::{schema_names, Column, ColumnType, Fill, ValueRef};
-use crate::campaign::sweep::{CellResult, ShardReport};
-use crate::framed::{self, Appender, Format};
+use crate::campaign::sweep::CellResult;
+use crate::campaign::DurableSalvage;
+use crate::framed::{Appender, Format};
 use crate::EngineError;
 
 /// File magic: identifies a helios columnar cell store, version 1.
@@ -70,42 +73,6 @@ pub struct StoreHeader {
     pub shard_count: usize,
     /// Column names in write order; must match the current schema.
     pub columns: Vec<String>,
-}
-
-/// The salvageable state of a store file: header, the longest valid
-/// group prefix decoded back to cells, and the torn tail size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreSalvage {
-    /// The validated header record.
-    pub header: StoreHeader,
-    /// Decoded rows in append order, first occurrence per cell.
-    pub cells: Vec<CellResult>,
-    /// Bytes of valid prefix (magic + header + intact groups).
-    pub valid_bytes: u64,
-    /// Bytes of torn tail after the valid prefix.
-    pub dropped_bytes: u64,
-}
-
-impl StoreSalvage {
-    /// The salvaged cells as a [`ShardReport`] — the bridge that lets
-    /// `merge_shards` and `query` consume store files directly. It
-    /// consumes the salvage, so the cells move instead of being cloned;
-    /// read `valid_bytes` or `dropped_bytes` first.
-    // A consuming `to_*`: every caller drops the salvage right after,
-    // and the benchmark calls it by this name.
-    #[allow(clippy::wrong_self_convention)]
-    #[must_use]
-    pub fn to_shard_report(self) -> ShardReport {
-        let h = self.header;
-        ShardReport::salvaged(
-            h.spec_name,
-            h.spec_digest,
-            h.total_cells,
-            h.shard_index,
-            h.shard_count,
-            self.cells,
-        )
-    }
 }
 
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
@@ -343,24 +310,16 @@ fn decode_group(payload: &[u8], out: &mut Vec<CellResult>) -> Option<()> {
 /// or the header's column list disagrees with the current schema —
 /// there is nothing to salvage without a trusted header — and I/O
 /// errors as [`EngineError::Config`].
-pub fn read_store(path: &Path) -> Result<StoreSalvage, EngineError> {
-    let scan =
-        FORMAT.read::<StoreHeader>(path, |_, payload, cells| decode_group(payload, cells))?;
-    if scan.header.columns != schema_names() {
-        return Err(framed::corrupt(
-            path,
-            STORE_MAGIC.len() as u64,
+pub fn read_store(path: &Path) -> Result<DurableSalvage, EngineError> {
+    let trust = |header: &StoreHeader| {
+        (header.columns == schema_names()).then_some(()).ok_or(
             "store column list does not match this build's schema; the file \
              was written by a different helios version — delete the file to \
-             start fresh"
-                .into(),
-        ));
-    }
-    Ok(StoreSalvage {
-        header: scan.header,
-        cells: scan.cells,
-        valid_bytes: scan.valid_bytes,
-        dropped_bytes: scan.dropped_bytes,
+             start fresh",
+        )
+    };
+    FORMAT.read(path, trust, |_, payload, cells, _| {
+        decode_group(payload, cells)
     })
 }
 
@@ -625,6 +584,8 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::campaign::sweep::ShardReport;
+    use crate::framed;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -689,8 +650,16 @@ mod tests {
         drop(w);
 
         let s = read_store(&path).unwrap();
-        assert_eq!(s.header, header());
-        assert_eq!(s.cells, vec![cell(0), cell(1)]);
+        let h = header();
+        let report = ShardReport {
+            spec_name: h.spec_name,
+            spec_digest: h.spec_digest,
+            total_cells: h.total_cells,
+            shard_index: h.shard_index,
+            shard_count: h.shard_count,
+            cells: vec![cell(0), cell(1)],
+        };
+        assert_eq!(s.report, report);
         assert_eq!(s.dropped_bytes, 0);
 
         // Append across a writer reopen, like a resumed shard.
@@ -699,7 +668,7 @@ mod tests {
         w.flush().unwrap();
         drop(w);
         let s = read_store(&path).unwrap();
-        assert_eq!(s.cells, vec![cell(0), cell(1), cell(2)]);
+        assert_eq!(s.report.cells, vec![cell(0), cell(1), cell(2)]);
         assert_eq!(s.to_shard_report().cells.len(), 3);
         std::fs::remove_file(&path).unwrap();
     }
@@ -711,10 +680,10 @@ mod tests {
         w.append_cell(&cell(0)).unwrap();
         // Not flushed: on disk there is only the header so far.
         let s = read_store(&path).unwrap();
-        assert!(s.cells.is_empty());
+        assert!(s.report.cells.is_empty());
         w.flush().unwrap();
         drop(w);
-        assert_eq!(read_store(&path).unwrap().cells, vec![cell(0)]);
+        assert_eq!(read_store(&path).unwrap().report.cells, vec![cell(0)]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -739,7 +708,7 @@ mod tests {
         w.append_cell(&cell(1)).unwrap();
         w.flush().unwrap();
         drop(w);
-        assert_eq!(read_store(&path).unwrap().cells.len(), 2);
+        assert_eq!(read_store(&path).unwrap().report.cells.len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -759,7 +728,11 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let s = read_store(&path).unwrap();
-        assert_eq!(s.cells, vec![cell(0)], "the CRC-failing group is dropped");
+        assert_eq!(
+            s.report.cells,
+            vec![cell(0)],
+            "the CRC-failing group is dropped"
+        );
         assert_eq!(s.valid_bytes, boundary);
         assert!(s.dropped_bytes > 0);
         std::fs::remove_file(&path).unwrap();
@@ -792,7 +765,7 @@ mod tests {
         }
         // The cap flushed without an explicit flush() call.
         let s = read_store(&path).unwrap();
-        assert_eq!(s.cells.len(), DEFAULT_SEGMENT_ROWS);
+        assert_eq!(s.report.cells.len(), DEFAULT_SEGMENT_ROWS);
         w.flush().unwrap();
         drop(w);
         std::fs::remove_file(&path).unwrap();
@@ -814,7 +787,7 @@ mod tests {
         w.flush().unwrap();
         drop(w);
         let s = read_store(&path).unwrap();
-        assert_eq!(s.cells, vec![cell(0), cell(1), cell(2)]);
+        assert_eq!(s.report.cells, vec![cell(0), cell(1), cell(2)]);
         assert_eq!(s.dropped_bytes, 0);
         std::fs::remove_file(&path).unwrap();
     }
@@ -846,7 +819,7 @@ mod tests {
         f.write_all(&hostile).unwrap();
         drop(f);
         let s = read_store(&path).unwrap();
-        assert!(s.cells.is_empty());
+        assert!(s.report.cells.is_empty());
         assert_eq!(s.valid_bytes, intact);
         assert_eq!(s.dropped_bytes, hostile.len() as u64);
         std::fs::remove_file(&path).unwrap();
@@ -1144,13 +1117,14 @@ mod tests {
             std::fs::remove_file(&path).unwrap();
             match old {
                 None => {
-                    prop_assert!(salvage.cells.is_empty());
+                    prop_assert!(salvage.report.cells.is_empty());
                     prop_assert_eq!(salvage.valid_bytes, intact);
                 }
                 Some(mut expected) => {
                     let mut seen = std::collections::HashSet::new();
                     expected.retain(|c| seen.insert(c.cell));
-                    prop_assert_eq!(encode_group(&salvage.cells), encode_group(&expected));
+                    expected.sort_by_key(|c| c.cell);
+                    prop_assert_eq!(encode_group(&salvage.report.cells), encode_group(&expected));
                     prop_assert_eq!(salvage.dropped_bytes, 0);
                 }
             }
@@ -1215,7 +1189,8 @@ mod tests {
 
             let mut seen = std::collections::HashSet::new();
             expected.retain(|c| seen.insert(c.cell));
-            prop_assert_eq!(encode_group(&salvage.cells), encode_group(&expected));
+            expected.sort_by_key(|c| c.cell);
+            prop_assert_eq!(encode_group(&salvage.report.cells), encode_group(&expected));
             prop_assert_eq!(salvage.valid_bytes, valid_bytes);
             prop_assert_eq!(salvage.dropped_bytes, file.len() as u64 - valid_bytes);
         }

@@ -207,36 +207,6 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.heap.clear();
     }
-
-    /// Drains all events at the current head time (a simultaneous batch),
-    /// in insertion order.
-    ///
-    /// Returns an empty vector when the queue is empty.
-    pub fn pop_batch(&mut self) -> Vec<(SimTime, E)> {
-        let mut batch = Vec::new();
-        self.pop_batch_into(&mut batch);
-        batch
-    }
-
-    /// [`pop_batch`](EventQueue::pop_batch) into a caller-owned buffer:
-    /// appends the head-time batch to `buf` (which is *not* cleared) and
-    /// returns how many events were drained. A consumer draining
-    /// simultaneous batches every step can reuse one scratch buffer
-    /// instead of allocating a fresh vector per batch.
-    pub fn pop_batch_into(&mut self, buf: &mut Vec<(SimTime, E)>) -> usize {
-        let Some(head) = self.peek_time() else {
-            return 0;
-        };
-        let mut drained = 0;
-        while self.peek_time() == Some(head) {
-            // The loop condition guarantees the pop succeeds.
-            if let Some(item) = self.pop() {
-                buf.push(item);
-                drained += 1;
-            }
-        }
-        drained
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -313,20 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_drains_equal_times_only() {
-        let mut q = EventQueue::new();
-        q.push(t(1.0), 1);
-        q.push(t(1.0), 2);
-        q.push(t(2.0), 3);
-        let batch = q.pop_batch();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].1, 1);
-        assert_eq!(batch[1].1, 2);
-        assert_eq!(q.len(), 1);
-        assert!(EventQueue::<u8>::new().pop_batch().is_empty());
-    }
-
-    #[test]
     fn push_batch_matches_sequential_pushes() {
         // The batch push must be observationally identical to pushing
         // each payload in turn: same FIFO order among batch members,
@@ -349,22 +305,6 @@ mod tests {
             a.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
             [3, 0, 1, 2, 4]
         );
-    }
-
-    #[test]
-    fn pop_batch_into_reuses_the_buffer() {
-        let mut q = EventQueue::new();
-        q.push_batch(t(1.0), ["a", "b"]);
-        q.push(t(2.0), "c");
-        let mut buf = Vec::new();
-        assert_eq!(q.pop_batch_into(&mut buf), 2);
-        assert_eq!(buf.iter().map(|&(_, e)| e).collect::<Vec<_>>(), ["a", "b"]);
-        buf.clear();
-        assert_eq!(q.pop_batch_into(&mut buf), 1);
-        assert_eq!(buf[0].1, "c");
-        buf.clear();
-        assert_eq!(q.pop_batch_into(&mut buf), 0);
-        assert!(buf.is_empty());
     }
 
     #[test]

@@ -88,14 +88,17 @@ fn torn_mid_record_write_salvages_and_resumes_byte_identically() {
         peek.dropped_bytes > 0,
         "the half-written record must be dropped"
     );
-    assert!(!peek.cells.is_empty(), "records before the tear survive");
+    assert!(
+        !peek.report.cells.is_empty(),
+        "records before the tear survive"
+    );
 
     // Resume: truncate the tail, re-run the lost cells, same bytes.
     let resumed = driver
         .run_journal(&spec, ShardSpec::full(), &path, &JournalOptions::default())
         .expect("resumed run");
     assert_eq!(resumed.dropped_bytes, peek.dropped_bytes);
-    assert_eq!(resumed.salvaged_cells, peek.cells.len());
+    assert_eq!(resumed.salvaged_cells, peek.report.cells.len());
     let merged = bytes(&merge_shards(&[resumed.report]).expect("merge"));
     assert_eq!(
         merged, reference,

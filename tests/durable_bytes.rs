@@ -106,7 +106,7 @@ fn torn_journal_and_its_recovery_are_byte_pinned() {
     );
 
     let torn = read_journal(&path).expect("torn journal reads");
-    assert_eq!((torn.cells.len(), torn.attempts.len()), (1, 2));
+    assert_eq!((torn.report.cells.len(), torn.pending), (1, vec![(1, 1)]));
     assert!(torn.dropped_bytes > 0, "the half record is the torn tail");
     let torn = Durable::Journal.read(&path).expect("torn journal reads");
     let recovered = Durable::Journal.recover(&path).expect("recovers");

@@ -177,9 +177,9 @@ proptest! {
 
         let salvage = read_store(&path).expect("read back");
         prop_assert_eq!(salvage.dropped_bytes, 0);
-        prop_assert_eq!(&salvage.cells, &cells, "salvage must reproduce append order");
+        prop_assert_eq!(&salvage.report.cells, &cells, "salvage must reproduce the appended cells");
 
-        let out = run_query("SELECT *", &salvage.cells).expect("SELECT *");
+        let out = run_query("SELECT *", &salvage.report.cells).expect("SELECT *");
         prop_assert_eq!(&out.schema, &schema_names());
         // SELECT * yields global cell order; the synthetic cells are
         // already indexed 0..rows, so each row is its cell's fields,
@@ -291,7 +291,7 @@ fn null_means_survive_the_store_and_the_query() {
     let salvage = read_store(&path).expect("read back");
     let out = run_query(
         "SELECT avg_completed(makespan_secs), frac(completed)",
-        &salvage.cells,
+        &salvage.report.cells,
     )
     .expect("global aggregate");
     assert_eq!(out.rows, vec![vec![Value::Null, Value::F64(0.0)]]);
